@@ -67,7 +67,7 @@ struct QueryTrack {
 /// is recorded in an [`AdaptiveTrace`].
 ///
 /// Plug it into the loop with
-/// [`CraqrServer::run_epoch_with`](craqr_core::CraqrServer::run_epoch_with);
+/// [`EpochDriver::hook`](craqr_core::EpochDriver::hook);
 /// it learns the standing queries from its first observation.
 pub struct AdaptiveController {
     config: AdaptiveConfig,
@@ -406,7 +406,7 @@ mod tests {
         s.submit("ACQUIRE temp FROM RECT(0,0,2,2) RATE 0.5").unwrap();
         let mut ctl = AdaptiveController::new(AdaptiveConfig::default());
         for _ in 0..20 {
-            s.run_epoch_with(Some(&mut ctl));
+            s.driver().hook(&mut ctl).step();
         }
         let trace = ctl.trace();
         assert_eq!(trace.observations.len(), 20);
@@ -420,12 +420,12 @@ mod tests {
         s.submit("ACQUIRE temp FROM RECT(0,0,4,4) RATE 0.5").unwrap();
         let mut ctl = AdaptiveController::new(AdaptiveConfig::default());
         for _ in 0..10 {
-            s.run_epoch_with(Some(&mut ctl));
+            s.driver().hook(&mut ctl).step();
         }
         // Regime shift: the crowd stops answering almost entirely.
         s.crowd_mut().scale_participation(0.05);
         for _ in 0..10 {
-            s.run_epoch_with(Some(&mut ctl));
+            s.driver().hook(&mut ctl).step();
         }
         let trace = ctl.trace();
         assert!(trace.drift_events() >= 1, "{}", trace.canonical());
@@ -453,7 +453,7 @@ mod tests {
                 if e == 10 {
                     s.crowd_mut().scale_participation(0.05);
                 }
-                s.run_epoch_with(Some(&mut ctl));
+                s.driver().hook(&mut ctl).step();
             }
             (ctl.into_trace(), s.take_output(qid).len())
         };
@@ -487,7 +487,7 @@ mod tests {
                 if e == 8 {
                     s.crowd_mut().scale_participation(0.1);
                 }
-                s.run_epoch_with(Some(&mut ctl));
+                s.driver().hook(&mut ctl).step();
             }
             ctl.into_trace().canonical()
         };
@@ -507,7 +507,7 @@ mod tests {
         }
         let mut ctl = AdaptiveController::new(AdaptiveConfig::default());
         for _ in 0..15 {
-            s.run_epoch_with(Some(&mut ctl));
+            s.driver().hook(&mut ctl).step();
         }
         let trace = ctl.trace();
         assert_eq!(trace.replans.len(), 0, "{}", trace.canonical());
@@ -523,7 +523,7 @@ mod tests {
             if e == 8 {
                 s.crowd_mut().scale_participation(0.05);
             }
-            s.run_epoch_with(Some(&mut ctl));
+            s.driver().hook(&mut ctl).step();
         }
         let trace = ctl.trace();
         let firing: Vec<_> = trace.observations.iter().filter(|o| o.drift.is_some()).collect();
@@ -554,7 +554,7 @@ mod tests {
             if e == 16 {
                 s.crowd_mut().scale_participation(20.0);
             }
-            s.run_epoch_with(Some(&mut ctl));
+            s.driver().hook(&mut ctl).step();
         }
         let trace = ctl.trace();
         assert!(trace.replans.len() <= 1, "cooldown violated:\n{}", trace.canonical());

@@ -20,7 +20,7 @@
 //!    [`craqr_core::ControlAction`]s (budget overwrites + chain rebuilds).
 //!
 //! The controller implements [`craqr_core::ControlHook`], so it *observes*
-//! the epoch loop without owning it; `CraqrServer::run_epoch_with` is the
+//! the epoch loop without owning it; `EpochDriver::hook` is the
 //! only integration point. Every decision — every innovation, detector
 //! score, drift event, and replan — is recorded in an [`AdaptiveTrace`]
 //! whose canonical rendering is byte-identical across

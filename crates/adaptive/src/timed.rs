@@ -102,7 +102,7 @@ mod tests {
         let mut inner = Counting(0);
         let mut hook = TimedHook::new(&mut inner, false);
         for _ in 0..3 {
-            s.run_epoch_with(Some(&mut hook));
+            s.driver().hook(&mut hook).step();
         }
         assert_eq!(hook.calls(), 3);
         assert_eq!(hook.total_ns(), 0, "untimed wrapper must not accumulate time");
@@ -118,7 +118,7 @@ mod tests {
             let mut hook = TimedHook::new(&mut inner, timed);
             let mut reports = Vec::new();
             for _ in 0..5 {
-                let mut report = s.run_epoch_with(Some(&mut hook));
+                let mut report = s.driver().hook(&mut hook).step();
                 // Shard busy time is host-dependent and irrelevant here:
                 // only the event-derived outcome must be unperturbed.
                 for shard in &mut report.exec.shards {

@@ -13,7 +13,7 @@
 
 use craqr_bench::{f3, preamble, Table};
 use craqr_core::exec::ExecMode;
-use craqr_scenario::{ScenarioRunner, ScenarioSpec};
+use craqr_scenario::{Record, RunPlan, ScenarioRunner, ScenarioSpec};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -43,12 +43,14 @@ fn main() {
             .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         let runner = ScenarioRunner::new(spec).expect("committed specs are valid");
 
+        // Report-only: no run log is kept, even for `[runlog]` specs.
+        let plan = |mode| RunPlan::new(mode).record(Record::Off);
         let t0 = Instant::now();
-        let serial = runner.run(ExecMode::Serial).expect("serial run");
+        let serial = runner.run(&plan(ExecMode::Serial)).expect("serial run").report;
         let serial_ms = t0.elapsed().as_secs_f64() * 1e3;
 
         let t1 = Instant::now();
-        let sharded = runner.run(ExecMode::Sharded(4)).expect("sharded run");
+        let sharded = runner.run(&plan(ExecMode::Sharded(4))).expect("sharded run").report;
         let sharded_ms = t1.elapsed().as_secs_f64() * 1e3;
 
         assert_eq!(

@@ -19,7 +19,7 @@
 //! assertions).
 
 use craqr_core::exec::{thread_busy_ns, ExecMode};
-use craqr_scenario::{ScenarioRunner, ScenarioSpec};
+use craqr_scenario::{RunPlan, ScenarioRunner, ScenarioSpec};
 
 const SPEC: &str = r#"
 name = "e15_overhead"
@@ -79,9 +79,10 @@ fn main() {
     let static_runner = runner(SPEC);
     let adaptive_runner = runner(&format!("{SPEC}\n{ADAPTIVE_BLOCK}"));
 
+    let plain = RunPlan::new(ExecMode::Serial);
     // Warm caches/allocator before timing anything.
-    let _ = static_runner.run_full(ExecMode::Serial, 1500).expect("warmup");
-    let _ = adaptive_runner.run_full(ExecMode::Serial, 1500).expect("warmup");
+    let _ = static_runner.run(&plain).expect("warmup");
+    let _ = adaptive_runner.run(&plain).expect("warmup");
 
     // Per rep: time both configs back-to-back (thread-CPU time — immune to
     // descheduling; the pairing shares whatever CPU-frequency conditions
@@ -98,7 +99,7 @@ fn main() {
     for rep in 0..reps {
         let time_static = |best: &mut f64| {
             let t = thread_busy_ns();
-            let out = static_runner.run_full(ExecMode::Serial, 1500).expect("static run");
+            let out = static_runner.run(&plain).expect("static run");
             let report = out.report;
             let secs = thread_busy_ns().saturating_sub(t) as f64 * 1e-9;
             *best = best.min(secs);
@@ -106,7 +107,7 @@ fn main() {
         };
         let time_adaptive = |best: &mut f64| {
             let t = thread_busy_ns();
-            let out = adaptive_runner.run_full(ExecMode::Serial, 1500).expect("adaptive run");
+            let out = adaptive_runner.run(&plain).expect("adaptive run");
             let (report, trace) = (out.report, out.trace);
             let secs = thread_busy_ns().saturating_sub(t) as f64 * 1e-9;
             *best = best.min(secs);

@@ -9,8 +9,8 @@
 //! effectively free.
 //!
 //! Method: a variation of E15's paired design. One scenario runs twice
-//! per repetition — once uninstrumented (`run_full`) and once with the
-//! full stack on (`run_full_instrumented`), in alternating order, each
+//! per repetition — once uninstrumented and once with the full stack on
+//! (the same `RunPlan` with `Execution::timing`), in alternating order, each
 //! timed with **thread-CPU time** (immune to descheduling on busy
 //! hosts). The gated overhead is the **ratio of the per-config minima**
 //! over an even number of alternating-order repetitions: CPU-time noise
@@ -29,7 +29,7 @@
 //! committed artifact always comes from a full run).
 
 use craqr_core::exec::{thread_busy_ns, ExecMode};
-use craqr_scenario::{ScenarioRunner, ScenarioSpec};
+use craqr_scenario::{Execution, RunPlan, ScenarioRunner, ScenarioSpec};
 
 const SPEC: &str = r#"
 name = "e16_overhead"
@@ -84,9 +84,11 @@ fn main() {
     let spec = ScenarioSpec::from_toml(SPEC).expect("bench spec is valid");
     let runner = ScenarioRunner::new(spec).expect("bench spec runs");
 
+    let plain = RunPlan::new(ExecMode::Serial);
+    let timed = RunPlan::new(Execution::from(ExecMode::Serial).timing(true));
     // Warm caches/allocator before timing anything.
-    let _ = runner.run_full(ExecMode::Serial, 1600).expect("warmup");
-    let _ = runner.run_full_instrumented(ExecMode::Serial, 1600).expect("warmup");
+    let _ = runner.run(&plain).expect("warmup");
+    let _ = runner.run(&timed).expect("warmup");
 
     // Per rep: time both configs back-to-back with thread-CPU time,
     // alternating the order; the gate reads the ratio of the two
@@ -98,12 +100,12 @@ fn main() {
     for rep in 0..reps {
         let time_plain = || {
             let t = thread_busy_ns();
-            let out = runner.run_full(ExecMode::Serial, 1600).expect("plain run");
+            let out = runner.run(&plain).expect("plain run");
             (out, thread_busy_ns().saturating_sub(t) as f64 * 1e-9)
         };
         let time_timed = || {
             let t = thread_busy_ns();
-            let out = runner.run_full_instrumented(ExecMode::Serial, 1600).expect("timed run");
+            let out = runner.run(&timed).expect("timed run");
             (out, thread_busy_ns().saturating_sub(t) as f64 * 1e-9)
         };
         let ((plain, p_secs), (timed, t_secs)) = if rep % 2 == 0 {

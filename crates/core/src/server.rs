@@ -720,24 +720,13 @@ impl CraqrServer {
     /// dispatch → crowd advances → responses → errors/mitigation →
     /// ingestion (map) → per-cell processing → per-query merge → budget
     /// tuning.
-    pub fn run_epoch(&mut self) -> EpochReport {
-        self.run_epoch_with(None)
-    }
-
-    /// Runs one epoch with an optional [`ControlHook`] observing the
-    /// result and injecting [`ControlAction`]s before the next epoch —
-    /// the closed-loop variant of [`CraqrServer::run_epoch`].
     ///
-    /// Every other seam combination (tap, timer, crash injection,
-    /// replay, multi-epoch horizons, the pipelined executor) lives on the
-    /// builder-style [`crate::EpochDriver`] — see
+    /// Every seam (a [`ControlHook`] closing the loop, tap, timer, crash
+    /// injection, replay, multi-epoch horizons, the pipelined executor)
+    /// lives on the builder-style [`crate::EpochDriver`] — see
     /// [`CraqrServer::driver`].
-    pub fn run_epoch_with(&mut self, hook: Option<&mut dyn ControlHook>) -> EpochReport {
-        let mut driver = self.driver();
-        if let Some(hook) = hook {
-            driver = driver.hook(hook);
-        }
-        driver.step()
+    pub fn run_epoch(&mut self) -> EpochReport {
+        self.driver().step()
     }
 
     /// Starts building an epoch driver over this server — the one entry
@@ -940,18 +929,18 @@ mod tests {
         let mut s = server(400);
         let qid = s.submit("ACQUIRE temp FROM RECT(0,0,1,1) RATE 1").unwrap();
         let mut hook = Clamp { seen: 0, delivered: 0 };
-        s.run_epoch_with(Some(&mut hook));
+        s.driver().hook(&mut hook).step();
         let cell = craqr_geom::CellId::new(0, 0);
         let attr = s.catalog().lookup("temp").unwrap();
         assert_eq!(s.handler().budget_of(cell, attr), Some(3.0), "hook set the budget");
         assert_eq!(s.fabricator().chain(cell, attr).unwrap().flatten_report().batches(), 0);
         // The pinned budget drives the next epoch's dispatch.
-        let r = s.run_epoch_with(Some(&mut hook));
+        let r = s.driver().hook(&mut hook).step();
         assert_eq!(r.dispatch.requested, 3);
         assert_eq!(hook.seen, 2);
         // Nothing delivered was lost across rebuilds.
         for _ in 0..6 {
-            s.run_epoch_with(Some(&mut hook));
+            s.driver().hook(&mut hook).step();
         }
         let buffered = s.take_output(qid).len();
         assert_eq!(hook.delivered, buffered, "hook-observed tuples and buffered output must agree");
@@ -971,7 +960,7 @@ mod tests {
             let mut hook = Noop;
             for _ in 0..6 {
                 if use_hook {
-                    s.run_epoch_with(Some(&mut hook));
+                    s.driver().hook(&mut hook).step();
                 } else {
                     s.run_epoch();
                 }
@@ -1211,13 +1200,13 @@ mod tests {
         let cell = craqr_geom::CellId::new(0, 0);
         let attr = s.catalog().lookup("temp").unwrap();
         let mut hook = ReplanRetired { target: None };
-        s.run_epoch_with(Some(&mut hook));
+        s.driver().hook(&mut hook).step();
         assert!(s.handler().budget_of(cell, attr).is_some(), "chain live, budget live");
 
         // Retire the chain, then let the (now stale) replan fire.
         s.delete_query(qid).unwrap();
         hook.target = Some((cell, attr));
-        let report = s.run_epoch_with(Some(&mut hook));
+        let report = s.driver().hook(&mut hook).step();
         assert_eq!(report.stale_actions, 2, "both stale actuations surfaced");
         assert_eq!(
             s.handler().budget_of(cell, attr),
@@ -1226,7 +1215,7 @@ mod tests {
         );
         // A live chain still actuates with nothing reported stale.
         let q2 = s.submit("ACQUIRE temp FROM RECT(0,0,1,1) RATE 1").unwrap();
-        let r = s.run_epoch_with(Some(&mut hook));
+        let r = s.driver().hook(&mut hook).step();
         assert_eq!(r.stale_actions, 0);
         assert_eq!(s.handler().budget_of(cell, attr), Some(50.0));
         s.delete_query(q2).unwrap();

@@ -4,15 +4,17 @@
 //! budget levels, churn, spatial granularity. This crate turns those
 //! regimes into *checked-in artifacts*: a [`ScenarioSpec`] describes one
 //! complete workload declaratively (`.toml`/`.json` files under
-//! `scenarios/`), a [`ScenarioRunner`] executes it under any
-//! [`craqr_core::ExecMode`], and the resulting [`ScenarioReport`] renders
-//! to a canonical, byte-stable golden text (committed under
-//! `tests/goldens/`, asserted by `tests/scenario_goldens.rs`).
+//! `scenarios/`), a [`ScenarioRunner`] executes it as a [`RunPlan`] says
+//! — [`Execution`] (serial or sharded, serial or pipelined executor,
+//! timed or not), seed, and what run log to [`Record`] — and the
+//! resulting [`ScenarioReport`] renders to a canonical, byte-stable golden
+//! text (committed under `tests/goldens/`, asserted by
+//! `tests/scenario_goldens.rs`).
 //!
 //! Three properties make the harness a durable regression surface:
 //!
-//! 1. **Determinism** — a report depends only on `(spec, seed)`; serial
-//!    and sharded execution produce byte-identical canonical reports.
+//! 1. **Determinism** — a report depends only on `(spec, seed)`; every
+//!    [`Execution`] produces byte-identical canonical reports.
 //! 2. **Typo rejection** — specs refuse unknown fields and out-of-range
 //!    values with precise dotted-path errors, so a misspelled knob can
 //!    never silently run the wrong workload.
@@ -21,7 +23,7 @@
 //!    so tooling can rewrite specs mechanically.
 //!
 //! ```
-//! use craqr_scenario::{ScenarioRunner, ScenarioSpec};
+//! use craqr_scenario::{replay, Execution, Record, RunPlan, ScenarioRunner, ScenarioSpec};
 //! use craqr_core::ExecMode;
 //!
 //! let spec = ScenarioSpec::from_toml(r#"
@@ -47,9 +49,14 @@
 //! "#).unwrap();
 //!
 //! let runner = ScenarioRunner::new(spec).unwrap();
-//! let serial = runner.run(ExecMode::Serial).unwrap();
-//! let sharded = runner.run(ExecMode::Sharded(4)).unwrap();
-//! assert_eq!(serial.canonical(), sharded.canonical());
+//! let serial = runner.run(&RunPlan::new(ExecMode::Serial)).unwrap();
+//! let staged = Execution::from(ExecMode::Sharded(4)).pipelined(true);
+//! let recorded = runner.run(&RunPlan::new(staged).record(Record::Memory)).unwrap();
+//! assert_eq!(serial.report.canonical(), recorded.report.canonical());
+//!
+//! // The log is a complete event source: replay it with the crowd detached.
+//! let replayed = replay(recorded.log.as_ref().unwrap(), ExecMode::Serial).unwrap();
+//! assert_eq!(replayed.report.checksum(), serial.report.checksum());
 //! ```
 
 #![warn(missing_docs)]
@@ -65,14 +72,14 @@ mod runner;
 
 pub use craqr_adaptive::AdaptiveTrace;
 pub use craqr_runlog::RunLog;
-pub use replay::{
-    replay, replay_instrumented, replay_pipelined, resume, resume_pipelined, ReplayError,
-};
+pub use replay::{kill_salvage_resume, replay, resume, ReplayError};
 pub use report::{
     fnv1a64, AdaptiveSection, AdmissionRow, EpochRow, FaultSection, OperatorRow, QueryRow,
     RunTotals, ScenarioReport, TelemetrySection, TenantRow, TenantSection,
 };
-pub use runner::{scenario_files, BatchError, RunError, RunOutput, ScenarioRunner};
+pub use runner::{
+    scenario_files, BatchError, Execution, Record, RunError, RunOutput, RunPlan, ScenarioRunner,
+};
 pub use spec::{
     AdaptiveSpec, AttributeSpec, BudgetSpec, ChurnSpec, CrashSpec, CrowdFaultSpec, ErrorSpec,
     FaultsSpec, FieldSpec, GridSpec, MobilitySpec, PlacementSpec, PlannerSpec, PopulationSpec,

@@ -1,12 +1,12 @@
 //! Replaying, resuming, and verifying event-sourced runs.
 //!
-//! A [`RunLog`] recorded by `run_full`/`run_recorded` is a complete event
+//! A [`RunLog`] recorded by a [`ScenarioRunner::run`] is a complete event
 //! source for the server side of a run: the embedded spec, the seed, and
 //! every epoch's crowd inputs. This module closes the loop:
 //!
 //! - [`replay`] re-drives a server from the log with the **crowd
 //!   detached** (a zero-sensor world; the recorded responses stand in
-//!   for it) under any [`ExecMode`], re-records as it goes, and verifies
+//!   for it) under any [`Execution`], re-records as it goes, and verifies
 //!   both layers: the regenerated epoch inputs/decisions must be
 //!   structurally identical to the log, and the final report/trace
 //!   checksums must match the seals the recording run wrote. A faithful
@@ -25,14 +25,11 @@
 //!   replayable.
 
 use crate::runner::{
-    build_server, drive, epoch_row, finalize_report, make_collector, phase_timer,
-    spec_shift_schedule, RunError, RunOutput, ShiftSink, ShiftTap,
+    Execution, Record, Recorder, RunError, RunOutput, RunPlan, ScenarioRunner, Session,
 };
 use crate::spec::{ScenarioSpec, SpecError};
-use craqr_adaptive::{AdaptiveController, AdaptiveTrace};
-use craqr_core::{ControlHook, ExecMode, ReplayInputs};
-use craqr_runlog::{diff_logs, RunLog, RunLogRecorder, ShiftEvent};
-use craqr_sensing::SensorResponse;
+use craqr_core::CrashPoint;
+use craqr_runlog::{diff_logs, parse_salvage, AdmissionRecord, RunLog};
 use std::fmt;
 
 /// Why a replay or resume failed.
@@ -111,116 +108,35 @@ pub fn spec_of(log: &RunLog) -> Result<ScenarioSpec, ReplayError> {
     Ok(ScenarioSpec::from_toml(&log.spec_toml)?)
 }
 
+/// Opens the session a replay or resume of `log` runs in: the log's own
+/// spec and seed, re-recording in memory under the log's header so the
+/// fresh log is comparable to (and as replayable as) the original.
+fn open<'a>(
+    log: &'a RunLog,
+    spec: &'a ScenarioSpec,
+    how: Execution,
+    detached: bool,
+) -> Result<Session<'a>, RunError> {
+    let recorder = Recorder::new(&Record::Memory, &log.scenario, log.seed, &log.spec_toml);
+    Session::open(spec, log.seed, how, detached.then_some(log), recorder)
+}
+
 /// Re-drives a server from a recorded log with the crowd detached and
 /// verifies the regeneration (see the module docs). Works under any
-/// `exec` regardless of how the run was recorded — the log is
-/// mode-independent by construction.
-pub fn replay(log: &RunLog, exec: ExecMode) -> Result<RunOutput, ReplayError> {
-    replay_instrumented(log, exec, false)
-}
-
-/// [`replay`] with the clock-derived metric tier switched on — the CLI
-/// `metrics` subcommand uses this to render a full metrics snapshot from
-/// any committed log without touching the original run. Timing changes
-/// nothing checksummed, so the replay verifies exactly as untimed.
-pub fn replay_instrumented(
-    log: &RunLog,
-    exec: ExecMode,
-    timing: bool,
-) -> Result<RunOutput, ReplayError> {
-    replay_inner(log, exec, timing, false)
-}
-
-/// [`replay`] on the pipelined executor
-/// ([`craqr_core::EpochDriver::run_replayed_pipelined`]): the recorded
-/// inputs flow through the four stage workers and the regenerated log
-/// must still match the recording byte-for-byte.
-pub fn replay_pipelined(log: &RunLog, exec: ExecMode) -> Result<RunOutput, ReplayError> {
-    replay_inner(log, exec, false, true)
-}
-
-fn replay_inner(
-    log: &RunLog,
-    exec: ExecMode,
-    timing: bool,
-    pipelined: bool,
-) -> Result<RunOutput, ReplayError> {
+/// [`Execution`] (or bare [`craqr_core::ExecMode`]) regardless of how the
+/// run was recorded — the log is execution-independent by construction.
+/// With `timing` on this is how the CLI `metrics` subcommand renders a
+/// full metrics snapshot from any committed log without touching the
+/// original run; timing changes nothing checksummed, so the replay
+/// verifies exactly as untimed.
+pub fn replay(log: &RunLog, how: impl Into<Execution>) -> Result<RunOutput, ReplayError> {
     let spec = spec_of(log)?;
-    let (mut server, qids) = build_server(&spec, log.seed, exec, true)?;
-    // A `[telemetry]` spec recorded a `[telemetry]` report section, so
-    // the replay must rebuild the registry from the same replay-stable
-    // sources or the sealed report checksum cannot re-converge.
-    let mut telemetry = make_collector(&spec, timing);
-    if timing {
-        server.set_engine_timing(true);
-    }
-    if let Some(t) = &mut telemetry {
-        t.observe_admissions(server.admissions());
-    }
-    let mut controller = match &spec.adaptive {
-        Some(a) => Some(AdaptiveController::new(a.to_config().map_err(ReplayError::Spec)?)),
-        None => None,
-    };
-    let mut recorder = RunLogRecorder::new(&log.scenario, log.seed, &log.spec_toml);
-    // Admission re-ran deterministically inside build_server; the diff
+    // Admission re-runs deterministically as the session opens; the diff
     // below verifies the re-derived verdicts against the recorded ones.
-    recorder.record_admissions(server.admissions());
-
-    // The recorded shift events have no world to apply to; they are
-    // echoed into the fresh log (for the structural comparison) by the
-    // tap adapter, exactly when the recording run appended them.
-    let shift_schedule: Vec<Vec<ShiftEvent>> =
-        log.epochs.iter().map(|r| r.shifts.clone()).collect();
-    let responses: Vec<Vec<SensorResponse>> = log
-        .epochs
-        .iter()
-        .map(|r| r.responses.iter().map(|resp| resp.to_response()).collect())
-        .collect();
-    let responses_delivered: u64 = log.epochs.iter().map(|r| r.responses.len() as u64).sum();
-    let inputs: Vec<ReplayInputs<'_>> = log
-        .epochs
-        .iter()
-        .zip(&responses)
-        .map(|(r, resp)| ReplayInputs { sent: r.sent, responses: resp, faults: r.faults() })
-        .collect();
-
-    let mut tap = ShiftTap::new(&mut recorder as &mut dyn ShiftSink, shift_schedule, None);
-    let outcome = {
-        let mut d = server.driver().tap(&mut tap);
-        if let Some(c) = controller.as_mut() {
-            d = d.hook(c as &mut dyn ControlHook);
-        }
-        if let Some(t) = phase_timer(&mut telemetry, timing) {
-            d = d.timer(t);
-        }
-        if pipelined {
-            d.run_replayed_pipelined(&inputs)
-        } else {
-            d.run_replayed(&inputs)
-        }
-    };
-    drop(tap);
-
-    let mut epochs = Vec::with_capacity(outcome.reports.len());
-    for r in &outcome.reports {
-        if let Some(t) = &mut telemetry {
-            t.observe_epoch(r);
-        }
-        epochs.push(epoch_row(r));
-    }
-
-    let trace = controller.map(AdaptiveController::into_trace);
-    let report = finalize_report(
-        &spec,
-        log.seed,
-        &mut server,
-        &qids,
-        epochs,
-        responses_delivered,
-        trace.as_ref(),
-        telemetry.as_mut(),
-    );
-    let mut fresh = recorder.finish(report.checksum(), trace.as_ref().map(AdaptiveTrace::checksum));
+    let mut session = open(log, &spec, how.into(), true)?;
+    session.drive(None);
+    let mut output = session.close()?;
+    let fresh = output.log.as_mut().expect("a replay re-records");
 
     // Layer 1: the regenerated inputs and decisions must be structurally
     // identical to the recording. The seals are layer 2's business, so
@@ -230,7 +146,7 @@ fn replay_inner(
     let (fresh_report_seal, fresh_trace_seal) = (fresh.report_checksum, fresh.trace_checksum);
     fresh.report_checksum = log.report_checksum;
     fresh.trace_checksum = log.trace_checksum;
-    let diff = diff_logs(log, &fresh);
+    let diff = diff_logs(log, fresh);
     fresh.report_checksum = fresh_report_seal;
     fresh.trace_checksum = fresh_trace_seal;
     if !diff.identical() {
@@ -240,53 +156,29 @@ fn replay_inner(
         });
     }
     // Layer 2: the sealed final checksums must reproduce byte-for-byte.
-    verify_seals(log, &fresh)?;
-    Ok(RunOutput { report, trace, log: Some(fresh), telemetry })
+    verify_seals(log, fresh)?;
+    Ok(output)
 }
 
 /// Resumes a recorded run at epoch boundary `at` (0-based: epochs
 /// `0..at` are rebuilt and verified against the log, epochs `at..` run
-/// fresh) and carries the run through to the spec's full horizon. See
-/// the module docs for the verification contract.
-pub fn resume(log: &RunLog, exec: ExecMode, at: usize) -> Result<RunOutput, ReplayError> {
-    resume_inner(log, exec, at, false)
-}
-
-/// [`resume`] on the pipelined executor: the rebuilt prefix and the
-/// fresh suffix both run through the staged dataflow, and an
-/// unperturbed resume still re-converges on the sealed finals.
-pub fn resume_pipelined(log: &RunLog, exec: ExecMode, at: usize) -> Result<RunOutput, ReplayError> {
-    resume_inner(log, exec, at, true)
-}
-
-fn resume_inner(
+/// fresh) and carries the run through to the spec's full horizon, under
+/// any [`Execution`]. See the module docs for the verification contract.
+pub fn resume(
     log: &RunLog,
-    exec: ExecMode,
+    how: impl Into<Execution>,
     at: usize,
-    pipelined: bool,
 ) -> Result<RunOutput, ReplayError> {
     if at > log.epochs.len() {
         return Err(ReplayError::BadResumePoint { at, recorded: log.epochs.len() });
     }
     let spec = spec_of(log)?;
-    let (mut server, qids) = build_server(&spec, log.seed, exec, false)?;
-    // `[telemetry]` specs need the registry rebuilt over the whole
-    // horizon (prefix included) for the final report to re-converge.
-    let mut telemetry = make_collector(&spec, false);
-    if let Some(t) = &mut telemetry {
-        t.observe_admissions(server.admissions());
-    }
-    let mut controller = match &spec.adaptive {
-        Some(a) => Some(AdaptiveController::new(a.to_config().map_err(ReplayError::Spec)?)),
-        None => None,
-    };
-    let mut recorder = RunLogRecorder::new(&log.scenario, log.seed, &log.spec_toml);
-    recorder.record_admissions(server.admissions());
+    let mut session = open(log, &spec, how.into(), false)?;
     // The rebuilt admission verdicts must match what the original run
     // recorded — a resume must not silently admit what the recorded run
     // rejected (or vice versa).
-    let rebuilt_admissions: Vec<craqr_runlog::AdmissionRecord> =
-        server.admissions().iter().map(craqr_runlog::AdmissionRecord::from).collect();
+    let rebuilt_admissions: Vec<AdmissionRecord> =
+        session.admissions().iter().map(AdmissionRecord::from).collect();
     if rebuilt_admissions != log.admissions {
         return Err(ReplayError::Diverged {
             epoch: None,
@@ -296,34 +188,15 @@ fn resume_inner(
             ),
         });
     }
-
-    let mut tap =
-        ShiftTap::new(&mut recorder as &mut dyn ShiftSink, spec_shift_schedule(&spec), None);
-    let outcome = drive(
-        &mut server,
-        &spec,
-        spec.epochs as u64,
-        controller.as_mut().map(|c| c as &mut dyn ControlHook),
-        Some(&mut tap),
-        None,
-        None,
-        pipelined,
-    );
-    drop(tap);
-
-    let mut epochs = Vec::with_capacity(outcome.reports.len());
-    for r in &outcome.reports {
-        if let Some(t) = &mut telemetry {
-            t.observe_epoch(r);
-        }
-        epochs.push(epoch_row(r));
-    }
+    session.drive(None);
+    let output = session.close()?;
+    let fresh = output.log.as_ref().expect("a resume re-records");
 
     // Inside the rebuilt prefix every epoch must reproduce the log's
     // record exactly; diverging silently here would poison everything
     // after the resume point — report the first mismatching epoch.
     for e in 0..at {
-        let details = craqr_runlog::diff::diff_epoch(&log.epochs[e], &recorder.epochs()[e]);
+        let details = craqr_runlog::diff::diff_epoch(&log.epochs[e], &fresh.epochs[e]);
         if !details.is_empty() {
             return Err(ReplayError::Diverged {
                 epoch: Some(e as u64),
@@ -331,25 +204,40 @@ fn resume_inner(
             });
         }
     }
-
-    let trace = controller.map(AdaptiveController::into_trace);
-    let responses_delivered = server.crowd().responses_delivered();
-    let report = finalize_report(
-        &spec,
-        log.seed,
-        &mut server,
-        &qids,
-        epochs,
-        responses_delivered,
-        trace.as_ref(),
-        telemetry.as_mut(),
-    );
-    let fresh = recorder.finish(report.checksum(), trace.as_ref().map(AdaptiveTrace::checksum));
     // A resume of an unperturbed log re-converges on the sealed finals;
     // only verify them when the whole horizon was recorded (a truncated
     // log carries no seals — `RunLog::truncated` dropped them).
-    verify_seals(log, &fresh)?;
-    Ok(RunOutput { report, trace, log: Some(fresh), telemetry })
+    verify_seals(log, fresh)?;
+    Ok(output)
+}
+
+/// The chaos drill's one cell: kills the run `plan` describes (it must
+/// stream its log) at `point` of `at_epoch`, salvages the torn file,
+/// requires the salvage to hold exactly the epochs that were durable at
+/// the kill, and resumes it to the horizon under the plan's execution.
+/// The torn file is left in place for the caller to inspect or remove.
+///
+/// # Panics
+/// As [`ScenarioRunner::run_to_crash`].
+#[track_caller]
+pub fn kill_salvage_resume(
+    runner: &ScenarioRunner,
+    plan: &RunPlan,
+    at_epoch: u32,
+    point: CrashPoint,
+) -> Result<RunOutput, String> {
+    let Record::Stream(path) = &plan.record else { panic!("a crash run streams its log") };
+    let durable =
+        runner.run_to_crash(plan, at_epoch, point).map_err(|e| format!("crash run: {e}"))?;
+    let src = std::fs::read_to_string(path).map_err(|e| format!("reading crash file: {e}"))?;
+    let salvage = parse_salvage(&src).map_err(|e| format!("salvage: {e}"))?;
+    if salvage.log.epochs.len() != durable {
+        return Err(format!(
+            "salvaged {} epoch(s), but {durable} were durable at the kill",
+            salvage.log.epochs.len()
+        ));
+    }
+    resume(&salvage.log, plan.execution, durable).map_err(|e| format!("resume: {e}"))
 }
 
 /// Verifies the original log's sealed final checksums (if any) against a
@@ -371,7 +259,7 @@ fn verify_seals(original: &RunLog, fresh: &RunLog) -> Result<(), ReplayError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::ScenarioRunner;
+    use craqr_core::ExecMode;
 
     fn spec_toml() -> String {
         r#"
@@ -412,7 +300,7 @@ cooldown_epochs = 2
 
     fn recorded() -> (RunOutput, ScenarioRunner) {
         let runner = ScenarioRunner::new(ScenarioSpec::from_toml(&spec_toml()).unwrap()).unwrap();
-        let out = runner.run_full(ExecMode::Serial, 19).unwrap();
+        let out = runner.run(&RunPlan::default()).unwrap();
         assert!(out.log.is_some(), "[runlog] spec must record");
         (out, runner)
     }

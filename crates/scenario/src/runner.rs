@@ -11,13 +11,13 @@ use craqr_adaptive::{AdaptiveController, AdaptiveTrace, TimedHook};
 use craqr_core::budget::TuneOutcome;
 use craqr_core::server::SubmitError;
 use craqr_core::{
-    ControlHook, CraqrServer, CrashPoint, EpochInputsRecord, EpochReport, EpochTap, ExecMode,
-    PhaseTimer, QueryId,
+    AdmissionDecision, ControlHook, CraqrServer, CrashPoint, EpochInputsRecord, EpochReport,
+    EpochTap, ExecMode, QueryId, ReplayInputs,
 };
 use craqr_geom::{Rect, SpaceTimePoint, SpaceTimeWindow};
 use craqr_mdpp::{IntensityModel, IntensitySummary, SelfExcitingIntensity};
 use craqr_runlog::{RunLog, RunLogRecorder, ShiftEvent, StreamingRecorder};
-use craqr_sensing::{fields::ConstantField, AttrValue, Crowd, CrowdConfig, Field};
+use craqr_sensing::{fields::ConstantField, AttrValue, Crowd, CrowdConfig, Field, SensorResponse};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -79,8 +79,7 @@ impl<I: IntensityModel + Send + Sync> Field for IntensityField<I> {
 
 /// Everything one scenario run produces: the canonical report, the
 /// adaptive decision log (when the spec closes the loop), and the
-/// event-sourced run log (when the spec — or the caller, via
-/// [`ScenarioRunner::run_recorded`] — asks for one).
+/// event-sourced run log (when the plan's [`Record`] keeps one).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunOutput {
     /// The canonical, checksummed report.
@@ -88,21 +87,110 @@ pub struct RunOutput {
     /// The adaptive controller's decision log (`[adaptive]` specs only).
     pub trace: Option<AdaptiveTrace>,
     /// The event-sourced epoch log, sealed with the report/trace
-    /// checksums (`[runlog]` specs and `run_recorded` only).
+    /// checksums (absent only when the plan recorded nothing).
     pub log: Option<RunLog>,
-    /// The metrics collector (`[telemetry]` specs and the
-    /// `*_instrumented` entry points only) — render it with
-    /// [`RunTelemetry::render_prometheus`] or aggregate across runs with
-    /// [`RunTelemetry::absorb`].
+    /// The metrics collector (`[telemetry]` specs and timed plans only) —
+    /// render it with [`RunTelemetry::render_prometheus`] or aggregate
+    /// across runs with [`RunTelemetry::absorb`].
     pub telemetry: Option<RunTelemetry>,
 }
 
-/// Runs [`ScenarioSpec`]s under any [`ExecMode`].
+/// How the epoch loop executes — never what it outputs: every checksummed
+/// artifact (report, trace, run log) is byte-identical across every
+/// combination, and goldens are always blessed from the default.
+/// [`ExecMode`] converts into the default (serial executor, untimed)
+/// execution under that mode, so `replay(&log, ExecMode::Serial)` reads
+/// as it runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Execution {
+    /// How the process phase is scheduled: serial or `Sharded(n)`.
+    pub mode: ExecMode,
+    /// Run on the pipelined executor — the staged epoch dataflow spread
+    /// across four worker threads
+    /// ([`craqr_core::EpochDriver::run_pipelined`]) — instead of serially.
+    pub pipelined: bool,
+    /// Switch the clock-derived metric tier on: a [`RunTelemetry`]
+    /// collector is always attached (even without a `[telemetry]` block),
+    /// the epoch loop gets a [`craqr_core::PhaseTimer`], the engine accumulates
+    /// per-node processing time, and the control hook is timed. The
+    /// timing tier is structurally excluded from canonical renderings.
+    pub timing: bool,
+}
+
+impl From<ExecMode> for Execution {
+    fn from(mode: ExecMode) -> Self {
+        Self { mode, pipelined: false, timing: false }
+    }
+}
+
+impl Execution {
+    /// This execution on the pipelined (`true`) or serial executor.
+    pub fn pipelined(self, pipelined: bool) -> Self {
+        Self { pipelined, ..self }
+    }
+
+    /// This execution with the timing tier on or off.
+    pub fn timing(self, timing: bool) -> Self {
+        Self { timing, ..self }
+    }
+}
+
+/// What run log a run keeps.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub enum Record {
+    /// Record in memory iff the spec has a recording `[runlog]` block.
+    #[default]
+    AsSpec,
+    /// Record nothing, even for `[runlog]` specs: a tap is a pure
+    /// observer, so this changes nothing but the work done.
+    Off,
+    /// Record in memory whether or not the spec declares `[runlog]`.
+    Memory,
+    /// **Crash-safe** recording: every sealed epoch block is appended and
+    /// `fsync`ed to this path as it closes ([`StreamingRecorder`]), and
+    /// the sealed document atomically replaces the streamed prefix at the
+    /// end. If the process dies mid-run, the file salvages
+    /// ([`craqr_runlog::parse_salvage`]) to the last durable epoch
+    /// boundary instead of losing the log.
+    Stream(PathBuf),
+}
+
+/// One way to run a scenario: every choice a run makes, as one value.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct RunPlan {
+    /// How the epoch loop executes.
+    pub execution: Execution,
+    /// Overrides the spec's own seed — the CI determinism check exercises
+    /// serial-vs-sharded equality across seeds without per-seed spec files.
+    pub seed: Option<u64>,
+    /// What run log the run keeps.
+    pub record: Record,
+}
+
+impl RunPlan {
+    /// The plan every golden is defined by, under `execution`: the spec's
+    /// own seed, recording as the spec says.
+    pub fn new(execution: impl Into<Execution>) -> Self {
+        Self { execution: execution.into(), seed: None, record: Record::AsSpec }
+    }
+
+    /// This plan with the spec's seed overridden.
+    pub fn seed(self, seed: u64) -> Self {
+        Self { seed: Some(seed), ..self }
+    }
+
+    /// This plan keeping a different run log.
+    pub fn record(self, record: Record) -> Self {
+        Self { record, ..self }
+    }
+}
+
+/// Runs [`ScenarioSpec`]s under any [`RunPlan`].
 ///
 /// The runner is stateless between runs: every [`ScenarioRunner::run`]
 /// rebuilds the crowd, the server, and the query plan from the spec, so
-/// serial and sharded runs (and repeated runs) are completely independent
-/// executions whose reports can be compared byte-for-byte.
+/// runs under different plans (and repeated runs) are completely
+/// independent executions whose reports can be compared byte-for-byte.
 pub struct ScenarioRunner {
     spec: ScenarioSpec,
 }
@@ -112,382 +200,6 @@ impl ScenarioRunner {
     pub fn new(spec: ScenarioSpec) -> Result<Self, SpecError> {
         spec.validate()?;
         Ok(Self { spec })
-    }
-
-    /// The spec this runner executes.
-    pub fn spec(&self) -> &ScenarioSpec {
-        &self.spec
-    }
-
-    /// Runs the scenario under `exec` with the spec's own seed.
-    pub fn run(&self, exec: ExecMode) -> Result<ScenarioReport, RunError> {
-        self.run_with_seed(exec, self.spec.seed)
-    }
-
-    /// Runs the scenario under `exec` with an overridden seed — the CI
-    /// determinism check exercises serial-vs-sharded equality across
-    /// several seeds without needing per-seed spec files.
-    pub fn run_with_seed(&self, exec: ExecMode, seed: u64) -> Result<ScenarioReport, RunError> {
-        // Report-only callers skip run-log recording even for `[runlog]`
-        // specs: a tap is a pure observer, so this changes nothing but
-        // the work done.
-        self.run_live(exec, seed, false, false, false).map(|out| out.report)
-    }
-
-    /// Runs the scenario on the **pipelined executor** — the staged
-    /// epoch dataflow spread across four worker threads
-    /// ([`craqr_core::EpochDriver::run_pipelined`]) — with the spec's
-    /// own seed. Byte-identical to [`ScenarioRunner::run`]: pipelining
-    /// is an execution strategy, never an output; goldens are always
-    /// blessed from serial runs.
-    pub fn run_pipelined(&self, exec: ExecMode) -> Result<ScenarioReport, RunError> {
-        self.run_live(exec, self.spec.seed, false, false, true).map(|out| out.report)
-    }
-
-    /// [`ScenarioRunner::run_full`] on the pipelined executor — report,
-    /// trace, and run log all byte-identical to the serial run's.
-    pub fn run_full_pipelined(&self, exec: ExecMode, seed: u64) -> Result<RunOutput, RunError> {
-        let record = self.spec.runlog.is_some_and(|r| r.record);
-        self.run_live(exec, seed, record, false, true)
-    }
-
-    /// [`ScenarioRunner::run_recorded`] on the pipelined executor.
-    pub fn run_recorded_pipelined(&self, exec: ExecMode, seed: u64) -> Result<RunOutput, RunError> {
-        self.run_live(exec, seed, true, false, true)
-    }
-
-    /// Runs the scenario, also returning the adaptive controller's
-    /// decision log when the spec has an `[adaptive]` block, and the
-    /// event-sourced [`RunLog`] when it has a recording `[runlog]` block.
-    /// The trace's checksum is embedded in the report (so the report
-    /// golden pins the trace), and the log is sealed with both checksums
-    /// (so a replay is self-verifying); the trace and log are
-    /// golden-tested separately (`tests/goldens/<name>.trace.txt` /
-    /// `<name>.runlog.txt`).
-    pub fn run_full(&self, exec: ExecMode, seed: u64) -> Result<RunOutput, RunError> {
-        let record = self.spec.runlog.is_some_and(|r| r.record);
-        self.run_live(exec, seed, record, false, false)
-    }
-
-    /// [`ScenarioRunner::run_full`] with the clock-derived metric tier
-    /// switched on: a [`RunTelemetry`] collector is always attached (even
-    /// without a `[telemetry]` block), the epoch loop gets a
-    /// [`PhaseTimer`], the engine accumulates per-node processing time,
-    /// and the control hook is timed. Every checksummed artifact —
-    /// report, trace, run log — is bit-identical to the untimed run (the
-    /// timing tier is structurally excluded from canonical renderings).
-    pub fn run_full_instrumented(&self, exec: ExecMode, seed: u64) -> Result<RunOutput, RunError> {
-        let record = self.spec.runlog.is_some_and(|r| r.record);
-        self.run_live(exec, seed, record, true, false)
-    }
-
-    /// Runs the scenario with run-log recording forced on, whether or not
-    /// the spec declares `[runlog]` — the CLI `record` subcommand and the
-    /// replay CI job use this to event-source any scenario.
-    pub fn run_recorded(&self, exec: ExecMode, seed: u64) -> Result<RunOutput, RunError> {
-        self.run_live(exec, seed, true, false, false)
-    }
-
-    /// [`ScenarioRunner::run_recorded`] with the timing tier switched on
-    /// (see [`ScenarioRunner::run_full_instrumented`] for the contract) —
-    /// the chaos CLI's `--metrics` mode instruments its reference runs
-    /// this way.
-    pub fn run_recorded_instrumented(
-        &self,
-        exec: ExecMode,
-        seed: u64,
-    ) -> Result<RunOutput, RunError> {
-        self.run_live(exec, seed, true, true, false)
-    }
-
-    /// Runs the scenario with **crash-safe** recording: every sealed epoch
-    /// block is appended and `fsync`ed to `log_path` as it closes
-    /// ([`StreamingRecorder`]), and the sealed document atomically
-    /// replaces the streamed prefix at the end. If the process dies
-    /// mid-run, the file salvages ([`craqr_runlog::parse_salvage`]) to
-    /// the last durable epoch boundary instead of losing the log.
-    pub fn run_streamed(
-        &self,
-        exec: ExecMode,
-        seed: u64,
-        log_path: &Path,
-    ) -> Result<RunOutput, RunError> {
-        self.run_streamed_instrumented(exec, seed, log_path, false)
-    }
-
-    /// [`ScenarioRunner::run_streamed`] with the timing tier switched on
-    /// (see [`ScenarioRunner::run_full_instrumented`] for the contract).
-    pub fn run_streamed_instrumented(
-        &self,
-        exec: ExecMode,
-        seed: u64,
-        log_path: &Path,
-        timing: bool,
-    ) -> Result<RunOutput, RunError> {
-        self.run_streamed_inner(exec, seed, log_path, timing, false)
-    }
-
-    /// [`ScenarioRunner::run_streamed`] on the pipelined executor: the
-    /// render stage streams sealed epoch blocks while later epochs are
-    /// mid-flight upstream, and the durable file is byte-identical to the
-    /// serial streamed run's.
-    pub fn run_streamed_pipelined(
-        &self,
-        exec: ExecMode,
-        seed: u64,
-        log_path: &Path,
-    ) -> Result<RunOutput, RunError> {
-        self.run_streamed_inner(exec, seed, log_path, false, true)
-    }
-
-    fn run_streamed_inner(
-        &self,
-        exec: ExecMode,
-        seed: u64,
-        log_path: &Path,
-        timing: bool,
-        pipelined: bool,
-    ) -> Result<RunOutput, RunError> {
-        let spec = &self.spec;
-        let io_err = |e: &std::io::Error| RunError::Io {
-            path: log_path.to_path_buf(),
-            message: e.to_string(),
-        };
-        let (mut server, qids) = build_server(spec, seed, exec, false)?;
-        let mut telemetry = make_collector(spec, timing);
-        if timing {
-            server.set_engine_timing(true);
-        }
-        if let Some(t) = &mut telemetry {
-            t.observe_admissions(server.admissions());
-        }
-        let mut controller = match &spec.adaptive {
-            Some(a) => Some(AdaptiveController::new(a.to_config()?)),
-            None => None,
-        };
-        let mut rec = StreamingRecorder::new(log_path, &spec.name, seed, &spec.to_toml());
-        rec.record_admissions(server.admissions());
-        // Persist the header eagerly: even a crash before epoch 0 leaves a
-        // salvageable file.
-        rec.begin().map_err(|e| io_err(&e))?;
-
-        // The wrapper is a pure pass-through when untimed, so it can wrap
-        // unconditionally without perturbing uninstrumented runs.
-        let mut hook =
-            controller.as_mut().map(|c| TimedHook::new(c as &mut dyn ControlHook, timing));
-        let mut tap = ShiftTap::new(&mut rec, spec_shift_schedule(spec), None);
-        let outcome = drive(
-            &mut server,
-            spec,
-            spec.epochs as u64,
-            hook.as_mut().map(|h| h as &mut dyn ControlHook),
-            Some(&mut tap),
-            phase_timer(&mut telemetry, timing),
-            None,
-            pipelined,
-        );
-        drop(tap);
-        // Appends happen on the driver's render side now, so stream
-        // failures surface once at the end of the run.
-        if let Some(err) = rec.last_error() {
-            return Err(io_err(err));
-        }
-        let mut epochs = Vec::with_capacity(outcome.reports.len());
-        for r in &outcome.reports {
-            if let Some(t) = &mut telemetry {
-                t.observe_epoch(r);
-            }
-            epochs.push(epoch_row(r));
-        }
-        if let (Some(t), Some(h)) = (&mut telemetry, &hook) {
-            t.observe_hook(h.calls(), h.total_ns());
-        }
-        // `hook` borrows `controller`; release it before `into_trace` moves
-        // the controller out.
-        let _ = hook;
-
-        let trace = controller.map(AdaptiveController::into_trace);
-        let responses_delivered = server.crowd().responses_delivered();
-        let report = finalize_report(
-            spec,
-            seed,
-            &mut server,
-            &qids,
-            epochs,
-            responses_delivered,
-            trace.as_ref(),
-            telemetry.as_mut(),
-        );
-        let log = rec
-            .finish(report.checksum(), trace.as_ref().map(AdaptiveTrace::checksum))
-            .map_err(|e| io_err(&e))?;
-        Ok(RunOutput { report, trace, log: Some(log), telemetry })
-    }
-
-    /// Runs the scenario up to `at_epoch` and kills it at the named
-    /// [`CrashPoint`], exactly as a process death there would: epochs
-    /// before `at_epoch` stream durably to `log_path`, the crashed
-    /// epoch's work is abandoned mid-flight (or, for `mid-log-append`,
-    /// its log append is torn halfway through a `write(2)`), and nothing
-    /// is sealed. Returns the number of epochs durable on disk — the
-    /// boundary a salvage-and-resume must recover to.
-    ///
-    /// # Panics
-    /// Panics when `at_epoch` is outside the spec's horizon.
-    #[track_caller]
-    pub fn run_to_crash(
-        &self,
-        exec: ExecMode,
-        seed: u64,
-        point: CrashPoint,
-        at_epoch: u32,
-        log_path: &Path,
-    ) -> Result<usize, RunError> {
-        self.run_to_crash_inner(exec, seed, point, at_epoch, log_path, false)
-    }
-
-    /// [`ScenarioRunner::run_to_crash`] on the pipelined executor: the
-    /// process dies with all four stages mid-flight (the stage owning the
-    /// crash point exits after its last permitted operation and its
-    /// neighbours drain until their channels disconnect), and the durable
-    /// prefix on disk is byte-identical to the serial crash's.
-    ///
-    /// # Panics
-    /// Panics when `at_epoch` is outside the spec's horizon.
-    #[track_caller]
-    pub fn run_to_crash_pipelined(
-        &self,
-        exec: ExecMode,
-        seed: u64,
-        point: CrashPoint,
-        at_epoch: u32,
-        log_path: &Path,
-    ) -> Result<usize, RunError> {
-        self.run_to_crash_inner(exec, seed, point, at_epoch, log_path, true)
-    }
-
-    fn run_to_crash_inner(
-        &self,
-        exec: ExecMode,
-        seed: u64,
-        point: CrashPoint,
-        at_epoch: u32,
-        log_path: &Path,
-        pipelined: bool,
-    ) -> Result<usize, RunError> {
-        let spec = &self.spec;
-        assert!(
-            at_epoch < spec.epochs,
-            "crash epoch {at_epoch} outside the spec's {} epochs",
-            spec.epochs
-        );
-        let (mut server, _qids) = build_server(spec, seed, exec, false)?;
-        let mut controller = match &spec.adaptive {
-            Some(a) => Some(AdaptiveController::new(a.to_config()?)),
-            None => None,
-        };
-        let mut rec = StreamingRecorder::new(log_path, &spec.name, seed, &spec.to_toml());
-        rec.record_admissions(server.admissions());
-        rec.begin()
-            .map_err(|e| RunError::Io { path: log_path.to_path_buf(), message: e.to_string() })?;
-
-        let tear_at = (point == CrashPoint::MidLogAppend).then_some(at_epoch as u64);
-        let mut tap = ShiftTap::new(&mut rec, spec_shift_schedule(spec), tear_at);
-        let _ = drive(
-            &mut server,
-            spec,
-            at_epoch as u64 + 1,
-            controller.as_mut().map(|c| c as &mut dyn ControlHook),
-            Some(&mut tap),
-            None,
-            Some((at_epoch as u64, point)),
-            pipelined,
-        );
-        drop(tap);
-        // The "process" dies here: no seal, no atomic swap. The file keeps
-        // exactly the prefix whose `end` lines were synced.
-        Ok(rec.epochs_streamed())
-    }
-
-    fn run_live(
-        &self,
-        exec: ExecMode,
-        seed: u64,
-        record: bool,
-        timing: bool,
-        pipelined: bool,
-    ) -> Result<RunOutput, RunError> {
-        let spec = &self.spec;
-        let (mut server, qids) = build_server(spec, seed, exec, false)?;
-        let mut telemetry = make_collector(spec, timing);
-        if timing {
-            server.set_engine_timing(true);
-        }
-        if let Some(t) = &mut telemetry {
-            t.observe_admissions(server.admissions());
-        }
-        let mut controller = match &spec.adaptive {
-            // The spec validated the block, so the config is sound.
-            Some(a) => Some(AdaptiveController::new(a.to_config()?)),
-            None => None,
-        };
-        let mut recorder = if record {
-            let mut rec = RunLogRecorder::new(&spec.name, seed, &spec.to_toml());
-            // Admission ran at submit time, inside build_server; the
-            // decisions land in the log's checksummed header.
-            rec.record_admissions(server.admissions());
-            Some(rec)
-        } else {
-            None
-        };
-
-        // The wrapper is a pure pass-through when untimed, so it can wrap
-        // unconditionally without perturbing uninstrumented runs.
-        let mut hook =
-            controller.as_mut().map(|c| TimedHook::new(c as &mut dyn ControlHook, timing));
-        let mut tap = recorder
-            .as_mut()
-            .map(|rec| ShiftTap::new(rec as &mut dyn ShiftSink, spec_shift_schedule(spec), None));
-        let outcome = drive(
-            &mut server,
-            spec,
-            spec.epochs as u64,
-            hook.as_mut().map(|h| h as &mut dyn ControlHook),
-            tap.as_mut().map(|t| t as &mut dyn EpochTap),
-            phase_timer(&mut telemetry, timing),
-            None,
-            pipelined,
-        );
-        drop(tap);
-        let mut epochs = Vec::with_capacity(outcome.reports.len());
-        for r in &outcome.reports {
-            if let Some(t) = &mut telemetry {
-                t.observe_epoch(r);
-            }
-            epochs.push(epoch_row(r));
-        }
-        if let (Some(t), Some(h)) = (&mut telemetry, &hook) {
-            t.observe_hook(h.calls(), h.total_ns());
-        }
-        // `hook` borrows `controller`; release it before `into_trace` moves
-        // the controller out.
-        let _ = hook;
-
-        let trace = controller.map(AdaptiveController::into_trace);
-        let responses_delivered = server.crowd().responses_delivered();
-        let report = finalize_report(
-            spec,
-            seed,
-            &mut server,
-            &qids,
-            epochs,
-            responses_delivered,
-            trace.as_ref(),
-            telemetry.as_mut(),
-        );
-        let log = recorder
-            .map(|rec| rec.finish(report.checksum(), trace.as_ref().map(AdaptiveTrace::checksum)));
-        Ok(RunOutput { report, trace, log, telemetry })
     }
 
     /// Builds a runner from a spec file (`.toml` or `.json`).
@@ -500,24 +212,66 @@ impl ScenarioRunner {
             .map_err(|e| BatchError::Spec { path: path.to_path_buf(), error: e })
     }
 
-    /// Loads every spec file in `dir` (sorted by file name) and runs each
-    /// under `exec` with its own seed — the library counterpart of
-    /// `craqr-scenario --all` for callers that want whole-corpus reports
-    /// without the CLI's golden/trace management. (The CLI shares only
-    /// [`scenario_files`] with this, because it also handles seed
-    /// overrides, cross-mode checks, and traces per file.)
-    pub fn run_all(
-        dir: &Path,
-        exec: ExecMode,
-    ) -> Result<Vec<(PathBuf, ScenarioReport)>, BatchError> {
-        let mut out = Vec::new();
-        for path in scenario_files(dir)? {
-            let runner = Self::from_file(&path)?;
-            let report =
-                runner.run(exec).map_err(|e| BatchError::Run { path: path.clone(), error: e })?;
-            out.push((path, report));
-        }
-        Ok(out)
+    /// The spec this runner executes.
+    pub fn spec(&self) -> &ScenarioSpec {
+        &self.spec
+    }
+
+    /// Runs the scenario as `plan` says. The trace's checksum is embedded
+    /// in the report (so the report golden pins the trace), and the log
+    /// is sealed with both checksums (so a replay is self-verifying); the
+    /// trace and log are golden-tested separately
+    /// (`tests/goldens/<name>.trace.txt` / `<name>.runlog.txt`).
+    pub fn run(&self, plan: &RunPlan) -> Result<RunOutput, RunError> {
+        let mut session = self.open(plan)?;
+        session.drive(None);
+        session.close()
+    }
+
+    /// Runs the scenario up to `at_epoch` and kills it at the named
+    /// [`CrashPoint`], exactly as a process death there would: epochs
+    /// before `at_epoch` stream durably to the plan's [`Record::Stream`]
+    /// path, the crashed epoch's work is abandoned mid-flight (or, for
+    /// `mid-log-append`, its log append is torn halfway through a
+    /// `write(2)`), and nothing is sealed. On the pipelined executor the
+    /// stage owning the crash point exits after its last permitted
+    /// operation and its neighbours drain until their channels disconnect;
+    /// the durable prefix is byte-identical to the serial crash's.
+    /// Returns the number of epochs durable on disk — the boundary a
+    /// salvage-and-resume must recover to.
+    ///
+    /// # Panics
+    /// Panics when `at_epoch` is outside the spec's horizon, or the plan
+    /// does not stream its log.
+    #[track_caller]
+    pub fn run_to_crash(
+        &self,
+        plan: &RunPlan,
+        at_epoch: u32,
+        point: CrashPoint,
+    ) -> Result<usize, RunError> {
+        assert!(
+            at_epoch < self.spec.epochs,
+            "crash epoch {at_epoch} outside the spec's {} epochs",
+            self.spec.epochs
+        );
+        assert!(matches!(plan.record, Record::Stream(_)), "a crash run streams its log");
+        let mut session = self.open(plan)?;
+        session.drive(Some((at_epoch, point)));
+        // The "process" dies here: no seal, no atomic swap. The file keeps
+        // exactly the prefix whose `end` lines were synced.
+        Ok(session.durable_epochs())
+    }
+
+    fn open(&self, plan: &RunPlan) -> Result<Session<'_>, RunError> {
+        let spec = &self.spec;
+        let seed = plan.seed.unwrap_or(spec.seed);
+        let record = match &plan.record {
+            Record::AsSpec if spec.runlog.is_some_and(|r| r.record) => &Record::Memory,
+            record => record,
+        };
+        let recorder = Recorder::new(record, &spec.name, seed, &spec.to_toml());
+        Session::open(spec, seed, plan.execution, None, recorder)
     }
 }
 
@@ -533,7 +287,7 @@ pub fn scenario_files(dir: &Path) -> Result<Vec<PathBuf>, BatchError> {
     Ok(files)
 }
 
-/// Why a whole-corpus batch run failed.
+/// Why a spec file or corpus directory failed to load.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BatchError {
     /// A file or directory could not be read.
@@ -550,13 +304,6 @@ pub enum BatchError {
         /// The schema complaint.
         error: SpecError,
     },
-    /// A valid spec failed to run.
-    Run {
-        /// The offending file.
-        path: PathBuf,
-        /// The runner complaint.
-        error: RunError,
-    },
 }
 
 impl fmt::Display for BatchError {
@@ -564,7 +311,6 @@ impl fmt::Display for BatchError {
         match self {
             BatchError::Io { path, message } => write!(f, "{}: {message}", path.display()),
             BatchError::Spec { path, error } => write!(f, "{}: {error}", path.display()),
-            BatchError::Run { path, error } => write!(f, "{}: {error}", path.display()),
         }
     }
 }
@@ -579,7 +325,7 @@ impl std::error::Error for BatchError {}
 /// only the crowd, which is what lets the pipelined executor run it on
 /// the drain stage ([`craqr_core::EpochDriver::prologue`]); the shift
 /// events are mirrored into run logs by [`ShiftTap`] on the render side.
-pub(crate) fn epoch_prologue(spec: &ScenarioSpec, e: u32, crowd: &mut Crowd) {
+fn epoch_prologue(spec: &ScenarioSpec, e: u32, crowd: &mut Crowd) {
     for shift in spec.shifts.iter().filter(|s| s.epoch() == e) {
         apply_shift(crowd, shift);
     }
@@ -598,75 +344,92 @@ pub(crate) fn epoch_prologue(spec: &ScenarioSpec, e: u32, crowd: &mut Crowd) {
     }
 }
 
-/// Where shift events and tear-arming land: both run-log recorders, seen
-/// uniformly by the [`ShiftTap`] adapter.
-pub(crate) trait ShiftSink: EpochTap {
-    /// Buffers a shift event onto the next epoch block appended.
-    fn record_shift(&mut self, ev: ShiftEvent);
-    /// Arms the injected torn append (meaningful for the streaming
-    /// recorder only).
-    fn arm_tear(&mut self);
+/// The run log a session keeps: in memory, or also streamed durably to
+/// the path (kept here for error reports).
+pub(crate) enum Recorder {
+    Memory(RunLogRecorder),
+    Stream(StreamingRecorder, PathBuf),
 }
 
-impl ShiftSink for RunLogRecorder {
-    fn record_shift(&mut self, ev: ShiftEvent) {
-        RunLogRecorder::record_shift(self, ev);
+impl Recorder {
+    /// The recorder `record` asks for (`AsSpec` must be resolved against
+    /// the spec first); the name, seed and spec text land in the header.
+    pub(crate) fn new(record: &Record, scenario: &str, seed: u64, toml: &str) -> Option<Self> {
+        match record {
+            Record::AsSpec | Record::Off => None,
+            Record::Memory => Some(Self::Memory(RunLogRecorder::new(scenario, seed, toml))),
+            Record::Stream(path) => {
+                Some(Self::Stream(StreamingRecorder::new(path, scenario, seed, toml), path.clone()))
+            }
+        }
     }
-    fn arm_tear(&mut self) {}
+
+    /// Files the submit-time admission decisions in the log's checksummed
+    /// header. A stream persists the header eagerly: even a crash before
+    /// epoch 0 leaves a salvageable file.
+    fn begin(&mut self, admissions: &[AdmissionDecision]) -> Result<(), RunError> {
+        match self {
+            Self::Memory(rec) => rec.record_admissions(admissions),
+            Self::Stream(rec, path) => {
+                rec.record_admissions(admissions);
+                rec.begin().map_err(|e| io_error(path, &e))?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Seals the log with the finished run's checksums. Stream appends
+    /// happen on the driver's render side, so their failures surface here,
+    /// once, at the end of the run.
+    fn finish(self, report: u64, trace: Option<u64>) -> Result<RunLog, RunError> {
+        match self {
+            Self::Memory(rec) => Ok(rec.finish(report, trace)),
+            Self::Stream(rec, path) => rec.finish(report, trace).map_err(|e| io_error(&path, &e)),
+        }
+    }
 }
 
-impl ShiftSink for StreamingRecorder {
-    fn record_shift(&mut self, ev: ShiftEvent) {
-        StreamingRecorder::record_shift(self, ev);
-    }
-    fn arm_tear(&mut self) {
-        self.tear_next_append();
-    }
+fn io_error(path: &Path, e: &std::io::Error) -> RunError {
+    RunError::Io { path: path.to_path_buf(), message: e.to_string() }
 }
 
 /// An [`EpochTap`] adapter owning the ordering contract between shift
-/// events and epoch appends. The legacy loop recorded a shift the moment
-/// the prologue applied it; under the staged driver the prologue runs on
-/// the drain stage, epochs ahead of the log append, so the adapter
-/// replays the deterministic shift schedule into the sink immediately
-/// before the epoch it precedes is appended. The recorders buffer shifts
-/// onto the *next* appended block either way, so the log bytes are
-/// identical. It also arms the chaos harness's mid-append tear at
-/// exactly the right block.
-pub(crate) struct ShiftTap<'a> {
-    sink: &'a mut dyn ShiftSink,
+/// events and epoch appends. The prologue applies a shift on the drain
+/// stage, epochs ahead of the log append under the pipelined executor, so
+/// the adapter replays the deterministic shift schedule into the recorder
+/// immediately before the epoch it precedes is appended. The recorders
+/// buffer shifts onto the *next* appended block, so the log bytes do not
+/// depend on the executor. It also arms the chaos harness's mid-append
+/// tear (meaningful for a stream only) at exactly the right block.
+struct ShiftTap<'a> {
+    recorder: &'a mut Recorder,
     shifts: Vec<Vec<ShiftEvent>>,
     tear_at: Option<u64>,
-}
-
-impl<'a> ShiftTap<'a> {
-    pub(crate) fn new(
-        sink: &'a mut dyn ShiftSink,
-        shifts: Vec<Vec<ShiftEvent>>,
-        tear_at: Option<u64>,
-    ) -> Self {
-        Self { sink, shifts, tear_at }
-    }
 }
 
 impl EpochTap for ShiftTap<'_> {
     fn on_epoch(&mut self, record: &EpochInputsRecord<'_>) {
         let e = record.report.epoch;
-        if let Some(events) = self.shifts.get(e as usize) {
-            for ev in events {
-                self.sink.record_shift(*ev);
+        let shifts = self.shifts.get(e as usize).into_iter().flatten();
+        match self.recorder {
+            Recorder::Memory(rec) => {
+                shifts.for_each(|ev| rec.record_shift(*ev));
+                rec.on_epoch(record);
+            }
+            Recorder::Stream(rec, _) => {
+                shifts.for_each(|ev| rec.record_shift(*ev));
+                if self.tear_at == Some(e) {
+                    rec.tear_next_append();
+                }
+                rec.on_epoch(record);
             }
         }
-        if self.tear_at == Some(e) {
-            self.sink.arm_tear();
-        }
-        self.sink.on_epoch(record);
     }
 }
 
 /// The per-epoch shift events a spec scripts, indexed by epoch — the
 /// schedule [`ShiftTap`] echoes into run logs.
-pub(crate) fn spec_shift_schedule(spec: &ScenarioSpec) -> Vec<Vec<ShiftEvent>> {
+fn spec_shift_schedule(spec: &ScenarioSpec) -> Vec<Vec<ShiftEvent>> {
     let mut schedule = vec![Vec::new(); spec.epochs as usize];
     for shift in &spec.shifts {
         if let Some(slot) = schedule.get_mut(shift.epoch() as usize) {
@@ -676,43 +439,308 @@ pub(crate) fn spec_shift_schedule(spec: &ScenarioSpec) -> Vec<Vec<ShiftEvent>> {
     schedule
 }
 
-/// Builds and runs the [`craqr_core::EpochDriver`] every scenario entry
-/// point goes through: the spec's prologue plus whatever hook, tap,
-/// timer, and crash the flavor installs, on the serial or pipelined
-/// executor.
-#[allow(clippy::too_many_arguments)] // one call site per run flavor; a params struct would just rename the problem
-pub(crate) fn drive(
-    server: &mut CraqrServer,
-    spec: &ScenarioSpec,
-    epochs: u64,
-    hook: Option<&mut dyn ControlHook>,
-    tap: Option<&mut dyn EpochTap>,
-    timer: Option<&mut dyn PhaseTimer>,
-    crash: Option<(u64, CrashPoint)>,
-    pipelined: bool,
-) -> craqr_core::RunOutcome {
-    let mut d = server.driver().prologue(|e, crowd| epoch_prologue(spec, e as u32, crowd));
-    if let Some(h) = hook {
-        d = d.hook(h);
+/// One run from stand-up to sealed output — the only place the
+/// server → collector → controller → recorder → hook → tap → driver →
+/// rows → report → seal sequence exists. Live, streamed, crash-injected,
+/// replayed and resumed runs are all [`Session::open`] →
+/// [`Session::drive`] → [`Session::close`]; `replay`/`resume` interleave
+/// their verification between the steps.
+pub(crate) struct Session<'a> {
+    spec: &'a ScenarioSpec,
+    seed: u64,
+    how: Execution,
+    replayed: Option<&'a RunLog>,
+    server: CraqrServer,
+    qids: Vec<Option<QueryId>>,
+    telemetry: Option<RunTelemetry>,
+    controller: Option<AdaptiveController>,
+    recorder: Option<Recorder>,
+    epochs: Vec<EpochRow>,
+}
+
+impl<'a> Session<'a> {
+    /// Stands the run up. With `replayed` the crowd is detached and the
+    /// log's recorded inputs stand in for it.
+    pub(crate) fn open(
+        spec: &'a ScenarioSpec,
+        seed: u64,
+        how: Execution,
+        replayed: Option<&'a RunLog>,
+        mut recorder: Option<Recorder>,
+    ) -> Result<Self, RunError> {
+        let (mut server, qids) = build_server(spec, seed, how.mode, replayed.is_some())?;
+        // A declared `[telemetry]` block collects the event tier — on
+        // every path, or a replayed/resumed report's `[telemetry]` section
+        // could not re-converge; `timing` additionally (or alone, without
+        // the block) collects the clock tier for `--metrics` exports.
+        let mut telemetry =
+            (spec.telemetry.is_some() || how.timing).then(|| RunTelemetry::new(how.timing));
+        if how.timing {
+            server.set_engine_timing(true);
+        }
+        if let Some(t) = &mut telemetry {
+            t.observe_admissions(server.admissions());
+        }
+        let controller = match &spec.adaptive {
+            // The spec validated the block, so the config is sound.
+            Some(a) => Some(AdaptiveController::new(a.to_config()?)),
+            None => None,
+        };
+        // Admission ran at submit time, inside build_server.
+        if let Some(rec) = &mut recorder {
+            rec.begin(server.admissions())?;
+        }
+        let epochs = Vec::new();
+        Ok(Self {
+            spec,
+            seed,
+            how,
+            replayed,
+            server,
+            qids,
+            telemetry,
+            controller,
+            recorder,
+            epochs,
+        })
     }
-    if let Some(t) = tap {
-        d = d.tap(t);
+
+    /// The admission decisions the rebuilt server made at submit time.
+    pub(crate) fn admissions(&self) -> &[AdmissionDecision] {
+        self.server.admissions()
     }
-    if let Some(t) = timer {
-        d = d.timer(t);
+
+    /// Epochs durable on disk (zero unless the session streams its log).
+    fn durable_epochs(&self) -> usize {
+        match &self.recorder {
+            Some(Recorder::Stream(rec, _)) => rec.epochs_streamed(),
+            _ => 0,
+        }
     }
-    if let Some((slot, point)) = crash {
-        d = d.crash_at(slot, point);
+
+    /// Drives the [`craqr_core::EpochDriver`]: the log's recorded epochs
+    /// when replaying, else the spec's horizon — or, with `crash`, up to
+    /// that epoch's crash point.
+    pub(crate) fn drive(&mut self, crash: Option<(u32, CrashPoint)>) {
+        let (spec, how) = (self.spec, self.how);
+        // The wrapper is a pure pass-through when untimed, so it can wrap
+        // unconditionally without perturbing uninstrumented runs.
+        let mut hook =
+            self.controller.as_mut().map(|c| TimedHook::new(c as &mut dyn ControlHook, how.timing));
+        // A replay has no world to apply the recorded shifts to; they are
+        // echoed into the fresh log exactly when the recording run
+        // appended them.
+        let shifts = match self.replayed {
+            Some(log) => log.epochs.iter().map(|r| r.shifts.clone()).collect(),
+            None => spec_shift_schedule(spec),
+        };
+        let tear_at = crash
+            .and_then(|(at, point)| (point == CrashPoint::MidLogAppend).then_some(u64::from(at)));
+        let mut tap = self.recorder.as_mut().map(|recorder| ShiftTap { recorder, shifts, tear_at });
+
+        let mut d = self.server.driver();
+        if let Some(h) = &mut hook {
+            d = d.hook(h);
+        }
+        if let Some(t) = &mut tap {
+            d = d.tap(t);
+        }
+        // Only a timing collector listens; event-only collectors leave
+        // the loop clock-free.
+        if let Some(t) = self.telemetry.as_mut().filter(|_| how.timing) {
+            d = d.timer(t);
+        }
+        let outcome = if let Some(log) = self.replayed {
+            let responses: Vec<Vec<SensorResponse>> = log
+                .epochs
+                .iter()
+                .map(|r| r.responses.iter().map(|resp| resp.to_response()).collect())
+                .collect();
+            let inputs: Vec<ReplayInputs<'_>> = log
+                .epochs
+                .iter()
+                .zip(&responses)
+                .map(|(r, resp)| ReplayInputs { sent: r.sent, responses: resp, faults: r.faults() })
+                .collect();
+            if how.pipelined {
+                d.run_replayed_pipelined(&inputs)
+            } else {
+                d.run_replayed(&inputs)
+            }
+        } else {
+            d = d.prologue(|e, crowd| epoch_prologue(spec, e as u32, crowd));
+            let mut epochs = u64::from(spec.epochs);
+            if let Some((at, point)) = crash {
+                d = d.crash_at(u64::from(at), point);
+                epochs = u64::from(at) + 1;
+            }
+            if how.pipelined {
+                d.run_pipelined(epochs)
+            } else {
+                d.run(epochs)
+            }
+        };
+        for r in &outcome.reports {
+            if let Some(t) = &mut self.telemetry {
+                t.observe_epoch(r);
+            }
+            self.epochs.push(epoch_row(r));
+        }
+        if let (Some(t), Some(h)) = (&mut self.telemetry, &hook) {
+            t.observe_hook(h.calls(), h.total_ns());
+        }
     }
-    if pipelined {
-        d.run_pipelined(epochs)
-    } else {
-        d.run(epochs)
+
+    /// Finalizes the report and seals the log with its checksums.
+    pub(crate) fn close(mut self) -> Result<RunOutput, RunError> {
+        let trace = self.controller.take().map(AdaptiveController::into_trace);
+        let report = self.finalize_report(trace.as_ref());
+        let log = match self.recorder.take() {
+            Some(rec) => {
+                Some(rec.finish(report.checksum(), trace.as_ref().map(AdaptiveTrace::checksum))?)
+            }
+            None => None,
+        };
+        Ok(RunOutput { report, trace, log, telemetry: self.telemetry })
+    }
+
+    /// Builds the canonical report from the finished run.
+    fn finalize_report(&mut self, trace: Option<&AdaptiveTrace>) -> ScenarioReport {
+        let Self { spec, seed, replayed, server, qids, telemetry, epochs, .. } = self;
+        let (spec, seed, epochs) = (*spec, *seed, std::mem::take(epochs));
+        // A detached replay has no crowd counter — it sums the log instead
+        // (the two agree for live runs: every matured response is drained
+        // by some epoch).
+        let responses_delivered = match replayed {
+            Some(log) => log.epochs.iter().map(|r| r.responses.len() as u64).sum(),
+            None => server.crowd().responses_delivered(),
+        };
+        let region = Rect::with_size(spec.grid.size_km, spec.grid.size_km);
+        let minutes = server.now();
+        let window = SpaceTimeWindow::new(region, 0.0, minutes.max(f64::MIN_POSITIVE));
+        let mut queries = Vec::with_capacity(qids.len());
+        // `index` is the spec's query index; admission-rejected queries keep
+        // their slot (they appear in the [admissions] audit, not [queries]).
+        for (index, qid) in qids.iter().enumerate() {
+            let Some(qid) = qid else { continue };
+            let plan = server.fabricator().query_plan(*qid).expect("standing query");
+            let requested_rate = plan.query.rate;
+            let area = plan.footprint.area();
+            let stream = server.take_output(*qid);
+            let points: Vec<SpaceTimePoint> = stream.iter().map(|t| t.point).collect();
+            let intensity = IntensitySummary::from_points(&points, &window, spec.grid.side);
+            queries.push(QueryRow {
+                index,
+                text: spec.queries[index].text.clone(),
+                requested_rate,
+                area,
+                delivered: stream.len(),
+                achieved_rate: stream.len() as f64 / (area * minutes),
+                intensity,
+            });
+        }
+
+        let operators = server
+            .fabricator()
+            .chain_metrics()
+            .by_kind()
+            .into_iter()
+            .map(|(kind, m)| OperatorRow {
+                kind,
+                tuples_in: m.tuples_in,
+                tuples_out: m.tuples_out,
+                batches: m.batches,
+            })
+            .collect();
+
+        let final_budget: f64 = server
+            .fabricator()
+            .demands()
+            .iter()
+            .filter_map(|(cell, attr, _)| server.handler().budget_of(*cell, *attr))
+            .sum();
+        let (requested, sent) = server.handler().totals();
+        let totals = RunTotals {
+            requested,
+            sent,
+            responses: responses_delivered,
+            exhausted_events: server.handler().exhausted_events(),
+            final_budget,
+            dropped_unmaterialized: server.fabricator().dropped_unmaterialized(),
+            chains: server.fabricator().materialized_chains(),
+            minutes,
+            throttled: epochs.iter().map(|e| e.throttled).sum(),
+            stale_actions: epochs.iter().map(|e| e.stale_actions).sum(),
+        };
+
+        // Fault/retry accounting renders only for specs that armed the fault
+        // layer; every source is replay-stable (epoch fault deltas ride the
+        // run log, retry counters are deterministic functions of the
+        // response stream), so the section survives detached replay.
+        let faults = spec.faults.as_ref().map(|_| FaultSection {
+            dropped: epochs.iter().map(|e| e.faults.dropped).sum(),
+            delayed: epochs.iter().map(|e| e.faults.delayed).sum(),
+            duplicated: epochs.iter().map(|e| e.faults.duplicated).sum(),
+            retries_requested: server.handler().retries_requested(),
+            retry_attempts: server.handler().retry_attempts(),
+        });
+
+        // The collector's whole-run counters land here so every execution
+        // path (live, streamed, replayed, resumed) finalizes identically.
+        let telemetry = telemetry.as_mut().map(|t| {
+            t.finalize(server.handler(), &server.fabricator().chain_metrics(), trace);
+            t.section()
+        });
+        // The section joins the report only when the spec asked for it;
+        // `--metrics`-only collectors keep the report untouched.
+        let telemetry = if spec.telemetry.is_some_and(|t| t.report) { telemetry } else { None };
+
+        let adaptive = trace.map(AdaptiveSection::from);
+        let tenants = server.tenants().map(|registry| TenantSection {
+            rows: registry
+                .summaries()
+                .into_iter()
+                .map(|s| TenantRow {
+                    tenant: s.tenant.0,
+                    name: s.name,
+                    capacity: s.capacity,
+                    admitted: s.admitted,
+                    rejected: s.rejected,
+                    committed: s.committed,
+                    charged: s.charged_total,
+                    peak_epoch_charge: s.peak_epoch_charge,
+                })
+                .collect(),
+            admissions: registry
+                .decisions()
+                .iter()
+                .map(|d| AdmissionRow {
+                    submission: d.submission,
+                    tenant: d.tenant.0,
+                    demand: d.estimated_demand,
+                    committed: d.committed_before,
+                    capacity: d.capacity,
+                    admitted: d.admitted,
+                })
+                .collect(),
+        });
+        ScenarioReport {
+            name: spec.name.clone(),
+            seed,
+            epochs,
+            queries,
+            operators,
+            totals,
+            adaptive,
+            tenants,
+            faults,
+            telemetry,
+        }
     }
 }
 
 /// Applies one scripted regime shift to the crowd.
-pub(crate) fn apply_shift(crowd: &mut Crowd, shift: &ShiftSpec) {
+fn apply_shift(crowd: &mut Crowd, shift: &ShiftSpec) {
     match shift {
         ShiftSpec::Participation { factor, .. } => crowd.scale_participation(*factor),
         ShiftSpec::Dropout { probability, rect, .. } => {
@@ -725,7 +753,7 @@ pub(crate) fn apply_shift(crowd: &mut Crowd, shift: &ShiftSpec) {
 }
 
 /// The run-log event describing one scripted shift.
-pub(crate) fn shift_event(shift: &ShiftSpec) -> ShiftEvent {
+fn shift_event(shift: &ShiftSpec) -> ShiftEvent {
     match *shift {
         ShiftSpec::Participation { factor, .. } => ShiftEvent::Participation { factor },
         ShiftSpec::Dropout { probability, rect, .. } => ShiftEvent::Dropout { probability, rect },
@@ -745,7 +773,7 @@ pub(crate) fn shift_event(shift: &ShiftSpec) -> ShiftEvent {
 /// slot comes back as `None`, the decision lands in
 /// [`CraqrServer::admissions`], and the run proceeds with the admitted
 /// queries (both reports and run logs carry the audit trail).
-pub(crate) fn build_server(
+fn build_server(
     spec: &ScenarioSpec,
     seed: u64,
     exec: ExecMode,
@@ -798,28 +826,8 @@ pub(crate) fn build_server(
     Ok((server, qids))
 }
 
-/// The run's metrics collector, if anything asked for one: a declared
-/// `[telemetry]` block collects the event tier; `timing` additionally
-/// (or alone, without the block) collects the clock tier for `--metrics`
-/// exports.
-pub(crate) fn make_collector(spec: &ScenarioSpec, timing: bool) -> Option<RunTelemetry> {
-    (spec.telemetry.is_some() || timing).then(|| RunTelemetry::new(timing))
-}
-
-/// The [`PhaseTimer`] to install on the epoch loop: only a timing
-/// collector listens; event-only collectors leave the loop clock-free.
-pub(crate) fn phase_timer(
-    telemetry: &mut Option<RunTelemetry>,
-    timing: bool,
-) -> Option<&mut dyn PhaseTimer> {
-    if !timing {
-        return None;
-    }
-    telemetry.as_mut().map(|t| t as &mut dyn PhaseTimer)
-}
-
 /// Reduces one epoch report to its deterministic counters.
-pub(crate) fn epoch_row(r: &EpochReport) -> EpochRow {
+fn epoch_row(r: &EpochReport) -> EpochRow {
     let (mut incr, mut decr, mut exh) = (0usize, 0usize, 0usize);
     for t in &r.tuning {
         match t.outcome {
@@ -844,144 +852,6 @@ pub(crate) fn epoch_row(r: &EpochReport) -> EpochRow {
         throttled: r.dispatch.throttled,
         stale_actions: r.stale_actions,
         faults: r.faults,
-    }
-}
-
-/// Builds the canonical report from a finished run. `responses_delivered`
-/// is passed in rather than read off the crowd because a detached replay
-/// has no crowd counter — it sums the log instead (the two agree for live
-/// runs: every matured response is drained by some epoch).
-#[allow(clippy::too_many_arguments)] // one call site per run flavor; a params struct would just rename the problem
-pub(crate) fn finalize_report(
-    spec: &ScenarioSpec,
-    seed: u64,
-    server: &mut CraqrServer,
-    qids: &[Option<QueryId>],
-    epochs: Vec<EpochRow>,
-    responses_delivered: u64,
-    trace: Option<&AdaptiveTrace>,
-    telemetry: Option<&mut RunTelemetry>,
-) -> ScenarioReport {
-    let region = Rect::with_size(spec.grid.size_km, spec.grid.size_km);
-    let minutes = server.now();
-    let window = SpaceTimeWindow::new(region, 0.0, minutes.max(f64::MIN_POSITIVE));
-    let mut queries = Vec::with_capacity(qids.len());
-    // `index` is the spec's query index; admission-rejected queries keep
-    // their slot (they appear in the [admissions] audit, not [queries]).
-    for (index, qid) in qids.iter().enumerate() {
-        let Some(qid) = qid else { continue };
-        let plan = server.fabricator().query_plan(*qid).expect("standing query");
-        let requested_rate = plan.query.rate;
-        let area = plan.footprint.area();
-        let stream = server.take_output(*qid);
-        let points: Vec<SpaceTimePoint> = stream.iter().map(|t| t.point).collect();
-        let intensity = IntensitySummary::from_points(&points, &window, spec.grid.side);
-        queries.push(QueryRow {
-            index,
-            text: spec.queries[index].text.clone(),
-            requested_rate,
-            area,
-            delivered: stream.len(),
-            achieved_rate: stream.len() as f64 / (area * minutes),
-            intensity,
-        });
-    }
-
-    let operators = server
-        .fabricator()
-        .chain_metrics()
-        .by_kind()
-        .into_iter()
-        .map(|(kind, m)| OperatorRow {
-            kind,
-            tuples_in: m.tuples_in,
-            tuples_out: m.tuples_out,
-            batches: m.batches,
-        })
-        .collect();
-
-    let final_budget: f64 = server
-        .fabricator()
-        .demands()
-        .iter()
-        .filter_map(|(cell, attr, _)| server.handler().budget_of(*cell, *attr))
-        .sum();
-    let (requested, sent) = server.handler().totals();
-    let totals = RunTotals {
-        requested,
-        sent,
-        responses: responses_delivered,
-        exhausted_events: server.handler().exhausted_events(),
-        final_budget,
-        dropped_unmaterialized: server.fabricator().dropped_unmaterialized(),
-        chains: server.fabricator().materialized_chains(),
-        minutes,
-        throttled: epochs.iter().map(|e| e.throttled).sum(),
-        stale_actions: epochs.iter().map(|e| e.stale_actions).sum(),
-    };
-
-    // Fault/retry accounting renders only for specs that armed the fault
-    // layer; every source is replay-stable (epoch fault deltas ride the
-    // run log, retry counters are deterministic functions of the
-    // response stream), so the section survives detached replay.
-    let faults = spec.faults.as_ref().map(|_| FaultSection {
-        dropped: epochs.iter().map(|e| e.faults.dropped).sum(),
-        delayed: epochs.iter().map(|e| e.faults.delayed).sum(),
-        duplicated: epochs.iter().map(|e| e.faults.duplicated).sum(),
-        retries_requested: server.handler().retries_requested(),
-        retry_attempts: server.handler().retry_attempts(),
-    });
-
-    // The collector's whole-run counters land here so every execution
-    // path (live, streamed, replayed, resumed) finalizes identically.
-    let telemetry = telemetry.map(|t| {
-        t.finalize(server.handler(), &server.fabricator().chain_metrics(), trace);
-        t.section()
-    });
-    // The section joins the report only when the spec asked for it;
-    // `--metrics`-only collectors keep the report untouched.
-    let telemetry = if spec.telemetry.is_some_and(|t| t.report) { telemetry } else { None };
-
-    let adaptive = trace.map(AdaptiveSection::from);
-    let tenants = server.tenants().map(|registry| TenantSection {
-        rows: registry
-            .summaries()
-            .into_iter()
-            .map(|s| TenantRow {
-                tenant: s.tenant.0,
-                name: s.name,
-                capacity: s.capacity,
-                admitted: s.admitted,
-                rejected: s.rejected,
-                committed: s.committed,
-                charged: s.charged_total,
-                peak_epoch_charge: s.peak_epoch_charge,
-            })
-            .collect(),
-        admissions: registry
-            .decisions()
-            .iter()
-            .map(|d| AdmissionRow {
-                submission: d.submission,
-                tenant: d.tenant.0,
-                demand: d.estimated_demand,
-                committed: d.committed_before,
-                capacity: d.capacity,
-                admitted: d.admitted,
-            })
-            .collect(),
-    });
-    ScenarioReport {
-        name: spec.name.clone(),
-        seed,
-        epochs,
-        queries,
-        operators,
-        totals,
-        adaptive,
-        tenants,
-        faults,
-        telemetry,
     }
 }
 
@@ -1069,8 +939,8 @@ text = "ACQUIRE temp FROM RECT(0,0,2,2) RATE 0.5"
     #[test]
     fn serial_and_sharded_reports_are_identical() {
         let runner = ScenarioRunner::new(spec(11)).unwrap();
-        let serial = runner.run(ExecMode::Serial).unwrap();
-        let sharded = runner.run(ExecMode::Sharded(3)).unwrap();
+        let serial = runner.run(&RunPlan::new(ExecMode::Serial)).unwrap().report;
+        let sharded = runner.run(&RunPlan::new(ExecMode::Sharded(3))).unwrap().report;
         assert_eq!(serial, sharded);
         assert_eq!(serial.canonical(), sharded.canonical());
         assert!(serial.epochs.len() == 4);
@@ -1080,8 +950,8 @@ text = "ACQUIRE temp FROM RECT(0,0,2,2) RATE 0.5"
     #[test]
     fn seed_override_changes_the_world() {
         let runner = ScenarioRunner::new(spec(11)).unwrap();
-        let a = runner.run_with_seed(ExecMode::Serial, 1).unwrap();
-        let b = runner.run_with_seed(ExecMode::Serial, 2).unwrap();
+        let a = runner.run(&RunPlan::default().seed(1)).unwrap().report;
+        let b = runner.run(&RunPlan::default().seed(2)).unwrap().report;
         assert_ne!(a.checksum(), b.checksum());
         assert_eq!(a.seed, 1);
     }
@@ -1119,7 +989,7 @@ text = "ACQUIRE temp FROM RECT(0,0,2,2) RATE 0.5"
         let mut s = spec(5);
         s.queries[0].text = "ACQUIRE fog FROM RECT(0,0,1,1) RATE 1".into();
         let runner = ScenarioRunner::new(s).unwrap();
-        let err = runner.run(ExecMode::Serial).unwrap_err();
+        let err = runner.run(&RunPlan::default()).unwrap_err();
         assert!(matches!(err, RunError::Query { index: 0, .. }), "{err}");
     }
 
@@ -1139,22 +1009,22 @@ text = "ACQUIRE temp FROM RECT(0,0,2,2) RATE 0.5"
     #[test]
     fn crowd_faults_and_retry_are_mode_deterministic() {
         let runner = ScenarioRunner::new(faulty_spec(13)).unwrap();
-        let serial = runner.run_full(ExecMode::Serial, 13).unwrap();
-        let sharded = runner.run_full(ExecMode::Sharded(3), 13).unwrap();
+        let serial = runner.run(&RunPlan::new(ExecMode::Serial)).unwrap();
+        let sharded = runner.run(&RunPlan::new(ExecMode::Sharded(3))).unwrap();
         assert_eq!(serial.report.canonical(), sharded.report.canonical());
         assert_eq!(serial.log, sharded.log, "fault-injected logs must be mode-independent");
 
         // The faults actually bite: a fault-free twin diverges.
         let mut clean = faulty_spec(13);
         clean.faults = None;
-        let clean_run = ScenarioRunner::new(clean).unwrap().run_full(ExecMode::Serial, 13).unwrap();
+        let clean_run = ScenarioRunner::new(clean).unwrap().run(&RunPlan::default()).unwrap();
         assert_ne!(clean_run.report.checksum(), serial.report.checksum());
     }
 
     #[test]
     fn faulty_logs_replay_and_resume_everywhere() {
         let runner = ScenarioRunner::new(faulty_spec(17)).unwrap();
-        let live = runner.run_full(ExecMode::Serial, 17).unwrap();
+        let live = runner.run(&RunPlan::default()).unwrap();
         let log = live.log.as_ref().unwrap();
         // Replay drives a detached crowd (faults never fire there — the
         // recorded responses are already post-fault), sharded or not.
@@ -1180,8 +1050,9 @@ text = "ACQUIRE temp FROM RECT(0,0,2,2) RATE 0.5"
         let dir = tempdir("streamed");
         let path = dir.join("run.runlog.txt");
         let runner = ScenarioRunner::new(spec(23)).unwrap();
-        let streamed = runner.run_streamed(ExecMode::Serial, 23, &path).unwrap();
-        let recorded = runner.run_recorded(ExecMode::Serial, 23).unwrap();
+        let streamed =
+            runner.run(&RunPlan::default().record(Record::Stream(path.clone()))).unwrap();
+        let recorded = runner.run(&RunPlan::default().record(Record::Memory)).unwrap();
         assert_eq!(streamed.report, recorded.report);
         assert_eq!(streamed.log, recorded.log, "streaming must not change what is recorded");
         let on_disk = std::fs::read_to_string(&path).unwrap();
@@ -1193,10 +1064,11 @@ text = "ACQUIRE temp FROM RECT(0,0,2,2) RATE 0.5"
     fn crash_salvage_resume_reproduces_the_uninterrupted_run() {
         let dir = tempdir("crash");
         let runner = ScenarioRunner::new(faulty_spec(29)).unwrap();
-        let uninterrupted = runner.run_full(ExecMode::Serial, 29).unwrap();
+        let uninterrupted = runner.run(&RunPlan::default()).unwrap();
         for point in CrashPoint::ALL {
             let path = dir.join(format!("crash-{point}.runlog.txt"));
-            let durable = runner.run_to_crash(ExecMode::Serial, 29, point, 2, &path).unwrap();
+            let plan = RunPlan::default().record(Record::Stream(path.clone()));
+            let durable = runner.run_to_crash(&plan, 2, point).unwrap();
             assert_eq!(durable, 2, "{point}: epochs 0 and 1 must be durable");
             let bytes = std::fs::read_to_string(&path).unwrap();
             let salvage = craqr_runlog::parse_salvage(&bytes).unwrap();
@@ -1216,36 +1088,6 @@ text = "ACQUIRE temp FROM RECT(0,0,2,2) RATE 0.5"
                 "{point}: resume after salvage must re-converge"
             );
         }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn run_all_discovers_and_runs_a_directory() {
-        let dir = std::env::temp_dir().join(format!("craqr-run-all-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        for (file, seed) in [("b_second.toml", 2), ("a_first.toml", 1)] {
-            let mut s = spec(seed);
-            s.name = file.trim_end_matches(".toml").replace('.', "_");
-            std::fs::write(dir.join(file), s.to_toml()).unwrap();
-        }
-        std::fs::write(dir.join("notes.txt"), "ignored: not a spec").unwrap();
-
-        let reports = ScenarioRunner::run_all(&dir, ExecMode::Sharded(2)).unwrap();
-        assert_eq!(reports.len(), 2, "exactly the .toml files run");
-        // Sorted by file name, each under its own seed.
-        assert_eq!(reports[0].1.name, "a_first");
-        assert_eq!(reports[0].1.seed, 1);
-        assert_eq!(reports[1].1.name, "b_second");
-        assert_eq!(reports[1].1.seed, 2);
-        assert!(reports.iter().all(|(_, r)| r.totals.sent > 0));
-
-        // A broken spec surfaces as a path-carrying error.
-        std::fs::write(dir.join("c_broken.toml"), "name = 3").unwrap();
-        let err = ScenarioRunner::run_all(&dir, ExecMode::Serial).unwrap_err();
-        assert!(
-            matches!(err, BatchError::Spec { ref path, .. } if path.ends_with("c_broken.toml")),
-            "{err}"
-        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -439,8 +439,9 @@ impl AdaptiveSpec {
 /// inputs (see `craqr-runlog`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunlogSpec {
-    /// `true`: `run_full` records every epoch's inputs and returns the
-    /// [`craqr_runlog::RunLog`] alongside the report; the CLI
+    /// `true`: a run whose plan records as the spec says
+    /// ([`crate::Record::AsSpec`]) records every epoch's inputs and returns
+    /// the [`craqr_runlog::RunLog`] alongside the report; the CLI
     /// blesses/checks a `<name>.runlog.txt` golden for the scenario.
     /// `false`: the block is declared but recording is switched off (a
     /// cheap toggle for experiments).

@@ -90,7 +90,8 @@
 use craqr::core::{CrashPoint, ExecMode};
 use craqr::runlog::{diff_logs, parse_salvage, write_atomic, RunLog};
 use craqr::scenario::{
-    replay, replay_instrumented, resume, scenario_files, RunTelemetry, ScenarioRunner, ScenarioSpec,
+    kill_salvage_resume, replay, resume, scenario_files, Execution, Record, RunPlan, RunTelemetry,
+    ScenarioRunner,
 };
 use craqr::telemetry::lint_exposition;
 use std::collections::BTreeSet;
@@ -121,30 +122,107 @@ impl From<&str> for Failure {
     }
 }
 
-/// Parses a `--shards` value: `N >= 1` shards (serial is the absence of
-/// the flag, not shard count zero).
-fn parse_shards(value: &str) -> Result<usize, String> {
-    let n: usize = value.parse().map_err(|e| format!("--shards: {e}"))?;
-    if n == 0 {
-        return Err(
-            "--shards 0 has no workers to run on; use N >= 1, or omit the flag for serial".into()
-        );
-    }
-    Ok(n)
+/// Every flag any (sub)command takes, parsed once by [`Flags::parse`].
+#[derive(Default)]
+struct Flags {
+    /// Positional arguments: spec files (after `--all` expansion) or logs.
+    files: Vec<PathBuf>,
+    /// `--shards N`: run under `Sharded(N)`; serial is the flag's absence.
+    shards: Option<usize>,
+    seed: Option<u64>,
+    out: Option<PathBuf>,
+    /// `--metrics FILE`: instrument every run and write the merged
+    /// Prometheus exposition here.
+    metrics: Option<PathBuf>,
+    at: Option<usize>,
+    resume: bool,
+    /// `--pipeline`: drive each primary run on the pipelined executor.
+    /// The built-in cross-run stays on the classic executor, so every
+    /// invocation re-proves the pipelined bytes against serial ones.
+    pipeline: bool,
+    goldens: Option<PathBuf>,
+    bless: bool,
+    check: bool,
+    checksum: bool,
+    print: bool,
+    trace: bool,
+    /// `--all` was used, so the file list is a complete corpus and the
+    /// golden directory can be swept for orphans.
+    swept: bool,
 }
 
-fn exec_of(shards: Option<usize>) -> ExecMode {
-    match shards {
-        Some(n) => ExecMode::Sharded(n),
-        None => ExecMode::Serial,
+impl Flags {
+    /// Parses `argv` for `cmd` (empty: golden mode), which accepts only
+    /// the space-separated flags in `allowed` and, with `one_log`, a
+    /// single positional.
+    fn parse(cmd: &str, allowed: &str, one_log: bool, argv: &[String]) -> Result<Self, String> {
+        let golden = cmd.is_empty();
+        let mut f = Flags::default();
+        let mut it = argv.iter();
+        while let Some(arg) = it.next() {
+            let flag = arg.as_str();
+            let mut value = || it.next().ok_or_else(|| format!("flag {flag} needs a value"));
+            match flag {
+                "--help" | "-h" if golden => {
+                    println!(
+                        "see the doc comment at the top of src/bin/craqr-scenario.rs for usage"
+                    );
+                    std::process::exit(0);
+                }
+                _ if flag.starts_with("--") && !allowed.split(' ').any(|known| known == flag) => {
+                    let hint = if golden { " (try --help)" } else { "" };
+                    return Err(format!("unknown flag '{flag}'{hint}"));
+                }
+                "--shards" => {
+                    let n: usize = value()?.parse().map_err(|e| format!("--shards: {e}"))?;
+                    if n == 0 {
+                        return Err("--shards 0 has no workers to run on; use N >= 1, or omit \
+                                    the flag for serial"
+                            .into());
+                    }
+                    f.shards = Some(n);
+                }
+                "--seed" => f.seed = Some(value()?.parse().map_err(|e| format!("--seed: {e}"))?),
+                "--at" => f.at = Some(value()?.parse().map_err(|e| format!("--at: {e}"))?),
+                "--out" => f.out = Some(PathBuf::from(value()?)),
+                "--metrics" => f.metrics = Some(PathBuf::from(value()?)),
+                "--goldens" => f.goldens = Some(PathBuf::from(value()?)),
+                "--all" => {
+                    let dir = PathBuf::from(value()?);
+                    let found = scenario_files(&dir).map_err(|e| e.to_string())?;
+                    if golden && found.is_empty() {
+                        return Err(format!("--all {}: no .toml/.json specs found", dir.display()));
+                    }
+                    f.files.extend(found);
+                    f.swept = true;
+                }
+                "--resume" => f.resume = true,
+                "--pipeline" => f.pipeline = true,
+                "--bless" => f.bless = true,
+                "--check" => f.check = true,
+                "--checksum" => f.checksum = true,
+                "--print" => f.print = true,
+                "--trace" => f.trace = true,
+                extra if one_log && !f.files.is_empty() => {
+                    return Err(format!("{cmd} takes exactly one log file, got also '{extra}'"))
+                }
+                file => f.files.push(PathBuf::from(file)),
+            }
+        }
+        Ok(f)
     }
-}
 
-fn load_runner(path: &Path) -> Result<ScenarioRunner, String> {
-    let src = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let spec = ScenarioSpec::from_source(&path.to_string_lossy(), &src)
-        .map_err(|e| format!("{}: {e}", path.display()))?;
-    ScenarioRunner::new(spec).map_err(|e| format!("{}: {e}", path.display()))
+    /// The execution the flags ask for: `--shards`, `--pipeline`, and the
+    /// timing tier iff `--metrics` wants an exposition.
+    fn execution(&self) -> Execution {
+        let mode = self.shards.map_or(ExecMode::Serial, ExecMode::Sharded);
+        Execution { mode, pipelined: self.pipeline, timing: self.metrics.is_some() }
+    }
+
+    /// The flags as a plan: their execution, `--seed`, recording as `record`.
+    fn plan(&self, record: Record) -> RunPlan {
+        RunPlan { execution: self.execution(), seed: self.seed, record }
+    }
 }
 
 /// Loads a log, classifying parse failures: a file whose tail is torn but
@@ -213,49 +291,26 @@ fn write_metrics(path: &Path, telemetry: Option<&RunTelemetry>) -> Result<(), St
 // ---------------------------------------------------------------------------
 
 fn cmd_record(argv: &[String]) -> Result<(), Failure> {
-    let mut files: Vec<PathBuf> = Vec::new();
-    let mut shards = None;
-    let mut seed: Option<u64> = None;
-    let mut out = PathBuf::from("runs");
-    let mut metrics: Option<PathBuf> = None;
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut value =
-            |name: &str| it.next().cloned().ok_or_else(|| format!("flag {name} needs a value"));
-        match flag.as_str() {
-            "--shards" => shards = Some(parse_shards(&value("--shards")?)?),
-            "--seed" => seed = Some(value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?),
-            "--out" => out = PathBuf::from(value("--out")?),
-            "--metrics" => metrics = Some(PathBuf::from(value("--metrics")?)),
-            "--all" => {
-                let dir = PathBuf::from(value("--all")?);
-                files.extend(scenario_files(&dir).map_err(|e| e.to_string())?);
-            }
-            other if other.starts_with("--") => {
-                return Err(format!("unknown flag '{other}'").into())
-            }
-            file => files.push(PathBuf::from(file)),
-        }
-    }
-    if files.is_empty() {
+    let flags = Flags::parse("record", "--shards --seed --out --metrics --all", false, argv)?;
+    if flags.files.is_empty() {
         return Err("record: at least one spec file (or --all DIR) is required".into());
     }
+    let out = flags.out.clone().unwrap_or_else(|| PathBuf::from("runs"));
     std::fs::create_dir_all(&out).map_err(|e| format!("{}: {e}", out.display()))?;
     let mut registry: Option<RunTelemetry> = None;
-    for file in &files {
-        let runner = load_runner(file)?;
-        let run_seed = seed.unwrap_or(runner.spec().seed);
+    for file in &flags.files {
+        let runner = ScenarioRunner::from_file(file).map_err(|e| e.to_string())?;
         // Crash-safe recording: every sealed epoch block is appended and
         // fsynced as it closes, and the sealed document atomically
         // replaces the streamed prefix at the end — a kill at any moment
         // leaves a salvageable prefix, never a half-written file.
         let path = out.join(format!("{}.runlog.txt", runner.spec().name));
         let output = runner
-            .run_streamed_instrumented(exec_of(shards), run_seed, &path, metrics.is_some())
+            .run(&flags.plan(Record::Stream(path.clone())))
             .map_err(|e| format!("{}: {e}", file.display()))?;
         absorb_metrics(&mut registry, output.telemetry.as_ref());
-        // craqr-lint: allow(W1): internal invariant — the streamed-record API always yields a log
-        let log = output.log.expect("run_streamed always returns a log");
+        // craqr-lint: allow(W1): internal invariant — a streamed run always yields a log
+        let log = output.log.expect("a streamed run always returns a log");
         let text = log.canonical();
         // The checksum is already the canonical text's last line; reading
         // it there avoids re-rendering the whole multi-hundred-KB log.
@@ -273,7 +328,7 @@ fn cmd_record(argv: &[String]) -> Result<(), Failure> {
             text.len(),
         );
     }
-    if let Some(path) = &metrics {
+    if let Some(path) = &flags.metrics {
         write_metrics(path, registry.as_ref())?;
     }
     Ok(())
@@ -283,35 +338,16 @@ fn cmd_record(argv: &[String]) -> Result<(), Failure> {
 /// committed log with full instrumentation, merge the registries, render
 /// the Prometheus exposition.
 fn cmd_metrics(argv: &[String]) -> Result<(), Failure> {
-    let mut files: Vec<PathBuf> = Vec::new();
-    let mut shards = None;
-    let mut out: Option<PathBuf> = None;
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--shards" => {
-                let v = it.next().ok_or("flag --shards needs a value")?;
-                shards = Some(parse_shards(v)?);
-            }
-            "--out" => {
-                let v = it.next().ok_or("flag --out needs a value")?;
-                out = Some(PathBuf::from(v));
-            }
-            other if other.starts_with("--") => {
-                return Err(format!("unknown flag '{other}'").into())
-            }
-            file => files.push(PathBuf::from(file)),
-        }
-    }
-    if files.is_empty() {
+    let flags = Flags::parse("metrics", "--shards --out", false, argv)?;
+    if flags.files.is_empty() {
         return Err("metrics: at least one .runlog.txt file is required".into());
     }
-    let exec = exec_of(shards);
+    let how = flags.execution().timing(true);
+    let exec = how.mode;
     let mut registry: Option<RunTelemetry> = None;
-    for file in &files {
+    for file in &flags.files {
         let log = load_log(file)?;
-        let output = replay_instrumented(&log, exec, true)
-            .map_err(|e| format!("{}: {e}", file.display()))?;
+        let output = replay(&log, how).map_err(|e| format!("{}: {e}", file.display()))?;
         eprintln!(
             "replayed {} [{exec:?}] events-checksum {:#018x}",
             output.report.name,
@@ -319,7 +355,7 @@ fn cmd_metrics(argv: &[String]) -> Result<(), Failure> {
         );
         absorb_metrics(&mut registry, output.telemetry.as_ref());
     }
-    match &out {
+    match &flags.out {
         Some(path) => write_metrics(path, registry.as_ref())?,
         None => {
             print!("{}", registry.as_ref().map(RunTelemetry::render_prometheus).unwrap_or_default())
@@ -329,28 +365,14 @@ fn cmd_metrics(argv: &[String]) -> Result<(), Failure> {
 }
 
 fn cmd_replay(argv: &[String]) -> Result<(), Failure> {
-    let mut files: Vec<PathBuf> = Vec::new();
-    let mut shards = None;
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--shards" => {
-                let v = it.next().ok_or("flag --shards needs a value")?;
-                shards = Some(parse_shards(v)?);
-            }
-            other if other.starts_with("--") => {
-                return Err(format!("unknown flag '{other}'").into())
-            }
-            file => files.push(PathBuf::from(file)),
-        }
-    }
-    if files.is_empty() {
+    let flags = Flags::parse("replay", "--shards", false, argv)?;
+    if flags.files.is_empty() {
         return Err("replay: at least one .runlog.txt file is required".into());
     }
-    let exec = exec_of(shards);
+    let exec = flags.execution().mode;
     let mut failures = 0usize;
     let mut worst_code = 1u8;
-    for file in &files {
+    for file in &flags.files {
         let result = load_log(file).and_then(|log| {
             replay(&log, exec).map_err(|e| Failure::from(format!("{}: {e}", file.display())))
         });
@@ -377,34 +399,12 @@ fn cmd_replay(argv: &[String]) -> Result<(), Failure> {
 }
 
 fn cmd_resume(argv: &[String]) -> Result<(), Failure> {
-    let mut file: Option<PathBuf> = None;
-    let mut shards = None;
-    let mut at: Option<usize> = None;
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--shards" => {
-                let v = it.next().ok_or("flag --shards needs a value")?;
-                shards = Some(parse_shards(v)?);
-            }
-            "--at" => {
-                let v = it.next().ok_or("flag --at needs a value")?;
-                at = Some(v.parse().map_err(|e| format!("--at: {e}"))?);
-            }
-            other if other.starts_with("--") => {
-                return Err(format!("unknown flag '{other}'").into())
-            }
-            f if file.is_none() => file = Some(PathBuf::from(f)),
-            extra => {
-                return Err(format!("resume takes exactly one log file, got also '{extra}'").into())
-            }
-        }
-    }
-    let file = file.ok_or("resume: a .runlog.txt file is required")?;
-    let at = at.ok_or("resume: --at K (epoch boundary to resume from) is required")?;
-    let log = load_log(&file)?;
+    let flags = Flags::parse("resume", "--shards --at", true, argv)?;
+    let file = flags.files.first().ok_or("resume: a .runlog.txt file is required")?;
+    let at = flags.at.ok_or("resume: --at K (epoch boundary to resume from) is required")?;
+    let log = load_log(file)?;
     let output =
-        resume(&log, exec_of(shards), at).map_err(|e| format!("{}: {e}", file.display()))?;
+        resume(&log, flags.execution(), at).map_err(|e| format!("{}: {e}", file.display()))?;
     println!(
         "resumed {} at epoch {at}: re-converged on report {:#018x} trace {}",
         output.report.name,
@@ -438,33 +438,9 @@ fn cmd_diff(argv: &[String]) -> Result<bool, Failure> {
 /// when a prefix salvaged but the tail was lost, or `Err` with
 /// [`EXIT_CORRUPT`] when not even the header survived.
 fn cmd_salvage(argv: &[String]) -> Result<u8, Failure> {
-    let mut file: Option<PathBuf> = None;
-    let mut out: Option<PathBuf> = None;
-    let mut shards = None;
-    let mut do_resume = false;
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--out" => {
-                let v = it.next().ok_or("flag --out needs a value")?;
-                out = Some(PathBuf::from(v));
-            }
-            "--shards" => {
-                let v = it.next().ok_or("flag --shards needs a value")?;
-                shards = Some(parse_shards(v)?);
-            }
-            "--resume" => do_resume = true,
-            other if other.starts_with("--") => {
-                return Err(format!("unknown flag '{other}'").into())
-            }
-            f if file.is_none() => file = Some(PathBuf::from(f)),
-            extra => {
-                return Err(format!("salvage takes exactly one log file, got also '{extra}'").into())
-            }
-        }
-    }
-    let file = file.ok_or("salvage: a .runlog.txt file is required")?;
-    let src = std::fs::read_to_string(&file).map_err(|e| format!("{}: {e}", file.display()))?;
+    let flags = Flags::parse("salvage", "--out --resume --shards", true, argv)?;
+    let file = flags.files.first().ok_or("salvage: a .runlog.txt file is required")?;
+    let src = std::fs::read_to_string(file).map_err(|e| format!("{}: {e}", file.display()))?;
     let salvage = parse_salvage(&src).map_err(|e| Failure {
         code: EXIT_CORRUPT,
         message: format!("{}: corrupt log, nothing salvageable: {e}", file.display()),
@@ -496,7 +472,7 @@ fn cmd_salvage(argv: &[String]) -> Result<u8, Failure> {
             EXIT_TORN
         }
     };
-    if let Some(out) = &out {
+    if let Some(out) = &flags.out {
         // The salvaged prefix re-renders as a sealed document (header +
         // verified epochs + trailer), so the repaired file parses
         // cleanly — no salvage pass needed the next time it is read.
@@ -504,9 +480,9 @@ fn cmd_salvage(argv: &[String]) -> Result<u8, Failure> {
             .map_err(|e| format!("{}: {e}", out.display()))?;
         println!("wrote salvaged log to {}", out.display());
     }
-    if do_resume {
+    if flags.resume {
         let at = salvage.log.epochs.len();
-        let output = resume(&salvage.log, exec_of(shards), at)
+        let output = resume(&salvage.log, flags.execution(), at)
             .map_err(|e| format!("{}: {e}", file.display()))?;
         println!(
             "resumed {} at epoch {at}: report {:#018x} trace {}",
@@ -523,14 +499,13 @@ fn cmd_salvage(argv: &[String]) -> Result<u8, Failure> {
 /// recovery to re-converge on the uninterrupted reference run.
 fn chaos_one(
     file: &Path,
-    shards: Option<usize>,
+    flags: &Flags,
     out_dir: &Path,
     registry: &mut Option<RunTelemetry>,
 ) -> Result<(usize, usize), Failure> {
-    let runner = load_runner(file)?;
+    let runner = ScenarioRunner::from_file(file).map_err(|e| e.to_string())?;
     let spec = runner.spec();
-    let exec = exec_of(shards);
-    let seed = spec.seed;
+    let mode = flags.execution().mode;
     let name = spec.name.clone();
     let epochs = spec.epochs;
 
@@ -538,15 +513,9 @@ fn chaos_one(
     // exactly these checksums. Under --metrics it is instrumented — the
     // drill's exported registry describes the reference runs (recoveries
     // must converge on them anyway).
-    let reference = if registry.is_some() {
-        let r = runner
-            .run_recorded_instrumented(exec, seed)
-            .map_err(|e| format!("{}: {e}", file.display()))?;
-        absorb_metrics(registry, r.telemetry.as_ref());
-        r
-    } else {
-        runner.run_recorded(exec, seed).map_err(|e| format!("{}: {e}", file.display()))?
-    };
+    let reference =
+        runner.run(&flags.plan(Record::Memory)).map_err(|e| format!("{}: {e}", file.display()))?;
+    absorb_metrics(registry, reference.telemetry.as_ref());
     let want_report = reference.report.checksum();
     let want_trace = reference.trace.as_ref().map(|t| t.checksum());
 
@@ -580,38 +549,11 @@ fn chaos_one(
             );
             failures += 1;
         };
-        let durable = match runner.run_to_crash(exec, seed, point, at_epoch, &crash_path) {
-            Ok(d) => d,
-            Err(e) => {
-                fail(format!("crash run: {e}"));
-                continue;
-            }
-        };
-        let src = match std::fs::read_to_string(&crash_path) {
-            Ok(s) => s,
-            Err(e) => {
-                fail(format!("reading crash file: {e}"));
-                continue;
-            }
-        };
-        let salvage = match parse_salvage(&src) {
-            Ok(s) => s,
-            Err(e) => {
-                fail(format!("salvage: {e}"));
-                continue;
-            }
-        };
-        if salvage.log.epochs.len() != durable {
-            fail(format!(
-                "salvaged {} epoch(s), but {durable} were durable at the kill",
-                salvage.log.epochs.len()
-            ));
-            continue;
-        }
-        let recovered = match resume(&salvage.log, exec, durable) {
+        let plan = RunPlan::new(mode).record(Record::Stream(crash_path.clone()));
+        let recovered = match kill_salvage_resume(&runner, &plan, at_epoch, point) {
             Ok(o) => o,
-            Err(e) => {
-                fail(format!("resume: {e}"));
+            Err(why) => {
+                fail(why);
                 continue;
             }
         };
@@ -651,38 +593,16 @@ fn chaos_one(
 /// `chaos <specs…> [--all DIR] [--shards N] [--out DIR]` — run the
 /// kill-salvage-resume drill over each spec, in process.
 fn cmd_chaos(argv: &[String]) -> Result<(), Failure> {
-    let mut files: Vec<PathBuf> = Vec::new();
-    let mut shards = None;
-    let mut out = PathBuf::from("runs/chaos");
-    let mut metrics: Option<PathBuf> = None;
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut value =
-            |name: &str| it.next().cloned().ok_or_else(|| format!("flag {name} needs a value"));
-        match flag.as_str() {
-            "--shards" => shards = Some(parse_shards(&value("--shards")?)?),
-            "--out" => out = PathBuf::from(value("--out")?),
-            "--metrics" => metrics = Some(PathBuf::from(value("--metrics")?)),
-            "--all" => {
-                let dir = PathBuf::from(value("--all")?);
-                files.extend(scenario_files(&dir).map_err(|e| e.to_string())?);
-            }
-            other if other.starts_with("--") => {
-                return Err(format!("unknown flag '{other}'").into())
-            }
-            file => files.push(PathBuf::from(file)),
-        }
-    }
-    if files.is_empty() {
+    let flags = Flags::parse("chaos", "--shards --out --metrics --all", false, argv)?;
+    if flags.files.is_empty() {
         return Err("chaos: at least one spec file (or --all DIR) is required".into());
     }
+    let out = flags.out.clone().unwrap_or_else(|| PathBuf::from("runs/chaos"));
     std::fs::create_dir_all(&out).map_err(|e| format!("{}: {e}", out.display()))?;
-    // A pre-seeded (empty) accumulator doubles as the "instrument the
-    // reference runs" flag inside `chaos_one`.
-    let mut registry: Option<RunTelemetry> = metrics.as_ref().map(|_| RunTelemetry::new(true));
+    let mut registry: Option<RunTelemetry> = None;
     let mut total_failures = 0usize;
-    for file in &files {
-        let (kills, failures) = chaos_one(file, shards, &out, &mut registry)?;
+    for file in &flags.files {
+        let (kills, failures) = chaos_one(file, &flags, &out, &mut registry)?;
         if failures == 0 {
             println!(
                 "chaos ok {}: {kills} kill(s), every salvage+resume re-converged on the \
@@ -692,7 +612,7 @@ fn cmd_chaos(argv: &[String]) -> Result<(), Failure> {
         }
         total_failures += failures;
     }
-    if let Some(path) = &metrics {
+    if let Some(path) = &flags.metrics {
         write_metrics(path, registry.as_ref())?;
     }
     if total_failures > 0 {
@@ -709,78 +629,11 @@ fn cmd_chaos(argv: &[String]) -> Result<(), Failure> {
 // Golden-corpus mode (no subcommand)
 // ---------------------------------------------------------------------------
 
-struct Args {
-    files: Vec<PathBuf>,
-    shards: Option<usize>,
-    seed: Option<u64>,
-    goldens: PathBuf,
-    bless: bool,
-    check: bool,
-    checksum: bool,
-    print: bool,
-    trace: bool,
-    /// `--metrics FILE`: instrument every run and write the merged
-    /// Prometheus exposition here.
-    metrics: Option<PathBuf>,
-    /// `--pipeline`: drive each primary run on the pipelined executor.
-    /// The built-in cross-run stays on the classic executor, so every
-    /// invocation re-proves the pipelined bytes against serial ones.
-    pipeline: bool,
-    /// `--all` was used, so the file list is a complete corpus and the
-    /// golden directory can be swept for orphans.
-    swept: bool,
-}
-
-fn parse_args(argv: Vec<String>) -> Result<Args, String> {
-    let mut args = Args {
-        files: Vec::new(),
-        shards: None,
-        seed: None,
-        goldens: PathBuf::from("tests/goldens"),
-        bless: false,
-        check: false,
-        checksum: false,
-        print: false,
-        trace: false,
-        metrics: None,
-        pipeline: false,
-        swept: false,
-    };
-    let mut it = argv.into_iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("flag {name} needs a value"));
-        match flag.as_str() {
-            "--shards" => args.shards = Some(parse_shards(&value("--shards")?)?),
-            "--seed" => {
-                args.seed = Some(value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?)
-            }
-            "--goldens" => args.goldens = PathBuf::from(value("--goldens")?),
-            "--metrics" => args.metrics = Some(PathBuf::from(value("--metrics")?)),
-            "--all" => {
-                let dir = PathBuf::from(value("--all")?);
-                let found = scenario_files(&dir).map_err(|e| e.to_string())?;
-                if found.is_empty() {
-                    return Err(format!("--all {}: no .toml/.json specs found", dir.display()));
-                }
-                args.files.extend(found);
-                args.swept = true;
-            }
-            "--bless" => args.bless = true,
-            "--check" => args.check = true,
-            "--checksum" => args.checksum = true,
-            "--print" => args.print = true,
-            "--trace" => args.trace = true,
-            "--pipeline" => args.pipeline = true,
-            "--help" | "-h" => {
-                println!("see the doc comment at the top of src/bin/craqr-scenario.rs for usage");
-                std::process::exit(0);
-            }
-            other if other.starts_with("--") => {
-                return Err(format!("unknown flag '{other}' (try --help)"))
-            }
-            file => args.files.push(PathBuf::from(file)),
-        }
-    }
+/// Golden mode's flags, with the combinations no run could honour refused.
+fn parse_golden(argv: &[String]) -> Result<Flags, String> {
+    const ALLOWED: &str = "--shards --seed --goldens --metrics --all --bless --check --checksum \
+                           --print --trace --pipeline";
+    let args = Flags::parse("", ALLOWED, false, argv)?;
     if args.files.is_empty() {
         return Err("at least one scenario spec file is required (try --help)".into());
     }
@@ -898,8 +751,8 @@ fn golden_artifact(
 
 /// Sweeps the golden directory for artifacts whose scenario no longer
 /// exists in the corpus. Returns the number of check failures.
-fn sweep_orphans(args: &Args, known: &BTreeSet<String>) -> Result<usize, String> {
-    let entries = match std::fs::read_dir(&args.goldens) {
+fn sweep_orphans(goldens: &Path, bless: bool, known: &BTreeSet<String>) -> Result<usize, String> {
+    let entries = match std::fs::read_dir(goldens) {
         Ok(entries) => entries,
         // No goldens directory at all: nothing to sweep.
         Err(_) => return Ok(0),
@@ -915,8 +768,8 @@ fn sweep_orphans(args: &Args, known: &BTreeSet<String>) -> Result<usize, String>
         if known.contains(stem) {
             continue;
         }
-        let path = args.goldens.join(&name);
-        if args.bless {
+        let path = goldens.join(&name);
+        if bless {
             std::fs::remove_file(&path).map_err(|e| format!("{}: {e}", path.display()))?;
             println!("removed orphaned {} (no scenario '{stem}' in the corpus)", path.display());
         } else {
@@ -931,24 +784,31 @@ fn sweep_orphans(args: &Args, known: &BTreeSet<String>) -> Result<usize, String>
     Ok(failures)
 }
 
-fn golden_mode(argv: Vec<String>) -> ExitCode {
-    let args = match parse_args(argv) {
+fn golden_mode(argv: &[String]) -> ExitCode {
+    let args = match parse_golden(argv) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let exec = exec_of(args.shards);
+    let goldens = args.goldens.clone().unwrap_or_else(|| PathBuf::from("tests/goldens"));
+    // Under --metrics the primary run is instrumented while the cross-mode
+    // run below stays uninstrumented — so the byte-inertness contract
+    // (telemetry never perturbs a checksummed artifact) is re-verified by
+    // the existing equality check on every invocation.
+    let plan = args.plan(Record::AsSpec);
+    let exec = plan.execution.mode;
     // The cross-check mode: whatever the primary isn't.
     let cross = if args.shards.is_some() { ExecMode::Serial } else { ExecMode::Sharded(4) };
+    let cross_plan = RunPlan { seed: args.seed, ..RunPlan::new(cross) };
 
     let mut failures = 0usize;
     let mut known: BTreeSet<String> = BTreeSet::new();
     let mut registry: Option<RunTelemetry> = None;
     for file in &args.files {
         let name = file.display();
-        let runner = match load_runner(file) {
+        let runner = match ScenarioRunner::from_file(file) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("error: {e}");
@@ -956,21 +816,7 @@ fn golden_mode(argv: Vec<String>) -> ExitCode {
                 continue;
             }
         };
-        let seed = args.seed.unwrap_or(runner.spec().seed);
-        // Under --metrics the primary run is instrumented while the
-        // cross-mode run below stays uninstrumented — so the byte-inertness
-        // contract (telemetry never perturbs a checksummed artifact) is
-        // re-verified by the existing equality check on every invocation.
-        let run = |exec| {
-            if args.metrics.is_some() {
-                runner.run_full_instrumented(exec, seed)
-            } else if args.pipeline {
-                runner.run_full_pipelined(exec, seed)
-            } else {
-                runner.run_full(exec, seed)
-            }
-        };
-        let output = match run(exec) {
+        let output = match runner.run(&plan) {
             Ok(o) => o,
             Err(e) => {
                 eprintln!("error: {name}: {e}");
@@ -985,7 +831,7 @@ fn golden_mode(argv: Vec<String>) -> ExitCode {
         // cross-run would only double the work. Adaptive traces and run
         // logs are held to the same byte-identity bar as reports.
         if !args.checksum {
-            match runner.run_full(cross, seed) {
+            match runner.run(&cross_plan) {
                 Ok(other)
                     if other.report.canonical() == output.report.canonical()
                         && other.trace.as_ref().map(|t| t.canonical())
@@ -1035,7 +881,7 @@ fn golden_mode(argv: Vec<String>) -> ExitCode {
             ];
             let mut ok = true;
             for (kind, fresh) in &artifacts {
-                let path = args.goldens.join(format!("{scenario}{}", kind.suffix));
+                let path = goldens.join(format!("{scenario}{}", kind.suffix));
                 match golden_artifact(args.bless, &scenario, kind.what, &path, fresh.as_deref()) {
                     Ok(artifact_ok) => ok &= artifact_ok,
                     Err(e) => {
@@ -1076,7 +922,7 @@ fn golden_mode(argv: Vec<String>) -> ExitCode {
     // perfectly valid goldens as orphans (and bless would delete them —
     // destroying evidence); the run is already failing loudly anyway.
     if args.swept && (args.check || args.bless) && failures == 0 {
-        match sweep_orphans(&args, &known) {
+        match sweep_orphans(&goldens, args.bless, &known) {
             Ok(orphans) => failures += orphans,
             Err(e) => {
                 eprintln!("error: {e}");
@@ -1110,7 +956,7 @@ fn main() -> ExitCode {
         Some("salvage") => cmd_salvage(&argv[1..]),
         Some("chaos") => cmd_chaos(&argv[1..]).map(|()| 0),
         Some("metrics") => cmd_metrics(&argv[1..]).map(|()| 0),
-        _ => return golden_mode(argv),
+        _ => return golden_mode(&argv),
     };
     match result {
         Ok(code) => ExitCode::from(code),

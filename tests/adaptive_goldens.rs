@@ -22,7 +22,7 @@
 //! ```
 
 use craqr::core::ExecMode;
-use craqr::scenario::{AdaptiveTrace, ScenarioReport, ScenarioRunner};
+use craqr::scenario::{AdaptiveTrace, RunPlan, ScenarioReport, ScenarioRunner};
 use std::path::Path;
 
 /// A replan counts as "reacting" when it lands within this many epochs of
@@ -46,10 +46,9 @@ fn runner(stem: &str) -> ScenarioRunner {
 /// across modes, and returns the serial pair.
 fn run_both_modes(stem: &str) -> (ScenarioReport, AdaptiveTrace) {
     let runner = runner(stem);
-    let serial_out =
-        runner.run_full(ExecMode::Serial, runner.spec().seed).unwrap_or_else(|e| panic!("{e}"));
+    let serial_out = runner.run(&RunPlan::new(ExecMode::Serial)).unwrap_or_else(|e| panic!("{e}"));
     let sharded_out =
-        runner.run_full(ExecMode::Sharded(4), runner.spec().seed).unwrap_or_else(|e| panic!("{e}"));
+        runner.run(&RunPlan::new(ExecMode::Sharded(4))).unwrap_or_else(|e| panic!("{e}"));
     assert_eq!(
         serial_out.report.canonical(),
         sharded_out.report.canonical(),
@@ -162,8 +161,8 @@ fn drift_runs_are_bit_stable_across_reruns() {
 fn seed_override_changes_decisions_deterministically() {
     let runner = runner("drift_sensor_dropout");
     for seed in [1u64, 99] {
-        let serial = runner.run_full(ExecMode::Serial, seed).unwrap();
-        let sharded = runner.run_full(ExecMode::Sharded(3), seed).unwrap();
+        let serial = runner.run(&RunPlan::new(ExecMode::Serial).seed(seed)).unwrap();
+        let sharded = runner.run(&RunPlan::new(ExecMode::Sharded(3)).seed(seed)).unwrap();
         assert_eq!(serial.report.canonical(), sharded.report.canonical(), "seed {seed}");
         assert_eq!(
             serial.trace.expect("trace").canonical(),

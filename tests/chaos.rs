@@ -18,13 +18,17 @@
 //!    uninterrupted run's — not approximately, byte-for-byte — and the
 //!    per-tenant budget laws must hold as if nothing had happened.
 //!
-//! A second pass runs crash + recovery under `ExecMode::Sharded(4)`
-//! against the *serial* reference, so recovery is also mode-portable:
-//! you can crash on a laptop and resume on a many-core box.
+//! Every cell runs twice — on the serial executor and with all four
+//! pipeline stages mid-flight ([`Execution::pipelined`]) — against the
+//! same uninterrupted *serial* reference, and a second pass crashes and
+//! recovers under `ExecMode::Sharded(4)`, so recovery is portable across
+//! both executor axes: you can crash on a laptop and resume on a
+//! many-core box. Steps 1–3 are [`craqr::scenario::kill_salvage_resume`],
+//! the same helper the CLI's `chaos` drill runs.
 
 use craqr::core::{CrashPoint, ExecMode};
 use craqr::runlog::parse_salvage;
-use craqr::scenario::{resume, RunOutput, ScenarioRunner};
+use craqr::scenario::{kill_salvage_resume, Execution, Record, RunOutput, RunPlan, ScenarioRunner};
 use std::path::{Path, PathBuf};
 
 fn repo_root() -> &'static Path {
@@ -60,49 +64,45 @@ impl Drop for Scratch {
     }
 }
 
-/// Kills at `(point, epoch)` under `exec`, salvages the torn file, and
-/// resumes to the horizon. Panics if the salvage holds anything other
-/// than the durable prefix.
-fn kill_salvage_resume(
+/// The uninterrupted serial run every recovery must land on.
+fn reference(runner: &ScenarioRunner) -> RunOutput {
+    runner.run(&RunPlan::default().record(Record::Memory)).unwrap()
+}
+
+/// Kills at `(point, epoch)` under `mode` — once per executor, serial
+/// then pipelined — salvages, resumes, and holds each recovery to
+/// `reference`, and each torn file to the crash seam's shape: exactly the
+/// epochs before the kill, unsealed, torn mid-record only by
+/// `mid-log-append`.
+fn kill_and_recover(
     runner: &ScenarioRunner,
-    exec: ExecMode,
-    point: CrashPoint,
-    epoch: u32,
-    path: &Path,
-) -> RunOutput {
-    let durable =
-        runner.run_to_crash(exec, runner.spec().seed, point, epoch, path).unwrap_or_else(|e| {
-            panic!("crash run {point} @ epoch {epoch}: {e}");
-        });
-    assert_eq!(
-        durable, epoch as usize,
-        "{point} @ epoch {epoch}: every crash point kills before the epoch's block is durable"
-    );
-    let src = std::fs::read_to_string(path).unwrap();
-    let salvage = parse_salvage(&src)
-        .unwrap_or_else(|e| panic!("{point} @ epoch {epoch}: nothing salvageable: {e}"));
-    assert_eq!(
-        salvage.log.epochs.len(),
-        durable,
-        "{point} @ epoch {epoch}: salvage must keep exactly the durable epochs"
-    );
-    let torn = salvage.torn.unwrap_or_else(|| {
-        panic!("{point} @ epoch {epoch}: a killed stream can never look sealed")
-    });
-    if point == CrashPoint::MidLogAppend {
-        assert!(
-            torn.discarded_bytes > 0,
-            "mid-log-append @ epoch {epoch} tears mid-record; salvage must discard the fragment"
-        );
-    }
-    if point != CrashPoint::MidLogAppend {
+    scratch: &Scratch,
+    reference: &RunOutput,
+    mode: ExecMode,
+    (point, epoch): (CrashPoint, u32),
+) {
+    for pipelined in [false, true] {
+        let what = format!("{mode:?} pipelined={pipelined} {point} @ epoch {epoch}");
+        let path = scratch.log_path(point, epoch);
+        let plan = RunPlan::new(Execution::from(mode).pipelined(pipelined))
+            .record(Record::Stream(path.clone()));
+        let recovered = kill_salvage_resume(runner, &plan, epoch, point)
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_recovered(reference, &recovered, &what);
+
+        let salvage = parse_salvage(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(
-            torn.discarded_bytes, 0,
-            "{point} @ epoch {epoch} dies between appends; the file ends on a clean boundary"
+            salvage.log.epochs.len(),
+            epoch as usize,
+            "{what}: every crash point kills before the epoch's block is durable"
         );
+        let torn = salvage.torn.unwrap_or_else(|| panic!("{what}: a killed stream looks sealed"));
+        if point == CrashPoint::MidLogAppend {
+            assert!(torn.discarded_bytes > 0, "{what}: salvage must discard the torn fragment");
+        } else {
+            assert_eq!(torn.discarded_bytes, 0, "{what}: the file ends on a clean boundary");
+        }
     }
-    resume(&salvage.log, exec, durable)
-        .unwrap_or_else(|e| panic!("{point} @ epoch {epoch}: resume: {e}"))
 }
 
 /// Byte-level recovery identity plus the budget conservation laws, per
@@ -162,19 +162,18 @@ fn assert_recovered(reference: &RunOutput, recovered: &RunOutput, what: &str) {
     }
 }
 
-/// The full kill matrix, serial: every crash point of every epoch of the
-/// faulty scenario dies, salvages, resumes, and lands byte-identical.
+/// The full kill matrix on both executors: every crash point of every
+/// epoch of the faulty scenario dies, salvages, resumes, and lands
+/// byte-identical.
 #[test]
 fn every_crash_point_of_every_epoch_recovers_byte_identical() {
     let runner = runner("fault_flaky_crowd");
     let scratch = Scratch::new("serial");
-    let reference = runner.run_recorded(ExecMode::Serial, runner.spec().seed).unwrap();
+    let reference = reference(&runner);
     assert!(reference.report.tenants.is_some(), "the chaos scenario must exercise tenancy");
     for epoch in 0..runner.spec().epochs {
         for point in CrashPoint::ALL {
-            let path = scratch.log_path(point, epoch);
-            let recovered = kill_salvage_resume(&runner, ExecMode::Serial, point, epoch, &path);
-            assert_recovered(&reference, &recovered, &format!("{point} @ epoch {epoch}"));
+            kill_and_recover(&runner, &scratch, &reference, ExecMode::Serial, (point, epoch));
         }
     }
 }
@@ -186,12 +185,10 @@ fn every_crash_point_of_every_epoch_recovers_byte_identical() {
 fn sharded_recovery_matches_the_serial_reference() {
     let runner = runner("fault_flaky_crowd");
     let scratch = Scratch::new("sharded");
-    let reference = runner.run_recorded(ExecMode::Serial, runner.spec().seed).unwrap();
+    let reference = reference(&runner);
     for epoch in [0, 3, 7, runner.spec().epochs - 1] {
         for point in [CrashPoint::PostDrain, CrashPoint::MidLogAppend] {
-            let path = scratch.log_path(point, epoch);
-            let recovered = kill_salvage_resume(&runner, ExecMode::Sharded(4), point, epoch, &path);
-            assert_recovered(&reference, &recovered, &format!("sharded {point} @ epoch {epoch}"));
+            kill_and_recover(&runner, &scratch, &reference, ExecMode::Sharded(4), (point, epoch));
         }
     }
 }
@@ -203,13 +200,11 @@ fn sharded_recovery_matches_the_serial_reference() {
 fn admission_rejections_survive_an_epoch_zero_crash() {
     let runner = runner("tenant_starved_reject");
     let scratch = Scratch::new("admission");
-    let reference = runner.run_recorded(ExecMode::Serial, runner.spec().seed).unwrap();
+    let reference = reference(&runner);
     let rejected: u32 =
         reference.report.tenants.as_ref().unwrap().rows.iter().map(|r| r.rejected).sum();
     assert!(rejected > 0, "the scenario must actually reject a submission");
     for point in CrashPoint::ALL {
-        let path = scratch.log_path(point, 0);
-        let recovered = kill_salvage_resume(&runner, ExecMode::Serial, point, 0, &path);
-        assert_recovered(&reference, &recovered, &format!("{point} @ epoch 0"));
+        kill_and_recover(&runner, &scratch, &reference, ExecMode::Serial, (point, 0));
     }
 }

@@ -7,22 +7,19 @@
 //! staged schedule, for every committed scenario, and the whole
 //! crash/salvage/resume story must survive with stages mid-flight.
 //!
-//! Three layers:
+//! Two layers (the kill matrix with stages mid-flight is `tests/chaos.rs`,
+//! which runs every cell on both executors):
 //!
-//! 1. corpus-wide identity: every spec under `scenarios/` runs serial
-//!    and pipelined; reports (and, where recorded, traces and logs)
-//!    must match byte-for-byte *and* match the committed goldens — so
-//!    the pipelined executor is pinned to the same blessed bytes;
+//! 1. corpus-wide identity: every spec under `scenarios/` runs under the
+//!    four plans serial, `Sharded(4)`, pipelined, pipelined `Sharded(4)`;
+//!    reports must match the committed goldens byte-for-byte and traces
+//!    and logs the serial plan's — so every executor shape is pinned to
+//!    the same blessed bytes;
 //! 2. replay + resume land on the staged dataflow too and still
-//!    re-converge on the recording run's sealed checksums;
-//! 3. the chaos matrix: kill a pipelined run at every crash point of
-//!    every epoch, salvage the torn stream, resume (pipelined), and
-//!    land byte-identical to the uninterrupted *serial* reference —
-//!    recovery is portable across executors, not just shard counts.
+//!    re-converge on the recording run's sealed checksums.
 
-use craqr::core::{CrashPoint, ExecMode};
-use craqr::runlog::parse_salvage;
-use craqr::scenario::{replay_pipelined, resume_pipelined, RunOutput, ScenarioRunner};
+use craqr::core::ExecMode;
+use craqr::scenario::{replay, resume, Execution, Record, RunPlan, ScenarioRunner};
 use std::path::{Path, PathBuf};
 
 fn repo_root() -> &'static Path {
@@ -37,43 +34,36 @@ fn runner(path: &Path) -> ScenarioRunner {
     ScenarioRunner::from_file(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
-/// Every committed scenario produces byte-identical artifacts on the
-/// pipelined executor — and those bytes are the committed goldens, so
-/// serial, `Sharded(4)`, and pipelined are all pinned to the same files.
+/// Every committed scenario produces byte-identical artifacts under
+/// every plan — and those bytes are the committed goldens, so serial,
+/// `Sharded(4)`, and both pipelined shapes are all pinned to the same files.
 #[test]
 fn every_committed_scenario_is_pipeline_identical() {
+    let plans: Vec<RunPlan> = [ExecMode::Serial, ExecMode::Sharded(4)]
+        .into_iter()
+        .flat_map(|mode| [false, true].map(|p| RunPlan::new(Execution::from(mode).pipelined(p))))
+        .collect();
     for path in scenario_files() {
         let runner = runner(&path);
         let name = runner.spec().name.clone();
-        let seed = runner.spec().seed;
-        let serial = runner.run_full(ExecMode::Serial, seed).unwrap();
-        let piped = runner.run_full_pipelined(ExecMode::Serial, seed).unwrap();
-        assert_eq!(
-            serial.report.canonical(),
-            piped.report.canonical(),
-            "{name}: pipelined report diverges from serial"
-        );
-        assert_eq!(
-            serial.trace.as_ref().map(|t| t.canonical()),
-            piped.trace.as_ref().map(|t| t.canonical()),
-            "{name}: pipelined trace diverges from serial"
-        );
-        assert_eq!(
-            serial.log.as_ref().map(|l| l.canonical()),
-            piped.log.as_ref().map(|l| l.canonical()),
-            "{name}: pipelined run log diverges from serial"
-        );
         let golden = repo_root().join("tests/goldens").join(format!("{name}.golden.txt"));
         let golden = std::fs::read_to_string(&golden).unwrap();
-        assert_eq!(golden, piped.report.canonical(), "{name}: pipelined report is off-golden");
-
-        // Pipelining composes with sharded ingestion: same bytes again.
-        let piped_sharded = runner.run_full_pipelined(ExecMode::Sharded(4), seed).unwrap();
-        assert_eq!(
-            golden,
-            piped_sharded.report.canonical(),
-            "{name}: pipelined Sharded(4) report is off-golden"
-        );
+        let outs: Vec<_> = plans.iter().map(|plan| runner.run(plan).unwrap()).collect();
+        // outs[0] is the plain serial run every other plan is held to.
+        for (plan, out) in plans.iter().zip(&outs) {
+            let how = plan.execution;
+            assert_eq!(golden, out.report.canonical(), "{name} {how:?}: report is off-golden");
+            assert_eq!(
+                outs[0].trace.as_ref().map(|t| t.canonical()),
+                out.trace.as_ref().map(|t| t.canonical()),
+                "{name} {how:?}: trace diverges from serial"
+            );
+            assert_eq!(
+                outs[0].log.as_ref().map(|l| l.canonical()),
+                out.log.as_ref().map(|l| l.canonical()),
+                "{name} {how:?}: run log diverges from serial"
+            );
+        }
     }
 }
 
@@ -82,11 +72,12 @@ fn every_committed_scenario_is_pipeline_identical() {
 #[test]
 fn pipelined_replay_and_resume_reconverge() {
     let runner = runner(&repo_root().join("scenarios/drift_rate_jump.toml"));
-    let live = runner.run_recorded(ExecMode::Serial, runner.spec().seed).unwrap();
+    let live = runner.run(&RunPlan::default().record(Record::Memory)).unwrap();
     let log = live.log.as_ref().expect("[runlog] spec records");
+    let piped = |mode: ExecMode| Execution::from(mode).pipelined(true);
 
     for exec in [ExecMode::Serial, ExecMode::Sharded(3)] {
-        let replayed = replay_pipelined(log, exec).unwrap_or_else(|e| panic!("{exec:?}: {e}"));
+        let replayed = replay(log, piped(exec)).unwrap_or_else(|e| panic!("{exec:?}: {e}"));
         assert_eq!(
             replayed.report.checksum(),
             live.report.checksum(),
@@ -100,7 +91,7 @@ fn pipelined_replay_and_resume_reconverge() {
     }
 
     for k in [0, 1, log.epochs.len() / 2, log.epochs.len()] {
-        let resumed = resume_pipelined(&log.truncated(k).unwrap(), ExecMode::Serial, k)
+        let resumed = resume(&log.truncated(k).unwrap(), piped(ExecMode::Serial), k)
             .unwrap_or_else(|e| panic!("pipelined resume at {k}: {e}"));
         assert_eq!(
             resumed.report.checksum(),
@@ -112,99 +103,5 @@ fn pipelined_replay_and_resume_reconverge() {
             live.trace.as_ref().map(|t| t.checksum()),
             "pipelined resume at {k}: trace diverged"
         );
-    }
-}
-
-struct Scratch(PathBuf);
-
-impl Scratch {
-    fn new(tag: &str) -> Self {
-        let dir =
-            std::env::temp_dir().join(format!("craqr-pipechaos-{tag}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        Scratch(dir)
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        if !std::thread::panicking() {
-            let _ = std::fs::remove_dir_all(&self.0);
-        }
-    }
-}
-
-/// Kills a **pipelined** run at `(point, epoch)`, salvages the torn
-/// stream, resumes on the pipelined executor, and hands back the
-/// recovered output for byte comparison.
-fn kill_salvage_resume(
-    runner: &ScenarioRunner,
-    exec: ExecMode,
-    point: CrashPoint,
-    epoch: u32,
-    path: &Path,
-) -> RunOutput {
-    let durable = runner
-        .run_to_crash_pipelined(exec, runner.spec().seed, point, epoch, path)
-        .unwrap_or_else(|e| panic!("pipelined crash {point} @ epoch {epoch}: {e}"));
-    assert_eq!(
-        durable, epoch as usize,
-        "{point} @ epoch {epoch}: the staged executor must leave exactly the serial \
-         schedule's durable prefix"
-    );
-    let src = std::fs::read_to_string(path).unwrap();
-    let salvage = parse_salvage(&src)
-        .unwrap_or_else(|e| panic!("{point} @ epoch {epoch}: nothing salvageable: {e}"));
-    assert_eq!(salvage.log.epochs.len(), durable, "{point} @ epoch {epoch}: salvage size");
-    assert!(salvage.torn.is_some(), "{point} @ epoch {epoch}: a killed stream never looks sealed");
-    resume_pipelined(&salvage.log, exec, durable)
-        .unwrap_or_else(|e| panic!("{point} @ epoch {epoch}: pipelined resume: {e}"))
-}
-
-/// The full kill matrix with stages mid-flight: every crash point of
-/// every epoch dies inside the pipelined dataflow, salvages, resumes
-/// pipelined, and lands byte-identical to the uninterrupted **serial**
-/// reference.
-#[test]
-fn pipelined_chaos_matrix_recovers_byte_identical() {
-    let runner = runner(&repo_root().join("scenarios/fault_flaky_crowd.toml"));
-    let scratch = Scratch::new("serial");
-    let reference = runner.run_recorded(ExecMode::Serial, runner.spec().seed).unwrap();
-    for epoch in 0..runner.spec().epochs {
-        for point in CrashPoint::ALL {
-            let path = scratch.0.join(format!("kill.{}.e{epoch}.runlog.txt", point.name()));
-            let recovered = kill_salvage_resume(&runner, ExecMode::Serial, point, epoch, &path);
-            assert_eq!(
-                recovered.report.checksum(),
-                reference.report.checksum(),
-                "pipelined {point} @ epoch {epoch}: recovered report diverges"
-            );
-            assert_eq!(
-                recovered.log.as_ref().unwrap().canonical(),
-                reference.log.as_ref().unwrap().canonical(),
-                "pipelined {point} @ epoch {epoch}: regenerated log is not byte-identical"
-            );
-        }
-    }
-}
-
-/// A few matrix cells under `Sharded(4)` ingestion, still against the
-/// serial reference: crash recovery is portable across both executor
-/// axes at once (shard count and pipelining).
-#[test]
-fn pipelined_sharded_recovery_matches_the_serial_reference() {
-    let runner = runner(&repo_root().join("scenarios/fault_flaky_crowd.toml"));
-    let scratch = Scratch::new("sharded");
-    let reference = runner.run_recorded(ExecMode::Serial, runner.spec().seed).unwrap();
-    for epoch in [0, runner.spec().epochs - 1] {
-        for point in [CrashPoint::PostDrain, CrashPoint::MidLogAppend] {
-            let path = scratch.0.join(format!("kill.{}.e{epoch}.runlog.txt", point.name()));
-            let recovered = kill_salvage_resume(&runner, ExecMode::Sharded(4), point, epoch, &path);
-            assert_eq!(
-                recovered.report.checksum(),
-                reference.report.checksum(),
-                "pipelined sharded {point} @ epoch {epoch}: recovered report diverges"
-            );
-        }
     }
 }

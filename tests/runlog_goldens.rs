@@ -23,7 +23,7 @@
 
 use craqr::core::ExecMode;
 use craqr::runlog::RunLog;
-use craqr::scenario::{replay, resume, ScenarioRunner};
+use craqr::scenario::{replay, resume, Record, RunPlan, ScenarioRunner};
 use std::path::{Path, PathBuf};
 
 /// The committed drift scenarios with replay goldens.
@@ -95,7 +95,7 @@ fn committed_runlogs_match_a_fresh_recording() {
         let runner =
             ScenarioRunner::from_file(&repo_root().join("scenarios").join(format!("{stem}.toml")))
                 .unwrap_or_else(|e| panic!("{e}"));
-        let out = runner.run_full(ExecMode::Serial, runner.spec().seed).unwrap();
+        let out = runner.run(&RunPlan::new(ExecMode::Serial)).unwrap();
         let log = out.log.expect("[runlog] spec records");
         assert_eq!(
             log.canonical(),
@@ -112,9 +112,9 @@ fn whole_corpus_records_and_replays_in_both_modes() {
         let runner = ScenarioRunner::from_file(&path).unwrap_or_else(|e| panic!("{e}"));
         let name = runner.spec().name.clone();
         let live = runner
-            .run_recorded(ExecMode::Serial, runner.spec().seed)
+            .run(&RunPlan::new(ExecMode::Serial).record(Record::Memory))
             .unwrap_or_else(|e| panic!("{name}: {e}"));
-        let log = live.log.as_ref().expect("run_recorded returns a log");
+        let log = live.log.as_ref().expect("Record::Memory returns a log");
         // The log survives its own codec.
         let reparsed = RunLog::parse(&log.canonical()).unwrap_or_else(|e| panic!("{name}: {e}"));
         for exec in [ExecMode::Serial, ExecMode::Sharded(4)] {

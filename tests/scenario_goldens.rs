@@ -11,7 +11,7 @@
 //! ```
 
 use craqr::core::ExecMode;
-use craqr::scenario::{ScenarioRunner, ScenarioSpec};
+use craqr::scenario::{Record, RunPlan, ScenarioReport, ScenarioRunner, ScenarioSpec};
 use std::path::{Path, PathBuf};
 
 fn repo_root() -> &'static Path {
@@ -21,6 +21,13 @@ fn repo_root() -> &'static Path {
 /// Every committed scenario spec, sorted by file name.
 fn scenario_files() -> Vec<PathBuf> {
     craqr::scenario::scenario_files(&repo_root().join("scenarios")).expect("scenarios dir")
+}
+
+/// The report of a run that records nothing (goldens pin reports here;
+/// traces and logs have their own tiers).
+fn report(runner: &ScenarioRunner, plan: RunPlan) -> ScenarioReport {
+    let name = &runner.spec().name;
+    runner.run(&plan.record(Record::Off)).unwrap_or_else(|e| panic!("{name}: {e}")).report
 }
 
 fn load(path: &Path) -> ScenarioSpec {
@@ -61,15 +68,6 @@ fn serial_and_sharded_match_the_goldens() {
         let name = spec.name.clone();
         let runner = ScenarioRunner::new(spec).expect("committed specs are valid");
 
-        let serial = runner.run(ExecMode::Serial).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let sharded = runner.run(ExecMode::Sharded(4)).unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert_eq!(
-            serial.canonical(),
-            sharded.canonical(),
-            "{name}: serial and Sharded(4) reports diverge — the executor determinism \
-             contract is broken"
-        );
-
         let golden_path = repo_root().join("tests/goldens").join(format!("{name}.golden.txt"));
         let golden = std::fs::read_to_string(&golden_path).unwrap_or_else(|e| {
             panic!(
@@ -78,12 +76,17 @@ fn serial_and_sharded_match_the_goldens() {
                 golden_path.display()
             )
         });
-        assert_eq!(
-            golden,
-            serial.canonical(),
-            "{name}: report no longer matches {}; if the change is intentional, re-bless",
-            golden_path.display()
-        );
+        // Both modes against the same bytes: a divergence between them is
+        // the executor determinism contract breaking.
+        for mode in [ExecMode::Serial, ExecMode::Sharded(4)] {
+            assert_eq!(
+                golden,
+                report(&runner, RunPlan::new(mode)).canonical(),
+                "{name} [{mode:?}]: report no longer matches {}; if the change is intentional, \
+                 re-bless",
+                golden_path.display()
+            );
+        }
     }
 }
 
@@ -94,8 +97,8 @@ fn determinism_holds_across_seed_overrides() {
     let path = repo_root().join("scenarios/baseline_temp.toml");
     let runner = ScenarioRunner::new(load(&path)).unwrap();
     for seed in [1u64, 0xDEAD_BEEF] {
-        let serial = runner.run_with_seed(ExecMode::Serial, seed).unwrap();
-        let sharded = runner.run_with_seed(ExecMode::Sharded(3), seed).unwrap();
+        let serial = report(&runner, RunPlan::new(ExecMode::Serial).seed(seed));
+        let sharded = report(&runner, RunPlan::new(ExecMode::Sharded(3)).seed(seed));
         assert_eq!(serial.canonical(), sharded.canonical(), "seed {seed}");
         assert_eq!(serial.checksum(), sharded.checksum(), "seed {seed}");
     }
@@ -107,7 +110,7 @@ fn reruns_are_bit_stable() {
     // nothing leaks between runs through the runner.
     let path = repo_root().join("scenarios/hotspot_burst.toml");
     let runner = ScenarioRunner::new(load(&path)).unwrap();
-    let a = runner.run(ExecMode::Sharded(2)).unwrap();
-    let b = runner.run(ExecMode::Sharded(2)).unwrap();
+    let a = report(&runner, RunPlan::new(ExecMode::Sharded(2)));
+    let b = report(&runner, RunPlan::new(ExecMode::Sharded(2)));
     assert_eq!(a, b);
 }

@@ -10,7 +10,7 @@
 //! checksummed surface (or collection perturbed the run itself).
 
 use craqr::core::ExecMode;
-use craqr::scenario::{ScenarioRunner, ScenarioSpec};
+use craqr::scenario::{replay, Execution, RunOutput, RunPlan, ScenarioRunner};
 use craqr::telemetry::lint_exposition;
 use std::path::{Path, PathBuf};
 
@@ -23,21 +23,21 @@ fn scenario_files() -> Vec<PathBuf> {
 }
 
 fn load(path: &Path) -> ScenarioRunner {
-    let src = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-    let spec = ScenarioSpec::from_source(&path.to_string_lossy(), &src)
-        .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-    ScenarioRunner::new(spec).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+    ScenarioRunner::from_file(path).unwrap_or_else(|e| panic!("{e}"))
+}
+
+fn timed(exec: ExecMode) -> RunPlan {
+    RunPlan::new(Execution::from(exec).timing(true))
 }
 
 #[test]
 fn instrumentation_is_byte_inert_on_every_committed_scenario() {
     for path in scenario_files() {
         let runner = load(&path);
-        let seed = runner.spec().seed;
         let name = runner.spec().name.clone();
         for exec in [ExecMode::Serial, ExecMode::Sharded(4)] {
-            let plain = runner.run_full(exec, seed).expect("uninstrumented run");
-            let timed = runner.run_full_instrumented(exec, seed).expect("instrumented run");
+            let plain = runner.run(&RunPlan::new(exec)).expect("uninstrumented run");
+            let timed = runner.run(&timed(exec)).expect("instrumented run");
             assert_eq!(
                 plain.report.canonical(),
                 timed.report.canonical(),
@@ -79,16 +79,46 @@ fn committed_goldens_match_instrumented_runs_byte_for_byte() {
     // `--metrics` safe to add to any golden-checked CI invocation).
     for path in scenario_files() {
         let runner = load(&path);
-        let seed = runner.spec().seed;
         let name = runner.spec().name.clone();
         let golden_path = repo_root().join("tests/goldens").join(format!("{name}.golden.txt"));
         let golden = std::fs::read_to_string(&golden_path)
             .unwrap_or_else(|e| panic!("{}: {e}", golden_path.display()));
-        let timed = runner.run_full_instrumented(ExecMode::Serial, seed).expect("run");
+        let timed = runner.run(&timed(ExecMode::Serial)).expect("run");
         assert_eq!(
             golden,
             timed.report.canonical(),
             "{name}: instrumented run diverged from the committed golden"
         );
     }
+}
+
+#[test]
+fn timed_detached_replay_times_the_control_hook_like_a_live_run() {
+    // `craqr-scenario metrics <log>` is a timed detached replay; for an
+    // `[adaptive]` log it must report the control hook exactly as the live
+    // instrumented run did — one call per epoch — without the timing tier
+    // touching the event-tier checksum.
+    let runner = load(&repo_root().join("scenarios/telemetry_probe.toml"));
+    assert!(runner.spec().adaptive.is_some(), "the scenario must close the loop");
+    let live = runner.run(&timed(ExecMode::Serial)).expect("live run");
+    let log = live.log.as_ref().expect("[runlog] spec records");
+    let hook_calls = |out: &RunOutput| {
+        let registry = out.telemetry.as_ref().expect("timed runs carry a registry").registry();
+        registry.counter_value("craqr_control_hook_calls_total", &[])
+    };
+    let how = Execution::from(ExecMode::Serial);
+    let untimed = replay(log, how).expect("untimed replay");
+    let replayed = replay(log, how.timing(true)).expect("timed replay");
+    assert_eq!(hook_calls(&live), u64::from(runner.spec().epochs));
+    assert_eq!(hook_calls(&replayed), hook_calls(&live), "replay must time the hook like live");
+    assert!(replayed
+        .telemetry
+        .as_ref()
+        .unwrap()
+        .render_prometheus()
+        .contains("craqr_control_hook_seconds_total"));
+    let events = |out: &RunOutput| out.telemetry.as_ref().map(|t| t.section().events_checksum);
+    assert!(events(&untimed).is_some(), "a [telemetry] spec collects the event tier untimed");
+    assert_eq!(events(&replayed), events(&untimed), "timing leaked into the event tier");
+    assert_eq!(events(&replayed), events(&live), "replay and live event tiers diverge");
 }

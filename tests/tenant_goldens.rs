@@ -35,7 +35,7 @@
 
 use craqr::core::ExecMode;
 use craqr::runlog::RunLog;
-use craqr::scenario::{replay, resume, RunOutput, ScenarioRunner};
+use craqr::scenario::{replay, resume, RunOutput, RunPlan, ScenarioRunner};
 use std::collections::HashMap;
 use std::path::Path;
 
@@ -66,10 +66,8 @@ fn runner(stem: &str) -> ScenarioRunner {
 /// three), and returns the serial output.
 fn run_both_modes(stem: &str) -> RunOutput {
     let runner = runner(stem);
-    let serial =
-        runner.run_full(ExecMode::Serial, runner.spec().seed).unwrap_or_else(|e| panic!("{e}"));
-    let sharded =
-        runner.run_full(ExecMode::Sharded(4), runner.spec().seed).unwrap_or_else(|e| panic!("{e}"));
+    let serial = runner.run(&RunPlan::new(ExecMode::Serial)).unwrap_or_else(|e| panic!("{e}"));
+    let sharded = runner.run(&RunPlan::new(ExecMode::Sharded(4))).unwrap_or_else(|e| panic!("{e}"));
     assert_eq!(
         serial.report.canonical(),
         sharded.report.canonical(),
@@ -190,8 +188,7 @@ fn per_tenant_pools_are_conserved_every_epoch() {
         // single serial run suffices here — cross-mode byte identity is
         // pinned by `tenant_reports_traces_and_logs_match_their_goldens`.
         let runner = runner(stem);
-        let out =
-            runner.run_full(ExecMode::Serial, runner.spec().seed).unwrap_or_else(|e| panic!("{e}"));
+        let out = runner.run(&RunPlan::new(ExecMode::Serial)).unwrap_or_else(|e| panic!("{e}"));
         for row in &out.report.tenants.as_ref().expect("[tenants]").rows {
             let log_peak = log
                 .epochs
