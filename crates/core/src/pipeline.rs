@@ -22,12 +22,43 @@
 //!                                │
 //!                          tap(t) ▼
 //!                        S4 render (tap / log append) ── raw buffers ──▶ S2
+//!                                └── seal credit(t) ──▶ S1 (may open t+2)
 //! ```
 //!
-//! Every message is tagged with its epoch id; data channels are bounded
-//! (`sync_channel(2)`) so a fast stage can run at most a couple of
-//! epochs ahead, and buffer-return channels flow upstream so the hot
-//! path recycles allocations ([`crate::driver::PoolStats`]).
+//! Every message is tagged with its epoch id, and buffer-return channels
+//! flow upstream so the hot path recycles allocations
+//! ([`crate::driver::PoolStats`]).
+//!
+//! # The open-epoch window
+//!
+//! An epoch is *open* from S1's `prologue(t)` call until S4's tap returns
+//! for `t`. At most **two** epochs are open at once: the one being
+//! produced and the one being made durable, which is the overlap this
+//! executor exists for. The bound is a credit loop, not a channel depth:
+//! an unbounded `()` channel S4 → S1 primed with two tokens; S1 takes one
+//! immediately before `prologue(t)`, S4 returns one after each tap
+//! return. A failed `recv` on it is a wind-down like on every other
+//! channel. The window moves *when* S1 runs, never what it computes.
+//!
+//! Bounded channels alone do not bound the pipeline: three
+//! `sync_channel(2)`s in series between S1 and S4, plus the message each
+//! stage holds, admit six open epochs. That is invisible while S1 is the
+//! slowest stage and a latency trap the moment it is not — every epoch
+//! S1 finishes early only queues in front of the log append. Measured on
+//! `durable_pipelined` (benchmark seed 1, 15 s runs, median of 3, 2-core
+//! host, ext4; epochs/s · open-to-sealed p50; the second row adds a 1 ms
+//! sleep to every append on all sides, standing in for a slower disk):
+//!
+//! | append | scan crowd | indexed crowd, no window | window 1 | **window 2** | window 3 |
+//! |---|---|---|---|---|---|
+//! | as is | 235 · 6.8 ms | 384 · 6.0 ms | 170 · 5.3 ms | **325 · 5.5 ms** | 369 · 6.1 ms |
+//! | +1 ms | 200 · 11.3 ms | 333 · 16.4 ms (5.5 open) | 145 · 6.4 ms | **291 · 6.4 ms** | 317 · 8.6 ms |
+//!
+//! One is the serial schedule on four threads; without a window the
+//! faster crowd buys throughput with latency once the append is the
+//! slow stage; three pays a third more latency there for a tenth more
+//! throughput. Two beats the unindexed executor on both metrics in both
+//! regimes, so it is a constant (`OPEN_EPOCHS`), not an option.
 //!
 //! # Why the bytes cannot change
 //!
@@ -144,9 +175,11 @@ impl StageClock {
     }
 }
 
-/// Channel depth for the epoch-data channels: a stage can run at most
-/// this many epochs ahead of its consumer before blocking.
-const STAGE_DEPTH: usize = 2;
+/// Epochs that may be open — `prologue` called, tap not yet returned — at
+/// once (the module docs say why two). Also the depth of every epoch-data
+/// channel: with the window in force no stage can be further ahead of its
+/// consumer than that anyway.
+const OPEN_EPOCHS: usize = 2;
 
 /// Runs the staged schedule across four worker threads. Byte-identical
 /// to [`EpochDriver::run`] — see the module docs for the argument.
@@ -183,11 +216,18 @@ fn run_pipelined_inner(
     }
     let mut prologue = prologue;
 
-    let (order_tx, order_rx) = sync_channel::<OrderMsg>(STAGE_DEPTH);
-    let (batch_tx, batch_rx) = sync_channel::<DrainedBatch>(STAGE_DEPTH);
-    let (obs_tx, obs_rx) = sync_channel::<ObsMsg>(STAGE_DEPTH);
-    let (act_tx, act_rx) = sync_channel::<ActMsg>(STAGE_DEPTH);
-    let (tap_tx, tap_rx) = sync_channel::<TapMsg>(STAGE_DEPTH);
+    let (order_tx, order_rx) = sync_channel::<OrderMsg>(OPEN_EPOCHS);
+    let (batch_tx, batch_rx) = sync_channel::<DrainedBatch>(OPEN_EPOCHS);
+    let (obs_tx, obs_rx) = sync_channel::<ObsMsg>(OPEN_EPOCHS);
+    let (act_tx, act_rx) = sync_channel::<ActMsg>(OPEN_EPOCHS);
+    let (tap_tx, tap_rx) = sync_channel::<TapMsg>(OPEN_EPOCHS);
+    // Seal credits, S4 → S1: S1 spends one to open an epoch, S4 returns
+    // it when the epoch's tap has returned. S4 holds the only sender, so
+    // its exit fails S1's `recv` like any other wind-down.
+    let (seal_tx, seal_rx) = channel::<()>();
+    for _ in 0..OPEN_EPOCHS {
+        let _ = seal_tx.send(());
+    }
     // Buffer-return channels flow upstream, unbounded (returns never
     // block; depth is naturally capped by the data channels).
     let (pool_tx, pool_rx) = channel::<Vec<SensorResponse>>();
@@ -202,6 +242,9 @@ fn run_pipelined_inner(
             let mut clock = StageClock::new(timed);
             for t in 0..n {
                 let Ok(order) = order_rx.recv() else { break };
+                if seal_rx.recv().is_err() {
+                    break;
+                }
                 clock.reset();
                 debug_assert_eq!(order.epoch, t, "orders arrive in slot order");
                 if let Some(p) = &mut prologue {
@@ -424,6 +467,7 @@ fn run_pipelined_inner(
                         actions: &msg.actions,
                     });
                 }
+                let _ = seal_tx.send(());
                 if let Some(buf) = msg.raw {
                     let _ = raw_tx.send(buf);
                 }
@@ -485,12 +529,13 @@ fn run_pipelined_inner(
 
 #[cfg(test)]
 mod tests {
-    use crate::server::{CraqrServer, ServerConfig};
+    use crate::server::{CraqrServer, CrashPoint, EpochInputsRecord, EpochTap, ServerConfig};
     use craqr_geom::Rect;
     use craqr_sensing::{
         fields::ConstantField, AttrValue, Crowd, CrowdConfig, Mobility, Placement,
         PopulationConfig, RainFront,
     };
+    use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 
     fn server(size: usize) -> CraqrServer {
         let crowd = Crowd::new(CrowdConfig {
@@ -543,7 +588,7 @@ mod tests {
         // A buffer not in the pool is in the batch channel (≤ depth) or
         // in the ingest stage's hands (1), so fresh allocations can never
         // exceed depth + 2 — no matter how long the horizon runs.
-        let cap = super::STAGE_DEPTH as u64 + 2;
+        let cap = super::OPEN_EPOCHS as u64 + 2;
         let long = server(400).driver().run_pipelined(48);
         assert!(long.pool.fresh_allocations > 0, "the first epochs must allocate");
         assert!(
@@ -564,5 +609,52 @@ mod tests {
             "all allocated buffers come to rest: {:?}",
             long.pool
         );
+    }
+
+    /// A tap two orders of magnitude slower than this crowd's drain stage,
+    /// so nothing but the window keeps S1 from running away from it.
+    struct SlowTap<'a> {
+        sealed: &'a AtomicU64,
+        epochs: Vec<u64>,
+    }
+
+    impl EpochTap for SlowTap<'_> {
+        fn on_epoch(&mut self, record: &EpochInputsRecord<'_>) {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            self.epochs.push(record.report.epoch);
+            self.sealed.fetch_add(1, SeqCst);
+        }
+    }
+
+    #[test]
+    fn at_most_two_epochs_are_open_at_once() {
+        let want = untimed(server(400).driver().run(32).reports);
+        let sealed = AtomicU64::new(0);
+        let mut tap = SlowTap { sealed: &sealed, epochs: Vec::new() };
+        let mut piped = server(400);
+        // Slot t's prologue is the (t + 1)-th epoch opened.
+        let mut widest = 0;
+        let got = piped
+            .driver()
+            .tap(&mut tap)
+            .prologue(|t, _| widest = widest.max(t + 1 - sealed.load(SeqCst)))
+            .run_pipelined(32);
+        assert!(widest <= super::OPEN_EPOCHS as u64, "{widest} epochs open at a prologue call");
+        assert_eq!(tap.epochs, (0..32).collect::<Vec<u64>>());
+        assert_eq!(got.pooled_buffers() as u64, got.pool.fresh_allocations, "{:?}", got.pool);
+        assert_eq!(untimed(got.reports), want, "the window moved a byte");
+    }
+
+    #[test]
+    fn crashes_behind_a_slow_tap_wind_down_to_the_serial_prefix() {
+        for point in [CrashPoint::PostDispatch, CrashPoint::PostDrain, CrashPoint::PostControl] {
+            let want = server(400).driver().crash_at(5, point).run(12);
+            let sealed = AtomicU64::new(0);
+            let mut tap = SlowTap { sealed: &sealed, epochs: Vec::new() };
+            let got = server(400).driver().tap(&mut tap).crash_at(5, point).run_pipelined(12);
+            assert!(!got.completed && !want.completed, "{point:?}");
+            assert_eq!(tap.epochs, (0..5).collect::<Vec<u64>>(), "{point:?}");
+            assert_eq!(untimed(got.reports), untimed(want.reports), "{point:?}");
+        }
     }
 }

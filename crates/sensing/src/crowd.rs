@@ -4,12 +4,12 @@ use crate::fields::Field;
 use crate::population::PopulationConfig;
 use crate::sensor::MobileSensor;
 use crate::types::{AttributeId, SensorId, SensorResponse};
-use craqr_geom::{Grid, Rect};
+use craqr_geom::Rect;
 use craqr_stats::sub_rng;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use std::cmp::Reverse;
+use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
 
 /// Configuration of a [`Crowd`].
@@ -56,30 +56,155 @@ impl CrowdFaults {
     }
 }
 
-/// An in-flight (accepted but not yet delivered) response; the due time
-/// lives in the heap key.
+/// An in-flight (accepted but not yet delivered) response, ordered for
+/// the pending max-heap by `(Reverse(due), seq)` alone: the earliest due
+/// time pops first, and equal due times pop the larger `seq` first. Fault
+/// draws happen in pop order, so this comparison is part of the byte
+/// contract.
 #[derive(Debug, Clone, Copy)]
 struct Pending {
+    due: f64,
+    /// The request's rank among accepted requests; unique within the
+    /// heap (a delayed response is re-queued under the `seq` it had).
+    seq: u64,
     sensor: SensorId,
     attr: AttributeId,
     issued_at: f64,
 }
 
-/// Heap ordering by due time (earliest first via `Reverse`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct ByDue(f64);
+impl PartialEq for Pending {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
 
-impl Eq for ByDue {}
+impl Eq for Pending {}
 
-impl PartialOrd for ByDue {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+impl PartialOrd for Pending {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for ByDue {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
+impl Ord for Pending {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.due.total_cmp(&self.due).then_with(|| self.seq.cmp(&other.seq))
+    }
+}
+
+/// Mean sensors per bucket the index aims for; the side follows from the
+/// population, so nothing is configured.
+const SENSORS_PER_BUCKET: usize = 16;
+
+/// Upper bound on the bucket grid's side (65 536 buckets, 256 KiB of
+/// offsets) however large the population.
+const MAX_BUCKET_SIDE: usize = 256;
+
+/// A uniform `side × side` bucket grid over the crowd's region, in CSR
+/// layout: bucket `b` (row-major) lists the sensor-array positions
+/// `ids[starts[b]..starts[b + 1]]`, ascending. It only *narrows* a
+/// rectangle query — membership is still decided by [`Rect::contains`].
+#[derive(Debug, Default)]
+struct BucketIndex {
+    /// `false` once any sensor position changed since the last rebuild.
+    valid: bool,
+    side: usize,
+    origin: (f64, f64),
+    /// Buckets per kilometre along x and y.
+    scale: (f64, f64),
+    starts: Vec<u32>,
+    ids: Vec<u32>,
+    /// Rebuild scratch: each sensor's bucket, between the counting and
+    /// the filling pass.
+    bucket_of: Vec<u32>,
+}
+
+impl BucketIndex {
+    /// Bucket coordinate of `v` on an axis starting at `lo`: monotone
+    /// non-decreasing in `v` and clamped to `0..side` (the float → int
+    /// cast saturates, NaN lands on 0). Sensors and query edges both go
+    /// through this one expression, so a sensor with `x0 <= x < x1` always
+    /// sits in a bucket between `x0`'s and `x1`'s — for any rectangle, on
+    /// or off the bucket grid, inside or outside the region.
+    #[inline]
+    fn axis(&self, v: f64, lo: f64, scale: f64) -> usize {
+        (((v - lo) * scale) as usize).min(self.side - 1)
+    }
+
+    #[inline]
+    fn col(&self, x: f64) -> usize {
+        self.axis(x, self.origin.0, self.scale.0)
+    }
+
+    #[inline]
+    fn row(&self, y: f64) -> usize {
+        self.axis(y, self.origin.1, self.scale.1)
+    }
+
+    /// Counting sort of the sensors into buckets, in sensor-array order —
+    /// which is what leaves every bucket's list ascending.
+    fn rebuild(&mut self, region: &Rect, sensors: &[MobileSensor]) {
+        assert!(u32::try_from(sensors.len()).is_ok(), "the bucket index addresses sensors by u32");
+        let side = ((sensors.len() as f64 / SENSORS_PER_BUCKET as f64).sqrt().ceil() as usize)
+            .clamp(1, MAX_BUCKET_SIDE);
+        self.side = side;
+        self.origin = (region.x0, region.y0);
+        self.scale = (side as f64 / region.width(), side as f64 / region.height());
+        let buckets = side * side;
+        self.starts.clear();
+        self.starts.resize(buckets + 1, 0);
+        self.bucket_of.clear();
+        for s in sensors {
+            let (x, y) = s.position();
+            let b = self.row(y) * side + self.col(x);
+            self.bucket_of.push(b as u32);
+            self.starts[b + 1] += 1;
+        }
+        for b in 0..buckets {
+            self.starts[b + 1] += self.starts[b];
+        }
+        // Fill with `starts[b]` as bucket b's write cursor; afterwards each
+        // cursor rests on its bucket's end, i.e. the next bucket's start,
+        // so shifting the array up by one restores the offsets.
+        self.ids.clear();
+        self.ids.resize(sensors.len(), 0);
+        for (i, &b) in self.bucket_of.iter().enumerate() {
+            let cursor = &mut self.starts[b as usize];
+            self.ids[*cursor as usize] = i as u32;
+            *cursor += 1;
+        }
+        self.starts.copy_within(0..buckets, 1);
+        self.starts[0] = 0;
+        self.valid = true;
+    }
+
+    /// Fills `out` with the ids of the sensors inside `rect`, in
+    /// sensor-array order — element for element what
+    /// [`Crowd::sensors_in`] returns.
+    fn candidates(&self, rect: &Rect, sensors: &[MobileSensor], out: &mut Vec<SensorId>) {
+        out.clear();
+        let (bx0, bx1) = (self.col(rect.x0), self.col(rect.x1));
+        let (by0, by1) = (self.row(rect.y0), self.row(rect.y1));
+        if bx0 > bx1 {
+            return; // inverted extents contain nothing
+        }
+        for by in by0..=by1 {
+            // One row's buckets bx0..=bx1 are contiguous in `ids`.
+            let first = by * self.side;
+            let span = self.starts[first + bx0] as usize..self.starts[first + bx1 + 1] as usize;
+            for &i in &self.ids[span] {
+                let s = &sensors[i as usize];
+                let (x, y) = s.position();
+                if rect.contains(x, y) {
+                    out.push(s.id());
+                }
+            }
+        }
+        // Each bucket is ascending (a sensor's id is its array position);
+        // several buckets interleave.
+        if bx0 != bx1 || by0 != by1 {
+            out.sort_unstable();
+        }
     }
 }
 
@@ -101,12 +226,31 @@ impl Ord for ByDue {
 ///    time* — so a slow human reports a location the query may no longer
 ///    care about, reproducing the paper's motivating failure mode.
 /// 4. [`Crowd::drain_responses`] hands the matured responses to the server.
+///
+/// # The bucket index
+///
+/// The handler addresses the crowd per grid cell, many cells an epoch, so
+/// [`Crowd::dispatch_requests`] does not scan the population per order: a
+/// private uniform bucket grid over the region (side derived from the
+/// population, about 16 sensors a bucket) is rebuilt by one counting sort
+/// at the first dispatch after any position change ([`Crowd::step`],
+/// [`Crowd::migrate`], [`Crowd::churn`]) and each order visits only the
+/// buckets its rectangle spans. **Order guarantee:** the index narrows,
+/// it never decides — candidates are exactly the sensors passing
+/// [`Rect::contains`], in sensor-array (ascending id) order, i.e. the
+/// sequence [`Crowd::sensors_in`] returns, so the participation stream
+/// draws the same values as a full scan would. Debug builds assert that
+/// equality on every order.
 pub struct Crowd {
     region: Rect,
     sensors: Vec<MobileSensor>,
+    index: BucketIndex,
+    /// Candidate buffer reused across orders.
+    candidates: Vec<SensorId>,
     fields: HashMap<AttributeId, Box<dyn Field>>,
-    pending: BinaryHeap<(Reverse<ByDue>, usize)>,
-    pending_info: Vec<Pending>,
+    pending: BinaryHeap<Pending>,
+    /// Requests accepted so far — the next [`Pending::seq`].
+    accepted: u64,
     ready: Vec<SensorResponse>,
     now: f64,
     mobility_rng: StdRng,
@@ -128,9 +272,11 @@ impl Crowd {
         Self {
             region: config.region,
             sensors,
+            index: BucketIndex::default(),
+            candidates: Vec::new(),
             fields: HashMap::new(),
             pending: BinaryHeap::new(),
-            pending_info: Vec::new(),
+            accepted: 0,
             ready: Vec::new(),
             now: 0.0,
             mobility_rng: sub_rng(config.seed, 1),
@@ -177,7 +323,9 @@ impl Crowd {
         &self.sensors
     }
 
-    /// Ids of sensors currently inside `rect`.
+    /// Ids of sensors currently inside `rect`, by a linear scan of the
+    /// population: the public diagnostic, and the executable specification
+    /// the dispatch path's bucket index is tested against.
     pub fn sensors_in(&self, rect: &Rect) -> Vec<SensorId> {
         self.sensors
             .iter()
@@ -232,18 +380,19 @@ impl Crowd {
     pub fn step(&mut self, dt: f64) {
         assert!(dt > 0.0, "dt must be > 0");
         self.now += dt;
+        self.index.valid = false;
         for s in &mut self.sensors {
             s.advance(dt, &self.region, &mut self.mobility_rng);
         }
         // Mature due responses at post-move positions (answer-time position).
         // Fault draws are strictly conditional on a non-zero probability so
         // inactive fault kinds consume nothing from the fault stream.
-        while let Some(&(Reverse(ByDue(due)), idx)) = self.pending.peek() {
+        while let Some(&info) = self.pending.peek() {
+            let due = info.due;
             if due > self.now {
                 break;
             }
             self.pending.pop();
-            let info = self.pending_info[idx];
             if self.faults.drop_probability > 0.0
                 && self.fault_rng.gen::<f64>() < self.faults.drop_probability
             {
@@ -258,7 +407,7 @@ impl Crowd {
                 // Terminates: each deferral moves `due` forward by a fixed
                 // positive amount, so it eventually passes `now`.
                 self.responses_delayed += 1;
-                self.pending.push((Reverse(ByDue(due + self.faults.delay_minutes)), idx));
+                self.pending.push(Pending { due: due + self.faults.delay_minutes, ..info });
                 continue;
             }
             let field = self
@@ -281,6 +430,21 @@ impl Crowd {
         }
     }
 
+    /// Leaves in `self.candidates` the sensors inside `target`, found
+    /// through the bucket index — rebuilt here, once, if a position
+    /// changed since it was built.
+    fn find_candidates(&mut self, target: &Rect) {
+        if !self.index.valid {
+            self.index.rebuild(&self.region, &self.sensors);
+        }
+        self.index.candidates(target, &self.sensors, &mut self.candidates);
+        debug_assert_eq!(
+            self.candidates,
+            self.sensors_in(target),
+            "the bucket index diverged from the scan"
+        );
+    }
+
     /// Sends `count` acquisition requests for `attr` to randomly selected
     /// sensors inside `target`, offering `incentive` each. Returns the
     /// number of requests actually sent (0 when the cell is empty).
@@ -301,7 +465,8 @@ impl Crowd {
         if count == 0 {
             return 0;
         }
-        let candidates = self.sensors_in(target);
+        self.find_candidates(target);
+        let candidates = &self.candidates;
         if candidates.is_empty() {
             return 0;
         }
@@ -317,10 +482,14 @@ impl Crowd {
             self.requests_sent += 1;
             let sensor = &self.sensors[sid.0 as usize];
             if let Some(latency) = sensor.decide_response(incentive, &mut self.participation_rng) {
-                let idx = self.pending_info.len();
-                let due = self.now + latency;
-                self.pending_info.push(Pending { sensor: sid, attr, issued_at: self.now });
-                self.pending.push((Reverse(ByDue(due)), idx));
+                self.pending.push(Pending {
+                    due: self.now + latency,
+                    seq: self.accepted,
+                    sensor: sid,
+                    attr,
+                    issued_at: self.now,
+                });
+                self.accepted += 1;
             }
         }
         sent
@@ -331,9 +500,7 @@ impl Crowd {
     /// Ties (identical delivery times — possible with zero-latency
     /// response models) break on `(sensor, attribute, issue time)`, a
     /// total order over distinguishable responses, so the drained
-    /// sequence is a pure function of the set of matured responses —
-    /// which is what makes [`merge_sharded_responses`] an exact inverse
-    /// of [`Crowd::drain_responses_sharded`].
+    /// sequence is a pure function of the set of matured responses.
     pub fn drain_responses(&mut self) -> Vec<SensorResponse> {
         self.drain_responses_reusing(Vec::new())
     }
@@ -352,43 +519,6 @@ impl Crowd {
         std::mem::swap(&mut recycled, &mut self.ready);
         recycled.sort_by(response_order);
         recycled
-    }
-
-    /// Drains all matured responses partitioned for a *distributed
-    /// collector*: each response goes to the shard owning its grid cell
-    /// (`(r · side + q) mod shards`, round-robin over row-major cell
-    /// index), and every shard's list is delivery-time ordered.
-    /// Responses landing outside the grid (sensors that wandered past
-    /// `R`) go to shard 0 — the map phase drops them anyway.
-    ///
-    /// This is a **collection-side** partition over *all* grid cells; it
-    /// is intentionally independent of the epoch executor's chain→shard
-    /// assignment (which round-robins over the sorted list of
-    /// *materialized* chains only, in `craqr-core`). Do not assume the
-    /// two partitions align — the bridge between them is
-    /// [`merge_sharded_responses`], which reconstructs the exact serial
-    /// stream for the server's ingest path. (The in-process server loop
-    /// uses plain [`Crowd::drain_responses`]; this variant exists for
-    /// collectors that ship per-shard response streams separately.)
-    ///
-    /// # Panics
-    /// Panics when `shards == 0`.
-    #[track_caller]
-    pub fn drain_responses_sharded(
-        &mut self,
-        grid: &Grid,
-        shards: usize,
-    ) -> Vec<Vec<SensorResponse>> {
-        assert!(shards > 0, "need at least one shard");
-        let all = self.drain_responses();
-        let mut out: Vec<Vec<SensorResponse>> = (0..shards).map(|_| Vec::new()).collect();
-        for r in all {
-            let shard = grid
-                .cell_of(r.measurement.point.x, r.measurement.point.y)
-                .map_or(0, |c| ((c.r * grid.side() + c.q) as usize) % shards);
-            out[shard].push(r);
-        }
-        out
     }
 
     /// Total requests sent so far.
@@ -497,6 +627,7 @@ impl Crowd {
             target.x0 < target.x1 && target.y0 < target.y1,
             "migration target must have positive area, got {target}"
         );
+        self.index.valid = false;
         for s in &mut self.sensors {
             if self.participation_rng.gen::<f64>() < p {
                 let pos = (
@@ -515,6 +646,7 @@ impl Crowd {
     pub fn churn(&mut self, p: f64) {
         assert!((0.0..=1.0).contains(&p), "churn probability must be in [0,1]");
         let region = self.region;
+        self.index.valid = false;
         for s in &mut self.sensors {
             if self.participation_rng.gen::<f64>() < p {
                 let pos = (
@@ -547,17 +679,6 @@ fn response_order(a: &SensorResponse, b: &SensorResponse) -> std::cmp::Ordering 
         .then_with(|| a.issued_at.total_cmp(&b.issued_at))
 }
 
-/// Merges shard-partitioned response lists back into the single
-/// delivery-time-ordered stream [`Crowd::drain_responses`] would have
-/// produced — exact even under delivery-time ties, because both sides
-/// sort by the same total order. The inverse of
-/// [`Crowd::drain_responses_sharded`].
-pub fn merge_sharded_responses(shards: Vec<Vec<SensorResponse>>) -> Vec<SensorResponse> {
-    let mut out: Vec<SensorResponse> = shards.into_iter().flatten().collect();
-    out.sort_by(response_order);
-    out
-}
-
 impl std::fmt::Debug for Crowd {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Crowd")
@@ -580,6 +701,7 @@ mod tests {
     use crate::mobility::Mobility;
     use crate::population::{Placement, PopulationConfig};
     use crate::types::AttrValue;
+    use proptest::prelude::*;
 
     fn crowd(size: usize, seed: u64) -> Crowd {
         let region = Rect::with_size(10.0, 10.0);
@@ -717,40 +839,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_drain_partitions_by_cell_and_merges_back() {
-        let run = |seed| {
-            let mut c = crowd(300, seed);
-            c.dispatch_requests(AttributeId(0), &c.region(), 200, 0.0);
-            c.step(1.0);
-            c
-        };
-        // Two identical worlds: one drains serially, one sharded.
-        let serial = run(77).drain_responses();
-        let grid = Grid::new(Rect::with_size(10.0, 10.0), 4);
-        let sharded = run(77).drain_responses_sharded(&grid, 3);
-
-        assert_eq!(sharded.len(), 3);
-        assert!(!serial.is_empty());
-        // Every response sits on the shard owning its cell, time-ordered.
-        for (shard, list) in sharded.iter().enumerate() {
-            for pair in list.windows(2) {
-                assert!(pair[0].measurement.point.t <= pair[1].measurement.point.t);
-            }
-            for r in list {
-                let expect = grid
-                    .cell_of(r.measurement.point.x, r.measurement.point.y)
-                    .map_or(0, |c| ((c.r * grid.side() + c.q) as usize) % 3);
-                assert_eq!(shard, expect);
-            }
-        }
-        // Merge is the exact inverse: the serial stream reappears.
-        let merged = merge_sharded_responses(sharded);
-        assert_eq!(merged, serial);
-        // And draining again yields nothing (the drain consumed).
-        assert!(run(77).drain_responses_sharded(&grid, 3).concat().len() == serial.len());
-    }
-
-    #[test]
     fn scale_participation_changes_response_volume() {
         let run = |factor: Option<f64>| {
             let mut c = crowd(300, 21);
@@ -866,16 +954,29 @@ mod tests {
         }
     }
 
+    const ALL_FAULTS: CrowdFaults = CrowdFaults {
+        drop_probability: 0.3,
+        delay_probability: 0.3,
+        delay_minutes: 1.5,
+        duplicate_probability: 0.3,
+    };
+
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+    /// Folds one drained response — who, when, where, issued when — into
+    /// an FNV-1a hash of the drained sequence.
+    fn fingerprint(h: u64, r: &SensorResponse) -> u64 {
+        let p = r.measurement.point;
+        [r.sensor.0, p.t.to_bits(), p.x.to_bits(), p.y.to_bits(), r.issued_at.to_bits()]
+            .iter()
+            .fold(h, |h, w| (h ^ w).wrapping_mul(0x0000_0100_0000_01b3))
+    }
+
     #[test]
     fn faults_are_deterministic_per_seed() {
         let run = || {
             let mut c = crowd(300, 35);
-            c.set_faults(CrowdFaults {
-                drop_probability: 0.3,
-                delay_probability: 0.3,
-                delay_minutes: 1.5,
-                duplicate_probability: 0.3,
-            });
+            c.set_faults(ALL_FAULTS);
             c.dispatch_requests(AttributeId(0), &c.region(), 200, 0.0);
             for _ in 0..10 {
                 c.step(1.0);
@@ -883,6 +984,35 @@ mod tests {
             (c.drain_responses(), c.responses_dropped(), c.responses_duplicated())
         };
         assert_eq!(run(), run());
+        // Pinned at the commit before the heap entry carried its payload:
+        // fault draws happen in pop order, so the same drained sequence
+        // means the heap still compares `(Reverse(due), seq)`.
+        let (drained, dropped, duplicated) = run();
+        assert_eq!((drained.len(), dropped, duplicated), (130, 75, 16));
+        assert_eq!(drained.iter().fold(FNV_OFFSET, fingerprint), 0x2925_ecb7_bd13_9be2);
+    }
+
+    #[test]
+    fn pending_heap_holds_only_in_flight_responses() {
+        let mut c = crowd(300, 35);
+        c.set_faults(ALL_FAULTS);
+        let (mut drained, mut hash) = (0usize, FNV_OFFSET);
+        for _ in 0..64 {
+            c.dispatch_requests(AttributeId(0), &c.region(), 40, 0.0);
+            c.step(1.0);
+            for r in c.drain_responses() {
+                drained += 1;
+                hash = fingerprint(hash, &r);
+            }
+        }
+        // 2 434 requests were accepted; what is left is what is still due.
+        assert_eq!(c.accepted, 2434);
+        assert_eq!(c.pending.len(), 11);
+        assert!(c.pending.iter().all(|p| p.due > c.now()));
+        // The same 64 rounds at the commit before (side table, growing).
+        let faults = (c.responses_dropped(), c.responses_delayed(), c.responses_duplicated());
+        assert_eq!((drained, faults), (1916, (933, 591, 426)));
+        assert_eq!(hash, 0xcf0f_e88c_bcf4_0bb1);
     }
 
     #[test]
@@ -907,5 +1037,98 @@ mod tests {
         let after: Vec<_> = c.sensors().iter().map(|s| s.position()).collect();
         let moved = before.iter().zip(&after).filter(|(a, b)| a != b).count();
         assert!(moved > 90, "churn(1.0) must replace nearly all, moved {moved}");
+    }
+
+    /// Rectangles that probe the index from every side: handler-style grid
+    /// cells (sides 1/4/16/48: corners plus the drawn ones), rectangles
+    /// with every edge exactly on a bucket boundary, the whole region,
+    /// zero-area, partly outside, wholly outside, and all-covering.
+    fn probe_rects(c: &mut Crowd, picks: &[(u32, u32)]) -> Vec<Rect> {
+        let region = c.region();
+        let (w, h) = (region.width(), region.height());
+        let mut rects = vec![
+            region,
+            Rect { x0: region.x0 + w / 2.0, x1: region.x0 + w / 2.0, ..region },
+            Rect::new(region.x0 - w / 2.0, region.y0 - h / 2.0, region.x0 + w / 3.0, region.y1),
+            Rect::new(region.x1 + 0.05 * w, region.y1 + 0.05 * h, region.x1 + w, region.y1 + h),
+            Rect::new(region.x0 - 2.0 * w, region.y0 - 2.0 * h, region.x0 - w, region.y0 - h),
+            Rect::new(-1e12, -1e12, 1e12, 1e12),
+        ];
+        for side in [1u32, 4, 16, 48] {
+            let grid = craqr_geom::Grid::new(region, side);
+            let corners = [(0, 0), (side - 1, side - 1), (0, side - 1)];
+            for &(q, r) in corners.iter().chain(picks) {
+                rects.push(grid.cell_rect(craqr_geom::CellId::new(q % side, r % side)));
+            }
+        }
+        c.find_candidates(&region); // builds the index, fixing its side
+        let buckets = c.index.side as u32;
+        let edge = |lo: f64, extent: f64, k: u32| lo + extent * f64::from(k) / f64::from(buckets);
+        for &(q, r) in picks {
+            let (k0, k1) = (q % buckets, r % buckets);
+            let (k0, k1) = (k0.min(k1), k0.max(k1) + 1);
+            rects.push(Rect::new(
+                edge(region.x0, w, k0),
+                edge(region.y0, h, k0),
+                edge(region.x0, w, k1),
+                edge(region.y0, h, k1),
+            ));
+        }
+        rects
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        #[test]
+        fn index_candidates_equal_the_scan(
+            size in prop_oneof![Just(0usize), Just(1), Just(3), Just(500), Just(5000)],
+            hotspots in any::<bool>(),
+            origin in (-5.0f64..5.0, -5.0f64..5.0),
+            extent in (2.0f64..40.0, 2.0f64..40.0),
+            picks in prop::collection::vec((0u32..48, 0u32..48), 3..6),
+            seed in any::<u64>(),
+        ) {
+            let region =
+                Rect::new(origin.0, origin.1, origin.0 + extent.0, origin.1 + extent.1);
+            let (cx, cy) = region.center();
+            let placement = if hotspots {
+                Placement::hotspots(vec![(cx, cy, 3.0, extent.0 / 10.0)], 0.5).unwrap()
+            } else {
+                Placement::Uniform
+            };
+            let mut c = Crowd::new(CrowdConfig {
+                region,
+                population: PopulationConfig {
+                    size,
+                    placement,
+                    mobility: Mobility::RandomWalk { sigma: 0.3 },
+                    human_fraction: 0.0,
+                },
+                seed,
+            });
+            // A migration target reaching past the region parks sensors
+            // outside it, where only the clamp keeps them indexed.
+            let beyond = Rect::new(cx, cy, region.x1 + extent.0 / 2.0, region.y1 + extent.1 / 2.0);
+            let moves: [&dyn Fn(&mut Crowd); 4] = [
+                &|_| {},
+                &|c| c.step(1.0),
+                &|c| c.migrate(0.4, &beyond),
+                &|c| c.churn(0.3),
+            ];
+            for (stage, mutate) in moves.iter().enumerate() {
+                mutate(&mut c);
+                prop_assert!(stage == 0 || !c.index.valid, "move {stage} kept a stale index");
+                for rect in probe_rects(&mut c, &picks) {
+                    c.find_candidates(&rect);
+                    prop_assert!(
+                        c.candidates == c.sensors_in(&rect),
+                        "after move {stage}, {rect}: index {:?}, scan {:?}",
+                        c.candidates,
+                        c.sensors_in(&rect)
+                    );
+                }
+            }
+        }
     }
 }

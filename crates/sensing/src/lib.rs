@@ -39,7 +39,7 @@ pub mod sensor;
 pub mod transport;
 mod types;
 
-pub use crowd::{merge_sharded_responses, Crowd, CrowdConfig, CrowdFaults};
+pub use crowd::{Crowd, CrowdConfig, CrowdFaults};
 pub use fields::{Field, RainFront, TemperatureField};
 pub use mobility::Mobility;
 pub use population::{Placement, PopulationConfig};
