@@ -1,7 +1,7 @@
 //! E17 — pipelined epoch executor: overlap across the staged dataflow.
 //!
-//! Claim under test: spreading the staged epoch schedule over four
-//! long-lived stage workers (drain → ingest → control → render,
+//! Claim under test: spreading the staged epoch schedule over three
+//! long-lived stage workers (drain → ingest + control → render,
 //! `craqr_core::EpochDriver::run_pipelined`) overlaps consecutive epochs
 //! while leaving every checksummed byte identical to serial execution
 //! (the `tests/pipeline.rs` determinism contract).
@@ -9,7 +9,7 @@
 //! Workload: an 8×8 grid fed by a few-thousand-sensor crowd, three
 //! standing whole-region queries, a control hook that walks the full
 //! observation every epoch, and a render tap that serializes each
-//! epoch's drained responses into a checksum — so all four stages carry
+//! epoch's drained responses into a checksum — so every stage carries
 //! real weight.
 //!
 //! Two metrics:
@@ -21,17 +21,16 @@
 //!   stages back-to-back. The *pipeline* makespan replays the same spans
 //!   through the dataflow's dependency recurrence (stage s of epoch t
 //!   starts when both its upstream message and its own previous slot are
-//!   done; the ingest stage additionally waits for the control actions
-//!   of t-1 before issuing t+1's orders, pinning the serial schedule's
-//!   lag; the drain stage opens slot t only once slot t-2's render is
-//!   done — the executor's two-open-epochs window, so the model cannot
-//!   claim overlap the executor does not allow). `barrier / pipeline` is
-//!   the overlap the stage decomposition achieves, from CPU-time spans
-//!   only — host-independent, like E13's critical-path metric. Must
-//!   exceed **1.2×** and is regression-gated against the committed
-//!   `BENCH_pipeline.json` in CI.
+//!   done; the ingest stage hands slot t+1's orders upstream mid-slot,
+//!   so its span splits there; the drain stage opens slot t only once
+//!   slot t-2's render is done — the executor's two-open-epochs window,
+//!   so the model cannot claim overlap the executor does not allow).
+//!   `barrier / pipeline` is the overlap the stage decomposition
+//!   achieves, from CPU-time spans only — host-independent, like E13's
+//!   critical-path metric. Must exceed **1.2×** and is regression-gated
+//!   against the committed `BENCH_pipeline.json` in CI.
 //! - **wall speedup**: end-to-end wall clock, serial vs pipelined, on
-//!   *this* host. Materializes only with ≥ 4 idle cores.
+//!   *this* host. Materializes only with ≥ 3 idle cores.
 //!
 //! The two runs' reports and tap checksums are asserted identical
 //! (timing fields excluded) before anything is written. Run with
@@ -76,7 +75,7 @@ fn server() -> CraqrServer {
 }
 
 /// Walks the whole observation every epoch (plan, budgets, report) so
-/// the control stage carries real weight; never actuates, so the run
+/// the control phase carries real weight; never actuates, so the run
 /// stays identical to a hook-free one byte-wise.
 #[derive(Default)]
 struct SurveyHook {
@@ -170,12 +169,12 @@ fn run(epochs: u64, pipelined: bool, timer: Option<&mut SpanTimer>) -> RunResult
 /// Per-slot busy nanoseconds, decomposed the way the dataflow needs:
 /// the ingest stage splits at the point it hands the next slot's orders
 /// upstream (everything before feeds slot t+1's drain; everything after
-/// only feeds slot t's own downstream).
+/// — the rest of the ingestion and the hook — only feeds slot t's own
+/// downstream).
 struct SlotSpans {
     drain: Vec<f64>,
     ingest_pre: Vec<f64>,
     ingest_post: Vec<f64>,
-    control: Vec<f64>,
     render: Vec<f64>,
 }
 
@@ -184,46 +183,46 @@ fn decompose(spans: &[(PipelineStage, u64, EpochPhase, u64)], n: usize) -> SlotS
         drain: vec![0.0; n],
         ingest_pre: vec![0.0; n],
         ingest_post: vec![0.0; n],
-        control: vec![0.0; n],
         render: vec![0.0; n],
     };
-    let mut ingest_last: Vec<f64> = vec![0.0; n];
-    for &(stage, slot, _phase, ns) in spans {
+    // The ingest stage's hand-off in slot t is the `Dispatch` lap that
+    // follows an `Ingest` lap (slot 0 also opens with the `Dispatch` lap
+    // of the very first issue, which is not it); the last slot issues
+    // nothing, so its first `Ingest` lap stands in.
+    let mut ingested = vec![false; n];
+    let mut handed_off = vec![false; n];
+    for &(stage, slot, phase, ns) in spans {
         let t = slot as usize;
         let ns = ns as f64;
         match stage {
             PipelineStage::Drain => s.drain[t] += ns,
+            PipelineStage::Ingest if handed_off[t] => s.ingest_post[t] += ns,
             PipelineStage::Ingest => {
-                // Fold the previous "last span" into the pre half; the
-                // newest span becomes the candidate post half.
-                s.ingest_pre[t] += ingest_last[t];
-                ingest_last[t] = ns;
+                s.ingest_pre[t] += ns;
+                ingested[t] |= phase == EpochPhase::Ingest;
+                handed_off[t] = ingested[t] && (phase == EpochPhase::Dispatch || t + 1 == n);
             }
-            PipelineStage::Control => s.control[t] += ns,
             PipelineStage::Render => s.render[t] += ns,
         }
     }
-    s.ingest_post = ingest_last;
     s
 }
 
 /// The dataflow's completion-time recurrence over measured spans: each
 /// stage of slot t starts when its upstream message and its own slot
-/// t-1 are both done; ingest additionally waits for slot t-1's control
-/// actions before issuing slot t+1's orders (the pinned control lag), and
-/// drain waits for slot t-2's render (the two-open-epochs window).
+/// t-1 are both done; drain also waits for the orders ingest hands up
+/// mid-slot, and for slot t-2's render (the two-open-epochs window).
 fn pipeline_makespan(s: &SlotSpans) -> f64 {
     let n = s.drain.len();
-    let (mut c1, mut c2a, mut c2b, mut c3, mut c4) = (0.0f64, 0.0f64, 0.0f64, 0.0f64, 0.0f64);
+    let (mut c1, mut c2a, mut c2b, mut c4) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
     let mut c4_before = 0.0f64; // render completion of slot t-2
     for t in 0..n {
         let c1_new = c1.max(c2a).max(c4_before) + s.drain[t];
-        let c2a_new = c1_new.max(c2b).max(c3) + s.ingest_pre[t];
+        let c2a_new = c1_new.max(c2b) + s.ingest_pre[t];
         let c2b_new = c2a_new + s.ingest_post[t];
-        let c3_new = c2b_new.max(c3) + s.control[t];
-        let c4_new = c3_new.max(c4) + s.render[t];
+        let c4_new = c2b_new.max(c4) + s.render[t];
         c4_before = c4;
-        (c1, c2a, c2b, c3, c4) = (c1_new, c2a_new, c2b_new, c3_new, c4_new);
+        (c1, c2a, c2b, c4) = (c1_new, c2a_new, c2b_new, c4_new);
     }
     c4
 }
@@ -254,10 +253,9 @@ fn main() {
     );
 
     let slots = decompose(&timer.spans, epochs as usize);
-    let stage_totals: [(&str, f64); 4] = [
+    let stage_totals: [(&str, f64); 3] = [
         ("drain", slots.drain.iter().sum()),
         ("ingest", slots.ingest_pre.iter().sum::<f64>() + slots.ingest_post.iter().sum::<f64>()),
-        ("control", slots.control.iter().sum()),
         ("render", slots.render.iter().sum()),
     ];
     let barrier_ns: f64 = stage_totals.iter().map(|(_, ns)| ns).sum();
@@ -283,7 +281,7 @@ fn main() {
     if !test_mode {
         assert!(
             overlap > 1.2,
-            "overlap speedup {overlap:.3}x at 4 stages is below the 1.2x acceptance floor"
+            "overlap speedup {overlap:.3}x at 3 stages is below the 1.2x acceptance floor"
         );
     }
 
@@ -291,13 +289,13 @@ fn main() {
         stage_totals.iter().map(|(name, ns)| format!("\"{name}\": {:.6}", ns / 1e9)).collect();
     let json = format!(
         "{{\n  \"bench\": \"e17_pipeline\",\n  \"host_cpus\": {host_cpus},\n  \
-         \"epochs\": {epochs},\n  \"stages\": 4,\n  \
+         \"epochs\": {epochs},\n  \"stages\": 3,\n  \
          \"stage_busy_s\": {{{}}},\n  \
          \"barrier_s\": {:.6},\n  \"pipeline_s\": {:.6},\n  \
          \"overlap_speedup\": {:.3},\n  \
          \"wall_serial_s\": {:.6},\n  \"wall_pipelined_s\": {:.6},\n  \
          \"wall_speedup\": {:.3},\n  \
-         \"note\": \"overlap_speedup is host-independent (thread-CPU spans through the dataflow recurrence); wall metrics need >= 4 idle cores\"\n}}\n",
+         \"note\": \"overlap_speedup is host-independent (thread-CPU spans through the dataflow recurrence); wall metrics need >= 3 idle cores\"\n}}\n",
         stage_json.join(", "),
         barrier_ns / 1e9,
         pipeline_ns / 1e9,

@@ -1,77 +1,76 @@
-//! The epoch driver: one builder-style entry point for every way an
-//! epoch loop can execute.
+//! The epoch driver: one builder-style entry point, one schedule, one
+//! slot body.
 //!
-//! Historically the server grew six `run_epoch*` methods (plain, hooked,
-//! tapped, instrumented, crash-armed, replayed — and the cross products
-//! were starting to sprawl). They all ran the *same* loop with different
-//! seams plugged in, so they collapse here into one [`EpochDriver`] that
-//! holds the optional seams ([`ControlHook`], [`EpochTap`],
-//! [`PhaseTimer`], a pre-epoch prologue, a [`CrashPoint`]) and offers the
-//! execution shapes:
+//! [`EpochDriver`] holds the optional seams ([`ControlHook`],
+//! [`EpochTap`], [`PhaseTimer`], a pre-epoch prologue, a [`CrashPoint`])
+//! and offers the execution shapes. All of them run the **staged
+//! schedule** below, and its slot body exists once — the three stage
+//! structs of this module, each owning its state and exposing its slot
+//! operation; an executor is only the loop that calls them:
 //!
-//! - [`EpochDriver::step`] / [`EpochDriver::step_replayed`]: one epoch,
-//!   **classic schedule** — dispatch is issued and executed at the top of
-//!   the epoch and the hook's actions are applied inside the same epoch.
-//!   Bit-identical to the historical `run_epoch*` loop; single-epoch
-//!   unit tests and examples keep their exact semantics.
-//! - [`EpochDriver::run`] / [`EpochDriver::run_replayed`]: a whole
-//!   horizon under the **staged schedule** — the single-threaded
-//!   execution of exactly the slot schedule the pipelined executor runs
-//!   across four stage workers (see [`crate::pipeline`]). Each slot `t`
-//!   executes the dispatch orders issued during slot `t-1`, applies the
-//!   hook's epoch-`t-1` actions, and issues slot `t+1`'s orders, so the
-//!   drain stage of epoch `t+1` can overlap the ingest of epoch `t`
-//!   without changing a byte of any report, trace, or run log.
-//! - [`EpochDriver::run_pipelined`] (in [`crate::pipeline`]): the same
-//!   staged schedule spread across four long-lived worker threads
-//!   connected by bounded channels.
+//! - [`EpochDriver::run`] / [`EpochDriver::run_replayed`]: a horizon of
+//!   slots, the stages called back to back on the calling thread.
+//! - [`EpochDriver::run_pipelined`] /
+//!   [`EpochDriver::run_replayed_pipelined`]: the same calls with each
+//!   stage on its own worker thread, so the drain of epoch `t+1` overlaps
+//!   the ingest of epoch `t` and the log append of epoch `t-1`
+//!   ([`crate::pipeline`] owns the channels and computes nothing).
+//! - [`EpochDriver::step`] / [`EpochDriver::step_replayed`]: a horizon of
+//!   one slot, for callers that do their own work between epochs.
 //!
 //! # The staged schedule, precisely
 //!
 //! With `n` slots and a fresh driver, slot `t` performs, in order:
 //!
-//! 1. *(drain stage)* prologue(`t`) → execute the orders issued for `t` →
-//!    mobility sub-steps → drain responses.
-//! 2. *(ingest stage)* fold the executed `sent` into the dispatch stats →
-//!    apply the hook's actions from epoch `t-1` (the report's
-//!    `stale_actions`) → retry shortfall feedback from `t`'s responses →
-//!    **issue** the orders for `t+1` → error injection/mitigation/
-//!    ingestion/merge of `t`'s responses → budget tuning → assemble the
-//!    epoch report → snapshot the hook's [`EpochObservation`].
-//! 3. *(control stage)* hook observes epoch `t`, emits actions.
-//! 4. *(render stage)* tap records epoch `t` (report + raw responses +
-//!    the actions the hook just emitted).
+//! 1. *(drain stage, owns the crowd)* prologue(`t`) → execute the orders
+//!    issued for `t` → mobility sub-steps → fault deltas → drain
+//!    responses.
+//! 2. *(ingest stage, owns the planner half and the hook)* fold the
+//!    executed `sent` into the dispatch stats → apply the hook's actions
+//!    from epoch `t-1` (the report's `stale_actions`) → retry shortfall
+//!    feedback from `t`'s responses → **issue** the orders for `t+1` ‖
+//!    snapshot the raw responses → error injection/mitigation/ingestion/
+//!    merge → budget tuning → assemble the epoch report → snapshot the
+//!    hook's [`EpochObservation`] → the hook observes epoch `t` and emits
+//!    actions. (‖ is where the orders leave for the drain stage.)
+//! 3. *(render stage, owns the tap)* the tap records epoch `t` (report +
+//!    raw responses + the actions the hook just emitted).
 //!
 //! Orders for slot 0 are issued once before the loop. The actions the
-//! hook emits for the final slot are applied after the loop on normal
-//! completion (so a resumed run and its uninterrupted twin leave the
-//! server in the same final state); their stale-action count lands in no
-//! report, because no later epoch exists to carry it.
+//! hook emits for the final slot are applied when that slot completes (so
+//! a resumed run and its uninterrupted twin leave the server in the same
+//! final state); their stale-action count lands in no horizon report,
+//! because no later epoch exists to carry it.
 //!
-//! Relative to the classic schedule this deterministically pins the
-//! control lag: a `SetBudget` emitted for epoch `t` is applied during
-//! slot `t+1` — after slot `t+2`'s orders were already issued — so it
-//! first affects the dispatch of epoch `t+2`, "the first epoch not yet
-//! ingested". A `RebuildChain` emitted for epoch `t` takes effect before
-//! epoch `t+1`'s ingestion. The lag is part of the blessed byte contract:
-//! serial, `Sharded(n)`, and `Pipelined(n)` all execute this exact
-//! schedule.
+//! This pins the control lag deterministically: a `SetBudget` emitted for
+//! epoch `t` is applied during slot `t+1` — after slot `t+2`'s orders
+//! were already issued — so it first affects the dispatch of epoch `t+2`,
+//! "the first epoch not yet ingested". A `RebuildChain` emitted for epoch
+//! `t` takes effect before epoch `t+1`'s ingestion. The lag is part of
+//! the blessed byte contract on every executor.
+//!
+//! A `step` is the `n = 1` case: its only slot is also the final one, so
+//! the epoch's orders are issued and executed inside the call and the
+//! hook's actions are applied before it returns — a caller looping over
+//! `step` sees each epoch's actions govern the next epoch's dispatch.
 //!
 //! # Crash semantics
 //!
 //! [`EpochDriver::crash_at`] arms a [`CrashPoint`] at one slot of a
 //! horizon run, reproducing a process kill: the three in-loop points
 //! abandon the run at their boundary (everything already recorded stays
-//! recorded, the crashed epoch's tap never fires), while
-//! [`CrashPoint::MidLogAppend`] completes the slot normally — that tear
-//! lives in the log writer, not the loop. Because every record of epoch
-//! `e` depends only on work performed through slot `e`, a crashed run's
-//! durable prefix is byte-identical to the same prefix of the
-//! uninterrupted run — the property salvage + resume is built on.
+//! recorded, the crashed epoch's tap never fires, its actions are never
+//! applied), while [`CrashPoint::MidLogAppend`] completes the slot
+//! normally — that tear lives in the log writer, not the loop. Because
+//! every record of epoch `e` depends only on work performed through slot
+//! `e`, a crashed run's durable prefix is byte-identical to the same
+//! prefix of the uninterrupted run — the property salvage + resume is
+//! built on.
 
-use crate::exec::{thread_busy_ns, IngestReport};
+use crate::exec::IngestReport;
 use crate::handler::{execute_orders, DispatchStats, RequestResponseHandler, SendOrder};
 use crate::phase::{EpochPhase, PhaseTimer, PipelineStage};
+use crate::pipeline::StageClock;
 use crate::plan::Fabricator;
 use crate::query::QueryId;
 use crate::server::{
@@ -86,61 +85,34 @@ use rand::rngs::StdRng;
 use std::collections::HashMap;
 
 /// The planner-side half of a borrow-split server: every field the
-/// ingest stage owns while the drain stage owns the [`Crowd`]. The
-/// pipelined executor moves this into the ingest worker; the serial
-/// driver keeps it on the calling thread. Either way the epoch sub-ops
-/// ([`EpochCore::issue`], [`EpochCore::absorb`], …) run on exactly one
-/// owner, which is what makes the two executors bit-identical by
-/// construction.
-pub(crate) struct EpochCore<'s> {
-    pub(crate) fabricator: &'s mut Fabricator,
-    pub(crate) handler: &'s mut RequestResponseHandler,
-    pub(crate) idgen: &'s mut TupleIdGen,
-    pub(crate) error_rng: &'s mut StdRng,
-    pub(crate) outputs: &'s mut HashMap<QueryId, Vec<CrowdTuple>>,
-    pub(crate) tenants: &'s mut Option<TenantRegistry>,
-    pub(crate) config: ServerConfig,
+/// ingest stage owns while the drain stage owns the [`Crowd`].
+struct EpochCore<'s> {
+    fabricator: &'s mut Fabricator,
+    handler: &'s mut RequestResponseHandler,
+    idgen: &'s mut TupleIdGen,
+    error_rng: &'s mut StdRng,
+    outputs: &'s mut HashMap<QueryId, Vec<CrowdTuple>>,
+    tenants: &'s mut Option<TenantRegistry>,
+    config: ServerConfig,
 }
 
-/// Borrow-splits a server into the crowd (drain-stage state), the epoch
-/// counter, and the planner half (ingest-stage state).
-pub(crate) fn split(server: &mut CraqrServer) -> (&mut Crowd, &mut u64, EpochCore<'_>) {
-    let config = server.config;
-    let CraqrServer {
-        crowd, fabricator, handler, idgen, error_rng, outputs, tenants, epoch, ..
-    } = server;
-    (crowd, epoch, EpochCore { fabricator, handler, idgen, error_rng, outputs, tenants, config })
-}
-
-/// One epoch's issued dispatch: the handler/tenant side ran to
-/// completion (budgets drawn, pools clamped and charged), the crowd side
-/// is still pending as [`SendOrder`]s. `stats.sent` stays 0 until the
-/// orders execute.
-pub(crate) struct IssuedDispatch {
-    pub(crate) orders: Vec<SendOrder>,
-    pub(crate) stats: DispatchStats,
-    pub(crate) charges: Vec<(TenantId, f64)>,
+/// The report fields a slot knows before its ingestion: the dispatch as
+/// issued (`dispatch.sent` folded in once the orders executed), the
+/// per-epoch tenant charges, and the stale count of the actions applied
+/// at the slot's top.
+pub(crate) struct SlotHead {
+    dispatch: DispatchStats,
+    charges: Vec<(TenantId, f64)>,
+    stale_actions: u64,
 }
 
 /// The merge of one epoch's ingestion, pre-report.
-pub(crate) struct Ingested {
-    pub(crate) fresh: Vec<(QueryId, Vec<CrowdTuple>)>,
-    pub(crate) delivered: Vec<(QueryId, usize)>,
-    pub(crate) exec: IngestReport,
-    pub(crate) ingested: usize,
-    pub(crate) rejected: usize,
-}
-
-/// Everything slot-local the report assembly needs besides the
-/// ingestion outcome.
-pub(crate) struct SlotMeta {
-    pub(crate) epoch: u64,
-    pub(crate) now: f64,
-    pub(crate) dispatch: DispatchStats,
-    pub(crate) responses: usize,
-    pub(crate) faults: FaultDeltas,
-    pub(crate) charges: Vec<(TenantId, f64)>,
-    pub(crate) stale_actions: u64,
+struct Ingested {
+    fresh: Vec<(QueryId, Vec<CrowdTuple>)>,
+    delivered: Vec<(QueryId, usize)>,
+    exec: IngestReport,
+    ingested: usize,
+    rejected: usize,
 }
 
 impl EpochCore<'_> {
@@ -149,7 +121,7 @@ impl EpochCore<'_> {
     /// share refresh, epoch meters, budget draws, clamping/charging, and
     /// the per-epoch tenant charges — everything but the crowd sends.
     /// `detached` skips order collection for replays.
-    pub(crate) fn issue(&mut self, detached: bool) -> IssuedDispatch {
+    fn issue(&mut self, detached: bool) -> (Vec<SendOrder>, SlotHead) {
         let demands = self.fabricator.demands();
         let shares = if self.tenants.is_some() {
             self.fabricator.refresh_tenant_shares();
@@ -165,14 +137,14 @@ impl EpochCore<'_> {
             _ => None,
         };
         let grid = if detached { None } else { Some(self.fabricator.grid()) };
-        let (orders, stats) = self.handler.issue_epoch_orders(grid, &demands, tenancy);
+        let (orders, dispatch) = self.handler.issue_epoch_orders(grid, &demands, tenancy);
         let charges = self.tenants.as_ref().map_or_else(Vec::new, |t| t.epoch_charges());
-        IssuedDispatch { orders, stats, charges }
+        (orders, SlotHead { dispatch, charges, stale_actions: 0 })
     }
 
     /// Shortfall feedback for bounded retry (when configured): counts the
     /// drained responses per chain *before* error injection mutates them.
-    pub(crate) fn observe_drained(&mut self, responses: &[SensorResponse]) {
+    fn observe_drained(&mut self, responses: &[SensorResponse]) {
         if !self.handler.retry_enabled() {
             return;
         }
@@ -188,7 +160,7 @@ impl EpochCore<'_> {
 
     /// Applies a hook's actions, returning how many were stale (targeted
     /// a chain retired since the observation).
-    pub(crate) fn apply_actions(&mut self, actions: &[ControlAction]) -> u64 {
+    fn apply_actions(&mut self, actions: &[ControlAction]) -> u64 {
         let mut stale = 0u64;
         for action in actions {
             match *action {
@@ -229,10 +201,7 @@ impl EpochCore<'_> {
     /// through mitigation) for recycling. The mitigation region comes
     /// from the grid, which stores the crowd's region verbatim — the
     /// ingest stage never needs the crowd.
-    pub(crate) fn absorb(
-        &mut self,
-        mut responses: Vec<SensorResponse>,
-    ) -> (Ingested, Vec<SensorResponse>) {
+    fn absorb(&mut self, mut responses: Vec<SensorResponse>) -> (Ingested, Vec<SensorResponse>) {
         self.config.error_model.corrupt_batch(&mut responses, self.error_rng);
         let region = self.fabricator.grid().region();
         let (responses, rejected) = self.config.mitigation.apply(responses, &region);
@@ -248,58 +217,30 @@ impl EpochCore<'_> {
         }
         (Ingested { fresh, delivered, exec, ingested, rejected }, responses)
     }
+}
 
-    /// Budget tuning from flatten telemetry + report assembly. Returns
-    /// the report and the fresh per-query tuples (for the hook's
-    /// observation and the output buffers).
-    pub(crate) fn finish_report(
-        &mut self,
-        meta: SlotMeta,
-        ing: Ingested,
-    ) -> (EpochReport, Vec<(QueryId, Vec<CrowdTuple>)>) {
-        let tuning = self.handler.tune(&self.fabricator.flatten_reports());
-        let report = EpochReport {
-            epoch: meta.epoch,
-            now: meta.now,
-            dispatch: meta.dispatch,
-            responses: meta.responses,
-            mitigation_rejected: ing.rejected,
-            ingested: ing.ingested,
-            exec: ing.exec,
-            delivered: ing.delivered,
-            tuning,
-            tenant_charges: meta.charges,
-            stale_actions: meta.stale_actions,
-            faults: meta.faults,
-        };
-        (report, ing.fresh)
+/// A [`BatchPool`] that counts what it hands out. Pooling only reuses
+/// capacity — contents are cleared on every cycle — so it is byte-inert;
+/// the counts are the observable half of it ([`PoolStats`]).
+#[derive(Default)]
+pub(crate) struct CountedPool {
+    pool: BatchPool<SensorResponse>,
+    fresh_allocations: u64,
+    recycled: u64,
+}
+
+impl CountedPool {
+    fn take(&mut self) -> Vec<SensorResponse> {
+        if self.pool.retained() > 0 {
+            self.recycled += 1;
+        } else {
+            self.fresh_allocations += 1;
+        }
+        self.pool.take()
     }
 
-    /// Snapshots the hook's observation (only when one is listening) and
-    /// banks the fresh tuples into the per-query output buffers.
-    pub(crate) fn observe_and_bank(
-        &mut self,
-        report: &EpochReport,
-        fresh: Vec<(QueryId, Vec<CrowdTuple>)>,
-        want_obs: bool,
-        epoch_start: f64,
-        epoch_end: f64,
-    ) -> Option<EpochObservation> {
-        let obs = want_obs.then(|| {
-            EpochObservation::capture(
-                report,
-                &fresh,
-                self.fabricator,
-                self.handler,
-                self.tenants.as_ref(),
-                epoch_start,
-                epoch_end,
-            )
-        });
-        for (qid, out) in fresh {
-            self.outputs.entry(qid).or_default().extend(out);
-        }
-        obs
+    pub(crate) fn put(&mut self, spent: Vec<SensorResponse>) {
+        self.pool.put(spent);
     }
 }
 
@@ -316,6 +257,18 @@ pub struct PoolStats {
     pub recycled: u64,
     /// Buffers parked in the pools when the run ended.
     pub pooled: usize,
+}
+
+impl PoolStats {
+    /// A finished run's two pools — the drain stage's response buffers
+    /// and the ingest stage's raw snapshots — counted at rest.
+    pub(crate) fn at_rest(pools: [&CountedPool; 2]) -> Self {
+        pools.iter().fold(Self::default(), |sum, p| Self {
+            fresh_allocations: sum.fresh_allocations + p.fresh_allocations,
+            recycled: sum.recycled + p.recycled,
+            pooled: sum.pooled + p.pool.retained(),
+        })
+    }
 }
 
 /// What a horizon run ([`EpochDriver::run`] and friends) produced.
@@ -339,38 +292,287 @@ impl RunOutcome {
     }
 }
 
+/// One slot's crowd-side outcome: what the drain stage hands the ingest
+/// stage.
+pub(crate) struct DrainedBatch {
+    pub(crate) slot: u64,
+    sent: u64,
+    faults: FaultDeltas,
+    responses: Vec<SensorResponse>,
+    epoch_start: f64,
+    epoch_end: f64,
+}
+
+/// One finished epoch: what the ingest stage hands the render stage.
+pub(crate) struct SlotRecord {
+    slot: u64,
+    report: EpochReport,
+    /// Raw (pre-corruption) responses for the tap; `None` when no tap
+    /// listens or a replay borrows them from the recorded inputs.
+    raw: Option<Vec<SensorResponse>>,
+    actions: Vec<ControlAction>,
+}
+
+/// The drain stage: the crowd and everything a slot does to it.
+pub(crate) struct DrainStage<'d> {
+    crowd: &'d mut Crowd,
+    prologue: Option<&'d mut PrologueFn<'d>>,
+    replay: Option<&'d [ReplayInputs<'d>]>,
+    crash: Option<(u64, CrashPoint)>,
+    substeps: u32,
+    dt: f64,
+    /// Response buffers; the ingest stage's spent ones come back here.
+    pub(crate) pool: CountedPool,
+}
+
+impl DrainStage<'_> {
+    /// Slot `t`: prologue → execute `orders` → sub-steps → fault deltas →
+    /// drain. Under replay the crowd is only stepped — through the same
+    /// sequence of `step` calls, so accumulated simulation time stays
+    /// bit-identical to the live run — and the recorded inputs stand in
+    /// for its outcome. `None` when the armed crash point fired here.
+    pub(crate) fn slot(
+        &mut self,
+        t: u64,
+        orders: &[SendOrder],
+        clock: &mut StageClock,
+    ) -> Option<DrainedBatch> {
+        let (crowd, dt) = (&mut *self.crowd, self.dt);
+        if let Some(p) = &mut self.prologue {
+            p(t, crowd);
+        }
+        let epoch_start = crowd.now();
+        let recorded = self.replay.map(|inputs| &inputs[t as usize]);
+        let sent = recorded.map_or_else(|| execute_orders(crowd, orders), |r| r.sent);
+        clock.lap(PipelineStage::Drain, t, EpochPhase::Dispatch);
+        if self.crash == Some((t, CrashPoint::PostDispatch)) {
+            return None;
+        }
+        let counters = |c: &Crowd| FaultDeltas {
+            dropped: c.responses_dropped(),
+            delayed: c.responses_delayed(),
+            duplicated: c.responses_duplicated(),
+        };
+        let before = counters(crowd);
+        for _ in 0..self.substeps {
+            crowd.step(dt);
+        }
+        let mut buf = self.pool.take();
+        let (faults, responses) = match recorded {
+            None => {
+                let after = counters(crowd);
+                let faults = FaultDeltas {
+                    dropped: after.dropped - before.dropped,
+                    delayed: after.delayed - before.delayed,
+                    duplicated: after.duplicated - before.duplicated,
+                };
+                (faults, crowd.drain_responses_reusing(buf))
+            }
+            Some(r) => {
+                buf.extend_from_slice(r.responses);
+                (r.faults, buf)
+            }
+        };
+        let epoch_end = crowd.now();
+        clock.lap(PipelineStage::Drain, t, EpochPhase::Drain);
+        if self.crash == Some((t, CrashPoint::PostDrain)) {
+            return None;
+        }
+        Some(DrainedBatch { slot: t, sent, faults, responses, epoch_start, epoch_end })
+    }
+}
+
+/// The ingest stage: the planner half, the hook, and what they carry from
+/// one slot into the next.
+pub(crate) struct IngestStage<'d> {
+    core: EpochCore<'d>,
+    hook: Option<&'d mut (dyn ControlHook + 'd)>,
+    /// The server's epoch counter when the run began: slot `t` is epoch
+    /// `base + t`.
+    base: u64,
+    slots: u64,
+    detached: bool,
+    snapshot_raw: bool,
+    crash: Option<(u64, CrashPoint)>,
+    /// The head of the slot whose orders are out with the drain stage.
+    pending: Option<SlotHead>,
+    /// The hook's actions from the previous slot, applied at this one's
+    /// top — after this slot's orders already executed, before the next
+    /// slot's are issued.
+    pending_actions: Vec<ControlAction>,
+    /// Raw-snapshot buffers; the render stage's come back here.
+    pub(crate) raw_pool: CountedPool,
+    /// Stale count of the final slot's actions (see [`IngestStage::finish`]).
+    pub(crate) trailing_stale: u64,
+}
+
+impl IngestStage<'_> {
+    /// Issues slot 0's orders, once, before the first slot.
+    pub(crate) fn open(&mut self, clock: &mut StageClock) -> Vec<SendOrder> {
+        self.issue(0, clock)
+    }
+
+    fn issue(&mut self, during: u64, clock: &mut StageClock) -> Vec<SendOrder> {
+        let (orders, head) = self.core.issue(self.detached);
+        clock.lap(PipelineStage::Ingest, during, EpochPhase::Dispatch);
+        self.pending = Some(head);
+        orders
+    }
+
+    /// First half of a slot, up to where the next slot's orders leave:
+    /// fold `sent` → apply the previous slot's actions → retry feedback →
+    /// issue. Returns the orders for slot `t+1` (`None` on the final slot)
+    /// and the head [`IngestStage::finish`] completes.
+    pub(crate) fn begin(
+        &mut self,
+        batch: &DrainedBatch,
+        clock: &mut StageClock,
+    ) -> (SlotHead, Option<Vec<SendOrder>>) {
+        let t = batch.slot;
+        let mut head = self.pending.take().expect("orders issued by the previous slot");
+        head.dispatch.sent = batch.sent;
+        self.core.handler.record_sent(batch.sent);
+        head.stale_actions = self.core.apply_actions(&self.pending_actions);
+        self.core.observe_drained(&batch.responses);
+        clock.lap(PipelineStage::Ingest, t, EpochPhase::Ingest);
+        (head, (t + 1 < self.slots).then(|| self.issue(t, clock)))
+    }
+
+    /// Second half: snapshot raw → absorb → tune → report → observe →
+    /// hook. Returns the spent response buffer and the epoch's record —
+    /// `None` when [`CrashPoint::PostControl`] fired: the hook ran, its
+    /// actions are abandoned, nothing downstream sees the epoch. On the
+    /// final slot the actions are applied here, there being no later slot
+    /// to do it; their stale count is kept in `trailing_stale`.
+    pub(crate) fn finish(
+        &mut self,
+        head: SlotHead,
+        batch: DrainedBatch,
+        clock: &mut StageClock,
+    ) -> (Vec<SensorResponse>, Option<SlotRecord>) {
+        let DrainedBatch { slot: t, faults, responses, epoch_start, epoch_end, .. } = batch;
+        let core = &mut self.core;
+        // The tap sees responses exactly as drained, before error
+        // injection mutates the buffer in place.
+        let raw = self.snapshot_raw.then(|| {
+            let mut buf = self.raw_pool.take();
+            buf.extend_from_slice(&responses);
+            buf
+        });
+        let n_responses = responses.len();
+        let (ing, spent) = core.absorb(responses);
+        let tuning = core.handler.tune(&core.fabricator.flatten_reports());
+        let report = EpochReport {
+            epoch: self.base + t,
+            now: epoch_end,
+            dispatch: head.dispatch,
+            responses: n_responses,
+            mitigation_rejected: ing.rejected,
+            ingested: ing.ingested,
+            exec: ing.exec,
+            delivered: ing.delivered,
+            tuning,
+            tenant_charges: head.charges,
+            stale_actions: head.stale_actions,
+            faults,
+        };
+        // The hook sees the fresh tuples before they are banked into the
+        // per-query output buffers.
+        let obs = self.hook.is_some().then(|| {
+            EpochObservation::capture(
+                &report,
+                &ing.fresh,
+                core.fabricator,
+                core.handler,
+                core.tenants.as_ref(),
+                epoch_start,
+                epoch_end,
+            )
+        });
+        for (qid, out) in ing.fresh {
+            core.outputs.entry(qid).or_default().extend(out);
+        }
+        clock.lap(PipelineStage::Ingest, t, EpochPhase::Ingest);
+        let actions = match (&mut self.hook, &obs) {
+            (Some(hook), Some(obs)) => hook.on_epoch(obs),
+            _ => Vec::new(),
+        };
+        clock.lap(PipelineStage::Ingest, t, EpochPhase::Control);
+        if self.crash == Some((t, CrashPoint::PostControl)) {
+            return (spent, None);
+        }
+        if t + 1 < self.slots {
+            self.pending_actions.clone_from(&actions);
+        } else {
+            self.trailing_stale = core.apply_actions(&actions);
+        }
+        (spent, Some(SlotRecord { slot: t, report, raw, actions }))
+    }
+}
+
+/// The render stage: the tap, and the reports of the epochs it saw.
+pub(crate) struct RenderStage<'d> {
+    tap: Option<&'d mut (dyn EpochTap + 'd)>,
+    replay: Option<&'d [ReplayInputs<'d>]>,
+    pub(crate) reports: Vec<EpochReport>,
+}
+
+impl RenderStage<'_> {
+    /// The tap records the epoch; hands back the raw buffer, if one
+    /// travelled with the record, for recycling.
+    pub(crate) fn slot(
+        &mut self,
+        record: SlotRecord,
+        clock: &mut StageClock,
+    ) -> Option<Vec<SensorResponse>> {
+        if let Some(tap) = self.tap.as_deref_mut() {
+            let responses = match self.replay {
+                Some(inputs) => inputs[record.slot as usize].responses,
+                None => record.raw.as_deref().unwrap_or_default(),
+            };
+            tap.on_epoch(&EpochInputsRecord {
+                report: &record.report,
+                responses,
+                actions: &record.actions,
+            });
+        }
+        clock.lap(PipelineStage::Render, record.slot, EpochPhase::LogAppend);
+        self.reports.push(record.report);
+        record.raw
+    }
+}
+
 /// A per-epoch crowd mutation applied before dispatch (regime shifts,
 /// churn, fault-window updates) — see [`EpochDriver::prologue`].
-pub(crate) type Prologue<'a> = Box<dyn FnMut(u64, &mut Crowd) + Send + 'a>;
+type PrologueFn<'a> = dyn FnMut(u64, &mut Crowd) + Send + 'a;
 
 /// The builder-style epoch executor over one [`CraqrServer`] — see the
-/// [module docs](crate::driver) for schedules and semantics. Build one
-/// with [`CraqrServer::driver`], chain the optional seams, then call one
-/// of the execution shapes:
+/// [module docs](crate::driver) for the schedule and its semantics. Build
+/// one with [`CraqrServer::driver`], chain the optional seams, then call
+/// one of the execution shapes:
 ///
 /// ```text
-/// server.driver().step();                      // one classic epoch
-/// server.driver().hook(&mut h).run(16);        // staged 16-epoch horizon
-/// server.driver().tap(&mut t).run_pipelined(16); // same bytes, 4 threads
+/// server.driver().step();                        // one epoch
+/// server.driver().hook(&mut h).run(16);          // a 16-epoch horizon
+/// server.driver().tap(&mut t).run_pipelined(16); // same bytes, 3 threads
 /// ```
 pub struct EpochDriver<'a> {
-    pub(crate) server: &'a mut CraqrServer,
-    pub(crate) hook: Option<&'a mut dyn ControlHook>,
-    pub(crate) tap: Option<&'a mut dyn EpochTap>,
-    pub(crate) timer: Option<&'a mut dyn PhaseTimer>,
-    pub(crate) prologue: Option<Prologue<'a>>,
-    pub(crate) crash: Option<(u64, CrashPoint)>,
+    server: &'a mut CraqrServer,
+    hook: Option<&'a mut dyn ControlHook>,
+    tap: Option<&'a mut dyn EpochTap>,
+    timer: Option<&'a mut dyn PhaseTimer>,
+    prologue: Option<Box<PrologueFn<'a>>>,
+    crash: Option<(u64, CrashPoint)>,
 }
 
 impl<'a> EpochDriver<'a> {
-    /// A bare driver: no seams, no crash, classic and staged schedules
-    /// both available.
+    /// A bare driver: no seams, no crash.
     pub fn new(server: &'a mut CraqrServer) -> Self {
         Self { server, hook: None, tap: None, timer: None, prologue: None, crash: None }
     }
 
     /// Installs the control seam: the hook observes every epoch and its
-    /// actions are applied per the active schedule.
+    /// actions are applied per the schedule.
     pub fn hook(mut self, hook: &'a mut dyn ControlHook) -> Self {
         self.hook = Some(hook);
         self
@@ -391,8 +593,8 @@ impl<'a> EpochDriver<'a> {
         self
     }
 
-    /// Installs a pre-epoch prologue for horizon runs: called with the
-    /// slot index and the crowd at the top of each slot's drain stage
+    /// Installs a pre-epoch prologue: called with the slot index (always
+    /// 0 on a `step`) and the crowd at the top of each slot's drain stage
     /// (scripted world shifts, churn, fault windows). Crowd-only by
     /// construction — the planner half is mid-flight on another epoch
     /// when the pipelined executor runs this.
@@ -408,11 +610,13 @@ impl<'a> EpochDriver<'a> {
         self
     }
 
-    /// Runs one epoch under the **classic schedule** (issue + execute at
-    /// the top, actions applied in-epoch) — bit-identical to the
-    /// historical `run_epoch*` family.
+    /// Runs one epoch: a one-slot horizon of the staged schedule, with
+    /// the stale count of the hook's actions — applied before this
+    /// returns — added to the report's `stale_actions`. A tap installed
+    /// *together with* a hook sees the report before that addition; no
+    /// caller combines the two on a `step`.
     pub fn step(&mut self) -> EpochReport {
-        self.classic(None).expect("no crash point armed")
+        self.one_slot(None)
     }
 
     /// [`EpochDriver::step`] from recorded inputs instead of the live
@@ -421,360 +625,166 @@ impl<'a> EpochDriver<'a> {
     /// zero-sensor — crowd), and the recorded responses take the place of
     /// the drained ones. Everything downstream runs exactly as live.
     pub fn step_replayed(&mut self, inputs: ReplayInputs<'_>) -> EpochReport {
-        self.classic(Some(inputs)).expect("no crash point armed")
+        self.one_slot(Some(std::slice::from_ref(&inputs)))
     }
 
-    /// Runs one classic epoch that dies at `point` (see
-    /// [`CrashPoint`]): every mutation before the point persists, the
-    /// rest of the epoch never happens, and the tap never fires. Returns
-    /// `None` for the three in-loop points; [`CrashPoint::MidLogAppend`]
-    /// completes the epoch (the tear lives in the log writer) and
-    /// returns its report.
-    pub fn step_to_crash(&mut self, point: CrashPoint) -> Option<EpochReport> {
-        self.crash = match point {
-            CrashPoint::MidLogAppend => None,
-            p => Some((0, p)),
-        };
-        let r = self.classic(None);
-        self.crash = None;
-        r
-    }
-
-    /// Runs `epochs` slots of the **staged schedule** single-threaded —
-    /// the serial executor of the dataflow the pipelined executor spreads
-    /// across worker threads, byte-identical to it by construction.
+    /// Runs `epochs` slots of the staged schedule on the calling thread.
     pub fn run(mut self, epochs: u64) -> RunOutcome {
-        self.run_horizon(epochs, None)
+        self.run_horizon(epochs, None).0
     }
 
-    /// Runs the staged schedule across four worker threads (drain,
-    /// ingest, control, render) connected by bounded channels — see
+    /// Runs the staged schedule across three worker threads (drain,
+    /// ingest, render) connected by bounded channels — see
     /// [`crate::pipeline`]. Byte-identical to [`EpochDriver::run`].
     pub fn run_pipelined(self, epochs: u64) -> RunOutcome {
-        crate::pipeline::run_pipelined(self, epochs)
+        crate::pipeline::run(self, epochs, None)
     }
 
     /// [`EpochDriver::run`] from recorded inputs (one [`ReplayInputs`]
-    /// per slot, the horizon is the slice length) — the staged-schedule
-    /// sibling of [`EpochDriver::step_replayed`].
+    /// per slot, the horizon is the slice length).
     pub fn run_replayed(mut self, inputs: &[ReplayInputs<'_>]) -> RunOutcome {
-        self.run_horizon(inputs.len() as u64, Some(inputs))
+        self.run_horizon(inputs.len() as u64, Some(inputs)).0
     }
 
     /// [`EpochDriver::run_pipelined`] from recorded inputs — replays a
-    /// log across the four stage workers, byte-identical to
+    /// log across the three stage workers, byte-identical to
     /// [`EpochDriver::run_replayed`].
     pub fn run_replayed_pipelined(self, inputs: &[ReplayInputs<'_>]) -> RunOutcome {
-        crate::pipeline::run_replayed_pipelined(self, inputs)
+        crate::pipeline::run(self, inputs.len() as u64, Some(inputs))
     }
 
-    /// The classic single-epoch loop — the historical `epoch_inner`,
-    /// with dispatch split into issue + execute and the observation
-    /// owned. Returns `None` when the armed in-loop crash point fired.
-    fn classic(&mut self, replay: Option<ReplayInputs<'_>>) -> Option<EpochReport> {
-        let crash = self.crash.map(|(_, p)| p).filter(|p| *p != CrashPoint::MidLogAppend);
-        let (crowd, epoch_counter, mut core) = split(self.server);
-        let epoch = *epoch_counter;
-        *epoch_counter += 1;
-        let epoch_start = crowd.now();
-        // One clock reading per phase boundary, and only when a timer is
-        // installed: `lap` is the *only* clock access in the loop, so an
-        // uninstrumented epoch reads no clock at all.
-        // craqr-lint: allow(R1): phase latencies feed Timing-tier metrics only, never canonical_events
-        let mut phase_clock = self.timer.as_ref().map(|_| thread_busy_ns());
-        let mut lap = |timer: &mut Option<&mut dyn PhaseTimer>, phase: EpochPhase| {
-            if let Some(t) = timer.as_deref_mut() {
-                // craqr-lint: allow(R1): same Timing-tier phase span; excluded from checksummed artifacts
-                let now = thread_busy_ns();
-                let start = phase_clock.expect("clock anchored when timer installed");
-                t.observe(phase, now.saturating_sub(start));
-                phase_clock = Some(now);
-            }
-        };
+    fn one_slot(&mut self, replay: Option<&[ReplayInputs<'_>]>) -> EpochReport {
+        let (outcome, trailing_stale) = self.run_horizon(1, replay);
+        let mut report = outcome.reports.into_iter().next().expect("no crash point armed");
+        report.stale_actions += trailing_stale;
+        report
+    }
 
-        // 1. Dispatch acquisition requests per materialized chain. Under
-        // replay the budgets are drawn identically but no request exists
-        // to send; the crowd-side outcome comes from the log.
-        let issued = core.issue(replay.is_some());
-        let sent = match &replay {
-            None => execute_orders(crowd, &issued.orders),
-            Some(inputs) => inputs.sent,
+    /// Borrow-splits the driver into the three stages of an `n`-slot run
+    /// and the timer. No state is shared between the stages, so calling
+    /// them from one thread or from three computes the same bytes.
+    pub(crate) fn stages<'d>(
+        &'d mut self,
+        n: u64,
+        replay: Option<&'d [ReplayInputs<'d>]>,
+    ) -> (DrainStage<'d>, IngestStage<'d>, RenderStage<'d>, Option<&'d mut (dyn PhaseTimer + 'd)>)
+    {
+        let server = &mut *self.server;
+        let config = server.config;
+        let drain = DrainStage {
+            crowd: &mut server.crowd,
+            prologue: self.prologue.as_deref_mut().map(|p| p as _),
+            replay,
+            crash: self.crash,
+            substeps: config.mobility_substeps,
+            dt: config.planner.batch_duration / config.mobility_substeps as f64,
+            pool: CountedPool::default(),
         };
-        let mut dispatch = issued.stats;
-        dispatch.sent = sent;
-        core.handler.record_sent(sent);
-        let tenant_charges = issued.charges;
-        lap(&mut self.timer, EpochPhase::Dispatch);
-        if crash == Some(CrashPoint::PostDispatch) {
-            return None;
-        }
-
-        // 2. The world moves; responses mature. The replay clock advances
-        // through the same sequence of `step` calls so accumulated
-        // simulation time stays bit-identical to the live run.
-        let dt = core.config.planner.batch_duration / core.config.mobility_substeps as f64;
-        let faults_before = FaultDeltas {
-            dropped: crowd.responses_dropped(),
-            delayed: crowd.responses_delayed(),
-            duplicated: crowd.responses_duplicated(),
-        };
-        for _ in 0..core.config.mobility_substeps {
-            crowd.step(dt);
-        }
-        let faults = match &replay {
-            None => FaultDeltas {
-                dropped: crowd.responses_dropped() - faults_before.dropped,
-                delayed: crowd.responses_delayed() - faults_before.delayed,
-                duplicated: crowd.responses_duplicated() - faults_before.duplicated,
+        let ingest = IngestStage {
+            core: EpochCore {
+                fabricator: &mut server.fabricator,
+                handler: &mut server.handler,
+                idgen: &mut server.idgen,
+                error_rng: &mut server.error_rng,
+                outputs: &mut server.outputs,
+                tenants: &mut server.tenants,
+                config,
             },
-            Some(inputs) => inputs.faults,
+            hook: self.hook.as_deref_mut().map(|h| h as _),
+            base: server.epoch,
+            slots: n,
+            detached: replay.is_some(),
+            snapshot_raw: self.tap.is_some() && replay.is_none(),
+            crash: self.crash,
+            pending: None,
+            pending_actions: Vec::new(),
+            raw_pool: CountedPool::default(),
+            trailing_stale: 0,
         };
-        let responses = match &replay {
-            None => crowd.drain_responses(),
-            Some(inputs) => inputs.responses.to_vec(),
+        let render = RenderStage {
+            tap: self.tap.as_deref_mut().map(|t| t as _),
+            replay,
+            reports: Vec::with_capacity(n as usize),
         };
-        let n_responses = responses.len();
-        // The tap sees responses exactly as drained, before error
-        // injection mutates them in place. Clone only when someone is
-        // listening *and* there is no replay input to borrow from.
-        let raw_responses =
-            if self.tap.is_some() && replay.is_none() { Some(responses.clone()) } else { None };
-        if crash == Some(CrashPoint::PostDrain) {
-            return None;
-        }
-        core.observe_drained(&responses);
-        lap(&mut self.timer, EpochPhase::Drain);
-
-        // 3–6. Error injection, mitigation, ingestion, map/process,
-        // merge.
-        let (ing, _spent) = core.absorb(responses);
-        lap(&mut self.timer, EpochPhase::Ingest);
-
-        // 7. Budget tuning + the report (classic: stale_actions patched
-        // in after the hook ran, below).
-        let epoch_end = crowd.now();
-        let meta = SlotMeta {
-            epoch,
-            now: epoch_end,
-            dispatch,
-            responses: n_responses,
-            faults,
-            charges: tenant_charges,
-            stale_actions: 0,
-        };
-        let (mut report, fresh) = core.finish_report(meta, ing);
-
-        // 8. Observation/actuation: the hook sees the epoch, its actions
-        // apply inside this same epoch (the classic in-epoch control
-        // lag).
-        let obs =
-            core.observe_and_bank(&report, fresh, self.hook.is_some(), epoch_start, epoch_end);
-        let mut actions: Vec<ControlAction> = Vec::new();
-        if let Some(hook) = self.hook.as_deref_mut() {
-            actions = hook.on_epoch(obs.as_ref().expect("observation built when hook installed"));
-            report.stale_actions = core.apply_actions(&actions);
-        }
-        lap(&mut self.timer, EpochPhase::Control);
-        if crash == Some(CrashPoint::PostControl) {
-            return None;
-        }
-
-        // 9. Recording seam: the tap sees the epoch's inputs (and the
-        // actions just applied) after everything else settled.
-        if let Some(tap) = self.tap.as_deref_mut() {
-            let raw: &[SensorResponse] = match (&replay, &raw_responses) {
-                (Some(inputs), _) => inputs.responses,
-                (None, Some(raw)) => raw,
-                (None, None) => &[],
-            };
-            tap.on_epoch(&EpochInputsRecord { report: &report, responses: raw, actions: &actions });
-        }
-        lap(&mut self.timer, EpochPhase::LogAppend);
-        Some(report)
+        (drain, ingest, render, self.timer.as_deref_mut().map(|t| t as _))
     }
 
-    /// The staged schedule, single-threaded: the serial reference
-    /// implementation of the pipelined dataflow (see the module docs for
-    /// the slot anatomy).
-    fn run_horizon(&mut self, n: u64, replay: Option<&[ReplayInputs<'_>]>) -> RunOutcome {
-        let in_loop_crash = self.crash.filter(|(_, p)| *p != CrashPoint::MidLogAppend);
-        let detached = replay.is_some();
-        let (crowd, epoch_counter, mut core) = split(self.server);
-        let base = *epoch_counter;
-        let mut outcome =
-            RunOutcome { reports: Vec::with_capacity(n as usize), ..Default::default() };
+    /// Ends an `n`-slot run: advances the epoch counter — a restarted
+    /// process observes it advanced as soon as a slot began, crashed or
+    /// not — and says whether the run completed.
+    pub(crate) fn close(&mut self, n: u64) -> bool {
+        let abandoned =
+            self.crash.filter(|(slot, point)| *slot < n && *point != CrashPoint::MidLogAppend);
+        self.server.epoch += abandoned.map_or(n, |(slot, _)| slot + 1);
+        abandoned.is_none()
+    }
+
+    /// The staged schedule on the calling thread. Also returns the stale
+    /// count of the final slot's actions, which no horizon report carries.
+    fn run_horizon(&mut self, n: u64, replay: Option<&[ReplayInputs<'_>]>) -> (RunOutcome, u64) {
         if n == 0 {
-            outcome.completed = true;
-            return outcome;
+            return (RunOutcome { completed: true, ..Default::default() }, 0);
         }
-        // Response and raw-snapshot buffers recycle through pools, the
-        // serial twin of the pipeline's return channels. Pooling only
-        // reuses capacity — contents are cleared on every cycle — so it
-        // is byte-inert.
-        let mut pool: BatchPool<SensorResponse> = BatchPool::default();
-        let mut raw_pool: BatchPool<SensorResponse> = BatchPool::default();
-        let take = |pool: &mut BatchPool<SensorResponse>, stats: &mut PoolStats| {
-            if pool.retained() > 0 {
-                stats.recycled += 1;
-            } else {
-                stats.fresh_allocations += 1;
-            }
-            pool.take()
-        };
-
-        // Per-stage spans (timing tier only; zero clock reads untimed).
-        // craqr-lint: allow(R1): stage spans feed Timing-tier metrics only, never canonical_events
-        let mut span_clock = self.timer.as_ref().map(|_| thread_busy_ns());
-        let mut span = |timer: &mut Option<&mut dyn PhaseTimer>,
-                        stage: PipelineStage,
-                        slot: u64,
-                        phase: EpochPhase| {
-            if let Some(t) = timer.as_deref_mut() {
-                // craqr-lint: allow(R1): same Timing-tier stage span; excluded from checksummed artifacts
-                let now = thread_busy_ns();
-                let start = span_clock.expect("clock anchored when timer installed");
-                t.observe_stage(stage, slot, phase, now.saturating_sub(start));
-                span_clock = Some(now);
-            }
-        };
-
-        let mut pending = Some(core.issue(detached));
-        span(&mut self.timer, PipelineStage::Ingest, 0, EpochPhase::Dispatch);
-        let mut pending_actions: Vec<ControlAction> = Vec::new();
+        let (mut drain, mut ingest, mut render, mut timer) = self.stages(n, replay);
+        let mut clock = StageClock::new(timer.is_some());
+        let mut orders = ingest.open(&mut clock);
         for t in 0..n {
-            // ── drain stage ────────────────────────────────────────────
-            // A restarted process observes the epoch counter advanced as
-            // soon as the slot began, crashed or not.
-            *epoch_counter = base + t + 1;
-            let epoch_id = base + t;
-            if let Some(p) = &mut self.prologue {
-                p(t, crowd);
+            let Some(batch) = drain.slot(t, &orders, &mut clock) else { break };
+            let (head, next) = ingest.begin(&batch, &mut clock);
+            orders = next.unwrap_or_default();
+            let (spent, record) = ingest.finish(head, batch, &mut clock);
+            drain.pool.put(spent);
+            let Some(record) = record else { break };
+            if let Some(raw) = render.slot(record, &mut clock) {
+                ingest.raw_pool.put(raw);
             }
-            let epoch_start = crowd.now();
-            let issued = pending.take().expect("orders issued by the previous slot");
-            let sent = match replay {
-                None => execute_orders(crowd, &issued.orders),
-                Some(inputs) => inputs[t as usize].sent,
-            };
-            span(&mut self.timer, PipelineStage::Drain, t, EpochPhase::Dispatch);
-            if in_loop_crash == Some((t, CrashPoint::PostDispatch)) {
-                return outcome;
-            }
-            let dt = core.config.planner.batch_duration / core.config.mobility_substeps as f64;
-            let faults_before = FaultDeltas {
-                dropped: crowd.responses_dropped(),
-                delayed: crowd.responses_delayed(),
-                duplicated: crowd.responses_duplicated(),
-            };
-            for _ in 0..core.config.mobility_substeps {
-                crowd.step(dt);
-            }
-            let faults = match replay {
-                None => FaultDeltas {
-                    dropped: crowd.responses_dropped() - faults_before.dropped,
-                    delayed: crowd.responses_delayed() - faults_before.delayed,
-                    duplicated: crowd.responses_duplicated() - faults_before.duplicated,
-                },
-                Some(inputs) => inputs[t as usize].faults,
-            };
-            let responses = {
-                let mut buf = take(&mut pool, &mut outcome.pool);
-                match replay {
-                    None => crowd.drain_responses_reusing(buf),
-                    Some(inputs) => {
-                        buf.clear();
-                        buf.extend_from_slice(inputs[t as usize].responses);
-                        buf
-                    }
-                }
-            };
-            let n_responses = responses.len();
-            let epoch_end = crowd.now();
-            span(&mut self.timer, PipelineStage::Drain, t, EpochPhase::Drain);
-            if in_loop_crash == Some((t, CrashPoint::PostDrain)) {
-                return outcome;
-            }
-
-            // ── ingest stage ───────────────────────────────────────────
-            let mut dispatch = issued.stats;
-            dispatch.sent = sent;
-            core.handler.record_sent(sent);
-            // Epoch t-1's actions land here — after epoch t's orders
-            // already executed, before epoch t+1's are issued.
-            let stale_actions = core.apply_actions(&pending_actions);
-            core.observe_drained(&responses);
-            span(&mut self.timer, PipelineStage::Ingest, t, EpochPhase::Ingest);
-            if t + 1 < n {
-                pending = Some(core.issue(detached));
-            }
-            span(&mut self.timer, PipelineStage::Ingest, t, EpochPhase::Dispatch);
-            // Snapshot the raw responses for the tap before error
-            // injection mutates the buffer in place; replays borrow from
-            // the recorded inputs instead.
-            let raw = match (replay, self.tap.is_some()) {
-                (None, true) => {
-                    let mut buf = take(&mut raw_pool, &mut outcome.pool);
-                    buf.clear();
-                    buf.extend_from_slice(&responses);
-                    Some(buf)
-                }
-                _ => None,
-            };
-            let (ing, spent) = core.absorb(responses);
-            pool.put(spent);
-            let meta = SlotMeta {
-                epoch: epoch_id,
-                now: epoch_end,
-                dispatch,
-                responses: n_responses,
-                faults,
-                charges: issued.charges,
-                stale_actions,
-            };
-            let (report, fresh) = core.finish_report(meta, ing);
-            let obs =
-                core.observe_and_bank(&report, fresh, self.hook.is_some(), epoch_start, epoch_end);
-            span(&mut self.timer, PipelineStage::Ingest, t, EpochPhase::Ingest);
-
-            // ── control stage ──────────────────────────────────────────
-            let actions = match self.hook.as_deref_mut() {
-                Some(hook) => {
-                    hook.on_epoch(obs.as_ref().expect("observation built when hook installed"))
-                }
-                None => Vec::new(),
-            };
-            span(&mut self.timer, PipelineStage::Control, t, EpochPhase::Control);
-            if in_loop_crash == Some((t, CrashPoint::PostControl)) {
-                return outcome;
-            }
-
-            // ── render stage ───────────────────────────────────────────
-            if let Some(tap) = self.tap.as_deref_mut() {
-                let raw_slice: &[SensorResponse] = match (replay, &raw) {
-                    (Some(inputs), _) => inputs[t as usize].responses,
-                    (None, Some(buf)) => buf,
-                    (None, None) => &[],
-                };
-                tap.on_epoch(&EpochInputsRecord {
-                    report: &report,
-                    responses: raw_slice,
-                    actions: &actions,
-                });
-            }
-            if let Some(buf) = raw {
-                raw_pool.put(buf);
-            }
-            span(&mut self.timer, PipelineStage::Render, t, EpochPhase::LogAppend);
-            outcome.reports.push(report);
-            pending_actions = actions;
+            // Once per slot, so the span list never grows with the horizon.
+            clock.flush(&mut timer);
         }
-        // The final epoch's actions land on a server no further epoch
-        // reads; applied anyway so a full-horizon rerun (resume) and the
-        // original leave bit-identical final state. Their stale count has
-        // no report to live in.
-        let _ = core.apply_actions(&pending_actions);
-        outcome.pool.pooled = pool.retained() + raw_pool.retained();
-        outcome.completed = true;
-        outcome
+        clock.flush(&mut timer); // an abandoned slot's spans
+        let pool = PoolStats::at_rest([&drain.pool, &ingest.raw_pool]);
+        let (reports, trailing_stale) = (render.reports, ingest.trailing_stale);
+        (RunOutcome { reports, completed: self.close(n), pool }, trailing_stale)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::exec::ExecMode;
+    use crate::pipeline::tests::{server_with, untimed};
+    use crate::server::{EpochInputsRecord, EpochTap};
+    use craqr_stats::fnv1a64;
+    use std::fmt::Write;
+
+    #[derive(Default)]
+    struct ResponseTap(String);
+
+    impl EpochTap for ResponseTap {
+        fn on_epoch(&mut self, record: &EpochInputsRecord<'_>) {
+            let _ = write!(self.0, "{:?}", record.responses);
+        }
+    }
+
+    /// The fingerprints were taken on the last commit whose `step` ran a
+    /// single-epoch loop of its own (issue and execute at the top of the
+    /// epoch, actions applied in-epoch), before `step` became a one-slot
+    /// horizon of the staged schedule.
+    #[test]
+    fn step_is_byte_identical_to_the_single_epoch_loop_it_replaced() {
+        let pinned = [
+            (ExecMode::Serial, 0xdc47_e1a5_a634_0c68),
+            (ExecMode::Sharded(3), 0x7644_06e7_7b43_7e1c),
+        ];
+        for (exec, want) in pinned {
+            let mut s = server_with(400, exec);
+            let reports = untimed((0..8).map(|_| s.run_epoch()).collect());
+            assert_eq!(fnv1a64(format!("{reports:?}").as_bytes()), want, "{exec:?}");
+        }
+        let mut s = server_with(400, ExecMode::Serial);
+        let mut tap = ResponseTap::default();
+        for _ in 0..8 {
+            s.driver().tap(&mut tap).step();
+        }
+        assert_eq!(fnv1a64(tap.0.as_bytes()), 0x3d9c_db9a_59cd_1924, "the responses a tap saw");
     }
 }

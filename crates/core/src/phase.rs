@@ -38,23 +38,15 @@ pub enum EpochPhase {
     /// Error injection, mitigation, id assignment, the map + per-cell
     /// process phases, and the per-query merge.
     Ingest,
-    /// Budget tuning plus the control hook's observation and the
-    /// application of its actions.
+    /// The control hook's observation of the finished epoch. (Budget
+    /// tuning and the application of the hook's actions — at the top of
+    /// the next slot — are part of [`EpochPhase::Ingest`].)
     Control,
     /// The recording tap (run-log append happens inside it).
     LogAppend,
 }
 
 impl EpochPhase {
-    /// Every phase, in loop order.
-    pub const ALL: [EpochPhase; 5] = [
-        EpochPhase::Dispatch,
-        EpochPhase::Drain,
-        EpochPhase::Ingest,
-        EpochPhase::Control,
-        EpochPhase::LogAppend,
-    ];
-
     /// The metric-facing label (`phase="…"`).
     pub fn name(&self) -> &'static str {
         match self {
@@ -67,56 +59,40 @@ impl EpochPhase {
     }
 }
 
-/// One of the pipelined executor's long-lived stage workers, in dataflow
-/// order. Each [`EpochPhase`] is owned by exactly one stage:
+/// One of the staged schedule's three stages, in dataflow order — a
+/// long-lived worker thread each under the pipelined executor, called
+/// back to back by the serial one. Each [`EpochPhase`] is recorded by the
+/// stage that owns the state it touches:
 ///
 /// - `Drain` owns the crowd: it executes dispatch orders
 ///   ([`EpochPhase::Dispatch`], the send half) and advances/drains the
 ///   world ([`EpochPhase::Drain`]).
-/// - `Ingest` owns the handler/fabricator: it issues dispatch orders
-///   ([`EpochPhase::Dispatch`], the budget-draw half) and runs error
-///   injection through merge and tuning ([`EpochPhase::Ingest`]).
-/// - `Control` owns the hook ([`EpochPhase::Control`]).
+/// - `Ingest` owns the handler/fabricator and the hook: it issues
+///   dispatch orders ([`EpochPhase::Dispatch`], the budget-draw half),
+///   runs action application and error injection through merge and
+///   tuning ([`EpochPhase::Ingest`]), and calls the hook
+///   ([`EpochPhase::Control`]).
 /// - `Render` owns the tap ([`EpochPhase::LogAppend`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PipelineStage {
     /// Stage 1: crowd owner — order execution, mobility steps, drain.
     Drain,
-    /// Stage 2: handler/fabricator owner — order issue, ingestion, tuning.
+    /// Stage 2: handler/fabricator and hook owner — order issue,
+    /// ingestion, tuning, control.
     Ingest,
-    /// Stage 3: control-hook owner.
-    Control,
-    /// Stage 4: tap/render owner (run-log append).
+    /// Stage 3: tap/render owner (run-log append).
     Render,
-}
-
-impl PipelineStage {
-    /// Every stage, in dataflow order.
-    pub const ALL: [PipelineStage; 4] = [
-        PipelineStage::Drain,
-        PipelineStage::Ingest,
-        PipelineStage::Control,
-        PipelineStage::Render,
-    ];
-
-    /// The metric-facing label (`stage="…"`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            PipelineStage::Drain => "drain",
-            PipelineStage::Ingest => "ingest",
-            PipelineStage::Control => "control",
-            PipelineStage::Render => "render",
-        }
-    }
 }
 
 /// Observes per-phase thread-CPU durations for one epoch at a time.
 ///
-/// Installed via [`crate::EpochDriver::timer`]. The driver calls
-/// [`PhaseTimer::observe`] once per [`EpochPhase`] per epoch, in loop
-/// order, with the phase's elapsed thread-CPU nanoseconds.
-/// Implementations must not feed the values back into anything
-/// checksummed (see the module docs for the contract).
+/// Installed via [`crate::EpochDriver::timer`]. The driver reports every
+/// span of a slot with its elapsed thread-CPU nanoseconds; a phase can
+/// have more than one ([`EpochPhase::Dispatch`] has a budget-draw half
+/// and a send half, [`EpochPhase::Ingest`] one on each side of the order
+/// hand-off), so sum per phase for a per-epoch figure. Implementations
+/// must not feed the values back into anything checksummed (see the
+/// module docs for the contract).
 /// `Send` is a supertrait because the pipelined executor runs the timer's
 /// replay on the driver thread after stage workers join — every
 /// implementor is plain data, so the bound costs nothing.
@@ -125,12 +101,14 @@ pub trait PhaseTimer: Send {
     /// epoch.
     fn observe(&mut self, phase: EpochPhase, nanos: u64);
 
-    /// Pipelined-executor variant of [`PhaseTimer::observe`]: the same
-    /// span, attributed to the stage worker that ran it, tagged with the
-    /// epoch slot it belonged to. Stages record spans thread-locally and
-    /// the driver replays them through this method after the workers
-    /// join, in `(slot, stage)` order. The default forwards to `observe`,
-    /// so phase-only timers keep working unchanged; stage-aware timers
+    /// Stage-aware variant of [`PhaseTimer::observe`], and the method the
+    /// driver actually calls: the same span, attributed to the stage that
+    /// ran it, tagged with the epoch slot it belonged to. The serial
+    /// executor hands its spans over once per slot; the pipelined one
+    /// records them thread-locally and replays them after the workers
+    /// join — both in slot order, each stage's spans in the order it
+    /// recorded them. The default forwards to `observe`, so phase-only
+    /// timers keep working unchanged; stage-aware timers
     /// (the pipeline bench's critical-path model, per-stage telemetry)
     /// override it for the extra dimensions.
     fn observe_stage(&mut self, _stage: PipelineStage, _slot: u64, phase: EpochPhase, nanos: u64) {

@@ -1,33 +1,45 @@
 //! The pipelined dataflow executor: the staged epoch schedule of
-//! [`crate::driver`] spread across four long-lived worker threads
-//! connected by bounded channels, so consecutive epochs overlap while
-//! per-epoch ordering — and therefore every checksummed byte — is
+//! [`crate::driver`] with each of its three stages on a long-lived worker
+//! thread, connected by bounded channels, so consecutive epochs overlap
+//! while per-epoch ordering — and therefore every checksummed byte — is
 //! preserved.
+//!
+//! This module is only about threads: channels, the open-epoch credit
+//! loop, buffer return, wind-down and the span clock. What a slot
+//! computes is [`crate::driver`]'s stage structs; the workers below make
+//! the same calls on them, in the same order, as the serial loop.
 //!
 //! # Stage / channel architecture
 //!
 //! ```text
-//!             orders(t+1)                 pooled buffers
-//!        ┌─────────────────── S2 ◀──────────────────────┐
-//!        ▼                     ▲ │ actions(t-1)          │
-//!   S1 drain ── batch(t) ──────┘ │    ▲                  │
-//!   (crowd: prologue,            │    │                  │
-//!    execute, steps, drain)      ▼    │                  │
-//!                        S2 ingest (handler/fabricator:  │
-//!                         apply, retry, issue, absorb,   │
-//!                         tune, report, observation) ────┘
-//!                                │
-//!                          obs(t) ▼
-//!                        S3 control (hook) ── actions(t) ──▶ back to S2
-//!                                │
-//!                          tap(t) ▼
-//!                        S4 render (tap / log append) ── raw buffers ──▶ S2
-//!                                └── seal credit(t) ──▶ S1 (may open t+2)
+//!             orders(t+1)                 spent buffers
+//!        ┌─────────────────── S2 ───────────────────────┐
+//!        ▼                                               ▼
+//!   S1 drain ── batch(t) ──▶ S2 ingest ── tap(t) ──▶ S4 render
+//!   (crowd: prologue,        (planner half + hook:      (tap / log append)
+//!    execute, steps,          apply actions(t-1), retry,       │
+//!    drain)                   issue ‖ absorb, tune, report,    │
+//!        ▲                    observation, hook)               │
+//!        │                        ▲                            │
+//!        │                        └──────── raw buffers ───────┤
+//!        └──────────── seal credit(t): S1 may open t+2 ────────┘
 //! ```
 //!
-//! Every message is tagged with its epoch id, and buffer-return channels
-//! flow upstream so the hot path recycles allocations
-//! ([`crate::driver::PoolStats`]).
+//! Every message is tagged with its slot, and buffer-return channels flow
+//! upstream so the hot path recycles allocations
+//! ([`crate::driver::PoolStats`]). The stages keep the names S1, S2 and
+//! S4 of the four-stage design this grew from.
+//!
+//! # Three stages, not four
+//!
+//! Control is not a stage. The hook runs on the ingest worker, right
+//! after the observation it reads is built: measured on the
+//! `durable_*` benchmark workloads it is 9.7 µs p50, 0.0024 of an epoch,
+//! against 0.26–0.36 for the log append — and S2 had to block on epoch
+//! `t-1`'s actions before issuing `t+1`'s orders anyway, so a control
+//! worker bought no overlap, only two channels and a hop. Folding it in
+//! moved no end-to-end number this host resolves (README §Execution has
+//! the pairs).
 //!
 //! # The open-epoch window
 //!
@@ -40,21 +52,24 @@
 //! return. A failed `recv` on it is a wind-down like on every other
 //! channel. The window moves *when* S1 runs, never what it computes.
 //!
-//! Bounded channels alone do not bound the pipeline: three
-//! `sync_channel(2)`s in series between S1 and S4, plus the message each
-//! stage holds, admit six open epochs. That is invisible while S1 is the
-//! slowest stage and a latency trap the moment it is not — every epoch
-//! S1 finishes early only queues in front of the log append. Measured on
-//! `durable_pipelined` (benchmark seed 1, 15 s runs, median of 3, 2-core
-//! host, ext4; epochs/s · open-to-sealed p50; the second row adds a 1 ms
-//! sleep to every append on all sides, standing in for a slower disk):
+//! Bounded channels alone do not bound the pipeline that tightly: S1 can
+//! be one slot ahead of S2 (it waits for S2's orders, not for S4), S2
+//! holds a finished record while the `tap` channel's two slots are taken,
+//! and S4 holds the one it is appending — five open epochs. That is
+//! invisible while S1 is the slowest stage and a latency trap the moment
+//! it is not — every epoch S1 finishes early only queues in front of the
+//! log append. Measured on `durable_pipelined` at PR 17, when a control
+//! worker sat between S2 and S4 and the count was six (benchmark seed 1,
+//! 15 s runs, median of 3, 2-core host, ext4; epochs/s · open-to-sealed
+//! p50; the second row adds a 1 ms sleep to every append on all sides,
+//! standing in for a slower disk):
 //!
 //! | append | scan crowd | indexed crowd, no window | window 1 | **window 2** | window 3 |
 //! |---|---|---|---|---|---|
 //! | as is | 235 · 6.8 ms | 384 · 6.0 ms | 170 · 5.3 ms | **325 · 5.5 ms** | 369 · 6.1 ms |
 //! | +1 ms | 200 · 11.3 ms | 333 · 16.4 ms (5.5 open) | 145 · 6.4 ms | **291 · 6.4 ms** | 317 · 8.6 ms |
 //!
-//! One is the serial schedule on four threads; without a window the
+//! One is the serial schedule on several threads; without a window the
 //! faster crowd buys throughput with latency once the append is the
 //! slow stage; three pays a third more latency there for a tenth more
 //! throughput. Two beats the unindexed executor on both metrics in both
@@ -62,19 +77,18 @@
 //!
 //! # Why the bytes cannot change
 //!
-//! Each stage *owns* its state: S1 the crowd, S2 the planner half
-//! ([`crate::driver`]'s `EpochCore`), S3 the hook, S4 the tap. No state
-//! is shared, so every mutation happens in the same order as the serial
-//! staged schedule — the channels only move owned values forward. The
-//! hook observes epochs in strict order on S3 (obs(t) cannot overtake
-//! obs(t-1) in a FIFO channel), the tap appends in strict order on S4,
-//! and the ingest stage blocks on actions(t-1) before issuing orders for
-//! t+1, which pins the control lag to exactly the serial schedule's.
-//! Thread scheduling can change only *when* a stage runs, never *what*
-//! it computes. The golden corpus identity test and the pipelined chaos
-//! matrix enforce this end to end.
+//! Each stage *owns* its state — S1 the crowd, S2 the planner half and
+//! the hook, S4 the tap — and its slot operation is the function the
+//! serial loop calls. No state is shared, so every mutation happens in
+//! the same order as there; the channels only move owned values forward.
+//! The hook observes epochs in strict order on S2 and its actions never
+//! leave that thread, the tap appends in strict order on S4 (record(t)
+//! cannot overtake record(t-1) in a FIFO channel). Thread scheduling can
+//! change only *when* a stage runs, never *what* it computes. The golden
+//! corpus identity test and the pipelined chaos matrix enforce this end
+//! to end.
 //!
-//! # Crash wind-down
+//! # Wind-down
 //!
 //! A crash is known when the run starts ([`crate::EpochDriver::crash_at`]),
 //! so no runtime stop signal exists: the stage owning the crash point
@@ -82,79 +96,35 @@
 //! disconnect, and the neighbours drain in-flight earlier epochs until
 //! their `recv` fails. The render stage therefore always records exactly
 //! the epochs before the crash — the same durable prefix the serial
-//! executor leaves.
+//! executor leaves. A worker that panics unwinds through the same
+//! disconnects; the caller re-raises its payload once the scope has
+//! joined the others.
 //!
-//! This module belongs to the **timing** determinism tier: stage workers
-//! read the thread-CPU clock for per-stage spans when (and only when) a
-//! timer is installed; nothing clock-derived reaches a checksummed
-//! artifact.
+//! This module belongs to the **timing** determinism tier: `StageClock`
+//! is where both executors read the thread-CPU clock for per-stage spans,
+//! when (and only when) a timer is installed; nothing clock-derived
+//! reaches a checksummed artifact.
 
-use crate::driver::{EpochDriver, PoolStats, RunOutcome};
+use crate::driver::{DrainedBatch, EpochDriver, PoolStats, RunOutcome, SlotRecord};
 use crate::exec::thread_busy_ns;
-use crate::handler::{execute_orders, SendOrder};
-use crate::phase::{EpochPhase, PipelineStage};
-use crate::server::{
-    ControlAction, CrashPoint, EpochInputsRecord, EpochObservation, EpochReport, FaultDeltas,
-    ReplayInputs,
-};
-use craqr_engine::BatchPool;
+use crate::handler::SendOrder;
+use crate::phase::{EpochPhase, PhaseTimer, PipelineStage};
+use crate::server::ReplayInputs;
 use craqr_sensing::SensorResponse;
 use std::sync::mpsc::{channel, sync_channel};
+use std::thread::{Builder, Scope, ScopedJoinHandle};
 
-/// Dispatch orders for one epoch, issued on S2, executed on S1.
-struct OrderMsg {
-    epoch: u64,
-    orders: Vec<SendOrder>,
-}
-
-/// One epoch's crowd-side outcome, drained on S1, ingested on S2.
-struct DrainedBatch {
-    epoch: u64,
-    sent: u64,
-    faults: FaultDeltas,
-    responses: Vec<SensorResponse>,
-    epoch_start: f64,
-    epoch_end: f64,
-}
-
-/// One finished epoch's report + observation, S2 → S3.
-struct ObsMsg {
-    epoch: u64,
-    report: EpochReport,
-    /// Raw (pre-corruption) responses for the tap; `None` when no tap
-    /// listens or a replay borrows them from the recorded inputs.
-    raw: Option<Vec<SensorResponse>>,
-    /// Built only when a hook is installed.
-    obs: Option<EpochObservation>,
-}
-
-/// The hook's actions for one epoch, S3 → S2 (applied next slot).
-struct ActMsg {
-    epoch: u64,
-    actions: Vec<ControlAction>,
-}
-
-/// One epoch's record for the tap, S3 → S4.
-struct TapMsg {
-    epoch: u64,
-    report: EpochReport,
-    raw: Option<Vec<SensorResponse>>,
-    actions: Vec<ControlAction>,
-}
-
-/// Per-stage span recorder: thread-CPU laps tagged with (slot, phase),
-/// replayed through [`crate::PhaseTimer::observe_stage`] on the driver
-/// thread after the workers join. Inert (zero clock reads) untimed.
-struct StageClock {
+/// Per-stage span recorder: thread-CPU laps tagged with (stage, slot,
+/// phase), handed to [`PhaseTimer::observe_stage`] by
+/// [`StageClock::flush`] — once per slot by the serial loop, after the
+/// workers join by the pipelined one. Inert (zero clock reads) untimed.
+pub(crate) struct StageClock {
     last: Option<u64>,
-    spans: SpanList,
+    spans: Vec<(PipelineStage, u64, EpochPhase, u64)>,
 }
-
-/// One stage's recorded spans: `(slot, phase, busy ns)` in lap order.
-type SpanList = Vec<(u64, EpochPhase, u64)>;
 
 impl StageClock {
-    fn new(timed: bool) -> Self {
+    pub(crate) fn new(timed: bool) -> Self {
         Self { last: timed.then(thread_busy_ns), spans: Vec::new() }
     }
 
@@ -166,11 +136,21 @@ impl StageClock {
         }
     }
 
-    fn lap(&mut self, slot: u64, phase: EpochPhase) {
+    pub(crate) fn lap(&mut self, stage: PipelineStage, slot: u64, phase: EpochPhase) {
         if let Some(last) = self.last {
             let now = thread_busy_ns();
-            self.spans.push((slot, phase, now.saturating_sub(last)));
+            self.spans.push((stage, slot, phase, now.saturating_sub(last)));
             self.last = Some(now);
+        }
+    }
+
+    /// Hands the recorded spans to the timer, oldest first, and forgets
+    /// them.
+    pub(crate) fn flush(&mut self, timer: &mut Option<&mut dyn PhaseTimer>) {
+        if let Some(timer) = timer {
+            for (stage, slot, phase, ns) in self.spans.drain(..) {
+                timer.observe_stage(stage, slot, phase, ns);
+            }
         }
     }
 }
@@ -181,46 +161,39 @@ impl StageClock {
 /// consumer than that anyway.
 const OPEN_EPOCHS: usize = 2;
 
-/// Runs the staged schedule across four worker threads. Byte-identical
-/// to [`EpochDriver::run`] — see the module docs for the argument.
-pub(crate) fn run_pipelined(driver: EpochDriver<'_>, epochs: u64) -> RunOutcome {
-    run_pipelined_inner(driver, epochs, None)
+/// Spawns a stage worker under its own name, so the panic hook's line,
+/// `top -H` and `perf` say which stage they are looking at.
+fn spawn<'scope, T: Send + 'scope>(
+    scope: &'scope Scope<'scope, '_>,
+    name: &str,
+    work: impl FnOnce() -> T + Send + 'scope,
+) -> ScopedJoinHandle<'scope, T> {
+    Builder::new().name(name.into()).spawn_scoped(scope, work).expect("spawn a stage worker")
 }
 
-/// The replayed sibling: recorded inputs stand in for the crowd.
-pub(crate) fn run_replayed_pipelined(
-    driver: EpochDriver<'_>,
-    inputs: &[ReplayInputs<'_>],
-) -> RunOutcome {
-    run_pipelined_inner(driver, inputs.len() as u64, Some(inputs))
+/// Joins a stage worker; its panic, if any, continues here with the
+/// payload it was raised with.
+fn join<T>(worker: ScopedJoinHandle<'_, T>) -> T {
+    worker.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload))
 }
 
-fn run_pipelined_inner(
-    driver: EpochDriver<'_>,
+/// Runs the staged schedule with each stage on its own worker thread.
+/// Byte-identical to [`EpochDriver::run`]: the workers call the stage
+/// operations the serial loop calls.
+pub(crate) fn run(
+    mut driver: EpochDriver<'_>,
     n: u64,
     replay: Option<&[ReplayInputs<'_>]>,
 ) -> RunOutcome {
-    let EpochDriver { server, hook, tap, timer, prologue, crash } = driver;
-    let in_loop = crash.filter(|(_, p)| *p != CrashPoint::MidLogAppend);
-    let crashes = in_loop.filter(|(slot, _)| *slot < n);
-    let detached = replay.is_some();
-    let has_hook = hook.is_some();
-    let has_tap = tap.is_some();
-    let timed = timer.is_some();
-    let (crowd, epoch_counter, core) = crate::driver::split(server);
-    let base = *epoch_counter;
-    let dt = core.config.planner.batch_duration / core.config.mobility_substeps as f64;
-    let steps = core.config.mobility_substeps;
     if n == 0 {
         return RunOutcome { completed: true, ..Default::default() };
     }
-    let mut prologue = prologue;
+    let (mut drain, mut ingest, mut render, mut timer) = driver.stages(n, replay);
+    let timed = timer.is_some();
 
-    let (order_tx, order_rx) = sync_channel::<OrderMsg>(OPEN_EPOCHS);
+    let (order_tx, order_rx) = sync_channel::<(u64, Vec<SendOrder>)>(OPEN_EPOCHS);
     let (batch_tx, batch_rx) = sync_channel::<DrainedBatch>(OPEN_EPOCHS);
-    let (obs_tx, obs_rx) = sync_channel::<ObsMsg>(OPEN_EPOCHS);
-    let (act_tx, act_rx) = sync_channel::<ActMsg>(OPEN_EPOCHS);
-    let (tap_tx, tap_rx) = sync_channel::<TapMsg>(OPEN_EPOCHS);
+    let (tap_tx, tap_rx) = sync_channel::<SlotRecord>(OPEN_EPOCHS);
     // Seal credits, S4 → S1: S1 spends one to open an epoch, S4 returns
     // it when the epoch's tap has returned. S4 holds the only sender, so
     // its exit fails S1's `recv` like any other wind-down.
@@ -233,73 +206,22 @@ fn run_pipelined_inner(
     let (pool_tx, pool_rx) = channel::<Vec<SensorResponse>>();
     let (raw_tx, raw_rx) = channel::<Vec<SensorResponse>>();
 
-    let (s1, s2, s3, s4) = std::thread::scope(|s| {
+    let (s1, s2, s4) = std::thread::scope(|s| {
         // ── S1: drain — owns the crowd ────────────────────────────────
-        let drain = s.spawn(move || {
-            let crowd = crowd;
-            let mut pool: BatchPool<SensorResponse> = BatchPool::default();
-            let mut stats = PoolStats::default();
+        let s1 = spawn(s, "craqr-drain", move || {
             let mut clock = StageClock::new(timed);
             for t in 0..n {
-                let Ok(order) = order_rx.recv() else { break };
+                let Ok((slot, orders)) = order_rx.recv() else { break };
                 if seal_rx.recv().is_err() {
                     break;
                 }
+                debug_assert_eq!(slot, t, "orders arrive in slot order");
+                while let Ok(spent) = pool_rx.try_recv() {
+                    drain.pool.put(spent);
+                }
                 clock.reset();
-                debug_assert_eq!(order.epoch, t, "orders arrive in slot order");
-                if let Some(p) = &mut prologue {
-                    p(t, crowd);
-                }
-                let epoch_start = crowd.now();
-                let sent = match replay {
-                    None => execute_orders(crowd, &order.orders),
-                    Some(inputs) => inputs[t as usize].sent,
-                };
-                clock.lap(t, EpochPhase::Dispatch);
-                if in_loop == Some((t, CrashPoint::PostDispatch)) {
-                    break;
-                }
-                let faults_before = FaultDeltas {
-                    dropped: crowd.responses_dropped(),
-                    delayed: crowd.responses_delayed(),
-                    duplicated: crowd.responses_duplicated(),
-                };
-                for _ in 0..steps {
-                    crowd.step(dt);
-                }
-                let faults = match replay {
-                    None => FaultDeltas {
-                        dropped: crowd.responses_dropped() - faults_before.dropped,
-                        delayed: crowd.responses_delayed() - faults_before.delayed,
-                        duplicated: crowd.responses_duplicated() - faults_before.duplicated,
-                    },
-                    Some(inputs) => inputs[t as usize].faults,
-                };
-                while let Ok(buf) = pool_rx.try_recv() {
-                    pool.put(buf);
-                }
-                if pool.retained() > 0 {
-                    stats.recycled += 1;
-                } else {
-                    stats.fresh_allocations += 1;
-                }
-                let mut buf = pool.take();
-                let responses = match replay {
-                    None => crowd.drain_responses_reusing(buf),
-                    Some(inputs) => {
-                        buf.clear();
-                        buf.extend_from_slice(inputs[t as usize].responses);
-                        buf
-                    }
-                };
-                let epoch_end = crowd.now();
-                clock.lap(t, EpochPhase::Drain);
-                if in_loop == Some((t, CrashPoint::PostDrain)) {
-                    break;
-                }
-                let msg =
-                    DrainedBatch { epoch: t, sent, faults, responses, epoch_start, epoch_end };
-                if batch_tx.send(msg).is_err() {
+                let Some(batch) = drain.slot(t, &orders, &mut clock) else { break };
+                if batch_tx.send(batch).is_err() {
                     break;
                 }
             }
@@ -310,234 +232,92 @@ fn run_pipelined_inner(
             // the disconnect and exit (no recv cycle: S2's own exit
             // never waits on this stage).
             drop(batch_tx);
-            while let Ok(buf) = pool_rx.recv() {
-                pool.put(buf);
+            while let Ok(spent) = pool_rx.recv() {
+                drain.pool.put(spent);
             }
-            (stats, pool.retained(), clock.spans)
+            (drain.pool, clock)
         });
 
-        // ── S2: ingest — owns the planner half ────────────────────────
-        let ingest = s.spawn(move || {
-            let mut core = core;
-            let mut raw_pool: BatchPool<SensorResponse> = BatchPool::default();
-            let mut stats = PoolStats::default();
+        // ── S2: ingest — owns the planner half and the hook ───────────
+        let s2 = spawn(s, "craqr-ingest", move || {
             let mut clock = StageClock::new(timed);
-            let mut issued0 = core.issue(detached);
-            clock.lap(0, EpochPhase::Dispatch);
-            let _ =
-                order_tx.send(OrderMsg { epoch: 0, orders: std::mem::take(&mut issued0.orders) });
-            let mut pending = Some(issued0);
-            let mut clean_exit = true;
-            for t in 0..n {
-                let Ok(batch) = batch_rx.recv() else {
-                    clean_exit = false;
-                    break;
-                };
-                clock.reset();
-                debug_assert_eq!(batch.epoch, t, "batches arrive in slot order");
-                let issued = pending.take().expect("orders issued by the previous slot");
-                let mut dispatch = issued.stats;
-                dispatch.sent = batch.sent;
-                core.handler.record_sent(batch.sent);
-                // Epoch t-1's actions land here — after epoch t's orders
-                // already executed, before epoch t+1's are issued.
-                let stale_actions = if t >= 1 {
-                    let Ok(act) = act_rx.recv() else {
-                        clean_exit = false;
-                        break;
-                    };
-                    debug_assert_eq!(act.epoch, t - 1, "actions arrive one slot behind");
-                    core.apply_actions(&act.actions)
-                } else {
-                    0
-                };
-                core.observe_drained(&batch.responses);
-                clock.lap(t, EpochPhase::Ingest);
-                if t + 1 < n {
-                    let mut next = core.issue(detached);
-                    clock.lap(t, EpochPhase::Dispatch);
-                    let _ = order_tx
-                        .send(OrderMsg { epoch: t + 1, orders: std::mem::take(&mut next.orders) });
-                    pending = Some(next);
+            let _ = order_tx.send((0, ingest.open(&mut clock)));
+            while let Ok(batch) = batch_rx.recv() {
+                while let Ok(raw) = raw_rx.try_recv() {
+                    ingest.raw_pool.put(raw);
                 }
-                // Snapshot raw responses for the tap before corruption;
-                // replays borrow from the recorded inputs on S4 instead.
-                let raw = if has_tap && replay.is_none() {
-                    while let Ok(buf) = raw_rx.try_recv() {
-                        raw_pool.put(buf);
-                    }
-                    if raw_pool.retained() > 0 {
-                        stats.recycled += 1;
-                    } else {
-                        stats.fresh_allocations += 1;
-                    }
-                    let mut buf = raw_pool.take();
-                    buf.extend_from_slice(&batch.responses);
-                    Some(buf)
-                } else {
-                    None
-                };
-                let n_responses = batch.responses.len();
-                let (ing, spent) = core.absorb(batch.responses);
+                clock.reset();
+                let (head, next) = ingest.begin(&batch, &mut clock);
+                if let Some(orders) = next {
+                    let _ = order_tx.send((batch.slot + 1, orders));
+                }
+                let (spent, record) = ingest.finish(head, batch, &mut clock);
                 let _ = pool_tx.send(spent);
-                let meta = crate::driver::SlotMeta {
-                    epoch: base + t,
-                    now: batch.epoch_end,
-                    dispatch,
-                    responses: n_responses,
-                    faults: batch.faults,
-                    charges: issued.charges,
-                    stale_actions,
-                };
-                let (report, fresh) = core.finish_report(meta, ing);
-                let obs = core.observe_and_bank(
-                    &report,
-                    fresh,
-                    has_hook,
-                    batch.epoch_start,
-                    batch.epoch_end,
-                );
-                clock.lap(t, EpochPhase::Ingest);
-                if obs_tx.send(ObsMsg { epoch: t, report, raw, obs }).is_err() {
-                    clean_exit = false;
+                // `None` is the post-control crash: die before anything
+                // downstream observes the epoch.
+                let Some(record) = record else { break };
+                if tap_tx.send(record).is_err() {
                     break;
                 }
             }
-            // The final epoch's actions apply only on normal completion —
-            // a crashed run abandons them exactly like the serial
-            // executor.
-            if clean_exit {
-                if let Ok(act) = act_rx.recv() {
-                    debug_assert_eq!(act.epoch, n - 1);
-                    core.apply_actions(&act.actions);
-                }
+            // Wind-down mirror of S1: drop the record sender so the
+            // render stage drains out and disconnects the raw return
+            // channel, then park every raw buffer still in flight.
+            drop(tap_tx);
+            while let Ok(raw) = raw_rx.recv() {
+                ingest.raw_pool.put(raw);
             }
-            // Wind-down mirror of S1: drop the observation sender so the
-            // control and render stages drain out and disconnect the raw
-            // return channel, then park every raw buffer still in flight.
-            drop(obs_tx);
-            while let Ok(buf) = raw_rx.recv() {
-                raw_pool.put(buf);
-            }
-            (stats, raw_pool.retained(), clock.spans)
-        });
-
-        // ── S3: control — owns the hook ───────────────────────────────
-        let control = s.spawn(move || {
-            let mut hook = hook;
-            let mut clock = StageClock::new(timed);
-            while let Ok(msg) = obs_rx.recv() {
-                clock.reset();
-                let t = msg.epoch;
-                let actions = match (&mut hook, &msg.obs) {
-                    (Some(h), Some(obs)) => h.on_epoch(obs),
-                    _ => Vec::new(),
-                };
-                clock.lap(t, EpochPhase::Control);
-                if in_loop == Some((t, CrashPoint::PostControl)) {
-                    // Die before anything downstream observes epoch t:
-                    // no actions back, no record forward.
-                    break;
-                }
-                let _ = act_tx.send(ActMsg { epoch: t, actions: actions.clone() });
-                let msg = TapMsg { epoch: t, report: msg.report, raw: msg.raw, actions };
-                if tap_tx.send(msg).is_err() {
-                    break;
-                }
-            }
-            clock.spans
+            (ingest.raw_pool, clock)
         });
 
         // ── S4: render — owns the tap ─────────────────────────────────
-        let render = s.spawn(move || {
-            let mut tap = tap;
-            let mut reports = Vec::with_capacity(n as usize);
+        let s4 = spawn(s, "craqr-render", move || {
             let mut clock = StageClock::new(timed);
-            while let Ok(msg) = tap_rx.recv() {
+            while let Ok(record) = tap_rx.recv() {
                 clock.reset();
-                if let Some(t) = tap.as_deref_mut() {
-                    let raw: &[SensorResponse] = match (replay, &msg.raw) {
-                        (Some(inputs), _) => inputs[msg.epoch as usize].responses,
-                        (None, Some(buf)) => buf,
-                        (None, None) => &[],
-                    };
-                    t.on_epoch(&EpochInputsRecord {
-                        report: &msg.report,
-                        responses: raw,
-                        actions: &msg.actions,
-                    });
+                if let Some(raw) = render.slot(record, &mut clock) {
+                    let _ = raw_tx.send(raw);
                 }
                 let _ = seal_tx.send(());
-                if let Some(buf) = msg.raw {
-                    let _ = raw_tx.send(buf);
-                }
-                clock.lap(msg.epoch, EpochPhase::LogAppend);
-                reports.push(msg.report);
             }
-            (reports, clock.spans)
+            (render.reports, clock)
         });
 
-        (
-            drain.join().expect("drain stage"),
-            ingest.join().expect("ingest stage"),
-            control.join().expect("control stage"),
-            render.join().expect("render stage"),
-        )
+        (join(s1), join(s2), join(s4))
     });
 
-    let (drain_stats, drain_pooled, drain_spans) = s1;
-    let (ingest_stats, ingest_pooled, ingest_spans) = s2;
-    let control_spans = s3;
-    let (reports, render_spans) = s4;
+    let ((drain_pool, mut clock), (raw_pool, ingest_clock), (reports, render_clock)) = (s1, s2, s4);
+    // Replay the stage-local spans on the driver thread in slot order,
+    // each stage's in lap order (the sort is stable) — what the serial
+    // loop's per-slot flush guarantees too.
+    clock.spans.extend(ingest_clock.spans);
+    clock.spans.extend(render_clock.spans);
+    clock.spans.sort_by_key(|&(_, slot, ..)| slot);
+    clock.flush(&mut timer);
 
-    // A restarted process observes the crashed slot's counter advance,
-    // exactly like the serial executor.
-    *epoch_counter = base + crashes.map_or(n, |(slot, _)| slot + 1);
-
-    if let Some(timer) = timer {
-        // Replay the stage-local spans in (slot, stage) order on the
-        // driver thread — stage-aware timers see the same stream the
-        // serial staged run produces.
-        let lists: [(PipelineStage, &SpanList); 4] = [
-            (PipelineStage::Drain, &drain_spans),
-            (PipelineStage::Ingest, &ingest_spans),
-            (PipelineStage::Control, &control_spans),
-            (PipelineStage::Render, &render_spans),
-        ];
-        let mut idx = [0usize; 4];
-        for t in 0..n {
-            for (i, (stage, spans)) in lists.iter().enumerate() {
-                while idx[i] < spans.len() && spans[idx[i]].0 == t {
-                    let (slot, phase, ns) = spans[idx[i]];
-                    timer.observe_stage(*stage, slot, phase, ns);
-                    idx[i] += 1;
-                }
-            }
-        }
-    }
-
-    RunOutcome {
-        reports,
-        completed: crashes.is_none(),
-        pool: PoolStats {
-            fresh_allocations: drain_stats.fresh_allocations + ingest_stats.fresh_allocations,
-            recycled: drain_stats.recycled + ingest_stats.recycled,
-            pooled: drain_pooled + ingest_pooled,
-        },
-    }
+    let pool = PoolStats::at_rest([&drain_pool, &raw_pool]);
+    RunOutcome { reports, completed: driver.close(n), pool }
 }
 
 #[cfg(test)]
-mod tests {
-    use crate::server::{CraqrServer, CrashPoint, EpochInputsRecord, EpochTap, ServerConfig};
-    use craqr_geom::Rect;
+pub(crate) mod tests {
+    use crate::exec::ExecMode;
+    use crate::server::{
+        ControlAction, ControlHook, CraqrServer, CrashPoint, EpochInputsRecord, EpochObservation,
+        EpochTap, ServerConfig,
+    };
+    use craqr_geom::{CellId, Rect};
     use craqr_sensing::{
-        fields::ConstantField, AttrValue, Crowd, CrowdConfig, Mobility, Placement,
+        fields::ConstantField, AttrValue, AttributeId, Crowd, CrowdConfig, Mobility, Placement,
         PopulationConfig, RainFront,
     };
     use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 
     fn server(size: usize) -> CraqrServer {
+        server_with(size, ExecMode::Serial)
+    }
+
+    pub(crate) fn server_with(size: usize, exec: ExecMode) -> CraqrServer {
         let crowd = Crowd::new(CrowdConfig {
             region: Rect::with_size(4.0, 4.0),
             population: PopulationConfig {
@@ -548,7 +328,7 @@ mod tests {
             },
             seed: 11,
         });
-        let mut s = CraqrServer::new(crowd, ServerConfig::default());
+        let mut s = CraqrServer::new(crowd, ServerConfig { exec, ..ServerConfig::default() });
         s.register_attribute("rain", true, Box::new(RainFront::new(2.0, 0.0, 2.0)));
         s.register_attribute("temp", false, Box::new(ConstantField(AttrValue::Float(21.0))));
         s.submit("ACQUIRE rain FROM RECT(0,0,2,2) RATE 1").unwrap();
@@ -559,7 +339,9 @@ mod tests {
     /// Zeroes the timing-tier `busy_ns` fields — they are thread-CPU
     /// measurements, excluded from every checksummed artifact, and the
     /// only report bytes allowed to differ across executors.
-    fn untimed(mut reports: Vec<crate::server::EpochReport>) -> Vec<crate::server::EpochReport> {
+    pub(crate) fn untimed(
+        mut reports: Vec<crate::server::EpochReport>,
+    ) -> Vec<crate::server::EpochReport> {
         for r in &mut reports {
             for s in &mut r.exec.shards {
                 s.busy_ns = 0;
@@ -656,5 +438,107 @@ mod tests {
             assert_eq!(tap.epochs, (0..5).collect::<Vec<u64>>(), "{point:?}");
             assert_eq!(untimed(got.reports), untimed(want.reports), "{point:?}");
         }
+    }
+
+    /// Sets every chain's budget each epoch (to a value that names the
+    /// epoch) and every third epoch rebuilds a chain that does not exist,
+    /// so `stale_actions` is non-zero mid-run.
+    #[derive(Default)]
+    struct Actuator {
+        seen: Vec<u64>,
+    }
+
+    impl Actuator {
+        fn budget_after(epoch: u64) -> f64 {
+            5.0 + (epoch % 4) as f64
+        }
+    }
+
+    impl ControlHook for Actuator {
+        fn on_epoch(&mut self, obs: &EpochObservation) -> Vec<ControlAction> {
+            let epoch = obs.report.epoch;
+            self.seen.push(epoch);
+            let requests_per_epoch = Self::budget_after(epoch);
+            let mut actions: Vec<ControlAction> = obs
+                .plan
+                .demands
+                .iter()
+                .map(|&(cell, attr, _)| ControlAction::SetBudget { cell, attr, requests_per_epoch })
+                .collect();
+            if epoch.is_multiple_of(3) {
+                let (cell, attr) = (CellId::new(0, 0), AttributeId(99));
+                actions.push(ControlAction::RebuildChain { cell, attr });
+            }
+            actions
+        }
+    }
+
+    #[derive(Default)]
+    struct EpochsTap(Vec<u64>);
+
+    impl EpochTap for EpochsTap {
+        fn on_epoch(&mut self, record: &EpochInputsRecord<'_>) {
+            self.0.push(record.report.epoch);
+        }
+    }
+
+    #[test]
+    fn an_actuating_hook_is_executor_invariant() {
+        let (mut serial, mut piped) = (server(400), server(400));
+        let (mut hook_s, mut hook_p) = (Actuator::default(), Actuator::default());
+        let want = untimed(serial.driver().hook(&mut hook_s).run(12).reports);
+        let got = untimed(piped.driver().hook(&mut hook_p).run_pipelined(12).reports);
+        assert_eq!(want, got);
+        assert!(want[1..].iter().any(|r| r.stale_actions > 0), "no stale action mid-run");
+        assert_eq!(hook_s.seen, (0..12).collect::<Vec<u64>>());
+        assert_eq!(hook_p.seen, hook_s.seen, "the hook saw every epoch once, in order");
+        // The final slot's actions are applied on clean completion.
+        let budgets = serial.handler().budget_snapshot();
+        assert!(budgets.values().all(|b| *b == Actuator::budget_after(11)), "{budgets:?}");
+        assert_eq!(piped.handler().budget_snapshot(), budgets);
+    }
+
+    #[test]
+    fn an_actuating_hook_is_executor_invariant_across_crash_points() {
+        for point in [CrashPoint::PostDispatch, CrashPoint::PostDrain, CrashPoint::PostControl] {
+            let (mut serial, mut piped) = (server(400), server(400));
+            let (mut hook_s, mut hook_p) = (Actuator::default(), Actuator::default());
+            let mut tap = EpochsTap::default();
+            let want = serial.driver().hook(&mut hook_s).crash_at(5, point).run(12);
+            let got =
+                piped.driver().hook(&mut hook_p).tap(&mut tap).crash_at(5, point).run_pipelined(12);
+            assert!(!got.completed && !want.completed, "{point:?}");
+            assert_eq!(untimed(got.reports), untimed(want.reports), "{point:?}");
+            assert_eq!(tap.0, (0..5).collect::<Vec<u64>>(), "{point:?}");
+            // The crashed slot's actions are abandoned on both executors.
+            assert_eq!(
+                piped.handler().budget_snapshot(),
+                serial.handler().budget_snapshot(),
+                "{point:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_worker_panic_reaches_the_caller_with_its_own_message() {
+        struct GivesUp;
+        impl ControlHook for GivesUp {
+            fn on_epoch(&mut self, obs: &EpochObservation) -> Vec<ControlAction> {
+                assert!(obs.report.epoch != 3, "hook gave up at epoch 3");
+                Vec::new()
+            }
+        }
+        let mut s = server(400);
+        let mut hook = GivesUp;
+        // Returning at all is half the test: the neighbours wound down.
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            s.driver().hook(&mut hook).run_pipelined(8)
+        }))
+        .expect_err("the hook's panic must reach the caller");
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied());
+        assert_eq!(message, Some("hook gave up at epoch 3"));
     }
 }

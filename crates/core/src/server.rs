@@ -275,11 +275,11 @@ impl BudgetView {
 /// `Sharded(n)`, and the pipelined executor — so hooks that compute only
 /// from this view inherit the executor's determinism contract for free.
 ///
-/// The observation is **owned** (no borrows into the server): the
-/// pipelined executor materializes it on the ingest stage and ships it
-/// over a channel to the control stage, and the serial driver builds the
-/// identical value in place. It is only constructed when a hook is
-/// installed, so hookless runs pay nothing for the snapshotting.
+/// The observation is **owned** (no borrows into the server) because the
+/// hook API is public: a hook may keep or send what it is handed. The
+/// ingest stage builds it right before calling the hook, identically on
+/// every executor, and only when a hook is installed, so hookless runs
+/// pay nothing for the snapshotting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EpochObservation {
     /// The epoch's loop statistics.
@@ -303,10 +303,8 @@ pub struct EpochObservation {
 }
 
 impl EpochObservation {
-    /// Snapshots the observation a hook sees for one finished epoch.
-    /// Called identically by the serial and pipelined drivers, right
-    /// after the epoch's report is assembled, so the two executors hand
-    /// hooks bit-identical views.
+    /// Snapshots the observation a hook sees for one finished epoch,
+    /// right after the epoch's report is assembled.
     pub(crate) fn capture(
         report: &EpochReport,
         fresh: &[(QueryId, Vec<CrowdTuple>)],
@@ -397,8 +395,8 @@ pub enum ControlAction {
 /// their decisions golden-testable.
 ///
 /// `Send` is a supertrait because the pipelined executor runs the hook on
-/// a dedicated control-stage worker thread; every useful hook is plain
-/// data, so the bound costs nothing.
+/// the ingest worker thread; every useful hook is plain data, so the
+/// bound costs nothing.
 pub trait ControlHook: Send {
     /// Observes a finished epoch; returns the actions to apply before the
     /// next one.
@@ -462,8 +460,8 @@ pub enum CrashPoint {
     /// After the crowd advanced and its matured responses were drained,
     /// before error injection or ingestion touched them.
     PostDrain,
-    /// After the control hook observed the epoch and its actions were
-    /// applied, an instant before the recording tap fires.
+    /// After the control hook observed the epoch, an instant before the
+    /// recording tap fires; the actions it returned die with the process.
     PostControl,
     /// Not a point in the server loop at all: the epoch completes (tap
     /// included) and the *log writer* dies midway through appending the

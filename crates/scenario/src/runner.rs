@@ -106,7 +106,7 @@ pub struct Execution {
     /// How the process phase is scheduled: serial or `Sharded(n)`.
     pub mode: ExecMode,
     /// Run on the pipelined executor — the staged epoch dataflow spread
-    /// across four worker threads
+    /// across three worker threads
     /// ([`craqr_core::EpochDriver::run_pipelined`]) — instead of serially.
     pub pipelined: bool,
     /// Switch the clock-derived metric tier on: a [`RunTelemetry`]

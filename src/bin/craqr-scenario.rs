@@ -70,7 +70,7 @@
 //! | `--print`        | off            | print each canonical report to stdout |
 //! | `--trace`        | off            | print each adaptive trace to stdout |
 //! | `--metrics FILE` | off            | instrument every run, write the merged Prometheus exposition to `FILE` |
-//! | `--pipeline`     | off            | run on the staged four-thread executor; goldens are still checked (and only ever blessed) from serial bytes |
+//! | `--pipeline`     | off            | run on the staged three-thread executor; goldens are still checked (and only ever blessed) from serial bytes |
 //!
 //! Without `--bless`/`--check`/`--checksum`/`--print`, a one-line summary
 //! per scenario is printed. Every run additionally executes the spec under
@@ -137,7 +137,7 @@ struct Flags {
     at: Option<usize>,
     resume: bool,
     /// `--pipeline`: drive each primary run on the pipelined executor.
-    /// The built-in cross-run stays on the classic executor, so every
+    /// The built-in cross-run stays on the serial executor, so every
     /// invocation re-proves the pipelined bytes against serial ones.
     pipeline: bool,
     goldens: Option<PathBuf>,

@@ -18,7 +18,7 @@
 //!    uninterrupted run's — not approximately, byte-for-byte — and the
 //!    per-tenant budget laws must hold as if nothing had happened.
 //!
-//! Every cell runs twice — on the serial executor and with all four
+//! Every cell runs twice — on the serial executor and with all three
 //! pipeline stages mid-flight ([`Execution::pipelined`]) — against the
 //! same uninterrupted *serial* reference, and a second pass crashes and
 //! recovers under `ExecMode::Sharded(4)`, so recovery is portable across

@@ -1,7 +1,8 @@
 //! The pipelined-executor determinism tier.
 //!
 //! The staged dataflow executor ([`craqr::core::EpochDriver::run_pipelined`])
-//! overlaps consecutive epochs across four worker threads. Pipelining is
+//! overlaps consecutive epochs across three worker threads (drain,
+//! ingest + control, render). Pipelining is
 //! an execution strategy, never an output: everything checksummed —
 //! reports, traces, run logs — must be **byte-identical** to the serial
 //! staged schedule, for every committed scenario, and the whole
