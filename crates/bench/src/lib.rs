@@ -1,9 +1,9 @@
-//! Shared infrastructure for the CrAQR experiment harness.
+//! Shared infrastructure for the paper's experiments (E1–E12, Fig. 1–2).
 //!
-//! Every bench target under `benches/` is a `harness = false` binary run by
-//! `cargo bench`; it prints the experiment's table/series in markdown so
-//! `bench_output.txt` regenerates the full evaluation (see
-//! `EXPERIMENTS.md`).
+//! Every target under `benches/` is a `harness = false` binary that
+//! prints its experiment's table or series in markdown;
+//! `cargo bench -p craqr-bench` regenerates the whole evaluation. None of
+//! them gates performance: that is measured by `benchmark/` only.
 
 use craqr_core::tuple::CrowdTuple;
 use craqr_geom::{SpaceTimePoint, SpaceTimeWindow};

@@ -1,4 +1,9 @@
 //! The request/response handler — Section IV-A.
+//!
+//! Everything the handler keeps per (cell, attribute) chain — budget,
+//! incentive, retry state — lives in one record of one ordered table, the
+//! same key and order as the fabricator's chain table: what exists for a
+//! chain is stated once, and every walk is ascending by construction.
 
 use crate::budget::{Budget, BudgetTuner, TuneOutcome};
 use crate::incentive::{IncentivePolicy, IncentiveState};
@@ -6,7 +11,7 @@ use crate::ops::FlattenReport;
 use crate::tenant::{TenantId, TenantRegistry};
 use craqr_geom::{CellId, Grid};
 use craqr_sensing::{AttributeId, Crowd};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Per-chain tenant ownership shares, as produced by
@@ -21,10 +26,9 @@ pub type Tenancy<'a> = Option<(&'a mut TenantRegistry, &'a ChainShares)>;
 
 /// Clamps one chain's drawn request count to what its owning tenants'
 /// pools can still cover this epoch, charging the dispatched amount to
-/// them by share. The single definition both the live and the detached
-/// dispatch use — the registry's epoch meters are handler-side state a
-/// replay must reproduce bit-for-bit, so the two paths must never
-/// diverge. No tenancy (or an unowned chain) passes `wanted` through
+/// them by share. Runs whether or not orders are collected — the
+/// registry's epoch meters are handler-side state a replay must reproduce
+/// bit-for-bit. No tenancy (or an unowned chain) passes `wanted` through
 /// untouched.
 fn clamp_and_charge(tenancy: &mut Tenancy<'_>, key: (CellId, AttributeId), wanted: usize) -> usize {
     match tenancy {
@@ -42,9 +46,8 @@ fn clamp_and_charge(tenancy: &mut Tenancy<'_>, key: (CellId, AttributeId), wante
 
 /// Executes issued [`SendOrder`]s on the crowd, returning how many
 /// requests were actually sent. The crowd calls happen in order-issue
-/// order — the same sequence, with the same arguments, the fused dispatch
-/// loop produced — so the crowd's RNG stream is bit-identical whether a
-/// dispatch was fused or staged.
+/// order (ascending by chain), so the crowd's RNG stream is the same on
+/// every executor.
 pub fn execute_orders(crowd: &mut Crowd, orders: &[SendOrder]) -> u64 {
     let mut sent = 0u64;
     for o in orders {
@@ -112,10 +115,38 @@ impl RetryPolicy {
 
 /// Per-chain retry bookkeeping: consecutive shortfall attempts and the
 /// extra requests queued for the next dispatch.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct RetryState {
     attempts: u32,
     pending: u64,
+}
+
+/// Everything the handler keeps for one live (cell, attribute) chain. A
+/// chain that leaves the demands loses the whole record, so one that
+/// returns starts from scratch.
+#[derive(Debug)]
+struct ChainCtl {
+    budget: Budget,
+    incentive: IncentiveState,
+    retry: RetryState,
+    /// `allowed` at the most recent dispatch — what
+    /// [`RequestResponseHandler::observe_responses`] measures shortfalls
+    /// against; `None` when the chain asked for nothing (or no retry
+    /// policy is installed). Keyed on `allowed` (not `sent`): a detached
+    /// replay has no per-chain `sent`, and `allowed` is computed
+    /// identically live and replayed.
+    last_allowed: Option<u64>,
+}
+
+impl ChainCtl {
+    fn new(initial_budget: f64) -> Self {
+        Self {
+            budget: Budget::new(initial_budget),
+            incentive: IncentiveState::default(),
+            retry: RetryState::default(),
+            last_allowed: None,
+        }
+    }
 }
 
 /// One crowd-side send the handler decided on: dispatch `allowed`
@@ -124,11 +155,8 @@ struct RetryState {
 /// Issuing orders (budget draws, retry top-ups, tenant clamping/charging
 /// — all handler/registry mutations) is separated from *executing* them
 /// on the crowd so the pipelined executor can run the two halves on
-/// different stage workers: stage 2 issues epoch `t+1`'s orders while
-/// stage 1 is still draining epoch `t`. Executing a batch of orders
-/// performs exactly the same crowd calls, in exactly the same sequence,
-/// as the fused dispatch loop did — the crowd's RNG stream cannot tell
-/// the difference.
+/// different stage workers: the ingest stage issues epoch `t+1`'s orders
+/// while the drain stage is still draining epoch `t`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SendOrder {
     /// Which cell.
@@ -176,8 +204,7 @@ pub struct TuneEvent {
 /// operators' `N_v` telemetry. When a budget saturates it escalates the
 /// incentive instead (Section VI).
 pub struct RequestResponseHandler {
-    budgets: HashMap<(CellId, AttributeId), Budget>,
-    incentives: HashMap<(CellId, AttributeId), IncentiveState>,
+    chains: BTreeMap<(CellId, AttributeId), ChainCtl>,
     tuner: BudgetTuner,
     incentive_policy: IncentivePolicy,
     initial_budget: f64,
@@ -185,13 +212,6 @@ pub struct RequestResponseHandler {
     total_sent: u64,
     exhausted_events: u64,
     retry_policy: Option<RetryPolicy>,
-    retry: HashMap<(CellId, AttributeId), RetryState>,
-    /// `allowed` per chain at the most recent dispatch — what
-    /// [`RequestResponseHandler::observe_responses`] measures shortfalls
-    /// against. Keyed on `allowed` (not `sent`): the detached replay
-    /// dispatch has no per-chain `sent`, and `allowed` is computed
-    /// identically on both paths.
-    last_allowed: HashMap<(CellId, AttributeId), u64>,
     retries_requested: u64,
     retry_attempts: u64,
 }
@@ -206,8 +226,7 @@ impl RequestResponseHandler {
     pub fn new(tuner: BudgetTuner, incentive_policy: IncentivePolicy, initial_budget: f64) -> Self {
         assert!(initial_budget >= 0.0, "initial budget must be >= 0");
         Self {
-            budgets: HashMap::new(),
-            incentives: HashMap::new(),
+            chains: BTreeMap::new(),
             tuner,
             incentive_policy,
             initial_budget,
@@ -215,8 +234,6 @@ impl RequestResponseHandler {
             total_sent: 0,
             exhausted_events: 0,
             retry_policy: None,
-            retry: HashMap::new(),
-            last_allowed: HashMap::new(),
             retries_requested: 0,
             retry_attempts: 0,
         }
@@ -256,32 +273,18 @@ impl RequestResponseHandler {
         self.retry_attempts
     }
 
-    /// Takes the extra requests a chain's pending retry scheduled for
-    /// this dispatch.
-    fn take_retry_pending(&mut self, key: (CellId, AttributeId)) -> usize {
-        match self.retry.get_mut(&key) {
-            Some(state) => std::mem::take(&mut state.pending) as usize,
-            None => 0,
-        }
-    }
-
     /// Feeds back how many responses each chain's most recent dispatch
     /// yielded (counted at the drain seam, pre-error-injection). Chains
     /// short of `threshold × allowed` schedule damped extra requests for
-    /// the next dispatch; healthy chains reset their attempt counter.
+    /// the next dispatch; healthy chains reset their attempt counter;
+    /// chains that asked for nothing at that dispatch are left alone.
     /// No-op without a policy.
     pub fn observe_responses(&mut self, counts: &HashMap<(CellId, AttributeId), u64>) {
         let Some(policy) = self.retry_policy else { return };
-        // Visit chains ascending by key: per-chain updates are independent,
-        // but a deterministic visit order keeps the scan auditable and
-        // hash order out of the loop entirely.
-        let mut allowed_by_key: Vec<((CellId, AttributeId), u64)> =
-            // craqr-lint: allow(R2): collected into a Vec and sorted before use
-            self.last_allowed.iter().map(|(k, v)| (*k, *v)).collect();
-        allowed_by_key.sort_unstable_by_key(|(key, _)| *key);
-        for (key, allowed) in allowed_by_key {
-            let got = counts.get(&key).copied().unwrap_or(0);
-            let state = self.retry.entry(key).or_default();
+        for (key, ctl) in &mut self.chains {
+            let Some(allowed) = ctl.last_allowed else { continue };
+            let got = counts.get(key).copied().unwrap_or(0);
+            let state = &mut ctl.retry;
             let short = allowed > 0 && (got as f64) < policy.shortfall_threshold * (allowed as f64);
             if short && state.attempts < policy.max_attempts {
                 // `got` can exceed `allowed` when delayed or duplicated
@@ -297,101 +300,63 @@ impl RequestResponseHandler {
         }
     }
 
-    /// Sends this epoch's acquisition requests for every demanded
-    /// (cell, attribute) chain.
+    /// The issuing half of a dispatch: prunes the records of dematerialized
+    /// chains (so deleted queries stop costing requests), draws every
+    /// demanded chain's budget (plus pending retry top-ups), and clamps and
+    /// charges against tenant pools — every handler- and registry-side
+    /// mutation of a dispatch — but touches no crowd. The crowd-side sends
+    /// come back as [`SendOrder`]s for [`execute_orders`]; with
+    /// `grid = None` (the detached-replay path) order collection is skipped
+    /// entirely while the handler state still evolves identically.
     ///
-    /// `demands` comes from [`crate::plan::Fabricator::demands`]; budgets
-    /// for chains that disappeared are pruned so deleted queries stop
-    /// costing requests.
-    pub fn dispatch_epoch(
-        &mut self,
-        crowd: &mut Crowd,
-        grid: &Grid,
-        demands: &[(CellId, AttributeId, f64)],
-    ) -> DispatchStats {
-        self.dispatch_epoch_tenants(crowd, grid, demands, None)
-    }
-
-    /// [`RequestResponseHandler::dispatch_epoch`] under a tenant-charging
-    /// context: each chain's drawn request count is clamped to what its
-    /// owning tenants' pools can still cover this epoch
-    /// ([`TenantRegistry::allow`]), the dispatched count is charged to
-    /// those tenants by share, and the withheld remainder is reported as
-    /// [`DispatchStats::throttled`]. With `tenancy = None` this is
-    /// bit-identical to the plain dispatch.
-    pub fn dispatch_epoch_tenants(
-        &mut self,
-        crowd: &mut Crowd,
-        grid: &Grid,
-        demands: &[(CellId, AttributeId, f64)],
-        tenancy: Tenancy<'_>,
-    ) -> DispatchStats {
-        let (orders, mut stats) = self.issue_epoch_orders(Some(grid), demands, tenancy);
-        let sent = execute_orders(crowd, &orders);
-        stats.sent = sent;
-        self.record_sent(sent);
-        stats
-    }
-
-    /// The issuing half of a dispatch: prunes state for dematerialized
-    /// chains, draws every demanded chain's budget (plus pending retry
-    /// top-ups), clamps and charges against tenant pools, and materializes
-    /// incentive entries — every handler- and registry-side mutation of a
-    /// dispatch, in the exact order the fused loop performed them — but
-    /// touches no crowd. The crowd-side sends come back as [`SendOrder`]s
-    /// for [`execute_orders`]; with `grid = None` (the detached-replay
-    /// path) order collection is skipped entirely while the handler state
-    /// still evolves identically.
-    ///
-    /// `stats.sent` is left at 0; fold the execution outcome back with
-    /// [`RequestResponseHandler::record_sent`].
+    /// `demands` comes from [`crate::plan::Fabricator::demands`], ascending
+    /// by `(cell, attribute)`. `stats.sent` is left at 0; fold the execution
+    /// outcome back with [`RequestResponseHandler::record_sent`].
     pub fn issue_epoch_orders(
         &mut self,
         grid: Option<&Grid>,
         demands: &[(CellId, AttributeId, f64)],
         mut tenancy: Tenancy<'_>,
     ) -> (Vec<SendOrder>, DispatchStats) {
-        // Prune state for dematerialized chains.
-        let live: std::collections::HashSet<(CellId, AttributeId)> =
-            demands.iter().map(|(c, a, _)| (*c, *a)).collect();
-        self.budgets.retain(|k, _| live.contains(k));
-        self.incentives.retain(|k, _| live.contains(k));
-        self.retry.retain(|k, _| live.contains(k));
-        self.last_allowed.clear();
+        debug_assert!(
+            demands.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)),
+            "demands must ascend by (cell, attribute)"
+        );
+        // Prune the records of dematerialized chains; the survivors forget
+        // what the previous dispatch allowed them.
+        self.chains.retain(|key, ctl| {
+            ctl.last_allowed = None;
+            demands.binary_search_by_key(key, |(c, a, _)| (*c, *a)).is_ok()
+        });
 
         let mut orders = Vec::new();
         let mut stats = DispatchStats::default();
         for (cell, attr, _rate) in demands {
             let key = (*cell, *attr);
-            let budget =
-                self.budgets.entry(key).or_insert_with(|| Budget::new(self.initial_budget));
-            let n = budget.draw_requests();
-            let extra = self.take_retry_pending(key);
+            let ctl = self.chains.entry(key).or_insert_with(|| ChainCtl::new(self.initial_budget));
+            let n = ctl.budget.draw_requests();
+            let extra = std::mem::take(&mut ctl.retry.pending) as usize;
             let want = n + extra;
             if want == 0 {
                 continue;
             }
-            // Tenant clamping and charging evolve identically whether or
-            // not orders are collected — the registry's epoch meters are
-            // handler-side state a replay must reproduce bit-for-bit.
             let allowed = clamp_and_charge(&mut tenancy, key, want);
             stats.requested += want as u64;
             stats.throttled += (want - allowed) as u64;
             self.retries_requested += extra as u64;
             if self.retry_policy.is_some() {
-                self.last_allowed.insert(key, allowed as u64);
+                ctl.last_allowed = Some(allowed as u64);
             }
             if allowed == 0 {
                 continue;
             }
-            let incentive = self.incentives.entry(key).or_default().current(&self.incentive_policy);
             if let Some(grid) = grid {
                 orders.push(SendOrder {
                     cell: *cell,
                     attr: *attr,
                     rect: grid.cell_rect(*cell),
                     allowed,
-                    incentive,
+                    incentive: ctl.incentive.current(&self.incentive_policy),
                 });
             }
         }
@@ -399,29 +364,11 @@ impl RequestResponseHandler {
         (orders, stats)
     }
 
-    /// Folds an executed epoch's crowd-side outcome into the running
-    /// totals — the counterpart of the `stats.sent` accumulation the
-    /// fused dispatch loop performed inline.
+    /// Folds an executed epoch's crowd-side outcome (from
+    /// [`execute_orders`], or from the run log on a detached replay) into
+    /// the running totals.
     pub fn record_sent(&mut self, sent: u64) {
         self.total_sent += sent;
-    }
-
-    /// The crowd-detached twin of
-    /// [`RequestResponseHandler::dispatch_epoch`], for replaying a
-    /// recorded run: budgets are pruned and drawn **identically** to a
-    /// live dispatch (so the handler's state evolves bit-for-bit the same
-    /// way), but no request is sent anywhere — the crowd-side outcome
-    /// `sent` comes from the run log instead of a live crowd.
-    pub fn dispatch_epoch_detached(
-        &mut self,
-        demands: &[(CellId, AttributeId, f64)],
-        sent: u64,
-        tenancy: Tenancy<'_>,
-    ) -> DispatchStats {
-        let (_, mut stats) = self.issue_epoch_orders(None, demands, tenancy);
-        stats.sent = sent;
-        self.record_sent(sent);
-        stats
     }
 
     /// Applies one budget-tuning round from the flatten reports
@@ -438,19 +385,18 @@ impl RequestResponseHandler {
             }
             let key = (*cell, *attr);
             let nv = report.smoothed_nv().unwrap_or(0.0).clamp(0.0, 100.0);
-            let budget =
-                self.budgets.entry(key).or_insert_with(|| Budget::new(self.initial_budget));
-            let outcome = self.tuner.tune(budget, nv);
+            let ctl = self.chains.entry(key).or_insert_with(|| ChainCtl::new(self.initial_budget));
+            let outcome = self.tuner.tune(&mut ctl.budget, nv);
             if outcome == TuneOutcome::Exhausted {
                 self.exhausted_events += 1;
             }
-            self.incentives.entry(key).or_default().update(&self.incentive_policy, outcome);
+            ctl.incentive.update(&self.incentive_policy, outcome);
             events.push(TuneEvent {
                 cell: *cell,
                 attr: *attr,
                 nv,
                 outcome,
-                budget_after: budget.requests_per_epoch,
+                budget_after: ctl.budget.requests_per_epoch,
             });
         }
         events
@@ -458,17 +404,14 @@ impl RequestResponseHandler {
 
     /// Current budget for a chain (requests per epoch).
     pub fn budget_of(&self, cell: CellId, attr: AttributeId) -> Option<f64> {
-        self.budgets.get(&(cell, attr)).map(|b| b.requests_per_epoch)
+        self.chains.get(&(cell, attr)).map(|c| c.budget.requests_per_epoch)
     }
 
     /// Every live chain's current budget, by value — the snapshot behind
-    /// [`crate::EpochObservation`]'s budget view. Map-shaped (lookups
-    /// only, never iterated into anything ordered), so the HashMap's
-    /// arbitrary internal order is inert.
+    /// [`crate::EpochObservation`]'s budget view, which is only ever
+    /// probed by key.
     pub fn budget_snapshot(&self) -> HashMap<(CellId, AttributeId), f64> {
-        // craqr-lint: allow(R2): hash-to-hash copy; the snapshot is only
-        // ever probed by key, so iteration order cannot leak anywhere
-        self.budgets.iter().map(|(k, b)| (*k, b.requests_per_epoch)).collect()
+        self.chains.iter().map(|(k, c)| (*k, c.budget.requests_per_epoch)).collect()
     }
 
     /// Overwrites a **live** chain's budget (requests per epoch) — the
@@ -478,10 +421,8 @@ impl RequestResponseHandler {
     ///
     /// Returns whether the (cell, attribute) key was live. A replan can
     /// race a chain retirement (the query was deleted between the
-    /// observation and the actuation); mutating an unknown key used to
-    /// insert a phantom `Budget` entry that dangled until the next
-    /// dispatch pruned it — now the stale actuation is a signalled no-op
-    /// instead, and the caller can surface it
+    /// observation and the actuation); the stale actuation is a signalled
+    /// no-op, never a phantom entry, and the caller can surface it
     /// ([`crate::EpochReport::stale_actions`]).
     ///
     /// # Panics
@@ -493,9 +434,9 @@ impl RequestResponseHandler {
             requests_per_epoch.is_finite() && requests_per_epoch >= 0.0,
             "budget must be >= 0, got {requests_per_epoch}"
         );
-        match self.budgets.get_mut(&(cell, attr)) {
-            Some(budget) => {
-                budget.requests_per_epoch = requests_per_epoch;
+        match self.chains.get_mut(&(cell, attr)) {
+            Some(ctl) => {
+                ctl.budget.requests_per_epoch = requests_per_epoch;
                 true
             }
             None => false,
@@ -504,9 +445,9 @@ impl RequestResponseHandler {
 
     /// Current incentive for a chain.
     pub fn incentive_of(&self, cell: CellId, attr: AttributeId) -> f64 {
-        self.incentives
+        self.chains
             .get(&(cell, attr))
-            .map_or(self.incentive_policy.base, |s| s.current(&self.incentive_policy))
+            .map_or(self.incentive_policy.base, |c| c.incentive.current(&self.incentive_policy))
     }
 
     /// `(requested, sent)` totals since creation.
@@ -555,13 +496,27 @@ mod tests {
         RequestResponseHandler::new(BudgetTuner::default(), IncentivePolicy::default(), 10.0)
     }
 
+    /// One dispatch the way the driver performs it: issue, execute, fold
+    /// `sent` back.
+    fn dispatch(
+        h: &mut RequestResponseHandler,
+        crowd: &mut Crowd,
+        grid: &Grid,
+        demands: &[(CellId, AttributeId, f64)],
+    ) -> DispatchStats {
+        let (orders, mut stats) = h.issue_epoch_orders(Some(grid), demands, None);
+        stats.sent = execute_orders(crowd, &orders);
+        h.record_sent(stats.sent);
+        stats
+    }
+
     #[test]
     fn dispatch_creates_budgets_and_sends() {
         let mut h = handler();
         let mut c = crowd();
         let grid = Grid::new(c.region(), 4);
         let demands = vec![(CellId::new(0, 0), AttributeId(0), 2.0)];
-        let stats = h.dispatch_epoch(&mut c, &grid, &demands);
+        let stats = dispatch(&mut h, &mut c, &grid, &demands);
         assert_eq!(stats.requested, 10);
         assert!(stats.sent > 0);
         assert_eq!(h.budget_of(CellId::new(0, 0), AttributeId(0)), Some(10.0));
@@ -569,15 +524,67 @@ mod tests {
 
     #[test]
     fn dispatch_prunes_stale_budgets() {
-        let mut h = handler();
+        // A capped tuner, so one violated report escalates the incentive.
+        let tuner = BudgetTuner { max_budget: 10.0, ..Default::default() };
+        let policy = IncentivePolicy { base: 0.25, ..Default::default() };
+        let mut h = RequestResponseHandler::new(tuner, policy, 10.0);
+        h.set_retry_policy(Some(RetryPolicy::default()));
         let mut c = crowd();
         let grid = Grid::new(c.region(), 4);
-        let d1 = vec![(CellId::new(0, 0), AttributeId(0), 2.0)];
-        h.dispatch_epoch(&mut c, &grid, &d1);
-        assert!(h.budget_of(CellId::new(0, 0), AttributeId(0)).is_some());
+        let key = (CellId::new(0, 0), AttributeId(0));
+        let d1 = vec![(key.0, key.1, 2.0)];
+        dispatch(&mut h, &mut c, &grid, &d1);
+        assert_eq!(h.incentive_of(key.0, key.1), 0.25, "never tuned: the policy base");
+        // Move every per-chain field off its initial value.
+        let report = FlattenReport::new(1.0);
+        report.record_batch(100.0, 10, 10);
+        h.tune(&[(key.0, key.1, report, 2.0)]);
+        assert!(h.set_budget(key.0, key.1, 7.0));
+        h.observe_responses(&HashMap::new());
+        assert!(h.incentive_of(key.0, key.1) > 0.25);
+        assert_eq!(h.chains[&key].retry, RetryState { attempts: 1, pending: 10 });
         // Next epoch the demand is gone.
-        h.dispatch_epoch(&mut c, &grid, &[]);
-        assert!(h.budget_of(CellId::new(0, 0), AttributeId(0)).is_none());
+        dispatch(&mut h, &mut c, &grid, &[]);
+        assert!(h.budget_of(key.0, key.1).is_none());
+        dispatch(&mut h, &mut c, &grid, &[]);
+        // Two epochs later it returns, and starts from scratch.
+        let (orders, stats) = h.issue_epoch_orders(Some(&grid), &d1, None);
+        assert_eq!(stats.requested, 10, "initial budget, no retry top-up");
+        assert_eq!(orders[0].incentive, 0.25);
+        assert_eq!(h.budget_of(key.0, key.1), Some(10.0));
+        assert_eq!(h.incentive_of(key.0, key.1), 0.25);
+        assert_eq!(h.chains[&key].retry, RetryState::default());
+    }
+
+    #[test]
+    fn zero_draw_chain_is_skipped_by_observe_responses() {
+        let mut h =
+            RequestResponseHandler::new(BudgetTuner::default(), IncentivePolicy::default(), 4.0);
+        h.set_retry_policy(Some(RetryPolicy {
+            backoff: 0.1,
+            max_attempts: 3,
+            ..Default::default()
+        }));
+        let key = (CellId::new(0, 0), AttributeId(0));
+        let demands = vec![(key.0, key.1, 2.0)];
+        let silence = HashMap::new();
+        // Epoch 1 asks for 4 and hears nothing: 4 more are queued.
+        h.issue_epoch_orders(None, &demands, None);
+        h.observe_responses(&silence);
+        assert!(h.set_budget(key.0, key.1, 0.0));
+        // Epoch 2 asks for the 4 queued only; the damped retry is 0.4 → 0.
+        let (_, stats) = h.issue_epoch_orders(None, &demands, None);
+        assert_eq!(stats.requested, 4);
+        h.observe_responses(&silence);
+        assert_eq!(h.chains[&key].retry, RetryState { attempts: 2, pending: 0 });
+        assert_eq!(h.retry_attempts(), 2);
+        // Epoch 3 asks for nothing, so there is no shortfall to measure:
+        // the attempt count is neither advanced nor reset.
+        let (_, stats) = h.issue_epoch_orders(None, &demands, None);
+        assert_eq!(stats.requested, 0);
+        h.observe_responses(&silence);
+        assert_eq!(h.chains[&key].retry, RetryState { attempts: 2, pending: 0 });
+        assert_eq!(h.retry_attempts(), 2);
     }
 
     #[test]

@@ -1,5 +1,12 @@
 //! The crowdsensed stream fabricator — "the most important component"
 //! (Section IV-B), with the map/process/merge phases of Fig. 2.
+//!
+//! The paper keeps the per-cell topologies in a "hashmap" keyed by grid
+//! cell. Here that table is an ordered map keyed by `(cell, attribute)`,
+//! and the standing queries one keyed by [`QueryId`]: every walk over
+//! chains or queries feeds something checksummed (execution order, float
+//! sums, rendered reports), so canonical ascending order is a property of
+//! the key type rather than a sort each caller has to remember.
 
 use super::chain::AttrChain;
 use super::PlannerConfig;
@@ -11,7 +18,7 @@ use crate::UnionOp;
 use craqr_engine::{Emitter, InputPort, Operator};
 use craqr_geom::{CellId, Grid, Rect, Region};
 use craqr_sensing::AttributeId;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
@@ -63,7 +70,14 @@ pub struct QueryPlan {
     pub footprint: Region,
 }
 
-/// The fabricator: the grid hashmap of per-cell execution topologies plus
+/// A standing query: its placement and the `U`-operator that merges its
+/// per-cell pieces.
+struct Standing {
+    plan: QueryPlan,
+    merge: UnionOp,
+}
+
+/// The fabricator: the grid table of per-cell execution topologies plus
 /// per-query merge stages.
 ///
 /// - **map** ([`Fabricator::ingest_batch`]): each arriving tuple is routed
@@ -76,9 +90,8 @@ pub struct QueryPlan {
 pub struct Fabricator {
     grid: Grid,
     config: PlannerConfig,
-    cells: HashMap<CellId, HashMap<AttributeId, AttrChain>>,
-    queries: HashMap<QueryId, QueryPlan>,
-    merges: HashMap<QueryId, UnionOp>,
+    chains: BTreeMap<(CellId, AttributeId), AttrChain>,
+    queries: BTreeMap<QueryId, Standing>,
     next_query: u64,
     dropped_unmaterialized: u64,
     /// Cached per-chain tenant ownership, a pure function of the standing
@@ -104,9 +117,8 @@ impl Fabricator {
         Self {
             grid: Grid::new(region, config.grid_side),
             config,
-            cells: HashMap::new(),
-            queries: HashMap::new(),
-            merges: HashMap::new(),
+            chains: BTreeMap::new(),
+            queries: BTreeMap::new(),
             next_query: 0,
             dropped_unmaterialized: 0,
             tenant_shares: None,
@@ -121,11 +133,8 @@ impl Fabricator {
     /// metric equality, so this never changes any deterministic artifact.
     pub fn set_engine_clock(&mut self, clock: Option<fn() -> u64>) {
         self.engine_clock = clock;
-        // craqr-lint: allow(R2): installs the same clock on every chain; no output depends on visit order
-        for chains in self.cells.values_mut() {
-            for chain in chains.values_mut() {
-                chain.set_clock(clock);
-            }
+        for chain in self.chains.values_mut() {
+            chain.set_clock(clock);
         }
     }
 
@@ -207,28 +216,27 @@ impl Fabricator {
             let chain_seed = self.chain_seed(o.cell, query.attr);
             // "If the key is absent, it is created and a F-operator is
             // added to it."
-            let chain =
-                self.cells.entry(o.cell).or_default().entry(query.attr).or_insert_with(|| {
-                    let mut chain = AttrChain::new(
-                        cell_rect,
-                        self.config.batch_duration,
-                        query.rate,
-                        self.config.f_headroom,
-                        self.config.estimator,
-                        self.config.shape,
-                        chain_seed,
-                    );
-                    chain.set_clock(engine_clock);
-                    chain
-                });
+            let chain = self.chains.entry((o.cell, query.attr)).or_insert_with(|| {
+                let mut chain = AttrChain::new(
+                    cell_rect,
+                    self.config.batch_duration,
+                    query.rate,
+                    self.config.f_headroom,
+                    self.config.estimator,
+                    self.config.shape,
+                    chain_seed,
+                );
+                chain.set_clock(engine_clock);
+                chain
+            });
             chain.insert_consumer(qid, query.rate, o.overlap, o.full);
             cells.push((o.cell, o.overlap, o.full));
             parts.push(o.overlap);
         }
 
         let footprint = Region::from_disjoint(parts.clone());
-        self.merges.insert(qid, UnionOp::nary(parts));
-        self.queries.insert(qid, QueryPlan { query, cells, footprint });
+        let plan = QueryPlan { query, cells, footprint };
+        self.queries.insert(qid, Standing { plan, merge: UnionOp::nary(parts) });
         self.tenant_shares = None;
         Ok(qid)
     }
@@ -236,25 +244,21 @@ impl Fabricator {
     /// Deletes a standing query (Section V "Query Deletions"). Returns the
     /// tuples still buffered in its sinks.
     pub fn delete_query(&mut self, qid: QueryId) -> Result<Vec<CrowdTuple>, PlanError> {
-        let plan = self.queries.remove(&qid).ok_or(PlanError::UnknownQuery(qid))?;
-        self.merges.remove(&qid);
+        let Standing { plan, .. } =
+            self.queries.remove(&qid).ok_or(PlanError::UnknownQuery(qid))?;
         self.tenant_shares = None;
         let mut leftovers = Vec::new();
         for (cell, _, _) in &plan.cells {
-            let Some(attr_chains) = self.cells.get_mut(cell) else { continue };
-            if let Some(chain) = attr_chains.get_mut(&plan.query.attr) {
-                if let Some(buf) = chain.delete_consumer(qid) {
-                    leftovers.extend(buf);
-                }
-                // "…until all the streams and the key in the hashmap are
-                // deleted."
-                if chain.is_empty() {
-                    self.retired_metrics.absorb(&chain.metrics());
-                    attr_chains.remove(&plan.query.attr);
-                }
+            let key = (*cell, plan.query.attr);
+            let Some(chain) = self.chains.get_mut(&key) else { continue };
+            if let Some(buf) = chain.delete_consumer(qid) {
+                leftovers.extend(buf);
             }
-            if attr_chains.is_empty() {
-                self.cells.remove(cell);
+            // "…until all the streams and the key in the hashmap are
+            // deleted."
+            if chain.is_empty() {
+                self.retired_metrics.absorb(&chain.metrics());
+                self.chains.remove(&key);
             }
         }
         Ok(leftovers)
@@ -277,13 +281,10 @@ impl Fabricator {
         cell: CellId,
         attr: AttributeId,
     ) -> Option<Vec<(QueryId, Vec<CrowdTuple>)>> {
-        self.cells.get(&cell)?.get(&attr)?;
+        let mut old = self.chains.remove(&(cell, attr))?;
         // The standing consumers of this chain, ascending by query id.
         let mut consumers: Vec<(QueryId, f64, Rect, bool)> = Vec::new();
-        // craqr-lint: allow(R2): collected into a Vec and sorted by query id on the next line
-        let mut plans: Vec<(&QueryId, &QueryPlan)> = self.queries.iter().collect();
-        plans.sort_by_key(|(qid, _)| **qid);
-        for (qid, plan) in plans {
+        for (qid, Standing { plan, .. }) in &self.queries {
             if plan.query.attr != attr {
                 continue;
             }
@@ -291,19 +292,15 @@ impl Fabricator {
                 consumers.push((*qid, plan.query.rate, *overlap, *full));
             }
         }
-        let old = self.cells.get_mut(&cell).expect("checked").remove(&attr).expect("checked");
         // The chain's flatten estimator and RNG streams restart (that is
         // the point of a rebuild), but its processed-work history joins
         // the retired aggregate: operator counters are fleet-cumulative.
         self.retired_metrics.absorb(&old.metrics());
         let mut leftovers = Vec::new();
-        {
-            let mut old = old;
-            for (qid, _, _, _) in &consumers {
-                let buf = old.drain_query(*qid);
-                if !buf.is_empty() {
-                    leftovers.push((*qid, buf));
-                }
+        for (qid, _, _, _) in &consumers {
+            let buf = old.drain_query(*qid);
+            if !buf.is_empty() {
+                leftovers.push((*qid, buf));
             }
         }
         let cell_rect = self.grid.cell_rect(cell);
@@ -322,32 +319,29 @@ impl Fabricator {
         for (qid, rate, overlap, full) in &consumers {
             chain.insert_consumer(*qid, *rate, *overlap, *full);
         }
-        self.cells.get_mut(&cell).expect("checked").insert(attr, chain);
+        self.chains.insert((cell, attr), chain);
         Some(leftovers)
     }
 
     /// The standing query plans.
     pub fn query_plan(&self, qid: QueryId) -> Option<&QueryPlan> {
-        self.queries.get(&qid)
+        self.queries.get(&qid).map(|s| &s.plan)
     }
 
     /// Ids of all standing queries, ascending.
     pub fn query_ids(&self) -> Vec<QueryId> {
-        // craqr-lint: allow(R2): collected into a Vec and sorted on the next line
-        let mut ids: Vec<QueryId> = self.queries.keys().copied().collect();
-        ids.sort();
-        ids
+        self.queries.keys().copied().collect()
     }
 
     /// Number of materialized (cell, attribute) chains.
     pub fn materialized_chains(&self) -> usize {
-        // craqr-lint: allow(R2): sums usize lengths; integer addition is order-independent
-        self.cells.values().map(HashMap::len).sum()
+        self.chains.len()
     }
 
-    /// Number of materialized cells (hashmap keys).
+    /// Number of materialized cells (a cell's chains are adjacent keys).
     pub fn materialized_cells(&self) -> usize {
-        self.cells.len()
+        let mut last = None;
+        self.chains.keys().filter(|(cell, _)| last.replace(*cell) != Some(*cell)).count()
     }
 
     /// Tuples dropped at the map phase because their cell had no standing
@@ -356,24 +350,20 @@ impl Fabricator {
         self.dropped_unmaterialized
     }
 
-    /// The flatten telemetry of every chain:
-    /// `(cell, attribute, report, current λ̄)`.
+    /// The flatten telemetry of every chain, ascending by
+    /// `(cell, attribute)`: `(cell, attribute, report, current λ̄)`.
     pub fn flatten_reports(&self) -> Vec<(CellId, AttributeId, Arc<FlattenReport>, f64)> {
-        let mut out = Vec::with_capacity(self.materialized_chains());
-        // craqr-lint: allow(R2): rows are sorted by (cell, attribute) before returning
-        for (cell, attr_chains) in &self.cells {
-            for (attr, chain) in attr_chains {
-                out.push((*cell, *attr, chain.flatten_report(), chain.f_rate()));
-            }
-        }
-        out.sort_by_key(|(c, a, _, _)| (*c, *a));
-        out
+        self.chains
+            .iter()
+            .map(|((cell, attr), chain)| (*cell, *attr, chain.flatten_report(), chain.f_rate()))
+            .collect()
     }
 
-    /// Current demand per materialized chain: `(cell, attr, λ̄)` — what the
-    /// request/response handler must feed.
+    /// Current demand per materialized chain, ascending by
+    /// `(cell, attribute)`: `(cell, attr, λ̄)` — what the request/response
+    /// handler must feed.
     pub fn demands(&self) -> Vec<(CellId, AttributeId, f64)> {
-        self.flatten_reports().into_iter().map(|(c, a, _, r)| (c, a, r)).collect()
+        self.chains.iter().map(|((cell, attr), chain)| (*cell, *attr, chain.f_rate())).collect()
     }
 
     /// Ensures the tenant-share cache reflects the current query set.
@@ -404,13 +394,11 @@ impl Fabricator {
     }
 
     fn compute_tenant_shares(&self) -> crate::handler::ChainShares {
-        use std::collections::BTreeMap;
         let mut rates: BTreeMap<(CellId, AttributeId), BTreeMap<_, f64>> = BTreeMap::new();
-        // Accumulate ascending by query id: the per-tenant rate sums are
-        // floating-point, and float addition is not associative — hash
-        // order must never pick the summation order of a checksummed value.
-        for qid in self.query_ids() {
-            let plan = &self.queries[&qid];
+        // Accumulated ascending by query id: the per-tenant rate sums are
+        // floating-point, and float addition is not associative — the
+        // summation order of a checksummed value must be canonical.
+        for Standing { plan, .. } in self.queries.values() {
             for (cell, _, _) in &plan.cells {
                 *rates
                     .entry((*cell, plan.query.attr))
@@ -438,24 +426,11 @@ impl Fabricator {
         self.ingest_batch_mode(tuples, ExecMode::Serial);
     }
 
-    /// **map + process** with per-cell parallelism over `threads` shards.
-    ///
-    /// Kept as a convenience alias for
-    /// `ingest_batch_mode(…, ExecMode::Sharded(threads))`.
-    ///
-    /// # Panics
-    /// Panics when `threads == 0`.
-    #[track_caller]
-    pub fn ingest_batch_parallel(&mut self, tuples: &[CrowdTuple], threads: usize) {
-        assert!(threads > 0, "need at least one thread");
-        self.ingest_batch_mode(tuples, ExecMode::Sharded(threads));
-    }
-
     /// **map + process** under an explicit [`ExecMode`].
     ///
     /// The map phase (tuple → chain routing) always runs on the calling
     /// thread. Under [`ExecMode::Sharded`] the process phase partitions
-    /// the sorted chain list round-robin into shards and runs each shard
+    /// the ascending chain list round-robin into shards and runs each shard
     /// on a scoped worker thread. Chains share nothing (their RNG streams,
     /// estimators, and sinks are all chain-local, seeded from the planner's
     /// root seed), so the result is **bit-identical** to
@@ -475,9 +450,7 @@ impl Fabricator {
         let mut dropped_now = 0usize;
         for t in tuples {
             match self.grid.cell_of(t.point.x, t.point.y) {
-                Some(cell)
-                    if self.cells.get(&cell).is_some_and(|chains| chains.contains_key(&t.attr)) =>
-                {
+                Some(cell) if self.chains.contains_key(&(cell, t.attr)) => {
                     groups.entry((cell, t.attr)).or_default().push(*t);
                 }
                 _ => dropped_now += 1,
@@ -485,23 +458,15 @@ impl Fabricator {
         }
         self.dropped_unmaterialized += dropped_now as u64;
 
-        // Sorted chain list: the canonical execution order. Workers only
-        // ever see disjoint sub-lists of it.
-        let mut jobs: Vec<((CellId, AttributeId), &mut AttrChain)> = self
-            // craqr-lint: allow(R2): collected into `jobs` and sorted by key before any chain runs
-            .cells
-            .iter_mut()
-            .flat_map(|(c, chains)| chains.iter_mut().map(|(a, chain)| ((*c, *a), chain)))
-            .collect();
-        jobs.sort_by_key(|(key, _)| *key);
-        if jobs.is_empty() {
+        if self.chains.is_empty() {
             return IngestReport::merge(dropped_now, Vec::new());
         }
 
-        // Deterministic round-robin shard assignment over sorted keys.
+        // The ascending chain list is the canonical execution order;
+        // round-robin over it, so workers only ever see disjoint sub-lists.
         let mut shard_jobs: Vec<ShardJob<'_>> = (0..shards).map(|_| Vec::new()).collect();
-        for (idx, (key, chain)) in jobs.into_iter().enumerate() {
-            shard_jobs[shard_of(idx, shards)].push((chain, groups.remove(&key)));
+        for (idx, (key, chain)) in self.chains.iter_mut().enumerate() {
+            shard_jobs[shard_of(idx, shards)].push((chain, groups.remove(key)));
         }
 
         let run_shard = |shard_list: &mut ShardJob<'_>| {
@@ -552,15 +517,11 @@ impl Fabricator {
     /// **merge**: drains a query's per-cell sinks through its `U`-operator
     /// and returns the fabricated MCDS slice, time-ordered.
     pub fn collect_output(&mut self, qid: QueryId) -> Result<Vec<CrowdTuple>, PlanError> {
-        let plan = self.queries.get(&qid).ok_or(PlanError::UnknownQuery(qid))?;
-        let attr = plan.query.attr;
-        let footprint = plan.cells.clone();
-        let merge = self.merges.get_mut(&qid).expect("merge exists with plan");
+        let Standing { plan, merge } =
+            self.queries.get_mut(&qid).ok_or(PlanError::UnknownQuery(qid))?;
         let mut emitter = Emitter::new(merge.output_ports());
-        for (port, (cell, _, _)) in footprint.iter().enumerate() {
-            let Some(chain) = self.cells.get_mut(cell).and_then(|c| c.get_mut(&attr)) else {
-                continue;
-            };
+        for (port, (cell, _, _)) in plan.cells.iter().enumerate() {
+            let Some(chain) = self.chains.get_mut(&(*cell, plan.query.attr)) else { continue };
             let piece = chain.drain_query(qid);
             if !piece.is_empty() {
                 merge.process(InputPort(port as u16), &piece, &mut emitter);
@@ -574,41 +535,31 @@ impl Fabricator {
     /// Total tuples processed across every chain (the work measure of the
     /// multi-query sharing experiments).
     pub fn tuples_processed(&self) -> u64 {
-        // craqr-lint: allow(R2): sums u64 counters; integer addition is order-independent
-        self.cells.values().flat_map(HashMap::values).map(AttrChain::tuples_processed).sum()
+        self.chains.values().map(AttrChain::tuples_processed).sum()
     }
 
     /// Fleet-wide operator metrics: every chain's topology counters folded
     /// into one [`craqr_engine::TopologyMetrics`] snapshot, chains visited
-    /// in sorted `(cell, attribute)` order so the aggregate is
+    /// in ascending `(cell, attribute)` order so the aggregate is
     /// deterministic. Includes the history of retired chains (rebuilt or
     /// dematerialized) — the aggregate is cumulative over the fabricator's
     /// whole life, never reset by churn or adaptive rebuilds. Scenario
     /// reports compress this further with
     /// [`craqr_engine::TopologyMetrics::by_kind`].
     pub fn chain_metrics(&self) -> craqr_engine::TopologyMetrics {
-        let mut keys: Vec<(CellId, AttributeId)> =
-            // craqr-lint: allow(R2): keys are collected and sorted on the next line
-            self.cells.iter().flat_map(|(c, chains)| chains.keys().map(|a| (*c, *a))).collect();
-        keys.sort();
         let mut agg = self.retired_metrics.clone();
-        for (cell, attr) in keys {
-            agg.absorb(&self.cells[&cell][&attr].metrics());
+        for chain in self.chains.values() {
+            agg.absorb(&chain.metrics());
         }
         agg
     }
 
-    /// Renders every materialized chain, sorted by cell then attribute —
+    /// Renders every materialized chain, ascending by cell then attribute —
     /// the textual form of Fig. 2(b).
     pub fn explain(&self) -> String {
         use std::fmt::Write;
-        let mut keys: Vec<(CellId, AttributeId)> =
-            // craqr-lint: allow(R2): keys are collected and sorted on the next line
-            self.cells.iter().flat_map(|(c, chains)| chains.keys().map(|a| (*c, *a))).collect();
-        keys.sort();
         let mut s = String::new();
-        for (cell, attr) in keys {
-            let chain = &self.cells[&cell][&attr];
+        for ((cell, attr), chain) in &self.chains {
             let _ = writeln!(s, "R{cell} {attr}: {}", chain.explain());
         }
         s
@@ -616,20 +567,16 @@ impl Fabricator {
 
     /// Access to one chain (for tests and experiments).
     pub fn chain(&self, cell: CellId, attr: AttributeId) -> Option<&AttrChain> {
-        self.cells.get(&cell).and_then(|c| c.get(&attr))
+        self.chains.get(&(cell, attr))
     }
 
     /// Graphviz rendering of every materialized chain, one `digraph` per
     /// (cell, attribute).
     pub fn explain_dot(&self) -> String {
-        let mut keys: Vec<(CellId, AttributeId)> =
-            // craqr-lint: allow(R2): keys are collected and sorted on the next line
-            self.cells.iter().flat_map(|(c, chains)| chains.keys().map(|a| (*c, *a))).collect();
-        keys.sort();
-        keys.iter()
-            .map(|(cell, attr)| {
-                self.cells[cell][attr]
-                    .to_dot(&format!("cell_{}_{}_attr_{}", cell.q, cell.r, attr.0))
+        self.chains
+            .iter()
+            .map(|((cell, attr), chain)| {
+                chain.to_dot(&format!("cell_{}_{}_attr_{}", cell.q, cell.r, attr.0))
             })
             .collect::<Vec<_>>()
             .join("\n")
@@ -738,6 +685,23 @@ mod tests {
     }
 
     #[test]
+    fn walks_ascend_whatever_the_insertion_order() {
+        let mut f = fab();
+        // Descending cells, the shared cell's attributes descending too.
+        for (attr, q, r) in [(0, 3, 3), (1, 2, 1), (0, 2, 1), (0, 0, 2), (0, 0, 0)] {
+            let (x, y) = (q as f64, r as f64);
+            f.insert_query(query(attr, Rect::new(x, y, x + 1.0, y + 1.0), 1.0)).unwrap();
+        }
+        let keys: Vec<_> = f.flatten_reports().iter().map(|(c, a, _, _)| (*c, *a)).collect();
+        assert_eq!(keys.len(), 5);
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "{keys:?}");
+        let demanded: Vec<_> = f.demands().iter().map(|(c, a, _)| (*c, *a)).collect();
+        assert_eq!(demanded, keys);
+        assert!(f.query_ids().windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(f.materialized_cells(), 4, "cell (2,1) holds two chains, counts once");
+    }
+
+    #[test]
     fn deletion_dematerializes_empty_cells() {
         let mut f = fab();
         let q1 = f.insert_query(query(0, Rect::new(0.0, 0.0, 2.0, 1.0), 2.0)).unwrap();
@@ -827,7 +791,7 @@ mod tests {
         for e in 0..6 {
             let batch = tuples(0, 3_000, e as f64 * 5.0, Rect::new(0.0, 0.0, 4.0, 4.0));
             serial.ingest_batch(&batch);
-            parallel.ingest_batch_parallel(&batch, 4);
+            parallel.ingest_batch_mode(&batch, ExecMode::Sharded(4));
         }
         let out_s = serial.collect_output(qs).unwrap();
         let out_p = parallel.collect_output(qp).unwrap();
@@ -841,7 +805,7 @@ mod tests {
     fn parallel_ingest_records_starvation_too() {
         let mut f = fab();
         f.insert_query(query(0, Rect::new(0.0, 0.0, 1.0, 1.0), 1.0)).unwrap();
-        f.ingest_batch_parallel(&[], 2);
+        f.ingest_batch_mode(&[], ExecMode::Sharded(2));
         let reports = f.flatten_reports();
         assert_eq!(reports[0].2.batches(), 1);
         assert_eq!(reports[0].2.last_nv(), 100.0);

@@ -172,13 +172,6 @@ pub struct FaultDeltas {
     pub duplicated: u64,
 }
 
-impl FaultDeltas {
-    /// True when no fault fired.
-    pub fn is_zero(&self) -> bool {
-        *self == FaultDeltas::default()
-    }
-}
-
 /// What happened during one epoch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EpochReport {

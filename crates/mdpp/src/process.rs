@@ -141,9 +141,9 @@ impl<I: IntensityModel> InhomogeneousMdpp<I> {
     /// [`InhomogeneousMdpp::expected_count`] through an
     /// [`crate::intensity::IntegralCache`].
     ///
-    /// Epoch-driven workloads (e.g. the `e13_parallel` stream generator)
-    /// evaluate the expected count of the *same* window shape every epoch
-    /// (per cell, the batch window just slides in time); for models
+    /// Epoch-driven workloads evaluate the expected count of the *same*
+    /// window shape every epoch (per cell, the batch window just slides in
+    /// time); for models
     /// without a closed-form integral each evaluation costs `32³`
     /// `rate_at` calls of quadrature. Callers that own a cache pay that
     /// once per distinct `(model epoch, window)` instead. Pass a new

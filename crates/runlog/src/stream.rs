@@ -152,11 +152,6 @@ impl StreamingRecorder {
         self.tear_next = true;
     }
 
-    /// Whether the tear seam has fired (the on-disk file ends mid-block).
-    pub fn is_torn(&self) -> bool {
-        self.torn
-    }
-
     fn stream_last_epoch(&mut self) -> io::Result<()> {
         self.begin()?;
         let e = self.inner.epochs().last().expect("stream_last_epoch follows a recorded epoch");

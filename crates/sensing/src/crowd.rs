@@ -47,15 +47,6 @@ pub struct CrowdFaults {
     pub duplicate_probability: f64,
 }
 
-impl CrowdFaults {
-    /// True when any fault has a non-zero probability.
-    pub fn is_active(&self) -> bool {
-        self.drop_probability > 0.0
-            || self.delay_probability > 0.0
-            || self.duplicate_probability > 0.0
-    }
-}
-
 /// An in-flight (accepted but not yet delivered) response, ordered for
 /// the pending max-heap by `(Reverse(due), seq)` alone: the earliest due
 /// time pops first, and equal due times pop the larger `seq` first. Fault

@@ -69,10 +69,14 @@
 //! **Determinism contract:** for a fixed root seed, both modes produce
 //! bit-identical fabricated streams, dispatch statistics, and budget
 //! decisions, for every `n` (enforced by `tests/sharded_exec.rs`).
-//! Pick `Sharded(n ≈ available cores)` when many cells are materialized
-//! and batches are large (the `e13_parallel` bench measures the scaling);
-//! stay `Serial` for small grids, debugging, or single-core hosts where
-//! worker threads only add overhead.
+//! Sharding pays only with many chains per shard: the workers are
+//! spawned per epoch, so the benchmark's `core.sharded2_speedup` reads
+//! 1.12–1.27× for `Sharded(2)` on a 2-core shared VM with 2 304 chains
+//! (`grid_replay`), and `Sharded(2)` ingests *slower* than serial on the
+//! few-hundred-chain workloads. Pick `Sharded(n ≈ available cores)` when
+//! thousands of cells are materialized and batches are large; stay
+//! `Serial` for small grids, debugging, or single-core hosts where worker
+//! threads only add overhead.
 //!
 //! ```
 //! use craqr::prelude::*;

@@ -15,6 +15,10 @@
 //! 3. the active trace shows ≥ 1 replan within [`REACT_WITHIN`] epochs of
 //!    the injected shift — and the static twin shows none.
 //!
+//! One inline case has no shift at all ([`STATIONARY`]): attached to a
+//! stationary world the controller never replans, and a controller that
+//! never fires leaves every epoch row exactly as the static plan's.
+//!
 //! Re-bless after an intentional behaviour change with:
 //!
 //! ```text
@@ -22,7 +26,7 @@
 //! ```
 
 use craqr::core::ExecMode;
-use craqr::scenario::{AdaptiveTrace, RunPlan, ScenarioReport, ScenarioRunner};
+use craqr::scenario::{AdaptiveTrace, RunPlan, ScenarioReport, ScenarioRunner, ScenarioSpec};
 use std::path::Path;
 
 /// A replan counts as "reacting" when it lands within this many epochs of
@@ -143,6 +147,69 @@ fn controller_reacts_to_the_shift_and_the_static_baseline_does_not() {
             report.checksum(),
             static_report.checksum(),
             "{stem}: replanning had no observable effect"
+        );
+    }
+}
+
+/// A world with no regime shift: 3 000 sensors on a 6×6 grid, three
+/// standing queries, 80 epochs.
+const STATIONARY: &str = r#"
+name = "adaptive_stationary"
+description = "stationary world: an attached controller has nothing to react to"
+seed = 1500
+epochs = 80
+
+[grid]
+size_km = 6.0
+side = 6
+
+[population]
+size = 3000
+human_fraction = 0.1
+placement = { kind = "city" }
+mobility = { kind = "waypoint", speed = 0.08, pause = 5.0 }
+
+[[attributes]]
+name = "temp"
+field = { kind = "temperature", base = 20.0, y_gradient = -0.15, islands = [[2.0, 2.0, 5.0, 1.0]], diurnal_amplitude = 4.0, diurnal_period = 1440.0 }
+
+[[queries]]
+text = "ACQUIRE temp FROM RECT(0,0,6,6) RATE 0.4"
+
+[[queries]]
+text = "ACQUIRE temp FROM RECT(0,0,3,3) RATE 0.9"
+
+[[queries]]
+text = "ACQUIRE temp FROM RECT(3,3,6,6) RATE 0.6"
+"#;
+
+const STATIONARY_CONTROLLER: &str = r#"
+[adaptive]
+enabled = true
+detector = "cusum"
+slack = 0.5
+threshold = 8.0
+warmup_epochs = 3
+cooldown_epochs = 4
+"#;
+
+#[test]
+fn a_stationary_world_never_replans_and_the_idle_controller_is_inert() {
+    let from_src = |src: &str| {
+        let spec = ScenarioSpec::from_toml(src).unwrap_or_else(|e| panic!("{e}"));
+        ScenarioRunner::new(spec).unwrap_or_else(|e| panic!("{e}"))
+    };
+    let plain = from_src(STATIONARY);
+    let attached = from_src(&format!("{STATIONARY}{STATIONARY_CONTROLLER}"));
+    for mode in [ExecMode::Serial, ExecMode::Sharded(4)] {
+        let plan = RunPlan::new(mode);
+        let plain_out = plain.run(&plan).unwrap_or_else(|e| panic!("{e}"));
+        let attached_out = attached.run(&plan).unwrap_or_else(|e| panic!("{e}"));
+        let trace = attached_out.trace.expect("adaptive trace");
+        assert!(trace.replans.is_empty(), "{mode:?}: replanned:\n{}", trace.canonical());
+        assert_eq!(
+            plain_out.report.epochs, attached_out.report.epochs,
+            "{mode:?}: a non-firing controller perturbed the epoch loop"
         );
     }
 }
