@@ -8,7 +8,28 @@
 //! serialize back losslessly — `parse(spec.to_toml()) == spec` holds for
 //! every valid spec and is proptested.
 //!
-//! The schema is documented field-by-field in `scenarios/README.md`.
+//! **The schema is the set of `Block::fields` functions below**, one per
+//! block. Each of their lines names a key, its slot in the public type,
+//! whether a document must carry it, and its range, and the private `Io`
+//! runs that one function in three modes: a *read* walk fills the slots
+//! from a value tree and rejects the keys nobody asked for, a *write* walk
+//! emits them in the same order with defaults materialized, a *check* walk
+//! enforces the ranges. `from_table` is blank → read walk → `validate`;
+//! `to_table` is a write walk; `validate` is a check walk followed by the
+//! rules no single key can state (uniqueness, tenant references, windows
+//! against `epochs` and the region) and by the runtime configs' own
+//! validators, which own the ranges the schema marks `Range::Any`. A key
+//! therefore cannot be parsed under one name and written under another,
+//! and a range message always names the key at fault.
+//!
+//! Adding a key is three edits: the field with its rustdoc on the public
+//! type (and its default in `Block::blank`, when that is not `Default`),
+//! one line in that block's `fields`, one line in `scenarios/README.md`,
+//! which documents the schema field-by-field.
+//!
+//! A walk needs `&mut` slots because reading fills them, so `to_table`
+//! and `validate`, which take `&self`, walk a clone: a few µs once per
+//! run, against writing every block's keys down a second time for `&self`.
 
 use crate::value::{
     parse_json, parse_toml, render_json, render_toml, ConfigValue, SyntaxError, Table,
@@ -609,18 +630,128 @@ pub struct ScenarioSpec {
 }
 
 // ---------------------------------------------------------------------------
-// Reading: a table reader that tracks consumed keys (typo protection)
+// The walk: one `fields` function per block, run in three modes
 // ---------------------------------------------------------------------------
 
-struct Reader<'a> {
-    table: &'a Table,
-    path: String,
-    seen: Vec<String>,
+/// One table of the schema. `fields` names every key of the block once —
+/// its slot, whether a document must carry it, its range — and [`Io`]
+/// decides what naming it does: fill the slot, emit it, or check it.
+trait Block: Sized {
+    /// The value a read walk starts from: optional keys at their defaults,
+    /// required keys at placeholders the walk overwrites.
+    fn blank() -> Self;
+    /// The block's keys, in the order they are read and written.
+    fn fields(&mut self, io: &mut Io<'_>) -> Result<(), SpecError>;
 }
 
-impl<'a> Reader<'a> {
-    fn new(table: &'a Table, path: impl Into<String>) -> Self {
-        Self { table, path: path.into(), seen: Vec::new() }
+/// Whether a document must carry a key.
+#[derive(Clone, Copy, PartialEq)]
+enum Need {
+    /// Absent is a [`SpecError::MissingField`].
+    Req,
+    /// Absent keeps the slot's [`Block::blank`] value — the default.
+    Opt,
+}
+use Need::{Opt, Req};
+
+/// The range a float key declares. `Any` marks a key whose range belongs
+/// to the runtime config it is copied into ([`craqr_core::ServerConfig`],
+/// [`craqr_sensing::PopulationConfig`], [`craqr_adaptive::AdaptiveConfig`]):
+/// [`ScenarioSpec::validate`] asks that config's own validator.
+#[derive(Clone, Copy)]
+enum Range {
+    Any,
+    Finite,
+    Positive,
+    NonNeg,
+    Unit,
+    HalfUnit,
+}
+
+impl Range {
+    /// The message for a `v` outside the range.
+    fn violated(self, v: f64) -> Option<String> {
+        let (ok, rule) = match self {
+            Range::Any => (true, ""),
+            Range::Finite => (v.is_finite(), "finite"),
+            Range::Positive => (v.is_finite() && v > 0.0, "> 0"),
+            Range::NonNeg => (v.is_finite() && v >= 0.0, ">= 0"),
+            Range::Unit => ((0.0..=1.0).contains(&v), "in [0,1]"),
+            Range::HalfUnit => ((0.0..1.0).contains(&v), "in [0,1)"),
+        };
+        match self {
+            _ if ok => None,
+            // No document can spell a non-finite float: there is no "got".
+            Range::Finite => Some("must be finite".into()),
+            _ => Some(format!("must be {rule}, got {v}")),
+        }
+    }
+}
+
+/// What a walk does at each key.
+enum Mode<'a> {
+    /// Fill the slots from `table`; `seen` collects the keys the schema
+    /// asked for, so the rest can be rejected as unknown.
+    Read { table: &'a Table, seen: Vec<&'static str> },
+    /// Emit every slot in walk order, defaults materialized.
+    Write(Table),
+    /// Enforce the declared ranges.
+    Check,
+}
+
+/// One walk over one block.
+struct Io<'a> {
+    mode: Mode<'a>,
+    /// Dotted path of the block (`""` at the root), for error messages.
+    path: String,
+    /// The spec's `epochs`, carried down to `faults.crowd[].to_epoch`,
+    /// whose default is the last epoch.
+    epochs: u32,
+}
+
+type Quad = (f64, f64, f64, f64);
+
+fn quad_value(&(a, b, c, d): &Quad) -> ConfigValue {
+    ConfigValue::Array([a, b, c, d].map(ConfigValue::Float).to_vec())
+}
+
+fn out_of_range(path: impl Into<String>, message: impl Into<String>) -> SpecError {
+    SpecError::OutOfRange { path: path.into(), message: message.into() }
+}
+
+/// Runs one walk over `slot`. A read walk ends by rejecting the keys
+/// `fields` never asked for; a write walk hands back the block's table.
+fn walk<B: Block>(slot: &mut B, mut io: Io<'_>) -> Result<Option<Table>, SpecError> {
+    slot.fields(&mut io)?;
+    match io.mode {
+        Mode::Read { table, ref seen } => match table.keys().find(|k| !seen.contains(k)) {
+            Some(key) => Err(SpecError::UnknownField { path: io.at(key) }),
+            None => Ok(None),
+        },
+        Mode::Write(table) => Ok(Some(table)),
+        Mode::Check => Ok(None),
+    }
+}
+
+impl<'a> Io<'a> {
+    fn root(mode: Mode<'a>) -> Self {
+        Self { mode, path: String::new(), epochs: 0 }
+    }
+
+    fn reading(&self) -> bool {
+        matches!(self.mode, Mode::Read { .. })
+    }
+
+    fn checking(&self) -> bool {
+        matches!(self.mode, Mode::Check)
+    }
+
+    /// The table a write walk emits into.
+    fn out(&mut self) -> Option<&mut Table> {
+        match &mut self.mode {
+            Mode::Write(table) => Some(table),
+            _ => None,
+        }
     }
 
     fn at(&self, key: &str) -> String {
@@ -631,188 +762,797 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn take(&mut self, key: &str) -> Option<&'a ConfigValue> {
-        self.seen.push(key.to_string());
-        self.table.get(key)
+    fn mismatch(&self, key: &str, expected: &'static str, found: &ConfigValue) -> SpecError {
+        SpecError::TypeMismatch { path: self.at(key), expected, found: found.type_name() }
     }
 
-    fn req(&mut self, key: &str) -> Result<&'a ConfigValue, SpecError> {
-        self.take(key).ok_or_else(|| SpecError::MissingField { path: self.at(key) })
+    fn out_of_range(&self, key: &str, message: impl Into<String>) -> SpecError {
+        out_of_range(self.at(key), message)
     }
 
-    fn req_str(&mut self, key: &str) -> Result<String, SpecError> {
-        let path = self.at(key);
-        match self.req(key)? {
-            ConfigValue::Str(s) => Ok(s.clone()),
-            other => Err(mismatch(&path, "string", other)),
+    /// On a read walk, the document's value under `key` (now a known key);
+    /// `None` on the other walks and for an absent optional key.
+    fn get(&mut self, key: &'static str, need: Need) -> Result<Option<&'a ConfigValue>, SpecError> {
+        let Mode::Read { table, seen } = &mut self.mode else { return Ok(None) };
+        seen.push(key);
+        match table.get(key) {
+            None if need == Req => Err(SpecError::MissingField { path: self.at(key) }),
+            found => Ok(found),
         }
     }
 
-    fn opt_str(&mut self, key: &str, default: &str) -> Result<String, SpecError> {
-        let path = self.at(key);
-        match self.take(key) {
-            None => Ok(default.to_string()),
-            Some(ConfigValue::Str(s)) => Ok(s.clone()),
-            Some(other) => Err(mismatch(&path, "string", other)),
+    /// Whether an `Option` slot is there to walk: the document decides on a
+    /// read walk, the value on the others.
+    fn has(&self, key: &str, in_value: bool) -> bool {
+        match &self.mode {
+            Mode::Read { table, .. } => table.get(key).is_some(),
+            _ => in_value,
         }
     }
 
-    fn req_f64(&mut self, key: &str) -> Result<f64, SpecError> {
-        let path = self.at(key);
-        as_f64(self.req(key)?, &path)
-    }
-
-    fn opt_f64(&mut self, key: &str, default: f64) -> Result<f64, SpecError> {
-        let path = self.at(key);
-        match self.take(key) {
-            None => Ok(default),
-            Some(v) => as_f64(v, &path),
+    fn number(&self, key: &str, v: &ConfigValue) -> Result<f64, SpecError> {
+        match v {
+            ConfigValue::Float(f) => Ok(*f),
+            ConfigValue::Int(i) => Ok(*i as f64),
+            other => Err(self.mismatch(key, "number", other)),
         }
     }
 
-    fn req_u32(&mut self, key: &str) -> Result<u32, SpecError> {
-        let path = self.at(key);
-        as_u32(self.req(key)?, &path)
-    }
-
-    fn opt_u32(&mut self, key: &str, default: u32) -> Result<u32, SpecError> {
-        let path = self.at(key);
-        match self.take(key) {
-            None => Ok(default),
-            Some(v) => as_u32(v, &path),
-        }
-    }
-
-    fn opt_bool(&mut self, key: &str, default: bool) -> Result<bool, SpecError> {
-        let path = self.at(key);
-        match self.take(key) {
-            None => Ok(default),
-            Some(ConfigValue::Bool(b)) => Ok(*b),
-            Some(other) => Err(mismatch(&path, "boolean", other)),
-        }
-    }
-
-    fn req_table(&mut self, key: &str) -> Result<Reader<'a>, SpecError> {
-        let path = self.at(key);
-        match self.req(key)? {
-            ConfigValue::Table(t) => Ok(Reader::new(t, path)),
-            other => Err(mismatch(&path, "table", other)),
-        }
-    }
-
-    fn opt_table(&mut self, key: &str) -> Result<Option<Reader<'a>>, SpecError> {
-        let path = self.at(key);
-        match self.take(key) {
-            None => Ok(None),
-            Some(ConfigValue::Table(t)) => Ok(Some(Reader::new(t, path))),
-            Some(other) => Err(mismatch(&path, "table", other)),
-        }
-    }
-
-    fn req_table_array(&mut self, key: &str) -> Result<Vec<Reader<'a>>, SpecError> {
-        let path = self.at(key);
-        match self.req(key)? {
-            ConfigValue::Array(items) => table_array(items, &path),
-            other => Err(mismatch(&path, "array of tables", other)),
-        }
-    }
-
-    /// An optional array of tables: absent parses as empty.
-    fn opt_table_array(&mut self, key: &str) -> Result<Vec<Reader<'a>>, SpecError> {
-        let path = self.at(key);
-        match self.take(key) {
-            None => Ok(Vec::new()),
-            Some(ConfigValue::Array(items)) => table_array(items, &path),
-            Some(other) => Err(mismatch(&path, "array of tables", other)),
-        }
-    }
-
-    /// Reads an optional array of `[a, b, c, d]` float quadruples.
-    fn opt_quads(
+    fn f64(
         &mut self,
-        key: &str,
-        default: Vec<(f64, f64, f64, f64)>,
-    ) -> Result<Vec<(f64, f64, f64, f64)>, SpecError> {
-        let path = self.at(key);
-        let Some(v) = self.take(key) else { return Ok(default) };
-        let ConfigValue::Array(items) = v else {
-            return Err(mismatch(&path, "array", v));
-        };
-        items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| {
-                let ipath = format!("{path}[{i}]");
-                let ConfigValue::Array(quad) = item else {
-                    return Err(mismatch(&ipath, "array of 4 numbers", item));
-                };
-                if quad.len() != 4 {
-                    return Err(SpecError::OutOfRange {
-                        path: ipath,
-                        message: format!("needs exactly 4 numbers, got {}", quad.len()),
-                    });
-                }
-                Ok((
-                    as_f64(&quad[0], &ipath)?,
-                    as_f64(&quad[1], &ipath)?,
-                    as_f64(&quad[2], &ipath)?,
-                    as_f64(&quad[3], &ipath)?,
-                ))
-            })
-            .collect()
+        key: &'static str,
+        slot: &mut f64,
+        need: Need,
+        range: Range,
+    ) -> Result<(), SpecError> {
+        if let Some(v) = self.get(key, need)? {
+            *slot = self.number(key, v)?;
+        }
+        if let Some(out) = self.out() {
+            out.insert(key, ConfigValue::Float(*slot));
+        }
+        if self.checking() {
+            if let Some(message) = range.violated(*slot) {
+                return Err(self.out_of_range(key, message));
+            }
+        }
+        Ok(())
     }
 
-    /// Errors on any key the schema did not consume.
-    fn finish(self) -> Result<(), SpecError> {
-        for key in self.table.keys() {
-            if !self.seen.iter().any(|s| s == key) {
-                return Err(SpecError::UnknownField { path: self.at(key) });
+    fn opt_f64(
+        &mut self,
+        key: &'static str,
+        slot: &mut Option<f64>,
+        range: Range,
+    ) -> Result<(), SpecError> {
+        if self.has(key, slot.is_some()) {
+            self.f64(key, slot.get_or_insert(0.0), Req, range)?;
+        }
+        Ok(())
+    }
+
+    fn u32(&mut self, key: &'static str, slot: &mut u32, need: Need) -> Result<(), SpecError> {
+        match self.get(key, need)? {
+            None => {}
+            Some(ConfigValue::Int(i)) => {
+                *slot = u32::try_from(*i).map_err(|_| {
+                    let message = format!("must fit in an unsigned 32-bit integer, got {i}");
+                    self.out_of_range(key, message)
+                })?
+            }
+            Some(other) => return Err(self.mismatch(key, "integer", other)),
+        }
+        if let Some(out) = self.out() {
+            out.insert(key, ConfigValue::Int(*slot as i64));
+        }
+        Ok(())
+    }
+
+    /// A `u64` that has to survive a TOML/JSON integer, which is signed.
+    fn u64(&mut self, key: &'static str, slot: &mut u64, need: Need) -> Result<(), SpecError> {
+        match self.get(key, need)? {
+            None => {}
+            Some(ConfigValue::Int(i)) => {
+                *slot = u64::try_from(*i)
+                    .map_err(|_| self.out_of_range(key, format!("must be >= 0, got {i}")))?
+            }
+            Some(other) => return Err(self.mismatch(key, "integer", other)),
+        }
+        if let Some(out) = self.out() {
+            out.insert(key, ConfigValue::Int(*slot as i64));
+        }
+        if self.checking() && *slot > i64::MAX as u64 {
+            let message =
+                format!("must fit in a signed 64-bit integer (TOML/JSON integer), got {slot}");
+            return Err(self.out_of_range(key, message));
+        }
+        Ok(())
+    }
+
+    fn bool(&mut self, key: &'static str, slot: &mut bool, need: Need) -> Result<(), SpecError> {
+        match self.get(key, need)? {
+            None => {}
+            Some(ConfigValue::Bool(b)) => *slot = *b,
+            Some(other) => return Err(self.mismatch(key, "boolean", other)),
+        }
+        if let Some(out) = self.out() {
+            out.insert(key, ConfigValue::Bool(*slot));
+        }
+        Ok(())
+    }
+
+    fn str(&mut self, key: &'static str, slot: &mut String, need: Need) -> Result<(), SpecError> {
+        match self.get(key, need)? {
+            None => {}
+            Some(ConfigValue::Str(s)) => slot.clone_from(s),
+            Some(other) => return Err(self.mismatch(key, "string", other)),
+        }
+        if let Some(out) = self.out() {
+            out.insert(key, ConfigValue::Str(slot.clone()));
+        }
+        Ok(())
+    }
+
+    fn opt_str(&mut self, key: &'static str, slot: &mut Option<String>) -> Result<(), SpecError> {
+        if self.has(key, slot.is_some()) {
+            self.str(key, slot.get_or_insert_with(String::new), Req)?;
+        }
+        Ok(())
+    }
+
+    /// A required `[a-z0-9_-]+` string; `note` says what the name is for.
+    fn slug(&mut self, key: &'static str, slot: &mut String, note: &str) -> Result<(), SpecError> {
+        self.str(key, slot, Req)?;
+        let ok = |b: u8| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_' || b == b'-';
+        if self.checking() && (slot.is_empty() || !slot.bytes().all(ok)) {
+            let message = format!("must match [a-z0-9_-]+{note}, got '{slot}'");
+            return Err(self.out_of_range(key, message));
+        }
+        Ok(())
+    }
+
+    /// A string that has to be one of `all`.
+    fn choice(
+        &mut self,
+        key: &'static str,
+        slot: &mut String,
+        need: Need,
+        all: &[&str],
+    ) -> Result<(), SpecError> {
+        self.str(key, slot, need)?;
+        if self.checking() && !all.contains(&slot.as_str()) {
+            return Err(self.not_among(key, all, slot));
+        }
+        Ok(())
+    }
+
+    /// `must be 'a', 'b', or 'c', got 'x'`.
+    fn not_among(&self, key: &str, all: &[&str], got: &str) -> SpecError {
+        let quoted: Vec<String> = all.iter().map(|a| format!("'{a}'")).collect();
+        let (last, rest) = quoted.split_last().expect("a choice has alternatives");
+        let comma = if rest.len() > 1 { "," } else { "" };
+        let message = format!("must be {}{comma} or {last}, got '{got}'", rest.join(", "));
+        self.out_of_range(key, message)
+    }
+
+    /// The `kind` key of a tagged enum: the document's on a read walk (the
+    /// caller then switches the slot to that variant's blank), `current`
+    /// on the others.
+    fn tag(&mut self, current: &str) -> Result<String, SpecError> {
+        let mut kind = current.to_string();
+        self.str("kind", &mut kind, Req)?;
+        Ok(kind)
+    }
+
+    fn bad_tag(&self, all: &[&str], got: &str) -> SpecError {
+        self.not_among("kind", all, got)
+    }
+
+    fn quad(&self, key: &str, v: &ConfigValue, names: &str) -> Result<Quad, SpecError> {
+        let ConfigValue::Array(q) = v else {
+            return Err(self.mismatch(key, "array of 4 numbers", v));
+        };
+        if q.len() != 4 {
+            let message = format!("needs exactly 4 numbers{names}, got {}", q.len());
+            return Err(self.out_of_range(key, message));
+        }
+        Ok((
+            self.number(key, &q[0])?,
+            self.number(key, &q[1])?,
+            self.number(key, &q[2])?,
+            self.number(key, &q[3])?,
+        ))
+    }
+
+    /// An optional array of `[a, b, c, d]` float quadruples.
+    fn quads(&mut self, key: &'static str, slot: &mut Vec<Quad>) -> Result<(), SpecError> {
+        match self.get(key, Opt)? {
+            None => {}
+            Some(ConfigValue::Array(items)) => {
+                *slot = items
+                    .iter()
+                    .enumerate()
+                    .map(|(i, item)| self.quad(&format!("{key}[{i}]"), item, ""))
+                    .collect::<Result<_, _>>()?
+            }
+            Some(other) => return Err(self.mismatch(key, "array", other)),
+        }
+        if let Some(out) = self.out() {
+            out.insert(key, ConfigValue::Array(slot.iter().map(quad_value).collect()));
+        }
+        Ok(())
+    }
+
+    /// A required `[x0, y0, x1, y1]` rectangle with positive area.
+    fn rect(&mut self, key: &'static str, slot: &mut Quad) -> Result<(), SpecError> {
+        if let Some(v) = self.get(key, Req)? {
+            *slot = self.quad(key, v, " (x0, y0, x1, y1)")?;
+        }
+        if let Some(out) = self.out() {
+            out.insert(key, quad_value(slot));
+        }
+        let (x0, y0, x1, y1) = *slot;
+        let finite = x0.is_finite() && y0.is_finite() && x1.is_finite() && y1.is_finite();
+        if self.checking() && !(finite && x0 < x1 && y0 < y1) {
+            let message =
+                format!("must be a finite rectangle with x0 < x1 and y0 < y1, got {slot:?}");
+            return Err(self.out_of_range(key, message));
+        }
+        Ok(())
+    }
+
+    /// Walks `slot` as the block at `path` in this walk's mode, reading
+    /// from `source`.
+    fn child<B: Block>(
+        &self,
+        slot: &mut B,
+        path: String,
+        source: Option<&'a Table>,
+    ) -> Result<Option<Table>, SpecError> {
+        let mode = match (&self.mode, source) {
+            (Mode::Read { .. }, Some(table)) => Mode::Read { table, seen: Vec::new() },
+            (Mode::Write(_), _) => Mode::Write(Table::new()),
+            _ => Mode::Check,
+        };
+        walk(slot, Io { mode, path, epochs: self.epochs })
+    }
+
+    /// A nested table.
+    fn block<B: Block>(
+        &mut self,
+        key: &'static str,
+        slot: &mut B,
+        need: Need,
+    ) -> Result<(), SpecError> {
+        let source = match self.get(key, need)? {
+            Some(ConfigValue::Table(table)) => Some(table),
+            Some(other) => return Err(self.mismatch(key, "table", other)),
+            None if self.reading() => return Ok(()),
+            None => None,
+        };
+        let written = self.child(slot, self.at(key), source)?;
+        if let (Some(out), Some(table)) = (self.out(), written) {
+            out.insert(key, ConfigValue::Table(table));
+        }
+        Ok(())
+    }
+
+    /// A nested table whose absence means something (`None`).
+    fn opt_block<B: Block>(
+        &mut self,
+        key: &'static str,
+        slot: &mut Option<B>,
+    ) -> Result<(), SpecError> {
+        if self.has(key, slot.is_some()) {
+            self.block(key, slot.get_or_insert_with(B::blank), Req)?;
+        }
+        Ok(())
+    }
+
+    /// An array of tables; an optional one is written only when non-empty.
+    fn blocks<B: Block>(
+        &mut self,
+        key: &'static str,
+        slot: &mut Vec<B>,
+        need: Need,
+    ) -> Result<(), SpecError> {
+        let at = self.at(key);
+        match self.get(key, need)? {
+            Some(ConfigValue::Array(items)) => {
+                for (i, item) in items.iter().enumerate() {
+                    let ConfigValue::Table(table) = item else {
+                        return Err(self.mismatch(&format!("{key}[{i}]"), "table", item));
+                    };
+                    let mut block = B::blank();
+                    self.child(&mut block, format!("{at}[{i}]"), Some(table))?;
+                    slot.push(block);
+                }
+            }
+            Some(other) => return Err(self.mismatch(key, "array of tables", other)),
+            None => {
+                let mut tables = Vec::new();
+                for (i, block) in slot.iter_mut().enumerate() {
+                    let written = self.child(block, format!("{at}[{i}]"), None)?;
+                    tables.extend(written.map(ConfigValue::Table));
+                }
+                if need == Req || !tables.is_empty() {
+                    if let Some(out) = self.out() {
+                        out.insert(key, ConfigValue::Array(tables));
+                    }
+                }
             }
         }
         Ok(())
     }
 }
 
-fn table_array<'a>(items: &'a [ConfigValue], path: &str) -> Result<Vec<Reader<'a>>, SpecError> {
-    items
-        .iter()
-        .enumerate()
-        .map(|(i, item)| match item {
-            ConfigValue::Table(t) => Ok(Reader::new(t, format!("{path}[{i}]"))),
-            other => Err(mismatch(&format!("{path}[{i}]"), "table", other)),
-        })
-        .collect()
-}
+// ---------------------------------------------------------------------------
+// The schema: every key of every block, once
+// ---------------------------------------------------------------------------
 
-fn mismatch(path: &str, expected: &'static str, found: &ConfigValue) -> SpecError {
-    SpecError::TypeMismatch { path: path.to_string(), expected, found: found.type_name() }
-}
+impl Block for ScenarioSpec {
+    fn blank() -> Self {
+        Self {
+            name: String::new(),
+            description: String::new(),
+            seed: 0,
+            epochs: 0,
+            grid: GridSpec::blank(),
+            population: PopulationSpec::blank(),
+            planner: PlannerSpec::blank(),
+            budget: BudgetSpec::blank(),
+            errors: None,
+            churn: None,
+            attributes: Vec::new(),
+            tenants: Vec::new(),
+            queries: Vec::new(),
+            shifts: Vec::new(),
+            adaptive: None,
+            runlog: None,
+            faults: None,
+            telemetry: None,
+        }
+    }
 
-fn as_f64(v: &ConfigValue, path: &str) -> Result<f64, SpecError> {
-    match v {
-        ConfigValue::Float(f) => Ok(*f),
-        ConfigValue::Int(i) => Ok(*i as f64),
-        other => Err(mismatch(path, "number", other)),
+    fn fields(&mut self, io: &mut Io<'_>) -> Result<(), SpecError> {
+        io.slug("name", &mut self.name, " (it names the golden file)")?;
+        io.str("description", &mut self.description, Opt)?;
+        io.u64("seed", &mut self.seed, Req)?;
+        io.u32("epochs", &mut self.epochs, Req)?;
+        if io.checking() && self.epochs == 0 {
+            return Err(io.out_of_range("epochs", "must be >= 1"));
+        }
+        io.epochs = self.epochs;
+        io.block("grid", &mut self.grid, Req)?;
+        io.block("population", &mut self.population, Req)?;
+        io.block("planner", &mut self.planner, Opt)?;
+        io.block("budget", &mut self.budget, Opt)?;
+        io.opt_block("errors", &mut self.errors)?;
+        io.opt_block("churn", &mut self.churn)?;
+        io.blocks("attributes", &mut self.attributes, Req)?;
+        io.blocks("tenants", &mut self.tenants, Opt)?;
+        io.blocks("queries", &mut self.queries, Req)?;
+        io.blocks("shifts", &mut self.shifts, Opt)?;
+        io.opt_block("adaptive", &mut self.adaptive)?;
+        io.opt_block("runlog", &mut self.runlog)?;
+        io.opt_block("telemetry", &mut self.telemetry)?;
+        io.opt_block("faults", &mut self.faults)
     }
 }
 
-fn as_u32(v: &ConfigValue, path: &str) -> Result<u32, SpecError> {
-    match v {
-        ConfigValue::Int(i) if *i >= 0 && *i <= u32::MAX as i64 => Ok(*i as u32),
-        ConfigValue::Int(i) => Err(SpecError::OutOfRange {
-            path: path.to_string(),
-            message: format!("must fit in an unsigned 32-bit integer, got {i}"),
-        }),
-        other => Err(mismatch(path, "integer", other)),
+impl Block for GridSpec {
+    fn blank() -> Self {
+        Self { size_km: 0.0, side: 0 }
+    }
+
+    fn fields(&mut self, io: &mut Io<'_>) -> Result<(), SpecError> {
+        io.f64("size_km", &mut self.size_km, Req, Range::Positive)?;
+        io.u32("side", &mut self.side, Req)
     }
 }
 
-fn out_of_range(path: impl Into<String>, message: impl Into<String>) -> SpecError {
-    SpecError::OutOfRange { path: path.into(), message: message.into() }
+impl Block for PopulationSpec {
+    fn blank() -> Self {
+        Self {
+            size: 0,
+            human_fraction: 0.0,
+            placement: PlacementSpec::blank(),
+            mobility: MobilitySpec::blank(),
+        }
+    }
+
+    fn fields(&mut self, io: &mut Io<'_>) -> Result<(), SpecError> {
+        io.u32("size", &mut self.size, Req)?;
+        io.f64("human_fraction", &mut self.human_fraction, Opt, Range::Any)?;
+        io.block("placement", &mut self.placement, Req)?;
+        io.block("mobility", &mut self.mobility, Req)
+    }
+}
+
+impl Block for PlacementSpec {
+    fn blank() -> Self {
+        Self::Uniform
+    }
+
+    fn fields(&mut self, io: &mut Io<'_>) -> Result<(), SpecError> {
+        let kind = io.tag(match self {
+            Self::Uniform => "uniform",
+            Self::City => "city",
+            Self::Hotspots { .. } => "hotspots",
+        })?;
+        if io.reading() {
+            *self = match kind.as_str() {
+                "uniform" => Self::Uniform,
+                "city" => Self::City,
+                "hotspots" => Self::Hotspots { floor: 1.0, spots: Vec::new() },
+                other => return Err(io.bad_tag(&["uniform", "city", "hotspots"], other)),
+            };
+        }
+        match self {
+            Self::Uniform | Self::City => Ok(()),
+            Self::Hotspots { floor, spots } => {
+                io.f64("floor", floor, Opt, Range::Any)?;
+                io.quads("spots", spots)
+            }
+        }
+    }
+}
+
+impl Block for MobilitySpec {
+    fn blank() -> Self {
+        Self::Stationary
+    }
+
+    fn fields(&mut self, io: &mut Io<'_>) -> Result<(), SpecError> {
+        let kind = io.tag(match self {
+            Self::Stationary => "stationary",
+            Self::Walk { .. } => "walk",
+            Self::Waypoint { .. } => "waypoint",
+            Self::GaussMarkov { .. } => "gauss_markov",
+        })?;
+        if io.reading() {
+            *self = match kind.as_str() {
+                "stationary" => Self::Stationary,
+                "walk" => Self::Walk { sigma: 0.0 },
+                "waypoint" => Self::Waypoint { speed: 0.0, pause: 0.0 },
+                "gauss_markov" => Self::GaussMarkov { alpha: 0.0, mean_speed: 0.0, sigma: 0.0 },
+                other => {
+                    let all = ["stationary", "walk", "waypoint", "gauss_markov"];
+                    return Err(io.bad_tag(&all, other));
+                }
+            };
+        }
+        match self {
+            Self::Stationary => Ok(()),
+            Self::Walk { sigma } => io.f64("sigma", sigma, Req, Range::NonNeg),
+            Self::Waypoint { speed, pause } => {
+                io.f64("speed", speed, Req, Range::Positive)?;
+                io.f64("pause", pause, Opt, Range::NonNeg)
+            }
+            Self::GaussMarkov { alpha, mean_speed, sigma } => {
+                io.f64("alpha", alpha, Req, Range::HalfUnit)?;
+                io.f64("mean_speed", mean_speed, Req, Range::NonNeg)?;
+                io.f64("sigma", sigma, Req, Range::NonNeg)
+            }
+        }
+    }
+}
+
+impl Block for PlannerSpec {
+    fn blank() -> Self {
+        Self::default()
+    }
+
+    fn fields(&mut self, io: &mut Io<'_>) -> Result<(), SpecError> {
+        io.f64("batch_minutes", &mut self.batch_minutes, Opt, Range::Any)?;
+        io.f64("f_headroom", &mut self.f_headroom, Opt, Range::Any)?;
+        io.u32("mobility_substeps", &mut self.mobility_substeps, Opt)?;
+        io.bool("enforce_min_area", &mut self.enforce_min_area, Opt)?;
+        io.choice("shape", &mut self.shape, Opt, &["chain", "star"])
+    }
+}
+
+impl Block for BudgetSpec {
+    fn blank() -> Self {
+        Self::default()
+    }
+
+    fn fields(&mut self, io: &mut Io<'_>) -> Result<(), SpecError> {
+        io.f64("initial", &mut self.initial, Opt, Range::Any)?;
+        io.f64("nv_threshold", &mut self.nv_threshold, Opt, Range::Any)?;
+        io.f64("delta", &mut self.delta, Opt, Range::Any)?;
+        io.f64("min", &mut self.min, Opt, Range::Any)?;
+        io.f64("max", &mut self.max, Opt, Range::Any)
+    }
+}
+
+impl Block for ErrorSpec {
+    fn blank() -> Self {
+        Self {
+            gps_sigma: 0.0,
+            bool_flip_prob: 0.0,
+            value_sigma: 0.0,
+            mitigation: "standard".into(),
+        }
+    }
+
+    // The three numerics are `Any` because `to_server_config` has to guard
+    // them anyway (it is public, and `ErrorModel::new` asserts).
+    fn fields(&mut self, io: &mut Io<'_>) -> Result<(), SpecError> {
+        io.f64("gps_sigma", &mut self.gps_sigma, Opt, Range::Any)?;
+        io.f64("bool_flip_prob", &mut self.bool_flip_prob, Opt, Range::Any)?;
+        io.f64("value_sigma", &mut self.value_sigma, Opt, Range::Any)?;
+        io.choice("mitigation", &mut self.mitigation, Opt, &["standard", "off"])
+    }
+}
+
+impl Block for ChurnSpec {
+    fn blank() -> Self {
+        Self { probability: 0.0 }
+    }
+
+    fn fields(&mut self, io: &mut Io<'_>) -> Result<(), SpecError> {
+        io.f64("probability", &mut self.probability, Req, Range::Unit)
+    }
+}
+
+impl Block for AttributeSpec {
+    fn blank() -> Self {
+        Self { name: String::new(), human: false, field: FieldSpec::blank() }
+    }
+
+    fn fields(&mut self, io: &mut Io<'_>) -> Result<(), SpecError> {
+        io.str("name", &mut self.name, Req)?;
+        io.bool("human", &mut self.human, Opt)?;
+        io.block("field", &mut self.field, Req)
+    }
+}
+
+impl Block for FieldSpec {
+    fn blank() -> Self {
+        Self::ConstantFloat { value: 0.0 }
+    }
+
+    fn fields(&mut self, io: &mut Io<'_>) -> Result<(), SpecError> {
+        let kind = io.tag(match self {
+            Self::Temperature { .. } => "temperature",
+            Self::Rain { .. } => "rain",
+            Self::ConstantFloat { .. } | Self::ConstantBool { .. } => "constant",
+            Self::Burst { .. } => "burst",
+        })?;
+        if io.reading() {
+            *self = match kind.as_str() {
+                "temperature" => Self::Temperature {
+                    base: 20.0,
+                    y_gradient: 0.0,
+                    islands: Vec::new(),
+                    diurnal_amplitude: 0.0,
+                    diurnal_period: 1440.0,
+                },
+                "rain" => Self::Rain { x_start: 0.0, speed: 0.0, width: 0.0 },
+                // One tag, two variants: the value's own type picks.
+                "constant" if matches!(io.get("value", Opt)?, Some(ConfigValue::Bool(_))) => {
+                    Self::ConstantBool { value: false }
+                }
+                "constant" => Self::ConstantFloat { value: 0.0 },
+                "burst" => Self::Burst {
+                    mu: 0.0,
+                    alpha: 0.0,
+                    beta: 0.0,
+                    sigma: 0.0,
+                    horizon: 0.0,
+                    immigrants: 0,
+                    branching_ratio: 0.0,
+                    scale: 1.0,
+                },
+                other => {
+                    return Err(io.bad_tag(&["temperature", "rain", "constant", "burst"], other))
+                }
+            };
+        }
+        match self {
+            Self::Temperature { base, y_gradient, islands, diurnal_amplitude, diurnal_period } => {
+                io.f64("base", base, Opt, Range::Finite)?;
+                io.f64("y_gradient", y_gradient, Opt, Range::Finite)?;
+                io.quads("islands", islands)?;
+                io.f64("diurnal_amplitude", diurnal_amplitude, Opt, Range::Finite)?;
+                io.f64("diurnal_period", diurnal_period, Opt, Range::Positive)?;
+                let checked = if io.checking() { islands.as_slice() } else { &[] };
+                for (i, &(cx, cy, amplitude, sigma)) in checked.iter().enumerate() {
+                    let island = format!("islands[{i}]");
+                    if !(cx.is_finite() && cy.is_finite() && amplitude.is_finite()) {
+                        return Err(
+                            io.out_of_range(&island, "island centre/amplitude must be finite")
+                        );
+                    }
+                    if !(sigma.is_finite() && sigma > 0.0) {
+                        let message = format!("island sigma must be > 0, got {sigma}");
+                        return Err(io.out_of_range(&island, message));
+                    }
+                }
+                Ok(())
+            }
+            Self::Rain { x_start, speed, width } => {
+                io.f64("x_start", x_start, Req, Range::Finite)?;
+                io.f64("speed", speed, Opt, Range::Finite)?;
+                io.f64("width", width, Req, Range::Positive)
+            }
+            Self::ConstantFloat { value } => io.f64("value", value, Req, Range::Finite),
+            Self::ConstantBool { value } => io.bool("value", value, Req),
+            Self::Burst { mu, alpha, beta, sigma, horizon, immigrants, branching_ratio, scale } => {
+                io.f64("mu", mu, Opt, Range::NonNeg)?;
+                io.f64("alpha", alpha, Req, Range::NonNeg)?;
+                io.f64("beta", beta, Req, Range::Positive)?;
+                io.f64("sigma", sigma, Req, Range::Positive)?;
+                io.f64("horizon", horizon, Req, Range::Positive)?;
+                io.u32("immigrants", immigrants, Req)?;
+                io.f64("branching_ratio", branching_ratio, Opt, Range::HalfUnit)?;
+                io.f64("scale", scale, Opt, Range::Finite)
+            }
+        }
+    }
+}
+
+impl Block for TenantSpec {
+    fn blank() -> Self {
+        Self { name: String::new(), pool: 0.0 }
+    }
+
+    fn fields(&mut self, io: &mut Io<'_>) -> Result<(), SpecError> {
+        io.slug("name", &mut self.name, "")?;
+        io.f64("pool", &mut self.pool, Req, Range::Positive)
+    }
+}
+
+impl Block for QuerySpec {
+    fn blank() -> Self {
+        Self { text: String::new(), tenant: None }
+    }
+
+    fn fields(&mut self, io: &mut Io<'_>) -> Result<(), SpecError> {
+        io.str("text", &mut self.text, Req)?;
+        io.opt_str("tenant", &mut self.tenant)
+    }
+}
+
+impl Block for ShiftSpec {
+    fn blank() -> Self {
+        Self::Participation { epoch: 0, factor: 0.0 }
+    }
+
+    fn fields(&mut self, io: &mut Io<'_>) -> Result<(), SpecError> {
+        let kind = io.tag(match self {
+            Self::Participation { .. } => "participation",
+            Self::Dropout { .. } => "dropout",
+            Self::Migrate { .. } => "migrate",
+        })?;
+        if io.reading() {
+            let (epoch, probability, rect) = (0, 0.0, (0.0, 0.0, 0.0, 0.0));
+            *self = match kind.as_str() {
+                "participation" => Self::blank(),
+                "dropout" => Self::Dropout { epoch, probability, rect },
+                "migrate" => Self::Migrate { epoch, probability, rect },
+                other => return Err(io.bad_tag(&["participation", "dropout", "migrate"], other)),
+            };
+        }
+        match self {
+            Self::Participation { epoch, factor } => {
+                io.u32("epoch", epoch, Req)?;
+                io.f64("factor", factor, Req, Range::NonNeg)
+            }
+            Self::Dropout { epoch, probability, rect }
+            | Self::Migrate { epoch, probability, rect } => {
+                io.u32("epoch", epoch, Req)?;
+                io.f64("probability", probability, Req, Range::Unit)?;
+                io.rect("rect", rect)
+            }
+        }
+    }
+}
+
+impl Block for AdaptiveSpec {
+    fn blank() -> Self {
+        Self::default()
+    }
+
+    // Every range here is `AdaptiveConfig::validate`'s.
+    fn fields(&mut self, io: &mut Io<'_>) -> Result<(), SpecError> {
+        io.bool("enabled", &mut self.enabled, Opt)?;
+        io.str("detector", &mut self.detector, Opt)?;
+        io.f64("slack", &mut self.slack, Opt, Range::Any)?;
+        io.f64("threshold", &mut self.threshold, Opt, Range::Any)?;
+        io.u32("warmup_epochs", &mut self.warmup_epochs, Opt)?;
+        io.u32("cooldown_epochs", &mut self.cooldown_epochs, Opt)?;
+        io.f64("gamma0", &mut self.gamma0, Opt, Range::Any)?;
+        io.f64("decay_batches", &mut self.decay_batches, Opt, Range::Any)?;
+        io.f64("initial_rate", &mut self.initial_rate, Opt, Range::Any)?;
+        io.opt_f64("budget_pool", &mut self.budget_pool, Range::Any)?;
+        io.bool("rebuild_chains", &mut self.rebuild_chains, Opt)?;
+        io.f64("demand_headroom", &mut self.demand_headroom, Opt, Range::Any)
+    }
+}
+
+impl Block for RunlogSpec {
+    fn blank() -> Self {
+        Self::default()
+    }
+
+    fn fields(&mut self, io: &mut Io<'_>) -> Result<(), SpecError> {
+        io.bool("record", &mut self.record, Opt)
+    }
+}
+
+impl Block for TelemetrySpec {
+    fn blank() -> Self {
+        Self::default()
+    }
+
+    fn fields(&mut self, io: &mut Io<'_>) -> Result<(), SpecError> {
+        io.bool("report", &mut self.report, Opt)
+    }
+}
+
+impl Block for FaultsSpec {
+    fn blank() -> Self {
+        Self::default()
+    }
+
+    fn fields(&mut self, io: &mut Io<'_>) -> Result<(), SpecError> {
+        io.blocks("crowd", &mut self.crowd, Opt)?;
+        io.opt_block("retry", &mut self.retry)?;
+        io.blocks("crash", &mut self.crash, Opt)
+    }
+}
+
+impl Block for CrowdFaultSpec {
+    fn blank() -> Self {
+        Self { kind: String::new(), from_epoch: 0, to_epoch: 0, probability: 0.0, minutes: 0.0 }
+    }
+
+    fn fields(&mut self, io: &mut Io<'_>) -> Result<(), SpecError> {
+        io.choice("kind", &mut self.kind, Req, &["drop", "delay", "duplicate"])?;
+        io.u32("from_epoch", &mut self.from_epoch, Opt)?;
+        if io.reading() {
+            self.to_epoch = io.epochs.saturating_sub(1);
+        }
+        io.u32("to_epoch", &mut self.to_epoch, Opt)?;
+        io.f64("probability", &mut self.probability, Req, Range::Unit)?;
+        // Written for `delay` only: anywhere else it has to be 0, which is
+        // what an absent key reads as. Its range depends on `kind`, so
+        // `validate` holds it.
+        if io.reading() || io.checking() || self.kind == "delay" {
+            io.f64("minutes", &mut self.minutes, Opt, Range::Any)?;
+        }
+        Ok(())
+    }
+}
+
+impl Block for RetrySpec {
+    fn blank() -> Self {
+        Self::default()
+    }
+
+    // Ranges: `RetryPolicy::validate`, through `ServerConfig::validate`.
+    fn fields(&mut self, io: &mut Io<'_>) -> Result<(), SpecError> {
+        io.f64("threshold", &mut self.threshold, Opt, Range::Any)?;
+        io.f64("backoff", &mut self.backoff, Opt, Range::Any)?;
+        io.u32("max_attempts", &mut self.max_attempts, Opt)
+    }
+}
+
+impl Block for CrashSpec {
+    fn blank() -> Self {
+        Self { point: String::new(), epoch: 0 }
+    }
+
+    fn fields(&mut self, io: &mut Io<'_>) -> Result<(), SpecError> {
+        io.str("point", &mut self.point, Req)?;
+        io.u32("epoch", &mut self.epoch, Req)
+    }
 }
 
 // ---------------------------------------------------------------------------
-// Parsing
+// Parsing, serialization, validation: the three walks
 // ---------------------------------------------------------------------------
 
 impl ScenarioSpec {
@@ -839,369 +1579,45 @@ impl ScenarioSpec {
     /// Builds a spec from a parsed value tree, rejecting unknown fields and
     /// out-of-range values.
     pub fn from_table(table: &Table) -> Result<Self, SpecError> {
-        let mut r = Reader::new(table, "");
-        let name = r.req_str("name")?;
-        let description = r.opt_str("description", "")?;
-        let seed = match r.req("seed")? {
-            ConfigValue::Int(i) if *i >= 0 => *i as u64,
-            ConfigValue::Int(i) => {
-                return Err(out_of_range("seed", format!("must be >= 0, got {i}")))
-            }
-            other => return Err(mismatch("seed", "integer", other)),
-        };
-        let epochs = r.req_u32("epochs")?;
-
-        let mut grid_r = r.req_table("grid")?;
-        let grid = GridSpec { size_km: grid_r.req_f64("size_km")?, side: grid_r.req_u32("side")? };
-        grid_r.finish()?;
-
-        let mut pop_r = r.req_table("population")?;
-        let population = PopulationSpec {
-            size: pop_r.req_u32("size")?,
-            human_fraction: pop_r.opt_f64("human_fraction", 0.0)?,
-            placement: {
-                let mut p = pop_r.req_table("placement")?;
-                let placement = parse_placement(&mut p)?;
-                p.finish()?;
-                placement
-            },
-            mobility: {
-                let mut m = pop_r.req_table("mobility")?;
-                let mobility = parse_mobility(&mut m)?;
-                m.finish()?;
-                mobility
-            },
-        };
-        pop_r.finish()?;
-
-        let planner = match r.opt_table("planner")? {
-            None => PlannerSpec::default(),
-            Some(mut p) => {
-                let d = PlannerSpec::default();
-                let planner = PlannerSpec {
-                    batch_minutes: p.opt_f64("batch_minutes", d.batch_minutes)?,
-                    f_headroom: p.opt_f64("f_headroom", d.f_headroom)?,
-                    mobility_substeps: p.opt_u32("mobility_substeps", d.mobility_substeps)?,
-                    enforce_min_area: p.opt_bool("enforce_min_area", d.enforce_min_area)?,
-                    shape: p.opt_str("shape", &d.shape)?,
-                };
-                p.finish()?;
-                planner
-            }
-        };
-
-        let budget = match r.opt_table("budget")? {
-            None => BudgetSpec::default(),
-            Some(mut b) => {
-                let d = BudgetSpec::default();
-                let budget = BudgetSpec {
-                    initial: b.opt_f64("initial", d.initial)?,
-                    nv_threshold: b.opt_f64("nv_threshold", d.nv_threshold)?,
-                    delta: b.opt_f64("delta", d.delta)?,
-                    min: b.opt_f64("min", d.min)?,
-                    max: b.opt_f64("max", d.max)?,
-                };
-                b.finish()?;
-                budget
-            }
-        };
-
-        let errors = match r.opt_table("errors")? {
-            None => None,
-            Some(mut e) => {
-                let errors = ErrorSpec {
-                    gps_sigma: e.opt_f64("gps_sigma", 0.0)?,
-                    bool_flip_prob: e.opt_f64("bool_flip_prob", 0.0)?,
-                    value_sigma: e.opt_f64("value_sigma", 0.0)?,
-                    mitigation: e.opt_str("mitigation", "standard")?,
-                };
-                e.finish()?;
-                Some(errors)
-            }
-        };
-
-        let churn = match r.opt_table("churn")? {
-            None => None,
-            Some(mut c) => {
-                let churn = ChurnSpec { probability: c.req_f64("probability")? };
-                c.finish()?;
-                Some(churn)
-            }
-        };
-
-        let mut attributes = Vec::new();
-        for mut a in r.req_table_array("attributes")? {
-            let attr = AttributeSpec {
-                name: a.req_str("name")?,
-                human: a.opt_bool("human", false)?,
-                field: {
-                    let mut f = a.req_table("field")?;
-                    let field = parse_field(&mut f)?;
-                    f.finish()?;
-                    field
-                },
-            };
-            a.finish()?;
-            attributes.push(attr);
-        }
-
-        let mut tenants = Vec::new();
-        for mut t in r.opt_table_array("tenants")? {
-            let tenant = TenantSpec { name: t.req_str("name")?, pool: t.req_f64("pool")? };
-            t.finish()?;
-            tenants.push(tenant);
-        }
-
-        let mut queries = Vec::new();
-        for mut q in r.req_table_array("queries")? {
-            let query = QuerySpec {
-                text: q.req_str("text")?,
-                tenant: match q.take("tenant") {
-                    None => None,
-                    Some(ConfigValue::Str(s)) => Some(s.clone()),
-                    Some(other) => return Err(mismatch(&q.at("tenant"), "string", other)),
-                },
-            };
-            q.finish()?;
-            queries.push(query);
-        }
-
-        let mut shifts = Vec::new();
-        for mut s in r.opt_table_array("shifts")? {
-            let shift = parse_shift(&mut s)?;
-            s.finish()?;
-            shifts.push(shift);
-        }
-
-        let adaptive = match r.opt_table("adaptive")? {
-            None => None,
-            Some(mut a) => {
-                let d = AdaptiveSpec::default();
-                let adaptive = AdaptiveSpec {
-                    enabled: a.opt_bool("enabled", d.enabled)?,
-                    detector: a.opt_str("detector", &d.detector)?,
-                    slack: a.opt_f64("slack", d.slack)?,
-                    threshold: a.opt_f64("threshold", d.threshold)?,
-                    warmup_epochs: a.opt_u32("warmup_epochs", d.warmup_epochs)?,
-                    cooldown_epochs: a.opt_u32("cooldown_epochs", d.cooldown_epochs)?,
-                    gamma0: a.opt_f64("gamma0", d.gamma0)?,
-                    decay_batches: a.opt_f64("decay_batches", d.decay_batches)?,
-                    initial_rate: a.opt_f64("initial_rate", d.initial_rate)?,
-                    budget_pool: {
-                        let path = a.at("budget_pool");
-                        match a.take("budget_pool") {
-                            None => None,
-                            Some(v) => Some(as_f64(v, &path)?),
-                        }
-                    },
-                    rebuild_chains: a.opt_bool("rebuild_chains", d.rebuild_chains)?,
-                    demand_headroom: a.opt_f64("demand_headroom", d.demand_headroom)?,
-                };
-                a.finish()?;
-                Some(adaptive)
-            }
-        };
-
-        let runlog = match r.opt_table("runlog")? {
-            None => None,
-            Some(mut t) => {
-                let d = RunlogSpec::default();
-                let runlog = RunlogSpec { record: t.opt_bool("record", d.record)? };
-                t.finish()?;
-                Some(runlog)
-            }
-        };
-
-        let telemetry = match r.opt_table("telemetry")? {
-            None => None,
-            Some(mut t) => {
-                let d = TelemetrySpec::default();
-                let telemetry = TelemetrySpec { report: t.opt_bool("report", d.report)? };
-                t.finish()?;
-                Some(telemetry)
-            }
-        };
-
-        let faults = match r.opt_table("faults")? {
-            None => None,
-            Some(mut f) => {
-                let mut crowd = Vec::new();
-                for mut c in f.opt_table_array("crowd")? {
-                    let fault = CrowdFaultSpec {
-                        kind: c.req_str("kind")?,
-                        from_epoch: c.opt_u32("from_epoch", 0)?,
-                        to_epoch: c.opt_u32("to_epoch", epochs.saturating_sub(1))?,
-                        probability: c.req_f64("probability")?,
-                        minutes: c.opt_f64("minutes", 0.0)?,
-                    };
-                    c.finish()?;
-                    crowd.push(fault);
-                }
-                let retry = match f.opt_table("retry")? {
-                    None => None,
-                    Some(mut rt) => {
-                        let d = RetrySpec::default();
-                        let retry = RetrySpec {
-                            threshold: rt.opt_f64("threshold", d.threshold)?,
-                            backoff: rt.opt_f64("backoff", d.backoff)?,
-                            max_attempts: rt.opt_u32("max_attempts", d.max_attempts)?,
-                        };
-                        rt.finish()?;
-                        Some(retry)
-                    }
-                };
-                let mut crash = Vec::new();
-                for mut cr in f.opt_table_array("crash")? {
-                    let site =
-                        CrashSpec { point: cr.req_str("point")?, epoch: cr.req_u32("epoch")? };
-                    cr.finish()?;
-                    crash.push(site);
-                }
-                f.finish()?;
-                Some(FaultsSpec { crowd, retry, crash })
-            }
-        };
-
-        r.finish()?;
-        let spec = Self {
-            name,
-            description,
-            seed,
-            epochs,
-            grid,
-            population,
-            planner,
-            budget,
-            errors,
-            churn,
-            attributes,
-            tenants,
-            queries,
-            shifts,
-            adaptive,
-            runlog,
-            faults,
-            telemetry,
-        };
+        let mut spec = Self::blank();
+        walk(&mut spec, Io::root(Mode::Read { table, seen: Vec::new() }))?;
         spec.validate()?;
         Ok(spec)
+    }
+
+    /// Serializes to the value tree [`ScenarioSpec::from_table`] accepts.
+    /// All defaults are materialized, so `from_table(to_table(s)) == s`.
+    pub fn to_table(&self) -> Table {
+        let written = walk(&mut self.clone(), Io::root(Mode::Write(Table::new())));
+        written.expect("a write walk has no failing step").expect("and hands back its table")
+    }
+
+    /// Serializes to TOML; [`ScenarioSpec::from_toml`] inverts it exactly.
+    pub fn to_toml(&self) -> String {
+        render_toml(&self.to_table())
+    }
+
+    /// Serializes to JSON; [`ScenarioSpec::from_json`] inverts it exactly.
+    pub fn to_json(&self) -> String {
+        render_json(&self.to_table())
     }
 
     /// Semantic validation beyond types: ranges, uniqueness, and the
     /// constraints the runtime constructors would otherwise panic on.
     pub fn validate(&self) -> Result<(), SpecError> {
-        if self.name.is_empty()
-            || !self
-                .name
-                .bytes()
-                .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_' || b == b'-')
-        {
-            return Err(out_of_range(
-                "name",
-                format!("must match [a-z0-9_-]+ (it names the golden file), got '{}'", self.name),
-            ));
-        }
-        if self.epochs == 0 {
-            return Err(out_of_range("epochs", "must be >= 1"));
-        }
-        if self.seed > i64::MAX as u64 {
-            return Err(out_of_range(
-                "seed",
-                format!(
-                    "must fit in a signed 64-bit integer (TOML/JSON integer), got {}",
-                    self.seed
-                ),
-            ));
-        }
-        if !(self.grid.size_km.is_finite() && self.grid.size_km > 0.0) {
-            return Err(out_of_range(
-                "grid.size_km",
-                format!("must be > 0, got {}", self.grid.size_km),
-            ));
-        }
-        if self.grid.side == 0 {
-            return Err(out_of_range(
-                "grid.side",
-                "must be >= 1 (a zero-cell grid has nowhere to plan)",
-            ));
-        }
+        // Every range a key declares for itself.
+        walk(&mut self.clone(), Io::root(Mode::Check))?;
 
+        // The ranges the runtime configs own: delegate to their validators
+        // so the spec and the server can never drift apart on what "valid"
+        // means.
         let region = craqr_geom::Rect::with_size(self.grid.size_km, self.grid.size_km);
         let pop = self.population.to_config(&region)?;
         pop.validate().map_err(|(field, message)| out_of_range(field, message))?;
-        match &self.population.mobility {
-            MobilitySpec::Stationary => {}
-            MobilitySpec::Walk { sigma } => {
-                if !(sigma.is_finite() && *sigma >= 0.0) {
-                    return Err(out_of_range(
-                        "population.mobility.sigma",
-                        format!("must be >= 0, got {sigma}"),
-                    ));
-                }
-            }
-            MobilitySpec::Waypoint { speed, pause } => {
-                if !(speed.is_finite() && *speed > 0.0) {
-                    return Err(out_of_range(
-                        "population.mobility.speed",
-                        format!("must be > 0, got {speed}"),
-                    ));
-                }
-                if !(pause.is_finite() && *pause >= 0.0) {
-                    return Err(out_of_range(
-                        "population.mobility.pause",
-                        format!("must be >= 0, got {pause}"),
-                    ));
-                }
-            }
-            MobilitySpec::GaussMarkov { alpha, mean_speed, sigma } => {
-                if !(0.0..1.0).contains(alpha) {
-                    return Err(out_of_range(
-                        "population.mobility.alpha",
-                        format!("must be in [0,1), got {alpha}"),
-                    ));
-                }
-                if !(mean_speed.is_finite()
-                    && *mean_speed >= 0.0
-                    && sigma.is_finite()
-                    && *sigma >= 0.0)
-                {
-                    return Err(out_of_range(
-                        "population.mobility",
-                        "speeds must be finite and >= 0",
-                    ));
-                }
-            }
-        }
-
-        if !matches!(self.planner.shape.as_str(), "chain" | "star") {
-            return Err(out_of_range(
-                "planner.shape",
-                format!("must be 'chain' or 'star', got '{}'", self.planner.shape),
-            ));
-        }
-        if let Some(e) = &self.errors {
-            if !matches!(e.mitigation.as_str(), "standard" | "off") {
-                return Err(out_of_range(
-                    "errors.mitigation",
-                    format!("must be 'standard' or 'off', got '{}'", e.mitigation),
-                ));
-            }
-        }
-        // Planner/budget/error numerics: delegate to the core validators so
-        // the spec and the server can never drift apart on what "valid"
-        // means.
         let server_config = self.to_server_config(craqr_core::ExecMode::Serial)?;
         server_config.validate().map_err(|(field, message)| out_of_range(field, message))?;
 
-        if let Some(c) = &self.churn {
-            if !(0.0..=1.0).contains(&c.probability) {
-                return Err(out_of_range(
-                    "churn.probability",
-                    format!("must be in [0,1], got {}", c.probability),
-                ));
-            }
-        }
-
+        // What is left is cross-field.
         if self.attributes.is_empty() {
             return Err(out_of_range("attributes", "at least one attribute is required"));
         }
@@ -1215,30 +1631,12 @@ impl ScenarioSpec {
                     format!("duplicate attribute '{}'", a.name),
                 ));
             }
-            validate_field(&a.field, &format!("attributes[{i}].field"))?;
         }
         for (i, t) in self.tenants.iter().enumerate() {
-            if t.name.is_empty()
-                || !t
-                    .name
-                    .bytes()
-                    .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_' || b == b'-')
-            {
-                return Err(out_of_range(
-                    format!("tenants[{i}].name"),
-                    format!("must match [a-z0-9_-]+, got '{}'", t.name),
-                ));
-            }
             if self.tenants[..i].iter().any(|other| other.name == t.name) {
                 return Err(out_of_range(
                     format!("tenants[{i}].name"),
                     format!("duplicate tenant '{}'", t.name),
-                ));
-            }
-            if !(t.pool.is_finite() && t.pool > 0.0) {
-                return Err(out_of_range(
-                    format!("tenants[{i}].pool"),
-                    format!("must be finite and > 0 (requests/epoch), got {}", t.pool),
                 ));
             }
         }
@@ -1276,6 +1674,7 @@ impl ScenarioSpec {
             }
         }
 
+        let size = self.grid.size_km;
         for (i, s) in self.shifts.iter().enumerate() {
             if s.epoch() >= self.epochs {
                 return Err(out_of_range(
@@ -1287,43 +1686,12 @@ impl ScenarioSpec {
                     ),
                 ));
             }
-            let check_prob = |p: f64, path: String| {
-                if (0.0..=1.0).contains(&p) {
-                    Ok(())
-                } else {
-                    Err(out_of_range(path, format!("must be in [0,1], got {p}")))
-                }
-            };
-            let check_rect = |rect: &(f64, f64, f64, f64), path: String| {
-                let (x0, y0, x1, y1) = *rect;
-                let finite = x0.is_finite() && y0.is_finite() && x1.is_finite() && y1.is_finite();
-                if finite && x0 < x1 && y0 < y1 {
-                    Ok(())
-                } else {
-                    Err(out_of_range(
-                        path,
-                        format!(
-                            "must be a finite rectangle with x0 < x1 and y0 < y1, got {rect:?}"
-                        ),
-                    ))
-                }
-            };
             match s {
-                ShiftSpec::Participation { factor, .. } => {
-                    if !(factor.is_finite() && *factor >= 0.0) {
-                        return Err(out_of_range(
-                            format!("shifts[{i}].factor"),
-                            format!("must be >= 0, got {factor}"),
-                        ));
-                    }
-                }
-                ShiftSpec::Dropout { probability, rect, .. } => {
-                    check_prob(*probability, format!("shifts[{i}].probability"))?;
-                    check_rect(rect, format!("shifts[{i}].rect"))?;
-                    // A dropout region that misses the world entirely is a
-                    // silent no-op shift — the golden would record a drift
-                    // that never happened.
-                    let size = self.grid.size_km;
+                ShiftSpec::Participation { .. } => {}
+                // A dropout region that misses the world entirely is a
+                // silent no-op shift — the golden would record a drift
+                // that never happened.
+                ShiftSpec::Dropout { rect, .. } => {
                     if rect.2 <= 0.0 || rect.0 >= size || rect.3 <= 0.0 || rect.1 >= size {
                         return Err(out_of_range(
                             format!("shifts[{i}].rect"),
@@ -1334,13 +1702,10 @@ impl ScenarioSpec {
                         ));
                     }
                 }
-                ShiftSpec::Migrate { probability, rect, .. } => {
-                    check_prob(*probability, format!("shifts[{i}].probability"))?;
-                    check_rect(rect, format!("shifts[{i}].rect"))?;
-                    // Migrants are placed uniformly in the target and never
-                    // forced back: a target outside the region would
-                    // teleport the crowd somewhere no request can reach.
-                    let size = self.grid.size_km;
+                // Migrants are placed uniformly in the target and never
+                // forced back: a target outside the region would teleport
+                // the crowd somewhere no request can reach.
+                ShiftSpec::Migrate { rect, .. } => {
                     if rect.0 < 0.0 || rect.1 < 0.0 || rect.2 > size || rect.3 > size {
                         return Err(out_of_range(
                             format!("shifts[{i}].rect"),
@@ -1355,18 +1720,6 @@ impl ScenarioSpec {
         }
         if let Some(f) = &self.faults {
             for (i, w) in f.crowd.iter().enumerate() {
-                if !matches!(w.kind.as_str(), "drop" | "delay" | "duplicate") {
-                    return Err(out_of_range(
-                        format!("faults.crowd[{i}].kind"),
-                        format!("must be 'drop', 'delay', or 'duplicate', got '{}'", w.kind),
-                    ));
-                }
-                if !(0.0..=1.0).contains(&w.probability) {
-                    return Err(out_of_range(
-                        format!("faults.crowd[{i}].probability"),
-                        format!("must be in [0,1], got {}", w.probability),
-                    ));
-                }
                 if w.from_epoch > w.to_epoch {
                     return Err(out_of_range(
                         format!("faults.crowd[{i}].from_epoch"),
@@ -1412,8 +1765,6 @@ impl ScenarioSpec {
                     }
                 }
             }
-            // Retry numerics are validated by the ServerConfig delegation
-            // above (the core RetryPolicy validator).
             for (i, c) in f.crash.iter().enumerate() {
                 if craqr_core::CrashPoint::from_name(&c.point).is_none() {
                     return Err(out_of_range(
@@ -1587,531 +1938,6 @@ impl PopulationSpec {
     }
 }
 
-fn parse_placement(r: &mut Reader<'_>) -> Result<PlacementSpec, SpecError> {
-    let kind = r.req_str("kind")?;
-    match kind.as_str() {
-        "uniform" => Ok(PlacementSpec::Uniform),
-        "city" => Ok(PlacementSpec::City),
-        "hotspots" => Ok(PlacementSpec::Hotspots {
-            floor: r.opt_f64("floor", 1.0)?,
-            spots: r.opt_quads("spots", Vec::new())?,
-        }),
-        other => Err(out_of_range(
-            r.at("kind"),
-            format!("must be 'uniform', 'city', or 'hotspots', got '{other}'"),
-        )),
-    }
-}
-
-fn parse_mobility(r: &mut Reader<'_>) -> Result<MobilitySpec, SpecError> {
-    let kind = r.req_str("kind")?;
-    match kind.as_str() {
-        "stationary" => Ok(MobilitySpec::Stationary),
-        "walk" => Ok(MobilitySpec::Walk { sigma: r.req_f64("sigma")? }),
-        "waypoint" => Ok(MobilitySpec::Waypoint {
-            speed: r.req_f64("speed")?,
-            pause: r.opt_f64("pause", 0.0)?,
-        }),
-        "gauss_markov" => Ok(MobilitySpec::GaussMarkov {
-            alpha: r.req_f64("alpha")?,
-            mean_speed: r.req_f64("mean_speed")?,
-            sigma: r.req_f64("sigma")?,
-        }),
-        other => Err(out_of_range(
-            r.at("kind"),
-            format!("must be 'stationary', 'walk', 'waypoint', or 'gauss_markov', got '{other}'"),
-        )),
-    }
-}
-
-/// Reads a required `[x0, y0, x1, y1]` rectangle.
-fn req_rect(r: &mut Reader<'_>) -> Result<(f64, f64, f64, f64), SpecError> {
-    let path = r.at("rect");
-    let v = r.req("rect")?;
-    let ConfigValue::Array(quad) = v else {
-        return Err(mismatch(&path, "array of 4 numbers", v));
-    };
-    if quad.len() != 4 {
-        return Err(SpecError::OutOfRange {
-            path,
-            message: format!("needs exactly 4 numbers (x0, y0, x1, y1), got {}", quad.len()),
-        });
-    }
-    Ok((
-        as_f64(&quad[0], &path)?,
-        as_f64(&quad[1], &path)?,
-        as_f64(&quad[2], &path)?,
-        as_f64(&quad[3], &path)?,
-    ))
-}
-
-fn parse_shift(r: &mut Reader<'_>) -> Result<ShiftSpec, SpecError> {
-    let kind = r.req_str("kind")?;
-    let epoch = r.req_u32("epoch")?;
-    match kind.as_str() {
-        "participation" => Ok(ShiftSpec::Participation { epoch, factor: r.req_f64("factor")? }),
-        "dropout" => Ok(ShiftSpec::Dropout {
-            epoch,
-            probability: r.req_f64("probability")?,
-            rect: req_rect(r)?,
-        }),
-        "migrate" => Ok(ShiftSpec::Migrate {
-            epoch,
-            probability: r.req_f64("probability")?,
-            rect: req_rect(r)?,
-        }),
-        other => Err(out_of_range(
-            r.at("kind"),
-            format!("must be 'participation', 'dropout', or 'migrate', got '{other}'"),
-        )),
-    }
-}
-
-fn parse_field(r: &mut Reader<'_>) -> Result<FieldSpec, SpecError> {
-    let kind = r.req_str("kind")?;
-    match kind.as_str() {
-        "temperature" => Ok(FieldSpec::Temperature {
-            base: r.opt_f64("base", 20.0)?,
-            y_gradient: r.opt_f64("y_gradient", 0.0)?,
-            islands: r.opt_quads("islands", Vec::new())?,
-            diurnal_amplitude: r.opt_f64("diurnal_amplitude", 0.0)?,
-            diurnal_period: r.opt_f64("diurnal_period", 1440.0)?,
-        }),
-        "rain" => Ok(FieldSpec::Rain {
-            x_start: r.req_f64("x_start")?,
-            speed: r.opt_f64("speed", 0.0)?,
-            width: r.req_f64("width")?,
-        }),
-        "constant" => match r.take("value") {
-            Some(ConfigValue::Bool(b)) => Ok(FieldSpec::ConstantBool { value: *b }),
-            Some(v) => Ok(FieldSpec::ConstantFloat { value: as_f64(v, &r.at("value"))? }),
-            None => Err(SpecError::MissingField { path: r.at("value") }),
-        },
-        "burst" => Ok(FieldSpec::Burst {
-            mu: r.opt_f64("mu", 0.0)?,
-            alpha: r.req_f64("alpha")?,
-            beta: r.req_f64("beta")?,
-            sigma: r.req_f64("sigma")?,
-            horizon: r.req_f64("horizon")?,
-            immigrants: r.req_u32("immigrants")?,
-            branching_ratio: r.opt_f64("branching_ratio", 0.0)?,
-            scale: r.opt_f64("scale", 1.0)?,
-        }),
-        other => Err(out_of_range(
-            r.at("kind"),
-            format!("must be 'temperature', 'rain', 'constant', or 'burst', got '{other}'"),
-        )),
-    }
-}
-
-fn validate_field(field: &FieldSpec, path: &str) -> Result<(), SpecError> {
-    match field {
-        FieldSpec::Temperature { base, y_gradient, islands, diurnal_amplitude, diurnal_period } => {
-            if !(base.is_finite() && y_gradient.is_finite() && diurnal_amplitude.is_finite()) {
-                return Err(out_of_range(
-                    format!("{path}.base"),
-                    "base/y_gradient/diurnal_amplitude must be finite",
-                ));
-            }
-            if !(diurnal_period.is_finite() && *diurnal_period > 0.0) {
-                return Err(out_of_range(
-                    format!("{path}.diurnal_period"),
-                    format!("must be > 0, got {diurnal_period}"),
-                ));
-            }
-            for (i, &(cx, cy, amplitude, sigma)) in islands.iter().enumerate() {
-                if !(cx.is_finite() && cy.is_finite() && amplitude.is_finite()) {
-                    return Err(out_of_range(
-                        format!("{path}.islands[{i}]"),
-                        "island centre/amplitude must be finite",
-                    ));
-                }
-                if !(sigma.is_finite() && sigma > 0.0) {
-                    return Err(out_of_range(
-                        format!("{path}.islands[{i}]"),
-                        format!("island sigma must be > 0, got {sigma}"),
-                    ));
-                }
-            }
-        }
-        FieldSpec::Rain { x_start, speed, width } => {
-            if !(x_start.is_finite() && speed.is_finite()) {
-                return Err(out_of_range(
-                    format!("{path}.x_start"),
-                    "x_start/speed must be finite",
-                ));
-            }
-            if !(width.is_finite() && *width > 0.0) {
-                return Err(out_of_range(
-                    format!("{path}.width"),
-                    format!("must be > 0, got {width}"),
-                ));
-            }
-        }
-        FieldSpec::ConstantFloat { value } => {
-            if !value.is_finite() {
-                return Err(out_of_range(format!("{path}.value"), "must be finite"));
-            }
-        }
-        FieldSpec::ConstantBool { .. } => {}
-        FieldSpec::Burst { mu, alpha, beta, sigma, horizon, branching_ratio, scale, .. } => {
-            if !(mu.is_finite() && *mu >= 0.0 && alpha.is_finite() && *alpha >= 0.0) {
-                return Err(out_of_range(format!("{path}.mu"), "mu/alpha must be >= 0"));
-            }
-            if !(beta.is_finite() && *beta > 0.0) {
-                return Err(out_of_range(
-                    format!("{path}.beta"),
-                    format!("must be > 0, got {beta}"),
-                ));
-            }
-            if !(sigma.is_finite() && *sigma > 0.0) {
-                return Err(out_of_range(
-                    format!("{path}.sigma"),
-                    format!("must be > 0, got {sigma}"),
-                ));
-            }
-            if !(horizon.is_finite() && *horizon > 0.0) {
-                return Err(out_of_range(
-                    format!("{path}.horizon"),
-                    format!("must be > 0, got {horizon}"),
-                ));
-            }
-            if !(0.0..1.0).contains(branching_ratio) {
-                return Err(out_of_range(
-                    format!("{path}.branching_ratio"),
-                    format!("must be in [0,1) (>= 1 is supercritical), got {branching_ratio}"),
-                ));
-            }
-            if !scale.is_finite() {
-                return Err(out_of_range(format!("{path}.scale"), "must be finite"));
-            }
-        }
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// Serialization
-// ---------------------------------------------------------------------------
-
-impl ScenarioSpec {
-    /// Serializes to the value tree [`ScenarioSpec::from_table`] accepts.
-    /// All defaults are materialized, so `from_table(to_table(s)) == s`.
-    pub fn to_table(&self) -> Table {
-        let mut t = Table::new();
-        t.insert("name", ConfigValue::Str(self.name.clone()));
-        t.insert("description", ConfigValue::Str(self.description.clone()));
-        t.insert("seed", ConfigValue::Int(self.seed as i64));
-        t.insert("epochs", ConfigValue::Int(self.epochs as i64));
-
-        let mut grid = Table::new();
-        grid.insert("size_km", ConfigValue::Float(self.grid.size_km));
-        grid.insert("side", ConfigValue::Int(self.grid.side as i64));
-        t.insert("grid", ConfigValue::Table(grid));
-
-        let mut pop = Table::new();
-        pop.insert("size", ConfigValue::Int(self.population.size as i64));
-        pop.insert("human_fraction", ConfigValue::Float(self.population.human_fraction));
-        pop.insert("placement", ConfigValue::Table(placement_table(&self.population.placement)));
-        pop.insert("mobility", ConfigValue::Table(mobility_table(&self.population.mobility)));
-        t.insert("population", ConfigValue::Table(pop));
-
-        let mut planner = Table::new();
-        planner.insert("batch_minutes", ConfigValue::Float(self.planner.batch_minutes));
-        planner.insert("f_headroom", ConfigValue::Float(self.planner.f_headroom));
-        planner
-            .insert("mobility_substeps", ConfigValue::Int(self.planner.mobility_substeps as i64));
-        planner.insert("enforce_min_area", ConfigValue::Bool(self.planner.enforce_min_area));
-        planner.insert("shape", ConfigValue::Str(self.planner.shape.clone()));
-        t.insert("planner", ConfigValue::Table(planner));
-
-        let mut budget = Table::new();
-        budget.insert("initial", ConfigValue::Float(self.budget.initial));
-        budget.insert("nv_threshold", ConfigValue::Float(self.budget.nv_threshold));
-        budget.insert("delta", ConfigValue::Float(self.budget.delta));
-        budget.insert("min", ConfigValue::Float(self.budget.min));
-        budget.insert("max", ConfigValue::Float(self.budget.max));
-        t.insert("budget", ConfigValue::Table(budget));
-
-        if let Some(e) = &self.errors {
-            let mut errors = Table::new();
-            errors.insert("gps_sigma", ConfigValue::Float(e.gps_sigma));
-            errors.insert("bool_flip_prob", ConfigValue::Float(e.bool_flip_prob));
-            errors.insert("value_sigma", ConfigValue::Float(e.value_sigma));
-            errors.insert("mitigation", ConfigValue::Str(e.mitigation.clone()));
-            t.insert("errors", ConfigValue::Table(errors));
-        }
-        if let Some(c) = &self.churn {
-            let mut churn = Table::new();
-            churn.insert("probability", ConfigValue::Float(c.probability));
-            t.insert("churn", ConfigValue::Table(churn));
-        }
-
-        let attrs: Vec<ConfigValue> = self
-            .attributes
-            .iter()
-            .map(|a| {
-                let mut at = Table::new();
-                at.insert("name", ConfigValue::Str(a.name.clone()));
-                at.insert("human", ConfigValue::Bool(a.human));
-                at.insert("field", ConfigValue::Table(field_table(&a.field)));
-                ConfigValue::Table(at)
-            })
-            .collect();
-        t.insert("attributes", ConfigValue::Array(attrs));
-
-        if !self.tenants.is_empty() {
-            let tenants: Vec<ConfigValue> = self
-                .tenants
-                .iter()
-                .map(|tenant| {
-                    let mut tt = Table::new();
-                    tt.insert("name", ConfigValue::Str(tenant.name.clone()));
-                    tt.insert("pool", ConfigValue::Float(tenant.pool));
-                    ConfigValue::Table(tt)
-                })
-                .collect();
-            t.insert("tenants", ConfigValue::Array(tenants));
-        }
-
-        let queries: Vec<ConfigValue> = self
-            .queries
-            .iter()
-            .map(|q| {
-                let mut qt = Table::new();
-                qt.insert("text", ConfigValue::Str(q.text.clone()));
-                if let Some(tenant) = &q.tenant {
-                    qt.insert("tenant", ConfigValue::Str(tenant.clone()));
-                }
-                ConfigValue::Table(qt)
-            })
-            .collect();
-        t.insert("queries", ConfigValue::Array(queries));
-
-        if !self.shifts.is_empty() {
-            let shifts: Vec<ConfigValue> =
-                self.shifts.iter().map(|s| ConfigValue::Table(shift_table(s))).collect();
-            t.insert("shifts", ConfigValue::Array(shifts));
-        }
-        if let Some(a) = &self.adaptive {
-            let mut at = Table::new();
-            at.insert("enabled", ConfigValue::Bool(a.enabled));
-            at.insert("detector", ConfigValue::Str(a.detector.clone()));
-            at.insert("slack", ConfigValue::Float(a.slack));
-            at.insert("threshold", ConfigValue::Float(a.threshold));
-            at.insert("warmup_epochs", ConfigValue::Int(a.warmup_epochs as i64));
-            at.insert("cooldown_epochs", ConfigValue::Int(a.cooldown_epochs as i64));
-            at.insert("gamma0", ConfigValue::Float(a.gamma0));
-            at.insert("decay_batches", ConfigValue::Float(a.decay_batches));
-            at.insert("initial_rate", ConfigValue::Float(a.initial_rate));
-            if let Some(pool) = a.budget_pool {
-                at.insert("budget_pool", ConfigValue::Float(pool));
-            }
-            at.insert("rebuild_chains", ConfigValue::Bool(a.rebuild_chains));
-            at.insert("demand_headroom", ConfigValue::Float(a.demand_headroom));
-            t.insert("adaptive", ConfigValue::Table(at));
-        }
-        if let Some(rl) = &self.runlog {
-            let mut rt = Table::new();
-            rt.insert("record", ConfigValue::Bool(rl.record));
-            t.insert("runlog", ConfigValue::Table(rt));
-        }
-        if let Some(tm) = &self.telemetry {
-            let mut tt = Table::new();
-            tt.insert("report", ConfigValue::Bool(tm.report));
-            t.insert("telemetry", ConfigValue::Table(tt));
-        }
-        if let Some(f) = &self.faults {
-            let mut ft = Table::new();
-            if !f.crowd.is_empty() {
-                let crowd: Vec<ConfigValue> = f
-                    .crowd
-                    .iter()
-                    .map(|w| {
-                        let mut wt = Table::new();
-                        wt.insert("kind", ConfigValue::Str(w.kind.clone()));
-                        wt.insert("from_epoch", ConfigValue::Int(w.from_epoch as i64));
-                        wt.insert("to_epoch", ConfigValue::Int(w.to_epoch as i64));
-                        wt.insert("probability", ConfigValue::Float(w.probability));
-                        if w.kind == "delay" {
-                            wt.insert("minutes", ConfigValue::Float(w.minutes));
-                        }
-                        ConfigValue::Table(wt)
-                    })
-                    .collect();
-                ft.insert("crowd", ConfigValue::Array(crowd));
-            }
-            if let Some(rt) = &f.retry {
-                let mut rtt = Table::new();
-                rtt.insert("threshold", ConfigValue::Float(rt.threshold));
-                rtt.insert("backoff", ConfigValue::Float(rt.backoff));
-                rtt.insert("max_attempts", ConfigValue::Int(rt.max_attempts as i64));
-                ft.insert("retry", ConfigValue::Table(rtt));
-            }
-            if !f.crash.is_empty() {
-                let crash: Vec<ConfigValue> = f
-                    .crash
-                    .iter()
-                    .map(|c| {
-                        let mut ct = Table::new();
-                        ct.insert("point", ConfigValue::Str(c.point.clone()));
-                        ct.insert("epoch", ConfigValue::Int(c.epoch as i64));
-                        ConfigValue::Table(ct)
-                    })
-                    .collect();
-                ft.insert("crash", ConfigValue::Array(crash));
-            }
-            t.insert("faults", ConfigValue::Table(ft));
-        }
-        t
-    }
-
-    /// Serializes to TOML; [`ScenarioSpec::from_toml`] inverts it exactly.
-    pub fn to_toml(&self) -> String {
-        render_toml(&self.to_table())
-    }
-
-    /// Serializes to JSON; [`ScenarioSpec::from_json`] inverts it exactly.
-    pub fn to_json(&self) -> String {
-        render_json(&self.to_table())
-    }
-}
-
-fn quads_value(quads: &[(f64, f64, f64, f64)]) -> ConfigValue {
-    ConfigValue::Array(
-        quads
-            .iter()
-            .map(|&(a, b, c, d)| {
-                ConfigValue::Array(vec![
-                    ConfigValue::Float(a),
-                    ConfigValue::Float(b),
-                    ConfigValue::Float(c),
-                    ConfigValue::Float(d),
-                ])
-            })
-            .collect(),
-    )
-}
-
-fn placement_table(p: &PlacementSpec) -> Table {
-    let mut t = Table::new();
-    match p {
-        PlacementSpec::Uniform => t.insert("kind", ConfigValue::Str("uniform".into())),
-        PlacementSpec::City => t.insert("kind", ConfigValue::Str("city".into())),
-        PlacementSpec::Hotspots { floor, spots } => {
-            t.insert("kind", ConfigValue::Str("hotspots".into()));
-            t.insert("floor", ConfigValue::Float(*floor));
-            t.insert("spots", quads_value(spots));
-        }
-    }
-    t
-}
-
-fn mobility_table(m: &MobilitySpec) -> Table {
-    let mut t = Table::new();
-    match m {
-        MobilitySpec::Stationary => t.insert("kind", ConfigValue::Str("stationary".into())),
-        MobilitySpec::Walk { sigma } => {
-            t.insert("kind", ConfigValue::Str("walk".into()));
-            t.insert("sigma", ConfigValue::Float(*sigma));
-        }
-        MobilitySpec::Waypoint { speed, pause } => {
-            t.insert("kind", ConfigValue::Str("waypoint".into()));
-            t.insert("speed", ConfigValue::Float(*speed));
-            t.insert("pause", ConfigValue::Float(*pause));
-        }
-        MobilitySpec::GaussMarkov { alpha, mean_speed, sigma } => {
-            t.insert("kind", ConfigValue::Str("gauss_markov".into()));
-            t.insert("alpha", ConfigValue::Float(*alpha));
-            t.insert("mean_speed", ConfigValue::Float(*mean_speed));
-            t.insert("sigma", ConfigValue::Float(*sigma));
-        }
-    }
-    t
-}
-
-fn rect_value(rect: &(f64, f64, f64, f64)) -> ConfigValue {
-    ConfigValue::Array(vec![
-        ConfigValue::Float(rect.0),
-        ConfigValue::Float(rect.1),
-        ConfigValue::Float(rect.2),
-        ConfigValue::Float(rect.3),
-    ])
-}
-
-fn shift_table(s: &ShiftSpec) -> Table {
-    let mut t = Table::new();
-    match s {
-        ShiftSpec::Participation { epoch, factor } => {
-            t.insert("kind", ConfigValue::Str("participation".into()));
-            t.insert("epoch", ConfigValue::Int(*epoch as i64));
-            t.insert("factor", ConfigValue::Float(*factor));
-        }
-        ShiftSpec::Dropout { epoch, probability, rect } => {
-            t.insert("kind", ConfigValue::Str("dropout".into()));
-            t.insert("epoch", ConfigValue::Int(*epoch as i64));
-            t.insert("probability", ConfigValue::Float(*probability));
-            t.insert("rect", rect_value(rect));
-        }
-        ShiftSpec::Migrate { epoch, probability, rect } => {
-            t.insert("kind", ConfigValue::Str("migrate".into()));
-            t.insert("epoch", ConfigValue::Int(*epoch as i64));
-            t.insert("probability", ConfigValue::Float(*probability));
-            t.insert("rect", rect_value(rect));
-        }
-    }
-    t
-}
-
-fn field_table(f: &FieldSpec) -> Table {
-    let mut t = Table::new();
-    match f {
-        FieldSpec::Temperature { base, y_gradient, islands, diurnal_amplitude, diurnal_period } => {
-            t.insert("kind", ConfigValue::Str("temperature".into()));
-            t.insert("base", ConfigValue::Float(*base));
-            t.insert("y_gradient", ConfigValue::Float(*y_gradient));
-            t.insert("islands", quads_value(islands));
-            t.insert("diurnal_amplitude", ConfigValue::Float(*diurnal_amplitude));
-            t.insert("diurnal_period", ConfigValue::Float(*diurnal_period));
-        }
-        FieldSpec::Rain { x_start, speed, width } => {
-            t.insert("kind", ConfigValue::Str("rain".into()));
-            t.insert("x_start", ConfigValue::Float(*x_start));
-            t.insert("speed", ConfigValue::Float(*speed));
-            t.insert("width", ConfigValue::Float(*width));
-        }
-        FieldSpec::ConstantFloat { value } => {
-            t.insert("kind", ConfigValue::Str("constant".into()));
-            t.insert("value", ConfigValue::Float(*value));
-        }
-        FieldSpec::ConstantBool { value } => {
-            t.insert("kind", ConfigValue::Str("constant".into()));
-            t.insert("value", ConfigValue::Bool(*value));
-        }
-        FieldSpec::Burst {
-            mu,
-            alpha,
-            beta,
-            sigma,
-            horizon,
-            immigrants,
-            branching_ratio,
-            scale,
-        } => {
-            t.insert("kind", ConfigValue::Str("burst".into()));
-            t.insert("mu", ConfigValue::Float(*mu));
-            t.insert("alpha", ConfigValue::Float(*alpha));
-            t.insert("beta", ConfigValue::Float(*beta));
-            t.insert("sigma", ConfigValue::Float(*sigma));
-            t.insert("horizon", ConfigValue::Float(*horizon));
-            t.insert("immigrants", ConfigValue::Int(*immigrants as i64));
-            t.insert("branching_ratio", ConfigValue::Float(*branching_ratio));
-            t.insert("scale", ConfigValue::Float(*scale));
-        }
-    }
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2152,50 +1978,6 @@ text = "ACQUIRE temp FROM RECT(0,0,2,2) RATE 0.5"
         assert_eq!(s.attributes.len(), 1);
         assert!(!s.attributes[0].human);
         assert_eq!(s.attributes[0].field, FieldSpec::ConstantFloat { value: 21.0 });
-    }
-
-    #[test]
-    fn unknown_fields_rejected_at_every_level() {
-        let with_typo = minimal_toml().replace("human_fraction = 0.25", "human_fractoin = 0.25");
-        let err = ScenarioSpec::from_toml(&with_typo).unwrap_err();
-        assert_eq!(err, SpecError::UnknownField { path: "population.human_fractoin".into() });
-
-        // A stray top-level key (prepended — appending would land inside the
-        // trailing [[queries]] table).
-        let extra_top = format!("bogus = 1\n{}", minimal_toml());
-        assert!(matches!(
-            ScenarioSpec::from_toml(&extra_top).unwrap_err(),
-            SpecError::UnknownField { path } if path == "bogus"
-        ));
-        // And a stray key inside a [[queries]] element.
-        let extra_query = format!("{}\nretries = 3\n", minimal_toml());
-        assert!(matches!(
-            ScenarioSpec::from_toml(&extra_query).unwrap_err(),
-            SpecError::UnknownField { path } if path == "queries[0].retries"
-        ));
-    }
-
-    #[test]
-    fn zero_cell_grid_rejected() {
-        let zero = minimal_toml().replace("side = 4", "side = 0");
-        let err = ScenarioSpec::from_toml(&zero).unwrap_err();
-        assert!(matches!(&err, SpecError::OutOfRange { path, .. } if path == "grid.side"), "{err}");
-    }
-
-    #[test]
-    fn out_of_range_budget_rejected() {
-        let bad = format!("{}\n[budget]\ninitial = -3.0\n", minimal_toml());
-        let err = ScenarioSpec::from_toml(&bad).unwrap_err();
-        assert!(
-            matches!(&err, SpecError::OutOfRange { path, .. } if path == "budget.initial"),
-            "{err}"
-        );
-        let inverted = format!("{}\n[budget]\nmin = 10.0\nmax = 5.0\n", minimal_toml());
-        let err = ScenarioSpec::from_toml(&inverted).unwrap_err();
-        assert!(
-            matches!(&err, SpecError::OutOfRange { path, .. } if path == "budget.max"),
-            "{err}"
-        );
     }
 
     #[test]

@@ -1,6 +1,8 @@
-//! Spec-parsing coverage: precise rejection of malformed scenarios, and a
-//! property test that every valid spec survives serialize → parse
-//! unchanged, through both syntaxes.
+//! Spec-parsing coverage: precise rejection of malformed scenarios (a few
+//! by hand, every single-line mutation of a whole-schema spec through the
+//! committed table `tests/spec_rejections.txt`), what reading and writing
+//! must agree on, and a property test that every valid spec survives
+//! serialize → parse unchanged, through both syntaxes.
 
 use craqr::scenario::{
     AdaptiveSpec, AttributeSpec, BudgetSpec, ChurnSpec, CrashSpec, CrowdFaultSpec, ErrorSpec,
@@ -280,6 +282,354 @@ fn shifts_are_strictly_parsed() {
 }
 
 // ---------------------------------------------------------------------------
+// What reading and writing must agree on
+// ---------------------------------------------------------------------------
+
+#[test]
+fn every_committed_scenario_round_trips_and_is_written_in_read_order() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("scenarios");
+    let files = craqr::scenario::scenario_files(&dir).expect("scenarios dir");
+    assert!(files.len() >= 16, "the corpus shrank to {}", files.len());
+    for path in files {
+        let src = std::fs::read_to_string(&path).unwrap();
+        let spec = ScenarioSpec::from_source(&path.to_string_lossy(), &src)
+            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let toml = spec.to_toml();
+        let via_toml = ScenarioSpec::from_toml(&toml).unwrap();
+        assert_eq!(via_toml, spec, "{}: TOML round trip", path.display());
+        assert_eq!(via_toml.to_toml(), toml, "{}: write order", path.display());
+        let via_json = ScenarioSpec::from_json(&spec.to_json()).unwrap();
+        assert_eq!(via_json, spec, "{}: JSON round trip", path.display());
+    }
+}
+
+#[test]
+fn minutes_is_written_for_delay_windows_only() {
+    let drop =
+        format!("{MINIMAL}\n[faults]\n\n[[faults.crowd]]\nkind = \"drop\"\nprobability = 0.5\n");
+    let spec = ScenarioSpec::from_toml(&drop).unwrap();
+    assert!(!spec.to_toml().contains("\nminutes"), "{}", spec.to_toml());
+    assert!(!spec.to_json().contains("\"minutes\""), "{}", spec.to_json());
+
+    let delay = drop.replace("kind = \"drop\"", "kind = \"delay\"\nminutes = 2.0");
+    let spec = ScenarioSpec::from_toml(&delay).unwrap();
+    assert!(spec.to_toml().contains("\nminutes = 2.0\n"), "{}", spec.to_toml());
+    assert_eq!(ScenarioSpec::from_json(&spec.to_json()).unwrap(), spec);
+}
+
+#[test]
+fn a_constant_field_takes_its_variant_from_the_value() {
+    let field = |value: &str| {
+        mutate("kind = \"constant\", value = 21.0", &format!("kind = \"constant\"{value}"))
+            .map(|spec| spec.attributes[0].field.clone())
+    };
+    assert_eq!(field(", value = true"), Ok(FieldSpec::ConstantBool { value: true }));
+    assert_eq!(field(", value = 2.5"), Ok(FieldSpec::ConstantFloat { value: 2.5 }));
+    assert_eq!(
+        field(", value = \"x\""),
+        Err(SpecError::TypeMismatch {
+            path: "attributes[0].field.value".into(),
+            expected: "number",
+            found: "string"
+        })
+    );
+    assert_eq!(
+        field(""),
+        Err(SpecError::MissingField { path: "attributes[0].field.value".into() })
+    );
+}
+
+#[test]
+fn a_bare_faults_block_is_an_empty_one_in_both_syntaxes() {
+    let spec = ScenarioSpec::from_toml(&format!("{MINIMAL}\n[faults]\n")).unwrap();
+    assert_eq!(spec.faults, Some(FaultsSpec::default()));
+    assert!(spec.to_toml().contains("\n[faults]\n"), "{}", spec.to_toml());
+    assert_eq!(ScenarioSpec::from_toml(&spec.to_toml()).unwrap(), spec);
+    assert_eq!(ScenarioSpec::from_json(&spec.to_json()).unwrap(), spec);
+    assert!(ScenarioSpec::from_toml(MINIMAL).unwrap().faults.is_none());
+}
+
+// ---------------------------------------------------------------------------
+// The rejection table: every single-line mutation of a spec that uses the
+// whole schema, pinned row by row in `tests/spec_rejections.txt`
+// ---------------------------------------------------------------------------
+
+/// Every block, every key and every repeatable `kind` (five fields, three
+/// shifts, three crowd faults), one key per line so each can be mutated
+/// alone. The single-valued kinds the base cannot hold as well — the other
+/// placements and mobilities, and `adaptive.budget_pool`, which a spec with
+/// `[[tenants]]` may not carry — are the [`VARIANTS`].
+const FULL: &str = r#"name = "full"
+description = "every block, every key"
+seed = 11
+epochs = 6
+
+[grid]
+size_km = 4.0
+side = 4
+
+[population]
+size = 120
+human_fraction = 0.25
+
+[population.placement]
+kind = "hotspots"
+floor = 1.0
+spots = [[1.0, 1.0, 2.0, 0.5]]
+
+[population.mobility]
+kind = "gauss_markov"
+alpha = 0.5
+mean_speed = 0.1
+sigma = 0.05
+
+[planner]
+batch_minutes = 5.0
+f_headroom = 2.0
+mobility_substeps = 2
+enforce_min_area = false
+shape = "star"
+
+[budget]
+initial = 10.0
+nv_threshold = 20.0
+delta = 2.0
+min = 1.0
+max = 50.0
+
+[errors]
+gps_sigma = 0.05
+bool_flip_prob = 0.1
+value_sigma = 0.5
+mitigation = "off"
+
+[churn]
+probability = 0.1
+
+[[attributes]]
+name = "temp"
+human = false
+
+[attributes.field]
+kind = "temperature"
+base = 20.0
+y_gradient = 0.5
+islands = [[2.0, 2.0, 3.0, 1.0]]
+diurnal_amplitude = 2.0
+diurnal_period = 720.0
+
+[[attributes]]
+name = "rain"
+human = true
+
+[attributes.field]
+kind = "rain"
+x_start = 0.5
+speed = 0.05
+width = 2.0
+
+[[attributes]]
+name = "level"
+
+[attributes.field]
+kind = "constant"
+value = 21.0
+
+[[attributes]]
+name = "open"
+
+[attributes.field]
+kind = "constant"
+value = false
+
+[[attributes]]
+name = "load"
+
+[attributes.field]
+kind = "burst"
+mu = 0.2
+alpha = 3.0
+beta = 0.25
+sigma = 0.4
+horizon = 50.0
+immigrants = 6
+branching_ratio = 0.6
+scale = 2.0
+
+[[tenants]]
+name = "alice"
+pool = 200.0
+
+[[queries]]
+text = "ACQUIRE temp FROM RECT(0,0,2,2) RATE 0.5"
+tenant = "alice"
+
+[[shifts]]
+kind = "participation"
+epoch = 2
+factor = 3.0
+
+[[shifts]]
+kind = "dropout"
+epoch = 3
+probability = 0.5
+rect = [0.0, 0.0, 2.0, 2.0]
+
+[[shifts]]
+kind = "migrate"
+epoch = 4
+probability = 0.75
+rect = [2.0, 2.0, 4.0, 4.0]
+
+[adaptive]
+enabled = false
+detector = "page_hinkley"
+slack = 0.25
+threshold = 6.0
+warmup_epochs = 2
+cooldown_epochs = 3
+gamma0 = 0.75
+decay_batches = 40.0
+initial_rate = 2.0
+# budget_pool: the flat-pool variant
+rebuild_chains = false
+demand_headroom = 2.0
+
+[runlog]
+record = false
+
+[telemetry]
+report = false
+
+[faults]
+
+[[faults.crowd]]
+kind = "drop"
+from_epoch = 0
+to_epoch = 1
+probability = 0.25
+
+[[faults.crowd]]
+kind = "delay"
+from_epoch = 2
+to_epoch = 3
+probability = 0.5
+minutes = 3.0
+
+[[faults.crowd]]
+kind = "duplicate"
+probability = 0.125
+
+[faults.retry]
+threshold = 0.75
+backoff = 0.5
+max_attempts = 3
+
+[[faults.crash]]
+point = "post-drain"
+epoch = 5
+"#;
+
+const PLACEMENT: &str = "kind = \"hotspots\"\nfloor = 1.0\nspots = [[1.0, 1.0, 2.0, 0.5]]\n";
+const MOBILITY: &str = "kind = \"gauss_markov\"\nalpha = 0.5\nmean_speed = 0.1\nsigma = 0.05\n";
+
+/// `(label, edits)`: each edit replaces its first string (which [`FULL`]
+/// must contain) with its second, and only the lines an edit puts in are
+/// mutated — everything else is the base's and already has its rows.
+const VARIANTS: [(&str, &[(&str, &str)]); 6] = [
+    ("uniform", &[(PLACEMENT, "kind = \"uniform\"\n")]),
+    ("city", &[(PLACEMENT, "kind = \"city\"\n")]),
+    ("stationary", &[(MOBILITY, "kind = \"stationary\"\n")]),
+    ("walk", &[(MOBILITY, "kind = \"walk\"\nsigma = 0.25\n")]),
+    ("waypoint", &[(MOBILITY, "kind = \"waypoint\"\nspeed = 0.125\npause = 4.0\n")]),
+    (
+        "flat-pool",
+        &[
+            ("[[tenants]]\nname = \"alice\"\npool = 200.0\n", ""),
+            ("tenant = \"alice\"\n", ""),
+            ("# budget_pool: the flat-pool variant\n", "budget_pool = 100.0\n"),
+        ],
+    ),
+];
+
+/// One row per mutation of line `at`: a `key = value` line is deleted,
+/// given an unknown sibling, and given five wrong values; a section header
+/// is deleted and replaced by a scalar of the same name.
+fn mutation_rows(label: &str, doc: &str, at: usize, rows: &mut Vec<String>) {
+    let lines: Vec<&str> = doc.lines().collect();
+    let line = lines[at];
+    let mutations: Vec<(String, Option<String>)> = if let Some(header) = line.strip_prefix('[') {
+        let name = header.trim_matches(|c| c == '[' || c == ']').rsplit('.').next().unwrap();
+        vec![("deleted".into(), None), (format!("{name} = 3"), Some(format!("{name} = 3")))]
+    } else if let Some((key, _)) = line.split_once(" = ") {
+        let mut m = vec![
+            ("deleted".into(), None),
+            (format!("+ {key}x = 1"), Some(format!("{line}\n{key}x = 1"))),
+        ];
+        for value in ["\"zzz\"", "-1", "1.5", "true", "4294967296"] {
+            m.push((format!("= {value}"), Some(format!("{key} = {value}"))));
+        }
+        m
+    } else {
+        return;
+    };
+    for (what, replacement) in mutations {
+        let mut mutated = String::new();
+        for (i, l) in lines.iter().enumerate() {
+            match (i == at, &replacement) {
+                (false, _) => mutated.push_str(l),
+                (true, Some(r)) => mutated.push_str(r),
+                (true, None) => continue,
+            }
+            mutated.push('\n');
+        }
+        let verdict = match ScenarioSpec::from_toml(&mutated) {
+            Ok(_) => "ok".to_string(),
+            Err(e) => e.to_string().replace('\n', "\\n"),
+        };
+        rows.push(format!("{label}:{:03} {line} => {what} :: {verdict}", at + 1));
+    }
+}
+
+#[test]
+fn every_single_line_mutation_is_judged_as_the_committed_table_says() {
+    let mut rows = Vec::new();
+    ScenarioSpec::from_toml(FULL).expect("the base spec is valid");
+    for at in 0..FULL.lines().count() {
+        mutation_rows("base", FULL, at, &mut rows);
+    }
+    for (label, edits) in VARIANTS {
+        let mut doc = FULL.to_string();
+        for (from, to) in edits {
+            assert!(doc.contains(from), "variant {label}: '{from}' is not in the document");
+            doc = doc.replace(from, to);
+        }
+        ScenarioSpec::from_toml(&doc).unwrap_or_else(|e| panic!("variant {label}: {e}"));
+        for (_, to) in edits.iter().filter(|(_, to)| !to.is_empty()) {
+            let first = doc[..doc.find(to).unwrap()].lines().count();
+            for at in first..first + to.lines().count() {
+                mutation_rows(label, &doc, at, &mut rows);
+            }
+        }
+    }
+    let fresh = rows.join("\n") + "\n";
+
+    let committed =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/spec_rejections.txt");
+    if std::fs::read_to_string(&committed).ok().as_deref() != Some(fresh.as_str()) {
+        let actual = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("spec_rejections.txt");
+        std::fs::write(&actual, &fresh).expect("write the fresh table");
+        panic!(
+            "the spec rejection surface moved: {} holds what the parser says now, {} what is \
+             committed — diff them, and copy the first over the second only if every changed \
+             row is intended",
+            actual.display(),
+            committed.display()
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Property: serialize → parse is the identity on valid specs
 // ---------------------------------------------------------------------------
 
@@ -366,9 +716,9 @@ fn arb_adaptive(rng: &mut StdRng) -> AdaptiveSpec {
 }
 
 /// At most one window per fault kind (so same-kind windows can never
-/// overlap), each inside `[0, epochs)`; `None` when every knob came up
-/// empty so `faults = Some(empty)` never round-trips ambiguously.
-fn arb_faults(rng: &mut StdRng, epochs: u32) -> Option<FaultsSpec> {
+/// overlap), each inside `[0, epochs)`. Every knob may come up empty: a
+/// bare `[faults]` block is a spec of its own and has to round-trip too.
+fn arb_faults(rng: &mut StdRng, epochs: u32) -> FaultsSpec {
     let mut crowd = Vec::new();
     for kind in ["drop", "delay", "duplicate"] {
         if rng.gen() {
@@ -385,7 +735,8 @@ fn arb_faults(rng: &mut StdRng, epochs: u32) -> Option<FaultsSpec> {
     let retry = if rng.gen() {
         Some(RetrySpec {
             threshold: rng.gen_range(0.0..1.0),
-            backoff: rng.gen_range(0.0..1.0),
+            // (0, 1]: 0 is rejected, 1 (no backoff) is valid.
+            backoff: 1.0 - rng.gen_range(0.0..0.95),
             max_attempts: rng.gen_range(1u32..5),
         })
     } else {
@@ -396,10 +747,7 @@ fn arb_faults(rng: &mut StdRng, epochs: u32) -> Option<FaultsSpec> {
         .take(rng.gen_range(0usize..3))
         .map(|p| CrashSpec { point: (*p).into(), epoch: rng.gen_range(0..epochs) })
         .collect::<Vec<_>>();
-    if crowd.is_empty() && retry.is_none() && crash.is_empty() {
-        return None;
-    }
-    Some(FaultsSpec { crowd, retry, crash })
+    FaultsSpec { crowd, retry, crash }
 }
 
 /// Draws a random *valid* spec: every constructor input stays inside the
@@ -524,7 +872,7 @@ fn arb_spec(rng: &mut StdRng) -> ScenarioSpec {
         shifts: (0..rng.gen_range(0usize..4)).map(|_| arb_shift(rng, epochs, size_km)).collect(),
         adaptive,
         runlog: if rng.gen() { Some(RunlogSpec { record: rng.gen() }) } else { None },
-        faults: if rng.gen() { arb_faults(rng, epochs) } else { None },
+        faults: if rng.gen() { Some(arb_faults(rng, epochs)) } else { None },
         telemetry: if rng.gen() { Some(TelemetrySpec { report: rng.gen() }) } else { None },
     }
 }
