@@ -13,8 +13,8 @@ use crate::log::{
     ActionRecord, AdmissionRecord, ChargeRecord, EpochRecord, ResponseRecord, RunLog, ShiftEvent,
     ValueRecord, RUNLOG_VERSION,
 };
-use craqr_stats::fnv1a64;
-use std::fmt;
+use craqr_stats::{fnv1a64, fnv1a64_extend, fnv1a64_extend2, write_float};
+use std::fmt::{self, Write as _};
 
 /// A parse/integrity error with its 1-based line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,10 +36,6 @@ impl std::error::Error for CodecError {}
 fn err(line: usize, message: impl Into<String>) -> CodecError {
     CodecError { line, message: message.into() }
 }
-
-/// The workspace's shared shortest-roundtrip float formatter (also used
-/// by the scenario codec): renders so parsing gives back identical bits.
-pub(crate) use craqr_stats::format_float as fmt_f64;
 
 fn parse_f64(s: &str, line: usize, what: &str) -> Result<f64, CodecError> {
     s.parse::<f64>().map_err(|_| err(line, format!("{what}: not a float: '{s}'")))
@@ -81,10 +77,6 @@ fn parse_rect(s: &str, line: usize) -> Result<(f64, f64, f64, f64), CodecError> 
     ))
 }
 
-fn fmt_rect(r: &(f64, f64, f64, f64)) -> String {
-    format!("{},{},{},{}", fmt_f64(r.0), fmt_f64(r.1), fmt_f64(r.2), fmt_f64(r.3))
-}
-
 fn parse_cell(s: &str, line: usize) -> Result<(u32, u32), CodecError> {
     let (q, r) =
         s.split_once(',').ok_or_else(|| err(line, format!("cell needs 'q,r', got '{s}'")))?;
@@ -94,65 +86,85 @@ fn parse_cell(s: &str, line: usize) -> Result<(u32, u32), CodecError> {
 }
 
 // ---------------------------------------------------------------------------
-// Line renderers (shared with the diff module so divergences print in the
-// exact on-disk syntax)
+// Line writers: each appends one record line, without its newline, to a
+// caller's buffer (shared with the diff module so divergences print in
+// the exact on-disk syntax)
 // ---------------------------------------------------------------------------
 
-pub(crate) fn shift_line(s: &ShiftEvent) -> String {
-    match s {
+fn write_rect(out: &mut String, r: &(f64, f64, f64, f64)) {
+    for (i, v) in [r.0, r.1, r.2, r.3].into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_float(out, v);
+    }
+}
+
+pub(crate) fn write_shift(out: &mut String, s: &ShiftEvent) {
+    let (kind, probability, rect) = match s {
         ShiftEvent::Participation { factor } => {
-            format!("shift participation factor={}", fmt_f64(*factor))
+            out.push_str("shift participation factor=");
+            return write_float(out, *factor);
         }
-        ShiftEvent::Dropout { probability, rect } => {
-            format!("shift dropout probability={} rect={}", fmt_f64(*probability), fmt_rect(rect))
+        ShiftEvent::Dropout { probability, rect } => ("dropout", probability, rect),
+        ShiftEvent::Migrate { probability, rect } => ("migrate", probability, rect),
+    };
+    let _ = write!(out, "shift {kind} probability=");
+    write_float(out, *probability);
+    out.push_str(" rect=");
+    write_rect(out, rect);
+}
+
+pub(crate) fn write_response(out: &mut String, r: &ResponseRecord) {
+    let _ = write!(out, "r s={} a={} t=", r.sensor, r.attr);
+    write_float(out, r.t);
+    out.push_str(" x=");
+    write_float(out, r.x);
+    out.push_str(" y=");
+    write_float(out, r.y);
+    match r.value {
+        ValueRecord::Bool(b) => out.push_str(if b { " v=btrue" } else { " v=bfalse" }),
+        ValueRecord::Float(f) => {
+            out.push_str(" v=f");
+            write_float(out, f);
         }
-        ShiftEvent::Migrate { probability, rect } => {
-            format!("shift migrate probability={} rect={}", fmt_f64(*probability), fmt_rect(rect))
+    }
+    out.push_str(" issued=");
+    write_float(out, r.issued_at);
+}
+
+pub(crate) fn write_admission(out: &mut String, a: &AdmissionRecord) {
+    let _ = write!(out, "adm tenant={} sub={} demand=", a.tenant, a.submission);
+    write_float(out, a.demand);
+    out.push_str(" committed=");
+    write_float(out, a.committed);
+    out.push_str(" capacity=");
+    write_float(out, a.capacity);
+    out.push_str(if a.admitted { " verdict=admitted" } else { " verdict=rejected" });
+}
+
+pub(crate) fn write_charge(out: &mut String, c: &ChargeRecord) {
+    let _ = write!(out, "charge tenant={} spent=", c.tenant);
+    write_float(out, c.spent);
+}
+
+pub(crate) fn write_action(out: &mut String, a: &ActionRecord) {
+    match a {
+        ActionRecord::SetBudget { cell, attr, budget } => {
+            let _ = write!(out, "act set cell={},{} attr={attr} budget=", cell.0, cell.1);
+            write_float(out, *budget);
+        }
+        ActionRecord::RebuildChain { cell, attr } => {
+            let _ = write!(out, "act rebuild cell={},{} attr={attr}", cell.0, cell.1);
         }
     }
 }
 
-pub(crate) fn response_line(r: &ResponseRecord) -> String {
-    let value = match r.value {
-        ValueRecord::Bool(b) => format!("b{b}"),
-        ValueRecord::Float(f) => format!("f{}", fmt_f64(f)),
-    };
-    format!(
-        "r s={} a={} t={} x={} y={} v={} issued={}",
-        r.sensor,
-        r.attr,
-        fmt_f64(r.t),
-        fmt_f64(r.x),
-        fmt_f64(r.y),
-        value,
-        fmt_f64(r.issued_at),
-    )
-}
-
-pub(crate) fn admission_line(a: &AdmissionRecord) -> String {
-    format!(
-        "adm tenant={} sub={} demand={} committed={} capacity={} verdict={}",
-        a.tenant,
-        a.submission,
-        fmt_f64(a.demand),
-        fmt_f64(a.committed),
-        fmt_f64(a.capacity),
-        if a.admitted { "admitted" } else { "rejected" },
-    )
-}
-
-pub(crate) fn charge_line(c: &ChargeRecord) -> String {
-    format!("charge tenant={} spent={}", c.tenant, fmt_f64(c.spent))
-}
-
-pub(crate) fn action_line(a: &ActionRecord) -> String {
-    match a {
-        ActionRecord::SetBudget { cell, attr, budget } => {
-            format!("act set cell={},{} attr={} budget={}", cell.0, cell.1, attr, fmt_f64(*budget))
-        }
-        ActionRecord::RebuildChain { cell, attr } => {
-            format!("act rebuild cell={},{} attr={}", cell.0, cell.1, attr)
-        }
+/// Appends one line per record.
+fn write_lines<T>(out: &mut String, records: &[T], write: fn(&mut String, &T)) {
+    for r in records {
+        write(out, r);
+        out.push('\n');
     }
 }
 
@@ -271,99 +283,105 @@ fn parse_action_line(line_no: usize, rest: &str) -> Result<ActionRecord, CodecEr
 // Render
 // ---------------------------------------------------------------------------
 
-/// The checksummed header: version stamp, scenario, seed, embedded spec,
-/// and admission decisions. The streaming writer emits exactly these
-/// bytes before the first epoch block, so an interrupted streamed file is
-/// always a byte-prefix of the canonical render.
-pub(crate) fn header_text(log: &RunLog) -> String {
-    use std::fmt::Write;
-    let spec = if log.spec_toml.is_empty() || log.spec_toml.ends_with('\n') {
-        log.spec_toml.clone()
-    } else {
-        format!("{}\n", log.spec_toml)
-    };
-    let mut s = String::new();
-    let _ = writeln!(s, "# craqr runlog v{RUNLOG_VERSION}");
-    let _ = writeln!(s, "scenario: {}", log.scenario);
-    let _ = writeln!(s, "seed: {}", log.seed);
-    let _ = writeln!(s, "spec-lines: {}", spec.matches('\n').count());
-    s.push_str(&spec);
+/// Appends the checksummed header: version stamp, scenario, seed,
+/// embedded spec, and admission decisions. The streaming writer emits
+/// exactly these bytes before the first epoch block, so an interrupted
+/// streamed file is always a byte-prefix of the canonical render.
+pub(crate) fn write_header(out: &mut String, log: &RunLog) {
+    let spec = &log.spec_toml;
+    let unterminated = !spec.is_empty() && !spec.ends_with('\n');
+    let _ = writeln!(out, "# craqr runlog v{RUNLOG_VERSION}");
+    let _ = writeln!(out, "scenario: {}", log.scenario);
+    let _ = writeln!(out, "seed: {}", log.seed);
+    let _ = writeln!(out, "spec-lines: {}", spec.matches('\n').count() + usize::from(unterminated));
+    out.push_str(spec);
+    if unterminated {
+        out.push('\n');
+    }
     // Admission decisions precede the first epoch (they are taken at
     // submit time) and live inside the checksummed header, so every
     // epoch checksum also pins the admission outcomes. Single-owner logs
     // have none and render byte-identically to the pre-tenant format.
-    for a in &log.admissions {
-        let _ = writeln!(s, "{}", admission_line(a));
-    }
-    s
+    write_lines(out, &log.admissions, write_admission);
 }
 
-/// One epoch's record lines (`[epoch N]` through the last charge line),
-/// *without* the `end` line — the bytes the chained checksum covers.
-pub(crate) fn epoch_block(e: &EpochRecord) -> String {
-    use std::fmt::Write;
-    let mut block = String::new();
-    let _ = writeln!(block, "[epoch {}]", e.epoch);
-    for shift in &e.shifts {
-        let _ = writeln!(block, "{}", shift_line(shift));
-    }
-    let _ = writeln!(block, "dispatch requested={} sent={}", e.requested, e.sent);
+/// Appends one epoch's record lines (`[epoch N]` through the last charge
+/// line), *without* the `end` line — the bytes the chained checksum
+/// covers.
+pub(crate) fn epoch_block(out: &mut String, e: &EpochRecord) {
+    let _ = writeln!(out, "[epoch {}]", e.epoch);
+    write_lines(out, &e.shifts, write_shift);
+    let _ = writeln!(out, "dispatch requested={} sent={}", e.requested, e.sent);
     // Fault-free epochs skip the line entirely, keeping their blocks
     // byte-identical to logs recorded before fault counters existed.
     if e.dropped != 0 || e.delayed != 0 || e.duplicated != 0 {
         let _ = writeln!(
-            block,
+            out,
             "faults dropped={} delayed={} duplicated={}",
             e.dropped, e.delayed, e.duplicated
         );
     }
-    for r in &e.responses {
-        let _ = writeln!(block, "{}", response_line(r));
-    }
-    for a in &e.actions {
-        let _ = writeln!(block, "{}", action_line(a));
-    }
-    for c in &e.charges {
-        let _ = writeln!(block, "{}", charge_line(c));
-    }
-    block
+    write_lines(out, &e.responses, write_response);
+    write_lines(out, &e.actions, write_action);
+    write_lines(out, &e.charges, write_charge);
+}
+
+/// The hash a chain link starts from: the previous link's `"<crc>\n"`.
+fn link_seed(chain: u64) -> u64 {
+    fnv1a64(format!("{chain:#018x}\n").as_bytes())
 }
 
 /// Advances the chained checksum over one epoch block: each link hashes
 /// its block *and* the previous link, so order and completeness are
 /// pinned.
 pub(crate) fn advance_chain(chain: u64, block: &str) -> u64 {
-    fnv1a64(format!("{}\n{block}", fmt_crc(chain)).as_bytes())
+    fnv1a64_extend(link_seed(chain), block.as_bytes())
 }
 
-/// The `end epoch=N crc=…` line sealing one epoch block (with trailing
-/// newline).
-pub(crate) fn end_line(epoch: u64, chain: u64) -> String {
-    format!("end epoch={epoch} crc={}\n", fmt_crc(chain))
+/// Appends one epoch as it lands in the log — its block, then the
+/// `end epoch=N crc=…` line sealing it — and advances the two running
+/// hashes over what it appended: `chain`, the epoch checksum chain, and
+/// `doc`, the whole-document checksum (FNV-1a of every byte before the
+/// block). One pass over the block feeds both.
+pub(crate) fn write_epoch(out: &mut String, e: &EpochRecord, chain: u64, doc: u64) -> (u64, u64) {
+    let start = out.len();
+    epoch_block(out, e);
+    let [chain, doc] = fnv1a64_extend2([link_seed(chain), doc], &out.as_bytes()[start..]);
+    let end = out.len();
+    let _ = writeln!(out, "end epoch={} crc={chain:#018x}", e.epoch);
+    (chain, fnv1a64_extend(doc, &out.as_bytes()[end..]))
+}
+
+/// Appends the `[final]` seal: the optional report and trace checksums,
+/// then the whole-document `checksum:` line. `doc` is the running hash of
+/// every byte before the seal.
+pub(crate) fn write_trailer(out: &mut String, doc: u64, report: Option<u64>, trace: Option<u64>) {
+    let start = out.len();
+    out.push_str("[final]\n");
+    if let Some(c) = report {
+        let _ = writeln!(out, "report-checksum: {c:#018x}");
+    }
+    if let Some(c) = trace {
+        let _ = writeln!(out, "trace-checksum: {c:#018x}");
+    }
+    let doc = fnv1a64_extend(doc, &out.as_bytes()[start..]);
+    let _ = writeln!(out, "checksum: {doc:#018x}");
 }
 
 /// Renders the canonical text form of a log. Deterministic: the same log
 /// always yields identical bytes.
 pub fn render(log: &RunLog) -> String {
-    use std::fmt::Write;
-    let mut s = header_text(log);
+    let mut s = String::new();
+    write_header(&mut s, log);
     // The chain seed covers the header: an epoch checksum therefore also
-    // pins the spec, seed, and admissions it was recorded under.
+    // pins the spec, seed, and admissions it was recorded under. It is
+    // also the document hash so far — both are FNV-1a of the header.
     let mut chain = fnv1a64(s.as_bytes());
+    let mut doc = chain;
     for e in &log.epochs {
-        let block = epoch_block(e);
-        chain = advance_chain(chain, &block);
-        s.push_str(&block);
-        s.push_str(&end_line(e.epoch, chain));
+        (chain, doc) = write_epoch(&mut s, e, chain, doc);
     }
-    let _ = writeln!(s, "[final]");
-    if let Some(c) = log.report_checksum {
-        let _ = writeln!(s, "report-checksum: {}", fmt_crc(c));
-    }
-    if let Some(c) = log.trace_checksum {
-        let _ = writeln!(s, "trace-checksum: {}", fmt_crc(c));
-    }
-    let _ = writeln!(s, "checksum: {}", fmt_crc(fnv1a64(s.as_bytes())));
+    write_trailer(&mut s, doc, log.report_checksum, log.trace_checksum);
     s
 }
 
@@ -941,6 +959,7 @@ mod tests {
 
     #[test]
     fn floats_round_trip_in_shortest_form() {
+        use craqr_stats::format_float as fmt_f64;
         for f in [0.1, -0.0, 1.0, 1e-300, f64::MAX, 123_456_789.123_456_79, 2.5e-17] {
             let s = fmt_f64(f);
             let back: f64 = s.parse().unwrap();

@@ -7,7 +7,7 @@
 //! tool for "the replay no longer matches the recording" and "these two
 //! builds made different decisions from the same world".
 
-use crate::codec::{action_line, admission_line, charge_line, response_line, shift_line};
+use crate::codec::{write_action, write_admission, write_charge, write_response, write_shift};
 use crate::log::{EpochRecord, RunLog};
 use std::fmt;
 
@@ -75,19 +75,25 @@ impl fmt::Display for LogDiff {
 }
 
 /// Compares two same-length record vectors, reporting count mismatch or
-/// the first differing element rendered in on-disk syntax.
+/// the first differing element rendered in on-disk syntax by the codec's
+/// line writer `write`.
 fn diff_records<T: PartialEq>(
     what: &str,
     a: &[T],
     b: &[T],
-    render: impl Fn(&T) -> String,
+    write: fn(&mut String, &T),
     out: &mut Vec<String>,
 ) {
     if a.len() != b.len() {
         out.push(format!("{what} count: {} vs {}", a.len(), b.len()));
     }
     if let Some(i) = a.iter().zip(b).position(|(x, y)| x != y) {
-        out.push(format!("{what}[{i}]: '{}' vs '{}'", render(&a[i]), render(&b[i])));
+        let line = |r: &T| {
+            let mut s = String::new();
+            write(&mut s, r);
+            s
+        };
+        out.push(format!("{what}[{i}]: '{}' vs '{}'", line(&a[i]), line(&b[i])));
     }
 }
 
@@ -97,7 +103,7 @@ pub fn diff_epoch(a: &EpochRecord, b: &EpochRecord) -> Vec<String> {
     if a.epoch != b.epoch {
         details.push(format!("epoch index: {} vs {}", a.epoch, b.epoch));
     }
-    diff_records("shift", &a.shifts, &b.shifts, shift_line, &mut details);
+    diff_records("shift", &a.shifts, &b.shifts, write_shift, &mut details);
     if a.requested != b.requested {
         details.push(format!("dispatch requested: {} vs {}", a.requested, b.requested));
     }
@@ -110,9 +116,9 @@ pub fn diff_epoch(a: &EpochRecord, b: &EpochRecord) -> Vec<String> {
             a.dropped, a.delayed, a.duplicated, b.dropped, b.delayed, b.duplicated
         ));
     }
-    diff_records("response", &a.responses, &b.responses, response_line, &mut details);
-    diff_records("action", &a.actions, &b.actions, action_line, &mut details);
-    diff_records("charge", &a.charges, &b.charges, charge_line, &mut details);
+    diff_records("response", &a.responses, &b.responses, write_response, &mut details);
+    diff_records("action", &a.actions, &b.actions, write_action, &mut details);
+    diff_records("charge", &a.charges, &b.charges, write_charge, &mut details);
     details
 }
 
@@ -145,7 +151,7 @@ pub fn diff_logs(a: &RunLog, b: &RunLog) -> LogDiff {
             );
         diff.header.push(format!("embedded spec differs ({first})"));
     }
-    diff_records("admission", &a.admissions, &b.admissions, admission_line, &mut diff.header);
+    diff_records("admission", &a.admissions, &b.admissions, write_admission, &mut diff.header);
     if a.epochs.len() != b.epochs.len() {
         diff.header.push(format!("epoch count: {} vs {}", a.epochs.len(), b.epochs.len()));
     }

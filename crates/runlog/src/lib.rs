@@ -21,11 +21,13 @@
 //!   state, and continue live;
 //! - **diff** — structurally compare two logs epoch by epoch with
 //!   first-divergence reporting ([`diff_logs`]);
-//! - **crash safety** — stream each sealed epoch block to disk with an
-//!   fsync discipline ([`StreamingRecorder`]), and salvage the longest
-//!   valid checksummed prefix of a torn file ([`parse_salvage`]) so a
-//!   crashed run resumes from its last durable epoch boundary instead of
-//!   losing the log.
+//! - **crash safety** — append and fsync each epoch block the moment it
+//!   closes and seal the file by appending a fsynced trailer
+//!   ([`StreamingRecorder`]; nothing on disk is ever rewritten), and
+//!   salvage the longest valid checksummed prefix of a torn file — a
+//!   torn trailer included ([`parse_salvage`]) — so a crashed run
+//!   resumes from its last durable epoch boundary instead of losing the
+//!   log.
 //!
 //! # Format
 //!

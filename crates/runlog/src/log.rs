@@ -298,10 +298,10 @@ impl RunLog {
     /// text's final line).
     pub fn checksum(&self) -> u64 {
         let canon = self.canonical();
-        let body = canon.rsplit_once("\nchecksum:").expect("canonical ends in checksum").0;
-        // The split ate the newline terminating the last body line; the
-        // recorded checksum hashed it.
-        craqr_stats::fnv1a64(format!("{body}\n").as_bytes())
+        // The recorded checksum hashes every byte before its own line,
+        // the newline ending the line above included.
+        let body = canon.rfind("\nchecksum:").expect("canonical ends in checksum") + 1;
+        craqr_stats::fnv1a64(&canon.as_bytes()[..body])
     }
 
     /// A copy truncated to the first `k` epochs — the resume point. The

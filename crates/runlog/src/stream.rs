@@ -6,23 +6,29 @@
 //! discipline:
 //!
 //! 1. the checksummed header is written (and synced) as soon as the run
-//!    begins, so even an epoch-zero crash leaves a salvageable file;
+//!    begins, and the new file's directory entry is synced with it, so
+//!    even an epoch-zero crash leaves a salvageable file;
 //! 2. each epoch block plus its chained-CRC `end` line is appended and
 //!    `fsync`ed the moment the epoch closes — after a crash, every epoch
 //!    whose `end` line reached the disk is durable;
-//! 3. the sealed trailer is never appended in place: `finish` renders the
-//!    full canonical document and swaps it in atomically
-//!    ([`write_atomic`]: temp file in the same directory, `fsync`,
-//!    `rename`), so the on-disk log is always either a valid streamed
-//!    prefix or the complete sealed document, never a half-written seal.
+//! 3. `finish` seals the file by appending the `[final]` trailer and
+//!    `fsync`ing it — nothing already on disk is rewritten. A crash
+//!    inside that append leaves a torn trailer, which
+//!    [`parse_salvage`](crate::codec::parse_salvage) tears off whole: the
+//!    same all-epochs-durable, resumable state as a crash just before
+//!    `finish`.
 //!
 //! Because the streamed bytes come from the same
-//! [`codec`](crate::codec) helpers as [`RunLog::canonical`], an
-//! interrupted file is a byte-prefix of the canonical render and
+//! [`codec`](crate::codec) writers as [`RunLog::canonical`], an
+//! interrupted file is a byte-prefix of the canonical render, a sealed
+//! one *is* the canonical render, and
 //! [`parse_salvage`](crate::codec::parse_salvage) recovers exactly the
-//! epochs whose `end` lines were synced.
+//! epochs whose `end` lines were synced. Each epoch is rendered once,
+//! into one buffer the recorder reuses, and hashed in place; the
+//! whole-document checksum the seal needs is kept running as the
+//! epochs go by.
 
-use crate::codec::{advance_chain, end_line, epoch_block, header_text};
+use crate::codec::{epoch_block, write_epoch, write_header, write_trailer};
 use crate::log::{RunLog, ShiftEvent};
 use crate::record::RunLogRecorder;
 use craqr_core::{AdmissionDecision, EpochInputsRecord, EpochTap};
@@ -30,6 +36,19 @@ use craqr_stats::fnv1a64;
 use std::fs::File;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+
+/// Syncs the directory entry of `path` — what makes a newly created or
+/// renamed file durable. Not every platform lets a directory be opened
+/// for sync, so this is best-effort.
+fn sync_parent_dir(path: &Path) {
+    let dir = match path.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
+    };
+    if let Ok(d) = File::open(dir) {
+        let _ = d.sync_all();
+    }
+}
 
 /// Writes `contents` to `path` atomically: a temp file in the same
 /// directory is written, `fsync`ed, then renamed over the target, and the
@@ -48,16 +67,7 @@ pub fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
         f.sync_all()?;
     }
     std::fs::rename(&tmp, path)?;
-    // The rename itself only becomes durable once the directory entry is
-    // on disk; not every platform lets a directory be opened for sync, so
-    // this layer is best-effort.
-    let dir = match path.parent() {
-        Some(d) if !d.as_os_str().is_empty() => d,
-        _ => Path::new("."),
-    };
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
-    }
+    sync_parent_dir(path);
     Ok(())
 }
 
@@ -73,7 +83,12 @@ pub struct StreamingRecorder {
     inner: RunLogRecorder,
     path: PathBuf,
     file: Option<File>,
+    /// The text of the append in progress, reused across epochs.
+    buf: String,
+    /// The epoch checksum chain's last link.
     chain: u64,
+    /// FNV-1a of every byte streamed so far (the seal's `checksum:`).
+    doc: u64,
     streamed: usize,
     tear_next: bool,
     torn: bool,
@@ -88,7 +103,9 @@ impl StreamingRecorder {
             inner: RunLogRecorder::new(scenario, seed, spec_toml),
             path: path.to_path_buf(),
             file: None,
+            buf: String::new(),
             chain: 0,
+            doc: 0,
             streamed: 0,
             tear_next: false,
             torn: false,
@@ -110,18 +127,22 @@ impl StreamingRecorder {
         self.inner.record_admissions(decisions);
     }
 
-    /// Writes and syncs the header now, so a crash before the first epoch
-    /// still leaves a salvageable (zero-epoch) file. Called implicitly by
-    /// the first epoch append if skipped.
+    /// Creates the file, writes and syncs the header, and syncs the
+    /// directory entry, so a crash before the first epoch still leaves a
+    /// salvageable (zero-epoch) file. Called implicitly by the first
+    /// epoch append, or by the seal, if skipped.
     pub fn begin(&mut self) -> io::Result<()> {
         if self.file.is_some() {
             return Ok(());
         }
-        let header = header_text(self.inner.log_ref());
+        self.buf.clear();
+        write_header(&mut self.buf, self.inner.log_ref());
         let mut f = File::create(&self.path)?;
-        f.write_all(header.as_bytes())?;
+        f.write_all(self.buf.as_bytes())?;
         f.sync_all()?;
-        self.chain = fnv1a64(header.as_bytes());
+        sync_parent_dir(&self.path);
+        self.chain = fnv1a64(self.buf.as_bytes());
+        self.doc = self.chain;
         self.file = Some(f);
         Ok(())
     }
@@ -155,36 +176,50 @@ impl StreamingRecorder {
     fn stream_last_epoch(&mut self) -> io::Result<()> {
         self.begin()?;
         let e = self.inner.epochs().last().expect("stream_last_epoch follows a recorded epoch");
-        let block = epoch_block(e);
+        self.buf.clear();
         let file = self.file.as_mut().expect("begin() opened the file");
         if self.tear_next {
-            let cut = block.len() / 2;
-            file.write_all(&block.as_bytes()[..cut])?;
+            epoch_block(&mut self.buf, e);
+            file.write_all(&self.buf.as_bytes()[..self.buf.len() / 2])?;
             file.sync_all()?;
             self.torn = true;
             return Ok(());
         }
-        self.chain = advance_chain(self.chain, &block);
-        file.write_all(block.as_bytes())?;
-        file.write_all(end_line(e.epoch, self.chain).as_bytes())?;
+        (self.chain, self.doc) = write_epoch(&mut self.buf, e, self.chain, self.doc);
+        file.write_all(self.buf.as_bytes())?;
         file.sync_all()?;
         self.streamed += 1;
         Ok(())
     }
 
-    /// Seals the log and atomically replaces the streamed file with the
-    /// complete canonical document. Surfaces any I/O error deferred from
-    /// an earlier append; refuses to seal a deliberately torn file.
-    pub fn finish(self, report_checksum: u64, trace_checksum: Option<u64>) -> io::Result<RunLog> {
+    /// Seals the log: appends the `[final]` trailer (report and trace
+    /// checksums, then the whole-document checksum, kept running since
+    /// the header) and `fsync`s it, after which the file is the complete
+    /// canonical document. Nothing is re-rendered or rewritten, and no
+    /// directory sync is needed (the entry was synced at
+    /// [`StreamingRecorder::begin`]); a crash inside the append leaves a
+    /// torn trailer that salvage tears off whole, with every epoch still
+    /// durable. Opens the file first if no epoch or `begin` did. Surfaces
+    /// any I/O error deferred from an earlier append; refuses to seal a
+    /// deliberately torn file.
+    pub fn finish(
+        mut self,
+        report_checksum: u64,
+        trace_checksum: Option<u64>,
+    ) -> io::Result<RunLog> {
         if let Some(e) = self.error {
             return Err(e);
         }
         if self.torn {
             return Err(io::Error::other("refusing to seal a torn stream"));
         }
-        let log = self.inner.finish(report_checksum, trace_checksum);
-        write_atomic(&self.path, &log.canonical())?;
-        Ok(log)
+        self.begin()?;
+        self.buf.clear();
+        write_trailer(&mut self.buf, self.doc, Some(report_checksum), trace_checksum);
+        let file = self.file.as_mut().expect("begin() opened the file");
+        file.write_all(self.buf.as_bytes())?;
+        file.sync_all()?;
+        Ok(self.inner.finish(report_checksum, trace_checksum))
     }
 
     /// The log as recorded in memory so far, without sealing (the on-disk
@@ -268,6 +303,17 @@ mod tests {
         let on_disk = std::fs::read_to_string(&path).unwrap();
         assert_eq!(on_disk, log.unwrap().canonical());
         assert!(RunLog::parse(&on_disk).is_ok());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_unbegun_empty_stream_seals_to_the_canonical_render() {
+        let dir = tempdir("unbegun");
+        let path = dir.join("stream.runlog.txt");
+        let rec = StreamingRecorder::new(&path, "unit", 11, "name = \"unit\"\n");
+        let log = rec.finish(0xFEED, Some(0xBEEF)).unwrap();
+        assert!(log.epochs.is_empty());
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), log.canonical());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -148,8 +148,8 @@ pub enum Record {
     Memory,
     /// **Crash-safe** recording: every sealed epoch block is appended and
     /// `fsync`ed to this path as it closes ([`StreamingRecorder`]), and
-    /// the sealed document atomically replaces the streamed prefix at the
-    /// end. If the process dies mid-run, the file salvages
+    /// the run is sealed by appending and `fsync`ing the trailer. If the
+    /// process dies mid-run (or mid-seal), the file salvages
     /// ([`craqr_runlog::parse_salvage`]) to the last durable epoch
     /// boundary instead of losing the log.
     Stream(PathBuf),

@@ -41,9 +41,9 @@ pub mod text;
 
 pub use dist::{Exponential, Normal, Poisson};
 pub use drift::{Cusum, DriftDirection, PageHinkley};
-pub use fnv::fnv1a64;
+pub use fnv::{fnv1a64, fnv1a64_extend, fnv1a64_extend2};
 pub use hypothesis::{chi_square_uniform, dispersion_index, ks_exponential, ChiSquare, KsTest};
 pub use online::{Ewma, OnlineMoments, WindowedRate};
 pub use rng::{seeded_rng, sub_rng};
 pub use summary::{Histogram, Summary};
-pub use text::format_float;
+pub use text::{format_float, write_float};

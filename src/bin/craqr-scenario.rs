@@ -301,9 +301,9 @@ fn cmd_record(argv: &[String]) -> Result<(), Failure> {
     for file in &flags.files {
         let runner = ScenarioRunner::from_file(file).map_err(|e| e.to_string())?;
         // Crash-safe recording: every sealed epoch block is appended and
-        // fsynced as it closes, and the sealed document atomically
-        // replaces the streamed prefix at the end — a kill at any moment
-        // leaves a salvageable prefix, never a half-written file.
+        // fsynced as it closes, and the seal is one more fsynced append —
+        // a kill at any moment leaves a salvageable prefix, and a kill
+        // inside the seal a torn trailer that salvage tears off whole.
         let path = out.join(format!("{}.runlog.txt", runner.spec().name));
         let output = runner
             .run(&flags.plan(Record::Stream(path.clone())))
@@ -311,15 +311,16 @@ fn cmd_record(argv: &[String]) -> Result<(), Failure> {
         absorb_metrics(&mut registry, output.telemetry.as_ref());
         // craqr-lint: allow(W1): internal invariant — a streamed run always yields a log
         let log = output.log.expect("a streamed run always returns a log");
-        let text = log.canonical();
-        // The checksum is already the canonical text's last line; reading
-        // it there avoids re-rendering the whole multi-hundred-KB log.
+        // The sealed file is the canonical text: its size and last line
+        // are the byte count and checksum, with no second render.
+        let text =
+            std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
         let checksum = text
             .lines()
             .last()
             .and_then(|l| l.strip_prefix("checksum: "))
-            // craqr-lint: allow(W1): internal invariant — canonical() always ends with a checksum line
-            .expect("canonical logs end in a checksum line");
+            // craqr-lint: allow(W1): internal invariant — a sealed log always ends with a checksum line
+            .expect("sealed logs end in a checksum line");
         println!(
             "recorded {} ({} epochs, {} responses, {} bytes, checksum {checksum})",
             path.display(),

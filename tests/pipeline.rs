@@ -8,7 +8,7 @@
 //! staged schedule, for every committed scenario, and the whole
 //! crash/salvage/resume story must survive with stages mid-flight.
 //!
-//! Two layers (the kill matrix with stages mid-flight is `tests/chaos.rs`,
+//! Three layers (the kill matrix with stages mid-flight is `tests/chaos.rs`,
 //! which runs every cell on both executors):
 //!
 //! 1. corpus-wide identity: every spec under `scenarios/` runs under the
@@ -16,7 +16,9 @@
 //!    reports must match the committed goldens byte-for-byte and traces
 //!    and logs the serial plan's — so every executor shape is pinned to
 //!    the same blessed bytes;
-//! 2. replay + resume land on the staged dataflow too and still
+//! 2. the file a streamed pipelined run writes is byte-identical to each
+//!    committed run-log golden;
+//! 3. replay + resume land on the staged dataflow too and still
 //!    re-converge on the recording run's sealed checksums.
 
 use craqr::core::ExecMode;
@@ -66,6 +68,32 @@ fn every_committed_scenario_is_pipeline_identical() {
             );
         }
     }
+}
+
+/// A *streamed* pipelined run — the render worker appending each epoch
+/// through the recorder's reused buffer while later epochs are still in
+/// flight, then sealing by appending the trailer — leaves on disk exactly
+/// the bytes of every committed run-log golden.
+#[test]
+fn streamed_pipelined_runs_write_the_committed_runlog_goldens() {
+    let dir = std::env::temp_dir().join(format!("craqr-pipeline-stream-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut checked = 0;
+    for path in scenario_files() {
+        let runner = runner(&path);
+        let name = runner.spec().name.clone();
+        let golden = repo_root().join("tests/goldens").join(format!("{name}.runlog.txt"));
+        let Ok(golden) = std::fs::read_to_string(&golden) else { continue };
+        let out = dir.join(format!("{name}.runlog.txt"));
+        let plan = RunPlan::new(Execution::from(ExecMode::Serial).pipelined(true))
+            .record(Record::Stream(out.clone()));
+        runner.run(&plan).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let streamed = std::fs::read_to_string(&out).unwrap();
+        assert!(streamed == golden, "{name}: streamed pipelined log differs from its golden");
+        checked += 1;
+    }
+    assert_eq!(checked, 7, "every committed run-log golden has a scenario");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Replay and resume drive the staged dataflow too and re-converge on
