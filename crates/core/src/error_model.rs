@@ -137,13 +137,12 @@ impl Mitigation {
             let floats: Vec<f64> =
                 responses.iter().filter_map(|r| r.measurement.value.as_float()).collect();
             if floats.len() >= 8 {
-                let mut sorted = floats.clone();
-                sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
-                let median = sorted[sorted.len() / 2];
-                let mut deviations: Vec<f64> = floats.iter().map(|v| (v - median).abs()).collect();
-                deviations.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
+                let mut scratch = floats.clone();
+                let median = upper_median(&mut scratch);
+                scratch.clear();
+                scratch.extend(floats.iter().map(|v| (v - median).abs()));
                 // 1.4826 × MAD estimates σ for Gaussian data.
-                let robust_sd = 1.4826 * deviations[deviations.len() / 2];
+                let robust_sd = 1.4826 * upper_median(&mut scratch);
                 // MAD of 0 (over half the values identical) gives no scale
                 // to judge by; fall back to the classical deviation then.
                 let scale = if robust_sd > 0.0 {
@@ -169,12 +168,28 @@ impl Mitigation {
     }
 }
 
+/// The element at index `len / 2` of `values` in ascending order, found by
+/// selection instead of a sort; `values` is left permuted.
+///
+/// Floats that compare equal are bit-identical except `-0.0` and `0.0`, so
+/// this matches a sort's pick up to the sign of a zero median. Every
+/// caller uses the median inside `(v - median).abs()`, where that sign
+/// drops out.
+///
+/// # Panics
+/// Panics when it compares a NaN.
+fn upper_median(values: &mut [f64]) -> f64 {
+    let mid = values.len() / 2;
+    *values.select_nth_unstable_by(mid, |a, b| a.partial_cmp(b).expect("finite values")).1
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use craqr_geom::SpaceTimePoint;
     use craqr_sensing::{AttributeId, Measurement, SensorId};
     use craqr_stats::seeded_rng;
+    use proptest::prelude::*;
 
     fn response(x: f64, y: f64, value: AttrValue) -> SensorResponse {
         SensorResponse {
@@ -286,6 +301,35 @@ mod tests {
         let (kept, rejected) = mit.apply(batch, &region);
         assert_eq!(rejected, 1);
         assert!(kept.iter().all(|r| r.measurement.value.as_float().unwrap() < 100.0));
+    }
+
+    /// The sort-based median `upper_median` replaced.
+    fn sorted_median(values: &[f64]) -> f64 {
+        let mut sorted = values.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
+        sorted[sorted.len() / 2]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        #[test]
+        fn selected_median_and_mad_match_the_sorted_ones(
+            values in prop::collection::vec(
+                prop_oneof![Just(0.0f64), Just(-0.0f64), Just(2.5), Just(-1.0), -50.0f64..50.0],
+                1..120,
+            ),
+        ) {
+            let median = upper_median(&mut values.clone());
+            let oracle = sorted_median(&values);
+            prop_assert!(median == oracle, "median {median} vs sorted {oracle} of {values:?}");
+            let deviations = |m: f64| values.iter().map(|v| (v - m).abs()).collect::<Vec<f64>>();
+            let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            let (mut ours, theirs) = (deviations(median), deviations(oracle));
+            prop_assert_eq!(bits(&ours), bits(&theirs), "deviations differ for {:?}", values);
+            let (mad, oracle_mad) = (upper_median(&mut ours), sorted_median(&theirs));
+            prop_assert_eq!(mad.to_bits(), oracle_mad.to_bits(), "MAD differs for {:?}", values);
+        }
     }
 
     #[test]

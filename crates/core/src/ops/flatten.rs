@@ -4,7 +4,7 @@ use crate::ops::report::FlattenReport;
 use crate::tuple::CrowdTuple;
 use craqr_engine::{Emitter, InputPort, Operator, OutputPort};
 use craqr_geom::{Grid, Rect, SpaceTimePoint, SpaceTimeWindow};
-use craqr_mdpp::fit::{fit_mle, FitConfig, SgdConfig, SgdEstimator};
+use craqr_mdpp::fit::{fit_mle_with, FitConfig, SgdConfig, SgdEstimator};
 use craqr_mdpp::intensity::{IntensityModel, LinearIntensity, PiecewiseConstantIntensity};
 use craqr_stats::sub_rng;
 use rand::rngs::StdRng;
@@ -91,6 +91,12 @@ pub struct FlattenOp {
     sgd: Option<SgdEstimator>,
     rng: StdRng,
     report: Arc<FlattenReport>,
+    /// Per-batch scratch, kept across batches so that once warm the batch
+    /// MLE path allocates nothing: the batch in batch-local time, each
+    /// tuple's fitted intensity, and the MLE's feature vectors.
+    points: Vec<SpaceTimePoint>,
+    rates: Vec<f64>,
+    features: Vec<[f64; 4]>,
 }
 
 impl FlattenOp {
@@ -124,6 +130,9 @@ impl FlattenOp {
                 sgd,
                 rng: sub_rng(config.seed, 0xF1A7),
                 report: Arc::clone(&report),
+                points: Vec::new(),
+                rates: Vec::new(),
+                features: Vec::new(),
             },
             report,
         )
@@ -167,41 +176,37 @@ impl FlattenOp {
         SpaceTimeWindow::new(self.cell, t0, t1)
     }
 
-    /// Estimates the intensity for this batch according to the mode.
+    /// Estimates the intensity for this batch according to the mode,
+    /// leaving the batch in batch-local time in `self.points`.
     ///
     /// Estimation happens in *batch-local time* (`t − window.t0`): the SGD
     /// estimator is anchored to a reference window starting at 0, and
     /// shifting keeps its scaled time feature in `[−1, 1]` no matter how
     /// long the stream has been running. The returned model must therefore
     /// be evaluated at batch-local coordinates too.
-    fn estimate(
-        &mut self,
-        batch: &[CrowdTuple],
-        window: &SpaceTimeWindow,
-    ) -> (FittedModel, SpaceTimeWindow) {
+    fn estimate(&mut self, batch: &[CrowdTuple], window: &SpaceTimeWindow) -> FittedModel {
         let local_window = SpaceTimeWindow::new(self.cell, 0.0, window.duration());
-        let points: Vec<_> = batch
-            .iter()
-            .map(|t| {
-                let mut p = t.point;
-                p.t -= window.t0;
-                p
-            })
-            .collect();
-        let model = match (&self.mode, self.sgd.as_mut()) {
-            (EstimatorMode::BatchMle, _) => {
-                FittedModel::Linear(fit_mle(&points, &local_window, FitConfig::default()).intensity)
-            }
+        self.points.clear();
+        self.points.extend(batch.iter().map(|t| {
+            let mut p = t.point;
+            p.t -= window.t0;
+            p
+        }));
+        let points = &self.points;
+        match (&self.mode, self.sgd.as_mut()) {
+            (EstimatorMode::BatchMle, _) => FittedModel::Linear(
+                fit_mle_with(points, &local_window, FitConfig::default(), &mut self.features)
+                    .intensity,
+            ),
             (EstimatorMode::Histogram { bins }, _) => {
-                FittedModel::Piecewise(histogram_intensity(&points, &local_window, *bins))
+                FittedModel::Piecewise(histogram_intensity(points, &local_window, *bins))
             }
             (EstimatorMode::Sgd(_), Some(sgd)) => {
-                sgd.observe_batch(&points, &local_window);
+                sgd.observe_batch(points, &local_window);
                 FittedModel::Linear(sgd.estimate())
             }
             (EstimatorMode::Sgd(_), None) => unreachable!("sgd mode always has an estimator"),
-        };
-        (model, local_window)
+        }
     }
 }
 
@@ -243,25 +248,19 @@ impl Operator<CrowdTuple> for FlattenOp {
             return;
         }
         let window = self.batch_window(batch);
-        let (model, _local_window) = self.estimate(batch, &window);
+        let model = self.estimate(batch, &window);
 
         // Eq. (3), evaluated in batch-local time to match the estimate.
         // Intensities are floored to avoid division blow-ups where the
         // fitted plane grazes zero inside the window.
-        let rates: Vec<f64> = batch
-            .iter()
-            .map(|t| {
-                let mut p = t.point;
-                p.t -= window.t0;
-                model.rate_at(&p).max(1e-9)
-            })
-            .collect();
-        let lambda_c: f64 = rates.iter().map(|r| 1.0 / r).sum();
+        self.rates.clear();
+        self.rates.extend(self.points.iter().map(|p| model.rate_at(p).max(1e-9)));
+        let lambda_c: f64 = self.rates.iter().map(|r| 1.0 / r).sum();
         let target_count = self.target_rate * window.volume();
 
         let mut violations = 0usize;
         let mut kept = 0usize;
-        for (tuple, &rate) in batch.iter().zip(&rates) {
+        for (tuple, &rate) in batch.iter().zip(&self.rates) {
             let mut p = target_count / (rate * lambda_c);
             if p > 1.0 {
                 violations += 1;

@@ -390,7 +390,7 @@ impl AttrChain {
     }
 
     /// Pushes one ingestion batch through the chain.
-    pub(crate) fn process_batch(&mut self, batch: Vec<CrowdTuple>) {
+    pub(crate) fn process_batch(&mut self, batch: &[CrowdTuple]) {
         self.topo.push(self.f_node, batch);
     }
 
@@ -404,18 +404,14 @@ impl AttrChain {
         self.flatten_report().record_starved_batch();
     }
 
-    /// Drains the per-cell output of `query`.
-    pub(crate) fn drain_query(&mut self, query: QueryId) -> Vec<CrowdTuple> {
-        let mut out = Vec::new();
-        let sinks: Vec<SinkId> = self
-            .taps
-            .iter()
-            .flat_map(|t| t.consumers.iter().filter(|c| c.query == query).map(|c| c.sink))
-            .collect();
-        for sink in sinks {
-            out.extend(self.topo.drain_sink(sink));
+    /// Moves the per-cell output of `query` onto the end of `out`; the
+    /// sinks keep their capacity for the next epoch.
+    pub(crate) fn drain_query(&mut self, query: QueryId, out: &mut Vec<CrowdTuple>) {
+        for consumer in self.taps.iter().flat_map(|t| &t.consumers) {
+            if consumer.query == query {
+                self.topo.drain_sink_into(consumer.sink, out);
+            }
         }
-        out
     }
 
     /// Total tuples processed by every operator in this chain (the work
@@ -541,6 +537,12 @@ mod tests {
             .collect()
     }
 
+    fn drained(c: &mut AttrChain, query: QueryId) -> Vec<CrowdTuple> {
+        let mut out = Vec::new();
+        c.drain_query(query, &mut out);
+        out
+    }
+
     #[test]
     fn inserting_consumers_keeps_taps_sorted_descending() {
         let mut c = chain(1.0);
@@ -622,10 +624,10 @@ mod tests {
         c.insert_consumer(QueryId(2), 1.0, cell(), true);
         // Push a healthy batch: 10 minutes over 1 km² at implied high rate.
         for e in 0..5 {
-            c.process_batch(batch(2_000, e as f64 * 10.0));
+            c.process_batch(&batch(2_000, e as f64 * 10.0));
         }
-        let q1: Vec<_> = c.drain_query(QueryId(1));
-        let q2: Vec<_> = c.drain_query(QueryId(2));
+        let q1: Vec<_> = drained(&mut c, QueryId(1));
+        let q2: Vec<_> = drained(&mut c, QueryId(2));
         // Q1 wants 4/km²·min * 50 min = 200 expected; Q2 wants 50.
         let got1 = q1.len() as f64;
         let got2 = q2.len() as f64;
@@ -647,10 +649,10 @@ mod tests {
         // Star: outputs are NOT nested subsets (independent coins), but
         // rates must still be honoured.
         for e in 0..5 {
-            c.process_batch(batch(2_000, e as f64 * 10.0));
+            c.process_batch(&batch(2_000, e as f64 * 10.0));
         }
-        let got1 = c.drain_query(QueryId(1)).len() as f64;
-        let got2 = c.drain_query(QueryId(2)).len() as f64;
+        let got1 = drained(&mut c, QueryId(1)).len() as f64;
+        let got2 = drained(&mut c, QueryId(2)).len() as f64;
         assert!((got1 - 200.0).abs() < 60.0, "q1 got {got1}");
         assert!((got2 - 50.0).abs() < 25.0, "q2 got {got2}");
         // Star deletion leaves the other tap untouched.

@@ -18,7 +18,7 @@ use crate::UnionOp;
 use craqr_engine::{Emitter, InputPort, Operator};
 use craqr_geom::{CellId, Grid, Rect, Region};
 use craqr_sensing::AttributeId;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -54,9 +54,103 @@ impl fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
-/// One shard's work list: each chain paired with its routed batch
-/// (`None` = the chain starved this epoch).
-type ShardJob<'a> = Vec<(&'a mut AttrChain, Option<Vec<CrowdTuple>>)>;
+/// The map phase's state, kept across epochs so routing a batch allocates
+/// only when the batch outgrows every earlier one.
+///
+/// A chain's *ordinal* is its position in ascending `(cell, attribute)`
+/// order. One counting sort over ordinals places the batch in `routed`
+/// with each chain's tuples contiguous and in input order, so every chain
+/// is handed a borrowed slice instead of a batch of its own.
+#[derive(Default)]
+struct Router {
+    /// The materialized chain keys, ascending: `keys[i]` has ordinal `i`.
+    keys: Vec<(CellId, AttributeId)>,
+    /// Each input tuple's chain ordinal, or [`UNROUTED`].
+    ordinals: Vec<u32>,
+    /// After [`Router::route`], chain `i`'s tuples are
+    /// `routed[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<usize>,
+    routed: Vec<CrowdTuple>,
+}
+
+/// The ordinal of a tuple no materialized chain takes.
+const UNROUTED: u32 = u32::MAX;
+
+impl Router {
+    /// Re-reads the chain keys after the set of materialized chains changed.
+    fn set_keys<'a>(&mut self, keys: impl Iterator<Item = &'a (CellId, AttributeId)>) {
+        self.keys.clear();
+        self.keys.extend(keys);
+    }
+
+    /// Routes one batch into `routed`; returns how many tuples dropped
+    /// (outside the grid, or in a cell with no chain for their attribute).
+    fn route(&mut self, grid: &Grid, tuples: &[CrowdTuple]) -> usize {
+        self.ordinals.clear();
+        self.offsets.clear();
+        self.offsets.resize(self.keys.len() + 2, 0);
+        let mut dropped = 0;
+        for t in tuples {
+            let key = grid.cell_of(t.point.x, t.point.y).map(|cell| (cell, t.attr));
+            match key.and_then(|key| self.keys.binary_search(&key).ok()) {
+                Some(i) => {
+                    self.offsets[i + 2] += 1;
+                    self.ordinals.push(i as u32);
+                }
+                None => {
+                    dropped += 1;
+                    self.ordinals.push(UNROUTED);
+                }
+            }
+        }
+        // Prefix sums leave chain i's start in offsets[i + 1]; placing a
+        // tuple advances it, so once every tuple is placed it holds chain
+        // i's end, and offsets[i] (chain i - 1's end) its start.
+        for i in 2..self.offsets.len() {
+            self.offsets[i] += self.offsets[i - 1];
+        }
+        self.routed.clear();
+        if let Some(&filler) = tuples.first() {
+            self.routed.resize(tuples.len() - dropped, filler);
+        }
+        for (t, &ordinal) in tuples.iter().zip(&self.ordinals) {
+            if ordinal != UNROUTED {
+                let next = &mut self.offsets[ordinal as usize + 1];
+                self.routed[*next] = *t;
+                *next += 1;
+            }
+        }
+        dropped
+    }
+
+    /// Chain `ordinal`'s share of the last routed batch.
+    fn batch(&self, ordinal: usize) -> &[CrowdTuple] {
+        &self.routed[self.offsets[ordinal]..self.offsets[ordinal + 1]]
+    }
+}
+
+/// Runs one shard's chains in the order given, each on its routed slice; a
+/// chain whose slice is empty records a starvation epoch instead.
+fn run_shard<'a>(
+    shard: usize,
+    jobs: impl IntoIterator<Item = (&'a mut AttrChain, &'a [CrowdTuple])>,
+) -> ShardIngest {
+    let (mut chains, mut tuples) = (0, 0);
+    // craqr-lint: allow(R1): busy_ns is timing-tier telemetry, excluded from metric equality and every canonical artifact
+    let started = crate::exec::thread_busy_ns();
+    for (chain, batch) in jobs {
+        chains += 1;
+        tuples += batch.len();
+        if batch.is_empty() {
+            chain.record_starved_epoch();
+        } else {
+            chain.process_batch(batch);
+        }
+    }
+    // craqr-lint: allow(R1): same busy_ns span end; never reaches a checksum
+    let busy_ns = crate::exec::thread_busy_ns().saturating_sub(started);
+    ShardIngest { shard, chains, tuples, busy_ns }
+}
 
 /// A standing query's placement: which cells it taps and how its per-cell
 /// pieces merge back together.
@@ -109,6 +203,11 @@ pub struct Fabricator {
     /// the fleet's whole history. Without this, a rebuild on the final
     /// epoch would erase every operator counter from the run's report.
     retired_metrics: craqr_engine::TopologyMetrics,
+    router: Router,
+    /// One query's drained per-cell pieces, reused by every merge; cell
+    /// `k`'s piece ends at `piece_ends[k]`.
+    pieces: Vec<CrowdTuple>,
+    piece_ends: Vec<usize>,
 }
 
 impl Fabricator {
@@ -124,6 +223,9 @@ impl Fabricator {
             tenant_shares: None,
             engine_clock: None,
             retired_metrics: craqr_engine::TopologyMetrics::default(),
+            router: Router::default(),
+            pieces: Vec::new(),
+            piece_ends: Vec::new(),
         }
     }
 
@@ -234,10 +336,13 @@ impl Fabricator {
             parts.push(o.overlap);
         }
 
-        let footprint = Region::from_disjoint(parts.clone());
+        // The merge's output region is the footprint: build it once.
+        let merge = UnionOp::nary(parts);
+        let footprint = merge.output_region().clone();
         let plan = QueryPlan { query, cells, footprint };
-        self.queries.insert(qid, Standing { plan, merge: UnionOp::nary(parts) });
+        self.queries.insert(qid, Standing { plan, merge });
         self.tenant_shares = None;
+        self.router.set_keys(self.chains.keys());
         Ok(qid)
     }
 
@@ -261,6 +366,7 @@ impl Fabricator {
                 self.chains.remove(&key);
             }
         }
+        self.router.set_keys(self.chains.keys());
         Ok(leftovers)
     }
 
@@ -298,7 +404,8 @@ impl Fabricator {
         self.retired_metrics.absorb(&old.metrics());
         let mut leftovers = Vec::new();
         for (qid, _, _, _) in &consumers {
-            let buf = old.drain_query(*qid);
+            let mut buf = Vec::new();
+            old.drain_query(*qid, &mut buf);
             if !buf.is_empty() {
                 leftovers.push((*qid, buf));
             }
@@ -429,7 +536,9 @@ impl Fabricator {
     /// **map + process** under an explicit [`ExecMode`].
     ///
     /// The map phase (tuple → chain routing) always runs on the calling
-    /// thread. Under [`ExecMode::Sharded`] the process phase partitions
+    /// thread: a counting sort by chain ordinal into one reused buffer, so
+    /// both executors hand every chain a borrowed slice of the batch, in
+    /// input order. Under [`ExecMode::Sharded`] the process phase partitions
     /// the ascending chain list round-robin into shards and runs each shard
     /// on a scoped worker thread. Chains share nothing (their RNG streams,
     /// estimators, and sinks are all chain-local, seeded from the planner's
@@ -445,71 +554,40 @@ impl Fabricator {
     #[track_caller]
     pub fn ingest_batch_mode(&mut self, tuples: &[CrowdTuple], mode: ExecMode) -> IngestReport {
         let shards = mode.shards();
-        // map: group by (cell, attr). Tuples in unmaterialized cells drop.
-        let mut groups: HashMap<(CellId, AttributeId), Vec<CrowdTuple>> = HashMap::new();
-        let mut dropped_now = 0usize;
-        for t in tuples {
-            match self.grid.cell_of(t.point.x, t.point.y) {
-                Some(cell) if self.chains.contains_key(&(cell, t.attr)) => {
-                    groups.entry((cell, t.attr)).or_default().push(*t);
-                }
-                _ => dropped_now += 1,
-            }
-        }
+        // map: tuples in unmaterialized cells drop.
+        let dropped_now = self.router.route(&self.grid, tuples);
         self.dropped_unmaterialized += dropped_now as u64;
 
         if self.chains.is_empty() {
             return IngestReport::merge(dropped_now, Vec::new());
         }
+        debug_assert_eq!(self.router.keys.len(), self.chains.len(), "router keys are stale");
 
-        // The ascending chain list is the canonical execution order;
-        // round-robin over it, so workers only ever see disjoint sub-lists.
-        let mut shard_jobs: Vec<ShardJob<'_>> = (0..shards).map(|_| Vec::new()).collect();
-        for (idx, (key, chain)) in self.chains.iter_mut().enumerate() {
-            shard_jobs[shard_of(idx, shards)].push((chain, groups.remove(key)));
-        }
-
-        let run_shard = |shard_list: &mut ShardJob<'_>| {
-            let mut stat_tuples = 0usize;
-            for (chain, batch) in shard_list.iter_mut() {
-                match batch.take() {
-                    Some(b) => {
-                        stat_tuples += b.len();
-                        chain.process_batch(b);
-                    }
-                    None => chain.record_starved_epoch(),
-                }
-            }
-            stat_tuples
-        };
-
-        let timed_run = |list: &mut ShardJob<'_>, shard: usize| {
-            let chains = list.len();
-            // craqr-lint: allow(R1): busy_ns is timing-tier telemetry, excluded from metric equality and every canonical artifact
-            let started = crate::exec::thread_busy_ns();
-            let tuples = run_shard(list);
-            // craqr-lint: allow(R1): same busy_ns span end; never reaches a checksum
-            let busy_ns = crate::exec::thread_busy_ns().saturating_sub(started);
-            ShardIngest { shard, chains, tuples, busy_ns }
-        };
-
+        // The ascending chain list is the canonical execution order, and a
+        // chain's ordinal is its position in it.
+        let router = &self.router;
+        let jobs = self.chains.values_mut().enumerate().map(|(i, chain)| (chain, router.batch(i)));
         let stats: Vec<ShardIngest> = match mode {
-            ExecMode::Serial => {
-                let mut list = shard_jobs.pop().expect("one shard");
-                vec![timed_run(&mut list, 0)]
+            ExecMode::Serial => vec![run_shard(0, jobs)],
+            ExecMode::Sharded(_) => {
+                // Round-robin over the ordinals, so workers only ever see
+                // disjoint sub-lists.
+                let per_shard = router.keys.len().div_ceil(shards);
+                let mut lists: Vec<Vec<_>> =
+                    (0..shards).map(|_| Vec::with_capacity(per_shard)).collect();
+                for (i, job) in jobs.enumerate() {
+                    lists[shard_of(i, shards)].push(job);
+                }
+                std::thread::scope(|scope| {
+                    let handles: Vec<_> = lists
+                        .into_iter()
+                        .enumerate()
+                        .map(|(shard, list)| scope.spawn(move || run_shard(shard, list)))
+                        .collect();
+                    // Joining in spawn order keeps the merged stats ascending.
+                    handles.into_iter().map(|h| h.join().expect("shard worker panicked")).collect()
+                })
             }
-            ExecMode::Sharded(_) => std::thread::scope(|scope| {
-                let handles: Vec<_> = shard_jobs
-                    .into_iter()
-                    .enumerate()
-                    .map(|(shard, mut list)| {
-                        let run = &timed_run;
-                        scope.spawn(move || run(&mut list, shard))
-                    })
-                    .collect();
-                // Joining in spawn order keeps the merged stats ascending.
-                handles.into_iter().map(|h| h.join().expect("shard worker panicked")).collect()
-            }),
         };
         IngestReport::merge(dropped_now, stats)
     }
@@ -519,13 +597,23 @@ impl Fabricator {
     pub fn collect_output(&mut self, qid: QueryId) -> Result<Vec<CrowdTuple>, PlanError> {
         let Standing { plan, merge } =
             self.queries.get_mut(&qid).ok_or(PlanError::UnknownQuery(qid))?;
-        let mut emitter = Emitter::new(merge.output_ports());
-        for (port, (cell, _, _)) in plan.cells.iter().enumerate() {
-            let Some(chain) = self.chains.get_mut(&(*cell, plan.query.attr)) else { continue };
-            let piece = chain.drain_query(qid);
-            if !piece.is_empty() {
-                merge.process(InputPort(port as u16), &piece, &mut emitter);
+        // Every cell's piece goes into the one reused buffer first, so the
+        // merged output is allocated once, at its final size.
+        self.pieces.clear();
+        self.piece_ends.clear();
+        for (cell, _, _) in &plan.cells {
+            if let Some(chain) = self.chains.get_mut(&(*cell, plan.query.attr)) {
+                chain.drain_query(qid, &mut self.pieces);
             }
+            self.piece_ends.push(self.pieces.len());
+        }
+        let mut emitter = Emitter::with_capacity(merge.output_ports(), self.pieces.len());
+        let mut start = 0;
+        for (port, &end) in self.piece_ends.iter().enumerate() {
+            if end > start {
+                merge.process(InputPort(port as u16), &self.pieces[start..end], &mut emitter);
+            }
+            start = end;
         }
         let mut out = emitter.into_buffers().remove(0);
         out.sort_by(|a, b| a.point.t.total_cmp(&b.point.t));
@@ -588,6 +676,7 @@ mod tests {
     use super::*;
     use craqr_geom::SpaceTimePoint;
     use craqr_sensing::{AttrValue, SensorId};
+    use std::collections::HashMap;
 
     fn region() -> Rect {
         Rect::with_size(4.0, 4.0)
@@ -849,5 +938,125 @@ mod tests {
     fn collect_from_unknown_query_errors() {
         let mut f = fab();
         assert!(matches!(f.collect_output(QueryId(3)), Err(PlanError::UnknownQuery(_))));
+    }
+
+    /// The grouping the counting sort replaced: one `HashMap` entry of
+    /// tuples per materialized chain, plus the dropped count.
+    fn oracle_groups(
+        f: &Fabricator,
+        tuples: &[CrowdTuple],
+    ) -> (HashMap<(CellId, AttributeId), Vec<CrowdTuple>>, usize) {
+        let mut groups: HashMap<_, Vec<CrowdTuple>> = HashMap::new();
+        let mut dropped = 0;
+        for t in tuples {
+            match f.grid.cell_of(t.point.x, t.point.y) {
+                Some(cell) if f.chains.contains_key(&(cell, t.attr)) => {
+                    groups.entry((cell, t.attr)).or_default().push(*t)
+                }
+                _ => dropped += 1,
+            }
+        }
+        (groups, dropped)
+    }
+
+    /// The map/process the router replaced: every chain, in key order, gets
+    /// its own group or records a starvation epoch.
+    fn oracle_ingest(f: &mut Fabricator, tuples: &[CrowdTuple]) {
+        let (groups, dropped) = oracle_groups(f, tuples);
+        f.dropped_unmaterialized += dropped as u64;
+        for (key, chain) in &mut f.chains {
+            match groups.get(key) {
+                Some(batch) => chain.process_batch(batch),
+                None => chain.record_starved_epoch(),
+            }
+        }
+    }
+
+    /// The merge the piece buffer replaced: each cell's piece drained into a
+    /// fresh buffer and pushed through `U` on its own port.
+    fn oracle_collect(f: &mut Fabricator, qid: QueryId) -> Vec<CrowdTuple> {
+        let Standing { plan, merge } = f.queries.get_mut(&qid).expect("standing query");
+        let mut emitter = Emitter::new(merge.output_ports());
+        for (port, (cell, _, _)) in plan.cells.iter().enumerate() {
+            let Some(chain) = f.chains.get_mut(&(*cell, plan.query.attr)) else { continue };
+            let mut piece = Vec::new();
+            chain.drain_query(qid, &mut piece);
+            if !piece.is_empty() {
+                merge.process(InputPort(port as u16), &piece, &mut emitter);
+            }
+        }
+        let mut out = emitter.into_buffers().remove(0);
+        out.sort_by(|a, b| a.point.t.total_cmp(&b.point.t));
+        out
+    }
+
+    /// Three queries over two of the three attributes tuples carry, two of
+    /// them only partly covering their cells; cells on the grid's far side
+    /// stay unmaterialized.
+    fn routing_fab() -> (Fabricator, Vec<QueryId>) {
+        let mut f = fab();
+        let qids = vec![
+            f.insert_query(query(0, Rect::new(0.0, 0.0, 2.0, 2.0), 1.0)).unwrap(),
+            f.insert_query(query(1, Rect::new(0.5, 0.5, 2.5, 2.5), 0.5)).unwrap(),
+            f.insert_query(query(0, Rect::new(1.0, 0.5, 3.0, 2.0), 2.0)).unwrap(),
+        ];
+        (f, qids)
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn routing_matches_the_grouping_it_replaced(
+            epochs in prop::collection::vec(
+                prop::collection::vec((-1.0f64..5.0, -1.0f64..5.0, 0u16..3, 0.0f64..5.0), 0..160),
+                2..3,
+            ),
+            shards in 0usize..5,
+        ) {
+            let mode = if shards == 0 { ExecMode::Serial } else { ExecMode::Sharded(shards) };
+            let (mut routed, qids) = routing_fab();
+            let (mut grouped, _) = routing_fab();
+            let mut next_id = 0;
+            for (e, draws) in epochs.iter().enumerate() {
+                let batch: Vec<CrowdTuple> = draws
+                    .iter()
+                    .map(|&(x, y, attr, dt)| {
+                        next_id += 1;
+                        CrowdTuple {
+                            id: next_id,
+                            attr: AttributeId(attr),
+                            point: SpaceTimePoint::new(e as f64 * 5.0 + dt, x, y),
+                            value: AttrValue::Float(x - y),
+                            sensor: SensorId(next_id % 7),
+                        }
+                    })
+                    .collect();
+                let (groups, dropped) = oracle_groups(&routed, &batch);
+                let report = routed.ingest_batch_mode(&batch, mode);
+                prop_assert_eq!(report.dropped, dropped);
+                prop_assert_eq!(report.routed, batch.len() - dropped);
+                prop_assert_eq!(report.chains(), routed.materialized_chains());
+                for (i, key) in routed.chains.keys().enumerate() {
+                    let want = groups.get(key).map_or(&[][..], Vec::as_slice);
+                    prop_assert!(
+                        routed.router.batch(i) == want,
+                        "epoch {e}, chain {key:?}: routed {:?}, grouped {want:?}",
+                        routed.router.batch(i)
+                    );
+                }
+                oracle_ingest(&mut grouped, &batch);
+            }
+            prop_assert_eq!(routed.dropped_unmaterialized(), grouped.dropped_unmaterialized());
+            let (ours, theirs) = (routed.chain_metrics(), grouped.chain_metrics());
+            prop_assert!(ours == theirs, "operator counts differ");
+            for qid in qids {
+                let got = routed.collect_output(qid).unwrap();
+                let want = oracle_collect(&mut grouped, qid);
+                prop_assert!(got == want, "{qid}: {} merged, oracle {}", got.len(), want.len());
+            }
+        }
     }
 }

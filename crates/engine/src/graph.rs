@@ -274,26 +274,34 @@ impl<T: Clone> Topology<T> {
         self.all_targets(node).len()
     }
 
-    /// Pushes a batch into `entry`'s input port 0 and runs the dataflow to
-    /// quiescence.
+    /// Copies a batch into a pooled buffer, pushes it into `entry`'s input
+    /// port 0 and runs the dataflow to quiescence.
     ///
-    /// The hot path is allocation-free in steady state: in-flight batches,
-    /// fan-out copies, and emitter port buffers are all recycled through
-    /// the topology's [`BatchPool`], and the BFS queue and emitter persist
-    /// across pushes. Only pool warm-up (the first few batches through the
-    /// widest fan-out) allocates.
+    /// The executor itself is allocation-free in steady state: the entry
+    /// copy, in-flight batches, fan-out copies and emitter port buffers
+    /// are all drawn from and returned to the topology's [`BatchPool`],
+    /// and the BFS queue and emitter persist across pushes. Allocation
+    /// happens only while the pool warms up (the first few batches through
+    /// the widest fan-out), when a batch outgrows every pooled buffer, when
+    /// a sink grows past its retained capacity, and inside operators that
+    /// build per-batch state. On the benchmark's `grid_replay` (2 304
+    /// topologies, about three tuples each) the whole process then makes
+    /// 165 allocations an epoch (`process.allocs_per_epoch`; see the
+    /// crate docs for the other workloads).
     ///
     /// # Panics
     /// Panics when `entry` is missing or a cycle keeps batches circulating
     /// beyond the hop budget.
     #[track_caller]
-    pub fn push(&mut self, entry: NodeId, batch: Vec<T>) {
+    pub fn push(&mut self, entry: NodeId, batch: &[T]) {
         assert!(self.node_exists(entry), "entry node {entry:?} missing");
         // Scratch is moved out so the executor can split-borrow it against
         // `self.nodes` / `self.sinks`; it is restored on every exit path
         // except a panic (which poisons the whole topology anyway).
         let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.queue.push_back((entry, InputPort(0), batch));
+        let mut entry_buf = scratch.pool.take();
+        entry_buf.extend_from_slice(batch);
+        scratch.queue.push_back((entry, InputPort(0), entry_buf));
         // Hop budget: every delivered batch traverses ≥1 edge of a DAG with
         // `live_nodes` nodes; fanout ≤ total edges. A generous multiplier
         // catches cycles without bounding legitimate fan-out.
@@ -372,18 +380,20 @@ impl<T: Clone> Topology<T> {
         self.scratch = scratch;
     }
 
-    /// Drains a sink's collected tuples.
+    /// Moves a sink's collected tuples onto the end of `out`. The sink
+    /// keeps its capacity, so a sink drained every epoch stops
+    /// reallocating once it has held its largest epoch.
     ///
     /// # Panics
     /// Panics when the sink does not exist.
     #[track_caller]
-    pub fn drain_sink(&mut self, sink: SinkId) -> Vec<T> {
-        std::mem::take(
+    pub fn drain_sink_into(&mut self, sink: SinkId, out: &mut Vec<T>) {
+        out.append(
             self.sinks
                 .get_mut(sink.0)
                 .and_then(Option::as_mut)
                 .unwrap_or_else(|| panic!("sink {sink:?} missing")),
-        )
+        );
     }
 
     /// Mutable access to a node's operator, for in-place reconfiguration
@@ -516,8 +526,8 @@ mod tests {
         let sink = t.add_sink();
         t.connect(a, OutputPort(0), Target::Node(b, InputPort(0)));
         t.connect(b, OutputPort(0), Target::Sink(sink));
-        t.push(a, vec![1, 2, 3]);
-        assert_eq!(t.drain_sink(sink), vec![1, 2, 3]);
+        t.push(a, &[1, 2, 3]);
+        assert_eq!(drained(&mut t, sink), vec![1, 2, 3]);
         assert_eq!(t.node_metrics(a).tuples_in, 3);
         assert_eq!(t.node_metrics(b).tuples_out, 3);
     }
@@ -535,14 +545,14 @@ mod tests {
         let a = t.add_operator(passthrough("a"));
         let sink = t.add_sink();
         t.connect(a, OutputPort(0), Target::Sink(sink));
-        t.push(a, vec![1]);
+        t.push(a, &[1]);
         assert_eq!(t.node_metrics(a).busy_ns, 0, "no clock, no busy time");
         t.set_clock(Some(fake_clock));
-        t.push(a, vec![2]);
-        t.push(a, vec![3]);
+        t.push(a, &[2]);
+        t.push(a, &[3]);
         assert_eq!(t.node_metrics(a).busy_ns, 20, "one 10ns lap per batch");
         t.set_clock(None);
-        t.push(a, vec![4]);
+        t.push(a, &[4]);
         assert_eq!(t.node_metrics(a).busy_ns, 20, "removing the clock stops accumulation");
         assert_eq!(t.node_metrics(a).tuples_in, 4, "counting is unaffected by the clock");
     }
@@ -555,9 +565,9 @@ mod tests {
         let odds = t.add_sink();
         t.connect(s, OutputPort(0), Target::Sink(evens));
         t.connect(s, OutputPort(1), Target::Sink(odds));
-        t.push(s, vec![1, 2, 3, 4, 5]);
-        assert_eq!(t.drain_sink(evens), vec![2, 4]);
-        assert_eq!(t.drain_sink(odds), vec![1, 3, 5]);
+        t.push(s, &[1, 2, 3, 4, 5]);
+        assert_eq!(drained(&mut t, evens), vec![2, 4]);
+        assert_eq!(drained(&mut t, odds), vec![1, 3, 5]);
     }
 
     #[test]
@@ -568,9 +578,9 @@ mod tests {
         let s2 = t.add_sink();
         t.connect(a, OutputPort(0), Target::Sink(s1));
         t.connect(a, OutputPort(0), Target::Sink(s2));
-        t.push(a, vec![7]);
-        assert_eq!(t.drain_sink(s1), vec![7]);
-        assert_eq!(t.drain_sink(s2), vec![7]);
+        t.push(a, &[7]);
+        assert_eq!(drained(&mut t, s1), vec![7]);
+        assert_eq!(drained(&mut t, s2), vec![7]);
         assert_eq!(t.fanout(a), 2);
     }
 
@@ -581,8 +591,8 @@ mod tests {
         let evens = t.add_sink();
         t.connect(s, OutputPort(0), Target::Sink(evens));
         // Port 1 (odds) left unwired.
-        t.push(s, vec![1, 2, 3]);
-        assert_eq!(t.drain_sink(evens), vec![2]);
+        t.push(s, &[1, 2, 3]);
+        assert_eq!(drained(&mut t, evens), vec![2]);
     }
 
     #[test]
@@ -598,8 +608,8 @@ mod tests {
         assert_eq!(t.node_count(), 1);
         assert!(t.targets(a, OutputPort(0)).is_empty());
         // Pushing still works; tuples just stop at a.
-        t.push(a, vec![1]);
-        assert_eq!(t.drain_sink(sink), Vec::<u32>::new());
+        t.push(a, &[1]);
+        assert_eq!(drained(&mut t, sink), Vec::<u32>::new());
     }
 
     #[test]
@@ -626,7 +636,7 @@ mod tests {
         let sink = t.add_sink();
         t.connect(a, OutputPort(0), Target::Node(b, InputPort(0)));
         t.connect(b, OutputPort(0), Target::Sink(sink));
-        t.push(a, vec![1, 2]);
+        t.push(a, &[1, 2]);
         assert_eq!(t.node_metrics(b).tuples_in, 2);
 
         // Churn the downstream node several times; the freed slot must be
@@ -649,9 +659,9 @@ mod tests {
         // Rewire and verify the dataflow is intact end to end.
         t.connect(a, OutputPort(0), Target::Node(b, InputPort(0)));
         t.connect(b, OutputPort(0), Target::Sink(sink));
-        t.drain_sink(sink);
-        t.push(a, vec![7]);
-        assert_eq!(t.drain_sink(sink), vec![7]);
+        drained(&mut t, sink);
+        t.push(a, &[7]);
+        assert_eq!(drained(&mut t, sink), vec![7]);
     }
 
     #[test]
@@ -662,7 +672,7 @@ mod tests {
         t.connect(a, OutputPort(0), Target::Node(b, InputPort(0)));
         t.connect(b, OutputPort(0), Target::Node(a, InputPort(0)));
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            t.push(a, vec![1]);
+            t.push(a, &[1]);
         }))
         .unwrap_err();
         let msg = err.downcast_ref::<String>().expect("panic carries a message");
@@ -670,10 +680,16 @@ mod tests {
         assert!(msg.contains("cyclic"), "panic must mention the cycle: {msg}");
     }
 
-    /// The push hot path recycles batch buffers: every buffer taken from
-    /// the pool during a push returns to it, each push additionally
-    /// donates the caller's entry batch, and retention caps the total —
-    /// so the pool warms up to the cap and then stays exactly there.
+    fn drained(t: &mut Topology<u32>, sink: SinkId) -> Vec<u32> {
+        let mut out = Vec::new();
+        t.drain_sink_into(sink, &mut out);
+        out
+    }
+
+    /// The push hot path recycles batch buffers: the entry copy and every
+    /// in-flight buffer are taken from the pool and returned to it, so once
+    /// the emitter holds a buffer per port of the widest operator (two
+    /// pushes here) the pool level stays where it is.
     #[test]
     fn push_recycles_buffers_across_epochs() {
         let mut t: Topology<u32> = Topology::new();
@@ -685,15 +701,32 @@ mod tests {
         t.connect(a, OutputPort(0), Target::Sink(evens)); // fan-out copy path
         t.connect(s, OutputPort(0), Target::Sink(evens));
         t.connect(s, OutputPort(1), Target::Sink(odds));
+        let batch: Vec<u32> = (0..100).collect();
         let epochs = 40;
-        for e in 0..epochs {
-            t.push(a, (0..100).collect());
-            assert!(t.pooled_buffers() <= 16, "retention cap breached at epoch {e}");
+        t.push(a, &batch);
+        t.push(a, &batch);
+        let warm = t.pooled_buffers();
+        assert!((1..=16).contains(&warm), "warm pool level {warm}");
+        for e in 2..epochs {
+            t.push(a, &batch);
+            assert_eq!(t.pooled_buffers(), warm, "pool level drifted at epoch {e}");
         }
-        assert_eq!(t.pooled_buffers(), 16, "pool should sit exactly at its cap");
         // Dataflow correctness is unaffected by recycling.
-        assert_eq!(t.drain_sink(odds).len(), epochs * 50);
-        assert_eq!(t.drain_sink(evens).len(), epochs * 150);
+        assert_eq!(drained(&mut t, odds).len(), epochs * 50);
+        assert_eq!(drained(&mut t, evens).len(), epochs * 150);
+    }
+
+    #[test]
+    fn drained_sink_keeps_its_capacity() {
+        let mut t: Topology<u32> = Topology::new();
+        let a = t.add_operator(passthrough("a"));
+        let sink = t.add_sink();
+        t.connect(a, OutputPort(0), Target::Sink(sink));
+        t.push(a, &[1, 2, 3]);
+        let mut out = vec![0];
+        t.drain_sink_into(sink, &mut out);
+        assert_eq!(out, vec![0, 1, 2, 3], "drained tuples append after what was there");
+        assert!(t.sinks[sink.0].as_ref().is_some_and(|s| s.is_empty() && s.capacity() >= 3));
     }
 
     #[test]
@@ -702,7 +735,7 @@ mod tests {
         let a = t.add_operator(passthrough("a"));
         let sink = t.add_sink();
         t.connect(a, OutputPort(0), Target::Sink(sink));
-        t.push(a, vec![1, 2]);
+        t.push(a, &[1, 2]);
         let contents = t.remove_sink(sink);
         assert_eq!(contents, vec![1, 2]);
         assert!(t.targets(a, OutputPort(0)).is_empty());
@@ -739,7 +772,7 @@ mod tests {
         let b = t.add_operator(passthrough("b"));
         t.connect(a, OutputPort(0), Target::Node(b, InputPort(0)));
         t.connect(b, OutputPort(0), Target::Node(a, InputPort(0)));
-        t.push(a, vec![1]);
+        t.push(a, &[1]);
     }
 
     #[test]
@@ -750,8 +783,8 @@ mod tests {
         t.connect(a, OutputPort(0), Target::Sink(sink));
         assert!(t.disconnect(a, OutputPort(0), Target::Sink(sink)));
         assert!(!t.disconnect(a, OutputPort(0), Target::Sink(sink)));
-        t.push(a, vec![1]);
-        assert!(t.drain_sink(sink).is_empty());
+        t.push(a, &[1]);
+        assert!(drained(&mut t, sink).is_empty());
     }
 
     #[test]
@@ -760,7 +793,7 @@ mod tests {
         let a = t.add_operator(passthrough("alpha"));
         let sink = t.add_sink();
         t.connect(a, OutputPort(0), Target::Sink(sink));
-        t.push(a, vec![1, 2, 3, 4]);
+        t.push(a, &[1, 2, 3, 4]);
         let m = t.metrics();
         assert_eq!(m.by_name("alpha").unwrap().tuples_in, 4);
         assert_eq!(m.total_tuples_processed(), 4);
@@ -774,7 +807,7 @@ mod tests {
         let sink = t.add_sink();
         t.connect(a, OutputPort(0), Target::Node(s, InputPort(0)));
         t.connect(s, OutputPort(1), Target::Sink(sink));
-        t.push(a, vec![1, 2, 3]);
+        t.push(a, &[1, 2, 3]);
         let dot = t.to_dot("demo");
         assert!(dot.starts_with("digraph \"demo\""), "{dot}");
         assert!(dot.contains("label=\"alpha\\nin=3 out=3\""), "{dot}");
@@ -801,7 +834,7 @@ mod tests {
     fn empty_batches_are_skipped() {
         let mut t: Topology<u32> = Topology::new();
         let a = t.add_operator(passthrough("a"));
-        t.push(a, vec![]);
+        t.push(a, &[]);
         assert_eq!(t.node_metrics(a).batches, 0);
     }
 }

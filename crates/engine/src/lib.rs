@@ -28,10 +28,11 @@
 //! `craqr-core` (`ExecMode::Sharded`) runs whole topologies on worker
 //! threads and merges their results deterministically.
 //!
-//! ## The allocation-free hot path
+//! ## What the hot path allocates
 //!
-//! [`Topology::push`] moves every in-flight batch through buffers drawn
-//! from a per-topology [`BatchPool`]:
+//! [`Topology::push`] copies the caller's batch into a buffer drawn from
+//! a per-topology [`BatchPool`] and moves every in-flight batch through
+//! pooled buffers:
 //!
 //! - the BFS queue, the [`Emitter`] and its per-port buffers persist
 //!   across pushes ([`Emitter::reset_with`] re-activates them without
@@ -39,14 +40,22 @@
 //! - a batch delivered along an edge *moves* (the `Vec` itself travels,
 //!   no copy); fan-out clones go into pooled buffers; sink deliveries
 //!   `append` and recycle;
-//! - the caller's entry batch is absorbed into the pool after its hop,
-//!   and [`BatchPool`] retention caps total buffers held.
+//! - [`Topology::drain_sink_into`] appends a sink onto the caller's
+//!   buffer, so the sink keeps its capacity for the next epoch;
+//! - [`BatchPool`] retention caps the buffers held.
 //!
-//! After warm-up (a few batches through the widest fan-out) a push
-//! performs **zero heap allocation** in the executor itself; only
-//! operators that build per-batch state (estimator fits, histograms)
-//! still allocate. [`Topology::pooled_buffers`] exposes the pool level
-//! for observability.
+//! Once every buffer has carried its largest batch, pushes and drains
+//! allocate nothing in the executor. That is a steady state, not a
+//! guarantee: a buffer grows the first time a batch outgrows it (random
+//! thinning can hand a topology a new largest batch long after warm-up),
+//! the pool drops buffers past its caps, and operators that
+//! build per-batch state (the histogram estimator, a merge's output)
+//! allocate. Measured by the repository's benchmark on a 2-core host as
+//! `process.allocs_per_epoch` — every allocation the whole process makes
+//! in a steady-state epoch, crowd, planner and logging included —
+//! `grid_replay` (2 304 topologies) makes 165, `city_live` 788,
+//! `durable_serial` 689 and `durable_pipelined` 673.
+//! [`Topology::pooled_buffers`] exposes the pool level for observability.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

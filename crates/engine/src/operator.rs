@@ -81,8 +81,14 @@ pub struct Emitter<T> {
 impl<T> Emitter<T> {
     /// Creates an emitter with one fresh buffer per output port.
     pub fn new(ports: usize) -> Self {
+        Self::with_capacity(ports, 0)
+    }
+
+    /// Creates an emitter with one fresh buffer per output port, each
+    /// holding `capacity` tuples before it reallocates.
+    pub fn with_capacity(ports: usize, capacity: usize) -> Self {
         let live = ports.max(1);
-        Self { buffers: (0..live).map(|_| Vec::new()).collect(), live }
+        Self { buffers: (0..live).map(|_| Vec::with_capacity(capacity)).collect(), live }
     }
 
     /// An empty emitter with no active ports; activate with

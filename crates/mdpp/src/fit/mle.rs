@@ -50,6 +50,21 @@ pub fn fit_mle(
     window: &SpaceTimeWindow,
     config: FitConfig,
 ) -> FitResult {
+    fit_mle_with(points, window, config, &mut Vec::new())
+}
+
+/// [`fit_mle`] computing the per-point feature vectors into `features`
+/// (cleared first), so a caller that fits every batch reuses one buffer.
+/// The result is bit-identical to [`fit_mle`]'s.
+///
+/// # Panics
+/// Panics when a point lies outside the window.
+pub fn fit_mle_with(
+    points: &[SpaceTimePoint],
+    window: &SpaceTimeWindow,
+    config: FitConfig,
+    features: &mut Vec<[f64; 4]>,
+) -> FitResult {
     for p in points {
         assert!(window.contains(p), "point {p:?} outside fit window");
     }
@@ -64,13 +79,15 @@ pub fn fit_mle(
 
     let scale = WindowScale::of(window);
     let volume = window.volume();
-    let features: Vec<[f64; 4]> = points.iter().map(|p| scale.features(p)).collect();
+    features.clear();
+    features.extend(points.iter().map(|p| scale.features(p)));
+    let features: &[[f64; 4]] = features;
 
     // In centred/scaled coordinates the window integral of the affine form
     // is simply `φ0 · V` (the odd terms integrate to zero).
     let log_lik = |phi: &[f64; 4]| -> f64 {
         let mut ll = -phi[0] * volume;
-        for f in &features {
+        for f in features {
             let lam: f64 = phi.iter().zip(f).map(|(a, b)| a * b).sum();
             debug_assert!(lam > 0.0, "infeasible phi reached the likelihood");
             ll += lam.ln();
@@ -79,7 +96,7 @@ pub fn fit_mle(
     };
     let gradient = |phi: &[f64; 4]| -> [f64; 4] {
         let mut g = [-volume, 0.0, 0.0, 0.0];
-        for f in &features {
+        for f in features {
             let lam: f64 = phi.iter().zip(f).map(|(a, b)| a * b).sum();
             let inv = 1.0 / lam;
             for k in 0..4 {
