@@ -63,7 +63,8 @@ impl std::error::Error for PlanError {}
 /// is handed a borrowed slice instead of a batch of its own.
 #[derive(Default)]
 struct Router {
-    /// The materialized chain keys, ascending: `keys[i]` has ordinal `i`.
+    /// The materialized chain keys as of the last [`Router::route`],
+    /// ascending: `keys[i]` has ordinal `i`.
     keys: Vec<(CellId, AttributeId)>,
     /// Each input tuple's chain ordinal, or [`UNROUTED`].
     ordinals: Vec<u32>,
@@ -77,15 +78,17 @@ struct Router {
 const UNROUTED: u32 = u32::MAX;
 
 impl Router {
-    /// Re-reads the chain keys after the set of materialized chains changed.
-    fn set_keys<'a>(&mut self, keys: impl Iterator<Item = &'a (CellId, AttributeId)>) {
+    /// Routes one batch into `routed` over the chains `keys` (ascending);
+    /// returns how many tuples dropped (outside the grid, or in a cell with
+    /// no chain for their attribute).
+    fn route<'a>(
+        &mut self,
+        grid: &Grid,
+        keys: impl Iterator<Item = &'a (CellId, AttributeId)>,
+        tuples: &[CrowdTuple],
+    ) -> usize {
         self.keys.clear();
         self.keys.extend(keys);
-    }
-
-    /// Routes one batch into `routed`; returns how many tuples dropped
-    /// (outside the grid, or in a cell with no chain for their attribute).
-    fn route(&mut self, grid: &Grid, tuples: &[CrowdTuple]) -> usize {
         self.ordinals.clear();
         self.offsets.clear();
         self.offsets.resize(self.keys.len() + 2, 0);
@@ -342,7 +345,6 @@ impl Fabricator {
         let plan = QueryPlan { query, cells, footprint };
         self.queries.insert(qid, Standing { plan, merge });
         self.tenant_shares = None;
-        self.router.set_keys(self.chains.keys());
         Ok(qid)
     }
 
@@ -366,7 +368,6 @@ impl Fabricator {
                 self.chains.remove(&key);
             }
         }
-        self.router.set_keys(self.chains.keys());
         Ok(leftovers)
     }
 
@@ -555,13 +556,12 @@ impl Fabricator {
     pub fn ingest_batch_mode(&mut self, tuples: &[CrowdTuple], mode: ExecMode) -> IngestReport {
         let shards = mode.shards();
         // map: tuples in unmaterialized cells drop.
-        let dropped_now = self.router.route(&self.grid, tuples);
+        let dropped_now = self.router.route(&self.grid, self.chains.keys(), tuples);
         self.dropped_unmaterialized += dropped_now as u64;
 
         if self.chains.is_empty() {
             return IngestReport::merge(dropped_now, Vec::new());
         }
-        debug_assert_eq!(self.router.keys.len(), self.chains.len(), "router keys are stale");
 
         // The ascending chain list is the canonical execution order, and a
         // chain's ordinal is its position in it.

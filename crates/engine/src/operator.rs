@@ -242,6 +242,18 @@ mod tests {
     }
 
     #[test]
+    fn batch_pool_retains_at_most_its_count_cap() {
+        let mut pool: BatchPool<u32> = BatchPool::with_limits(4, 8);
+        for _ in 0..6 {
+            pool.put(Vec::with_capacity(8));
+        }
+        assert_eq!(pool.retained(), 4, "buffers beyond the count cap are dropped");
+        pool.take();
+        pool.put(Vec::with_capacity(8));
+        assert_eq!(pool.retained(), 4, "a freed slot is refilled up to the cap");
+    }
+
+    #[test]
     fn emitter_routes_to_ports() {
         let mut e: Emitter<u32> = Emitter::new(2);
         e.emit(OutputPort(0), 1);
