@@ -8,6 +8,24 @@
 //! every checksum (per-epoch chain + whole-document trailer) is verified
 //! — so a truncated, reordered, or hand-edited log is rejected with a
 //! line-precise error instead of silently replaying garbage.
+//!
+//! The parser reads a document in one pass. Each line is parsed where it
+//! lies in the input and hashed once, in a two-lane FNV-1a walk
+//! (`[chain, doc]`) that the writer's `write_epoch` also uses:
+//!
+//! - the header's lines seed both lanes;
+//! - the `chain` lane restarts at each epoch from the previous link and
+//!   covers the block from `[epoch N]` up to, not including, its `end`
+//!   line, whose `crc=` it must equal;
+//! - the `doc` lane covers every line before `checksum:` — header, every
+//!   block with its `end` line, `[final]` and the seal lines — and must
+//!   equal that line.
+//!
+//! A line is hashed as its text plus `\n`, whatever ending it had in the
+//! input: lines split as [`str::lines`] splits them, so a copy of a log
+//! with CRLF line ends verifies and reads as the same log. A lone `\r` is
+//! not a line end. Record fields are read into fixed arrays, so nothing
+//! is allocated per line.
 
 use crate::log::{
     ActionRecord, AdmissionRecord, ChargeRecord, EpochRecord, ResponseRecord, RunLog, ShiftEvent,
@@ -15,6 +33,8 @@ use crate::log::{
 };
 use craqr_stats::{fnv1a64, fnv1a64_extend, fnv1a64_extend2, write_float};
 use std::fmt::{self, Write as _};
+use std::iter::Peekable;
+use std::str::Lines;
 
 /// A parse/integrity error with its 1-based line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,16 +84,25 @@ fn kv<'a>(token: &'a str, key: &str, line: usize) -> Result<&'a str, CodecError>
         .ok_or_else(|| err(line, format!("expected '{key}=…', got '{token}'")))
 }
 
-fn parse_rect(s: &str, line: usize) -> Result<(f64, f64, f64, f64), CodecError> {
-    let parts: Vec<&str> = s.split(',').collect();
-    if parts.len() != 4 {
-        return Err(err(line, format!("rect needs 4 comma-separated floats, got '{s}'")));
+/// The tokens of `tokens` when there are exactly `N` of them, read into an
+/// array: a record line's fields cost no allocation.
+fn exactly<'a, const N: usize>(mut tokens: impl Iterator<Item = &'a str>) -> Option<[&'a str; N]> {
+    let mut out = [""; N];
+    for slot in &mut out {
+        *slot = tokens.next()?;
     }
+    tokens.next().is_none().then_some(out)
+}
+
+fn parse_rect(s: &str, line: usize) -> Result<(f64, f64, f64, f64), CodecError> {
+    let Some([x0, y0, x1, y1]) = exactly(s.split(',')) else {
+        return Err(err(line, format!("rect needs 4 comma-separated floats, got '{s}'")));
+    };
     Ok((
-        parse_f64(parts[0], line, "rect.x0")?,
-        parse_f64(parts[1], line, "rect.y0")?,
-        parse_f64(parts[2], line, "rect.x1")?,
-        parse_f64(parts[3], line, "rect.y1")?,
+        parse_f64(x0, line, "rect.x0")?,
+        parse_f64(y0, line, "rect.y0")?,
+        parse_f64(x1, line, "rect.x1")?,
+        parse_f64(y1, line, "rect.y1")?,
     ))
 }
 
@@ -169,28 +198,30 @@ fn write_lines<T>(out: &mut String, records: &[T], write: fn(&mut String, &T)) {
 }
 
 fn parse_shift_line(line_no: usize, rest: &str) -> Result<ShiftEvent, CodecError> {
-    let tokens: Vec<&str> = rest.split_whitespace().collect();
-    match tokens.first().copied() {
-        Some("participation") if tokens.len() == 2 => Ok(ShiftEvent::Participation {
-            factor: parse_f64(kv(tokens[1], "factor", line_no)?, line_no, "factor")?,
-        }),
-        Some("dropout") if tokens.len() == 3 => Ok(ShiftEvent::Dropout {
-            probability: parse_f64(kv(tokens[1], "probability", line_no)?, line_no, "probability")?,
-            rect: parse_rect(kv(tokens[2], "rect", line_no)?, line_no)?,
-        }),
-        Some("migrate") if tokens.len() == 3 => Ok(ShiftEvent::Migrate {
-            probability: parse_f64(kv(tokens[1], "probability", line_no)?, line_no, "probability")?,
-            rect: parse_rect(kv(tokens[2], "rect", line_no)?, line_no)?,
-        }),
-        _ => Err(err(line_no, format!("malformed shift record: 'shift {rest}'"))),
+    if let Some(["participation", factor]) = exactly(rest.split_whitespace()) {
+        return Ok(ShiftEvent::Participation {
+            factor: parse_f64(kv(factor, "factor", line_no)?, line_no, "factor")?,
+        });
     }
+    if let Some([kind @ ("dropout" | "migrate"), probability, rect]) =
+        exactly(rest.split_whitespace())
+    {
+        let probability =
+            parse_f64(kv(probability, "probability", line_no)?, line_no, "probability")?;
+        let rect = parse_rect(kv(rect, "rect", line_no)?, line_no)?;
+        return Ok(if kind == "dropout" {
+            ShiftEvent::Dropout { probability, rect }
+        } else {
+            ShiftEvent::Migrate { probability, rect }
+        });
+    }
+    Err(err(line_no, format!("malformed shift record: 'shift {rest}'")))
 }
 
 fn parse_response_line(line_no: usize, rest: &str) -> Result<ResponseRecord, CodecError> {
-    let tokens: Vec<&str> = rest.split_whitespace().collect();
-    if tokens.len() != 7 {
+    let Some(tokens) = exactly::<7>(rest.split_whitespace()) else {
         return Err(err(line_no, format!("response record needs 7 fields, got 'r {rest}'")));
-    }
+    };
     let value_token = kv(tokens[5], "v", line_no)?;
     let value = if let Some(b) = value_token.strip_prefix('b') {
         ValueRecord::Bool(
@@ -216,10 +247,9 @@ fn parse_response_line(line_no: usize, rest: &str) -> Result<ResponseRecord, Cod
 }
 
 fn parse_admission_line(line_no: usize, rest: &str) -> Result<AdmissionRecord, CodecError> {
-    let tokens: Vec<&str> = rest.split_whitespace().collect();
-    if tokens.len() != 6 {
+    let Some(tokens) = exactly::<6>(rest.split_whitespace()) else {
         return Err(err(line_no, format!("admission record needs 6 fields, got 'adm {rest}'")));
-    }
+    };
     let u32_of = |token: &str, key: &str| -> Result<u32, CodecError> {
         parse_u64(kv(token, key, line_no)?, line_no, key)?
             .try_into()
@@ -246,37 +276,37 @@ fn parse_admission_line(line_no: usize, rest: &str) -> Result<AdmissionRecord, C
 }
 
 fn parse_charge_line(line_no: usize, rest: &str) -> Result<ChargeRecord, CodecError> {
-    let tokens: Vec<&str> = rest.split_whitespace().collect();
-    if tokens.len() != 2 {
+    let Some([tenant, spent]) = exactly(rest.split_whitespace()) else {
         return Err(err(line_no, format!("charge record needs 2 fields, got 'charge {rest}'")));
-    }
+    };
     Ok(ChargeRecord {
-        tenant: parse_u64(kv(tokens[0], "tenant", line_no)?, line_no, "tenant")?
+        tenant: parse_u64(kv(tenant, "tenant", line_no)?, line_no, "tenant")?
             .try_into()
             .map_err(|_| err(line_no, "tenant: does not fit in u32".to_string()))?,
-        spent: parse_f64(kv(tokens[1], "spent", line_no)?, line_no, "spent")?,
+        spent: parse_f64(kv(spent, "spent", line_no)?, line_no, "spent")?,
     })
 }
 
 fn parse_action_line(line_no: usize, rest: &str) -> Result<ActionRecord, CodecError> {
-    let tokens: Vec<&str> = rest.split_whitespace().collect();
     let attr_of = |token: &str| -> Result<u16, CodecError> {
         parse_u64(kv(token, "attr", line_no)?, line_no, "attr")?
             .try_into()
             .map_err(|_| err(line_no, "attr: attribute id does not fit in u16".to_string()))
     };
-    match tokens.first().copied() {
-        Some("set") if tokens.len() == 4 => Ok(ActionRecord::SetBudget {
-            cell: parse_cell(kv(tokens[1], "cell", line_no)?, line_no)?,
-            attr: attr_of(tokens[2])?,
-            budget: parse_f64(kv(tokens[3], "budget", line_no)?, line_no, "budget")?,
-        }),
-        Some("rebuild") if tokens.len() == 3 => Ok(ActionRecord::RebuildChain {
-            cell: parse_cell(kv(tokens[1], "cell", line_no)?, line_no)?,
-            attr: attr_of(tokens[2])?,
-        }),
-        _ => Err(err(line_no, format!("malformed action record: 'act {rest}'"))),
+    if let Some(["set", cell, attr, budget]) = exactly(rest.split_whitespace()) {
+        return Ok(ActionRecord::SetBudget {
+            cell: parse_cell(kv(cell, "cell", line_no)?, line_no)?,
+            attr: attr_of(attr)?,
+            budget: parse_f64(kv(budget, "budget", line_no)?, line_no, "budget")?,
+        });
     }
+    if let Some(["rebuild", cell, attr]) = exactly(rest.split_whitespace()) {
+        return Ok(ActionRecord::RebuildChain {
+            cell: parse_cell(kv(cell, "cell", line_no)?, line_no)?,
+            attr: attr_of(attr)?,
+        });
+    }
+    Err(err(line_no, format!("malformed action record: 'act {rest}'")))
 }
 
 // ---------------------------------------------------------------------------
@@ -327,15 +357,10 @@ pub(crate) fn epoch_block(out: &mut String, e: &EpochRecord) {
 }
 
 /// The hash a chain link starts from: the previous link's `"<crc>\n"`.
+/// Each link hashes its block *and* the previous link, so order and
+/// completeness are pinned.
 fn link_seed(chain: u64) -> u64 {
     fnv1a64(format!("{chain:#018x}\n").as_bytes())
-}
-
-/// Advances the chained checksum over one epoch block: each link hashes
-/// its block *and* the previous link, so order and completeness are
-/// pinned.
-pub(crate) fn advance_chain(chain: u64, block: &str) -> u64 {
-    fnv1a64_extend(link_seed(chain), block.as_bytes())
 }
 
 /// Appends one epoch as it lands in the log — its block, then the
@@ -389,64 +414,95 @@ pub fn render(log: &RunLog) -> String {
 // Parse
 // ---------------------------------------------------------------------------
 
+/// Walks the lines of a document as [`str::lines`] splits them. Cheap to
+/// clone, so a caller rewinds by keeping a copy.
+#[derive(Clone)]
 struct Cursor<'a> {
-    lines: Vec<&'a str>,
+    src: &'a str,
+    lines: Peekable<Lines<'a>>,
+    /// Lines consumed so far: the 0-based index of the next line, and the
+    /// 1-based number of the one [`Cursor::next`] returned last.
     pos: usize,
 }
 
 impl<'a> Cursor<'a> {
-    fn line_no(&self) -> usize {
-        self.pos // pos is the index of the *next* line; after next() it is 1-based current
+    fn new(src: &'a str) -> Self {
+        Cursor { src, lines: src.lines().peekable(), pos: 0 }
     }
 
     fn next(&mut self) -> Option<&'a str> {
-        let line = self.lines.get(self.pos).copied();
-        if line.is_some() {
-            self.pos += 1;
-        }
+        let line = self.lines.next();
+        self.pos += usize::from(line.is_some());
         line
     }
 
-    fn peek(&self) -> Option<&'a str> {
-        self.lines.get(self.pos).copied()
+    fn peek(&mut self) -> Option<&'a str> {
+        self.lines.peek().copied()
     }
 
-    fn expect_prefix(&mut self, prefix: &str) -> Result<&'a str, CodecError> {
+    /// Where the next line starts in the document — read off the line's
+    /// own position in it — or the document's length past the last line.
+    fn offset(&mut self) -> usize {
+        let src = self.src.as_ptr() as usize;
+        self.peek().map_or(self.src.len(), |line| line.as_ptr() as usize - src)
+    }
+
+    /// The next line, which must start with `prefix`: the whole line and
+    /// what follows the prefix.
+    fn expect_prefix(&mut self, prefix: &str) -> Result<(&'a str, &'a str), CodecError> {
         match self.next() {
             Some(line) => line
                 .strip_prefix(prefix)
-                .ok_or_else(|| err(self.line_no(), format!("expected '{prefix}…', got '{line}'"))),
+                .map(|rest| (line, rest))
+                .ok_or_else(|| err(self.pos, format!("expected '{prefix}…', got '{line}'"))),
             None => Err(err(0, format!("unexpected end of log, expected '{prefix}…'"))),
         }
     }
 }
 
-/// The parsed checksummed header plus the chain seed it hashes to.
+/// Continues `hash` over one line as the render wrote it: its bytes, then
+/// `\n` — whatever line ending the input used.
+fn feed(hash: u64, line: &str) -> u64 {
+    fnv1a64_extend(fnv1a64_extend(hash, line.as_bytes()), b"\n")
+}
+
+/// [`feed`] for both lanes of `[chain, doc]` at once.
+fn feed2(lanes: [u64; 2], line: &str) -> [u64; 2] {
+    fnv1a64_extend2(fnv1a64_extend2(lanes, line.as_bytes()), b"\n")
+}
+
+/// The parsed checksummed header plus the hash of its lines, which seeds
+/// both the epoch chain and the document checksum.
 struct Header {
     scenario: String,
     seed: u64,
     spec_toml: String,
     admissions: Vec<AdmissionRecord>,
-    chain: u64,
+    hash: u64,
 }
 
 fn parse_header(cur: &mut Cursor<'_>) -> Result<Header, CodecError> {
-    let version = cur.expect_prefix("# craqr runlog v")?;
+    let (line, version) = cur.expect_prefix("# craqr runlog v")?;
     if version.trim() != RUNLOG_VERSION.to_string() {
         return Err(err(
             1,
             format!("unsupported runlog version 'v{version}' (this build reads v{RUNLOG_VERSION})"),
         ));
     }
-    let scenario = cur.expect_prefix("scenario: ")?.to_string();
-    let seed_str = cur.expect_prefix("seed: ")?;
-    let seed = parse_u64(seed_str, cur.line_no(), "seed")?;
-    let n_str = cur.expect_prefix("spec-lines: ")?;
-    let spec_lines = parse_u64(n_str, cur.line_no(), "spec-lines")? as usize;
+    let mut hash = feed(fnv1a64(b""), line);
+    let (line, scenario) = cur.expect_prefix("scenario: ")?;
+    hash = feed(hash, line);
+    let (line, seed_str) = cur.expect_prefix("seed: ")?;
+    hash = feed(hash, line);
+    let seed = parse_u64(seed_str, cur.pos, "seed")?;
+    let (line, n_str) = cur.expect_prefix("spec-lines: ")?;
+    hash = feed(hash, line);
+    let spec_lines = parse_u64(n_str, cur.pos, "spec-lines")? as usize;
     let mut spec_toml = String::new();
     for _ in 0..spec_lines {
         match cur.next() {
             Some(line) => {
+                hash = feed(hash, line);
                 spec_toml.push_str(line);
                 spec_toml.push('\n');
             }
@@ -457,25 +513,26 @@ fn parse_header(cur: &mut Cursor<'_>) -> Result<Header, CodecError> {
     while let Some(line) = cur.peek() {
         let Some(rest) = line.strip_prefix("adm ") else { break };
         cur.next();
-        admissions.push(parse_admission_line(cur.line_no(), rest)?);
+        hash = feed(hash, line);
+        admissions.push(parse_admission_line(cur.pos, rest)?);
     }
-    let header: String = cur.lines[..cur.pos].iter().flat_map(|l| [l, "\n"]).collect::<String>();
-    let chain = fnv1a64(header.as_bytes());
-    Ok(Header { scenario, seed, spec_toml, admissions, chain })
+    Ok(Header { scenario: scenario.to_string(), seed, spec_toml, admissions, hash })
 }
 
 /// Parses one epoch block (through its verified `end` line), or consumes
 /// the `[final]` marker and returns `Ok(None)`.
 ///
-/// `chain` is taken by value and the advanced link is returned alongside
-/// the record, so a failed call leaves the caller's chain untouched — the
-/// property the salvage parser relies on to re-anchor at the last good
-/// epoch boundary.
+/// `[chain, doc]` are the running hashes: the last chain link and the
+/// document hash of every line before this one. Each block line feeds
+/// both lanes once; the `end` line feeds only `doc`. The lanes are taken
+/// by value and the advanced pair is returned alongside the record, so a
+/// failed call leaves the caller's lanes untouched — the property the
+/// salvage parser relies on to re-anchor at the last good epoch boundary.
 fn parse_epoch(
     cur: &mut Cursor<'_>,
     parsed: usize,
-    chain: u64,
-) -> Result<Option<(EpochRecord, u64)>, CodecError> {
+    [chain, doc]: [u64; 2],
+) -> Result<Option<(EpochRecord, [u64; 2])>, CodecError> {
     let line_no = cur.pos + 1;
     let Some(line) = cur.next() else {
         return Err(err(0, "unexpected end of log, expected '[epoch N]' or '[final]'"));
@@ -495,7 +552,7 @@ fn parse_epoch(
         ));
     }
 
-    let mut block = format!("{line}\n");
+    let mut lanes = feed2([link_seed(chain), doc], line);
     let mut record = EpochRecord { epoch, ..Default::default() };
     let mut saw_dispatch = false;
     // Strict record order inside a block: shifts, dispatch, responses,
@@ -509,34 +566,32 @@ fn parse_epoch(
             if !saw_dispatch {
                 return Err(err(line_no, format!("epoch {epoch} has no dispatch line")));
             }
-            let tokens: Vec<&str> = rest.split_whitespace().collect();
-            if tokens.len() != 2 {
+            let Some([end_epoch, crc]) = exactly(rest.split_whitespace()) else {
                 return Err(err(line_no, format!("malformed end line: '{line}'")));
-            }
-            let end_epoch = parse_u64(kv(tokens[0], "epoch", line_no)?, line_no, "epoch")?;
+            };
+            let end_epoch = parse_u64(kv(end_epoch, "epoch", line_no)?, line_no, "epoch")?;
             if end_epoch != epoch {
                 return Err(err(
                     line_no,
                     format!("end line closes epoch {end_epoch} inside epoch {epoch}"),
                 ));
             }
-            let recorded = parse_crc(kv(tokens[1], "crc", line_no)?, line_no, "crc")?;
-            let advanced = advance_chain(chain, &block);
-            if recorded != advanced {
+            let recorded = parse_crc(kv(crc, "crc", line_no)?, line_no, "crc")?;
+            let [chain, doc] = lanes;
+            if recorded != chain {
                 return Err(err(
                     line_no,
                     format!(
                         "epoch {epoch} checksum mismatch: log says {}, content hashes to {} \
                          (the log was truncated, reordered, or edited)",
                         fmt_crc(recorded),
-                        fmt_crc(advanced)
+                        fmt_crc(chain)
                     ),
                 ));
             }
-            return Ok(Some((record, advanced)));
+            return Ok(Some((record, [chain, feed(doc, line)])));
         }
-        block.push_str(line);
-        block.push('\n');
+        lanes = feed2(lanes, line);
         if let Some(rest) = line.strip_prefix("shift ") {
             if saw_dispatch {
                 return Err(err(line_no, "shift records must precede the dispatch line"));
@@ -547,13 +602,12 @@ fn parse_epoch(
                 return Err(err(line_no, "duplicate dispatch line in one epoch"));
             }
             saw_dispatch = true;
-            let tokens: Vec<&str> = rest.split_whitespace().collect();
-            if tokens.len() != 2 {
+            let Some([requested, sent]) = exactly(rest.split_whitespace()) else {
                 return Err(err(line_no, format!("malformed dispatch line: '{line}'")));
-            }
+            };
             record.requested =
-                parse_u64(kv(tokens[0], "requested", line_no)?, line_no, "requested")?;
-            record.sent = parse_u64(kv(tokens[1], "sent", line_no)?, line_no, "sent")?;
+                parse_u64(kv(requested, "requested", line_no)?, line_no, "requested")?;
+            record.sent = parse_u64(kv(sent, "sent", line_no)?, line_no, "sent")?;
         } else if let Some(rest) = line.strip_prefix("faults ") {
             if !saw_dispatch {
                 return Err(err(line_no, "the faults line must follow the dispatch line"));
@@ -567,14 +621,13 @@ fn parse_epoch(
             if record.dropped != 0 || record.delayed != 0 || record.duplicated != 0 {
                 return Err(err(line_no, "duplicate faults line in one epoch"));
             }
-            let tokens: Vec<&str> = rest.split_whitespace().collect();
-            if tokens.len() != 3 {
+            let Some([dropped, delayed, duplicated]) = exactly(rest.split_whitespace()) else {
                 return Err(err(line_no, format!("malformed faults line: '{line}'")));
-            }
-            record.dropped = parse_u64(kv(tokens[0], "dropped", line_no)?, line_no, "dropped")?;
-            record.delayed = parse_u64(kv(tokens[1], "delayed", line_no)?, line_no, "delayed")?;
+            };
+            record.dropped = parse_u64(kv(dropped, "dropped", line_no)?, line_no, "dropped")?;
+            record.delayed = parse_u64(kv(delayed, "delayed", line_no)?, line_no, "delayed")?;
             record.duplicated =
-                parse_u64(kv(tokens[2], "duplicated", line_no)?, line_no, "duplicated")?;
+                parse_u64(kv(duplicated, "duplicated", line_no)?, line_no, "duplicated")?;
             if record.dropped == 0 && record.delayed == 0 && record.duplicated == 0 {
                 // The renderer never writes an all-zero line; accepting
                 // one would break render∘parse = identity.
@@ -608,34 +661,37 @@ fn parse_epoch(
 }
 
 /// Parses the `[final]` block's seal lines and verifies the whole-document
-/// checksum over everything consumed so far. The `[final]` marker itself
-/// must already have been consumed.
-fn parse_trailer(cur: &mut Cursor<'_>) -> Result<(Option<u64>, Option<u64>), CodecError> {
+/// checksum: `doc` is the hash of every line before `[final]`, and the
+/// marker and seal lines extend it here. The `[final]` marker itself must
+/// already have been consumed.
+fn parse_trailer(cur: &mut Cursor<'_>, doc: u64) -> Result<(Option<u64>, Option<u64>), CodecError> {
+    let mut doc = feed(doc, "[final]");
     let mut report_checksum = None;
     let mut trace_checksum = None;
     if let Some(line) = cur.peek() {
         if let Some(rest) = line.strip_prefix("report-checksum: ") {
             report_checksum = Some(parse_crc(rest, cur.pos + 1, "report-checksum")?);
             cur.next();
+            doc = feed(doc, line);
         }
     }
     if let Some(line) = cur.peek() {
         if let Some(rest) = line.strip_prefix("trace-checksum: ") {
             trace_checksum = Some(parse_crc(rest, cur.pos + 1, "trace-checksum")?);
             cur.next();
+            doc = feed(doc, line);
         }
     }
     let checksum_line_no = cur.pos + 1;
-    let recorded = parse_crc(cur.expect_prefix("checksum: ")?, checksum_line_no, "checksum")?;
-    let body: String = cur.lines[..cur.pos - 1].iter().flat_map(|l| [l, "\n"]).collect::<String>();
-    let actual = fnv1a64(body.as_bytes());
-    if recorded != actual {
+    let (_, recorded) = cur.expect_prefix("checksum: ")?;
+    let recorded = parse_crc(recorded, checksum_line_no, "checksum")?;
+    if recorded != doc {
         return Err(err(
             checksum_line_no,
             format!(
                 "document checksum mismatch: log says {}, content hashes to {}",
                 fmt_crc(recorded),
-                fmt_crc(actual)
+                fmt_crc(doc)
             ),
         ));
     }
@@ -643,31 +699,32 @@ fn parse_trailer(cur: &mut Cursor<'_>) -> Result<(Option<u64>, Option<u64>), Cod
 }
 
 /// Nothing may follow the trailer (whitespace-only lines — a stray final
-/// newline from an editor — are tolerated): anything else is unchecksummed
-/// content masquerading as part of the log.
-fn check_no_trailing(cur: &mut Cursor<'_>) -> Result<(), CodecError> {
-    while let Some(extra) = cur.next() {
-        if !extra.trim().is_empty() {
-            return Err(err(cur.line_no(), format!("trailing content after checksum: '{extra}'")));
-        }
+/// newline from an editor — are tolerated): skips those, and returns the
+/// first line of anything else — unchecksummed content masquerading as
+/// part of the log — with the cursor left in front of it.
+fn trailing_content<'a>(cur: &mut Cursor<'a>) -> Option<&'a str> {
+    while cur.peek()?.trim().is_empty() {
+        cur.next();
     }
-    Ok(())
+    cur.peek()
 }
 
 /// Parses (and integrity-checks) a canonical text log: the version stamp,
 /// every per-epoch chained checksum, and the whole-document trailer must
 /// all verify, and epoch indices must be gap-free from zero.
 pub fn parse(src: &str) -> Result<RunLog, CodecError> {
-    let mut cur = Cursor { lines: src.lines().collect(), pos: 0 };
+    let mut cur = Cursor::new(src);
     let header = parse_header(&mut cur)?;
-    let mut chain = header.chain;
+    let mut lanes = [header.hash; 2];
     let mut epochs: Vec<EpochRecord> = Vec::new();
-    while let Some((record, advanced)) = parse_epoch(&mut cur, epochs.len(), chain)? {
-        chain = advanced;
+    while let Some((record, advanced)) = parse_epoch(&mut cur, epochs.len(), lanes)? {
+        lanes = advanced;
         epochs.push(record);
     }
-    let (report_checksum, trace_checksum) = parse_trailer(&mut cur)?;
-    check_no_trailing(&mut cur)?;
+    let (report_checksum, trace_checksum) = parse_trailer(&mut cur, lanes[1])?;
+    if let Some(extra) = trailing_content(&mut cur) {
+        return Err(err(cur.pos + 1, format!("trailing content after checksum: '{extra}'")));
+    }
     let Header { scenario, seed, spec_toml, admissions, .. } = header;
     Ok(RunLog { scenario, seed, spec_toml, admissions, epochs, report_checksum, trace_checksum })
 }
@@ -715,20 +772,6 @@ pub struct Salvage {
     pub torn: Option<TornTail>,
 }
 
-/// Byte offset where 0-based line `idx` starts in `src` (i.e. the length
-/// of the first `idx` lines including their newlines); `src.len()` when
-/// `idx` is past the last line.
-fn byte_offset_of_line(src: &str, idx: usize) -> usize {
-    let mut offset = 0;
-    for (i, seg) in src.split_inclusive('\n').enumerate() {
-        if i == idx {
-            return offset;
-        }
-        offset += seg.len();
-    }
-    src.len()
-}
-
 /// Parses as much of a (possibly torn) log as verifies, instead of
 /// rejecting it outright.
 ///
@@ -744,52 +787,42 @@ fn byte_offset_of_line(src: &str, idx: usize) -> usize {
 /// never contains more epochs than the input's last durable (`end`-sealed)
 /// epoch boundary.
 pub fn parse_salvage(src: &str) -> Result<Salvage, CodecError> {
-    let mut cur = Cursor { lines: src.lines().collect(), pos: 0 };
+    let mut cur = Cursor::new(src);
     let header = parse_header(&mut cur)?;
-    let mut chain = header.chain;
+    let mut lanes = [header.hash; 2];
     let mut epochs: Vec<EpochRecord> = Vec::new();
     let mut report_checksum = None;
     let mut trace_checksum = None;
-    let mut tear: Option<(usize, CodecError)> = None;
+    // The cursor at the first discarded line, and why it was discarded.
+    let mut tear: Option<(Cursor<'_>, String)> = None;
     loop {
-        let mark = cur.pos;
-        match parse_epoch(&mut cur, epochs.len(), chain) {
+        let mark = cur.clone();
+        match parse_epoch(&mut cur, epochs.len(), lanes) {
             Ok(Some((record, advanced))) => {
-                chain = advanced;
+                lanes = advanced;
                 epochs.push(record);
             }
             Ok(None) => {
-                // `[final]` was consumed at line index `mark`. A trailer
-                // that fails to verify is torn off whole — its seal lines
-                // attest to a run this prefix does not represent.
-                match parse_trailer(&mut cur) {
+                // `[final]` was consumed at `mark`. A trailer that fails
+                // to verify is torn off whole — its seal lines attest to
+                // a run this prefix does not represent.
+                match parse_trailer(&mut cur, lanes[1]) {
                     Ok((report, trace)) => {
-                        let after = cur.pos;
-                        if check_no_trailing(&mut cur).is_err() {
-                            // Sealed trailer verified but unchecksummed
-                            // content rides behind it: keep the seals,
-                            // tear at the first non-blank trailing line.
-                            let mut idx = after;
-                            while cur.lines[idx].trim().is_empty() {
-                                idx += 1;
-                            }
-                            let reason =
-                                err(idx + 1, "trailing content after checksum".to_string());
-                            tear = Some((idx, reason));
+                        // Sealed trailer verified but unchecksummed
+                        // content may ride behind it: keep the seals,
+                        // tear at the first non-blank trailing line.
+                        if trailing_content(&mut cur).is_some() {
+                            tear = Some((cur, "trailing content after checksum".to_string()));
                         }
                         report_checksum = report;
                         trace_checksum = trace;
                     }
-                    Err(reason) => {
-                        cur.pos = mark;
-                        tear = Some((mark, reason));
-                    }
+                    Err(reason) => tear = Some((mark, reason.message)),
                 }
                 break;
             }
             Err(reason) => {
-                cur.pos = mark;
-                tear = Some((mark, reason));
+                tear = Some((mark, reason.message));
                 break;
             }
         }
@@ -797,14 +830,9 @@ pub fn parse_salvage(src: &str) -> Result<Salvage, CodecError> {
     let Header { scenario, seed, spec_toml, admissions, .. } = header;
     let log =
         RunLog { scenario, seed, spec_toml, admissions, epochs, report_checksum, trace_checksum };
-    let torn = tear.map(|(idx, reason)| {
-        let valid_bytes = byte_offset_of_line(src, idx);
-        TornTail {
-            valid_bytes,
-            discarded_bytes: src.len() - valid_bytes,
-            line: idx + 1,
-            reason: reason.message,
-        }
+    let torn = tear.map(|(mut at, reason)| {
+        let valid_bytes = at.offset();
+        TornTail { valid_bytes, discarded_bytes: src.len() - valid_bytes, line: at.pos + 1, reason }
     });
     Ok(Salvage { log, torn })
 }

@@ -45,6 +45,15 @@
 //! 3. a whole-document `checksum:` trailer, same contract as scenario
 //!    reports and adaptive traces.
 //!
+//! The reader checks layers 2 and 3 in one pass: every line is hashed
+//! once, feeding both the chain (block lines only) and the document hash
+//! (every line before `checksum:`). Both hashes cover each line as its
+//! text plus `\n`. Lines split where [`str::lines`] splits them, so a
+//! file whose lines end in `\r\n` verifies and parses to the same log as
+//! its LF original (pinned on every committed golden log in
+//! `tests/differential.rs`), while a lone `\r` is ordinary content. The
+//! writer always emits `\n`.
+//!
 //! Floats render in shortest-roundtrip form, so `parse(render(log)) ==
 //! log` exactly (proptested in `tests/properties.rs`).
 //!
