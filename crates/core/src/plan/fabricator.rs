@@ -747,6 +747,20 @@ mod tests {
     }
 
     #[test]
+    fn rejects_sliver_query_on_a_cell_edge() {
+        // Thinner than GEOM_EPS and starting on a cell edge: it touches no
+        // cell's interior, in debug and release builds alike.
+        let mut f = Fabricator::new(
+            Rect::with_size(8.0, 8.0),
+            PlannerConfig { grid_side: 16, ..Default::default() },
+        );
+        let sliver = Rect::new(2.0, 1.0, 2.0 + 1e-12, 3.0);
+        let err = f.insert_query(query(0, sliver, 1.0)).unwrap_err();
+        assert_eq!(err, PlanError::OutsideRegion(sliver));
+        assert_eq!(f.materialized_chains(), 0);
+    }
+
+    #[test]
     fn rejects_query_below_cell_area() {
         let mut f = fab();
         let err = f.insert_query(query(0, Rect::new(0.0, 0.0, 0.5, 0.5), 1.0)).unwrap_err();

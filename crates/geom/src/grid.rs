@@ -179,6 +179,11 @@ impl Grid {
             (((clipped.x1 - self.region.x0 - GEOM_EPS) / self.cell_w) as u32).min(self.side - 1);
         let r1 =
             (((clipped.y1 - self.region.y0 - GEOM_EPS) / self.cell_h) as u32).min(self.side - 1);
+        // A query thinner than GEOM_EPS that starts on a cell edge ends
+        // before it starts once the tolerance is taken off its far edge.
+        if q1 < q0 || r1 < r0 {
+            return Vec::new();
+        }
         let mut out = Vec::with_capacity(((q1 - q0 + 1) * (r1 - r0 + 1)) as usize);
         for r in r0..=r1 {
             for q in q0..=q1 {
@@ -320,6 +325,13 @@ mod tests {
     fn query_outside_region_touches_nothing() {
         let g = grid3();
         assert!(g.cells_overlapping(&Rect::new(10.0, 10.0, 11.0, 11.0)).is_empty());
+    }
+
+    #[test]
+    fn sliver_query_on_a_cell_edge_touches_nothing() {
+        let g = Grid::new(Rect::with_size(8.0, 8.0), 16);
+        assert!(g.cells_overlapping(&Rect::new(2.0, 1.0, 2.0 + 1e-12, 3.0)).is_empty());
+        assert!(g.cells_overlapping(&Rect::new(1.0, 2.0, 3.0, 2.0 + 1e-12)).is_empty());
     }
 
     #[test]

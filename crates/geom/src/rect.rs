@@ -125,7 +125,7 @@ impl Rect {
     }
 
     /// Merges two rectangles that satisfy [`Rect::shares_full_side`]; the
-    /// result is the exact rectangular union `R?₃ = R?₁ ∪ R?₂`.
+    /// result is the exact rectangular union `R*₃ = R*₁ ∪ R*₂`.
     ///
     /// Returns `None` when the precondition fails (the planner treats this as
     /// a planning bug, the operator as a configuration error).

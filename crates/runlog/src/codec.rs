@@ -25,7 +25,8 @@
 //! input: lines split as [`str::lines`] splits them, so a copy of a log
 //! with CRLF line ends verifies and reads as the same log. A lone `\r` is
 //! not a line end. Record fields are read into fixed arrays, so nothing
-//! is allocated per line.
+//! is allocated per line, and an ASCII line is split on bytes rather than
+//! decoded chars.
 
 use crate::log::{
     ActionRecord, AdmissionRecord, ChargeRecord, EpochRecord, ResponseRecord, RunLog, ShiftEvent,
@@ -92,6 +93,18 @@ fn exactly<'a, const N: usize>(mut tokens: impl Iterator<Item = &'a str>) -> Opt
         *slot = tokens.next()?;
     }
     tokens.next().is_none().then_some(out)
+}
+
+/// A record line's whitespace-separated fields when there are exactly `N`,
+/// split as [`str::split_whitespace`] splits them. An ASCII line without
+/// `\x0B` splits the same way byte by byte: among ASCII characters,
+/// `char::is_whitespace` and `u8::is_ascii_whitespace` differ only on VT.
+fn fields<const N: usize>(rest: &str) -> Option<[&str; N]> {
+    if rest.is_ascii() && !rest.as_bytes().contains(&0x0B) {
+        exactly(rest.split_ascii_whitespace())
+    } else {
+        exactly(rest.split_whitespace())
+    }
 }
 
 fn parse_rect(s: &str, line: usize) -> Result<(f64, f64, f64, f64), CodecError> {
@@ -198,14 +211,12 @@ fn write_lines<T>(out: &mut String, records: &[T], write: fn(&mut String, &T)) {
 }
 
 fn parse_shift_line(line_no: usize, rest: &str) -> Result<ShiftEvent, CodecError> {
-    if let Some(["participation", factor]) = exactly(rest.split_whitespace()) {
+    if let Some(["participation", factor]) = fields(rest) {
         return Ok(ShiftEvent::Participation {
             factor: parse_f64(kv(factor, "factor", line_no)?, line_no, "factor")?,
         });
     }
-    if let Some([kind @ ("dropout" | "migrate"), probability, rect]) =
-        exactly(rest.split_whitespace())
-    {
+    if let Some([kind @ ("dropout" | "migrate"), probability, rect]) = fields(rest) {
         let probability =
             parse_f64(kv(probability, "probability", line_no)?, line_no, "probability")?;
         let rect = parse_rect(kv(rect, "rect", line_no)?, line_no)?;
@@ -219,7 +230,7 @@ fn parse_shift_line(line_no: usize, rest: &str) -> Result<ShiftEvent, CodecError
 }
 
 fn parse_response_line(line_no: usize, rest: &str) -> Result<ResponseRecord, CodecError> {
-    let Some(tokens) = exactly::<7>(rest.split_whitespace()) else {
+    let Some(tokens) = fields::<7>(rest) else {
         return Err(err(line_no, format!("response record needs 7 fields, got 'r {rest}'")));
     };
     let value_token = kv(tokens[5], "v", line_no)?;
@@ -247,7 +258,7 @@ fn parse_response_line(line_no: usize, rest: &str) -> Result<ResponseRecord, Cod
 }
 
 fn parse_admission_line(line_no: usize, rest: &str) -> Result<AdmissionRecord, CodecError> {
-    let Some(tokens) = exactly::<6>(rest.split_whitespace()) else {
+    let Some(tokens) = fields::<6>(rest) else {
         return Err(err(line_no, format!("admission record needs 6 fields, got 'adm {rest}'")));
     };
     let u32_of = |token: &str, key: &str| -> Result<u32, CodecError> {
@@ -276,7 +287,7 @@ fn parse_admission_line(line_no: usize, rest: &str) -> Result<AdmissionRecord, C
 }
 
 fn parse_charge_line(line_no: usize, rest: &str) -> Result<ChargeRecord, CodecError> {
-    let Some([tenant, spent]) = exactly(rest.split_whitespace()) else {
+    let Some([tenant, spent]) = fields(rest) else {
         return Err(err(line_no, format!("charge record needs 2 fields, got 'charge {rest}'")));
     };
     Ok(ChargeRecord {
@@ -293,14 +304,14 @@ fn parse_action_line(line_no: usize, rest: &str) -> Result<ActionRecord, CodecEr
             .try_into()
             .map_err(|_| err(line_no, "attr: attribute id does not fit in u16".to_string()))
     };
-    if let Some(["set", cell, attr, budget]) = exactly(rest.split_whitespace()) {
+    if let Some(["set", cell, attr, budget]) = fields(rest) {
         return Ok(ActionRecord::SetBudget {
             cell: parse_cell(kv(cell, "cell", line_no)?, line_no)?,
             attr: attr_of(attr)?,
             budget: parse_f64(kv(budget, "budget", line_no)?, line_no, "budget")?,
         });
     }
-    if let Some(["rebuild", cell, attr]) = exactly(rest.split_whitespace()) {
+    if let Some(["rebuild", cell, attr]) = fields(rest) {
         return Ok(ActionRecord::RebuildChain {
             cell: parse_cell(kv(cell, "cell", line_no)?, line_no)?,
             attr: attr_of(attr)?,
@@ -566,7 +577,7 @@ fn parse_epoch(
             if !saw_dispatch {
                 return Err(err(line_no, format!("epoch {epoch} has no dispatch line")));
             }
-            let Some([end_epoch, crc]) = exactly(rest.split_whitespace()) else {
+            let Some([end_epoch, crc]) = fields(rest) else {
                 return Err(err(line_no, format!("malformed end line: '{line}'")));
             };
             let end_epoch = parse_u64(kv(end_epoch, "epoch", line_no)?, line_no, "epoch")?;
@@ -602,7 +613,7 @@ fn parse_epoch(
                 return Err(err(line_no, "duplicate dispatch line in one epoch"));
             }
             saw_dispatch = true;
-            let Some([requested, sent]) = exactly(rest.split_whitespace()) else {
+            let Some([requested, sent]) = fields(rest) else {
                 return Err(err(line_no, format!("malformed dispatch line: '{line}'")));
             };
             record.requested =
@@ -621,7 +632,7 @@ fn parse_epoch(
             if record.dropped != 0 || record.delayed != 0 || record.duplicated != 0 {
                 return Err(err(line_no, "duplicate faults line in one epoch"));
             }
-            let Some([dropped, delayed, duplicated]) = exactly(rest.split_whitespace()) else {
+            let Some([dropped, delayed, duplicated]) = fields(rest) else {
                 return Err(err(line_no, format!("malformed faults line: '{line}'")));
             };
             record.dropped = parse_u64(kv(dropped, "dropped", line_no)?, line_no, "dropped")?;
