@@ -1,6 +1,7 @@
 //! Controller policy knobs.
 
 use craqr_mdpp::SgdConfig;
+use craqr_stats::{drift, Interval};
 use serde::{Deserialize, Serialize};
 
 /// Which sequential change-point test watches the innovation stream.
@@ -96,43 +97,26 @@ impl Default for AdaptiveConfig {
 }
 
 impl AdaptiveConfig {
+    /// Range of [`AdaptiveConfig::budget_pool`], when set.
+    pub const BUDGET_POOL: Interval = Interval::Positive;
+    /// Range of [`AdaptiveConfig::demand_headroom`].
+    pub const DEMAND_HEADROOM: Interval = Interval::AtLeastOne;
+
     /// Checks every knob, returning the first violated constraint as
     /// `(field, requirement)` — same contract as
     /// [`craqr_core::ServerConfig::validate`], so declarative specs reject
     /// bad adaptive blocks with a path-precise error.
     pub fn validate(&self) -> Result<(), (&'static str, String)> {
         let e = &self.estimator;
-        if !(e.gamma0.is_finite() && e.gamma0 > 0.0) {
-            return Err(("adaptive.gamma0", format!("must be > 0, got {}", e.gamma0)));
-        }
-        if !(e.decay_batches.is_finite() && e.decay_batches > 0.0) {
-            return Err((
-                "adaptive.decay_batches",
-                format!("must be > 0, got {}", e.decay_batches),
-            ));
-        }
-        if !(e.initial_rate.is_finite() && e.initial_rate > 0.0) {
-            return Err(("adaptive.initial_rate", format!("must be > 0, got {}", e.initial_rate)));
-        }
-        let d = &self.detector;
-        if !(d.slack.is_finite() && d.slack >= 0.0) {
-            return Err(("adaptive.slack", format!("must be >= 0, got {}", d.slack)));
-        }
-        if !(d.threshold.is_finite() && d.threshold > 0.0) {
-            return Err(("adaptive.threshold", format!("must be > 0, got {}", d.threshold)));
-        }
+        SgdConfig::GAMMA0.check("adaptive.gamma0", e.gamma0)?;
+        SgdConfig::DECAY_BATCHES.check("adaptive.decay_batches", e.decay_batches)?;
+        SgdConfig::INITIAL_RATE.check("adaptive.initial_rate", e.initial_rate)?;
+        drift::SLACK.check("adaptive.slack", self.detector.slack)?;
+        drift::THRESHOLD.check("adaptive.threshold", self.detector.threshold)?;
         if let Some(pool) = self.budget_pool {
-            if !(pool.is_finite() && pool > 0.0) {
-                return Err(("adaptive.budget_pool", format!("must be > 0, got {pool}")));
-            }
+            Self::BUDGET_POOL.check("adaptive.budget_pool", pool)?;
         }
-        if !(self.demand_headroom.is_finite() && self.demand_headroom >= 1.0) {
-            return Err((
-                "adaptive.demand_headroom",
-                format!("must be >= 1, got {}", self.demand_headroom),
-            ));
-        }
-        Ok(())
+        Self::DEMAND_HEADROOM.check("adaptive.demand_headroom", self.demand_headroom)
     }
 }
 

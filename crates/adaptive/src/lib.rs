@@ -33,10 +33,8 @@
 pub mod allocator;
 pub mod config;
 pub mod controller;
-pub mod timed;
 pub mod trace;
 
 pub use config::{AdaptiveConfig, DetectorConfig, DetectorKind};
 pub use controller::AdaptiveController;
-pub use timed::TimedHook;
 pub use trace::{AdaptiveTrace, ObservationRow, ReplanRecord, TraceSummary};

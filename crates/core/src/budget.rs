@@ -1,5 +1,6 @@
 //! Budgets and the `N_v`-driven budget tuner — Sections IV-A and V.
 
+use craqr_stats::Interval;
 use serde::{Deserialize, Serialize};
 
 /// The acquisition budget `β⟨j⟩(q,r)` for one (attribute, grid cell) pair:
@@ -18,16 +19,16 @@ pub struct Budget {
 }
 
 impl Budget {
+    /// Range of [`Budget::requests_per_epoch`].
+    pub const REQUESTS_PER_EPOCH: Interval = Interval::NonNeg;
+
     /// Creates a budget of `requests_per_epoch`.
     ///
     /// # Panics
-    /// Panics on negative or non-finite budgets.
+    /// Panics outside [`Budget::REQUESTS_PER_EPOCH`].
     #[track_caller]
     pub fn new(requests_per_epoch: f64) -> Self {
-        assert!(
-            requests_per_epoch.is_finite() && requests_per_epoch >= 0.0,
-            "budget must be >= 0, got {requests_per_epoch}"
-        );
+        Self::REQUESTS_PER_EPOCH.assert("budget", requests_per_epoch);
         Self { requests_per_epoch, credit: 0.0 }
     }
 
@@ -78,6 +79,14 @@ impl Default for BudgetTuner {
 }
 
 impl BudgetTuner {
+    /// Range of [`BudgetTuner::nv_threshold`].
+    pub const NV_THRESHOLD: Interval = Interval::Percent;
+    /// Range of [`BudgetTuner::delta`].
+    pub const DELTA: Interval = Interval::NonNeg;
+    /// Range of [`BudgetTuner::min_budget`]; the cap has to be at least
+    /// the floor.
+    pub const MIN_BUDGET: Interval = Interval::NonNeg;
+
     /// Applies one tuning step given the latest (smoothed) `N_v` percent.
     ///
     /// # Panics

@@ -10,6 +10,7 @@
 use craqr_geom::Rect;
 use craqr_sensing::{AttrValue, SensorResponse};
 use craqr_stats::dist::Normal;
+use craqr_stats::Interval;
 use rand::distributions::Distribution;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -28,6 +29,13 @@ pub struct ErrorModel {
 }
 
 impl ErrorModel {
+    /// Range of [`ErrorModel::gps_sigma`].
+    pub const GPS_SIGMA: Interval = Interval::NonNeg;
+    /// Range of [`ErrorModel::bool_flip_prob`].
+    pub const BOOL_FLIP_PROB: Interval = Interval::Unit;
+    /// Range of [`ErrorModel::value_sigma`].
+    pub const VALUE_SIGMA: Interval = Interval::NonNeg;
+
     /// A noise-free model (identity).
     pub fn none() -> Self {
         Self { gps_sigma: 0.0, bool_flip_prob: 0.0, value_sigma: 0.0 }
@@ -36,11 +44,12 @@ impl ErrorModel {
     /// Creates an error model.
     ///
     /// # Panics
-    /// Panics on negative sigmas or a flip probability outside `[0, 1]`.
+    /// Panics when a knob is outside its declared range.
     #[track_caller]
     pub fn new(gps_sigma: f64, bool_flip_prob: f64, value_sigma: f64) -> Self {
-        assert!(gps_sigma >= 0.0 && value_sigma >= 0.0, "sigmas must be >= 0");
-        assert!((0.0..=1.0).contains(&bool_flip_prob), "flip probability must be in [0,1]");
+        Self::GPS_SIGMA.assert("gps_sigma", gps_sigma);
+        Self::BOOL_FLIP_PROB.assert("bool_flip_prob", bool_flip_prob);
+        Self::VALUE_SIGMA.assert("value_sigma", value_sigma);
         Self { gps_sigma, bool_flip_prob, value_sigma }
     }
 

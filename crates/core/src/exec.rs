@@ -70,31 +70,7 @@ impl ExecMode {
 /// `CLOCK_THREAD_CPUTIME_ID`; elsewhere it falls back to a process-wide
 /// monotonic clock (still usable, but contention-sensitive).
 pub fn thread_busy_ns() -> u64 {
-    // 64-bit Linux only: the hand-rolled timespec layout below matches
-    // glibc/musl's {i64, i64} there; 32-bit targets have 32-bit
-    // `time_t`/`long` and take the fallback instead.
-    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
-    {
-        #[repr(C)]
-        struct Timespec {
-            tv_sec: i64,
-            tv_nsec: i64,
-        }
-        extern "C" {
-            fn clock_gettime(clock_id: i32, tp: *mut Timespec) -> i32;
-        }
-        const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
-        let mut ts = Timespec { tv_sec: 0, tv_nsec: 0 };
-        // SAFETY: clock_gettime writes a timespec through a valid pointer;
-        // CLOCK_THREAD_CPUTIME_ID is supported on every Linux ≥ 2.6.12.
-        if unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) } == 0 {
-            return ts.tv_sec as u64 * 1_000_000_000 + ts.tv_nsec as u64;
-        }
-    }
-    use std::time::Instant;
-    // Monotonic fallback anchored at first use.
-    static START: std::sync::OnceLock<Instant> = std::sync::OnceLock::new();
-    START.get_or_init(Instant::now).elapsed().as_nanos() as u64
+    clock_ns(3) // CLOCK_THREAD_CPUTIME_ID
 }
 
 /// Nanoseconds on a cheap monotonic clock, for high-frequency callers.
@@ -108,6 +84,17 @@ pub fn thread_busy_ns() -> u64 {
 /// Use [`thread_busy_ns`] instead for coarse spans that can straddle a
 /// descheduling (whole-shard busy, epoch phases).
 pub fn fast_monotonic_ns() -> u64 {
+    clock_ns(1) // CLOCK_MONOTONIC
+}
+
+/// `clock_gettime(clock_id)` in nanoseconds, falling back to a monotonic
+/// clock anchored at first use where the call is unavailable or fails.
+#[inline]
+#[cfg_attr(not(all(target_os = "linux", target_pointer_width = "64")), allow(unused_variables))]
+fn clock_ns(clock_id: i32) -> u64 {
+    // 64-bit Linux only: the hand-rolled timespec layout below matches
+    // glibc/musl's {i64, i64} there; 32-bit targets have 32-bit
+    // `time_t`/`long` and take the fallback instead.
     #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
     {
         #[repr(C)]
@@ -118,11 +105,11 @@ pub fn fast_monotonic_ns() -> u64 {
         extern "C" {
             fn clock_gettime(clock_id: i32, tp: *mut Timespec) -> i32;
         }
-        const CLOCK_MONOTONIC: i32 = 1;
         let mut ts = Timespec { tv_sec: 0, tv_nsec: 0 };
         // SAFETY: clock_gettime writes a timespec through a valid pointer;
-        // CLOCK_MONOTONIC is supported on every Linux.
-        if unsafe { clock_gettime(CLOCK_MONOTONIC, &mut ts) } == 0 {
+        // both callers' clocks (CLOCK_MONOTONIC, CLOCK_THREAD_CPUTIME_ID)
+        // are supported on every Linux ≥ 2.6.12.
+        if unsafe { clock_gettime(clock_id, &mut ts) } == 0 {
             return ts.tv_sec as u64 * 1_000_000_000 + ts.tv_nsec as u64;
         }
     }

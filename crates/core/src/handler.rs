@@ -11,6 +11,7 @@ use crate::ops::FlattenReport;
 use crate::tenant::{TenantId, TenantRegistry};
 use craqr_geom::{CellId, Grid};
 use craqr_sensing::{AttributeId, Crowd};
+use craqr_stats::Interval;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -89,23 +90,16 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
+    /// Range of [`RetryPolicy::shortfall_threshold`].
+    pub const SHORTFALL_THRESHOLD: Interval = Interval::Unit;
+    /// Range of [`RetryPolicy::backoff`].
+    pub const BACKOFF: Interval = Interval::UnitPositive;
+
     /// Checks the policy's knobs, returning the first violated constraint
     /// as `(field, requirement)` (spec-facing field names).
     pub fn validate(&self) -> Result<(), (&'static str, String)> {
-        if !(self.shortfall_threshold.is_finite()
-            && (0.0..=1.0).contains(&self.shortfall_threshold))
-        {
-            return Err((
-                "faults.retry.threshold",
-                format!("must be in [0,1], got {}", self.shortfall_threshold),
-            ));
-        }
-        if !(self.backoff.is_finite() && self.backoff > 0.0 && self.backoff <= 1.0) {
-            return Err((
-                "faults.retry.backoff",
-                format!("must be in (0,1], got {}", self.backoff),
-            ));
-        }
+        Self::SHORTFALL_THRESHOLD.check("faults.retry.threshold", self.shortfall_threshold)?;
+        Self::BACKOFF.check("faults.retry.backoff", self.backoff)?;
         if self.max_attempts == 0 {
             return Err(("faults.retry.max_attempts", "must be >= 1".into()));
         }
@@ -221,10 +215,10 @@ impl RequestResponseHandler {
     /// `initial_budget` requests per epoch.
     ///
     /// # Panics
-    /// Panics on a negative initial budget.
+    /// Panics when `initial_budget` is outside [`Budget::REQUESTS_PER_EPOCH`].
     #[track_caller]
     pub fn new(tuner: BudgetTuner, incentive_policy: IncentivePolicy, initial_budget: f64) -> Self {
-        assert!(initial_budget >= 0.0, "initial budget must be >= 0");
+        Budget::REQUESTS_PER_EPOCH.assert("initial budget", initial_budget);
         Self {
             chains: BTreeMap::new(),
             tuner,
@@ -426,14 +420,11 @@ impl RequestResponseHandler {
     /// ([`crate::EpochReport::stale_actions`]).
     ///
     /// # Panics
-    /// Panics on a negative or non-finite budget.
+    /// Panics outside [`Budget::REQUESTS_PER_EPOCH`].
     #[track_caller]
     #[must_use = "a false return means the chain is retired and nothing was actuated"]
     pub fn set_budget(&mut self, cell: CellId, attr: AttributeId, requests_per_epoch: f64) -> bool {
-        assert!(
-            requests_per_epoch.is_finite() && requests_per_epoch >= 0.0,
-            "budget must be >= 0, got {requests_per_epoch}"
-        );
+        Budget::REQUESTS_PER_EPOCH.assert("budget", requests_per_epoch);
         match self.chains.get_mut(&(cell, attr)) {
             Some(ctl) => {
                 ctl.budget.requests_per_epoch = requests_per_epoch;

@@ -103,7 +103,7 @@ impl AttrChain {
         shape: TopologyShape,
         seed: u64,
     ) -> Self {
-        assert!(headroom >= 1.0, "F headroom must be >= 1, got {headroom}");
+        super::PlannerConfig::F_HEADROOM.assert("F headroom", headroom);
         let mut topo = Topology::new();
         let f_rate = initial_rate * headroom;
         let (f_op, f_report) = FlattenOp::new(FlattenConfig {

@@ -7,6 +7,7 @@ pub use chain::{AttrChain, TopologyShape};
 pub use fabricator::{Fabricator, PlanError, QueryPlan};
 
 use crate::ops::EstimatorMode;
+use craqr_stats::Interval;
 
 /// Planner/fabricator configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,6 +49,11 @@ impl Default for PlannerConfig {
 }
 
 impl PlannerConfig {
+    /// Range of [`PlannerConfig::batch_duration`].
+    pub const BATCH_DURATION: Interval = Interval::Positive;
+    /// Range of [`PlannerConfig::f_headroom`].
+    pub const F_HEADROOM: Interval = Interval::AtLeastOne;
+
     /// Checks the knobs a declarative spec can set, returning the first
     /// violated constraint as `(field, requirement)`. Construction-time
     /// panics guard programmatic misuse; this is the *data-driven* path
@@ -59,15 +65,7 @@ impl PlannerConfig {
                 "must be >= 1 (a zero-cell grid has nowhere to plan)".into(),
             ));
         }
-        if !(self.batch_duration.is_finite() && self.batch_duration > 0.0) {
-            return Err((
-                "planner.batch_minutes",
-                format!("must be > 0, got {}", self.batch_duration),
-            ));
-        }
-        if !(self.f_headroom.is_finite() && self.f_headroom >= 1.0) {
-            return Err(("planner.f_headroom", format!("must be >= 1, got {}", self.f_headroom)));
-        }
-        Ok(())
+        Self::BATCH_DURATION.check("planner.batch_minutes", self.batch_duration)?;
+        Self::F_HEADROOM.check("planner.f_headroom", self.f_headroom)
     }
 }

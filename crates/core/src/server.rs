@@ -1,6 +1,6 @@
 //! The CrAQR server: the full Fig. 1 loop over a simulated crowd.
 
-use crate::budget::BudgetTuner;
+use crate::budget::{Budget, BudgetTuner};
 use crate::error_model::{ErrorModel, Mitigation};
 use crate::exec::{fast_monotonic_ns, ExecMode, IngestReport};
 use crate::handler::{DispatchStats, RequestResponseHandler, TuneEvent};
@@ -67,9 +67,7 @@ impl ServerConfig {
     /// harness to reject bad specs with an error instead of aborting.
     pub fn validate(&self) -> Result<(), (&'static str, String)> {
         self.planner.validate()?;
-        if !(self.initial_budget.is_finite() && self.initial_budget >= 0.0) {
-            return Err(("budget.initial", format!("must be >= 0, got {}", self.initial_budget)));
-        }
+        Budget::REQUESTS_PER_EPOCH.check("budget.initial", self.initial_budget)?;
         if self.mobility_substeps == 0 {
             return Err(("planner.mobility_substeps", "must be >= 1".into()));
         }
@@ -77,18 +75,9 @@ impl ServerConfig {
             return Err(("exec.shards", "Sharded(0) has no workers to run on".into()));
         }
         let t = &self.tuner;
-        if !(t.nv_threshold.is_finite() && (0.0..=100.0).contains(&t.nv_threshold)) {
-            return Err((
-                "budget.nv_threshold",
-                format!("must be in [0,100], got {}", t.nv_threshold),
-            ));
-        }
-        if !(t.delta.is_finite() && t.delta >= 0.0) {
-            return Err(("budget.delta", format!("must be >= 0, got {}", t.delta)));
-        }
-        if !(t.min_budget.is_finite() && t.min_budget >= 0.0) {
-            return Err(("budget.min", format!("must be >= 0, got {}", t.min_budget)));
-        }
+        BudgetTuner::NV_THRESHOLD.check("budget.nv_threshold", t.nv_threshold)?;
+        BudgetTuner::DELTA.check("budget.delta", t.delta)?;
+        BudgetTuner::MIN_BUDGET.check("budget.min", t.min_budget)?;
         if !(t.max_budget.is_finite() && t.max_budget >= t.min_budget) {
             return Err((
                 "budget.max",
@@ -96,16 +85,9 @@ impl ServerConfig {
             ));
         }
         let e = &self.error_model;
-        let sigma_ok = |s: f64| s.is_finite() && s >= 0.0;
-        if !sigma_ok(e.gps_sigma) || !sigma_ok(e.value_sigma) {
-            return Err(("errors.sigma", "gps/value sigmas must be finite and >= 0".into()));
-        }
-        if !(0.0..=1.0).contains(&e.bool_flip_prob) {
-            return Err((
-                "errors.bool_flip_prob",
-                format!("must be in [0,1], got {}", e.bool_flip_prob),
-            ));
-        }
+        ErrorModel::GPS_SIGMA.check("errors.gps_sigma", e.gps_sigma)?;
+        ErrorModel::BOOL_FLIP_PROB.check("errors.bool_flip_prob", e.bool_flip_prob)?;
+        ErrorModel::VALUE_SIGMA.check("errors.value_sigma", e.value_sigma)?;
         if let Some(r) = &self.retry {
             r.validate()?;
         }

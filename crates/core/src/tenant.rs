@@ -22,6 +22,7 @@
 //! so tenant accounting inherits the executor's bit-identity contract
 //! (serial == any `Sharded(n)`, live == replayed) for free.
 
+use craqr_stats::Interval;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -51,16 +52,16 @@ pub struct BudgetPool {
 }
 
 impl BudgetPool {
+    /// Range of [`BudgetPool::capacity`].
+    pub const CAPACITY: Interval = Interval::Positive;
+
     /// Creates a pool.
     ///
     /// # Panics
-    /// Panics on a non-finite or non-positive capacity.
+    /// Panics outside [`BudgetPool::CAPACITY`].
     #[track_caller]
     pub fn new(capacity: f64) -> Self {
-        assert!(
-            capacity.is_finite() && capacity > 0.0,
-            "pool capacity must be finite and > 0, got {capacity}"
-        );
+        Self::CAPACITY.assert("pool capacity", capacity);
         Self { capacity }
     }
 }

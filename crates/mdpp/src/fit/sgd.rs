@@ -7,6 +7,7 @@
 //! per point.
 
 use craqr_geom::{SpaceTimePoint, SpaceTimeWindow};
+use craqr_stats::Interval;
 use serde::{Deserialize, Serialize};
 
 use super::{project_positive, WindowScale, POSITIVITY_EPS};
@@ -22,6 +23,15 @@ pub struct SgdConfig {
     pub decay_batches: f64,
     /// Initial rate guess (per km²·min) before any data arrives.
     pub initial_rate: f64,
+}
+
+impl SgdConfig {
+    /// Range of [`SgdConfig::gamma0`].
+    pub const GAMMA0: Interval = Interval::Positive;
+    /// Range of [`SgdConfig::decay_batches`].
+    pub const DECAY_BATCHES: Interval = Interval::Positive;
+    /// Range of [`SgdConfig::initial_rate`].
+    pub const INITIAL_RATE: Interval = Interval::Positive;
 }
 
 impl Default for SgdConfig {
@@ -66,9 +76,9 @@ impl SgdEstimator {
     /// Creates an estimator anchored to `reference` (typically: the grid
     /// cell's rectangle over one batch duration).
     pub fn new(reference: &SpaceTimeWindow, config: SgdConfig) -> Self {
-        assert!(config.gamma0 > 0.0, "gamma0 must be > 0");
-        assert!(config.decay_batches > 0.0, "decay_batches must be > 0");
-        assert!(config.initial_rate > 0.0, "initial_rate must be > 0");
+        SgdConfig::GAMMA0.assert("gamma0", config.gamma0);
+        SgdConfig::DECAY_BATCHES.assert("decay_batches", config.decay_batches);
+        SgdConfig::INITIAL_RATE.assert("initial_rate", config.initial_rate);
         let scale = WindowScale::of(reference);
         let mut phi = [config.initial_rate, 0.0, 0.0, 0.0];
         project_positive(&mut phi, POSITIVITY_EPS);

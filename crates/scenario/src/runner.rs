@@ -7,12 +7,12 @@ use crate::report::{
 };
 use crate::spec::{FieldSpec, ScenarioSpec, ShiftSpec, SpecError};
 use crate::telemetry::RunTelemetry;
-use craqr_adaptive::{AdaptiveController, AdaptiveTrace, TimedHook};
+use craqr_adaptive::{AdaptiveController, AdaptiveTrace};
 use craqr_core::budget::TuneOutcome;
 use craqr_core::server::SubmitError;
 use craqr_core::{
-    AdmissionDecision, ControlHook, CraqrServer, CrashPoint, EpochInputsRecord, EpochReport,
-    EpochTap, ExecMode, QueryId, ReplayInputs,
+    AdmissionDecision, CraqrServer, CrashPoint, EpochInputsRecord, EpochReport, EpochTap, ExecMode,
+    QueryId, ReplayInputs,
 };
 use craqr_geom::{Rect, SpaceTimePoint, SpaceTimeWindow};
 use craqr_mdpp::{IntensityModel, IntensitySummary, SelfExcitingIntensity};
@@ -111,9 +111,10 @@ pub struct Execution {
     pub pipelined: bool,
     /// Switch the clock-derived metric tier on: a [`RunTelemetry`]
     /// collector is always attached (even without a `[telemetry]` block),
-    /// the epoch loop gets a [`craqr_core::PhaseTimer`], the engine accumulates
-    /// per-node processing time, and the control hook is timed. The
-    /// timing tier is structurally excluded from canonical renderings.
+    /// the epoch loop gets a [`craqr_core::PhaseTimer`] (whose `control`
+    /// phase is the control hook's time), and the engine accumulates
+    /// per-node processing time. The timing tier is structurally excluded
+    /// from canonical renderings.
     pub timing: bool,
 }
 
@@ -523,10 +524,6 @@ impl<'a> Session<'a> {
     /// that epoch's crash point.
     pub(crate) fn drive(&mut self, crash: Option<(u32, CrashPoint)>) {
         let (spec, how) = (self.spec, self.how);
-        // The wrapper is a pure pass-through when untimed, so it can wrap
-        // unconditionally without perturbing uninstrumented runs.
-        let mut hook =
-            self.controller.as_mut().map(|c| TimedHook::new(c as &mut dyn ControlHook, how.timing));
         // A replay has no world to apply the recorded shifts to; they are
         // echoed into the fresh log exactly when the recording run
         // appended them.
@@ -539,8 +536,8 @@ impl<'a> Session<'a> {
         let mut tap = self.recorder.as_mut().map(|recorder| ShiftTap { recorder, shifts, tear_at });
 
         let mut d = self.server.driver();
-        if let Some(h) = &mut hook {
-            d = d.hook(h);
+        if let Some(c) = &mut self.controller {
+            d = d.hook(c);
         }
         if let Some(t) = &mut tap {
             d = d.tap(t);
@@ -585,9 +582,6 @@ impl<'a> Session<'a> {
                 t.observe_epoch(r);
             }
             self.epochs.push(epoch_row(r));
-        }
-        if let (Some(t), Some(h)) = (&mut self.telemetry, &hook) {
-            t.observe_hook(h.calls(), h.total_ns());
         }
     }
 

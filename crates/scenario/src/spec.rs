@@ -17,10 +17,17 @@
 //! enforces the ranges. `from_table` is blank → read walk → `validate`;
 //! `to_table` is a write walk; `validate` is a check walk followed by the
 //! rules no single key can state (uniqueness, tenant references, windows
-//! against `epochs` and the region) and by the runtime configs' own
-//! validators, which own the ranges the schema marks `Range::Any`. A key
-//! therefore cannot be parsed under one name and written under another,
-//! and a range message always names the key at fault.
+//! against `epochs` and the region, `budget.max >= budget.min`) and by the
+//! runtime configs' own validators. A key therefore cannot be parsed under
+//! one name and written under another, and a range message always names
+//! the key at fault.
+//!
+//! Every float key's range is a [`craqr_stats::Interval`]. A knob the
+//! runtime enforces reads the constant its owner declares beside the field
+//! (`PlannerConfig::BATCH_DURATION`, `ErrorModel::GPS_SIGMA`,
+//! `Mobility::WAYPOINT_SPEED`, …), the same one the owner's `validate` and
+//! constructor asserts read; the schema states a range itself only for the
+//! keys no runtime type owns (field kinds, crowd levers, `grid.size_km`).
 //!
 //! Adding a key is three edits: the field with its rustdoc on the public
 //! type (and its default in `Block::blank`, when that is not `Default`),
@@ -34,6 +41,11 @@
 use crate::value::{
     parse_json, parse_toml, render_json, render_toml, ConfigValue, SyntaxError, Table,
 };
+use craqr_adaptive::AdaptiveConfig;
+use craqr_core::{Budget, BudgetPool, BudgetTuner, ErrorModel, PlannerConfig, RetryPolicy};
+use craqr_mdpp::SgdConfig;
+use craqr_sensing::{Mobility, Placement, PopulationConfig};
+use craqr_stats::{drift, Interval};
 use std::fmt;
 
 /// Why a spec was rejected.
@@ -402,7 +414,7 @@ pub struct AdaptiveSpec {
 
 impl Default for AdaptiveSpec {
     fn default() -> Self {
-        let c = craqr_adaptive::AdaptiveConfig::default();
+        let c = AdaptiveConfig::default();
         Self {
             enabled: c.enabled,
             detector: c.detector.kind.to_string(),
@@ -421,8 +433,8 @@ impl Default for AdaptiveSpec {
 }
 
 impl AdaptiveSpec {
-    /// The [`craqr_adaptive::AdaptiveConfig`] this spec describes.
-    pub fn to_config(&self) -> Result<craqr_adaptive::AdaptiveConfig, SpecError> {
+    /// The [`AdaptiveConfig`] this spec describes.
+    pub fn to_config(&self) -> Result<AdaptiveConfig, SpecError> {
         let kind = match self.detector.as_str() {
             "cusum" => craqr_adaptive::DetectorKind::Cusum,
             "page_hinkley" => craqr_adaptive::DetectorKind::PageHinkley,
@@ -433,9 +445,9 @@ impl AdaptiveSpec {
                 ))
             }
         };
-        let config = craqr_adaptive::AdaptiveConfig {
+        let config = AdaptiveConfig {
             enabled: self.enabled,
-            estimator: craqr_mdpp::SgdConfig {
+            estimator: SgdConfig {
                 gamma0: self.gamma0,
                 decay_batches: self.decay_batches,
                 initial_rate: self.initial_rate,
@@ -451,7 +463,7 @@ impl AdaptiveSpec {
             rebuild_chains: self.rebuild_chains,
             demand_headroom: self.demand_headroom,
         };
-        config.validate().map_err(|(field, message)| out_of_range(field, message))?;
+        config.validate().map_err(rejected)?;
         Ok(config)
     }
 }
@@ -530,7 +542,7 @@ pub struct RetrySpec {
 
 impl Default for RetrySpec {
     fn default() -> Self {
-        let d = craqr_core::RetryPolicy::default();
+        let d = RetryPolicy::default();
         Self { threshold: d.shortfall_threshold, backoff: d.backoff, max_attempts: d.max_attempts }
     }
 }
@@ -634,7 +646,7 @@ pub struct ScenarioSpec {
 // ---------------------------------------------------------------------------
 
 /// One table of the schema. `fields` names every key of the block once —
-/// its slot, whether a document must carry it, its range — and [`Io`]
+/// its slot, whether a document must carry it, its [`Interval`] — and [`Io`]
 /// decides what naming it does: fill the slot, emit it, or check it.
 trait Block: Sized {
     /// The value a read walk starts from: optional keys at their defaults,
@@ -653,40 +665,6 @@ enum Need {
     Opt,
 }
 use Need::{Opt, Req};
-
-/// The range a float key declares. `Any` marks a key whose range belongs
-/// to the runtime config it is copied into ([`craqr_core::ServerConfig`],
-/// [`craqr_sensing::PopulationConfig`], [`craqr_adaptive::AdaptiveConfig`]):
-/// [`ScenarioSpec::validate`] asks that config's own validator.
-#[derive(Clone, Copy)]
-enum Range {
-    Any,
-    Finite,
-    Positive,
-    NonNeg,
-    Unit,
-    HalfUnit,
-}
-
-impl Range {
-    /// The message for a `v` outside the range.
-    fn violated(self, v: f64) -> Option<String> {
-        let (ok, rule) = match self {
-            Range::Any => (true, ""),
-            Range::Finite => (v.is_finite(), "finite"),
-            Range::Positive => (v.is_finite() && v > 0.0, "> 0"),
-            Range::NonNeg => (v.is_finite() && v >= 0.0, ">= 0"),
-            Range::Unit => ((0.0..=1.0).contains(&v), "in [0,1]"),
-            Range::HalfUnit => ((0.0..1.0).contains(&v), "in [0,1)"),
-        };
-        match self {
-            _ if ok => None,
-            // No document can spell a non-finite float: there is no "got".
-            Range::Finite => Some("must be finite".into()),
-            _ => Some(format!("must be {rule}, got {v}")),
-        }
-    }
-}
 
 /// What a walk does at each key.
 enum Mode<'a> {
@@ -717,6 +695,11 @@ fn quad_value(&(a, b, c, d): &Quad) -> ConfigValue {
 
 fn out_of_range(path: impl Into<String>, message: impl Into<String>) -> SpecError {
     SpecError::OutOfRange { path: path.into(), message: message.into() }
+}
+
+/// A runtime validator's `(field, requirement)` verdict as a spec error.
+fn rejected((field, message): (&'static str, String)) -> SpecError {
+    out_of_range(field, message)
 }
 
 /// Runs one walk over `slot`. A read walk ends by rejecting the keys
@@ -803,7 +786,7 @@ impl<'a> Io<'a> {
         key: &'static str,
         slot: &mut f64,
         need: Need,
-        range: Range,
+        range: Interval,
     ) -> Result<(), SpecError> {
         if let Some(v) = self.get(key, need)? {
             *slot = self.number(key, v)?;
@@ -812,7 +795,7 @@ impl<'a> Io<'a> {
             out.insert(key, ConfigValue::Float(*slot));
         }
         if self.checking() {
-            if let Some(message) = range.violated(*slot) {
+            if let Some(message) = range.violation(*slot) {
                 return Err(self.out_of_range(key, message));
             }
         }
@@ -823,7 +806,7 @@ impl<'a> Io<'a> {
         &mut self,
         key: &'static str,
         slot: &mut Option<f64>,
-        range: Range,
+        range: Interval,
     ) -> Result<(), SpecError> {
         if self.has(key, slot.is_some()) {
             self.f64(key, slot.get_or_insert(0.0), Req, range)?;
@@ -1146,7 +1129,7 @@ impl Block for GridSpec {
     }
 
     fn fields(&mut self, io: &mut Io<'_>) -> Result<(), SpecError> {
-        io.f64("size_km", &mut self.size_km, Req, Range::Positive)?;
+        io.f64("size_km", &mut self.size_km, Req, Interval::Positive)?;
         io.u32("side", &mut self.side, Req)
     }
 }
@@ -1163,7 +1146,7 @@ impl Block for PopulationSpec {
 
     fn fields(&mut self, io: &mut Io<'_>) -> Result<(), SpecError> {
         io.u32("size", &mut self.size, Req)?;
-        io.f64("human_fraction", &mut self.human_fraction, Opt, Range::Any)?;
+        io.f64("human_fraction", &mut self.human_fraction, Opt, PopulationConfig::HUMAN_FRACTION)?;
         io.block("placement", &mut self.placement, Req)?;
         io.block("mobility", &mut self.mobility, Req)
     }
@@ -1191,7 +1174,7 @@ impl Block for PlacementSpec {
         match self {
             Self::Uniform | Self::City => Ok(()),
             Self::Hotspots { floor, spots } => {
-                io.f64("floor", floor, Opt, Range::Any)?;
+                io.f64("floor", floor, Opt, Placement::FLOOR)?;
                 io.quads("spots", spots)
             }
         }
@@ -1224,15 +1207,15 @@ impl Block for MobilitySpec {
         }
         match self {
             Self::Stationary => Ok(()),
-            Self::Walk { sigma } => io.f64("sigma", sigma, Req, Range::NonNeg),
+            Self::Walk { sigma } => io.f64("sigma", sigma, Req, Mobility::WALK_SIGMA),
             Self::Waypoint { speed, pause } => {
-                io.f64("speed", speed, Req, Range::Positive)?;
-                io.f64("pause", pause, Opt, Range::NonNeg)
+                io.f64("speed", speed, Req, Mobility::WAYPOINT_SPEED)?;
+                io.f64("pause", pause, Opt, Mobility::WAYPOINT_PAUSE)
             }
             Self::GaussMarkov { alpha, mean_speed, sigma } => {
-                io.f64("alpha", alpha, Req, Range::HalfUnit)?;
-                io.f64("mean_speed", mean_speed, Req, Range::NonNeg)?;
-                io.f64("sigma", sigma, Req, Range::NonNeg)
+                io.f64("alpha", alpha, Req, Mobility::GM_ALPHA)?;
+                io.f64("mean_speed", mean_speed, Req, Mobility::GM_MEAN_SPEED)?;
+                io.f64("sigma", sigma, Req, Mobility::GM_SIGMA)
             }
         }
     }
@@ -1244,8 +1227,8 @@ impl Block for PlannerSpec {
     }
 
     fn fields(&mut self, io: &mut Io<'_>) -> Result<(), SpecError> {
-        io.f64("batch_minutes", &mut self.batch_minutes, Opt, Range::Any)?;
-        io.f64("f_headroom", &mut self.f_headroom, Opt, Range::Any)?;
+        io.f64("batch_minutes", &mut self.batch_minutes, Opt, PlannerConfig::BATCH_DURATION)?;
+        io.f64("f_headroom", &mut self.f_headroom, Opt, PlannerConfig::F_HEADROOM)?;
         io.u32("mobility_substeps", &mut self.mobility_substeps, Opt)?;
         io.bool("enforce_min_area", &mut self.enforce_min_area, Opt)?;
         io.choice("shape", &mut self.shape, Opt, &["chain", "star"])
@@ -1258,11 +1241,12 @@ impl Block for BudgetSpec {
     }
 
     fn fields(&mut self, io: &mut Io<'_>) -> Result<(), SpecError> {
-        io.f64("initial", &mut self.initial, Opt, Range::Any)?;
-        io.f64("nv_threshold", &mut self.nv_threshold, Opt, Range::Any)?;
-        io.f64("delta", &mut self.delta, Opt, Range::Any)?;
-        io.f64("min", &mut self.min, Opt, Range::Any)?;
-        io.f64("max", &mut self.max, Opt, Range::Any)
+        io.f64("initial", &mut self.initial, Opt, Budget::REQUESTS_PER_EPOCH)?;
+        io.f64("nv_threshold", &mut self.nv_threshold, Opt, BudgetTuner::NV_THRESHOLD)?;
+        io.f64("delta", &mut self.delta, Opt, BudgetTuner::DELTA)?;
+        io.f64("min", &mut self.min, Opt, BudgetTuner::MIN_BUDGET)?;
+        // `>= min`: `ServerConfig::validate` holds the rule.
+        io.f64("max", &mut self.max, Opt, Interval::Finite)
     }
 }
 
@@ -1276,12 +1260,10 @@ impl Block for ErrorSpec {
         }
     }
 
-    // The three numerics are `Any` because `to_server_config` has to guard
-    // them anyway (it is public, and `ErrorModel::new` asserts).
     fn fields(&mut self, io: &mut Io<'_>) -> Result<(), SpecError> {
-        io.f64("gps_sigma", &mut self.gps_sigma, Opt, Range::Any)?;
-        io.f64("bool_flip_prob", &mut self.bool_flip_prob, Opt, Range::Any)?;
-        io.f64("value_sigma", &mut self.value_sigma, Opt, Range::Any)?;
+        io.f64("gps_sigma", &mut self.gps_sigma, Opt, ErrorModel::GPS_SIGMA)?;
+        io.f64("bool_flip_prob", &mut self.bool_flip_prob, Opt, ErrorModel::BOOL_FLIP_PROB)?;
+        io.f64("value_sigma", &mut self.value_sigma, Opt, ErrorModel::VALUE_SIGMA)?;
         io.choice("mitigation", &mut self.mitigation, Opt, &["standard", "off"])
     }
 }
@@ -1292,7 +1274,7 @@ impl Block for ChurnSpec {
     }
 
     fn fields(&mut self, io: &mut Io<'_>) -> Result<(), SpecError> {
-        io.f64("probability", &mut self.probability, Req, Range::Unit)
+        io.f64("probability", &mut self.probability, Req, Interval::Unit)
     }
 }
 
@@ -1352,11 +1334,11 @@ impl Block for FieldSpec {
         }
         match self {
             Self::Temperature { base, y_gradient, islands, diurnal_amplitude, diurnal_period } => {
-                io.f64("base", base, Opt, Range::Finite)?;
-                io.f64("y_gradient", y_gradient, Opt, Range::Finite)?;
+                io.f64("base", base, Opt, Interval::Finite)?;
+                io.f64("y_gradient", y_gradient, Opt, Interval::Finite)?;
                 io.quads("islands", islands)?;
-                io.f64("diurnal_amplitude", diurnal_amplitude, Opt, Range::Finite)?;
-                io.f64("diurnal_period", diurnal_period, Opt, Range::Positive)?;
+                io.f64("diurnal_amplitude", diurnal_amplitude, Opt, Interval::Finite)?;
+                io.f64("diurnal_period", diurnal_period, Opt, Interval::Positive)?;
                 let checked = if io.checking() { islands.as_slice() } else { &[] };
                 for (i, &(cx, cy, amplitude, sigma)) in checked.iter().enumerate() {
                     let island = format!("islands[{i}]");
@@ -1373,21 +1355,21 @@ impl Block for FieldSpec {
                 Ok(())
             }
             Self::Rain { x_start, speed, width } => {
-                io.f64("x_start", x_start, Req, Range::Finite)?;
-                io.f64("speed", speed, Opt, Range::Finite)?;
-                io.f64("width", width, Req, Range::Positive)
+                io.f64("x_start", x_start, Req, Interval::Finite)?;
+                io.f64("speed", speed, Opt, Interval::Finite)?;
+                io.f64("width", width, Req, Interval::Positive)
             }
-            Self::ConstantFloat { value } => io.f64("value", value, Req, Range::Finite),
+            Self::ConstantFloat { value } => io.f64("value", value, Req, Interval::Finite),
             Self::ConstantBool { value } => io.bool("value", value, Req),
             Self::Burst { mu, alpha, beta, sigma, horizon, immigrants, branching_ratio, scale } => {
-                io.f64("mu", mu, Opt, Range::NonNeg)?;
-                io.f64("alpha", alpha, Req, Range::NonNeg)?;
-                io.f64("beta", beta, Req, Range::Positive)?;
-                io.f64("sigma", sigma, Req, Range::Positive)?;
-                io.f64("horizon", horizon, Req, Range::Positive)?;
+                io.f64("mu", mu, Opt, Interval::NonNeg)?;
+                io.f64("alpha", alpha, Req, Interval::NonNeg)?;
+                io.f64("beta", beta, Req, Interval::Positive)?;
+                io.f64("sigma", sigma, Req, Interval::Positive)?;
+                io.f64("horizon", horizon, Req, Interval::Positive)?;
                 io.u32("immigrants", immigrants, Req)?;
-                io.f64("branching_ratio", branching_ratio, Opt, Range::HalfUnit)?;
-                io.f64("scale", scale, Opt, Range::Finite)
+                io.f64("branching_ratio", branching_ratio, Opt, Interval::HalfUnit)?;
+                io.f64("scale", scale, Opt, Interval::Finite)
             }
         }
     }
@@ -1400,7 +1382,7 @@ impl Block for TenantSpec {
 
     fn fields(&mut self, io: &mut Io<'_>) -> Result<(), SpecError> {
         io.slug("name", &mut self.name, "")?;
-        io.f64("pool", &mut self.pool, Req, Range::Positive)
+        io.f64("pool", &mut self.pool, Req, BudgetPool::CAPACITY)
     }
 }
 
@@ -1438,12 +1420,12 @@ impl Block for ShiftSpec {
         match self {
             Self::Participation { epoch, factor } => {
                 io.u32("epoch", epoch, Req)?;
-                io.f64("factor", factor, Req, Range::NonNeg)
+                io.f64("factor", factor, Req, Interval::NonNeg)
             }
             Self::Dropout { epoch, probability, rect }
             | Self::Migrate { epoch, probability, rect } => {
                 io.u32("epoch", epoch, Req)?;
-                io.f64("probability", probability, Req, Range::Unit)?;
+                io.f64("probability", probability, Req, Interval::Unit)?;
                 io.rect("rect", rect)
             }
         }
@@ -1455,20 +1437,19 @@ impl Block for AdaptiveSpec {
         Self::default()
     }
 
-    // Every range here is `AdaptiveConfig::validate`'s.
     fn fields(&mut self, io: &mut Io<'_>) -> Result<(), SpecError> {
         io.bool("enabled", &mut self.enabled, Opt)?;
         io.str("detector", &mut self.detector, Opt)?;
-        io.f64("slack", &mut self.slack, Opt, Range::Any)?;
-        io.f64("threshold", &mut self.threshold, Opt, Range::Any)?;
+        io.f64("slack", &mut self.slack, Opt, drift::SLACK)?;
+        io.f64("threshold", &mut self.threshold, Opt, drift::THRESHOLD)?;
         io.u32("warmup_epochs", &mut self.warmup_epochs, Opt)?;
         io.u32("cooldown_epochs", &mut self.cooldown_epochs, Opt)?;
-        io.f64("gamma0", &mut self.gamma0, Opt, Range::Any)?;
-        io.f64("decay_batches", &mut self.decay_batches, Opt, Range::Any)?;
-        io.f64("initial_rate", &mut self.initial_rate, Opt, Range::Any)?;
-        io.opt_f64("budget_pool", &mut self.budget_pool, Range::Any)?;
+        io.f64("gamma0", &mut self.gamma0, Opt, SgdConfig::GAMMA0)?;
+        io.f64("decay_batches", &mut self.decay_batches, Opt, SgdConfig::DECAY_BATCHES)?;
+        io.f64("initial_rate", &mut self.initial_rate, Opt, SgdConfig::INITIAL_RATE)?;
+        io.opt_f64("budget_pool", &mut self.budget_pool, AdaptiveConfig::BUDGET_POOL)?;
         io.bool("rebuild_chains", &mut self.rebuild_chains, Opt)?;
-        io.f64("demand_headroom", &mut self.demand_headroom, Opt, Range::Any)
+        io.f64("demand_headroom", &mut self.demand_headroom, Opt, AdaptiveConfig::DEMAND_HEADROOM)
     }
 }
 
@@ -1516,12 +1497,12 @@ impl Block for CrowdFaultSpec {
             self.to_epoch = io.epochs.saturating_sub(1);
         }
         io.u32("to_epoch", &mut self.to_epoch, Opt)?;
-        io.f64("probability", &mut self.probability, Req, Range::Unit)?;
+        io.f64("probability", &mut self.probability, Req, Interval::Unit)?;
         // Written for `delay` only: anywhere else it has to be 0, which is
         // what an absent key reads as. Its range depends on `kind`, so
         // `validate` holds it.
         if io.reading() || io.checking() || self.kind == "delay" {
-            io.f64("minutes", &mut self.minutes, Opt, Range::Any)?;
+            io.f64("minutes", &mut self.minutes, Opt, Interval::Finite)?;
         }
         Ok(())
     }
@@ -1532,10 +1513,9 @@ impl Block for RetrySpec {
         Self::default()
     }
 
-    // Ranges: `RetryPolicy::validate`, through `ServerConfig::validate`.
     fn fields(&mut self, io: &mut Io<'_>) -> Result<(), SpecError> {
-        io.f64("threshold", &mut self.threshold, Opt, Range::Any)?;
-        io.f64("backoff", &mut self.backoff, Opt, Range::Any)?;
+        io.f64("threshold", &mut self.threshold, Opt, RetryPolicy::SHORTFALL_THRESHOLD)?;
+        io.f64("backoff", &mut self.backoff, Opt, RetryPolicy::BACKOFF)?;
         io.u32("max_attempts", &mut self.max_attempts, Opt)
     }
 }
@@ -1608,14 +1588,12 @@ impl ScenarioSpec {
         // Every range a key declares for itself.
         walk(&mut self.clone(), Io::root(Mode::Check))?;
 
-        // The ranges the runtime configs own: delegate to their validators
-        // so the spec and the server can never drift apart on what "valid"
-        // means.
+        // The rules the runtime configs hold beyond single-key ranges
+        // (`grid.side`, `population.size`, hotspot spots, `budget.max`, …):
+        // the conversions return their validators' verdicts.
         let region = craqr_geom::Rect::with_size(self.grid.size_km, self.grid.size_km);
-        let pop = self.population.to_config(&region)?;
-        pop.validate().map_err(|(field, message)| out_of_range(field, message))?;
-        let server_config = self.to_server_config(craqr_core::ExecMode::Serial)?;
-        server_config.validate().map_err(|(field, message)| out_of_range(field, message))?;
+        self.population.to_config(&region)?;
+        self.to_server_config(craqr_core::ExecMode::Serial)?;
 
         // What is left is cross-field.
         if self.attributes.is_empty() {
@@ -1806,60 +1784,41 @@ impl ScenarioSpec {
         Ok(())
     }
 
-    /// The [`craqr_core::ServerConfig`] this spec describes.
+    /// The [`craqr_core::ServerConfig`] this spec describes, or the first
+    /// knob its validator rejects — `exec` included, so `Sharded(0)` is an
+    /// error here rather than a panic mid-epoch.
     pub fn to_server_config(
         &self,
         exec: craqr_core::ExecMode,
     ) -> Result<craqr_core::ServerConfig, SpecError> {
         use craqr_core::plan::TopologyShape;
-        // The exec mode is caller-supplied rather than spec-declared, but
-        // it rides through the same boundary: reject the degenerate shard
-        // count here, with a proper error, instead of letting
-        // `ExecMode::shards()` panic mid-epoch.
-        if matches!(exec, craqr_core::ExecMode::Sharded(0)) {
-            return Err(out_of_range("exec.shards", "Sharded(0) has no workers to run on"));
-        }
         let shape = match self.planner.shape.as_str() {
             "star" => TopologyShape::Star,
             _ => TopologyShape::Chain,
         };
         let (error_model, mitigation) = match &self.errors {
-            None => (craqr_core::ErrorModel::none(), craqr_core::Mitigation::standard()),
+            None => (ErrorModel::none(), craqr_core::Mitigation::standard()),
             Some(e) => {
-                for (path, v) in
-                    [("errors.gps_sigma", e.gps_sigma), ("errors.value_sigma", e.value_sigma)]
-                {
-                    if !(v.is_finite() && v >= 0.0) {
-                        return Err(out_of_range(path, format!("must be >= 0, got {v}")));
-                    }
-                }
-                if !(0.0..=1.0).contains(&e.bool_flip_prob) {
-                    return Err(out_of_range(
-                        "errors.bool_flip_prob",
-                        format!("must be in [0,1], got {}", e.bool_flip_prob),
-                    ));
-                }
                 let mitigation = match e.mitigation.as_str() {
                     "off" => craqr_core::Mitigation::off(),
                     _ => craqr_core::Mitigation::standard(),
                 };
-                (
-                    craqr_core::ErrorModel::new(e.gps_sigma, e.bool_flip_prob, e.value_sigma),
-                    mitigation,
-                )
+                let (gps_sigma, bool_flip_prob, value_sigma) =
+                    (e.gps_sigma, e.bool_flip_prob, e.value_sigma);
+                (ErrorModel { gps_sigma, bool_flip_prob, value_sigma }, mitigation)
             }
         };
-        Ok(craqr_core::ServerConfig {
-            planner: craqr_core::PlannerConfig {
+        let config = craqr_core::ServerConfig {
+            planner: PlannerConfig {
                 grid_side: self.grid.side,
                 batch_duration: self.planner.batch_minutes,
                 f_headroom: self.planner.f_headroom,
                 shape,
                 seed: self.seed,
                 enforce_min_area: self.planner.enforce_min_area,
-                ..craqr_core::PlannerConfig::default()
+                ..PlannerConfig::default()
             },
-            tuner: craqr_core::BudgetTuner {
+            tuner: BudgetTuner {
                 nv_threshold: self.budget.nv_threshold,
                 delta: self.budget.delta,
                 min_budget: self.budget.min,
@@ -1871,25 +1830,22 @@ impl ScenarioSpec {
             initial_budget: self.budget.initial,
             mobility_substeps: self.planner.mobility_substeps,
             exec,
-            retry: self.faults.as_ref().and_then(|f| f.retry.as_ref()).map(|r| {
-                craqr_core::RetryPolicy {
-                    shortfall_threshold: r.threshold,
-                    backoff: r.backoff,
-                    max_attempts: r.max_attempts,
-                }
+            retry: self.faults.as_ref().and_then(|f| f.retry.as_ref()).map(|r| RetryPolicy {
+                shortfall_threshold: r.threshold,
+                backoff: r.backoff,
+                max_attempts: r.max_attempts,
             }),
-        })
+        };
+        config.validate().map_err(rejected)?;
+        Ok(config)
     }
 }
 
 impl PopulationSpec {
-    /// The [`craqr_sensing::PopulationConfig`] this spec describes, with
-    /// `city` placement expanded over the concrete region.
-    pub fn to_config(
-        &self,
-        region: &craqr_geom::Rect,
-    ) -> Result<craqr_sensing::PopulationConfig, SpecError> {
-        use craqr_sensing::{Mobility, Placement};
+    /// The [`PopulationConfig`] this spec describes, with
+    /// `city` placement expanded over the concrete region, or the first knob
+    /// its validator rejects.
+    pub fn to_config(&self, region: &craqr_geom::Rect) -> Result<PopulationConfig, SpecError> {
         let placement = match &self.placement {
             PlacementSpec::Uniform => Placement::Uniform,
             PlacementSpec::City => Placement::city(region),
@@ -1897,44 +1853,24 @@ impl PopulationSpec {
                 Placement::Hotspots { spots: spots.clone(), floor: *floor }
             }
         };
-        let mobility = match &self.mobility {
+        let mobility = match self.mobility {
             MobilitySpec::Stationary => Mobility::Stationary,
-            MobilitySpec::Walk { sigma } => Mobility::RandomWalk { sigma: *sigma },
+            MobilitySpec::Walk { sigma } => Mobility::RandomWalk { sigma },
             MobilitySpec::Waypoint { speed, pause } => {
-                if !(speed.is_finite() && *speed > 0.0) {
-                    return Err(out_of_range(
-                        "population.mobility.speed",
-                        format!("must be > 0, got {speed}"),
-                    ));
-                }
-                Mobility::RandomWaypoint {
-                    speed: *speed,
-                    pause: *pause,
-                    target: None,
-                    pause_left: 0.0,
-                }
+                Mobility::RandomWaypoint { speed, pause, target: None, pause_left: 0.0 }
             }
             MobilitySpec::GaussMarkov { alpha, mean_speed, sigma } => {
-                if !(0.0..1.0).contains(alpha) {
-                    return Err(out_of_range(
-                        "population.mobility.alpha",
-                        format!("must be in [0,1), got {alpha}"),
-                    ));
-                }
-                Mobility::GaussMarkov {
-                    alpha: *alpha,
-                    mean_speed: *mean_speed,
-                    sigma: *sigma,
-                    velocity: (0.0, 0.0),
-                }
+                Mobility::GaussMarkov { alpha, mean_speed, sigma, velocity: (0.0, 0.0) }
             }
         };
-        Ok(craqr_sensing::PopulationConfig {
+        let config = PopulationConfig {
             size: self.size as usize,
             placement,
             mobility,
             human_fraction: self.human_fraction,
-        })
+        };
+        config.validate().map_err(rejected)?;
+        Ok(config)
     }
 }
 

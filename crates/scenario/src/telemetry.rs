@@ -1,7 +1,7 @@
 //! The run-level metrics collector: one [`Registry`] fed from the epoch
 //! loop's deterministic event stream, plus — when timing is switched on —
-//! the clock-derived tier (phase latencies, shard busy time, operator
-//! processing time, control-hook time).
+//! the clock-derived tier (phase latencies — the control hook's time is
+//! the `control` phase — shard busy time, operator processing time).
 //!
 //! # The two tiers
 //!
@@ -167,28 +167,6 @@ impl RunTelemetry {
         }
     }
 
-    /// Records the control hook's accumulated time (from
-    /// [`craqr_adaptive::TimedHook`]); a no-op unless timing is on.
-    pub fn observe_hook(&mut self, calls: u64, total_ns: u64) {
-        if !self.timing {
-            return;
-        }
-        self.registry.inc(
-            "craqr_control_hook_calls_total",
-            "Control-hook invocations observed by the timing wrapper.",
-            T,
-            &[],
-            calls,
-        );
-        self.registry.gauge_add(
-            "craqr_control_hook_seconds_total",
-            "Thread-CPU time spent inside the control hook.",
-            T,
-            &[],
-            total_ns as f64 / 1e9,
-        );
-    }
-
     /// Folds in whole-run counters available only at the end: handler
     /// retry/exhaustion totals, adaptive drift/replan counts, and (when
     /// timing) the per-operator-kind processing time the engine clock
@@ -299,7 +277,6 @@ mod tests {
         event_only.observe_epoch(&r);
         timed.observe_epoch(&r);
         PhaseTimer::observe(&mut timed, EpochPhase::Ingest, 5_000);
-        timed.observe_hook(1, 999);
 
         // Identical checksummable sections: the timing tier never leaks.
         assert_eq!(event_only.section(), timed.section());

@@ -9,6 +9,7 @@
 
 use craqr_geom::Rect;
 use craqr_stats::dist::Normal;
+use craqr_stats::Interval;
 use rand::distributions::Distribution;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -56,25 +57,39 @@ pub enum Mobility {
 }
 
 impl Mobility {
+    /// Range of the [`Mobility::RandomWalk`] step σ.
+    pub const WALK_SIGMA: Interval = Interval::NonNeg;
+    /// Range of the [`Mobility::RandomWaypoint`] speed.
+    pub const WAYPOINT_SPEED: Interval = Interval::Positive;
+    /// Range of the [`Mobility::RandomWaypoint`] pause.
+    pub const WAYPOINT_PAUSE: Interval = Interval::NonNeg;
+    /// Range of the [`Mobility::GaussMarkov`] memory α.
+    pub const GM_ALPHA: Interval = Interval::HalfUnit;
+    /// Range of the [`Mobility::GaussMarkov`] mean speed.
+    pub const GM_MEAN_SPEED: Interval = Interval::NonNeg;
+    /// Range of the [`Mobility::GaussMarkov`] velocity noise σ.
+    pub const GM_SIGMA: Interval = Interval::NonNeg;
+
     /// Creates a random-waypoint model.
     ///
     /// # Panics
-    /// Panics when `speed <= 0` or `pause < 0`.
+    /// Panics when `speed` or `pause` is outside its declared range.
     #[track_caller]
     pub fn random_waypoint(speed: f64, pause: f64) -> Self {
-        assert!(speed > 0.0, "speed must be > 0");
-        assert!(pause >= 0.0, "pause must be >= 0");
+        Self::WAYPOINT_SPEED.assert("speed", speed);
+        Self::WAYPOINT_PAUSE.assert("pause", pause);
         Mobility::RandomWaypoint { speed, pause, target: None, pause_left: 0.0 }
     }
 
     /// Creates a Gauss–Markov model.
     ///
     /// # Panics
-    /// Panics when `alpha ∉ [0, 1)` or speeds are negative.
+    /// Panics when a knob is outside its declared range.
     #[track_caller]
     pub fn gauss_markov(alpha: f64, mean_speed: f64, sigma: f64) -> Self {
-        assert!((0.0..1.0).contains(&alpha), "alpha must be in [0,1)");
-        assert!(mean_speed >= 0.0 && sigma >= 0.0, "speeds must be >= 0");
+        Self::GM_ALPHA.assert("alpha", alpha);
+        Self::GM_MEAN_SPEED.assert("mean_speed", mean_speed);
+        Self::GM_SIGMA.assert("sigma", sigma);
         Mobility::GaussMarkov { alpha, mean_speed, sigma, velocity: (0.0, 0.0) }
     }
 

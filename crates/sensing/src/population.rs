@@ -11,6 +11,7 @@ use crate::response::ResponseModel;
 use crate::sensor::MobileSensor;
 use crate::types::SensorId;
 use craqr_geom::Rect;
+use craqr_stats::Interval;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -31,13 +32,17 @@ pub enum Placement {
 }
 
 impl Placement {
+    /// Range of a [`Placement::Hotspots`] floor.
+    pub const FLOOR: Interval = Interval::NonNeg;
+
     /// Builds a hotspot placement from spec data, validating instead of
     /// panicking: every `(cx, cy, weight, sigma)` needs `weight >= 0` and
-    /// `sigma > 0`, `floor >= 0`, and the total weight must be positive.
-    /// The data-driven entry point for declarative scenario specs.
+    /// `sigma > 0`, `floor` has to lie in [`Placement::FLOOR`], and the
+    /// total weight must be positive. The data-driven entry point for
+    /// declarative scenario specs.
     pub fn hotspots(spots: Vec<(f64, f64, f64, f64)>, floor: f64) -> Result<Self, String> {
-        if !(floor.is_finite() && floor >= 0.0) {
-            return Err(format!("hotspot floor must be >= 0, got {floor}"));
+        if let Some(message) = Self::FLOOR.violation(floor) {
+            return Err(format!("hotspot floor {message}"));
         }
         for (i, &(cx, cy, weight, sigma)) in spots.iter().enumerate() {
             if !(cx.is_finite() && cy.is_finite()) {
@@ -143,31 +148,45 @@ impl PopulationConfig {
         }
     }
 
+    /// Range of [`PopulationConfig::human_fraction`].
+    pub const HUMAN_FRACTION: Interval = Interval::Unit;
+
     /// Checks the knobs a declarative spec can set, returning the first
     /// violated constraint as `(field, requirement)` — the non-panicking
-    /// twin of [`PopulationConfig::build`]'s assertions.
+    /// twin of [`PopulationConfig::build`]'s and [`Mobility`]'s assertions.
     pub fn validate(&self) -> Result<(), (&'static str, String)> {
         if self.size == 0 {
             return Err(("population.size", "must be >= 1 (an empty crowd senses nothing)".into()));
         }
-        if !(0.0..=1.0).contains(&self.human_fraction) {
-            return Err((
-                "population.human_fraction",
-                format!("must be in [0,1], got {}", self.human_fraction),
-            ));
-        }
+        Self::HUMAN_FRACTION.check("population.human_fraction", self.human_fraction)?;
         if let Placement::Hotspots { spots, floor } = &self.placement {
+            Placement::FLOOR.check("population.placement.floor", *floor)?;
             Placement::hotspots(spots.clone(), *floor).map_err(|e| ("population.placement", e))?;
         }
-        Ok(())
+        match self.mobility {
+            Mobility::Stationary => Ok(()),
+            Mobility::RandomWalk { sigma } => {
+                Mobility::WALK_SIGMA.check("population.mobility.sigma", sigma)
+            }
+            Mobility::RandomWaypoint { speed, pause, .. } => {
+                Mobility::WAYPOINT_SPEED.check("population.mobility.speed", speed)?;
+                Mobility::WAYPOINT_PAUSE.check("population.mobility.pause", pause)
+            }
+            Mobility::GaussMarkov { alpha, mean_speed, sigma, .. } => {
+                Mobility::GM_ALPHA.check("population.mobility.alpha", alpha)?;
+                Mobility::GM_MEAN_SPEED.check("population.mobility.mean_speed", mean_speed)?;
+                Mobility::GM_SIGMA.check("population.mobility.sigma", sigma)
+            }
+        }
     }
 
     /// Materializes the population.
     ///
     /// # Panics
-    /// Panics when `human_fraction ∉ [0, 1]`.
+    /// Panics when `human_fraction` is outside
+    /// [`PopulationConfig::HUMAN_FRACTION`].
     pub fn build<R: Rng + ?Sized>(&self, region: &Rect, rng: &mut R) -> Vec<MobileSensor> {
-        assert!((0.0..=1.0).contains(&self.human_fraction), "human fraction must be in [0,1]");
+        Self::HUMAN_FRACTION.assert("human fraction", self.human_fraction);
         (0..self.size)
             .map(|i| {
                 let pos = self.placement.sample(region, rng);

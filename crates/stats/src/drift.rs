@@ -21,7 +21,14 @@
 //! clocks, `O(1)` memory — feeding the same sequence always yields the
 //! same decisions, which is what lets adaptive traces be golden-tested.
 
+use crate::Interval;
 use serde::{Deserialize, Serialize};
+
+/// Range of either detector's per-step slack (CUSUM `k`, Page–Hinkley `δ`).
+pub const SLACK: Interval = Interval::NonNeg;
+/// Range of either detector's decision threshold (CUSUM `h`,
+/// Page–Hinkley `λ`).
+pub const THRESHOLD: Interval = Interval::Positive;
 
 /// The direction of a detected shift.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -58,14 +65,12 @@ impl Cusum {
     /// Creates a detector with slack `k` and decision threshold `h`.
     ///
     /// # Panics
-    /// Panics unless `slack >= 0` and `threshold > 0` (both finite).
+    /// Panics unless `slack` is in [`SLACK`] and `threshold` in
+    /// [`THRESHOLD`].
     #[track_caller]
     pub fn new(slack: f64, threshold: f64) -> Self {
-        assert!(slack.is_finite() && slack >= 0.0, "CUSUM slack must be >= 0, got {slack}");
-        assert!(
-            threshold.is_finite() && threshold > 0.0,
-            "CUSUM threshold must be > 0, got {threshold}"
-        );
+        SLACK.assert("CUSUM slack", slack);
+        THRESHOLD.assert("CUSUM threshold", threshold);
         Self { slack, threshold, g_pos: 0.0, g_neg: 0.0, last_evidence: 0.0, samples: 0 }
     }
 
@@ -136,11 +141,11 @@ impl PageHinkley {
     /// Creates a detector with tolerance `delta` and threshold `lambda`.
     ///
     /// # Panics
-    /// Panics unless `delta >= 0` and `lambda > 0` (both finite).
+    /// Panics unless `delta` is in [`SLACK`] and `lambda` in [`THRESHOLD`].
     #[track_caller]
     pub fn new(delta: f64, lambda: f64) -> Self {
-        assert!(delta.is_finite() && delta >= 0.0, "PH delta must be >= 0, got {delta}");
-        assert!(lambda.is_finite() && lambda > 0.0, "PH lambda must be > 0, got {lambda}");
+        SLACK.assert("PH delta", delta);
+        THRESHOLD.assert("PH lambda", lambda);
         Self {
             delta,
             lambda,

@@ -19,6 +19,8 @@
 //! - **Drift detectors** ([`drift`]): sequential change-point tests
 //!   (two-sided CUSUM, Page–Hinkley) the adaptive acquisition loop runs
 //!   over estimator innovation streams.
+//! - **Knob ranges** ([`interval`]): the [`Interval`] every float knob's
+//!   owner declares once and every validator and assert reads.
 //! - **Summaries** ([`summary`]): histograms and quantiles for experiment
 //!   reports.
 //! - **Seed derivation** ([`rng`]): stable per-component sub-seeds so a
@@ -33,6 +35,7 @@ pub mod dist;
 pub mod drift;
 pub mod fnv;
 pub mod hypothesis;
+pub mod interval;
 pub mod online;
 pub mod rng;
 pub mod special;
@@ -43,6 +46,7 @@ pub use dist::{Exponential, Normal, Poisson};
 pub use drift::{Cusum, DriftDirection, PageHinkley};
 pub use fnv::{fnv1a64, fnv1a64_extend, fnv1a64_extend2};
 pub use hypothesis::{chi_square_uniform, dispersion_index, ks_exponential, ChiSquare, KsTest};
+pub use interval::Interval;
 pub use online::{Ewma, OnlineMoments, WindowedRate};
 pub use rng::{seeded_rng, sub_rng};
 pub use summary::{Histogram, Summary};

@@ -24,9 +24,15 @@
 //! | `--pool CAP`       | off    | run multi-tenant: register a tenant with a budget pool of `CAP` requests/epoch; queries run admission control against it (rejections are reported, the run continues with what was admitted) and dispatch charges the pool, throttling at exhaustion |
 //! | `--query "TEXT"`   | —      | declarative query (repeatable, ≥1 required) |
 //! | `--dot`            | off    | print Graphviz topologies instead of tables |
+//!
+//! A flag outside its range (`--grid 0`, `--budget -1`, `--size nan`, …)
+//! prints one `error: <field>: <message>` line on stderr — the message of
+//! the type that owns the knob — and exits 1 before anything runs.
 
 use craqr::core::plan::PlannerConfig;
+use craqr::core::BudgetPool;
 use craqr::prelude::*;
+use craqr::stats::Interval;
 use std::process::ExitCode;
 
 struct Args {
@@ -77,23 +83,11 @@ fn parse_args() -> Result<Args, String> {
                 args.budget = value("--budget")?.parse().map_err(|e| format!("--budget: {e}"))?
             }
             "--shards" => {
-                let n: usize = value("--shards")?.parse().map_err(|e| format!("--shards: {e}"))?;
-                if n == 0 {
-                    // Reject the degenerate shard count at the flag
-                    // boundary, before any epoch runs, instead of letting
-                    // `ExecMode::shards()` panic mid-loop.
-                    return Err("--shards 0 has no workers to run on; use N >= 1, or omit \
-                                the flag for serial"
-                        .into());
-                }
-                args.shards = Some(n);
+                args.shards =
+                    Some(value("--shards")?.parse().map_err(|e| format!("--shards: {e}"))?)
             }
             "--pool" => {
-                let cap: f64 = value("--pool")?.parse().map_err(|e| format!("--pool: {e}"))?;
-                if !(cap.is_finite() && cap > 0.0) {
-                    return Err("--pool must be finite and > 0 (requests/epoch)".into());
-                }
-                args.pool = Some(cap);
+                args.pool = Some(value("--pool")?.parse().map_err(|e| format!("--pool: {e}"))?)
             }
             "--query" => args.queries.push(value("--query")?),
             "--dot" => args.dot = true,
@@ -107,9 +101,6 @@ fn parse_args() -> Result<Args, String> {
     if args.queries.is_empty() {
         return Err("at least one --query is required (try --help)".into());
     }
-    if !(0.0..=1.0).contains(&args.human) {
-        return Err("--human must be in [0, 1]".into());
-    }
     Ok(args)
 }
 
@@ -122,37 +113,13 @@ fn main() -> ExitCode {
         }
     };
 
-    let region = Rect::with_size(args.size, args.size);
-    let crowd = Crowd::new(CrowdConfig {
-        region,
-        population: PopulationConfig {
-            size: args.sensors,
-            placement: Placement::city(&region),
-            mobility: Mobility::random_waypoint(0.08, 5.0),
-            human_fraction: args.human,
-        },
-        seed: args.seed,
-    });
-    let exec = match args.shards {
-        Some(n) => ExecMode::Sharded(n),
-        None => ExecMode::Serial,
+    let mut server = match build_server(&args) {
+        Ok(server) => server,
+        Err((field, message)) => {
+            eprintln!("error: {field}: {message}");
+            return ExitCode::FAILURE;
+        }
     };
-    let mut server = CraqrServer::new(
-        crowd,
-        ServerConfig {
-            initial_budget: args.budget,
-            planner: PlannerConfig { grid_side: args.grid, seed: args.seed, ..Default::default() },
-            exec,
-            ..Default::default()
-        },
-    );
-    server.register_attribute(
-        "rain",
-        true,
-        Box::new(RainFront::new(0.0, args.size / 200.0, args.size / 3.0)),
-    );
-    server.register_attribute("temp", false, Box::new(TemperatureField::city_default()));
-
     let tenant = args.pool.map(|cap| server.register_tenant("cli", cap));
 
     let mut queries = Vec::new();
@@ -227,4 +194,38 @@ fn main() -> ExitCode {
     }
     println!("\ntopologies:\n{}", server.fabricator().explain());
     ExitCode::SUCCESS
+}
+
+/// The server the flags describe, or the first flag out of its range as
+/// `(field, message)`. The owning types' validators judge every knob before
+/// a constructor that would panic on it runs.
+fn build_server(args: &Args) -> Result<CraqrServer, (&'static str, String)> {
+    Interval::Positive.check("--size", args.size)?;
+    if let Some(cap) = args.pool {
+        BudgetPool::CAPACITY.check("--pool", cap)?;
+    }
+    let region = Rect::with_size(args.size, args.size);
+    let population = PopulationConfig {
+        size: args.sensors,
+        placement: Placement::city(&region),
+        mobility: Mobility::random_waypoint(0.08, 5.0),
+        human_fraction: args.human,
+    };
+    population.validate()?;
+    let config = ServerConfig {
+        initial_budget: args.budget,
+        planner: PlannerConfig { grid_side: args.grid, seed: args.seed, ..Default::default() },
+        exec: args.shards.map_or(ExecMode::Serial, ExecMode::Sharded),
+        ..Default::default()
+    };
+    config.validate()?;
+    let mut server =
+        CraqrServer::new(Crowd::new(CrowdConfig { region, population, seed: args.seed }), config);
+    server.register_attribute(
+        "rain",
+        true,
+        Box::new(RainFront::new(0.0, args.size / 200.0, args.size / 3.0)),
+    );
+    server.register_attribute("temp", false, Box::new(TemperatureField::city_default()));
+    Ok(server)
 }

@@ -1,6 +1,5 @@
 //! The byte-inertness contract of instrumentation: switching the full
-//! telemetry stack on — collector, phase timer, engine clock, timed
-//! control hook — must leave every checksummed artifact of every
+//! telemetry stack on — collector, phase timer, engine clock — must leave every checksummed artifact of every
 //! committed scenario **byte-identical** to an uninstrumented run.
 //!
 //! This is the run-level counterpart of the `busy_ns` rule: anything a
@@ -95,28 +94,25 @@ fn committed_goldens_match_instrumented_runs_byte_for_byte() {
 #[test]
 fn timed_detached_replay_times_the_control_hook_like_a_live_run() {
     // `craqr-scenario metrics <log>` is a timed detached replay; for an
-    // `[adaptive]` log it must report the control hook exactly as the live
-    // instrumented run did — one call per epoch — without the timing tier
-    // touching the event-tier checksum.
+    // `[adaptive]` log it must time the control hook exactly as the live
+    // instrumented run did — one `control` phase lap per epoch — without
+    // the timing tier touching the event-tier checksum.
     let runner = load(&repo_root().join("scenarios/telemetry_probe.toml"));
     assert!(runner.spec().adaptive.is_some(), "the scenario must close the loop");
     let live = runner.run(&timed(ExecMode::Serial)).expect("live run");
     let log = live.log.as_ref().expect("[runlog] spec records");
-    let hook_calls = |out: &RunOutput| {
-        let registry = out.telemetry.as_ref().expect("timed runs carry a registry").registry();
-        registry.counter_value("craqr_control_hook_calls_total", &[])
+    let control_laps = |out: &RunOutput| -> u64 {
+        let exposition =
+            out.telemetry.as_ref().expect("timed runs carry a registry").render_prometheus();
+        let series = "craqr_phase_seconds_count{phase=\"control\"} ";
+        let line = exposition.lines().find_map(|l| l.strip_prefix(series));
+        line.expect("the control phase is timed").parse().expect("a count")
     };
     let how = Execution::from(ExecMode::Serial);
     let untimed = replay(log, how).expect("untimed replay");
     let replayed = replay(log, how.timing(true)).expect("timed replay");
-    assert_eq!(hook_calls(&live), u64::from(runner.spec().epochs));
-    assert_eq!(hook_calls(&replayed), hook_calls(&live), "replay must time the hook like live");
-    assert!(replayed
-        .telemetry
-        .as_ref()
-        .unwrap()
-        .render_prometheus()
-        .contains("craqr_control_hook_seconds_total"));
+    assert_eq!(control_laps(&live), u64::from(runner.spec().epochs));
+    assert_eq!(control_laps(&replayed), control_laps(&live), "replay must time the hook like live");
     let events = |out: &RunOutput| out.telemetry.as_ref().map(|t| t.section().events_checksum);
     assert!(events(&untimed).is_some(), "a [telemetry] spec collects the event tier untimed");
     assert_eq!(events(&replayed), events(&untimed), "timing leaked into the event tier");
