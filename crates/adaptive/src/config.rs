@@ -2,10 +2,9 @@
 
 use craqr_mdpp::SgdConfig;
 use craqr_stats::{drift, Interval};
-use serde::{Deserialize, Serialize};
 
 /// Which sequential change-point test watches the innovation stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DetectorKind {
     /// Page–Hinkley: self-centering, robust to an unknown stationary
     /// baseline level.
@@ -25,7 +24,7 @@ impl std::fmt::Display for DetectorKind {
 }
 
 /// Drift-detector configuration (one detector instance per query).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetectorConfig {
     /// The test to run.
     pub kind: DetectorKind,
@@ -47,7 +46,7 @@ impl Default for DetectorConfig {
 }
 
 /// The full adaptive-controller policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveConfig {
     /// `true`: replans are applied to the server. `false`: observe-only —
     /// estimation, detection, and the trace still run, but no

@@ -1,7 +1,6 @@
 //! Budgets and the `N_v`-driven budget tuner — Sections IV-A and V.
 
 use craqr_stats::Interval;
-use serde::{Deserialize, Serialize};
 
 /// The acquisition budget `β⟨j⟩(q,r)` for one (attribute, grid cell) pair:
 /// "the number of acquisitional requests per attribute and per grid cell
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// The budget is a float so ±Δβ tuning is smooth; the handler converts it
 /// to an integer request count per epoch with credit-carrying rounding, so
 /// the *long-run* request rate equals the budget exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Budget {
     /// Requests per epoch.
     pub requests_per_epoch: f64,
@@ -43,7 +42,7 @@ impl Budget {
 }
 
 /// Outcome of one tuning step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TuneOutcome {
     /// `N_v` under threshold: budget decreased (or already at the floor).
     Decreased,
@@ -59,7 +58,7 @@ pub enum TuneOutcome {
 /// budget `β⟨j⟩(q,r)` is increased by Δβ, otherwise it is decreased by the
 /// same amount. If the budget cannot be increased beyond a limit, then the
 /// user is requested to either accept the feasible rate or pay more."
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BudgetTuner {
     /// The `N_v` threshold (percent, 0–100).
     pub nv_threshold: f64,

@@ -14,10 +14,9 @@ use craqr_stats::Interval;
 use rand::distributions::Distribution;
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Stochastic corruption applied to sensor responses in flight.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ErrorModel {
     /// GPS position noise σ (km) on both axes.
     pub gps_sigma: f64,
@@ -83,7 +82,7 @@ impl ErrorModel {
 }
 
 /// Ingestion-side mitigation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Mitigation {
     /// Reject tuples whose (possibly GPS-corrupted) position falls outside
     /// the region `R` — they cannot be assigned to any grid cell anyway.

@@ -28,10 +28,8 @@
 //!   (per-query `U`-merges, budget tuning) iterate chains in sorted key
 //!   order exactly as the serial path does.
 
-use serde::{Deserialize, Serialize};
-
 /// How the server executes the per-cell process phase of an epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
     /// Run every chain on the calling thread, in sorted key order — the
     /// reference implementation.
@@ -129,7 +127,7 @@ pub fn shard_of(index: usize, shards: usize) -> usize {
 }
 
 /// What one shard processed during an epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShardIngest {
     /// Shard index.
     pub shard: usize,
@@ -146,7 +144,7 @@ pub struct ShardIngest {
 }
 
 /// The merged outcome of one epoch's map + process phases.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct IngestReport {
     /// Tuples routed to a materialized chain (sum over shards).
     pub routed: usize,

@@ -6,7 +6,6 @@
 //! sensors to respond."
 
 use crate::budget::TuneOutcome;
-use serde::{Deserialize, Serialize};
 
 /// A per-(attribute, cell) incentive escalation policy.
 ///
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// by the same step. This spends incentive *only when requests alone cannot
 /// buy the rate* — the paper's intended division of labour between the two
 /// knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IncentivePolicy {
     /// Baseline incentive attached to every request.
     pub base: f64,
@@ -33,7 +32,7 @@ impl Default for IncentivePolicy {
 }
 
 /// Mutable escalation state for one (attribute, cell).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct IncentiveState {
     current: f64,
     initialized: bool,

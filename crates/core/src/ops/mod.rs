@@ -17,10 +17,8 @@
 //! | [`PartitionOp`] (`P`) | yes | routes `P(λ, R*)` into `P(λ, R*ₖ)` on disjoint sub-regions |
 //! | [`UnionOp`] (`U`)     | yes | merges `P(λ, R*₁), P(λ, R*₂)` into `P(λ, R*₁ ∪ R*₂)`; binary form requires a full common side |
 //! | [`SuperposeOp`] (`S`) | "many more operators" | merges processes on the *same* region; rates add |
-//! | [`RateMeterOp`]       | "many more operators" | identity that measures the stream's empirical rate |
 
 mod flatten;
-mod meter;
 mod partition;
 mod report;
 mod superpose;
@@ -28,7 +26,6 @@ mod thin;
 mod union;
 
 pub use flatten::{EstimatorMode, FlattenConfig, FlattenOp};
-pub use meter::RateMeterOp;
 pub use partition::PartitionOp;
 pub use report::FlattenReport;
 pub use superpose::SuperposeOp;

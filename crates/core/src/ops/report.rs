@@ -1,8 +1,7 @@
 //! Shared flatten telemetry.
 
 use craqr_stats::Ewma;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Telemetry a [`super::FlattenOp`] publishes after every batch; the budget
 /// tuner (Section V "Budget Tuning") subscribes to it.
@@ -38,13 +37,20 @@ impl FlattenReport {
         })
     }
 
+    /// Locks the counters. A poisoned lock means a holder panicked between
+    /// plain field writes, which leave the counters usable, so it is
+    /// recovered rather than propagated.
+    fn lock(&self) -> MutexGuard<'_, ReportInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Records an epoch with no input at all — a total (100%) violation.
     pub(crate) fn record_starved_batch(&self) {
         self.record_batch(100.0, 0, 0);
     }
 
     pub(crate) fn record_batch(&self, nv_percent: f64, seen: usize, kept: usize) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         inner.last_nv = nv_percent;
         inner.smoothed_nv.push(nv_percent);
         inner.batches += 1;
@@ -54,22 +60,22 @@ impl FlattenReport {
 
     /// `N_v` of the most recent batch (percent, 0–100).
     pub fn last_nv(&self) -> f64 {
-        self.inner.lock().last_nv
+        self.lock().last_nv
     }
 
     /// EWMA-smoothed `N_v` (percent), `None` before the first batch.
     pub fn smoothed_nv(&self) -> Option<f64> {
-        self.inner.lock().smoothed_nv.value()
+        self.lock().smoothed_nv.value()
     }
 
     /// Batches observed.
     pub fn batches(&self) -> u64 {
-        self.inner.lock().batches
+        self.lock().batches
     }
 
     /// `(tuples seen, tuples kept)` since creation.
     pub fn totals(&self) -> (u64, u64) {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         (inner.tuples_seen, inner.tuples_kept)
     }
 }

@@ -8,7 +8,6 @@
 //! The `e10_topology` bench validates the model against measured counts.
 
 use crate::plan::TopologyShape;
-use serde::{Deserialize, Serialize};
 
 /// Expected tuples processed per km²·min by the `T`-operators of a chain
 /// topology with flatten output `f_rate` and tap rates `rates` (descending).
@@ -39,36 +38,6 @@ pub fn star_processing_rate(f_rate: f64, rates: &[f64]) -> f64 {
     f_rate * rates.len() as f64
 }
 
-/// Expected tuples processed per km²·min when every query is processed
-/// *from scratch* (no shared topology): each query pays its own flatten
-/// pass over the raw stream plus its own thin.
-///
-/// `raw_rate` is the unflattened arrival rate entering the system.
-///
-/// # Panics
-/// Panics on a negative raw rate.
-#[track_caller]
-pub fn naive_processing_rate(raw_rate: f64, rates: &[f64]) -> f64 {
-    assert!(raw_rate >= 0.0, "raw rate must be >= 0");
-    // Per query: an F pass over the raw stream + a T pass over its output.
-    rates.iter().map(|r| raw_rate + r.max(0.0)).sum()
-}
-
-/// Shared-topology total: one F pass over the raw stream plus the
-/// shape-dependent `T` costs.
-pub fn shared_processing_rate(
-    raw_rate: f64,
-    f_rate: f64,
-    rates: &[f64],
-    shape: TopologyShape,
-) -> f64 {
-    let t_cost = match shape {
-        TopologyShape::Chain => chain_processing_rate(f_rate, rates),
-        TopologyShape::Star => star_processing_rate(f_rate, rates),
-    };
-    raw_rate + t_cost
-}
-
 /// Pipeline depth (operator hops) a query at tap position `pos` (0-based)
 /// experiences: chains trade per-tuple work for latency, stars the
 /// opposite — the paper's "response time" optimization axis.
@@ -76,55 +45,6 @@ pub fn pipeline_depth(shape: TopologyShape, pos: usize) -> usize {
     match shape {
         TopologyShape::Chain => 2 + pos, // F, then pos+1 T's
         TopologyShape::Star => 2,        // F, then its own T
-    }
-}
-
-/// Cost-based shape recommendation for one cell, trading tuples processed
-/// against worst-case pipeline depth (weighted by `depth_weight` tuples per
-/// hop — 0 recovers pure throughput optimization, in which the chain is
-/// never worse).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ShapeChoice {
-    /// The recommended shape.
-    pub shape: TopologyShapeTag,
-    /// Modelled chain cost (tuples/km²·min + depth penalty).
-    pub chain_cost: f64,
-    /// Modelled star cost.
-    pub star_cost: f64,
-}
-
-/// Serializable mirror of [`TopologyShape`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TopologyShapeTag {
-    /// Chain shape.
-    Chain,
-    /// Star shape.
-    Star,
-}
-
-impl From<TopologyShapeTag> for TopologyShape {
-    fn from(tag: TopologyShapeTag) -> Self {
-        match tag {
-            TopologyShapeTag::Chain => TopologyShape::Chain,
-            TopologyShapeTag::Star => TopologyShape::Star,
-        }
-    }
-}
-
-/// Chooses a per-cell topology shape under the cost model.
-pub fn choose_shape(f_rate: f64, rates: &[f64], depth_weight: f64) -> ShapeChoice {
-    let chain_cost = chain_processing_rate(f_rate, rates)
-        + depth_weight * pipeline_depth(TopologyShape::Chain, rates.len().saturating_sub(1)) as f64;
-    let star_cost = star_processing_rate(f_rate, rates)
-        + depth_weight * pipeline_depth(TopologyShape::Star, 0) as f64;
-    ShapeChoice {
-        shape: if chain_cost <= star_cost {
-            TopologyShapeTag::Chain
-        } else {
-            TopologyShapeTag::Star
-        },
-        chain_cost,
-        star_cost,
     }
 }
 
@@ -172,38 +92,10 @@ mod tests {
     }
 
     #[test]
-    fn sharing_beats_naive_with_multiple_queries() {
-        let raw = 20.0;
-        let rates = [5.0, 4.0, 3.0, 2.0];
-        let naive = naive_processing_rate(raw, &rates);
-        let shared = shared_processing_rate(raw, 5.0, &rates, TopologyShape::Chain);
-        assert!(shared < naive * 0.5, "shared {shared} naive {naive}");
-    }
-
-    #[test]
-    fn single_query_sharing_is_break_even() {
-        let raw = 20.0;
-        let rates = [5.0];
-        let naive = naive_processing_rate(raw, &rates);
-        let shared = shared_processing_rate(raw, 5.0, &rates, TopologyShape::Chain);
-        assert!((naive - shared).abs() < 1e-9);
-    }
-
-    #[test]
     fn depth_model() {
         assert_eq!(pipeline_depth(TopologyShape::Chain, 0), 2);
         assert_eq!(pipeline_depth(TopologyShape::Chain, 3), 5);
         assert_eq!(pipeline_depth(TopologyShape::Star, 3), 2);
-    }
-
-    #[test]
-    fn shape_choice_flips_with_depth_weight() {
-        let rates = vec![5.0, 4.9, 4.8, 4.7, 4.6, 4.5];
-        // Pure throughput: chain wins.
-        assert_eq!(choose_shape(5.0, &rates, 0.0).shape, TopologyShapeTag::Chain);
-        // Heavy depth penalty: star wins (rates so close that chain saves
-        // little throughput).
-        assert_eq!(choose_shape(5.0, &rates, 10.0).shape, TopologyShapeTag::Star);
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! The attribute catalog.
 
 use craqr_sensing::AttributeId;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Maps human-readable attribute names (`rain`, `temp`, …) to
 /// [`AttributeId`]s and records whether each is human-sensed or
 /// sensor-sensed (Section II's two attribute classes).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct AttributeCatalog {
     names: Vec<(String, bool)>,
     by_name: HashMap<String, AttributeId>,
@@ -39,16 +38,6 @@ impl AttributeCatalog {
         self.by_name.get(name).copied()
     }
 
-    /// The name of an attribute id.
-    pub fn name_of(&self, id: AttributeId) -> Option<&str> {
-        self.names.get(id.0 as usize).map(|(n, _)| n.as_str())
-    }
-
-    /// `true` when the attribute is human-sensed.
-    pub fn is_human_sensed(&self, id: AttributeId) -> Option<bool> {
-        self.names.get(id.0 as usize).map(|(_, h)| *h)
-    }
-
     /// Number of registered attributes `k`.
     pub fn len(&self) -> usize {
         self.names.len()
@@ -77,9 +66,8 @@ mod tests {
         assert_eq!(c.lookup("rain"), Some(rain));
         assert_eq!(c.lookup("temp"), Some(temp));
         assert_eq!(c.lookup("snow"), None);
-        assert_eq!(c.name_of(rain), Some("rain"));
-        assert_eq!(c.is_human_sensed(rain), Some(true));
-        assert_eq!(c.is_human_sensed(temp), Some(false));
+        let entries: Vec<_> = c.iter().collect();
+        assert_eq!(entries, vec![(rain, "rain", true), (temp, "temp", false)]);
         assert_eq!(c.len(), 2);
     }
 

@@ -14,11 +14,10 @@ pub use parser::{parse_query, ParseError};
 
 use craqr_geom::Rect;
 use craqr_sensing::AttributeId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a standing acquisitional query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QueryId(pub u64);
 
 impl fmt::Display for QueryId {
@@ -30,7 +29,7 @@ impl fmt::Display for QueryId {
 /// A typed acquisitional query: the triple the paper's `Q⟨1⟩` example
 /// carries ("Acquire the attribute A⟨1⟩ = rain from region R′ ⊂ R at the
 /// rate of 10 /km²/min"), plus the tenant that owns (and pays for) it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AcquisitionQuery {
     /// The attribute `A⟨j⟩` to acquire.
     pub attr: AttributeId,
@@ -58,22 +57,11 @@ impl AcquisitionQuery {
     pub fn owned_by(self, tenant: crate::tenant::TenantId) -> Self {
         Self { tenant, ..self }
     }
-
-    /// Expected number of tuples this query should receive over `minutes`.
-    pub fn expected_tuples(&self, minutes: f64) -> f64 {
-        self.rate * self.region.area() * minutes
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn expected_tuples_scales_with_area_and_time() {
-        let q = AcquisitionQuery::new(AttributeId(0), Rect::with_size(2.0, 3.0), 10.0);
-        assert!((q.expected_tuples(5.0) - 10.0 * 6.0 * 5.0).abs() < 1e-9);
-    }
 
     #[test]
     #[should_panic(expected = "rate must be > 0")]

@@ -194,11 +194,6 @@ impl TenantRegistry {
         self.accounts.contains_key(&tenant)
     }
 
-    /// A tenant's pool, if registered.
-    pub fn pool_of(&self, tenant: TenantId) -> Option<BudgetPool> {
-        self.accounts.get(&tenant).map(|a| a.pool)
-    }
-
     /// Runs the admission check for a query with `estimated_demand`
     /// (requests/epoch) from `tenant`. Admitting commits the demand; the
     /// decision is recorded either way.
@@ -340,7 +335,8 @@ mod tests {
         let b = r.register("bob", BudgetPool::new(50.0));
         assert_eq!((a, b), (TenantId(0), TenantId(1)));
         assert_eq!(r.len(), 2);
-        assert_eq!(r.pool_of(b).unwrap().capacity, 50.0);
+        let bob = &r.summaries()[1];
+        assert_eq!((bob.tenant, bob.capacity), (b, 50.0));
         assert!(!r.contains(TenantId(7)));
     }
 

@@ -2,7 +2,6 @@
 
 use craqr_geom::SpaceTimePoint;
 use craqr_sensing::{AttrValue, AttributeId, SensorId, SensorResponse};
-use serde::{Deserialize, Serialize};
 
 /// A tuple of attribute `A⟨j⟩`: `(t⟨j⟩ᵢ, x⟨j⟩ᵢ, y⟨j⟩ᵢ, a⟨j⟩ᵢ)` plus the
 /// unique identifier `i` ("unique across sensors", Section II) and the
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// Identifiers are assigned by the server at ingestion, which is the only
 /// place with a global view.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CrowdTuple {
     /// The unique tuple identifier `i`.
     pub id: u64,

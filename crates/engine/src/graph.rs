@@ -235,15 +235,6 @@ impl<T: Clone> Topology<T> {
         self.nodes.get(node.0).is_some_and(Option::is_some)
     }
 
-    /// The operator name of a node.
-    ///
-    /// # Panics
-    /// Panics when the node does not exist.
-    #[track_caller]
-    pub fn node_name(&self, node: NodeId) -> &str {
-        self.slot(node).operator.name()
-    }
-
     /// Outgoing targets of `(node, port)` (empty when the port is unwired).
     pub fn targets(&self, node: NodeId, port: OutputPort) -> &[Target] {
         self.slot(node).edges.get(port.0 as usize).map_or(&[], Vec::as_slice)
@@ -252,20 +243,6 @@ impl<T: Clone> Topology<T> {
     /// All downstream targets of a node across its ports.
     pub fn all_targets(&self, node: NodeId) -> Vec<Target> {
         self.slot(node).edges.iter().flatten().copied().collect()
-    }
-
-    /// Nodes (with port) feeding into `node`.
-    pub fn upstream_of(&self, node: NodeId) -> Vec<(NodeId, OutputPort)> {
-        let mut ups = Vec::new();
-        for (idx, slot) in self.nodes.iter().enumerate() {
-            let Some(slot) = slot else { continue };
-            for (p, edges) in slot.edges.iter().enumerate() {
-                if edges.iter().any(|t| matches!(t, Target::Node(nid, _) if *nid == node)) {
-                    ups.push((NodeId(idx), OutputPort(p as u16)));
-                }
-            }
-        }
-        ups
     }
 
     /// Number of distinct downstream consumers of a node — `> 1` marks the
@@ -464,15 +441,6 @@ impl<T: Clone> Topology<T> {
         }
     }
 
-    /// Metrics of one node.
-    ///
-    /// # Panics
-    /// Panics when the node does not exist.
-    #[track_caller]
-    pub fn node_metrics(&self, node: NodeId) -> NodeMetrics {
-        self.slot(node).metrics
-    }
-
     #[track_caller]
     fn slot(&self, node: NodeId) -> &NodeSlot<T> {
         self.nodes
@@ -528,8 +496,8 @@ mod tests {
         t.connect(b, OutputPort(0), Target::Sink(sink));
         t.push(a, &[1, 2, 3]);
         assert_eq!(drained(&mut t, sink), vec![1, 2, 3]);
-        assert_eq!(t.node_metrics(a).tuples_in, 3);
-        assert_eq!(t.node_metrics(b).tuples_out, 3);
+        assert_eq!(counters(&t, "a").tuples_in, 3);
+        assert_eq!(counters(&t, "b").tuples_out, 3);
     }
 
     #[test]
@@ -546,15 +514,15 @@ mod tests {
         let sink = t.add_sink();
         t.connect(a, OutputPort(0), Target::Sink(sink));
         t.push(a, &[1]);
-        assert_eq!(t.node_metrics(a).busy_ns, 0, "no clock, no busy time");
+        assert_eq!(counters(&t, "a").busy_ns, 0, "no clock, no busy time");
         t.set_clock(Some(fake_clock));
         t.push(a, &[2]);
         t.push(a, &[3]);
-        assert_eq!(t.node_metrics(a).busy_ns, 20, "one 10ns lap per batch");
+        assert_eq!(counters(&t, "a").busy_ns, 20, "one 10ns lap per batch");
         t.set_clock(None);
         t.push(a, &[4]);
-        assert_eq!(t.node_metrics(a).busy_ns, 20, "removing the clock stops accumulation");
-        assert_eq!(t.node_metrics(a).tuples_in, 4, "counting is unaffected by the clock");
+        assert_eq!(counters(&t, "a").busy_ns, 20, "removing the clock stops accumulation");
+        assert_eq!(counters(&t, "a").tuples_in, 4, "counting is unaffected by the clock");
     }
 
     #[test]
@@ -621,7 +589,8 @@ mod tests {
         let c = t.add_operator(passthrough("c"));
         assert_eq!(c, a, "slot should be reused");
         assert!(t.node_exists(b));
-        assert_eq!(t.node_name(c), "c");
+        let names: Vec<_> = t.metrics().nodes.into_iter().map(|(name, _)| name).collect();
+        assert_eq!(names, ["c", "b"], "c must live in a's slot");
     }
 
     /// Regression: ids must stay dense under sustained churn, reused slots
@@ -637,7 +606,7 @@ mod tests {
         t.connect(a, OutputPort(0), Target::Node(b, InputPort(0)));
         t.connect(b, OutputPort(0), Target::Sink(sink));
         t.push(a, &[1, 2]);
-        assert_eq!(t.node_metrics(b).tuples_in, 2);
+        assert_eq!(counters(&t, "b").tuples_in, 2);
 
         // Churn the downstream node several times; the freed slot must be
         // handed out again every time (dense ids).
@@ -648,8 +617,8 @@ mod tests {
             // The reused slot starts clean: no outgoing edges, no metrics,
             // and nothing upstream feeds it until reconnected.
             assert!(t.all_targets(b2).is_empty(), "stale outgoing edges survived");
-            assert_eq!(t.node_metrics(b2).tuples_in, 0, "stale metrics survived");
-            assert!(t.upstream_of(b2).is_empty(), "edge at old tenant resurrected");
+            assert_eq!(counters(&t, "b2").tuples_in, 0, "stale metrics survived");
+            assert!(t.all_targets(a).is_empty(), "edge at old tenant resurrected");
         }
 
         // Ids stay dense: two live nodes occupy slots 0 and 1.
@@ -678,6 +647,11 @@ mod tests {
         let msg = err.downcast_ref::<String>().expect("panic carries a message");
         assert!(msg.contains("NodeId("), "panic must name the node id: {msg}");
         assert!(msg.contains("cyclic"), "panic must mention the cycle: {msg}");
+    }
+
+    /// A node's counters, read through the metrics snapshot.
+    fn counters(t: &Topology<u32>, name: &str) -> NodeMetrics {
+        t.metrics().by_name(name).expect("live node")
     }
 
     fn drained(t: &mut Topology<u32>, sink: SinkId) -> Vec<u32> {
@@ -739,19 +713,6 @@ mod tests {
         let contents = t.remove_sink(sink);
         assert_eq!(contents, vec![1, 2]);
         assert!(t.targets(a, OutputPort(0)).is_empty());
-    }
-
-    #[test]
-    fn upstream_lookup() {
-        let mut t: Topology<u32> = Topology::new();
-        let a = t.add_operator(passthrough("a"));
-        let b = t.add_operator(passthrough("b"));
-        let c = t.add_operator(passthrough("c"));
-        t.connect(a, OutputPort(0), Target::Node(c, InputPort(0)));
-        t.connect(b, OutputPort(0), Target::Node(c, InputPort(1)));
-        let mut ups = t.upstream_of(c);
-        ups.sort();
-        assert_eq!(ups, vec![(a, OutputPort(0)), (b, OutputPort(0))]);
     }
 
     #[test]
@@ -835,6 +796,6 @@ mod tests {
         let mut t: Topology<u32> = Topology::new();
         let a = t.add_operator(passthrough("a"));
         t.push(a, &[]);
-        assert_eq!(t.node_metrics(a).batches, 0);
+        assert_eq!(counters(&t, "a").batches, 0);
     }
 }

@@ -16,8 +16,6 @@
 //! - The executor ([`Topology::push`]): breadth-first batch propagation
 //!   with per-node [`NodeMetrics`] — the tuple counts behind the
 //!   multi-query-sharing experiments.
-//! - [`SharedSink`]: a thread-safe sink handle for collecting fabricated
-//!   streams across topologies.
 //!
 //! # Execution model
 //!
@@ -67,60 +65,3 @@ mod operator;
 pub use graph::{NodeId, SinkId, Target, Topology};
 pub use metrics::{NodeMetrics, TopologyMetrics};
 pub use operator::{BatchPool, Emitter, FnOperator, InputPort, Operator, OutputPort};
-
-use parking_lot::Mutex;
-use std::sync::Arc;
-
-/// A thread-safe, shareable sink buffer.
-///
-/// Per-cell topologies can run on different threads while the fabricator
-/// merges their outputs through one `SharedSink`.
-#[derive(Debug, Default)]
-pub struct SharedSink<T> {
-    buf: Mutex<Vec<T>>,
-}
-
-impl<T> SharedSink<T> {
-    /// Creates an empty shared sink.
-    pub fn new() -> Arc<Self> {
-        Arc::new(Self { buf: Mutex::new(Vec::new()) })
-    }
-
-    /// Appends a batch.
-    pub fn push_batch(&self, batch: impl IntoIterator<Item = T>) {
-        self.buf.lock().extend(batch);
-    }
-
-    /// Takes everything collected so far.
-    pub fn drain(&self) -> Vec<T> {
-        std::mem::take(&mut self.buf.lock())
-    }
-
-    /// Number of buffered items.
-    pub fn len(&self) -> usize {
-        self.buf.lock().len()
-    }
-
-    /// `true` when nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn shared_sink_collects_across_clones() {
-        let sink = SharedSink::new();
-        let s2 = Arc::clone(&sink);
-        sink.push_batch([1, 2]);
-        s2.push_batch([3]);
-        assert_eq!(sink.len(), 3);
-        let mut got = sink.drain();
-        got.sort_unstable();
-        assert_eq!(got, vec![1, 2, 3]);
-        assert!(sink.is_empty());
-    }
-}

@@ -1,9 +1,7 @@
 //! Per-node execution counters.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters for one operator node.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct NodeMetrics {
     /// Tuples received across all input ports.
     pub tuples_in: u64,
@@ -33,16 +31,6 @@ impl PartialEq for NodeMetrics {
 impl Eq for NodeMetrics {}
 
 impl NodeMetrics {
-    /// Fraction of input tuples that survived this operator (1 when no
-    /// input has arrived yet). For `T`hin this converges to `λ2/λ1`.
-    pub fn selectivity(&self) -> f64 {
-        if self.tuples_in == 0 {
-            1.0
-        } else {
-            self.tuples_out as f64 / self.tuples_in as f64
-        }
-    }
-
     /// Accumulates another node's counters into this one (used when
     /// aggregating many per-cell topologies into a fleet-wide report).
     pub fn absorb(&mut self, other: &NodeMetrics) {
@@ -54,7 +42,7 @@ impl NodeMetrics {
 }
 
 /// A whole-topology metrics snapshot.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TopologyMetrics {
     /// `(node name, metrics)` for every live node, in node-id order.
     pub nodes: Vec<(String, NodeMetrics)>,
@@ -107,17 +95,6 @@ impl TopologyMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn selectivity_of_fresh_node_is_one() {
-        assert_eq!(NodeMetrics::default().selectivity(), 1.0);
-    }
-
-    #[test]
-    fn selectivity_ratio() {
-        let m = NodeMetrics { tuples_in: 100, tuples_out: 25, batches: 4, busy_ns: 0 };
-        assert!((m.selectivity() - 0.25).abs() < 1e-12);
-    }
 
     #[test]
     fn absorb_accumulates_by_name_and_appends_new_nodes() {

@@ -1,14 +1,13 @@
 //! The `√h × √h` logical grid of Section IV.
 
 use crate::{Rect, GEOM_EPS};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of the grid cell `R(q,r)`.
 ///
 /// `q` indexes columns (x axis) and `r` rows (y axis), both 0-based; the
 /// paper's Fig. 2 uses 1-based `(q, r)` labels, a pure display convention.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CellId {
     /// Column index along x.
     pub q: u32,
@@ -60,7 +59,7 @@ pub struct CellOverlap {
 ///
 /// Eq. (2) — `area(R) = Σ area(R(q,r))` — holds by construction and is
 /// enforced by tests.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Grid {
     region: Rect,
     side: u32,
@@ -85,17 +84,6 @@ impl Grid {
             cell_w: region.width() / side as f64,
             cell_h: region.height() / side as f64,
         }
-    }
-
-    /// Creates a grid from the paper's `h` parameter (total cell count).
-    ///
-    /// # Panics
-    /// Panics when `h` is not a positive perfect square.
-    #[track_caller]
-    pub fn with_cell_count(region: Rect, h: u32) -> Self {
-        let side = (h as f64).sqrt().round() as u32;
-        assert!(side > 0 && side * side == h, "h={h} must be a positive perfect square");
-        Self::new(region, side)
     }
 
     /// The full region `R`.
@@ -202,13 +190,6 @@ impl Grid {
         }
         out
     }
-
-    /// `true` when `query`'s area is at least one cell's area — the paper's
-    /// minimum-query-size rule ("a single-attribute query should be on a
-    /// region with area at least `area(R(q,r))`").
-    pub fn query_large_enough(&self, query: &Rect) -> bool {
-        query.area() + GEOM_EPS >= self.cell_area()
-    }
 }
 
 #[cfg(test)]
@@ -224,19 +205,6 @@ mod tests {
         let g = Grid::new(Rect::new(-1.0, 2.0, 5.0, 9.0), 7);
         let total: f64 = g.all_cells().map(|c| g.cell_rect(c).area()).sum();
         assert!((total - g.region().area()).abs() < 1e-9, "Eq. (2) violated");
-    }
-
-    #[test]
-    fn with_cell_count_requires_perfect_square() {
-        let g = Grid::with_cell_count(Rect::with_size(2.0, 2.0), 16);
-        assert_eq!(g.side(), 4);
-        assert_eq!(g.cell_count(), 16);
-    }
-
-    #[test]
-    #[should_panic(expected = "perfect square")]
-    fn non_square_h_rejected() {
-        let _ = Grid::with_cell_count(Rect::with_size(1.0, 1.0), 10);
     }
 
     #[test]
@@ -343,14 +311,6 @@ mod tests {
             .map(|c| c.overlap.area())
             .sum();
         assert!((total - 0.25).abs() < 1e-9);
-    }
-
-    #[test]
-    fn minimum_query_size_rule() {
-        let g = grid3();
-        assert!(g.query_large_enough(&Rect::new(0.0, 0.0, 1.0, 1.0)));
-        assert!(g.query_large_enough(&Rect::new(0.0, 0.0, 2.0, 0.5)));
-        assert!(!g.query_large_enough(&Rect::new(0.0, 0.0, 0.5, 0.5)));
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Space-time coordinates of crowdsensed tuples.
 
-use serde::{Deserialize, Serialize};
-
 /// The space-time coordinates `(t, x, y)` of a crowdsensed tuple.
 ///
 /// The paper models each attribute's arrivals as a 3-D point process over the
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// `(t⟨j⟩ᵢ, x⟨j⟩ᵢ, y⟨j⟩ᵢ, a⟨j⟩ᵢ)` and this struct carries its first three
 /// entries. Units are minutes for `t` and kilometres for `x`/`y` throughout
 /// the workspace, matching the paper's example rate of `10 /km²/min`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpaceTimePoint {
     /// Time coordinate (minutes since the start of the stream).
     pub t: f64,
@@ -24,14 +22,6 @@ impl SpaceTimePoint {
     #[inline]
     pub fn new(t: f64, x: f64, y: f64) -> Self {
         Self { t, x, y }
-    }
-
-    /// Euclidean distance in the spatial plane, ignoring time.
-    #[inline]
-    pub fn spatial_distance(&self, other: &Self) -> f64 {
-        let dx = self.x - other.x;
-        let dy = self.y - other.y;
-        (dx * dx + dy * dy).sqrt()
     }
 
     /// Returns the point translated by `(dt, dx, dy)`.
@@ -53,20 +43,6 @@ impl SpaceTimePoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn spatial_distance_is_euclidean() {
-        let a = SpaceTimePoint::new(0.0, 0.0, 0.0);
-        let b = SpaceTimePoint::new(99.0, 3.0, 4.0);
-        assert!((a.spatial_distance(&b) - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn distance_is_symmetric() {
-        let a = SpaceTimePoint::new(1.0, -2.0, 7.5);
-        let b = SpaceTimePoint::new(2.0, 4.0, -1.0);
-        assert_eq!(a.spatial_distance(&b), b.spatial_distance(&a));
-    }
 
     #[test]
     fn translation_moves_all_axes() {

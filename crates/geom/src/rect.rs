@@ -1,7 +1,6 @@
 //! Axis-aligned half-open rectangles.
 
 use crate::{feq, GEOM_EPS};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An axis-aligned rectangle `[x0, x1) × [y0, y1)` in kilometres.
@@ -10,7 +9,7 @@ use std::fmt;
 /// grid cells, and the operands of the `P`/`U` operators are all rectangles.
 /// Half-open extents make a [`crate::Grid`] tile its region exactly: a point
 /// on a shared cell edge belongs to exactly one cell.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rect {
     /// Minimum x (inclusive).
     pub x0: f64,
@@ -103,11 +102,6 @@ impl Rect {
             self.x1.min(other.x1),
             self.y1.min(other.y1),
         ))
-    }
-
-    /// Fraction of `self`'s area covered by `other` (0 when disjoint).
-    pub fn overlap_fraction(&self, other: &Rect) -> f64 {
-        self.intersection(other).map_or(0.0, |i| i.area() / self.area())
     }
 
     /// The union precondition of the paper's `U` operator: "the rectangles
@@ -246,7 +240,6 @@ mod tests {
         let b = Rect::new(1.0, 1.0, 3.0, 3.0);
         let i = a.intersection(&b).unwrap();
         assert!(i.approx_eq(&Rect::new(1.0, 1.0, 2.0, 2.0)));
-        assert!((a.overlap_fraction(&b) - 0.25).abs() < 1e-12);
     }
 
     #[test]
@@ -255,7 +248,6 @@ mod tests {
         let b = Rect::new(1.0, 0.0, 2.0, 1.0);
         assert!(!a.intersects(&b));
         assert!(a.intersection(&b).is_none());
-        assert_eq!(a.overlap_fraction(&b), 0.0);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Unions of disjoint rectangles.
 
 use crate::{Rect, GEOM_EPS};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A region made of pairwise-disjoint axis-aligned rectangles.
@@ -22,7 +21,7 @@ use std::fmt;
 /// an `n`-piece grid footprint that costs about `n·√n` side tests (≈ 48·n
 /// for a 48×48 query, where restarting from part 0 after every merge took
 /// ≈ 0.94·n²), and the overlap check is a sweep along x of the same order.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Region {
     rects: Vec<Rect>,
 }

@@ -1,7 +1,6 @@
 //! Space-time observation windows.
 
 use crate::{Rect, SpaceTimePoint};
-use serde::{Deserialize, Serialize};
 
 /// A rectangle extruded over a half-open time interval `[t0, t1)`.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// in km²·min. Windows therefore appear wherever the paper speaks of a rate
 /// "per unit area and time": process sampling, rate estimation, the
 /// flatten/thin correctness checks, and the fabricator's batch boundaries.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpaceTimeWindow {
     /// Spatial footprint.
     pub rect: Rect,
@@ -62,23 +61,6 @@ impl SpaceTimeWindow {
     pub fn restricted_to(&self, rect: &Rect) -> Option<SpaceTimeWindow> {
         self.rect.intersection(rect).map(|r| SpaceTimeWindow::new(r, self.t0, self.t1))
     }
-
-    /// Splits the window into `n` equal consecutive time slices.
-    ///
-    /// Used by homogeneity diagnostics to bin counts over time.
-    pub fn time_slices(&self, n: usize) -> Vec<SpaceTimeWindow> {
-        assert!(n > 0, "need at least one slice");
-        let dt = self.duration() / n as f64;
-        (0..n)
-            .map(|i| {
-                let a = self.t0 + dt * i as f64;
-                // Compute the right edge from the window end for the last
-                // slice so the slices tile [t0, t1) exactly.
-                let b = if i + 1 == n { self.t1 } else { self.t0 + dt * (i + 1) as f64 };
-                SpaceTimeWindow::new(self.rect, a, b)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -124,18 +106,5 @@ mod tests {
         assert!(r.rect.approx_eq(&Rect::new(1.0, 1.0, 2.0, 3.0)));
         assert_eq!(r.t0, win.t0);
         assert!(win.restricted_to(&Rect::new(10.0, 10.0, 11.0, 11.0)).is_none());
-    }
-
-    #[test]
-    fn time_slices_tile_the_window() {
-        let slices = w().time_slices(7);
-        assert_eq!(slices.len(), 7);
-        assert_eq!(slices[0].t0, 10.0);
-        assert_eq!(slices[6].t1, 20.0);
-        for pair in slices.windows(2) {
-            assert!((pair[0].t1 - pair[1].t0).abs() < 1e-12);
-        }
-        let total: f64 = slices.iter().map(SpaceTimeWindow::duration).sum();
-        assert!((total - 10.0).abs() < 1e-12);
     }
 }

@@ -15,10 +15,9 @@ use craqr_stats::hypothesis::{
     chi_square_uniform, dispersion_index, ks_exponential, ChiSquare, Dispersion, KsTest,
 };
 use craqr_stats::online::OnlineMoments;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of the homogeneity diagnostics over one window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HomogeneityReport {
     /// Total points observed.
     pub n: usize,

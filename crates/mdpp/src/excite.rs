@@ -24,10 +24,9 @@ use crate::intensity::IntensityModel;
 use craqr_geom::{Rect, SpaceTimePoint, SpaceTimeWindow};
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A conditional Hawkes intensity over a frozen event history.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SelfExcitingIntensity {
     /// Background (immigrant) rate μ (events /km²/min).
     mu: f64,

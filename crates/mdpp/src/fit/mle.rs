@@ -1,13 +1,12 @@
 //! Batch maximum-likelihood estimation of Eq. (1).
 
 use craqr_geom::{SpaceTimePoint, SpaceTimeWindow};
-use serde::{Deserialize, Serialize};
 
 use super::{project_positive, WindowScale, POSITIVITY_EPS};
 use crate::intensity::LinearIntensity;
 
 /// Configuration of the MLE solver.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FitConfig {
     /// Maximum gradient-ascent iterations.
     pub max_iters: usize,
@@ -24,7 +23,7 @@ impl Default for FitConfig {
 }
 
 /// Result of an MLE fit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FitResult {
     /// The fitted intensity model (physical coordinates, Eq. (1) form).
     pub intensity: LinearIntensity,

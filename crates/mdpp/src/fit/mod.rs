@@ -60,13 +60,6 @@ impl WindowScale {
             phi[0] - slopes[0] * self.mid[0] - slopes[1] * self.mid[1] - slopes[2] * self.mid[2];
         LinearIntensity::new([theta0, slopes[0], slopes[1], slopes[2]])
     }
-
-    /// Converts physical θ to scaled φ.
-    pub(crate) fn to_scaled(self, theta: [f64; 4]) -> [f64; 4] {
-        let phi0 =
-            theta[0] + theta[1] * self.mid[0] + theta[2] * self.mid[1] + theta[3] * self.mid[2];
-        [phi0, theta[1] * self.half[0], theta[2] * self.half[1], theta[3] * self.half[2]]
-    }
 }
 
 /// Smallest admissible intensity floor in scaled coordinates; keeps `ln λ`
@@ -94,12 +87,19 @@ mod tests {
     use super::*;
     use craqr_geom::Rect;
 
+    /// Converts physical θ to scaled φ: the inverse of
+    /// [`WindowScale::to_physical`].
+    fn to_scaled(s: WindowScale, theta: [f64; 4]) -> [f64; 4] {
+        let phi0 = theta[0] + theta[1] * s.mid[0] + theta[2] * s.mid[1] + theta[3] * s.mid[2];
+        [phi0, theta[1] * s.half[0], theta[2] * s.half[1], theta[3] * s.half[2]]
+    }
+
     #[test]
     fn scale_round_trip() {
         let w = SpaceTimeWindow::new(Rect::new(2.0, 3.0, 12.0, 23.0), 5.0, 45.0);
         let s = WindowScale::of(&w);
         let theta = [4.0, 0.05, -0.2, 0.12];
-        let phi = s.to_scaled(theta);
+        let phi = to_scaled(s, theta);
         let back = s.to_physical(phi).theta();
         for i in 0..4 {
             assert!((back[i] - theta[i]).abs() < 1e-10, "{back:?} vs {theta:?}");
@@ -123,7 +123,7 @@ mod tests {
         let w = SpaceTimeWindow::new(Rect::new(1.0, 2.0, 7.0, 8.0), 10.0, 40.0);
         let s = WindowScale::of(&w);
         let theta = [3.0, 0.02, 0.3, -0.1];
-        let phi = s.to_scaled(theta);
+        let phi = to_scaled(s, theta);
         let model = LinearIntensity::new(theta);
         let p = SpaceTimePoint::new(22.0, 4.5, 3.25);
         let f = s.features(&p);

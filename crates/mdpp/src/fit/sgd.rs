@@ -8,13 +8,12 @@
 
 use craqr_geom::{SpaceTimePoint, SpaceTimeWindow};
 use craqr_stats::Interval;
-use serde::{Deserialize, Serialize};
 
 use super::{project_positive, WindowScale, POSITIVITY_EPS};
 use crate::intensity::LinearIntensity;
 
 /// Configuration of the online estimator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SgdConfig {
     /// Initial learning rate γ₀.
     pub gamma0: f64,
@@ -176,13 +175,6 @@ impl SgdEstimator {
     pub fn points_seen(&self) -> u64 {
         self.points_seen
     }
-
-    /// Warm-starts the estimator from a known model (e.g. a batch MLE fit
-    /// computed at query-insertion time).
-    pub fn warm_start(&mut self, model: &LinearIntensity) {
-        self.phi = self.scale.to_scaled(model.theta());
-        project_positive(&mut self.phi, POSITIVITY_EPS);
-    }
 }
 
 #[cfg(test)]
@@ -246,18 +238,6 @@ mod tests {
         let truth = LinearIntensity::new([0.4, 0.0, 0.9, 0.9]);
         let est = run_stream(truth, 100, 7);
         assert!(est.estimate().min_on(&reference()) >= 0.0);
-    }
-
-    #[test]
-    fn warm_start_short_circuits_learning() {
-        let truth = LinearIntensity::new([2.0, 0.0, 0.3, -0.1]);
-        let mut est = SgdEstimator::new(&reference(), SgdConfig::default());
-        est.warm_start(&truth);
-        let got = est.estimate().theta();
-        let want = truth.theta();
-        for i in 0..4 {
-            assert!((got[i] - want[i]).abs() < 1e-9, "{got:?} vs {want:?}");
-        }
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! it exactly; the rest fall back to midpoint-rule quadrature.
 
 use craqr_geom::{Grid, SpaceTimePoint, SpaceTimeWindow};
-use serde::{Deserialize, Serialize};
 
 /// A conditional spatio-temporal intensity (rate) function.
 pub trait IntensityModel {
@@ -178,7 +177,7 @@ impl IntegralCache {
 }
 
 /// Constant rate `λ` — the intensity of a homogeneous MDPP `P(λ, R)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConstantIntensity {
     rate: f64,
 }
@@ -231,7 +230,7 @@ impl IntensityModel for ConstantIntensity {
 /// is `max(0, ·)`. [`LinearIntensity::is_positive_on`] reports whether the
 /// window stays in the strictly-positive regime, where the closed-form
 /// integral and the concavity of the log-likelihood are exact.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearIntensity {
     theta: [f64; 4],
 }
@@ -328,22 +327,20 @@ impl IntensityModel for LinearIntensity {
     }
 }
 
-/// Separable intensity `λ(t, x, y) = m(t) · s(x, y)` with a Gaussian-bump
-/// spatial profile and sinusoidal temporal modulation.
+/// Time-invariant intensity `λ(t, x, y) = s(x, y)` with a Gaussian-bump
+/// spatial profile.
 ///
 /// This is the shape of the crowd simulator's *skewed* sensor density — the
-/// phenomenon (hotspots downtown, diurnal cycles) the paper says makes
-/// crowdsensed arrivals "highly skewed".
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// phenomenon (hotspots downtown) the paper says makes crowdsensed arrivals
+/// "highly skewed".
+#[derive(Debug, Clone, PartialEq)]
 pub struct GaussianBumpIntensity {
     base: f64,
     bumps: Vec<Bump>,
-    temporal_amplitude: f64,
-    temporal_period: f64,
 }
 
 /// One spatial hotspot.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Bump {
     /// Hotspot centre x (km).
     pub cx: f64,
@@ -356,8 +353,7 @@ pub struct Bump {
 }
 
 impl GaussianBumpIntensity {
-    /// Creates a bump intensity with base rate `base` and no temporal
-    /// modulation.
+    /// Creates a bump intensity with base rate `base`.
     ///
     /// # Panics
     /// Panics when `base` is negative or any bump has non-positive
@@ -369,21 +365,7 @@ impl GaussianBumpIntensity {
             assert!(b.sigma > 0.0, "bump sigma must be > 0");
             assert!(b.amplitude >= 0.0, "bump amplitude must be >= 0");
         }
-        Self { base, bumps, temporal_amplitude: 0.0, temporal_period: 1.0 }
-    }
-
-    /// Adds sinusoidal temporal modulation
-    /// `m(t) = 1 + amplitude · sin(2πt / period)`, clamped at zero.
-    ///
-    /// # Panics
-    /// Panics when `amplitude ∉ [0, 1]` or `period ≤ 0`.
-    #[track_caller]
-    pub fn with_diurnal(mut self, amplitude: f64, period: f64) -> Self {
-        assert!((0.0..=1.0).contains(&amplitude), "amplitude must be in [0,1]");
-        assert!(period > 0.0, "period must be > 0");
-        self.temporal_amplitude = amplitude;
-        self.temporal_period = period;
-        self
+        Self { base, bumps }
     }
 
     fn spatial(&self, x: f64, y: f64) -> f64 {
@@ -395,28 +377,21 @@ impl GaussianBumpIntensity {
         }
         s
     }
-
-    fn temporal(&self, t: f64) -> f64 {
-        (1.0 + self.temporal_amplitude
-            * (2.0 * std::f64::consts::PI * t / self.temporal_period).sin())
-        .max(0.0)
-    }
 }
 
 impl IntensityModel for GaussianBumpIntensity {
     fn rate_at(&self, p: &SpaceTimePoint) -> f64 {
-        self.spatial(p.x, p.y) * self.temporal(p.t)
+        self.spatial(p.x, p.y)
     }
 
     fn max_rate(&self, _w: &SpaceTimeWindow) -> f64 {
-        // Cheap bound: all bumps at their peaks, temporal factor at max.
-        let spatial_max = self.base + self.bumps.iter().map(|b| b.amplitude).sum::<f64>();
-        spatial_max * (1.0 + self.temporal_amplitude)
+        // Cheap bound: all bumps at their peaks.
+        self.base + self.bumps.iter().map(|b| b.amplitude).sum::<f64>()
     }
 
     #[inline]
     fn is_time_invariant(&self) -> bool {
-        self.temporal_amplitude == 0.0
+        true
     }
 }
 
@@ -426,7 +401,7 @@ impl IntensityModel for GaussianBumpIntensity {
 /// This is the natural "estimated rate per materialized grid cell" model:
 /// the budget tuner can use it to describe how crowd density varies across
 /// cells without committing to a parametric form.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PiecewiseConstantIntensity {
     grid: Grid,
     /// Row-major `side × side` rates.
@@ -563,16 +538,6 @@ mod tests {
     }
 
     #[test]
-    fn bump_intensity_diurnal_modulation() {
-        let g = GaussianBumpIntensity::new(4.0, vec![]).with_diurnal(0.5, 24.0);
-        // sin peaks at t = 6 (quarter period).
-        let high = g.rate_at(&SpaceTimePoint::new(6.0, 1.0, 1.0));
-        let low = g.rate_at(&SpaceTimePoint::new(18.0, 1.0, 1.0));
-        assert!((high - 6.0).abs() < 1e-9);
-        assert!((low - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn bump_numeric_integral_close_to_monte_carlo_expectation() {
         // Flat base only: integral must equal base * volume.
         let g = GaussianBumpIntensity::new(2.0, vec![]);
@@ -687,9 +652,8 @@ mod tests {
         let epoch7 = cache.integral_of(&model, 0, &w7);
         assert_eq!(model.calls.get(), probes, "slid window must hit the cache");
         assert_eq!(epoch0, epoch7);
-        // A *diurnal* (time-varying) model must not share slid windows.
-        let varying =
-            CountingIntensity::new(GaussianBumpIntensity::new(0.5, vec![]).with_diurnal(0.5, 24.0));
+        // A time-varying model must not share slid windows.
+        let varying = LinearIntensity::new([0.5, 0.01, 0.0, 0.0]);
         assert!(!varying.is_time_invariant());
         let mut cache = IntegralCache::new();
         let _ = cache.integral_of(&varying, 0, &w0);

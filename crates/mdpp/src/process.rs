@@ -5,11 +5,10 @@ use craqr_geom::{Rect, SpaceTimePoint, SpaceTimeWindow};
 use craqr_stats::dist::Poisson;
 use rand::distributions::Distribution;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A homogeneous MDPP `P⟨j⟩(λ, R)` — constant rate over space and time
 /// (Section III-A; the paper's default process kind).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HomogeneousMdpp {
     rate: f64,
     region: Rect,
@@ -76,7 +75,7 @@ impl HomogeneousMdpp {
 }
 
 /// An inhomogeneous MDPP `P̃⟨j⟩(λ̃, R)` whose rate varies over space-time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InhomogeneousMdpp<I> {
     intensity: I,
     region: Rect,

@@ -32,8 +32,8 @@
 //! # Format
 //!
 //! The codec is a deterministic, line-oriented text format in the style
-//! of `craqr_scenario::value` (the workspace's vendored `serde` is a
-//! no-op, so encoding is in-crate). Three integrity layers:
+//! of `craqr_scenario::value` (the workspace builds offline without a
+//! serialisation crate, so encoding is in-crate). Three integrity layers:
 //!
 //! 1. a version stamp on line one (`# craqr runlog v1`) — unknown
 //!    versions are rejected, not guessed at;

@@ -2,7 +2,7 @@
 //! epoch consumed from outside the server.
 
 use craqr_core::{AdmissionDecision, ControlAction, TenantId};
-use craqr_geom::{CellId, SpaceTimePoint};
+use craqr_geom::SpaceTimePoint;
 use craqr_sensing::{AttrValue, AttributeId, Measurement, SensorId, SensorResponse};
 
 /// The codec version this crate reads and writes.
@@ -108,23 +108,6 @@ impl From<&ControlAction> for ActionRecord {
             ControlAction::RebuildChain { cell, attr } => {
                 ActionRecord::RebuildChain { cell: (cell.q, cell.r), attr: attr.0 }
             }
-        }
-    }
-}
-
-impl ActionRecord {
-    /// The [`ControlAction`] this record describes.
-    pub fn to_action(&self) -> ControlAction {
-        match *self {
-            ActionRecord::SetBudget { cell, attr, budget } => ControlAction::SetBudget {
-                cell: CellId::new(cell.0, cell.1),
-                attr: AttributeId(attr),
-                requests_per_epoch: budget,
-            },
-            ActionRecord::RebuildChain { cell, attr } => ControlAction::RebuildChain {
-                cell: CellId::new(cell.0, cell.1),
-                attr: AttributeId(attr),
-            },
         }
     }
 }
@@ -326,6 +309,7 @@ impl RunLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use craqr_geom::CellId;
 
     #[test]
     fn response_record_round_trips_through_sensing_types() {
@@ -349,15 +333,21 @@ mod tests {
     }
 
     #[test]
-    fn action_record_round_trips_through_core_types() {
+    fn action_record_mirrors_core_actions() {
         let set = ControlAction::SetBudget {
             cell: CellId::new(2, 5),
             attr: AttributeId(1),
             requests_per_epoch: 12.75,
         };
-        assert_eq!(ActionRecord::from(&set).to_action(), set);
+        assert_eq!(
+            ActionRecord::from(&set),
+            ActionRecord::SetBudget { cell: (2, 5), attr: 1, budget: 12.75 }
+        );
         let rebuild = ControlAction::RebuildChain { cell: CellId::new(0, 3), attr: AttributeId(0) };
-        assert_eq!(ActionRecord::from(&rebuild).to_action(), rebuild);
+        assert_eq!(
+            ActionRecord::from(&rebuild),
+            ActionRecord::RebuildChain { cell: (0, 3), attr: 0 }
+        );
     }
 
     #[test]

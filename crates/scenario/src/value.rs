@@ -1,8 +1,8 @@
 //! The self-contained configuration value model behind scenario specs.
 //!
-//! The workspace builds offline against a no-op `serde` stand-in (see
-//! `vendor/serde`), so declarative specs cannot lean on `toml`/
-//! `serde_json`. This module supplies the missing substrate: a small
+//! The workspace builds offline without a serialisation crate, so
+//! declarative specs cannot lean on `toml`/`serde_json`. This module
+//! supplies the missing substrate: a small
 //! [`ConfigValue`] tree, a parser for the TOML subset scenario specs use
 //! (tables, arrays of tables, inline tables, arrays, strings, numbers,
 //! booleans, comments), a standard JSON parser, and deterministic

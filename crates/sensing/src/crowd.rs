@@ -1,6 +1,7 @@
 //! The simulated world: sensors, phenomena, and in-flight responses.
 
 use crate::fields::Field;
+use crate::mobility::Mobility;
 use crate::population::PopulationConfig;
 use crate::sensor::MobileSensor;
 use crate::types::{AttributeId, SensorId, SensorResponse};
@@ -28,7 +29,7 @@ pub struct CrowdConfig {
 /// response: message **drop** (the answer never arrives), **delay** (the
 /// answer is held back a fixed number of minutes — the sensor re-measures
 /// at the *new* delivery time, so a delayed answer carries a genuinely
-/// staler position), and **duplication** (the transport delivers the same
+/// staler position), and **duplication** (the crowd delivers the same
 /// answer twice). All probabilities default to zero; a default-faults
 /// crowd draws nothing from the fault RNG stream and behaves
 /// byte-identically to a fault-free one.
@@ -235,6 +236,9 @@ impl BucketIndex {
 pub struct Crowd {
     region: Rect,
     sensors: Vec<MobileSensor>,
+    /// The population's mobility template, cloned into every sensor
+    /// [`Crowd::churn`] brings in.
+    mobility: Mobility,
     index: BucketIndex,
     /// Candidate buffer reused across orders.
     candidates: Vec<SensorId>,
@@ -263,6 +267,7 @@ impl Crowd {
         Self {
             region: config.region,
             sensors,
+            mobility: config.population.mobility,
             index: BucketIndex::default(),
             candidates: Vec::new(),
             fields: HashMap::new(),
@@ -405,7 +410,7 @@ impl Crowd {
                 .fields
                 .get(&info.attr)
                 .unwrap_or_else(|| panic!("no field registered for {}", info.attr));
-            let sensor = &mut self.sensors[info.sensor.0 as usize];
+            let sensor = &self.sensors[info.sensor.0 as usize];
             let measurement = sensor.observe(info.attr, field.as_ref(), due);
             let response =
                 SensorResponse { sensor: info.sensor, measurement, issued_at: info.issued_at };
@@ -633,9 +638,15 @@ impl Crowd {
     /// Injects sensor churn: every sensor independently drops out with
     /// probability `p` (replaced by a fresh sensor at a random position, so
     /// the population size is stable but continuity is broken). Failure
-    /// injection for the Section VI error experiments.
+    /// injection for the Section VI error experiments. A newcomer moves by
+    /// the population's mobility model and keeps the response model of the
+    /// sensor it replaces.
+    ///
+    /// # Panics
+    /// Panics when `p` is outside `[0, 1]`.
+    #[track_caller]
     pub fn churn(&mut self, p: f64) {
-        assert!((0.0..=1.0).contains(&p), "churn probability must be in [0,1]");
+        assert!((0.0..=1.0).contains(&p), "churn probability must be in [0,1], got {p}");
         let region = self.region;
         self.index.valid = false;
         for s in &mut self.sensors {
@@ -644,12 +655,7 @@ impl Crowd {
                     self.participation_rng.gen_range(region.x0..region.x1),
                     self.participation_rng.gen_range(region.y0..region.y1),
                 );
-                *s = MobileSensor::new(
-                    s.id(),
-                    pos,
-                    crate::mobility::Mobility::random_waypoint(0.08, 5.0),
-                    *s.response_model(),
-                );
+                *s = MobileSensor::new(s.id(), pos, self.mobility.clone(), *s.response_model());
             }
         }
     }
@@ -689,7 +695,6 @@ impl std::fmt::Debug for Crowd {
 mod tests {
     use super::*;
     use crate::fields::{ConstantField, RainFront};
-    use crate::mobility::Mobility;
     use crate::population::{Placement, PopulationConfig};
     use crate::types::AttrValue;
     use proptest::prelude::*;
@@ -1028,6 +1033,27 @@ mod tests {
         let after: Vec<_> = c.sensors().iter().map(|s| s.position()).collect();
         let moved = before.iter().zip(&after).filter(|(a, b)| a != b).count();
         assert!(moved > 90, "churn(1.0) must replace nearly all, moved {moved}");
+    }
+
+    #[test]
+    fn churned_sensors_keep_the_population_mobility() {
+        let mut c = Crowd::new(CrowdConfig {
+            region: Rect::with_size(10.0, 10.0),
+            population: PopulationConfig {
+                size: 50,
+                placement: Placement::Uniform,
+                mobility: Mobility::Stationary,
+                human_fraction: 0.0,
+            },
+            seed: 9,
+        });
+        c.churn(1.0);
+        let churned: Vec<_> = c.sensors().iter().map(|s| s.position()).collect();
+        for _ in 0..5 {
+            c.step(1.0);
+        }
+        let after: Vec<_> = c.sensors().iter().map(|s| s.position()).collect();
+        assert_eq!(churned, after, "a churned-in sensor of a stationary crowd must not move");
     }
 
     /// Rectangles that probe the index from every side: handler-style grid

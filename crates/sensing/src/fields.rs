@@ -9,7 +9,6 @@
 
 use crate::types::AttrValue;
 use craqr_geom::SpaceTimePoint;
-use serde::{Deserialize, Serialize};
 
 /// A spatio-temporal ground-truth field.
 pub trait Field: Send + Sync {
@@ -22,7 +21,7 @@ pub trait Field: Send + Sync {
 ///
 /// At time `t` it rains where `x ∈ [front(t) − width, front(t))` with
 /// `front(t) = x_start + speed·t`. A negative speed sweeps leftwards.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RainFront {
     /// Front position at `t = 0` (km).
     pub x_start: f64,
@@ -59,7 +58,7 @@ impl Field for RainFront {
 /// A smooth temperature surface: base level, urban-heat-island Gaussian
 /// bumps, a linear north-south gradient, and a diurnal sinusoid — the
 /// ground truth behind the sensor-sensed `temp` attribute.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TemperatureField {
     /// Baseline temperature (°C).
     pub base: f64,
@@ -103,7 +102,7 @@ impl Field for TemperatureField {
 }
 
 /// A constant field, useful in tests where content does not matter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConstantField(pub AttrValue);
 
 impl Field for ConstantField {

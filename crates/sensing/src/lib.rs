@@ -23,9 +23,8 @@
 //!   mixtures), producing exactly the non-uniform density the paper says
 //!   crowdsensed data exhibits.
 //! - [`crowd`] — the world object: advances sensor positions, accepts
-//!   request batches, matures delayed responses.
-//! - [`transport`] — framed binary encoding of requests/responses plus a
-//!   lossy in-process channel for failure injection.
+//!   request batches, matures delayed responses, and injects delivery
+//!   faults (drop, delay, duplicate).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -36,7 +35,6 @@ pub mod mobility;
 pub mod population;
 pub mod response;
 pub mod sensor;
-pub mod transport;
 mod types;
 
 pub use crowd::{Crowd, CrowdConfig, CrowdFaults};
@@ -45,6 +43,4 @@ pub use mobility::Mobility;
 pub use population::{Placement, PopulationConfig};
 pub use response::ResponseModel;
 pub use sensor::MobileSensor;
-pub use types::{
-    AcquisitionRequest, AttrValue, AttributeId, Measurement, SensorId, SensorResponse,
-};
+pub use types::{AttrValue, AttributeId, Measurement, SensorId, SensorResponse};

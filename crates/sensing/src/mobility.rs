@@ -12,10 +12,9 @@ use craqr_stats::dist::Normal;
 use craqr_stats::Interval;
 use rand::distributions::Distribution;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Per-sensor mobility state machine. Units: km, minutes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Mobility {
     /// A fixed installation (e.g. a wall-mounted station participating in
     /// the crowd); the degenerate case matching classic WSN assumptions.
@@ -35,10 +34,8 @@ pub enum Mobility {
         /// Pause duration at each waypoint (minutes).
         pause: f64,
         /// Current target, if travelling.
-        #[serde(skip)]
         target: Option<(f64, f64)>,
         /// Remaining pause time (minutes).
-        #[serde(skip)]
         pause_left: f64,
     },
     /// Gauss–Markov: velocity is an AR(1) process with memory `alpha`,
@@ -51,7 +48,6 @@ pub enum Mobility {
         /// Velocity noise standard deviation (km/min).
         sigma: f64,
         /// Current velocity (km/min).
-        #[serde(skip)]
         velocity: (f64, f64),
     },
 }

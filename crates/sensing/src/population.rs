@@ -13,10 +13,9 @@ use crate::types::SensorId;
 use craqr_geom::Rect;
 use craqr_stats::Interval;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Spatial placement of the initial sensor positions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Placement {
     /// Uniform over the region (the WSN-like baseline).
     Uniform,
@@ -124,7 +123,7 @@ impl Placement {
 }
 
 /// Configuration of a sensor population.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PopulationConfig {
     /// Number of sensors `m`.
     pub size: usize,

@@ -10,10 +10,9 @@
 use craqr_stats::dist::Exponential;
 use rand::distributions::Distribution;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Stochastic response behaviour of one sensor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResponseModel {
     /// Probability of answering an un-incentivized request, in `[0, 1]`.
     pub base_probability: f64,

@@ -6,19 +6,19 @@ use crate::response::ResponseModel;
 use crate::types::{AttributeId, Measurement, SensorId};
 use craqr_geom::{Rect, SpaceTimePoint};
 use rand::Rng;
-use std::collections::VecDeque;
 
-/// A mobile sensor `sᵢ`: position, movement model, participation behaviour,
-/// and the local memory the paper grants every sensor ("each mobile sensor
-/// is assumed to have local memory to store sensed information").
+/// A mobile sensor `sᵢ`: position, movement model and participation
+/// behaviour. The paper also grants every sensor local memory ("each
+/// mobile sensor is assumed to have local memory to store sensed
+/// information"); that memory is not simulated, because no request reuses
+/// a stored observation — a delayed answer re-measures at its new
+/// delivery time.
 #[derive(Debug, Clone)]
 pub struct MobileSensor {
     id: SensorId,
     position: (f64, f64),
     mobility: Mobility,
     response: ResponseModel,
-    memory: VecDeque<Measurement>,
-    memory_capacity: usize,
 }
 
 impl MobileSensor {
@@ -29,14 +29,7 @@ impl MobileSensor {
         mobility: Mobility,
         response: ResponseModel,
     ) -> Self {
-        Self { id, position, mobility, response, memory: VecDeque::new(), memory_capacity: 256 }
-    }
-
-    /// Overrides the local-memory capacity (measurements retained).
-    pub fn with_memory_capacity(mut self, capacity: usize) -> Self {
-        self.memory_capacity = capacity;
-        self.memory.truncate(capacity);
-        self
+        Self { id, position, mobility, response }
     }
 
     /// The sensor id.
@@ -75,36 +68,16 @@ impl MobileSensor {
         self.position = self.mobility.step(self.position, dt, region, rng);
     }
 
-    /// Samples `field` at the sensor's position at time `now`, storing the
-    /// measurement in local memory and returning it.
-    pub fn observe(&mut self, attr: AttributeId, field: &dyn Field, now: f64) -> Measurement {
+    /// Samples `field` at the sensor's position at time `now`.
+    pub fn observe(&self, attr: AttributeId, field: &dyn Field, now: f64) -> Measurement {
         let point = SpaceTimePoint::new(now, self.position.0, self.position.1);
-        let m = Measurement { attr, point, value: field.value_at(&point) };
-        if self.memory.len() == self.memory_capacity {
-            self.memory.pop_front();
-        }
-        if self.memory_capacity > 0 {
-            self.memory.push_back(m);
-        }
-        m
+        Measurement { attr, point, value: field.value_at(&point) }
     }
 
     /// Decides whether (and with what latency, in minutes) the sensor will
     /// answer a request carrying `incentive`.
     pub fn decide_response<R: Rng + ?Sized>(&self, incentive: f64, rng: &mut R) -> Option<f64> {
         self.response.draw_response(incentive, rng)
-    }
-
-    /// Measurements retained in local memory, oldest first.
-    pub fn memory(&self) -> impl Iterator<Item = &Measurement> {
-        self.memory.iter()
-    }
-
-    /// The most recent remembered measurement of `attr` not older than
-    /// `since` — lets the handler reuse a cached observation instead of
-    /// demanding a new one.
-    pub fn recall(&self, attr: AttributeId, since: f64) -> Option<&Measurement> {
-        self.memory.iter().rev().find(|m| m.attr == attr && m.point.t >= since)
     }
 }
 
@@ -120,48 +93,12 @@ mod tests {
     }
 
     #[test]
-    fn observe_records_into_memory() {
-        let mut s = sensor();
+    fn observe_samples_field_at_position() {
+        let s = sensor();
         let field = ConstantField(AttrValue::Float(7.0));
         let m = s.observe(AttributeId(0), &field, 5.0);
         assert_eq!(m.point, SpaceTimePoint::new(5.0, 2.0, 3.0));
         assert_eq!(m.value, AttrValue::Float(7.0));
-        assert_eq!(s.memory().count(), 1);
-    }
-
-    #[test]
-    fn memory_is_capacity_bounded() {
-        let mut s = sensor().with_memory_capacity(3);
-        let field = ConstantField(AttrValue::Bool(true));
-        for t in 0..10 {
-            s.observe(AttributeId(0), &field, t as f64);
-        }
-        assert_eq!(s.memory().count(), 3);
-        // Oldest remaining is t=7.
-        assert_eq!(s.memory().next().unwrap().point.t, 7.0);
-    }
-
-    #[test]
-    fn zero_capacity_memory_stores_nothing() {
-        let mut s = sensor().with_memory_capacity(0);
-        let field = ConstantField(AttrValue::Bool(true));
-        s.observe(AttributeId(0), &field, 1.0);
-        assert_eq!(s.memory().count(), 0);
-    }
-
-    #[test]
-    fn recall_finds_fresh_measurement_of_right_attr() {
-        let mut s = sensor();
-        let f0 = ConstantField(AttrValue::Float(1.0));
-        let f1 = ConstantField(AttrValue::Float(2.0));
-        s.observe(AttributeId(0), &f0, 1.0);
-        s.observe(AttributeId(1), &f1, 2.0);
-        s.observe(AttributeId(0), &f0, 3.0);
-
-        let hit = s.recall(AttributeId(0), 2.5).expect("fresh measurement exists");
-        assert_eq!(hit.point.t, 3.0);
-        assert!(s.recall(AttributeId(0), 3.5).is_none(), "too-strict freshness");
-        assert!(s.recall(AttributeId(9), 0.0).is_none(), "unknown attribute");
     }
 
     #[test]

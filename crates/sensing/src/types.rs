@@ -1,11 +1,10 @@
 //! Shared identifier and message types.
 
 use craqr_geom::SpaceTimePoint;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of an attribute of interest `A⟨j⟩` (Section II).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AttributeId(pub u16);
 
 impl fmt::Display for AttributeId {
@@ -15,7 +14,7 @@ impl fmt::Display for AttributeId {
 }
 
 /// Identifier of a mobile sensor `sᵢ`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SensorId(pub u64);
 
 impl fmt::Display for SensorId {
@@ -28,7 +27,7 @@ impl fmt::Display for SensorId {
 ///
 /// The paper's two running examples fix the two variants: `rain` is a
 /// human-sensed boolean, `temp` a sensor-sensed real.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AttrValue {
     /// A human-sensed boolean observation (e.g. "is it raining?").
     Bool(bool),
@@ -37,14 +36,6 @@ pub enum AttrValue {
 }
 
 impl AttrValue {
-    /// The boolean payload, if this is a boolean observation.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            AttrValue::Bool(b) => Some(*b),
-            AttrValue::Float(_) => None,
-        }
-    }
-
     /// The float payload, if this is a real-valued observation.
     pub fn as_float(&self) -> Option<f64> {
         match self {
@@ -55,7 +46,7 @@ impl AttrValue {
 }
 
 /// One observation made by a sensor: where/when plus the sensed value.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Measurement {
     /// The observed attribute.
     pub attr: AttributeId,
@@ -65,22 +56,8 @@ pub struct Measurement {
     pub value: AttrValue,
 }
 
-/// An acquisition request the server sends to one sensor
-/// (request/response handler, Section IV-A).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AcquisitionRequest {
-    /// Attribute to observe.
-    pub attr: AttributeId,
-    /// Server time at which the request was issued (minutes).
-    pub issued_at: f64,
-    /// Incentive offered for answering (arbitrary units; 0 = none). The
-    /// Section VI extension raises this instead of the budget when the
-    /// budget is capped.
-    pub incentive: f64,
-}
-
 /// A sensor's (possibly much later) answer to a request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SensorResponse {
     /// Which sensor answered.
     pub sensor: SensorId,
@@ -97,10 +74,8 @@ mod tests {
 
     #[test]
     fn attr_value_accessors() {
-        assert_eq!(AttrValue::Bool(true).as_bool(), Some(true));
         assert_eq!(AttrValue::Bool(true).as_float(), None);
         assert_eq!(AttrValue::Float(2.5).as_float(), Some(2.5));
-        assert_eq!(AttrValue::Float(2.5).as_bool(), None);
     }
 
     #[test]

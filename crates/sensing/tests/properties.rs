@@ -3,10 +3,9 @@
 
 use craqr_geom::Rect;
 use craqr_sensing::fields::ConstantField;
-use craqr_sensing::transport::{decode_response, encode_response};
 use craqr_sensing::{
-    AttrValue, AttributeId, Crowd, CrowdConfig, Measurement, Mobility, Placement, PopulationConfig,
-    ResponseModel, SensorId, SensorResponse,
+    AttrValue, AttributeId, Crowd, CrowdConfig, Mobility, Placement, PopulationConfig,
+    ResponseModel,
 };
 use craqr_stats::seeded_rng;
 use proptest::prelude::*;
@@ -109,33 +108,6 @@ proptest! {
         }
         let responses = c.drain_responses();
         prop_assert!(responses.len() <= sent, "{} responses from {sent} requests", responses.len());
-    }
-
-    #[test]
-    fn transport_round_trips_arbitrary_responses(
-        sensor in any::<u64>(),
-        attr in any::<u16>(),
-        t in -1e6f64..1e6,
-        x in -1e6f64..1e6,
-        y in -1e6f64..1e6,
-        issued in -1e6f64..1e6,
-        float_value in prop::option::of(-1e9f64..1e9),
-    ) {
-        let value = match float_value {
-            Some(v) => AttrValue::Float(v),
-            None => AttrValue::Bool(sensor % 2 == 0),
-        };
-        let resp = SensorResponse {
-            sensor: SensorId(sensor),
-            measurement: Measurement {
-                attr: AttributeId(attr),
-                point: craqr_geom::SpaceTimePoint::new(t, x, y),
-                value,
-            },
-            issued_at: issued,
-        };
-        let decoded = decode_response(encode_response(&resp)).expect("round trip");
-        prop_assert_eq!(decoded, resp);
     }
 
     #[test]

@@ -22,7 +22,6 @@
 //! same decisions, which is what lets adaptive traces be golden-tested.
 
 use crate::Interval;
-use serde::{Deserialize, Serialize};
 
 /// Range of either detector's per-step slack (CUSUM `k`, Page–Hinkley `δ`).
 pub const SLACK: Interval = Interval::NonNeg;
@@ -31,7 +30,7 @@ pub const SLACK: Interval = Interval::NonNeg;
 pub const THRESHOLD: Interval = Interval::Positive;
 
 /// The direction of a detected shift.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DriftDirection {
     /// The signal shifted upward (e.g. arrival intensity jumped).
     Up,
@@ -49,7 +48,7 @@ impl std::fmt::Display for DriftDirection {
 }
 
 /// Two-sided CUSUM detector around a zero-mean signal.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Cusum {
     /// Per-step slack `k ≥ 0`: deviations below `k` never accumulate.
     pub slack: f64,
@@ -120,7 +119,7 @@ impl Cusum {
 }
 
 /// Two-sided Page–Hinkley detector, self-centered on the running mean.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PageHinkley {
     /// Magnitude tolerance `δ ≥ 0`: drifts smaller than `δ` per step are
     /// treated as noise.

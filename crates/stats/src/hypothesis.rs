@@ -7,10 +7,9 @@
 //! inter-arrivals (KS test), and Poisson counts must have unit dispersion.
 
 use crate::special::{chi_square_sf, std_normal_cdf};
-use serde::{Deserialize, Serialize};
 
 /// Result of a χ² goodness-of-fit test.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChiSquare {
     /// The χ² statistic `Σ (obs − exp)² / exp`.
     pub statistic: f64,
@@ -50,33 +49,8 @@ pub fn chi_square_uniform(counts: &[u64]) -> ChiSquare {
     ChiSquare { statistic, df, p_value: chi_square_sf(statistic, df) }
 }
 
-/// χ² test against explicit expected counts (lengths must match).
-///
-/// Used when the bins have unequal volumes (e.g. edge cells clipped by a
-/// query footprint), so the homogeneous null predicts unequal counts.
-///
-/// # Panics
-/// Panics on length mismatch, fewer than two bins, or non-positive expected
-/// counts.
-#[track_caller]
-pub fn chi_square_expected(observed: &[u64], expected: &[f64]) -> ChiSquare {
-    assert_eq!(observed.len(), expected.len(), "bin count mismatch");
-    assert!(observed.len() >= 2, "need at least two bins");
-    let statistic: f64 = observed
-        .iter()
-        .zip(expected)
-        .map(|(&o, &e)| {
-            assert!(e > 0.0, "expected counts must be positive");
-            let d = o as f64 - e;
-            d * d / e
-        })
-        .sum();
-    let df = (observed.len() - 1) as f64;
-    ChiSquare { statistic, df, p_value: chi_square_sf(statistic, df) }
-}
-
 /// Result of a Kolmogorov–Smirnov test.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KsTest {
     /// The KS statistic `D_n = sup |F_emp − F|`.
     pub statistic: f64,
@@ -138,7 +112,7 @@ fn kolmogorov_sf(x: f64) -> f64 {
 }
 
 /// Result of the variance-to-mean dispersion test for Poisson counts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Dispersion {
     /// Variance/mean ratio (1 under the Poisson null).
     pub index: f64,
@@ -204,21 +178,6 @@ mod tests {
         let counts: Vec<u64> = (0..50).map(|_| d.sample(&mut rng)).collect();
         let r = chi_square_uniform(&counts);
         assert!(r.accepts(0.001), "p={}", r.p_value);
-    }
-
-    #[test]
-    fn chi_square_expected_handles_unequal_bins() {
-        // Two bins with expected 2:1 ratio and observations matching it.
-        let r = chi_square_expected(&[200, 100], &[200.0, 100.0]);
-        assert!(r.accepts(0.05));
-        let bad = chi_square_expected(&[100, 200], &[200.0, 100.0]);
-        assert!(!bad.accepts(0.001), "p={}", bad.p_value);
-    }
-
-    #[test]
-    #[should_panic(expected = "bin count mismatch")]
-    fn chi_square_expected_length_mismatch() {
-        let _ = chi_square_expected(&[1, 2, 3], &[1.0, 2.0]);
     }
 
     #[test]

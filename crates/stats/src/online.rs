@@ -3,11 +3,10 @@
 //! Budget tuning and sliding-window flattening observe unbounded tuple
 //! streams; everything here is O(1) memory per statistic.
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Welford's online mean/variance accumulator.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OnlineMoments {
     count: u64,
     mean: f64,
@@ -104,7 +103,7 @@ impl Extend<f64> for OnlineMoments {
 /// Budget tuning smooths the per-batch rate-violation percentage `N_v`
 /// before comparing it with the user threshold, so a single noisy batch does
 /// not flip the budget direction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Ewma {
     alpha: f64,
     value: Option<f64>,
@@ -149,7 +148,7 @@ impl Ewma {
 /// Stores event timestamps inside the window; `rate()` is
 /// `events / window`. Used by the request/response handler to measure the
 /// actual delivery rate per (attribute, cell) and by sliding-window flatten.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WindowedRate {
     window: f64,
     times: VecDeque<f64>,

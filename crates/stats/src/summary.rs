@@ -1,9 +1,7 @@
 //! Descriptive summaries for experiment reports.
 
-use serde::{Deserialize, Serialize};
-
 /// A fixed-range, equal-width histogram.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     lo: f64,
     hi: f64,
@@ -53,20 +51,10 @@ impl Histogram {
     pub fn total(&self) -> u64 {
         self.bins.iter().sum::<u64>() + self.below + self.above
     }
-
-    /// The `[lo, hi)` edges of bin `i`.
-    ///
-    /// # Panics
-    /// Panics when `i` is out of range.
-    pub fn bin_edges(&self, i: usize) -> (f64, f64) {
-        assert!(i < self.bins.len());
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        (self.lo + w * i as f64, self.lo + w * (i + 1) as f64)
-    }
 }
 
 /// Five-number summary plus mean of a finite sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Sample size.
     pub n: usize,
@@ -130,13 +118,6 @@ mod tests {
         assert_eq!(h.counts(), &[2, 1, 1, 0, 1]);
         assert_eq!(h.overflow(), (1, 2));
         assert_eq!(h.total(), 8);
-    }
-
-    #[test]
-    fn histogram_bin_edges() {
-        let h = Histogram::new(0.0, 10.0, 4);
-        assert_eq!(h.bin_edges(0), (0.0, 2.5));
-        assert_eq!(h.bin_edges(3), (7.5, 10.0));
     }
 
     #[test]

@@ -163,12 +163,6 @@ impl Flags {
             let flag = arg.as_str();
             let mut value = || it.next().ok_or_else(|| format!("flag {flag} needs a value"));
             match flag {
-                "--help" | "-h" if golden => {
-                    println!(
-                        "see the doc comment at the top of src/bin/craqr-scenario.rs for usage"
-                    );
-                    std::process::exit(0);
-                }
                 _ if flag.starts_with("--") && !allowed.split(' ').any(|known| known == flag) => {
                     let hint = if golden { " (try --help)" } else { "" };
                     return Err(format!("unknown flag '{flag}'{hint}"));
@@ -949,6 +943,10 @@ fn golden_mode(argv: &[String]) -> ExitCode {
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.iter().any(|arg| arg == "--help" || arg == "-h") {
+        println!("see the doc comment at the top of src/bin/craqr-scenario.rs for usage");
+        return ExitCode::SUCCESS;
+    }
     let result: Result<u8, Failure> = match argv.first().map(String::as_str) {
         Some("record") => cmd_record(&argv[1..]).map(|()| 0),
         Some("replay") => cmd_replay(&argv[1..]).map(|()| 0),

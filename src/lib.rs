@@ -8,7 +8,7 @@
 //! - [`mdpp`] — multi-dimensional point processes: models, samplers,
 //!   MLE/SGD inference, homogeneity diagnostics.
 //! - [`sensing`] — the simulated mobile crowd: mobility, ground-truth
-//!   fields, response behaviour, transport.
+//!   fields, response behaviour, delivery faults.
 //! - [`engine`] — the streaming dataflow engine PMAT operators run on.
 //! - [`core`] — CrAQR itself: PMAT operators, acquisitional queries, the
 //!   Section V planner, budget tuning, and the server.
@@ -103,7 +103,7 @@ pub mod prelude {
         AcquisitionQuery, AttributeCatalog, Budget, BudgetTuner, ControlAction, ControlHook,
         CraqrServer, CrowdTuple, EpochObservation, EpochReport, ErrorModel, ExecMode, Fabricator,
         FlattenOp, IncentivePolicy, IngestReport, Mitigation, PartitionOp, PlannerConfig, QueryId,
-        RateMeterOp, ServerConfig, ShardIngest, SuperposeOp, ThinOp, TopologyShape, UnionOp,
+        ServerConfig, ShardIngest, SuperposeOp, ThinOp, TopologyShape, UnionOp,
     };
     pub use craqr_geom::{CellId, Grid, Rect, Region, SpaceTimePoint, SpaceTimeWindow};
     pub use craqr_mdpp::{

@@ -1,13 +1,10 @@
-//! Failure injection across the stack: corrupted responses, lossy
-//! transport, sensor churn — the Section VI error-handling surface.
+//! Failure injection across the stack: corrupted responses and sensor
+//! churn — the Section VI error-handling surface.
 
 use craqr::core::{ErrorModel, Mitigation};
 use craqr::prelude::*;
 use craqr::sensing::fields::ConstantField;
-use craqr::sensing::transport::{
-    decode_request, decode_response, encode_request, LossyChannel, TransportError,
-};
-use craqr::sensing::{AcquisitionRequest, AttributeId};
+use craqr::sensing::AttributeId;
 
 fn crowd(seed: u64) -> Crowd {
     let region = Rect::with_size(4.0, 4.0);
@@ -135,34 +132,4 @@ fn churned_crowd_still_answers() {
     c.step(1.0);
     let after = c.drain_responses().len();
     assert!(after > 100, "churn must not break request handling, got {after}");
-}
-
-#[test]
-fn lossy_transport_round_trip_survives_partial_loss() {
-    let mut ch = LossyChannel::new(0.25, seeded_rng(6));
-    let req = AcquisitionRequest { attr: AttributeId(3), issued_at: 1.0, incentive: 0.5 };
-    for _ in 0..4_000 {
-        ch.send(encode_request(&req));
-    }
-    let delivered = ch.recv_all();
-    let frac = delivered.len() as f64 / 4_000.0;
-    assert!((frac - 0.75).abs() < 0.03, "delivery fraction {frac}");
-    for frame in delivered {
-        assert_eq!(decode_request(frame).unwrap(), req);
-    }
-}
-
-#[test]
-fn corrupted_frames_are_rejected_not_misparsed() {
-    let req = AcquisitionRequest { attr: AttributeId(3), issued_at: 1.0, incentive: 0.5 };
-    let frame = encode_request(&req);
-    // Truncations at every length must fail cleanly.
-    for cut in 0..frame.len() {
-        assert!(matches!(
-            decode_request(frame.slice(0..cut)),
-            Err(TransportError::Truncated) | Err(TransportError::BadTag(_))
-        ));
-    }
-    // A request frame is not a response frame.
-    assert!(matches!(decode_response(frame), Err(TransportError::BadTag(_))));
 }
