@@ -13,7 +13,7 @@
 //! craqr-core = "crates/core/src/lib.rs"
 //!
 //! [bins]            # binary target name -> root source file
-//! craqr-run = "src/bin/craqr-run.rs"
+//! craqr-scenario-cli = "src/bin/craqr-scenario.rs"
 //!
 //! [tiers]           # module-path prefixes; everything else is event tier
 //! timing  = ["craqr-core::exec"]

@@ -38,24 +38,35 @@ pub enum ExecMode {
     /// Partition chains into `n` shards (deterministic round-robin over
     /// sorted keys) and run each shard on its own scoped worker thread.
     ///
-    /// `Sharded(1)` is the serial schedule on a worker thread — useful for
-    /// isolating thread-spawn overhead in benchmarks.
+    /// `Sharded(1)` is the serial schedule on a worker thread.
     Sharded(usize),
 }
 
 impl ExecMode {
+    /// `Err((field, requirement))` for `Sharded(0)`, the one mode that
+    /// cannot run — the one check the server's validator, the CLI's
+    /// `--shards` and [`ExecMode::shards`] all ask.
+    pub fn validate(&self) -> Result<(), (&'static str, String)> {
+        match self {
+            ExecMode::Sharded(0) => {
+                Err(("exec.shards", "Sharded(0) has no workers to run on".into()))
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Number of shards this mode runs (`1` for serial).
     ///
     /// # Panics
-    /// Panics on `Sharded(0)`, which is meaningless.
+    /// Panics on a mode [`ExecMode::validate`] rejects.
     #[track_caller]
     pub fn shards(&self) -> usize {
+        if let Err((field, message)) = self.validate() {
+            panic!("{field}: {message}");
+        }
         match self {
             ExecMode::Serial => 1,
-            ExecMode::Sharded(n) => {
-                assert!(*n > 0, "Sharded(0) has no workers to run on");
-                *n
-            }
+            ExecMode::Sharded(n) => *n,
         }
     }
 }

@@ -447,11 +447,6 @@ impl AttrChain {
         s
     }
 
-    /// Graphviz rendering of the chain's dataflow graph.
-    pub fn to_dot(&self, name: &str) -> String {
-        self.topo.to_dot(name)
-    }
-
     /// Structural invariants (rules 1–4), checked after every mutation in
     /// debug and test builds.
     pub fn assert_invariants(&self) {

@@ -657,18 +657,6 @@ impl Fabricator {
     pub fn chain(&self, cell: CellId, attr: AttributeId) -> Option<&AttrChain> {
         self.chains.get(&(cell, attr))
     }
-
-    /// Graphviz rendering of every materialized chain, one `digraph` per
-    /// (cell, attribute).
-    pub fn explain_dot(&self) -> String {
-        self.chains
-            .iter()
-            .map(|((cell, attr), chain)| {
-                chain.to_dot(&format!("cell_{}_{}_attr_{}", cell.q, cell.r, attr.0))
-            })
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
 }
 
 #[cfg(test)]

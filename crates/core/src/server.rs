@@ -71,9 +71,7 @@ impl ServerConfig {
         if self.mobility_substeps == 0 {
             return Err(("planner.mobility_substeps", "must be >= 1".into()));
         }
-        if matches!(self.exec, ExecMode::Sharded(0)) {
-            return Err(("exec.shards", "Sharded(0) has no workers to run on".into()));
-        }
+        self.exec.validate()?;
         let t = &self.tuner;
         BudgetTuner::NV_THRESHOLD.check("budget.nv_threshold", t.nv_threshold)?;
         BudgetTuner::DELTA.check("budget.delta", t.delta)?;

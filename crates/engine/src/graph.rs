@@ -383,52 +383,6 @@ impl<T: Clone> Topology<T> {
         self.slot_mut(node).operator.as_mut()
     }
 
-    /// Renders the topology as a Graphviz `digraph` — operator nodes as
-    /// boxes (labelled with their name and tuple counters), sinks as
-    /// ellipses, edges annotated with output ports.
-    pub fn to_dot(&self, name: &str) -> String {
-        use std::fmt::Write;
-        let mut dot = String::new();
-        let _ = writeln!(dot, "digraph \"{name}\" {{");
-        let _ = writeln!(dot, "  rankdir=LR;");
-        for (idx, slot) in self.nodes.iter().enumerate() {
-            let Some(slot) = slot else { continue };
-            let _ = writeln!(
-                dot,
-                "  n{idx} [shape=box, label=\"{}\\nin={} out={}\"];",
-                slot.operator.name().replace('"', "'"),
-                slot.metrics.tuples_in,
-                slot.metrics.tuples_out
-            );
-        }
-        for (idx, sink) in self.sinks.iter().enumerate() {
-            if sink.is_some() {
-                let _ = writeln!(dot, "  s{idx} [shape=ellipse, label=\"sink {idx}\"];");
-            }
-        }
-        for (idx, slot) in self.nodes.iter().enumerate() {
-            let Some(slot) = slot else { continue };
-            for (port, edges) in slot.edges.iter().enumerate() {
-                for target in edges {
-                    match target {
-                        Target::Node(nid, in_port) => {
-                            let _ = writeln!(
-                                dot,
-                                "  n{idx} -> n{} [label=\"{port}→{}\"];",
-                                nid.0, in_port.0
-                            );
-                        }
-                        Target::Sink(sid) => {
-                            let _ = writeln!(dot, "  n{idx} -> s{} [label=\"{port}\"];", sid.0);
-                        }
-                    }
-                }
-            }
-        }
-        dot.push_str("}\n");
-        dot
-    }
-
     /// Metrics snapshot over live nodes.
     pub fn metrics(&self) -> TopologyMetrics {
         TopologyMetrics {
@@ -758,37 +712,6 @@ mod tests {
         let m = t.metrics();
         assert_eq!(m.by_name("alpha").unwrap().tuples_in, 4);
         assert_eq!(m.total_tuples_processed(), 4);
-    }
-
-    #[test]
-    fn dot_export_lists_nodes_edges_and_sinks() {
-        let mut t: Topology<u32> = Topology::new();
-        let a = t.add_operator(passthrough("alpha"));
-        let s = t.add_operator(Box::new(EvenOddSplit));
-        let sink = t.add_sink();
-        t.connect(a, OutputPort(0), Target::Node(s, InputPort(0)));
-        t.connect(s, OutputPort(1), Target::Sink(sink));
-        t.push(a, &[1, 2, 3]);
-        let dot = t.to_dot("demo");
-        assert!(dot.starts_with("digraph \"demo\""), "{dot}");
-        assert!(dot.contains("label=\"alpha\\nin=3 out=3\""), "{dot}");
-        assert!(dot.contains("n0 -> n1"), "{dot}");
-        assert!(dot.contains("-> s0 [label=\"1\"]"), "{dot}");
-        assert!(dot.contains("shape=ellipse"), "{dot}");
-        assert!(dot.ends_with("}\n"));
-    }
-
-    #[test]
-    fn dot_export_skips_removed_nodes() {
-        let mut t: Topology<u32> = Topology::new();
-        let a = t.add_operator(passthrough("keep"));
-        let b = t.add_operator(passthrough("gone"));
-        t.connect(a, OutputPort(0), Target::Node(b, InputPort(0)));
-        t.remove_node(b);
-        let dot = t.to_dot("x");
-        assert!(dot.contains("keep"));
-        assert!(!dot.contains("gone"));
-        assert!(!dot.contains("->"), "dangling edge exported: {dot}");
     }
 
     #[test]

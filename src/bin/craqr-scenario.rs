@@ -61,7 +61,7 @@
 //! |---|---|---|
 //! | `<files…>`       | —              | scenario spec files (`.toml` or `.json`) |
 //! | `--all DIR`      | —              | append every spec in `DIR` (sorted) to the file list |
-//! | `--shards N`     | serial         | run under `Sharded(N)`, `N >= 1` (`0` is rejected: it has no workers) |
+//! | `--shards N`     | serial         | run under `Sharded(N)`, `N >= 1` |
 //! | `--seed S`       | spec seed      | override every spec's seed |
 //! | `--goldens DIR`  | `tests/goldens`| where golden reports live |
 //! | `--bless`        | off            | write/overwrite golden files, sweeping stale and orphaned ones |
@@ -88,7 +88,7 @@
 //! silently-unchecked golden behind.
 
 use craqr::core::{CrashPoint, ExecMode};
-use craqr::runlog::{diff_logs, parse_salvage, write_atomic, RunLog};
+use craqr::runlog::{diff_logs, parse_salvage, write_atomic, RunLog, Salvage, TornTail};
 use craqr::scenario::{
     kill_salvage_resume, replay, resume, scenario_files, Execution, Record, RunPlan, RunTelemetry,
     ScenarioRunner,
@@ -128,7 +128,7 @@ struct Flags {
     /// Positional arguments: spec files (after `--all` expansion) or logs.
     files: Vec<PathBuf>,
     /// `--shards N`: run under `Sharded(N)`; serial is the flag's absence.
-    shards: Option<usize>,
+    mode: ExecMode,
     seed: Option<u64>,
     out: Option<PathBuf>,
     /// `--metrics FILE`: instrument every run and write the merged
@@ -168,13 +168,9 @@ impl Flags {
                     return Err(format!("unknown flag '{flag}'{hint}"));
                 }
                 "--shards" => {
-                    let n: usize = value()?.parse().map_err(|e| format!("--shards: {e}"))?;
-                    if n == 0 {
-                        return Err("--shards 0 has no workers to run on; use N >= 1, or omit \
-                                    the flag for serial"
-                            .into());
-                    }
-                    f.shards = Some(n);
+                    f.mode =
+                        ExecMode::Sharded(value()?.parse().map_err(|e| format!("--shards: {e}"))?);
+                    f.mode.validate().map_err(|(field, message)| format!("{field}: {message}"))?;
                 }
                 "--seed" => f.seed = Some(value()?.parse().map_err(|e| format!("--seed: {e}"))?),
                 "--at" => f.at = Some(value()?.parse().map_err(|e| format!("--at: {e}"))?),
@@ -209,8 +205,7 @@ impl Flags {
     /// The execution the flags ask for: `--shards`, `--pipeline`, and the
     /// timing tier iff `--metrics` wants an exposition.
     fn execution(&self) -> Execution {
-        let mode = self.shards.map_or(ExecMode::Serial, ExecMode::Sharded);
-        Execution { mode, pipelined: self.pipeline, timing: self.metrics.is_some() }
+        Execution { mode: self.mode, pipelined: self.pipeline, timing: self.metrics.is_some() }
     }
 
     /// The flags as a plan: their execution, `--seed`, recording as `record`.
@@ -219,32 +214,45 @@ impl Flags {
     }
 }
 
+/// Reads and salvages a log. A log is plain text, so a byte that is not
+/// UTF-8 is damage like any other: the text ends before the first such
+/// byte, and every byte from it on joins the torn tail.
+fn salvage_log(path: &Path) -> Result<Salvage, Failure> {
+    let bytes = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    let valid = std::str::from_utf8(&bytes).map_or_else(|e| e.valid_up_to(), str::len);
+    let src = String::from_utf8_lossy(&bytes[..valid]);
+    let mut salvage = parse_salvage(&src).map_err(|e| Failure {
+        code: EXIT_CORRUPT,
+        message: format!("{}: corrupt log, nothing salvageable: {e}", path.display()),
+    })?;
+    if valid < bytes.len() {
+        let torn = salvage.torn.get_or_insert_with(|| TornTail {
+            valid_bytes: src.len(),
+            discarded_bytes: 0,
+            line: src.matches('\n').count() + 1,
+            reason: format!("byte {} is not UTF-8", src.len()),
+        });
+        torn.discarded_bytes += bytes.len() - valid;
+    }
+    Ok(salvage)
+}
+
 /// Loads a log, classifying parse failures: a file whose tail is torn but
 /// whose prefix salvages exits 3 (recoverable — run `salvage`), a file
 /// that cannot even be salvaged exits 2 (corrupt — restore from backup).
 fn load_log(path: &Path) -> Result<RunLog, Failure> {
-    let src = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    match RunLog::parse(&src) {
-        Ok(log) => Ok(log),
-        Err(parse_err) => match parse_salvage(&src) {
-            Ok(salvage) => Err(Failure {
-                code: EXIT_TORN,
-                message: format!(
-                    "{}: torn log ({parse_err}); {} epoch(s) salvage cleanly — \
-                     run `craqr-scenario salvage {}` to recover",
-                    path.display(),
-                    salvage.log.epochs.len(),
-                    path.display(),
-                ),
-            }),
-            Err(salvage_err) => Err(Failure {
-                code: EXIT_CORRUPT,
-                message: format!(
-                    "{}: corrupt log, nothing salvageable: {salvage_err}",
-                    path.display()
-                ),
-            }),
-        },
+    let salvage = salvage_log(path)?;
+    match salvage.torn {
+        None => Ok(salvage.log),
+        Some(torn) => Err(Failure {
+            code: EXIT_TORN,
+            message: format!(
+                "{0}: {torn}; {1} epoch(s) salvage cleanly — run `craqr-scenario salvage {0}` \
+                 to recover",
+                path.display(),
+                salvage.log.epochs.len(),
+            ),
+        }),
     }
 }
 
@@ -435,11 +443,7 @@ fn cmd_diff(argv: &[String]) -> Result<bool, Failure> {
 fn cmd_salvage(argv: &[String]) -> Result<u8, Failure> {
     let flags = Flags::parse("salvage", "--out --resume --shards", true, argv)?;
     let file = flags.files.first().ok_or("salvage: a .runlog.txt file is required")?;
-    let src = std::fs::read_to_string(file).map_err(|e| format!("{}: {e}", file.display()))?;
-    let salvage = parse_salvage(&src).map_err(|e| Failure {
-        code: EXIT_CORRUPT,
-        message: format!("{}: corrupt log, nothing salvageable: {e}", file.display()),
-    })?;
+    let salvage = salvage_log(file)?;
     let exit = match &salvage.torn {
         None => {
             println!(
@@ -795,7 +799,7 @@ fn golden_mode(argv: &[String]) -> ExitCode {
     let plan = args.plan(Record::AsSpec);
     let exec = plan.execution.mode;
     // The cross-check mode: whatever the primary isn't.
-    let cross = if args.shards.is_some() { ExecMode::Serial } else { ExecMode::Sharded(4) };
+    let cross = if args.mode != ExecMode::Serial { ExecMode::Serial } else { ExecMode::Sharded(4) };
     let cross_plan = RunPlan { seed: args.seed, ..RunPlan::new(cross) };
 
     let mut failures = 0usize;

@@ -1,9 +1,11 @@
 //! Spec-parsing coverage: precise rejection of malformed scenarios (a few
 //! by hand, every single-line mutation of a whole-schema spec through the
 //! committed table `tests/spec_rejections.txt`), what reading and writing
-//! must agree on, and a property test that every valid spec survives
+//! must agree on, the `scenarios/README.md` schema listing against the
+//! write walk, and a property test that every valid spec survives
 //! serialize → parse unchanged, through both syntaxes.
 
+use craqr::scenario::value::{ConfigValue, Table};
 use craqr::scenario::{
     AdaptiveSpec, AttributeSpec, BudgetSpec, ChurnSpec, CrashSpec, CrowdFaultSpec, ErrorSpec,
     FaultsSpec, FieldSpec, GridSpec, MobilitySpec, PlacementSpec, PlannerSpec, PopulationSpec,
@@ -13,6 +15,7 @@ use craqr::scenario::{
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 
 const MINIMAL: &str = r#"
 name = "minimal"
@@ -552,6 +555,16 @@ const VARIANTS: [(&str, &[(&str, &str)]); 6] = [
     ),
 ];
 
+/// [`FULL`] with one variant's edits applied.
+fn variant(label: &str, edits: &[(&str, &str)]) -> String {
+    let mut doc = FULL.to_string();
+    for (from, to) in edits {
+        assert!(doc.contains(from), "variant {label}: '{from}' is not in the document");
+        doc = doc.replace(from, to);
+    }
+    doc
+}
+
 /// One row per mutation of line `at`: a `key = value` line is deleted,
 /// given an unknown sibling, and given five wrong values; a section header
 /// is deleted and replaced by a scalar of the same name.
@@ -599,11 +612,7 @@ fn every_single_line_mutation_is_judged_as_the_committed_table_says() {
         mutation_rows("base", FULL, at, &mut rows);
     }
     for (label, edits) in VARIANTS {
-        let mut doc = FULL.to_string();
-        for (from, to) in edits {
-            assert!(doc.contains(from), "variant {label}: '{from}' is not in the document");
-            doc = doc.replace(from, to);
-        }
+        let doc = variant(label, edits);
         ScenarioSpec::from_toml(&doc).unwrap_or_else(|e| panic!("variant {label}: {e}"));
         for (_, to) in edits.iter().filter(|(_, to)| !to.is_empty()) {
             let first = doc[..doc.find(to).unwrap()].lines().count();
@@ -627,6 +636,154 @@ fn every_single_line_mutation_is_judged_as_the_committed_table_says() {
             committed.display()
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// The `## Spec schema` listing in scenarios/README.md names every key the
+// write walk emits, and no key the read walk rejects
+// ---------------------------------------------------------------------------
+
+/// Every dotted key path in `table` under `prefix`. A table or an array of
+/// tables adds its key to the path; array positions do not.
+fn written_keys(prefix: &str, table: &Table, keys: &mut BTreeSet<String>) {
+    for (key, value) in table.entries() {
+        let path = if prefix.is_empty() { key.clone() } else { format!("{prefix}.{key}") };
+        match value {
+            ConfigValue::Table(inner) => written_keys(&path, inner, keys),
+            ConfigValue::Array(items) => {
+                for item in items {
+                    if let ConfigValue::Table(inner) = item {
+                        written_keys(&path, inner, keys);
+                    }
+                }
+            }
+            _ => {}
+        }
+        keys.insert(path);
+    }
+}
+
+/// Every dotted key path the listing names: section headers, `key = …`
+/// lines, and the keys inside inline tables. A comment line is listing too
+/// when it is a commented-out key (`# minutes = 2.0`) or a variant
+/// (`# or: { kind = … }`), whose keys belong to the inline table above it
+/// or, when there is none, to the `[section]` entry itself. Text after a
+/// line's own `#` is prose.
+fn listed_keys(listing: &str) -> BTreeSet<String> {
+    fn is_ident(b: u8) -> bool {
+        b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_'
+    }
+    let join = |prefix: &str, key: &str| {
+        if prefix.is_empty() {
+            key.to_string()
+        } else {
+            format!("{prefix}.{key}")
+        }
+    };
+    let mut keys = BTreeSet::new();
+    let (mut section, mut owner, mut depth) = (String::new(), String::new(), 0usize);
+    for line in listing.lines().map(str::trim_start) {
+        if line.starts_with('[') {
+            section = line.trim_start_matches('[').split(']').next().unwrap().to_string();
+            owner = section.clone();
+            keys.insert(section.clone());
+            continue;
+        }
+        let text = match line.strip_prefix('#') {
+            None => line,
+            Some(comment) => {
+                let comment = comment.trim_start();
+                let variant = comment.strip_prefix("or:");
+                let key_first = comment
+                    .split_once(" = ")
+                    .is_some_and(|(k, _)| !k.is_empty() && k.bytes().all(is_ident));
+                match variant {
+                    Some(rest) => rest,
+                    None if key_first => comment,
+                    None => continue,
+                }
+            }
+        };
+        let bytes = text.as_bytes();
+        // A key at depth 0 whose value has not started yet: a `{` next
+        // makes it the owner of the keys inside.
+        let mut pending: Option<String> = None;
+        let mut i = 0;
+        while i < bytes.len() {
+            match bytes[i] {
+                b'#' => break,
+                b'"' => {
+                    i += 1 + text[i + 1..].find('"').map_or(text.len(), |end| end + 1);
+                    pending = None;
+                    continue;
+                }
+                b'{' => {
+                    depth += 1;
+                    if let Some(key) = pending.take() {
+                        owner = key;
+                    }
+                }
+                b'}' => depth = depth.saturating_sub(1),
+                b if is_ident(b) && (i == 0 || !is_ident(bytes[i - 1])) => {
+                    let end = i + bytes[i..].iter().take_while(|&&b| is_ident(b)).count();
+                    let rest = text[end..].trim_start();
+                    if rest.starts_with('=') && !rest.starts_with("==") {
+                        let key = &text[i..end];
+                        let path = join(if depth == 0 { &section } else { &owner }, key);
+                        keys.insert(path.clone());
+                        pending = (depth == 0).then_some(path);
+                    } else {
+                        pending = None;
+                    }
+                    i = end;
+                    continue;
+                }
+                b' ' | b'=' => {}
+                _ => pending = None,
+            }
+            i += 1;
+        }
+    }
+    keys
+}
+
+#[test]
+fn the_readme_schema_listing_names_exactly_the_keys_of_the_spec_walks() {
+    let readme = std::fs::read_to_string(
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("scenarios/README.md"),
+    )
+    .expect("read scenarios/README.md");
+    let listing = readme
+        .split("\n## Spec schema\n")
+        .nth(1)
+        .and_then(|section| section.split("```toml\n").nth(1))
+        .and_then(|block| block.split("\n```").next())
+        .expect("scenarios/README.md has a ```toml block under ## Spec schema");
+    let listed = listed_keys(listing);
+
+    // The whole-schema spec and its variants between them set every key of
+    // every block and every `kind`; each reads back from what is written,
+    // so the read walk accepts exactly the keys the write walk emits.
+    let mut written = BTreeSet::new();
+    let docs = std::iter::once(FULL.to_string())
+        .chain(VARIANTS.iter().map(|(label, edits)| variant(label, edits)));
+    for doc in docs {
+        let spec = ScenarioSpec::from_toml(&doc).unwrap();
+        let table = spec.to_table();
+        assert_eq!(ScenarioSpec::from_table(&table).unwrap(), spec);
+        written_keys("", &table, &mut written);
+    }
+
+    let unlisted: Vec<&String> = written.difference(&listed).collect();
+    assert!(
+        unlisted.is_empty(),
+        "the write walk emits keys the `## Spec schema` listing lacks: {unlisted:?}"
+    );
+    let unknown: Vec<&String> = listed.difference(&written).collect();
+    assert!(
+        unknown.is_empty(),
+        "the `## Spec schema` listing names keys the read walk rejects: {unknown:?}"
+    );
 }
 
 // ---------------------------------------------------------------------------
