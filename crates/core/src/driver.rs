@@ -170,23 +170,7 @@ impl EpochCore<'_> {
                     }
                 }
                 ControlAction::RebuildChain { cell, attr } => {
-                    if let Some(leftovers) = self.fabricator.rebuild_chain(cell, attr) {
-                        // The merge drains every sink before actions can
-                        // run, so the leftovers are empty; they flow into
-                        // the output buffers anyway so no tuple can ever
-                        // be lost. If an operator starts buffering output
-                        // across epochs this trips: such tuples would
-                        // bypass `delivered` accounting and hook
-                        // observation, and that needs a conscious design
-                        // decision.
-                        debug_assert!(
-                            leftovers.iter().all(|(_, buf)| buf.is_empty()),
-                            "rebuild leftovers bypass delivered accounting"
-                        );
-                        for (qid, buf) in leftovers {
-                            self.outputs.entry(qid).or_default().extend(buf);
-                        }
-                    } else {
+                    if !self.fabricator.rebuild_chain(cell, attr) {
                         stale += 1;
                     }
                 }

@@ -24,9 +24,11 @@
 //! - chains only touch chain-local state, so scheduling cannot reorder
 //!   any chain's RNG draws;
 //! - the map phase (tuple → chain routing) happens before workers start;
-//! - per-shard results merge in shard order, and downstream consumers
-//!   (per-query `U`-merges, budget tuning) iterate chains in sorted key
-//!   order exactly as the serial path does.
+//! - per-shard results merge in shard order; each shard stages its
+//!   chains' output in its own buffer, and a query's `U`-merge reads its
+//!   staged pieces in port order, so which shard ran a chain never shows;
+//!   budget tuning iterates chains in sorted key order exactly as the
+//!   serial path does.
 
 /// How the server executes the per-cell process phase of an epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -4,7 +4,7 @@ use crate::ops::report::FlattenReport;
 use crate::tuple::CrowdTuple;
 use craqr_engine::{Emitter, InputPort, Operator, OutputPort};
 use craqr_geom::{Grid, Rect, SpaceTimePoint, SpaceTimeWindow};
-use craqr_mdpp::fit::{fit_mle_with, FitConfig, SgdConfig, SgdEstimator};
+use craqr_mdpp::fit::{fit_mle_with, FitConfig, FitScratch, SgdConfig, SgdEstimator};
 use craqr_mdpp::intensity::{IntensityModel, LinearIntensity, PiecewiseConstantIntensity};
 use craqr_stats::sub_rng;
 use rand::rngs::StdRng;
@@ -93,10 +93,10 @@ pub struct FlattenOp {
     report: Arc<FlattenReport>,
     /// Per-batch scratch, kept across batches so that once warm the batch
     /// MLE path allocates nothing: the batch in batch-local time, each
-    /// tuple's fitted intensity, and the MLE's feature vectors.
+    /// tuple's fitted intensity, and the MLE's buffers.
     points: Vec<SpaceTimePoint>,
     rates: Vec<f64>,
-    features: Vec<[f64; 4]>,
+    fit_scratch: FitScratch,
 }
 
 impl FlattenOp {
@@ -132,7 +132,7 @@ impl FlattenOp {
                 report: Arc::clone(&report),
                 points: Vec::new(),
                 rates: Vec::new(),
-                features: Vec::new(),
+                fit_scratch: FitScratch::default(),
             },
             report,
         )
@@ -195,7 +195,7 @@ impl FlattenOp {
         let points = &self.points;
         match (&self.mode, self.sgd.as_mut()) {
             (EstimatorMode::BatchMle, _) => FittedModel::Linear(
-                fit_mle_with(points, &local_window, FitConfig::default(), &mut self.features)
+                fit_mle_with(points, &local_window, FitConfig::default(), &mut self.fit_scratch)
                     .intensity,
             ),
             (EstimatorMode::Histogram { bins }, _) => {

@@ -60,6 +60,9 @@ pub(crate) struct RateTap {
 pub(crate) struct QueryTap {
     /// The consuming query.
     pub query: QueryId,
+    /// The query's `U` input port for this cell: the cell's index in the
+    /// query plan's cell list.
+    pub port: u32,
     /// A `P`-operator carving the partial overlap, when the query does not
     /// cover the whole cell.
     pub partition: Option<NodeId>,
@@ -67,6 +70,25 @@ pub(crate) struct QueryTap {
     pub sink: SinkId,
     /// The query's footprint inside this cell.
     pub overlap: Rect,
+}
+
+/// What a shard's chains hand the merge: every consumer's sink output,
+/// moved out right after its chain ran.
+#[derive(Default)]
+pub(crate) struct Staging {
+    /// The staged tuples, piece after piece.
+    pub tuples: Vec<CrowdTuple>,
+    /// `(query, port, end)` per piece, in staging order; a piece runs from
+    /// the previous piece's end to its own.
+    pub pieces: Vec<(QueryId, u32, usize)>,
+}
+
+impl Staging {
+    /// Empties the staging, keeping its capacity.
+    pub fn clear(&mut self) {
+        self.tuples.clear();
+        self.pieces.clear();
+    }
 }
 
 /// Relative tolerance for "same rate" when sharing a tap.
@@ -263,10 +285,12 @@ impl AttrChain {
     }
 
     /// Inserts a consumer for `query` at `rate` over `overlap` (`full` when
-    /// the query covers the entire cell). Returns the consumer's sink.
+    /// the query covers the entire cell); its output is staged for `U`
+    /// input `port`. Returns the consumer's sink.
     pub(crate) fn insert_consumer(
         &mut self,
         query: QueryId,
+        port: u32,
         rate: f64,
         overlap: Rect,
         full: bool,
@@ -298,7 +322,7 @@ impl AttrChain {
             self.topo.connect(p, OutputPort(0), Target::Sink(sink));
             Some(p)
         };
-        self.taps[pos].consumers.push(QueryTap { query, partition, sink, overlap });
+        self.taps[pos].consumers.push(QueryTap { query, port, partition, sink, overlap });
 
         // Rule 4 after the dust settles.
         self.retarget_f();
@@ -343,16 +367,19 @@ impl AttrChain {
         }
     }
 
-    /// Deletes `query`'s consumer; returns its drained sink contents.
+    /// Deletes `query`'s consumer; returns `false` when it had none.
     /// Implements the right-to-left deletion of Section V: stream, then
     /// `P`, then — when the tap's branching point disappears — the `T`
     /// itself, merging its neighbours.
-    pub(crate) fn delete_consumer(&mut self, query: QueryId) -> Option<Vec<CrowdTuple>> {
-        let (pos, cidx) = self.taps.iter().enumerate().find_map(|(pos, tap)| {
+    pub(crate) fn delete_consumer(&mut self, query: QueryId) -> bool {
+        let Some((pos, cidx)) = self.taps.iter().enumerate().find_map(|(pos, tap)| {
             tap.consumers.iter().position(|c| c.query == query).map(|cidx| (pos, cidx))
-        })?;
+        }) else {
+            return false;
+        };
         let consumer = self.taps[pos].consumers.swap_remove(cidx);
         let leftovers = self.topo.remove_sink(consumer.sink);
+        debug_assert!(leftovers.is_empty(), "sinks are staged empty at every ingest");
         if let Some(p) = consumer.partition {
             self.topo.remove_node(p);
         } else {
@@ -386,7 +413,7 @@ impl AttrChain {
         }
         self.retarget_f();
         self.assert_invariants();
-        Some(leftovers)
+        true
     }
 
     /// Pushes one ingestion batch through the chain.
@@ -404,8 +431,22 @@ impl AttrChain {
         self.flatten_report().record_starved_batch();
     }
 
-    /// Moves the per-cell output of `query` onto the end of `out`; the
-    /// sinks keep their capacity for the next epoch.
+    /// Moves every consumer's sink output onto the end of `staging`, one
+    /// piece per non-empty sink, tagged with its query and port. The sinks
+    /// keep their capacity for the next epoch.
+    pub(crate) fn stage_output(&mut self, staging: &mut Staging) {
+        for consumer in self.taps.iter().flat_map(|t| &t.consumers) {
+            let start = staging.tuples.len();
+            self.topo.drain_sink_into(consumer.sink, &mut staging.tuples);
+            if staging.tuples.len() > start {
+                staging.pieces.push((consumer.query, consumer.port, staging.tuples.len()));
+            }
+        }
+    }
+
+    /// Moves the per-cell output of `query` onto the end of `out`: the
+    /// query-major drain the test oracles hold the staging to.
+    #[cfg(test)]
     pub(crate) fn drain_query(&mut self, query: QueryId, out: &mut Vec<CrowdTuple>) {
         for consumer in self.taps.iter().flat_map(|t| &t.consumers) {
             if consumer.query == query {
@@ -541,9 +582,9 @@ mod tests {
     #[test]
     fn inserting_consumers_keeps_taps_sorted_descending() {
         let mut c = chain(1.0);
-        c.insert_consumer(QueryId(1), 2.0, cell(), true);
-        c.insert_consumer(QueryId(2), 8.0, cell(), true);
-        c.insert_consumer(QueryId(3), 4.0, cell(), true);
+        c.insert_consumer(QueryId(1), 0, 2.0, cell(), true);
+        c.insert_consumer(QueryId(2), 0, 8.0, cell(), true);
+        c.insert_consumer(QueryId(3), 0, 4.0, cell(), true);
         assert_eq!(c.tap_rates(), vec![8.0, 4.0, 2.0]);
         assert_eq!(c.consumer_count(), 3);
         // Rule 4: F covers the highest tap.
@@ -553,8 +594,8 @@ mod tests {
     #[test]
     fn equal_rate_queries_share_one_tap() {
         let mut c = chain(5.0);
-        c.insert_consumer(QueryId(1), 5.0, cell(), true);
-        c.insert_consumer(QueryId(2), 5.0, cell(), true);
+        c.insert_consumer(QueryId(1), 0, 5.0, cell(), true);
+        c.insert_consumer(QueryId(2), 0, 5.0, cell(), true);
         assert_eq!(c.tap_rates(), vec![5.0]);
         assert_eq!(c.consumer_count(), 2);
         // One F and one T; two sinks but no P.
@@ -565,7 +606,7 @@ mod tests {
     fn partial_overlap_gets_partition_operator() {
         let mut c = chain(5.0);
         let half = Rect::new(0.0, 0.0, 0.5, 1.0);
-        c.insert_consumer(QueryId(1), 5.0, half, false);
+        c.insert_consumer(QueryId(1), 0, 5.0, half, false);
         // F + T + P = 3 nodes.
         assert_eq!(c.node_count(), 3);
         assert!(c.explain().contains("⋉P"), "{}", c.explain());
@@ -574,13 +615,13 @@ mod tests {
     #[test]
     fn deleting_last_consumer_of_tap_merges_thins() {
         let mut c = chain(1.0);
-        c.insert_consumer(QueryId(1), 8.0, cell(), true);
-        c.insert_consumer(QueryId(2), 4.0, cell(), true);
-        c.insert_consumer(QueryId(3), 2.0, cell(), true);
+        c.insert_consumer(QueryId(1), 0, 8.0, cell(), true);
+        c.insert_consumer(QueryId(2), 0, 4.0, cell(), true);
+        c.insert_consumer(QueryId(3), 0, 2.0, cell(), true);
         assert_eq!(c.tap_rates(), vec![8.0, 4.0, 2.0]);
         // Remove the middle tap's only consumer: T(8→4) and T(4→2) must
         // merge into T(8→2).
-        c.delete_consumer(QueryId(2)).expect("consumer existed");
+        assert!(c.delete_consumer(QueryId(2)), "consumer existed");
         assert_eq!(c.tap_rates(), vec![8.0, 2.0]);
         assert_eq!(c.consumer_count(), 2);
     }
@@ -588,8 +629,8 @@ mod tests {
     #[test]
     fn deleting_top_tap_lowers_f_rate() {
         let mut c = chain(1.0);
-        c.insert_consumer(QueryId(1), 8.0, cell(), true);
-        c.insert_consumer(QueryId(2), 2.0, cell(), true);
+        c.insert_consumer(QueryId(1), 0, 8.0, cell(), true);
+        c.insert_consumer(QueryId(2), 0, 2.0, cell(), true);
         assert!(c.f_rate() >= 8.0);
         c.delete_consumer(QueryId(1));
         assert_eq!(c.tap_rates(), vec![2.0]);
@@ -599,7 +640,7 @@ mod tests {
     #[test]
     fn deleting_all_consumers_empties_chain() {
         let mut c = chain(3.0);
-        c.insert_consumer(QueryId(1), 3.0, cell(), true);
+        c.insert_consumer(QueryId(1), 0, 3.0, cell(), true);
         assert!(!c.is_empty());
         c.delete_consumer(QueryId(1));
         assert!(c.is_empty());
@@ -609,14 +650,14 @@ mod tests {
     #[test]
     fn delete_unknown_query_is_none() {
         let mut c = chain(3.0);
-        assert!(c.delete_consumer(QueryId(9)).is_none());
+        assert!(!c.delete_consumer(QueryId(9)));
     }
 
     #[test]
     fn processing_delivers_rate_ordered_subsets() {
         let mut c = chain(1.0);
-        c.insert_consumer(QueryId(1), 4.0, cell(), true);
-        c.insert_consumer(QueryId(2), 1.0, cell(), true);
+        c.insert_consumer(QueryId(1), 0, 4.0, cell(), true);
+        c.insert_consumer(QueryId(2), 0, 1.0, cell(), true);
         // Push a healthy batch: 10 minutes over 1 km² at implied high rate.
         for e in 0..5 {
             c.process_batch(&batch(2_000, e as f64 * 10.0));
@@ -634,11 +675,29 @@ mod tests {
     }
 
     #[test]
+    fn staging_tags_each_piece_with_its_query_and_port() {
+        let mut c = chain(1.0);
+        c.insert_consumer(QueryId(1), 3, 4.0, cell(), true);
+        c.insert_consumer(QueryId(2), 5, 1.0, Rect::new(0.0, 0.0, 0.5, 1.0), false);
+        c.process_batch(&batch(2_000, 0.0));
+        let mut staging = Staging::default();
+        c.stage_output(&mut staging);
+        let tags: Vec<_> = staging.pieces.iter().map(|&(q, port, _)| (q, port)).collect();
+        assert_eq!(tags, vec![(QueryId(1), 3), (QueryId(2), 5)], "tap order, non-empty sinks");
+        assert_eq!(staging.pieces.last().map(|p| p.2), Some(staging.tuples.len()));
+        // Staging left every sink empty: a second staging finds nothing.
+        let mut again = Staging::default();
+        c.stage_output(&mut again);
+        assert!(again.pieces.is_empty() && again.tuples.is_empty());
+        assert!(drained(&mut c, QueryId(1)).is_empty());
+    }
+
+    #[test]
     fn star_shape_taps_hang_off_f() {
         let mut c =
             AttrChain::new(cell(), 10.0, 1.0, 1.0, EstimatorMode::BatchMle, TopologyShape::Star, 7);
-        c.insert_consumer(QueryId(1), 4.0, cell(), true);
-        c.insert_consumer(QueryId(2), 1.0, cell(), true);
+        c.insert_consumer(QueryId(1), 0, 4.0, cell(), true);
+        c.insert_consumer(QueryId(2), 0, 1.0, cell(), true);
         c.assert_invariants();
         assert!(c.explain().contains("star"));
         // Star: outputs are NOT nested subsets (independent coins), but
@@ -658,8 +717,8 @@ mod tests {
     #[test]
     fn explain_renders_chain() {
         let mut c = chain(1.0);
-        c.insert_consumer(QueryId(1), 2.0, cell(), true);
-        c.insert_consumer(QueryId(2), 1.0, Rect::new(0.0, 0.0, 0.5, 1.0), false);
+        c.insert_consumer(QueryId(1), 0, 2.0, cell(), true);
+        c.insert_consumer(QueryId(2), 0, 1.0, Rect::new(0.0, 0.0, 0.5, 1.0), false);
         let s = c.explain();
         assert!(s.starts_with("F(λ̄=2.000)"), "{s}");
         assert!(s.contains("T(→2.000)[Q1]"), "{s}");
@@ -677,7 +736,7 @@ mod tests {
             TopologyShape::Chain,
             7,
         );
-        c.insert_consumer(QueryId(1), 4.0, cell(), true);
+        c.insert_consumer(QueryId(1), 0, 4.0, cell(), true);
         assert!((c.f_rate() - 6.0).abs() < 1e-9, "1.5 × 4 = 6, got {}", c.f_rate());
     }
 }

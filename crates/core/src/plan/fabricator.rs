@@ -8,7 +8,7 @@
 //! sums, rendered reports), so canonical ascending order is a property of
 //! the key type rather than a sort each caller has to remember.
 
-use super::chain::AttrChain;
+use super::chain::{AttrChain, Staging};
 use super::PlannerConfig;
 use crate::exec::{shard_of, ExecMode, IngestReport, ShardIngest};
 use crate::ops::FlattenReport;
@@ -133,12 +133,16 @@ impl Router {
 }
 
 /// Runs one shard's chains in the order given, each on its routed slice; a
-/// chain whose slice is empty records a starvation epoch instead.
+/// chain whose slice is empty records a starvation epoch instead. Each
+/// chain's sinks move onto `staging` (emptied first) while the chain is
+/// still hot, so every sink is empty once the shard returns.
 fn run_shard<'a>(
     shard: usize,
     jobs: impl IntoIterator<Item = (&'a mut AttrChain, &'a [CrowdTuple])>,
+    staging: &mut Staging,
 ) -> ShardIngest {
     let (mut chains, mut tuples) = (0, 0);
+    staging.clear();
     // craqr-lint: allow(R1): busy_ns is timing-tier telemetry, excluded from metric equality and every canonical artifact
     let started = crate::exec::thread_busy_ns();
     for (chain, batch) in jobs {
@@ -149,6 +153,7 @@ fn run_shard<'a>(
         } else {
             chain.process_batch(batch);
         }
+        chain.stage_output(staging);
     }
     // craqr-lint: allow(R1): same busy_ns span end; never reaches a checksum
     let busy_ns = crate::exec::thread_busy_ns().saturating_sub(started);
@@ -167,11 +172,44 @@ pub struct QueryPlan {
     pub footprint: Region,
 }
 
-/// A standing query: its placement and the `U`-operator that merges its
-/// per-cell pieces.
+/// A standing query: its placement, the `U`-operator that merges its
+/// per-cell pieces, and the pieces ingest staged for it.
 struct Standing {
     plan: QueryPlan,
     merge: UnionOp,
+    staged: Staged,
+}
+
+/// One query's output staged by ingest and not merged yet.
+#[derive(Default)]
+struct Staged {
+    tuples: Vec<CrowdTuple>,
+    /// `(port, start, end)`: `tuples[start..end]` is for `U` input `port`.
+    /// Ingest only appends, so one port's pieces order by `start` in the
+    /// order they were ingested.
+    pieces: Vec<(u32, usize, usize)>,
+}
+
+impl Staged {
+    /// Appends one piece for `port`.
+    fn push(&mut self, port: u32, piece: &[CrowdTuple]) {
+        let start = self.tuples.len();
+        self.tuples.extend_from_slice(piece);
+        self.pieces.push((port, start, self.tuples.len()));
+    }
+
+    /// The staged pieces in port order, each port's in ingest order — the
+    /// order a query-major drain of the sinks would have produced.
+    fn in_port_order(&mut self) -> impl Iterator<Item = (u32, &[CrowdTuple])> {
+        self.pieces.sort_unstable_by_key(|&(port, start, _)| (port, start));
+        self.pieces.iter().map(|&(port, start, end)| (port, &self.tuples[start..end]))
+    }
+
+    /// Empties the staging, keeping its capacity.
+    fn clear(&mut self) {
+        self.tuples.clear();
+        self.pieces.clear();
+    }
 }
 
 /// The fabricator: the grid table of per-cell execution topologies plus
@@ -181,9 +219,12 @@ struct Standing {
 ///   to its grid cell's key; unmaterialized cells (no standing query there)
 ///   drop their tuples unprocessed — the grid is "entirely logical".
 /// - **process**: the per-(cell, attribute) [`AttrChain`]s push tuples
-///   through `F → T … → (P) →` sinks.
+///   through `F → T … → (P) →` sinks. Right after a chain runs, its sinks
+///   move into the shard's staging, each piece tagged `(query, port)`,
+///   and ingest hands every piece to its query.
 /// - **merge** ([`Fabricator::collect_output`]): a per-query `U`-operator
-///   reassembles the per-cell streams into the final MCDS, time-ordered.
+///   reassembles the staged per-cell pieces, in port order, into the final
+///   MCDS, time-ordered. It never touches a chain.
 pub struct Fabricator {
     grid: Grid,
     config: PlannerConfig,
@@ -207,10 +248,9 @@ pub struct Fabricator {
     /// epoch would erase every operator counter from the run's report.
     retired_metrics: craqr_engine::TopologyMetrics,
     router: Router,
-    /// One query's drained per-cell pieces, reused by every merge; cell
-    /// `k`'s piece ends at `piece_ends[k]`.
-    pieces: Vec<CrowdTuple>,
-    piece_ends: Vec<usize>,
+    /// One staging per shard of the widest ingest so far, kept for its
+    /// capacity; empty between ingests.
+    stagings: Vec<Staging>,
 }
 
 impl Fabricator {
@@ -227,8 +267,7 @@ impl Fabricator {
             engine_clock: None,
             retired_metrics: craqr_engine::TopologyMetrics::default(),
             router: Router::default(),
-            pieces: Vec::new(),
-            piece_ends: Vec::new(),
+            stagings: Vec::new(),
         }
     }
 
@@ -334,7 +373,7 @@ impl Fabricator {
                 chain.set_clock(engine_clock);
                 chain
             });
-            chain.insert_consumer(qid, query.rate, o.overlap, o.full);
+            chain.insert_consumer(qid, cells.len() as u32, query.rate, o.overlap, o.full);
             cells.push((o.cell, o.overlap, o.full));
             parts.push(o.overlap);
         }
@@ -343,24 +382,22 @@ impl Fabricator {
         let merge = UnionOp::nary(parts);
         let footprint = merge.output_region().clone();
         let plan = QueryPlan { query, cells, footprint };
-        self.queries.insert(qid, Standing { plan, merge });
+        self.queries.insert(qid, Standing { plan, merge, staged: Staged::default() });
         self.tenant_shares = None;
         Ok(qid)
     }
 
     /// Deletes a standing query (Section V "Query Deletions"). Returns the
-    /// tuples still buffered in its sinks.
+    /// tuples ingested for it since its last merge, in port order.
     pub fn delete_query(&mut self, qid: QueryId) -> Result<Vec<CrowdTuple>, PlanError> {
-        let Standing { plan, .. } =
+        let Standing { plan, mut staged, .. } =
             self.queries.remove(&qid).ok_or(PlanError::UnknownQuery(qid))?;
         self.tenant_shares = None;
-        let mut leftovers = Vec::new();
+        let leftovers = staged.in_port_order().flat_map(|(_, piece)| piece).copied().collect();
         for (cell, _, _) in &plan.cells {
             let key = (*cell, plan.query.attr);
             let Some(chain) = self.chains.get_mut(&key) else { continue };
-            if let Some(buf) = chain.delete_consumer(qid) {
-                leftovers.extend(buf);
-            }
+            chain.delete_consumer(qid);
             // "…until all the streams and the key in the hashmap are
             // deleted."
             if chain.is_empty() {
@@ -378,42 +415,30 @@ impl Fabricator {
     /// seed derivation query insertion uses, so a rebuild is deterministic
     /// and (like every chain mutation) identical across [`ExecMode`]s.
     ///
-    /// Consumers re-attach in ascending [`QueryId`] order. Tuples still
-    /// buffered in the old chain's sinks are returned per query so the
-    /// caller can deliver rather than lose them (the server appends them
-    /// to its per-query outputs). Returns `None` when no such chain is
-    /// materialized.
-    pub fn rebuild_chain(
-        &mut self,
-        cell: CellId,
-        attr: AttributeId,
-    ) -> Option<Vec<(QueryId, Vec<CrowdTuple>)>> {
-        let mut old = self.chains.remove(&(cell, attr))?;
+    /// Consumers re-attach in ascending [`QueryId`], each on its old port.
+    /// Nothing is lost: ingest leaves every sink empty, and what it staged
+    /// belongs to the queries, not the chain. Returns `false` when no such
+    /// chain is materialized.
+    pub fn rebuild_chain(&mut self, cell: CellId, attr: AttributeId) -> bool {
+        let Some(old) = self.chains.remove(&(cell, attr)) else { return false };
         // The standing consumers of this chain, ascending by query id.
-        let mut consumers: Vec<(QueryId, f64, Rect, bool)> = Vec::new();
+        let mut consumers: Vec<(QueryId, u32, f64, Rect, bool)> = Vec::new();
         for (qid, Standing { plan, .. }) in &self.queries {
             if plan.query.attr != attr {
                 continue;
             }
-            if let Some((_, overlap, full)) = plan.cells.iter().find(|(c, _, _)| *c == cell) {
-                consumers.push((*qid, plan.query.rate, *overlap, *full));
+            if let Some(port) = plan.cells.iter().position(|(c, _, _)| *c == cell) {
+                let (_, overlap, full) = plan.cells[port];
+                consumers.push((*qid, port as u32, plan.query.rate, overlap, full));
             }
         }
         // The chain's flatten estimator and RNG streams restart (that is
         // the point of a rebuild), but its processed-work history joins
         // the retired aggregate: operator counters are fleet-cumulative.
         self.retired_metrics.absorb(&old.metrics());
-        let mut leftovers = Vec::new();
-        for (qid, _, _, _) in &consumers {
-            let mut buf = Vec::new();
-            old.drain_query(*qid, &mut buf);
-            if !buf.is_empty() {
-                leftovers.push((*qid, buf));
-            }
-        }
         let cell_rect = self.grid.cell_rect(cell);
         let initial_rate =
-            consumers.iter().map(|(_, r, _, _)| *r).fold(f64::MIN_POSITIVE, f64::max);
+            consumers.iter().map(|(_, _, r, _, _)| *r).fold(f64::MIN_POSITIVE, f64::max);
         let mut chain = AttrChain::new(
             cell_rect,
             self.config.batch_duration,
@@ -424,11 +449,11 @@ impl Fabricator {
             self.chain_seed(cell, attr),
         );
         chain.set_clock(self.engine_clock);
-        for (qid, rate, overlap, full) in &consumers {
-            chain.insert_consumer(*qid, *rate, *overlap, *full);
+        for &(qid, port, rate, overlap, full) in &consumers {
+            chain.insert_consumer(qid, port, rate, overlap, full);
         }
         self.chains.insert((cell, attr), chain);
-        Some(leftovers)
+        true
     }
 
     /// The standing query plans.
@@ -550,6 +575,10 @@ impl Fabricator {
     /// Materialized chains that received nothing this batch record a
     /// starvation epoch so their `N_v` telemetry never goes stale.
     ///
+    /// Each shard stages its chains' output as it goes (serial is the
+    /// one-shard case); once every shard is done, the pieces move to their
+    /// queries, shard by shard, for [`Fabricator::collect_output`].
+    ///
     /// # Panics
     /// Panics on `Sharded(0)`.
     #[track_caller]
@@ -567,8 +596,12 @@ impl Fabricator {
         // chain's ordinal is its position in it.
         let router = &self.router;
         let jobs = self.chains.values_mut().enumerate().map(|(i, chain)| (chain, router.batch(i)));
+        if self.stagings.len() < shards {
+            self.stagings.resize_with(shards, Staging::default);
+        }
+        let stagings = &mut self.stagings[..shards];
         let stats: Vec<ShardIngest> = match mode {
-            ExecMode::Serial => vec![run_shard(0, jobs)],
+            ExecMode::Serial => vec![run_shard(0, jobs, &mut stagings[0])],
             ExecMode::Sharded(_) => {
                 // Round-robin over the ordinals, so workers only ever see
                 // disjoint sub-lists.
@@ -581,40 +614,41 @@ impl Fabricator {
                 std::thread::scope(|scope| {
                     let handles: Vec<_> = lists
                         .into_iter()
+                        .zip(stagings.iter_mut())
                         .enumerate()
-                        .map(|(shard, list)| scope.spawn(move || run_shard(shard, list)))
+                        .map(|(shard, (list, staging))| {
+                            scope.spawn(move || run_shard(shard, list, staging))
+                        })
                         .collect();
                     // Joining in spawn order keeps the merged stats ascending.
                     handles.into_iter().map(|h| h.join().expect("shard worker panicked")).collect()
                 })
             }
         };
+        for staging in stagings.iter() {
+            let mut start = 0;
+            for &(qid, port, end) in &staging.pieces {
+                let standing = self.queries.get_mut(&qid).expect("a consumer's query stands");
+                standing.staged.push(port, &staging.tuples[start..end]);
+                start = end;
+            }
+        }
         IngestReport::merge(dropped_now, stats)
     }
 
-    /// **merge**: drains a query's per-cell sinks through its `U`-operator
-    /// and returns the fabricated MCDS slice, time-ordered.
+    /// **merge**: feeds the pieces ingest staged for a query through its
+    /// `U`-operator in port order (each port's pieces in ingest order) and
+    /// returns the fabricated MCDS slice, stably sorted by time, so equal
+    /// times keep port order.
     pub fn collect_output(&mut self, qid: QueryId) -> Result<Vec<CrowdTuple>, PlanError> {
-        let Standing { plan, merge } =
+        let Standing { merge, staged, .. } =
             self.queries.get_mut(&qid).ok_or(PlanError::UnknownQuery(qid))?;
-        // Every cell's piece goes into the one reused buffer first, so the
-        // merged output is allocated once, at its final size.
-        self.pieces.clear();
-        self.piece_ends.clear();
-        for (cell, _, _) in &plan.cells {
-            if let Some(chain) = self.chains.get_mut(&(*cell, plan.query.attr)) {
-                chain.drain_query(qid, &mut self.pieces);
-            }
-            self.piece_ends.push(self.pieces.len());
+        // Allocated once, at its final size.
+        let mut emitter = Emitter::with_capacity(merge.output_ports(), staged.tuples.len());
+        for (port, piece) in staged.in_port_order() {
+            merge.process(InputPort(port as u16), piece, &mut emitter);
         }
-        let mut emitter = Emitter::with_capacity(merge.output_ports(), self.pieces.len());
-        let mut start = 0;
-        for (port, &end) in self.piece_ends.iter().enumerate() {
-            if end > start {
-                merge.process(InputPort(port as u16), &self.pieces[start..end], &mut emitter);
-            }
-            start = end;
-        }
+        staged.clear();
         let mut out = emitter.into_buffers().remove(0);
         out.sort_by(|a, b| a.point.t.total_cmp(&b.point.t));
         Ok(out)
@@ -907,23 +941,33 @@ mod tests {
         let mut f = fab();
         let q1 = f.insert_query(query(0, Rect::new(0.0, 0.0, 1.0, 1.0), 4.0)).unwrap();
         let q2 = f.insert_query(query(0, Rect::new(0.0, 0.0, 1.0, 1.0), 2.0)).unwrap();
+        // Two cells: the rebuilt cell (1, 0) is this query's port 1.
+        let q3 = f.insert_query(query(0, Rect::new(0.0, 0.0, 2.0, 1.0), 1.0)).unwrap();
         let cell = CellId::new(0, 0);
         for e in 0..4 {
-            f.ingest_batch(&tuples(0, 500, e as f64 * 5.0, Rect::new(0.0, 0.0, 1.0, 1.0)));
+            f.ingest_batch(&tuples(0, 500, e as f64 * 5.0, Rect::new(0.0, 0.0, 2.0, 1.0)));
         }
         assert!(f.chain(cell, AttributeId(0)).unwrap().flatten_report().batches() > 0);
-        // Leave something in the sinks so the rebuild has leftovers.
-        let leftovers = f.rebuild_chain(cell, AttributeId(0)).expect("chain exists");
-        assert!(leftovers.iter().any(|(_, buf)| !buf.is_empty()), "buffered output preserved");
-        assert!(leftovers.windows(2).all(|w| w[0].0 < w[1].0), "leftovers ascend by query");
+        // Rebuild between ingest and merge: what ingest staged belongs to
+        // the queries, not the chain, so the rebuild loses none of it.
+        let staged = [q1, q2].map(|q| f.queries[&q].staged.tuples.len());
+        assert!(f.rebuild_chain(cell, AttributeId(0)), "chain exists");
         let chain = f.chain(cell, AttributeId(0)).expect("chain rebuilt");
-        assert_eq!(chain.tap_rates(), vec![4.0, 2.0], "consumers re-attached");
-        assert_eq!(chain.query_ids(), vec![q1, q2]);
+        assert_eq!(chain.tap_rates(), vec![4.0, 2.0, 1.0], "consumers re-attached");
+        assert_eq!(chain.query_ids(), vec![q1, q2, q3]);
         assert_eq!(chain.flatten_report().batches(), 0, "telemetry restarted");
-        // Rebuilding twice from the same state is deterministic.
-        let a = f.rebuild_chain(cell, AttributeId(0)).unwrap();
-        assert!(a.iter().all(|(_, buf)| buf.is_empty()), "sinks already drained");
-        assert!(f.rebuild_chain(CellId::new(3, 3), AttributeId(0)).is_none(), "unmaterialized");
+        for (q, n) in [q1, q2].into_iter().zip(staged) {
+            assert!(n > 0, "{q} had output staged");
+            assert_eq!(f.collect_output(q).unwrap().len(), n, "{q}'s staged output kept");
+        }
+        // A rebuilt consumer keeps its port.
+        f.collect_output(q3).unwrap();
+        assert!(f.rebuild_chain(CellId::new(1, 0), AttributeId(0)));
+        f.ingest_batch(&tuples(0, 500, 20.0, Rect::new(0.0, 0.0, 2.0, 1.0)));
+        let staged = &mut f.queries.get_mut(&q3).unwrap().staged;
+        let ports: Vec<u32> = staged.in_port_order().map(|(port, _)| port).collect();
+        assert_eq!(ports, vec![0, 1]);
+        assert!(!f.rebuild_chain(CellId::new(3, 3), AttributeId(0)), "unmaterialized");
     }
 
     #[test]
@@ -974,10 +1018,11 @@ mod tests {
         }
     }
 
-    /// The merge the piece buffer replaced: each cell's piece drained into a
-    /// fresh buffer and pushed through `U` on its own port.
+    /// The merge ingest staging replaced: a query-major walk that drains
+    /// each cell's sink into a fresh buffer and pushes it through `U` on
+    /// its own port.
     fn oracle_collect(f: &mut Fabricator, qid: QueryId) -> Vec<CrowdTuple> {
-        let Standing { plan, merge } = f.queries.get_mut(&qid).expect("standing query");
+        let Standing { plan, merge, .. } = f.queries.get_mut(&qid).expect("standing query");
         let mut emitter = Emitter::new(merge.output_ports());
         for (port, (cell, _, _)) in plan.cells.iter().enumerate() {
             let Some(chain) = f.chains.get_mut(&(*cell, plan.query.attr)) else { continue };
@@ -990,6 +1035,20 @@ mod tests {
         let mut out = emitter.into_buffers().remove(0);
         out.sort_by(|a, b| a.point.t.total_cmp(&b.point.t));
         out
+    }
+
+    /// The deletion ingest staging replaced: the query's sinks drained in
+    /// port order as its consumers go.
+    fn oracle_delete(f: &mut Fabricator, qid: QueryId) -> Vec<CrowdTuple> {
+        let Standing { plan, .. } = &f.queries[&qid];
+        let mut leftovers = Vec::new();
+        for (cell, _, _) in &plan.cells {
+            if let Some(chain) = f.chains.get_mut(&(*cell, plan.query.attr)) {
+                chain.drain_query(qid, &mut leftovers);
+            }
+        }
+        assert!(f.delete_query(qid).unwrap().is_empty(), "the oracle's ingest stages nothing");
+        leftovers
     }
 
     /// Three queries over two of the three attributes tuples carry, two of
@@ -1010,13 +1069,21 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
+        /// Also the merge and deletion against the query-major walks they
+        /// replaced: with every tuple of an epoch at one time (the stable
+        /// sort then keeps port order), with every ingest before one merge
+        /// or a merge after each, and with a query deleted between the last
+        /// ingest and its merge.
         #[test]
         fn routing_matches_the_grouping_it_replaced(
             epochs in prop::collection::vec(
                 prop::collection::vec((-1.0f64..5.0, -1.0f64..5.0, 0u16..3, 0.0f64..5.0), 0..160),
-                2..3,
+                2..4,
             ),
             shards in 0usize..5,
+            one_time in any::<bool>(),
+            merge_each_epoch in any::<bool>(),
+            victim in prop::option::of(0usize..3),
         ) {
             let mode = if shards == 0 { ExecMode::Serial } else { ExecMode::Sharded(shards) };
             let (mut routed, qids) = routing_fab();
@@ -1027,6 +1094,7 @@ mod tests {
                     .iter()
                     .map(|&(x, y, attr, dt)| {
                         next_id += 1;
+                        let dt = if one_time { 2.5 } else { dt };
                         CrowdTuple {
                             id: next_id,
                             attr: AttributeId(attr),
@@ -1050,14 +1118,29 @@ mod tests {
                     );
                 }
                 oracle_ingest(&mut grouped, &batch);
+                if merge_each_epoch && e + 1 < epochs.len() {
+                    for &qid in &qids {
+                        let got = routed.collect_output(qid).unwrap();
+                        let want = oracle_collect(&mut grouped, qid);
+                        prop_assert!(got == want, "epoch {e}, {qid}: merged {got:?}, oracle {want:?}");
+                    }
+                }
             }
             prop_assert_eq!(routed.dropped_unmaterialized(), grouped.dropped_unmaterialized());
             let (ours, theirs) = (routed.chain_metrics(), grouped.chain_metrics());
             prop_assert!(ours == theirs, "operator counts differ");
-            for qid in qids {
+            if let Some(victim) = victim {
+                let got = routed.delete_query(qids[victim]).unwrap();
+                let want = oracle_delete(&mut grouped, qids[victim]);
+                prop_assert!(got == want, "leftovers {got:?}, oracle {want:?}");
+            }
+            for (i, &qid) in qids.iter().enumerate() {
+                if victim == Some(i) {
+                    continue;
+                }
                 let got = routed.collect_output(qid).unwrap();
                 let want = oracle_collect(&mut grouped, qid);
-                prop_assert!(got == want, "{qid}: {} merged, oracle {}", got.len(), want.len());
+                prop_assert!(got == want, "{qid}: merged {got:?}, oracle {want:?}");
             }
         }
     }

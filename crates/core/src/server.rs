@@ -342,8 +342,8 @@ pub enum ControlAction {
     },
     /// Tear the chain down and rebuild it from its standing consumers,
     /// restarting its flatten estimator and telemetry
-    /// ([`Fabricator::rebuild_chain`]). Tuples buffered in the old sinks
-    /// are delivered, not lost.
+    /// ([`Fabricator::rebuild_chain`]). Ingest leaves every sink empty,
+    /// so no tuple is buffered in the old chain to lose.
     RebuildChain {
         /// Which cell.
         cell: craqr_geom::CellId,

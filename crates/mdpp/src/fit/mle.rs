@@ -49,12 +49,28 @@ pub fn fit_mle(
     window: &SpaceTimeWindow,
     config: FitConfig,
 ) -> FitResult {
-    fit_mle_with(points, window, config, &mut Vec::new())
+    fit_mle_with(points, window, config, &mut FitScratch::default())
 }
 
-/// [`fit_mle`] computing the per-point feature vectors into `features`
-/// (cleared first), so a caller that fits every batch reuses one buffer.
-/// The result is bit-identical to [`fit_mle`]'s.
+/// The buffers of one fit, kept by a caller that fits every batch so that
+/// fitting allocates only when a batch outgrows every earlier one.
+#[derive(Debug, Default)]
+pub struct FitScratch {
+    /// Each point's scaled feature vector `(1, u, v, w)`.
+    features: Vec<[f64; 4]>,
+    /// Each point's `λ̃` at the current φ.
+    lam: Vec<f64>,
+    /// Each point's `λ̃` at the line search's latest candidate.
+    trial: Vec<f64>,
+}
+
+/// `true` when `a` and `b` are the same four floats, bit for bit.
+fn same_bits(a: &[f64; 4], b: &[f64; 4]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// [`fit_mle`] on buffers the caller keeps. The result is bit-identical
+/// to [`fit_mle`]'s.
 ///
 /// # Panics
 /// Panics when a point lies outside the window.
@@ -62,7 +78,7 @@ pub fn fit_mle_with(
     points: &[SpaceTimePoint],
     window: &SpaceTimeWindow,
     config: FitConfig,
-    features: &mut Vec<[f64; 4]>,
+    scratch: &mut FitScratch,
 ) -> FitResult {
     for p in points {
         assert!(window.contains(p), "point {p:?} outside fit window");
@@ -78,25 +94,31 @@ pub fn fit_mle_with(
 
     let scale = WindowScale::of(window);
     let volume = window.volume();
+    let FitScratch { features, lam, trial } = scratch;
     features.clear();
     features.extend(points.iter().map(|p| scale.features(p)));
     let features: &[[f64; 4]] = features;
+    // Sized once: the likelihood writes every slot before anything reads it.
+    lam.resize(points.len(), 0.0);
+    trial.resize(points.len(), 0.0);
 
     // In centred/scaled coordinates the window integral of the affine form
-    // is simply `φ0 · V` (the odd terms integrate to zero).
-    let log_lik = |phi: &[f64; 4]| -> f64 {
+    // is simply `φ0 · V` (the odd terms integrate to zero). Each `λ̃(pᵢ)`
+    // is kept in `lams`: if φ is accepted, its gradient reuses them.
+    let log_lik = |phi: &[f64; 4], lams: &mut [f64]| -> f64 {
         let mut ll = -phi[0] * volume;
-        for f in features {
+        for (f, slot) in features.iter().zip(lams) {
             let lam: f64 = phi.iter().zip(f).map(|(a, b)| a * b).sum();
             debug_assert!(lam > 0.0, "infeasible phi reached the likelihood");
+            *slot = lam;
             ll += lam.ln();
         }
         ll
     };
-    let gradient = |phi: &[f64; 4]| -> [f64; 4] {
+    // The gradient at φ, from the `λ̃(pᵢ)` the likelihood at φ kept.
+    let gradient = |lams: &[f64]| -> [f64; 4] {
         let mut g = [-volume, 0.0, 0.0, 0.0];
-        for f in features {
-            let lam: f64 = phi.iter().zip(f).map(|(a, b)| a * b).sum();
+        for (f, &lam) in features.iter().zip(lams) {
             let inv = 1.0 / lam;
             for k in 0..4 {
                 g[k] += f[k] * inv;
@@ -111,13 +133,13 @@ pub fn fit_mle_with(
     // Start from the homogeneous MLE: φ = (n/V, 0, 0, 0).
     let mut phi = [points.len() as f64 / volume, 0.0, 0.0, 0.0];
     project_positive(&mut phi, POSITIVITY_EPS);
-    let mut ll = log_lik(&phi);
+    let mut ll = log_lik(&phi, lam);
     let mut converged = false;
     let mut iterations = 0;
 
     for it in 0..config.max_iters {
         iterations = it + 1;
-        let g = gradient(&phi);
+        let g = gradient(lam);
         // Scale-free step: normalize by n so the step size is O(1).
         let n = points.len() as f64;
         let mut step = config.initial_step;
@@ -129,19 +151,28 @@ pub fn fit_mle_with(
                 phi[2] + step * g[2] / n,
                 phi[3] + step * g[3] / n,
             ];
+            // Halving is exact and rounding monotone: once a step no longer
+            // moves φ, no shorter one does, and every later trial is this
+            // one again.
+            let stalled = same_bits(&cand, &phi);
             project_positive(&mut cand, POSITIVITY_EPS);
-            if feasible(&cand) {
-                let cand_ll = log_lik(&cand);
+            // A candidate that is φ has φ's likelihood: no ascent.
+            if !same_bits(&cand, &phi) && feasible(&cand) {
+                let cand_ll = log_lik(&cand, trial);
                 if cand_ll > ll {
                     let improvement = cand_ll - ll;
                     phi = cand;
                     ll = cand_ll;
+                    std::mem::swap(lam, trial);
                     advanced = true;
                     if improvement < config.tol * (1.0 + ll.abs()) {
                         converged = true;
                     }
                     break;
                 }
+            }
+            if stalled {
+                break;
             }
             step *= 0.5;
         }
@@ -168,6 +199,105 @@ mod tests {
 
     fn window() -> SpaceTimeWindow {
         SpaceTimeWindow::new(Rect::with_size(10.0, 10.0), 0.0, 30.0)
+    }
+
+    /// The solver before its exact trims: the gradient recomputes every
+    /// `λ̃(pᵢ)`, and the line search evaluates every trial, all 60 of them
+    /// when none ascends.
+    fn oracle_fit_mle(
+        points: &[SpaceTimePoint],
+        window: &SpaceTimeWindow,
+        config: FitConfig,
+    ) -> FitResult {
+        for p in points {
+            assert!(window.contains(p), "point {p:?} outside fit window");
+        }
+        if points.is_empty() {
+            return FitResult {
+                intensity: LinearIntensity::constant(0.0),
+                log_likelihood: 0.0,
+                iterations: 0,
+                converged: true,
+            };
+        }
+
+        let scale = WindowScale::of(window);
+        let volume = window.volume();
+        let features: Vec<[f64; 4]> = points.iter().map(|p| scale.features(p)).collect();
+        let features = &features;
+
+        let log_lik = |phi: &[f64; 4]| -> f64 {
+            let mut ll = -phi[0] * volume;
+            for f in features {
+                let lam: f64 = phi.iter().zip(f).map(|(a, b)| a * b).sum();
+                debug_assert!(lam > 0.0, "infeasible phi reached the likelihood");
+                ll += lam.ln();
+            }
+            ll
+        };
+        let gradient = |phi: &[f64; 4]| -> [f64; 4] {
+            let mut g = [-volume, 0.0, 0.0, 0.0];
+            for f in features {
+                let lam: f64 = phi.iter().zip(f).map(|(a, b)| a * b).sum();
+                let inv = 1.0 / lam;
+                for k in 0..4 {
+                    g[k] += f[k] * inv;
+                }
+            }
+            g
+        };
+        let feasible = |phi: &[f64; 4]| {
+            phi[0] - (phi[1].abs() + phi[2].abs() + phi[3].abs()) >= POSITIVITY_EPS * 0.5
+        };
+
+        // Start from the homogeneous MLE: φ = (n/V, 0, 0, 0).
+        let mut phi = [points.len() as f64 / volume, 0.0, 0.0, 0.0];
+        project_positive(&mut phi, POSITIVITY_EPS);
+        let mut ll = log_lik(&phi);
+        let mut converged = false;
+        let mut iterations = 0;
+
+        for it in 0..config.max_iters {
+            iterations = it + 1;
+            let g = gradient(&phi);
+            // Scale-free step: normalize by n so the step size is O(1).
+            let n = points.len() as f64;
+            let mut step = config.initial_step;
+            let mut advanced = false;
+            for _ in 0..60 {
+                let mut cand = [
+                    phi[0] + step * g[0] / n,
+                    phi[1] + step * g[1] / n,
+                    phi[2] + step * g[2] / n,
+                    phi[3] + step * g[3] / n,
+                ];
+                project_positive(&mut cand, POSITIVITY_EPS);
+                if feasible(&cand) {
+                    let cand_ll = log_lik(&cand);
+                    if cand_ll > ll {
+                        let improvement = cand_ll - ll;
+                        phi = cand;
+                        ll = cand_ll;
+                        advanced = true;
+                        if improvement < config.tol * (1.0 + ll.abs()) {
+                            converged = true;
+                        }
+                        break;
+                    }
+                }
+                step *= 0.5;
+            }
+            if !advanced {
+                // No ascent direction at line-search resolution: at the optimum.
+                converged = true;
+                break;
+            }
+            if converged {
+                break;
+            }
+        }
+
+        FitResult { intensity: scale.to_physical(phi), log_likelihood: ll, iterations, converged }
     }
 
     #[test]
@@ -259,5 +389,41 @@ mod tests {
         // Expected count of the fitted model ≈ sample size.
         let expected = r.intensity.integral(&w);
         assert!((expected - 3.0).abs() < 0.5, "expected {expected}");
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The trimmed solver returns the oracle's result bit for bit, on
+        /// batches spread evenly over the window or piled towards one
+        /// corner (each unit coordinate raised to a power of two).
+        #[test]
+        fn trimmed_fit_matches_the_oracle_bit_for_bit(
+            units in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0), 1..65),
+            skew_log2 in 0i32..4,
+            side in 0.1f64..10.0,
+            minutes in 0.5f64..30.0,
+        ) {
+            let skew = 2f64.powi(skew_log2);
+            let w = SpaceTimeWindow::new(Rect::with_size(side, side), 0.0, minutes);
+            let pts: Vec<SpaceTimePoint> = units
+                .iter()
+                .map(|&(t, x, y)| {
+                    SpaceTimePoint::new(t * minutes, x.powf(skew) * side, y.powf(skew) * side)
+                })
+                .collect();
+            let want = oracle_fit_mle(&pts, &w, FitConfig::default());
+            let mut scratch = FitScratch::default();
+            // A scratch that fitted another batch first must not matter.
+            fit_mle_with(&pts[..pts.len() / 2], &w, FitConfig::default(), &mut scratch);
+            let got = fit_mle_with(&pts, &w, FitConfig::default(), &mut scratch);
+            let bits = |r: &FitResult| r.intensity.theta().map(f64::to_bits);
+            prop_assert_eq!(bits(&got), bits(&want));
+            prop_assert_eq!(got.log_likelihood.to_bits(), want.log_likelihood.to_bits());
+            prop_assert_eq!(got.iterations, want.iterations);
+            prop_assert_eq!(got.converged, want.converged);
+        }
     }
 }

@@ -18,7 +18,7 @@
 mod mle;
 mod sgd;
 
-pub use mle::{fit_mle, fit_mle_with, FitConfig, FitResult};
+pub use mle::{fit_mle, fit_mle_with, FitConfig, FitResult, FitScratch};
 pub use sgd::{Innovation, SgdConfig, SgdEstimator};
 
 use craqr_geom::{SpaceTimePoint, SpaceTimeWindow};
