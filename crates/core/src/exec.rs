@@ -7,19 +7,24 @@
 //! supplies the machinery to exploit that:
 //!
 //! - [`ExecMode`]: the execution knob on
-//!   [`crate::server::ServerConfig`] — [`ExecMode::Serial`] is the
-//!   reference implementation, [`ExecMode::Sharded`] fans the chains out
-//!   over a scoped worker pool.
+//!   [`crate::server::ServerConfig`] — [`ExecMode::Serial`] (the default)
+//!   picks its own width from the chain count ([`auto_width`]),
+//!   [`ExecMode::Sharded`] pins it.
 //! - [`shard_of`]: the deterministic chain→shard assignment (sorted
 //!   keys, round-robin) the executor applies.
 //! - [`ShardIngest`] / [`IngestReport`]: per-shard statistics merged
 //!   deterministically (ascending shard index) after every epoch.
 //!
+//! At width 1 every chain runs on the calling thread. At width `w > 1`
+//! the calling thread runs shard 0 and `w - 1` scoped workers run the
+//! rest, spawned and joined within the epoch.
+//!
 //! # Determinism contract
 //!
-//! For any fixed root seed, `Serial` and `Sharded(n)` produce **bit
-//! identical** outputs for every query, every epoch, and every budget
-//! decision, for every `n ≥ 1`:
+//! For any fixed root seed, every width produces **bit identical**
+//! outputs for every query, every epoch, and every budget decision —
+//! `Serial` at whatever width it picks and `Sharded(n)` for every
+//! `n ≥ 1`:
 //!
 //! - chains only touch chain-local state, so scheduling cannot reorder
 //!   any chain's RNG draws;
@@ -28,26 +33,33 @@
 //!   chains' output in its own buffer, and a query's `U`-merge reads its
 //!   staged pieces in port order, so which shard ran a chain never shows;
 //!   budget tuning iterates chains in sorted key order exactly as the
-//!   serial path does.
+//!   one-shard path does.
+
+use std::sync::OnceLock;
 
 /// How the server executes the per-cell process phase of an epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// Run every chain on the calling thread, in sorted key order — the
-    /// reference implementation.
+    /// Pick the width from the materialized chain count and the host:
+    /// [`auto_width`] of the chains over the cores
+    /// `std::thread::available_parallelism` reports, read once per process
+    /// when the first fabricator is built. Below 2 × [`CHAINS_PER_WORKER`]
+    /// chains that is width 1, every chain on the calling thread in sorted
+    /// key order — the reference schedule.
     #[default]
     Serial,
-    /// Partition chains into `n` shards (deterministic round-robin over
-    /// sorted keys) and run each shard on its own scoped worker thread.
+    /// Partition chains into exactly `n` shards (deterministic round-robin
+    /// over sorted keys); the calling thread runs shard 0 and a scoped
+    /// worker each other shard.
     ///
-    /// `Sharded(1)` is the serial schedule on a worker thread.
+    /// `Sharded(1)` is the one-shard schedule on the calling thread.
     Sharded(usize),
 }
 
 impl ExecMode {
     /// `Err((field, requirement))` for `Sharded(0)`, the one mode that
     /// cannot run — the one check the server's validator, the CLI's
-    /// `--shards` and [`ExecMode::shards`] all ask.
+    /// `--shards` and [`ExecMode::width`] all ask.
     pub fn validate(&self) -> Result<(), (&'static str, String)> {
         match self {
             ExecMode::Sharded(0) => {
@@ -57,20 +69,50 @@ impl ExecMode {
         }
     }
 
-    /// Number of shards this mode runs (`1` for serial).
+    /// Number of shards this mode runs `chains` materialized chains on,
+    /// on a host with `cores` cores: [`auto_width`] for `Serial`, `n` for
+    /// `Sharded(n)`.
     ///
     /// # Panics
     /// Panics on a mode [`ExecMode::validate`] rejects.
     #[track_caller]
-    pub fn shards(&self) -> usize {
+    pub fn width(&self, chains: usize, cores: usize) -> usize {
         if let Err((field, message)) = self.validate() {
             panic!("{field}: {message}");
         }
         match self {
-            ExecMode::Serial => 1,
+            ExecMode::Serial => auto_width(chains, cores),
             ExecMode::Sharded(n) => *n,
         }
     }
+}
+
+/// Chains each worker of the default executor gets at least.
+///
+/// Measured end to end with two workers on a 2-core host: +34 % epochs/s
+/// at 2 304 chains (`grid_replay`), nothing at 256 — `city_live` +4 %,
+/// `durable_serial` ±0 with peak RSS +15–18 %, `durable_pipelined` −8 to
+/// −20 %. So 256 chains stay on one worker, and a worker is added per
+/// further 256.
+pub const CHAINS_PER_WORKER: usize = 256;
+
+/// The width the default executor runs `chains` chains at on a host with
+/// `cores` cores: one worker per [`CHAINS_PER_WORKER`] chains, at least
+/// one and at most `cores`.
+///
+/// A function of the plan, not of the traffic: the chain count changes
+/// only when the query set does, so the width cannot flap from epoch to
+/// epoch or from seed to seed.
+pub fn auto_width(chains: usize, cores: usize) -> usize {
+    (chains / CHAINS_PER_WORKER).clamp(1, cores.max(1))
+}
+
+/// The cores this process may run on, read once: `available_parallelism`
+/// reads cgroup files, which no epoch should pay for. `1` when it cannot
+/// tell.
+pub(crate) fn host_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
 }
 
 /// Nanoseconds of CPU time consumed by the *calling thread* so far.
@@ -163,8 +205,8 @@ pub struct IngestReport {
     pub routed: usize,
     /// Tuples dropped at the map phase (unmaterialized cell or attribute).
     pub dropped: usize,
-    /// Per-shard breakdown, ascending by shard index; one entry under
-    /// [`ExecMode::Serial`].
+    /// Per-shard breakdown, ascending by shard index; one entry per
+    /// shard of the width the epoch ran at.
     pub shards: Vec<ShardIngest>,
 }
 
@@ -218,16 +260,32 @@ mod tests {
     }
 
     #[test]
-    fn serial_is_one_shard() {
-        assert_eq!(ExecMode::Serial.shards(), 1);
-        assert_eq!(ExecMode::Sharded(4).shards(), 4);
+    fn sharded_pins_the_width_and_serial_follows_the_rule() {
+        for (chains, cores) in [(0, 1), (16, 8), (2_304, 2), (100_000, 64)] {
+            assert_eq!(ExecMode::Sharded(4).width(chains, cores), 4);
+            assert_eq!(ExecMode::Sharded(1).width(chains, cores), 1);
+            assert_eq!(ExecMode::Serial.width(chains, cores), auto_width(chains, cores));
+        }
         assert!((0..5).all(|i| shard_of(i, 1) == 0));
+    }
+
+    #[test]
+    fn auto_width_is_one_worker_per_256_chains_capped_at_the_cores() {
+        let chains = [0, 255, 256, 511, 512, 2_304];
+        let want = [(1, [1, 1, 1, 1, 1, 1]), (2, [1, 1, 1, 1, 2, 2]), (8, [1, 1, 1, 1, 2, 8])];
+        for (cores, widths) in want {
+            for (chains, width) in chains.into_iter().zip(widths) {
+                assert_eq!(auto_width(chains, cores), width, "{chains} chains on {cores} cores");
+            }
+        }
+        // A host that reports no cores still runs on one.
+        assert_eq!(auto_width(2_304, 0), 1);
     }
 
     #[test]
     #[should_panic(expected = "no workers")]
     fn zero_shards_rejected() {
-        let _ = ExecMode::Sharded(0).shards();
+        let _ = ExecMode::Sharded(0).width(16, 2);
     }
 
     #[test]

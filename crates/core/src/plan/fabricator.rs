@@ -251,6 +251,11 @@ pub struct Fabricator {
     /// One staging per shard of the widest ingest so far, kept for its
     /// capacity; empty between ingests.
     stagings: Vec<Staging>,
+    /// The host's cores, for the default executor's width. Read when the
+    /// fabricator is built: the first read opens cgroup files, and done
+    /// inside the first epoch it left `city_live`'s peak RSS 1.4 MB
+    /// higher.
+    cores: usize,
 }
 
 impl Fabricator {
@@ -268,6 +273,7 @@ impl Fabricator {
             retired_metrics: craqr_engine::TopologyMetrics::default(),
             router: Router::default(),
             stagings: Vec::new(),
+            cores: crate::exec::host_cores(),
         }
     }
 
@@ -554,7 +560,7 @@ impl Fabricator {
     }
 
     /// **map + process**: routes one ingestion batch to the per-cell
-    /// chains and runs them serially, in sorted key order.
+    /// chains and runs them under the default [`ExecMode`].
     pub fn ingest_batch(&mut self, tuples: &[CrowdTuple]) {
         self.ingest_batch_mode(tuples, ExecMode::Serial);
     }
@@ -563,27 +569,33 @@ impl Fabricator {
     ///
     /// The map phase (tuple → chain routing) always runs on the calling
     /// thread: a counting sort by chain ordinal into one reused buffer, so
-    /// both executors hand every chain a borrowed slice of the batch, in
-    /// input order. Under [`ExecMode::Sharded`] the process phase partitions
-    /// the ascending chain list round-robin into shards and runs each shard
-    /// on a scoped worker thread. Chains share nothing (their RNG streams,
-    /// estimators, and sinks are all chain-local, seeded from the planner's
-    /// root seed), so the result is **bit-identical** to
-    /// [`ExecMode::Serial`] regardless of scheduling — see the determinism
-    /// contract on [`crate::exec`].
+    /// every width hands every chain a borrowed slice of the batch, in
+    /// input order. The process phase runs at the width
+    /// [`ExecMode::width`] picks for the materialized chains — under the
+    /// default [`ExecMode::Serial`], one worker per
+    /// [`crate::exec::CHAINS_PER_WORKER`] chains, capped at the host's
+    /// cores. At width 1 every chain runs on the calling thread in
+    /// ascending key order. Wider, the ascending chain list splits
+    /// round-robin into shards: the calling thread runs shard 0 and a
+    /// scoped worker each other shard. Chains share nothing (their RNG
+    /// streams, estimators, and sinks are all chain-local, seeded from the
+    /// planner's root seed), so the result is **bit-identical** at every
+    /// width regardless of scheduling — see the determinism contract on
+    /// [`crate::exec`].
     ///
     /// Materialized chains that received nothing this batch record a
     /// starvation epoch so their `N_v` telemetry never goes stale.
     ///
-    /// Each shard stages its chains' output as it goes (serial is the
-    /// one-shard case); once every shard is done, the pieces move to their
-    /// queries, shard by shard, for [`Fabricator::collect_output`].
+    /// Each shard stages its chains' output as it goes; once every shard
+    /// is done, the pieces move to their queries, shard by shard, for
+    /// [`Fabricator::collect_output`].
     ///
     /// # Panics
-    /// Panics on `Sharded(0)`.
+    /// Panics on `Sharded(0)`. A chain's panic reaches the caller with its
+    /// own message, whichever shard ran the chain.
     #[track_caller]
     pub fn ingest_batch_mode(&mut self, tuples: &[CrowdTuple], mode: ExecMode) -> IngestReport {
-        let shards = mode.shards();
+        let shards = mode.width(self.chains.len(), self.cores);
         // map: tuples in unmaterialized cells drop.
         let dropped_now = self.router.route(&self.grid, self.chains.keys(), tuples);
         self.dropped_unmaterialized += dropped_now as u64;
@@ -600,30 +612,35 @@ impl Fabricator {
             self.stagings.resize_with(shards, Staging::default);
         }
         let stagings = &mut self.stagings[..shards];
-        let stats: Vec<ShardIngest> = match mode {
-            ExecMode::Serial => vec![run_shard(0, jobs, &mut stagings[0])],
-            ExecMode::Sharded(_) => {
-                // Round-robin over the ordinals, so workers only ever see
-                // disjoint sub-lists.
-                let per_shard = router.keys.len().div_ceil(shards);
-                let mut lists: Vec<Vec<_>> =
-                    (0..shards).map(|_| Vec::with_capacity(per_shard)).collect();
-                for (i, job) in jobs.enumerate() {
-                    lists[shard_of(i, shards)].push(job);
-                }
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = lists
-                        .into_iter()
-                        .zip(stagings.iter_mut())
-                        .enumerate()
-                        .map(|(shard, (list, staging))| {
-                            scope.spawn(move || run_shard(shard, list, staging))
-                        })
-                        .collect();
-                    // Joining in spawn order keeps the merged stats ascending.
-                    handles.into_iter().map(|h| h.join().expect("shard worker panicked")).collect()
-                })
+        let stats: Vec<ShardIngest> = if shards == 1 {
+            vec![run_shard(0, jobs, &mut stagings[0])]
+        } else {
+            // Round-robin over the ordinals, so workers only ever see
+            // disjoint sub-lists.
+            let per_shard = router.keys.len().div_ceil(shards);
+            let mut lists: Vec<Vec<_>> =
+                (0..shards).map(|_| Vec::with_capacity(per_shard)).collect();
+            for (i, job) in jobs.enumerate() {
+                lists[shard_of(i, shards)].push(job);
             }
+            std::thread::scope(|scope| {
+                let mut lists = lists.into_iter().zip(stagings.iter_mut());
+                let (own, own_staging) = lists.next().expect("at least two shards");
+                let workers: Vec<_> = lists
+                    .enumerate()
+                    .map(|(i, (list, staging))| {
+                        scope.spawn(move || run_shard(i + 1, list, staging))
+                    })
+                    .collect();
+                let mut stats = Vec::with_capacity(workers.len() + 1);
+                stats.push(run_shard(0, own, own_staging));
+                // Joining in spawn order keeps the merged stats ascending;
+                // a worker's panic continues here with its own payload.
+                stats.extend(workers.into_iter().map(|worker| {
+                    worker.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+                }));
+                stats
+            })
         };
         for staging in stagings.iter() {
             let mut start = 0;
@@ -934,6 +951,29 @@ mod tests {
         let reports = f.flatten_reports();
         assert_eq!(reports[0].2.batches(), 1);
         assert_eq!(reports[0].2.last_nv(), 100.0);
+    }
+
+    /// Ingests one tuple at `t = +∞` into the chain with ordinal 1, which
+    /// round-robin puts on the first spawned worker at every width above 1.
+    fn ingest_an_infinite_time(mode: ExecMode) {
+        let mut f = fab();
+        f.insert_query(query(0, Rect::new(0.0, 0.0, 4.0, 4.0), 1.0)).unwrap();
+        let (cell, _) = *f.chains.keys().nth(1).unwrap();
+        let mut bad = tuples(0, 1, 0.0, f.grid().cell_rect(cell));
+        bad[0].point.t = f64::INFINITY;
+        f.ingest_batch_mode(&bad, mode);
+    }
+
+    #[test]
+    #[should_panic(expected = "window times must be finite")]
+    fn a_chain_panic_keeps_its_message_at_width_1() {
+        ingest_an_infinite_time(ExecMode::Serial);
+    }
+
+    #[test]
+    #[should_panic(expected = "window times must be finite")]
+    fn a_chain_panic_keeps_its_message_on_a_worker() {
+        ingest_an_infinite_time(ExecMode::Sharded(2));
     }
 
     #[test]

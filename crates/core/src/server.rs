@@ -33,10 +33,12 @@ pub struct ServerConfig {
     pub initial_budget: f64,
     /// Crowd mobility sub-steps per epoch (finer = smoother trajectories).
     pub mobility_substeps: u32,
-    /// How the per-cell process phase executes. [`ExecMode::Serial`] is
-    /// the reference implementation; [`ExecMode::Sharded`] runs the
-    /// chains on a worker pool with **bit-identical** results under the
-    /// same root seed (see [`crate::exec`] for the contract).
+    /// How the per-cell process phase executes. [`ExecMode::Serial`], the
+    /// default, picks its width from the materialized chain count (one
+    /// worker per [`crate::exec::CHAINS_PER_WORKER`] chains, capped at the
+    /// host's cores); [`ExecMode::Sharded`] pins it. Every width gives
+    /// **bit-identical** results under the same root seed (see
+    /// [`crate::exec`] for the contract).
     pub exec: ExecMode,
     /// Bounded retry/backoff for chains whose dispatch yields too few
     /// responses (crowd drop/delay faults). `None` — the default — is
@@ -167,8 +169,8 @@ pub struct EpochReport {
     pub mitigation_rejected: usize,
     /// Well-formed tuples ingested into the fabricator.
     pub ingested: usize,
-    /// Map + process outcome, with the per-shard breakdown under
-    /// [`ExecMode::Sharded`] (a single shard entry under serial).
+    /// Map + process outcome, with one per-shard entry for each shard of
+    /// the width the epoch ran at (a single entry at width 1).
     pub exec: IngestReport,
     /// Per-query tuples delivered this epoch.
     pub delivered: Vec<(QueryId, usize)>,

@@ -1,8 +1,11 @@
 //! A warm fabricator's map/process/merge allocates per query, never per
 //! chain: one epoch's ingest plus every query's merge on a 48×48 grid
 //! (2 304 chains, about three tuples each) makes no more allocations than
-//! the same epoch on a 4×4 grid (16 chains) under the same queries, serial
-//! and on two shards.
+//! the same epoch on a 4×4 grid (16 chains) under the same queries, at
+//! one shard and at two. Spawning a worker allocates, so each comparison
+//! holds the width fixed; the default executor, which picks its width
+//! from the chain count, must allocate exactly what that width pinned
+//! does.
 //!
 //! Its own test binary because the counting allocator is process-wide;
 //! the single test keeps other threads from adding to the count.
@@ -94,16 +97,17 @@ fn epoch_batch(epoch: u64) -> Vec<CrowdTuple> {
         .collect()
 }
 
-/// Runs `epochs` warm-up epochs under `mode`, then returns the allocations
-/// and the delivered tuples of one more epoch's ingest and merges.
-fn warm_epoch_allocs(grid_side: u32, epochs: u64, mode: ExecMode) -> (u64, usize) {
+/// Runs `epochs` warm-up epochs under `mode`, then returns the allocations,
+/// the delivered tuples and the width of one more epoch's ingest and
+/// merges.
+fn warm_epoch_allocs(grid_side: u32, epochs: u64, mode: ExecMode) -> (u64, usize, usize) {
     let (mut f, qids) = fabricator(grid_side);
     let mut epoch = |e: u64| {
         let batch = epoch_batch(e);
         let before = ALLOCS.load(Ordering::Relaxed);
-        f.ingest_batch_mode(&batch, mode);
+        let width = f.ingest_batch_mode(&batch, mode).shards.len();
         let delivered: usize = qids.iter().map(|&q| f.collect_output(q).unwrap().len()).sum();
-        (ALLOCS.load(Ordering::Relaxed) - before, delivered)
+        (ALLOCS.load(Ordering::Relaxed) - before, delivered, width)
     };
     for e in 0..epochs {
         epoch(e);
@@ -115,14 +119,23 @@ fn warm_epoch_allocs(grid_side: u32, epochs: u64, mode: ExecMode) -> (u64, usize
 
 #[test]
 fn warm_epoch_allocations_do_not_grow_with_the_chain_count() {
-    for mode in [ExecMode::Serial, ExecMode::Sharded(2)] {
-        let (fine, fine_delivered) = warm_epoch_allocs(48, 2, mode);
-        let (coarse, coarse_delivered) = warm_epoch_allocs(4, 2, mode);
+    for mode in [ExecMode::Sharded(1), ExecMode::Sharded(2)] {
+        let (fine, fine_delivered, _) = warm_epoch_allocs(48, 2, mode);
+        let (coarse, coarse_delivered, _) = warm_epoch_allocs(4, 2, mode);
         assert!(fine_delivered > 0, "the queries must deliver");
         assert_eq!(fine_delivered, coarse_delivered, "both grids keep every tuple");
         assert!(
             fine <= coarse,
             "{mode:?}: 2 304 chains made {fine} allocations in a warm epoch, 16 chains {coarse}"
+        );
+    }
+    for side in [48, 4] {
+        let (default, _, width) = warm_epoch_allocs(side, 2, ExecMode::Serial);
+        let (pinned, _, _) = warm_epoch_allocs(side, 2, ExecMode::Sharded(width));
+        assert_eq!(
+            default, pinned,
+            "{side}×{side}: the default ran at width {width} and made {default} allocations \
+             in a warm epoch, Sharded({width}) {pinned}"
         );
     }
 }

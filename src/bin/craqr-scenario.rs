@@ -61,7 +61,7 @@
 //! |---|---|---|
 //! | `<files…>`       | —              | scenario spec files (`.toml` or `.json`) |
 //! | `--all DIR`      | —              | append every spec in `DIR` (sorted) to the file list |
-//! | `--shards N`     | serial         | run under `Sharded(N)`, `N >= 1` |
+//! | `--shards N`     | one worker per 256 chains, up to the host's cores | run under `Sharded(N)`: exactly `N >= 1` shards |
 //! | `--seed S`       | spec seed      | override every spec's seed |
 //! | `--goldens DIR`  | `tests/goldens`| where golden reports live |
 //! | `--bless`        | off            | write/overwrite golden files, sweeping stale and orphaned ones |
@@ -127,7 +127,8 @@ impl From<&str> for Failure {
 struct Flags {
     /// Positional arguments: spec files (after `--all` expansion) or logs.
     files: Vec<PathBuf>,
-    /// `--shards N`: run under `Sharded(N)`; serial is the flag's absence.
+    /// `--shards N`: run under `Sharded(N)`; without it, the default
+    /// executor picks its own width from the chain count.
     mode: ExecMode,
     seed: Option<u64>,
     out: Option<PathBuf>,

@@ -59,24 +59,26 @@
 //! derived from the planner's root seed. [`ServerConfig`](craqr_core::ServerConfig)'s
 //! [`ExecMode`](craqr_core::ExecMode) knob chooses how the epoch's process phase runs:
 //!
-//! - [`ExecMode::Serial`](craqr_core::ExecMode::Serial) (default): every chain runs on the calling
-//!   thread in sorted key order — the reference implementation, easiest
-//!   to step through and profile.
-//! - [`ExecMode::Sharded`](craqr_core::ExecMode::Sharded)`(n)`: chains are partitioned round-robin over
-//!   sorted keys into `n` shards, each run on a scoped worker thread;
-//!   per-shard results merge in ascending shard order.
+//! - [`ExecMode::Serial`](craqr_core::ExecMode::Serial) (default): the width follows the plan —
+//!   one shard per [`CHAINS_PER_WORKER`](craqr_core::exec::CHAINS_PER_WORKER) (256) materialized
+//!   chains, at least one and at most the host's cores. Up to 511 chains
+//!   that is every chain on the calling thread in sorted key order — the
+//!   reference schedule, easiest to step through and profile.
+//! - [`ExecMode::Sharded`](craqr_core::ExecMode::Sharded)`(n)`: exactly `n` shards, whatever the
+//!   plan.
 //!
-//! **Determinism contract:** for a fixed root seed, both modes produce
+//! Wider than one, chains are partitioned round-robin over sorted keys;
+//! the calling thread runs shard 0 and a scoped worker, spawned and
+//! joined within the epoch, each other shard; per-shard results merge in
+//! ascending shard order.
+//!
+//! **Determinism contract:** for a fixed root seed, every width produces
 //! bit-identical fabricated streams, dispatch statistics, and budget
-//! decisions, for every `n` (enforced by `tests/sharded_exec.rs`).
-//! Sharding pays only with many chains per shard: the workers are
-//! spawned per epoch, so the benchmark's `core.sharded2_speedup` reads
-//! 1.12–1.27× for `Sharded(2)` on a 2-core shared VM with 2 304 chains
-//! (`grid_replay`), and `Sharded(2)` ingests *slower* than serial on the
-//! few-hundred-chain workloads. Pick `Sharded(n ≈ available cores)` when
-//! thousands of cells are materialized and batches are large; stay
-//! `Serial` for small grids, debugging, or single-core hosts where worker
-//! threads only add overhead.
+//! decisions (enforced by `tests/sharded_exec.rs`). Fanning out pays only
+//! with many chains per shard, which is why the default waits for 256 a
+//! worker: on a 2-core host, two shards run `grid_replay` (2 304 chains)
+//! about a third more epochs per second than one, and buy nothing or
+//! lose on the 256-chain workloads.
 //!
 //! ```
 //! use craqr::prelude::*;

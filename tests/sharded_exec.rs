@@ -1,8 +1,10 @@
 //! The sharded executor's determinism contract, tested at the server
 //! level: `ExecMode::Serial` and `ExecMode::Sharded(n)` must be
 //! indistinguishable — bit-identical fabricated streams, dispatch
-//! statistics, and budget decisions — for the same root seed.
+//! statistics, and budget decisions — for the same root seed, at every
+//! width the default executor picks.
 
+use craqr::core::exec::auto_width;
 use craqr::core::{ExecMode, ShardIngest};
 use craqr::prelude::*;
 use proptest::prelude::*;
@@ -35,6 +37,22 @@ fn server(size: usize, seed: u64, exec: ExecMode) -> (CraqrServer, Vec<QueryId>)
     (s, queries)
 }
 
+/// Everything two executors report for an epoch must match exactly,
+/// except the shard breakdown; the merged ingest outcome matches too.
+fn assert_same_epoch(a: &EpochReport, b: &EpochReport, epoch: usize) {
+    assert_eq!(a.epoch, b.epoch);
+    assert_eq!(a.now, b.now);
+    assert_eq!(a.dispatch, b.dispatch, "epoch {epoch}: dispatch diverged");
+    assert_eq!(a.responses, b.responses, "epoch {epoch}: responses diverged");
+    assert_eq!(a.mitigation_rejected, b.mitigation_rejected);
+    assert_eq!(a.ingested, b.ingested);
+    assert_eq!(a.delivered, b.delivered, "epoch {epoch}: deliveries diverged");
+    assert_eq!(a.tuning, b.tuning, "epoch {epoch}: budget tuning diverged");
+    assert_eq!(a.exec.routed, b.exec.routed);
+    assert_eq!(a.exec.dropped, b.exec.dropped);
+    assert_eq!(a.exec.chains(), b.exec.chains());
+}
+
 /// The headline determinism test: ten epochs, three overlapping queries,
 /// sixteen cells — serial and 4-way-sharded runs must deliver identical
 /// sink contents tuple for tuple, and identical budget behaviour.
@@ -47,18 +65,7 @@ fn serial_and_sharded_4_are_bit_identical_across_10_epochs() {
     for epoch in 0..10 {
         let a = serial.run_epoch();
         let b = sharded.run_epoch();
-        // Everything except the shard breakdown must match exactly.
-        assert_eq!(a.epoch, b.epoch);
-        assert_eq!(a.now, b.now);
-        assert_eq!(a.dispatch, b.dispatch, "epoch {epoch}: dispatch diverged");
-        assert_eq!(a.responses, b.responses, "epoch {epoch}: responses diverged");
-        assert_eq!(a.mitigation_rejected, b.mitigation_rejected);
-        assert_eq!(a.ingested, b.ingested);
-        assert_eq!(a.delivered, b.delivered, "epoch {epoch}: deliveries diverged");
-        assert_eq!(a.tuning, b.tuning, "epoch {epoch}: budget tuning diverged");
-        // The merged ingest outcome matches; only the breakdown differs.
-        assert_eq!(a.exec.routed, b.exec.routed);
-        assert_eq!(a.exec.dropped, b.exec.dropped);
+        assert_same_epoch(&a, &b, epoch);
         assert_eq!(a.exec.shards.len(), 1);
         assert_eq!(b.exec.shards.len(), 4);
     }
@@ -88,6 +95,44 @@ fn serial_and_sharded_4_are_bit_identical_across_10_epochs() {
         }
     }
     assert_eq!(serial.handler().totals(), sharded.handler().totals());
+}
+
+/// A 48×48 grid under one attribute: 2 304 chains, enough for the
+/// default executor to fan out on any host with two cores or more.
+#[test]
+fn the_default_width_on_2304_chains_is_bit_identical_to_pinned_widths() {
+    let grid_server = |exec: ExecMode| {
+        let mut config = ServerConfig { exec, ..ServerConfig::default() };
+        config.planner.seed = 9;
+        config.planner.grid_side = 48;
+        let mut s = CraqrServer::new(crowd(3_000, 9), config);
+        s.register_attribute("temp", false, Box::new(TemperatureField::city_default()));
+        let queries: Vec<QueryId> = ["RECT(0,0,4,4) RATE 0.5", "RECT(1,1,3.5,2.5) RATE 2"]
+            .iter()
+            .map(|q| s.submit(&format!("ACQUIRE temp FROM {q}")).unwrap())
+            .collect();
+        (s, queries)
+    };
+    let modes = [ExecMode::Serial, ExecMode::Sharded(1), ExecMode::Sharded(3)];
+    let (mut servers, queries): (Vec<CraqrServer>, Vec<_>) =
+        modes.into_iter().map(grid_server).unzip();
+    assert!(queries.iter().all(|q| *q == queries[0]));
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    for epoch in 0..4 {
+        let reports: Vec<EpochReport> = servers.iter_mut().map(CraqrServer::run_epoch).collect();
+        assert_eq!(reports[0].exec.chains(), 2_304);
+        let widths: Vec<usize> = reports.iter().map(|r| r.exec.shards.len()).collect();
+        assert_eq!(widths, [auto_width(2_304, cores), 1, 3], "epoch {epoch}");
+        for other in &reports[1..] {
+            assert_same_epoch(&reports[0], other, epoch);
+        }
+    }
+    for &q in &queries[0] {
+        let outs: Vec<_> = servers.iter_mut().map(|s| s.take_output(q)).collect();
+        assert!(!outs[0].is_empty(), "query {q} must deliver something in 4 epochs");
+        assert!(outs.iter().all(|o| *o == outs[0]), "query {q}: stream contents diverged");
+    }
+    assert!(servers.iter().all(|s| s.handler().totals() == servers[0].handler().totals()));
 }
 
 proptest! {
