@@ -311,10 +311,12 @@ pub(crate) struct DrainStage<'d> {
 
 impl DrainStage<'_> {
     /// Slot `t`: prologue → execute `orders` → sub-steps → fault deltas →
-    /// drain. Under replay the crowd is only stepped — through the same
-    /// sequence of `step` calls, so accumulated simulation time stays
-    /// bit-identical to the live run — and the recorded inputs stand in
-    /// for its outcome. `None` when the armed crash point fired here.
+    /// drain. The sub-steps are one [`Crowd::advance`], which may move the
+    /// crowd on several threads and is bit-identical at every width. Under
+    /// replay the crowd is only advanced — through the same sub-steps, so
+    /// accumulated simulation time stays bit-identical to the live run —
+    /// and the recorded inputs stand in for its outcome. `None` when the
+    /// armed crash point fired here.
     pub(crate) fn slot(
         &mut self,
         t: u64,
@@ -338,9 +340,7 @@ impl DrainStage<'_> {
             duplicated: c.responses_duplicated(),
         };
         let before = counters(crowd);
-        for _ in 0..self.substeps {
-            crowd.step(dt);
-        }
+        crowd.advance(dt, self.substeps);
         let mut buf = self.pool.take();
         let (faults, responses) = match recorded {
             None => {

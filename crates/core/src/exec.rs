@@ -35,15 +35,14 @@
 //!   budget tuning iterates chains in sorted key order exactly as the
 //!   one-shard path does.
 
-use std::sync::OnceLock;
-
 /// How the server executes the per-cell process phase of an epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
     /// Pick the width from the materialized chain count and the host:
     /// [`auto_width`] of the chains over the cores
     /// `std::thread::available_parallelism` reports, read once per process
-    /// when the first fabricator is built. Below 2 × [`CHAINS_PER_WORKER`]
+    /// ([`craqr_stats::host_cores`]) and kept by the fabricator when it is
+    /// built. Below 2 × [`CHAINS_PER_WORKER`]
     /// chains that is width 1, every chain on the calling thread in sorted
     /// key order — the reference schedule.
     #[default]
@@ -105,14 +104,6 @@ pub const CHAINS_PER_WORKER: usize = 256;
 /// epoch or from seed to seed.
 pub fn auto_width(chains: usize, cores: usize) -> usize {
     (chains / CHAINS_PER_WORKER).clamp(1, cores.max(1))
-}
-
-/// The cores this process may run on, read once: `available_parallelism`
-/// reads cgroup files, which no epoch should pay for. `1` when it cannot
-/// tell.
-pub(crate) fn host_cores() -> usize {
-    static CORES: OnceLock<usize> = OnceLock::new();
-    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
 }
 
 /// Nanoseconds of CPU time consumed by the *calling thread* so far.

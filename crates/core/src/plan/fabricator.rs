@@ -273,7 +273,7 @@ impl Fabricator {
             retired_metrics: craqr_engine::TopologyMetrics::default(),
             router: Router::default(),
             stagings: Vec::new(),
-            cores: crate::exec::host_cores(),
+            cores: craqr_stats::host_cores(),
         }
     }
 

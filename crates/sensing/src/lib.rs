@@ -25,6 +25,15 @@
 //! - [`crowd`] — the world object: advances sensor positions, accepts
 //!   request batches, matures delayed responses, and injects delivery
 //!   faults (drop, delay, duplicate).
+//!
+//! # Determinism
+//!
+//! A crowd is a pure function of its seed and the calls made on it, on any
+//! host. [`Crowd::advance`] may move the sensors on several threads (one
+//! per [`crowd::SENSOR_STEPS_PER_WORKER`] sensor-steps, at most the
+//! host's cores, and only when [`Mobility::draws_per_step`] is fixed), but
+//! every width gives the same positions, the same responses, the same
+//! counters and the same RNG states as one thread, bit for bit.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -89,8 +89,33 @@ impl Mobility {
         Mobility::GaussMarkov { alpha, mean_speed, sigma, velocity: (0.0, 0.0) }
     }
 
+    /// The RNG words one [`Mobility::step`] of `dt` minutes draws, when
+    /// that number is fixed: a random walk and Gauss–Markov draw one
+    /// Box–Muller normal (two words) per axis, or nothing when their noise
+    /// is zero; a station draws nothing. `None` for the random waypoint,
+    /// which draws a new target only when it arrives.
+    ///
+    /// [`crate::Crowd::advance`] splits its sensors over workers only when
+    /// this is `Some`: then each worker can skip exactly the words the
+    /// sensors outside its range draw.
+    pub fn draws_per_step(&self, dt: f64) -> Option<usize> {
+        let normals = |noise: Normal| if noise.sd() == 0.0 { 0 } else { 2 * NORMAL_DRAWS };
+        match self {
+            Mobility::Stationary => Some(0),
+            Mobility::RandomWalk { sigma } => Some(normals(walk_noise(*sigma, dt))),
+            Mobility::RandomWaypoint { .. } => None,
+            Mobility::GaussMarkov { alpha, sigma, .. } => {
+                Some(normals(gauss_markov_noise(*alpha, *sigma)))
+            }
+        }
+    }
+
     /// Advances a position by `dt` minutes, returning the new position
     /// (reflected into `region`).
+    ///
+    /// # Panics
+    /// Panics unless `dt` is finite and `> 0`.
+    #[track_caller]
     pub fn step<R: Rng + ?Sized>(
         &mut self,
         pos: (f64, f64),
@@ -98,11 +123,11 @@ impl Mobility {
         region: &Rect,
         rng: &mut R,
     ) -> (f64, f64) {
-        assert!(dt > 0.0, "dt must be > 0");
+        assert!(dt.is_finite() && dt > 0.0, "dt must be finite and > 0, got {dt}");
         let raw = match self {
             Mobility::Stationary => pos,
             Mobility::RandomWalk { sigma } => {
-                let step = Normal::new(0.0, *sigma * dt.sqrt());
+                let step = walk_noise(*sigma, dt);
                 (pos.0 + step.sample(rng), pos.1 + step.sample(rng))
             }
             Mobility::RandomWaypoint { speed, pause, target, pause_left } => {
@@ -136,7 +161,7 @@ impl Mobility {
                 p
             }
             Mobility::GaussMarkov { alpha, mean_speed, sigma, velocity } => {
-                let noise = Normal::new(0.0, *sigma * (1.0 - *alpha * *alpha).sqrt());
+                let noise = gauss_markov_noise(*alpha, *sigma);
                 // Mean velocity direction drifts isotropically around the
                 // current heading; classic formulation uses a mean speed on
                 // each axis of mean_speed/√2.
@@ -153,6 +178,19 @@ impl Mobility {
         };
         reflect(raw, region)
     }
+}
+
+/// RNG words one [`Normal`] sample with a non-zero deviation draws.
+const NORMAL_DRAWS: usize = 2;
+
+/// The per-axis step of a random walk over `dt` minutes.
+fn walk_noise(sigma: f64, dt: f64) -> Normal {
+    Normal::new(0.0, sigma * dt.sqrt())
+}
+
+/// The per-axis velocity noise of a Gauss–Markov model.
+fn gauss_markov_noise(alpha: f64, sigma: f64) -> Normal {
+    Normal::new(0.0, sigma * (1.0 - alpha * alpha).sqrt())
 }
 
 /// Reflects a position into the region (billiard reflection, repeated until
@@ -289,5 +327,67 @@ mod tests {
     #[should_panic(expected = "speed must be > 0")]
     fn waypoint_rejects_zero_speed() {
         let _ = Mobility::random_waypoint(0.0, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "dt must be finite and > 0, got inf")]
+    fn waypoint_rejects_an_infinite_step() {
+        // Without the check the leg loop never ends: `remaining` stays ∞.
+        let mut m = Mobility::random_waypoint(1.0, 2.0);
+        let _ = m.step((5.0, 5.0), f64::INFINITY, &region(), &mut seeded_rng(7));
+    }
+
+    /// An RNG that counts the words it hands out.
+    struct Counting<R> {
+        inner: R,
+        words: usize,
+    }
+
+    impl<R: rand::RngCore> rand::RngCore for Counting<R> {
+        fn next_u64(&mut self) -> u64 {
+            self.words += 1;
+            self.inner.next_u64()
+        }
+    }
+
+    /// The words each of `steps` steps of `dt` minutes draws.
+    fn words_per_step(mut m: Mobility, dt: f64, steps: usize) -> Vec<usize> {
+        let mut rng = Counting { inner: seeded_rng(8), words: 0 };
+        let mut p = (5.0, 5.0);
+        (0..steps)
+            .map(|_| {
+                let before = rng.words;
+                p = m.step(p, dt, &region(), &mut rng);
+                rng.words - before
+            })
+            .collect()
+    }
+
+    #[test]
+    fn draws_per_step_is_what_a_step_draws() {
+        let models = [
+            Mobility::Stationary,
+            Mobility::RandomWalk { sigma: 0.3 },
+            Mobility::RandomWalk { sigma: 0.0 },
+            Mobility::gauss_markov(0.8, 0.12, 0.03),
+            Mobility::gauss_markov(0.8, 0.12, 0.0),
+            Mobility::gauss_markov(0.0, 0.0, 0.5),
+        ];
+        let expected = [0, 4, 0, 4, 0, 4];
+        for (m, want) in models.into_iter().zip(expected) {
+            for dt in [0.25, 1.0, 7.5] {
+                assert_eq!(m.draws_per_step(dt), Some(want), "{m:?} at dt {dt}");
+                let words = words_per_step(m.clone(), dt, 50);
+                assert!(words.iter().all(|&w| w == want), "{m:?} at dt {dt} drew {words:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_waypoint_draws_only_when_it_picks_a_target() {
+        let m = Mobility::random_waypoint(0.5, 1.0);
+        assert_eq!(m.draws_per_step(1.0), None);
+        let words = words_per_step(m, 1.0, 200);
+        assert!(words.contains(&0) && words.contains(&2), "waypoint drew {words:?}");
     }
 }

@@ -80,6 +80,20 @@
 //! about a third more epochs per second than one, and buy nothing or
 //! lose on the 256-chain workloads.
 //!
+//! The crowd simulator fans out by the same kind of rule. Each epoch's
+//! mobility sub-steps are one [`Crowd::advance`](craqr_sensing::Crowd::advance),
+//! which moves the sensors on one thread per
+//! [`SENSOR_STEPS_PER_WORKER`](craqr_sensing::crowd::SENSOR_STEPS_PER_WORKER)
+//! (16 384) sensor-steps, at most the host's cores, when the population's
+//! mobility draws a fixed number of RNG words a step (walk, Gauss–Markov,
+//! stationary; never the random waypoint). Each thread moves one
+//! contiguous range of sensors and skips the words the other ranges draw,
+//! and responses then mature on the calling thread in the one-thread
+//! order, so the same contract holds: every width gives the same
+//! positions, responses and RNG states, bit for bit. Both fan-outs read
+//! the core count once per process
+//! ([`host_cores`](craqr_stats::host_cores)).
+//!
 //! ```
 //! use craqr::prelude::*;
 //!
