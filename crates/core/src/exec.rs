@@ -8,16 +8,15 @@
 //!
 //! - [`ExecMode`]: the execution knob on
 //!   [`crate::server::ServerConfig`] — [`ExecMode::Serial`] (the default)
-//!   picks its own width from the chain count ([`auto_width`]),
+//!   picks its own width from the chain count,
 //!   [`ExecMode::Sharded`] pins it.
 //! - [`shard_of`]: the deterministic chain→shard assignment (sorted
 //!   keys, round-robin) the executor applies.
 //! - [`ShardIngest`] / [`IngestReport`]: per-shard statistics merged
 //!   deterministically (ascending shard index) after every epoch.
 //!
-//! At width 1 every chain runs on the calling thread. At width `w > 1`
-//! the calling thread runs shard 0 and `w - 1` scoped workers run the
-//! rest, spawned and joined within the epoch.
+//! The shards run through [`craqr_stats::fan_out`], whose contract says
+//! which thread runs what and where a panic lands.
 //!
 //! # Determinism contract
 //!
@@ -38,18 +37,17 @@
 /// How the server executes the per-cell process phase of an epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// Pick the width from the materialized chain count and the host:
-    /// [`auto_width`] of the chains over the cores
-    /// `std::thread::available_parallelism` reports, read once per process
-    /// ([`craqr_stats::host_cores`]) and kept by the fabricator when it is
-    /// built. Below 2 × [`CHAINS_PER_WORKER`]
+    /// Pick the width from the materialized chain count and the host: one
+    /// shard per [`CHAINS_PER_WORKER`] chains, at most the host's cores
+    /// ([`craqr_stats::width`] over [`craqr_stats::host_cores`], kept by
+    /// the fabricator when it is built). Below 2 × [`CHAINS_PER_WORKER`]
     /// chains that is width 1, every chain on the calling thread in sorted
-    /// key order — the reference schedule.
+    /// key order — the reference schedule. The chain count changes only
+    /// with the query set, so the width cannot flap between epochs or seeds.
     #[default]
     Serial,
-    /// Partition chains into exactly `n` shards (deterministic round-robin
-    /// over sorted keys); the calling thread runs shard 0 and a scoped
-    /// worker each other shard.
+    /// Partition chains into at most `n` shards, one per chain
+    /// (deterministic round-robin over sorted keys).
     ///
     /// `Sharded(1)` is the one-shard schedule on the calling thread.
     Sharded(usize),
@@ -69,8 +67,9 @@ impl ExecMode {
     }
 
     /// Number of shards this mode runs `chains` materialized chains on,
-    /// on a host with `cores` cores: [`auto_width`] for `Serial`, `n` for
-    /// `Sharded(n)`.
+    /// on a host with `cores` cores: one per [`CHAINS_PER_WORKER`] chains,
+    /// capped at the cores, for `Serial`; for `Sharded(n)`, `n` capped at
+    /// one per chain.
     ///
     /// # Panics
     /// Panics on a mode [`ExecMode::validate`] rejects.
@@ -80,8 +79,8 @@ impl ExecMode {
             panic!("{field}: {message}");
         }
         match self {
-            ExecMode::Serial => auto_width(chains, cores),
-            ExecMode::Sharded(n) => *n,
+            ExecMode::Serial => craqr_stats::width(chains, CHAINS_PER_WORKER, cores),
+            ExecMode::Sharded(n) => (*n).min(chains.max(1)),
         }
     }
 }
@@ -94,17 +93,6 @@ impl ExecMode {
 /// −20 %. So 256 chains stay on one worker, and a worker is added per
 /// further 256.
 pub const CHAINS_PER_WORKER: usize = 256;
-
-/// The width the default executor runs `chains` chains at on a host with
-/// `cores` cores: one worker per [`CHAINS_PER_WORKER`] chains, at least
-/// one and at most `cores`.
-///
-/// A function of the plan, not of the traffic: the chain count changes
-/// only when the query set does, so the width cannot flap from epoch to
-/// epoch or from seed to seed.
-pub fn auto_width(chains: usize, cores: usize) -> usize {
-    (chains / CHAINS_PER_WORKER).clamp(1, cores.max(1))
-}
 
 /// Nanoseconds of CPU time consumed by the *calling thread* so far.
 ///
@@ -252,25 +240,16 @@ mod tests {
 
     #[test]
     fn sharded_pins_the_width_and_serial_follows_the_rule() {
-        for (chains, cores) in [(0, 1), (16, 8), (2_304, 2), (100_000, 64)] {
-            assert_eq!(ExecMode::Sharded(4).width(chains, cores), 4);
+        // (chains, cores, Sharded(4)'s width): at most one shard per chain.
+        for (chains, cores, four) in
+            [(0, 1, 1), (3, 1, 3), (16, 8, 4), (2_304, 2, 4), (100_000, 64, 4)]
+        {
+            assert_eq!(ExecMode::Sharded(4).width(chains, cores), four);
             assert_eq!(ExecMode::Sharded(1).width(chains, cores), 1);
-            assert_eq!(ExecMode::Serial.width(chains, cores), auto_width(chains, cores));
+            let rule = craqr_stats::width(chains, CHAINS_PER_WORKER, cores);
+            assert_eq!(ExecMode::Serial.width(chains, cores), rule);
         }
         assert!((0..5).all(|i| shard_of(i, 1) == 0));
-    }
-
-    #[test]
-    fn auto_width_is_one_worker_per_256_chains_capped_at_the_cores() {
-        let chains = [0, 255, 256, 511, 512, 2_304];
-        let want = [(1, [1, 1, 1, 1, 1, 1]), (2, [1, 1, 1, 1, 2, 2]), (8, [1, 1, 1, 1, 2, 8])];
-        for (cores, widths) in want {
-            for (chains, width) in chains.into_iter().zip(widths) {
-                assert_eq!(auto_width(chains, cores), width, "{chains} chains on {cores} cores");
-            }
-        }
-        // A host that reports no cores still runs on one.
-        assert_eq!(auto_width(2_304, 0), 1);
     }
 
     #[test]

@@ -111,6 +111,7 @@ use crate::handler::SendOrder;
 use crate::phase::{EpochPhase, PhaseTimer, PipelineStage};
 use crate::server::ReplayInputs;
 use craqr_sensing::SensorResponse;
+use craqr_stats::join;
 use std::sync::mpsc::{channel, sync_channel};
 use std::thread::{Builder, Scope, ScopedJoinHandle};
 
@@ -169,12 +170,6 @@ fn spawn<'scope, T: Send + 'scope>(
     work: impl FnOnce() -> T + Send + 'scope,
 ) -> ScopedJoinHandle<'scope, T> {
     Builder::new().name(name.into()).spawn_scoped(scope, work).expect("spawn a stage worker")
-}
-
-/// Joins a stage worker; its panic, if any, continues here with the
-/// payload it was raised with.
-fn join<T>(worker: ScopedJoinHandle<'_, T>) -> T {
-    worker.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload))
 }
 
 /// Runs the staged schedule with each stage on its own worker thread.

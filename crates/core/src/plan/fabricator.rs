@@ -18,6 +18,7 @@ use crate::UnionOp;
 use craqr_engine::{Emitter, InputPort, Operator};
 use craqr_geom::{CellId, Grid, Rect, Region};
 use craqr_sensing::AttributeId;
+use craqr_stats::fan_out;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -574,14 +575,13 @@ impl Fabricator {
     /// [`ExecMode::width`] picks for the materialized chains — under the
     /// default [`ExecMode::Serial`], one worker per
     /// [`crate::exec::CHAINS_PER_WORKER`] chains, capped at the host's
-    /// cores. At width 1 every chain runs on the calling thread in
-    /// ascending key order. Wider, the ascending chain list splits
-    /// round-robin into shards: the calling thread runs shard 0 and a
-    /// scoped worker each other shard. Chains share nothing (their RNG
-    /// streams, estimators, and sinks are all chain-local, seeded from the
-    /// planner's root seed), so the result is **bit-identical** at every
-    /// width regardless of scheduling — see the determinism contract on
-    /// [`crate::exec`].
+    /// cores. The ascending chain list splits round-robin into that many
+    /// shards, run through [`craqr_stats::fan_out`]; at width 1 that is
+    /// every chain on the calling thread in ascending key order. Chains
+    /// share nothing (their RNG streams, estimators, and sinks are all
+    /// chain-local, seeded from the planner's root seed), so the result is
+    /// **bit-identical** at every width regardless of scheduling — see the
+    /// determinism contract on [`crate::exec`].
     ///
     /// Materialized chains that received nothing this batch record a
     /// starvation epoch so their `N_v` telemetry never goes stale.
@@ -591,8 +591,8 @@ impl Fabricator {
     /// [`Fabricator::collect_output`].
     ///
     /// # Panics
-    /// Panics on `Sharded(0)`. A chain's panic reaches the caller with its
-    /// own message, whichever shard ran the chain.
+    /// Panics on `Sharded(0)`; re-raises a chain's panic, whichever shard
+    /// ran it ([`craqr_stats::fan_out`]).
     #[track_caller]
     pub fn ingest_batch_mode(&mut self, tuples: &[CrowdTuple], mode: ExecMode) -> IngestReport {
         let shards = mode.width(self.chains.len(), self.cores);
@@ -612,36 +612,15 @@ impl Fabricator {
             self.stagings.resize_with(shards, Staging::default);
         }
         let stagings = &mut self.stagings[..shards];
-        let stats: Vec<ShardIngest> = if shards == 1 {
-            vec![run_shard(0, jobs, &mut stagings[0])]
-        } else {
-            // Round-robin over the ordinals, so workers only ever see
-            // disjoint sub-lists.
-            let per_shard = router.keys.len().div_ceil(shards);
-            let mut lists: Vec<Vec<_>> =
-                (0..shards).map(|_| Vec::with_capacity(per_shard)).collect();
-            for (i, job) in jobs.enumerate() {
-                lists[shard_of(i, shards)].push(job);
-            }
-            std::thread::scope(|scope| {
-                let mut lists = lists.into_iter().zip(stagings.iter_mut());
-                let (own, own_staging) = lists.next().expect("at least two shards");
-                let workers: Vec<_> = lists
-                    .enumerate()
-                    .map(|(i, (list, staging))| {
-                        scope.spawn(move || run_shard(i + 1, list, staging))
-                    })
-                    .collect();
-                let mut stats = Vec::with_capacity(workers.len() + 1);
-                stats.push(run_shard(0, own, own_staging));
-                // Joining in spawn order keeps the merged stats ascending;
-                // a worker's panic continues here with its own payload.
-                stats.extend(workers.into_iter().map(|worker| {
-                    worker.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-                }));
-                stats
-            })
-        };
+        // Round-robin over the ordinals, so shards only ever see disjoint
+        // sub-lists.
+        let per_shard = router.keys.len().div_ceil(shards);
+        let mut lists: Vec<Vec<_>> = (0..shards).map(|_| Vec::with_capacity(per_shard)).collect();
+        for (i, job) in jobs.enumerate() {
+            lists[shard_of(i, shards)].push(job);
+        }
+        let parts = lists.into_iter().zip(stagings.iter_mut()).enumerate();
+        let stats = fan_out(parts, |(shard, (list, staging))| run_shard(shard, list, staging));
         for staging in stagings.iter() {
             let mut start = 0;
             for &(qid, port, end) in &staging.pieces {
@@ -941,6 +920,31 @@ mod tests {
         let ids_s: Vec<u64> = out_s.iter().map(|t| t.id).collect();
         let ids_p: Vec<u64> = out_p.iter().map(|t| t.id).collect();
         assert_eq!(ids_s, ids_p, "chains are deterministic regardless of scheduling");
+    }
+
+    #[test]
+    fn a_pinned_width_runs_at_most_one_shard_per_chain() {
+        let build = || {
+            let mut f = fab();
+            let q = f.insert_query(query(0, Rect::new(0.0, 0.0, 4.0, 4.0), 2.0)).unwrap();
+            (f, q)
+        };
+        let (mut one, q1) = build();
+        let (mut wide, q64) = build();
+        assert_eq!(wide.chains.len(), 16);
+        for e in 0..4 {
+            let batch = tuples(0, 2_000, e as f64 * 5.0, Rect::new(0.0, 0.0, 4.0, 4.0));
+            assert_eq!(one.ingest_batch_mode(&batch, ExecMode::Sharded(1)).shards.len(), 1);
+            let report = wide.ingest_batch_mode(&batch, ExecMode::Sharded(64));
+            assert_eq!(report.shards.len(), 16, "one shard per chain, not 64");
+            assert!(report.shards.iter().all(|s| s.chains == 1));
+        }
+        let bits = |out: Vec<CrowdTuple>| -> Vec<_> {
+            out.iter().map(|t| (t.id, t.point.t.to_bits(), t.point.x.to_bits())).collect()
+        };
+        let (a, b) = (one.collect_output(q1).unwrap(), wide.collect_output(q64).unwrap());
+        assert!(!a.is_empty());
+        assert_eq!(bits(a), bits(b), "Sharded(64) and Sharded(1) deliver the same bits");
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::population::PopulationConfig;
 use crate::sensor::MobileSensor;
 use crate::types::{AttrValue, AttributeId, Measurement, SensorId, SensorResponse};
 use craqr_geom::{Rect, SpaceTimePoint};
-use craqr_stats::{host_cores, sub_rng};
+use craqr_stats::{fan_out, host_cores, sub_rng};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, RngCore};
@@ -239,10 +239,9 @@ struct Pass<'a> {
 }
 
 impl Pass<'_> {
-    /// Splits `sensors` into `width` contiguous ranges, moves the first on
-    /// the calling thread and each other on a scoped worker, and returns
-    /// every range's copy of the mobility stream, in range order.
-    /// `visits` must be sorted by sensor.
+    /// Splits `sensors` into `width` contiguous ranges, moves them through
+    /// [`fan_out`] and returns every range's copy of the mobility stream,
+    /// in range order. `visits` must be sorted by sensor.
     fn run(&self, sensors: &mut [MobileSensor], visits: &mut [Visit], width: usize) -> Vec<StdRng> {
         let n = sensors.len();
         let (mut sensors, mut visits) = (sensors, visits);
@@ -256,17 +255,7 @@ impl Pass<'_> {
             visits = rest;
             ranges.push(Range { first, sensors: own, visits: own_visits });
         }
-        std::thread::scope(|scope| {
-            let mut ranges = ranges.into_iter();
-            let own = ranges.next().expect("a pass has at least one range");
-            let workers: Vec<_> =
-                ranges.map(|range| scope.spawn(move || self.walk(range))).collect();
-            let mut ends = vec![self.walk(own)];
-            ends.extend(workers.into_iter().map(|worker| {
-                worker.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-            }));
-            ends
-        })
+        fan_out(ranges, |range| self.walk(range))
     }
 
     /// Moves one range through every sub-step on its own copy of the
@@ -528,16 +517,17 @@ impl Crowd {
     /// `substeps` calls of [`Crowd::step`] on one thread, on any host.
     /// When the population's mobility draws a fixed number of RNG words a
     /// sensor-step ([`Mobility::draws_per_step`]), the mobility pass runs
-    /// on one thread per [`SENSOR_STEPS_PER_WORKER`] sensor-steps, capped
-    /// at the host's cores. Maturation reads no position until it
-    /// measures, so it runs first, on the calling thread, sub-step by
-    /// sub-step in the one-thread order with the one-thread fault draws,
-    /// and leaves the delivered responses unmeasured. Then each thread
-    /// moves one contiguous range of sensors through every sub-step on its
-    /// own copy of the mobility stream, skipping the words the other
-    /// ranges draw, so every sensor gets the words it would get on one
-    /// thread, and measures its sensors' responses after the sub-step they
-    /// matured in; the measurements fill in after the join.
+    /// in one [`fan_out`] of one part per [`SENSOR_STEPS_PER_WORKER`]
+    /// sensor-steps, capped at the host's cores. Maturation reads no
+    /// position until it measures, so it runs first, on the calling
+    /// thread, sub-step by sub-step in the one-thread order with the
+    /// one-thread fault draws, and leaves the delivered responses
+    /// unmeasured. Then each part moves one contiguous range of sensors
+    /// through every sub-step on its own copy of the mobility stream,
+    /// skipping the words the other ranges draw, so every sensor gets the
+    /// words it would get on one thread, and measures its sensors'
+    /// responses after the sub-step they matured in; the measurements fill
+    /// in after the join.
     ///
     /// # Panics
     /// Panics unless `dt` is finite and `> 0`; re-raises a worker's panic.
@@ -545,7 +535,7 @@ impl Crowd {
     pub fn advance(&mut self, dt: f64, substeps: u32) {
         assert!(dt.is_finite() && dt > 0.0, "dt must be finite and > 0, got {dt}");
         let sensor_steps = self.sensors.len().saturating_mul(substeps as usize);
-        let width = (sensor_steps / SENSOR_STEPS_PER_WORKER).clamp(1, self.cores);
+        let width = craqr_stats::width(sensor_steps, SENSOR_STEPS_PER_WORKER, self.cores);
         self.advance_at(dt, substeps, width);
     }
 
@@ -1398,6 +1388,31 @@ mod tests {
             pending: c.pending.len(),
             drained,
         }
+    }
+
+    /// A field that may be read only on the thread that made it.
+    struct HomeField(std::thread::ThreadId);
+
+    impl Field for HomeField {
+        fn value_at(&self, _: &SpaceTimePoint) -> AttrValue {
+            if std::thread::current().id() != self.0 {
+                panic!("a field read off its home thread");
+            }
+            AttrValue::Float(1.0)
+        }
+    }
+
+    #[test]
+    fn a_crowd_worker_panic_keeps_its_message() {
+        let mut c = crowd_of(Mobility::Stationary, 64, 56);
+        c.register_field(AttributeId(0), Box::new(HomeField(std::thread::current().id())));
+        c.set_all_response_models(ResponseModel::new(1.0, 0.0, 0.0));
+        assert_eq!(c.dispatch_requests(AttributeId(0), &c.region(), 64, 1.0), 64);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            c.advance_at(0.5, 4, 2);
+        }));
+        let payload = caught.expect_err("the second range's worker reads the field");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"a field read off its home thread"));
     }
 
     #[test]

@@ -27,8 +27,8 @@
 //!   whole simulation is reproducible from one master seed.
 //! - **Checksums** ([`fnv`]): the FNV-1a hash every canonical golden
 //!   artifact ends in.
-//! - **Host** ([`host`]): the core count every fan-out sizes itself by,
-//!   read once per process.
+//! - **Host** ([`host`]): the core count, read once per process, the
+//!   width rule and the one fan-out every parallel pass runs through.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -48,7 +48,7 @@ pub mod text;
 pub use dist::{Exponential, Normal, Poisson};
 pub use drift::{Cusum, DriftDirection, PageHinkley};
 pub use fnv::{fnv1a64, fnv1a64_extend, fnv1a64_extend2};
-pub use host::host_cores;
+pub use host::{fan_out, host_cores, join, width};
 pub use hypothesis::{chi_square_uniform, dispersion_index, ks_exponential, ChiSquare, KsTest};
 pub use interval::Interval;
 pub use online::{Ewma, OnlineMoments, WindowedRate};

@@ -61,7 +61,7 @@
 //! |---|---|---|
 //! | `<files…>`       | —              | scenario spec files (`.toml` or `.json`) |
 //! | `--all DIR`      | —              | append every spec in `DIR` (sorted) to the file list |
-//! | `--shards N`     | one worker per 256 chains, up to the host's cores | run under `Sharded(N)`: exactly `N >= 1` shards |
+//! | `--shards N`     | one worker per 256 chains, up to the host's cores | run under `Sharded(N)`: at most `N >= 1` shards, one per chain |
 //! | `--seed S`       | spec seed      | override every spec's seed |
 //! | `--goldens DIR`  | `tests/goldens`| where golden reports live |
 //! | `--bless`        | off            | write/overwrite golden files, sweeping stale and orphaned ones |

@@ -64,13 +64,12 @@
 //!   chains, at least one and at most the host's cores. Up to 511 chains
 //!   that is every chain on the calling thread in sorted key order — the
 //!   reference schedule, easiest to step through and profile.
-//! - [`ExecMode::Sharded`](craqr_core::ExecMode::Sharded)`(n)`: exactly `n` shards, whatever the
-//!   plan.
+//! - [`ExecMode::Sharded`](craqr_core::ExecMode::Sharded)`(n)`: at most `n` shards, one per
+//!   chain, whatever the host.
 //!
-//! Wider than one, chains are partitioned round-robin over sorted keys;
-//! the calling thread runs shard 0 and a scoped worker, spawned and
-//! joined within the epoch, each other shard; per-shard results merge in
-//! ascending shard order.
+//! Chains are partitioned round-robin over sorted keys and the shards run
+//! through [`fan_out`](craqr_stats::fan_out), whose contract says which
+//! thread runs what; per-shard results merge in ascending shard order.
 //!
 //! **Determinism contract:** for a fixed root seed, every width produces
 //! bit-identical fabricated streams, dispatch statistics, and budget
@@ -86,13 +85,14 @@
 //! [`SENSOR_STEPS_PER_WORKER`](craqr_sensing::crowd::SENSOR_STEPS_PER_WORKER)
 //! (16 384) sensor-steps, at most the host's cores, when the population's
 //! mobility draws a fixed number of RNG words a step (walk, Gauss–Markov,
-//! stationary; never the random waypoint). Each thread moves one
+//! stationary; never the random waypoint). Each part moves one
 //! contiguous range of sensors and skips the words the other ranges draw,
 //! and responses then mature on the calling thread in the one-thread
 //! order, so the same contract holds: every width gives the same
-//! positions, responses and RNG states, bit for bit. Both fan-outs read
-//! the core count once per process
-//! ([`host_cores`](craqr_stats::host_cores)).
+//! positions, responses and RNG states, bit for bit. Both fan-outs size
+//! themselves with [`width`](craqr_stats::width) from one read of the core
+//! count ([`host_cores`](craqr_stats::host_cores)) and run through the
+//! same [`fan_out`](craqr_stats::fan_out).
 //!
 //! ```
 //! use craqr::prelude::*;

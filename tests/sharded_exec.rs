@@ -4,7 +4,7 @@
 //! statistics, and budget decisions — for the same root seed, at every
 //! width the default executor picks.
 
-use craqr::core::exec::auto_width;
+use craqr::core::exec::CHAINS_PER_WORKER;
 use craqr::core::{ExecMode, ShardIngest};
 use craqr::prelude::*;
 use proptest::prelude::*;
@@ -122,7 +122,8 @@ fn the_default_width_on_2304_chains_is_bit_identical_to_pinned_widths() {
         let reports: Vec<EpochReport> = servers.iter_mut().map(CraqrServer::run_epoch).collect();
         assert_eq!(reports[0].exec.chains(), 2_304);
         let widths: Vec<usize> = reports.iter().map(|r| r.exec.shards.len()).collect();
-        assert_eq!(widths, [auto_width(2_304, cores), 1, 3], "epoch {epoch}");
+        let rule = craqr::stats::width(2_304, CHAINS_PER_WORKER, cores);
+        assert_eq!(widths, [rule, 1, 3], "epoch {epoch}");
         for other in &reports[1..] {
             assert_same_epoch(&reports[0], other, epoch);
         }
