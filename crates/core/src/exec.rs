@@ -111,8 +111,9 @@ pub fn thread_busy_ns() -> u64 {
 /// `CLOCK_THREAD_CPUTIME_ID` is a real syscall (hundreds of ns) while
 /// `CLOCK_MONOTONIC` goes through the vDSO (tens of ns). Inside one
 /// shard's batch loop the thread never blocks, so wall time per batch is
-/// the same signal as CPU time at a fraction of the measurement cost —
-/// that is what keeps full instrumentation under the E16 overhead gate.
+/// the same signal as CPU time at a fraction of the measurement cost. The
+/// benchmark's `telemetry.timer_overhead_pct` measures what full
+/// instrumentation costs.
 /// Use [`thread_busy_ns`] instead for coarse spans that can straddle a
 /// descheduling (whole-shard busy, epoch phases).
 pub fn fast_monotonic_ns() -> u64 {

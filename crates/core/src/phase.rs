@@ -107,10 +107,8 @@ pub trait PhaseTimer: Send {
     /// executor hands its spans over once per slot; the pipelined one
     /// records them thread-locally and replays them after the workers
     /// join — both in slot order, each stage's spans in the order it
-    /// recorded them. The default forwards to `observe`, so phase-only
-    /// timers keep working unchanged; stage-aware timers
-    /// (the pipeline bench's critical-path model, per-stage telemetry)
-    /// override it for the extra dimensions.
+    /// recorded them. The default forwards to `observe`, dropping the
+    /// stage and the slot; a timer that wants them overrides it.
     fn observe_stage(&mut self, _stage: PipelineStage, _slot: u64, phase: EpochPhase, nanos: u64) {
         self.observe(phase, nanos);
     }

@@ -158,6 +158,27 @@ pub struct TenantRow {
     pub peak_epoch_charge: f64,
 }
 
+impl TenantRow {
+    /// Why this row breaks budget conservation over a run of `epochs`
+    /// epochs, or `None` when it keeps it: no epoch charges more than the
+    /// capacity, admission commits no more than it, and the run charges at
+    /// most `capacity × epochs`. Each bound allows 1e-9 of float noise.
+    pub fn conservation_violation(&self, epochs: u32) -> Option<String> {
+        const EPS: f64 = 1e-9;
+        let capacity = self.capacity;
+        let broken = if self.peak_epoch_charge > capacity + EPS {
+            format!("charged {} in one epoch", format_float(self.peak_epoch_charge))
+        } else if self.committed > capacity + EPS {
+            format!("committed {}", format_float(self.committed))
+        } else if self.charged > capacity * f64::from(epochs) + EPS {
+            format!("charged {} over {epochs} epochs", format_float(self.charged))
+        } else {
+            return None;
+        };
+        Some(format!("tenant '{}' {broken} against capacity {}", self.name, format_float(capacity)))
+    }
+}
+
 /// One admission decision, for the report's audit trail.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdmissionRow {
@@ -529,6 +550,36 @@ mod tests {
         assert!(canon.contains("[admissions]"), "{canon}");
         assert!(canon.contains("verdict=rejected"), "{canon}");
         assert_ne!(plain.checksum(), tenanted.checksum());
+    }
+
+    #[test]
+    fn conservation_holds_on_every_bound_and_breaks_past_each() {
+        let edge = TenantRow {
+            tenant: 0,
+            name: "alice".into(),
+            capacity: 40.0,
+            admitted: 1,
+            rejected: 0,
+            committed: 40.0,
+            charged: 120.0,
+            peak_epoch_charge: 40.0,
+        };
+        assert_eq!(edge.conservation_violation(3), None);
+        let peak = TenantRow { peak_epoch_charge: 40.1, ..edge.clone() };
+        let committed = TenantRow { committed: 40.1, ..edge.clone() };
+        let charged = TenantRow { charged: 120.1, ..edge.clone() };
+        assert_eq!(
+            peak.conservation_violation(3).as_deref(),
+            Some("tenant 'alice' charged 40.1 in one epoch against capacity 40.0")
+        );
+        assert_eq!(
+            committed.conservation_violation(3).as_deref(),
+            Some("tenant 'alice' committed 40.1 against capacity 40.0")
+        );
+        assert_eq!(
+            charged.conservation_violation(3).as_deref(),
+            Some("tenant 'alice' charged 120.1 over 3 epochs against capacity 40.0")
+        );
     }
 
     #[test]

@@ -200,10 +200,10 @@ impl BucketIndex {
     }
 }
 
-/// A response a fanned-out [`Crowd::advance`] delivered before moving the
-/// sensors: the pass measures it where `sensor` stands after the sub-step
-/// it matured in, and the measurement then goes to slot `ready` of the
-/// ready queue.
+/// A response a [`Crowd::advance`] delivered before moving the sensors:
+/// its [`Pass`] measures it where `sensor` stands after the sub-step it
+/// matured in, and the measurement then goes to slot `ready` of the ready
+/// queue.
 #[derive(Debug, Clone, Copy)]
 struct Visit {
     sensor: u32,
@@ -222,13 +222,15 @@ struct Range<'s> {
     visits: &'s mut [Visit],
 }
 
-/// The mobility pass of a fanned-out [`Crowd::advance`].
+/// The mobility pass of a [`Crowd::advance`]: the one place the sensors
+/// move, in one or more ranges.
 struct Pass<'a> {
     /// Simulation time as the pass starts.
     start: f64,
     dt: f64,
     substeps: usize,
-    /// RNG words one sensor-step draws.
+    /// RNG words one sensor-step draws; a single range skips none, so it
+    /// reads 0 when the mobility's draws are not fixed.
     draws: usize,
     /// Sensors in the whole crowd.
     population: usize,
@@ -241,7 +243,8 @@ struct Pass<'a> {
 impl Pass<'_> {
     /// Splits `sensors` into `width` contiguous ranges, moves them through
     /// [`fan_out`] and returns every range's copy of the mobility stream,
-    /// in range order. `visits` must be sorted by sensor.
+    /// in range order. With more than one range, `visits` must be sorted
+    /// by sensor.
     fn run(&self, sensors: &mut [MobileSensor], visits: &mut [Visit], width: usize) -> Vec<StdRng> {
         let n = sensors.len();
         let (mut sensors, mut visits) = (sensors, visits);
@@ -261,9 +264,10 @@ impl Pass<'_> {
     /// Moves one range through every sub-step on its own copy of the
     /// mobility stream: it skips the words of the sensors before the
     /// range, and between sub-steps those of every other range, so each
-    /// sensor draws what it draws on one thread and the copy ends where
-    /// the one-thread stream does. A visit is measured after the sub-step
-    /// its response matured in: the first whose end reaches its time.
+    /// sensor draws what it draws in a single range and the copy ends
+    /// where a single range's stream does. A visit is measured after the
+    /// sub-step its response matured in: the first whose end reaches its
+    /// time.
     fn walk(&self, range: Range<'_>) -> StdRng {
         let Range { first, sensors, visits } = range;
         let mut rng = self.rng.clone();
@@ -352,7 +356,7 @@ pub const SENSOR_STEPS_PER_WORKER: usize = 16_384;
 /// many threads [`Crowd::advance`] moves the sensors on depends on the
 /// host's cores, and never shows: every sensor draws the same mobility
 /// words, every response matures at the same position with the same fault
-/// draws, and the three RNG streams end where one thread leaves them.
+/// draws, and the three RNG streams end where a single range leaves them.
 pub struct Crowd {
     region: Rect,
     sensors: Vec<MobileSensor>,
@@ -368,7 +372,8 @@ pub struct Crowd {
     cores: usize,
     fields: HashMap<AttributeId, Box<dyn Field>>,
     pending: BinaryHeap<Pending>,
-    /// Responses a fanned-out [`Crowd::advance`] measures in its pass.
+    /// Responses the current [`Crowd::advance`] matured, for its [`Pass`]
+    /// to measure.
     visits: Vec<Visit>,
     /// Requests accepted so far — the next [`Pending::seq`].
     accepted: u64,
@@ -463,7 +468,7 @@ impl Crowd {
     }
 
     /// Replaces the crowd-side delivery faults. The faults apply to every
-    /// response maturing from the next [`Crowd::step`] onward; already
+    /// response maturing from the next [`Crowd::advance`] onward; already
     /// delivered responses are unaffected. Call with
     /// `CrowdFaults::default()` to clear.
     ///
@@ -513,21 +518,23 @@ impl Crowd {
     /// positions the sensors have then — as many [`Crowd::step`] calls
     /// would.
     ///
+    /// Every call matures, then runs one pass. Maturation reads no position
+    /// until it measures, so it runs first, on the calling thread, sub-step
+    /// by sub-step with the fault draws in pop order, and leaves the
+    /// delivered responses unmeasured. Then one pass moves the sensors
+    /// through every sub-step and measures each response after the
+    /// sub-step it matured in; the measurements fill in after the pass.
+    ///
     /// **Determinism contract.** The result is bit-identical to
-    /// `substeps` calls of [`Crowd::step`] on one thread, on any host.
-    /// When the population's mobility draws a fixed number of RNG words a
-    /// sensor-step ([`Mobility::draws_per_step`]), the mobility pass runs
-    /// in one [`fan_out`] of one part per [`SENSOR_STEPS_PER_WORKER`]
-    /// sensor-steps, capped at the host's cores. Maturation reads no
-    /// position until it measures, so it runs first, on the calling
-    /// thread, sub-step by sub-step in the one-thread order with the
-    /// one-thread fault draws, and leaves the delivered responses
-    /// unmeasured. Then each part moves one contiguous range of sensors
-    /// through every sub-step on its own copy of the mobility stream,
-    /// skipping the words the other ranges draw, so every sensor gets the
-    /// words it would get on one thread, and measures its sensors'
-    /// responses after the sub-step they matured in; the measurements fill
-    /// in after the join.
+    /// `substeps` calls of [`Crowd::step`], on any host. When the
+    /// population's mobility draws a fixed number of RNG words a
+    /// sensor-step ([`Mobility::draws_per_step`]), the pass splits the
+    /// sensors into one contiguous range per [`SENSOR_STEPS_PER_WORKER`]
+    /// sensor-steps, capped at the host's cores, and runs them in one
+    /// [`fan_out`]; each range moves on its own copy of the mobility
+    /// stream, skipping the words the other ranges draw, so every sensor
+    /// gets the words it would get in one range. Otherwise (the random
+    /// waypoint) the pass is one range on the calling thread.
     ///
     /// # Panics
     /// Panics unless `dt` is finite and `> 0`; re-raises a worker's panic.
@@ -539,34 +546,28 @@ impl Crowd {
         self.advance_at(dt, substeps, width);
     }
 
-    /// [`Crowd::advance`] on `width` threads — or one, when the mobility's
-    /// draws are not fixed or there are fewer sensors than threads.
+    /// [`Crowd::advance`] in `width` ranges — or one, when the mobility's
+    /// draws are not fixed or there are no sub-steps, and never more than
+    /// there are sensors.
     fn advance_at(&mut self, dt: f64, substeps: u32, width: usize) {
         self.index.valid = false;
-        let width = width.min(self.sensors.len());
         let draws = self.mobility.draws_per_step(dt);
-        let Some(draws) = draws.filter(|_| width > 1 && substeps > 0) else {
-            for _ in 0..substeps {
-                self.now += dt;
-                for s in &mut self.sensors {
-                    s.advance(dt, &self.region, &mut self.mobility_rng);
-                }
-                self.mature(true);
-            }
-            return;
-        };
+        let width = if draws.is_some() && substeps > 0 { width } else { 1 };
+        let width = width.clamp(1, self.sensors.len().max(1));
         let start = self.now;
         self.visits.clear();
         for _ in 0..substeps {
             self.now += dt;
-            self.mature(false);
+            self.mature();
         }
-        self.visits.sort_unstable_by_key(|v| v.sensor);
+        if width > 1 {
+            self.visits.sort_unstable_by_key(|v| v.sensor);
+        }
         let pass = Pass {
             start,
             dt,
             substeps: substeps as usize,
-            draws,
+            draws: draws.unwrap_or(0),
             population: self.sensors.len(),
             region: self.region,
             rng: &self.mobility_rng,
@@ -583,11 +584,10 @@ impl Crowd {
         }
     }
 
-    /// Matures every pending response due by `now`, measured where its
-    /// sensor stands now — or, with `measure_now` off, queued with a
-    /// [`Visit`] for a fanned-out [`Crowd::advance`]'s pass to measure.
-    fn mature(&mut self, measure_now: bool) {
-        // Mature due responses at post-move positions (answer-time position).
+    /// Matures every pending response due by `now` and queues a [`Visit`]
+    /// for each delivered copy: the calling [`Crowd::advance`]'s pass
+    /// measures it where its sensor stands at answer time.
+    fn mature(&mut self) {
         // Fault draws are strictly conditional on a non-zero probability so
         // inactive fault kinds consume nothing from the fault stream.
         while let Some(&info) = self.pending.peek() {
@@ -613,18 +613,9 @@ impl Crowd {
                 self.pending.push(Pending { due: due + self.faults.delay_minutes, ..info });
                 continue;
             }
-            let field = self
-                .fields
-                .get(&info.attr)
-                .unwrap_or_else(|| panic!("no field registered for {}", info.attr));
-            let measurement = if measure_now {
-                let sensor = &self.sensors[info.sensor.0 as usize];
-                sensor.observe(info.attr, field.as_ref(), due)
-            } else {
-                // No place and no value until the pass measures it.
-                let point = SpaceTimePoint::new(due, f64::NAN, f64::NAN);
-                Measurement { attr: info.attr, point, value: AttrValue::Bool(false) }
-            };
+            // No place and no value until the pass measures it.
+            let point = SpaceTimePoint::new(due, f64::NAN, f64::NAN);
+            let measurement = Measurement { attr: info.attr, point, value: AttrValue::Bool(false) };
             let response =
                 SensorResponse { sensor: info.sensor, measurement, issued_at: info.issued_at };
             let copies = if self.faults.duplicate_probability > 0.0
@@ -636,10 +627,8 @@ impl Crowd {
                 1
             };
             for _ in 0..copies {
-                if !measure_now {
-                    let (sensor, ready) = (info.sensor.0 as u32, self.ready.len() as u32);
-                    self.visits.push(Visit { sensor, ready, measurement });
-                }
+                let (sensor, ready) = (info.sensor.0 as u32, self.ready.len() as u32);
+                self.visits.push(Visit { sensor, ready, measurement });
                 self.ready.push(response);
                 self.responses_delivered += 1;
             }
@@ -1443,6 +1432,32 @@ mod tests {
                 assert!(stepped == one, "{mobility:?}, {size} sensors: four steps diverged");
             }
         }
+    }
+
+    #[test]
+    fn zero_substeps_change_nothing_at_any_width() {
+        for mobility in [Mobility::RandomWalk { sigma: 0.1 }, Mobility::random_waypoint(0.08, 0.5)]
+        {
+            let plain = epochs(&mobility, 256, &|c| c.advance_at(0.5, 4, 2));
+            assert!(!plain.drained.is_empty(), "{mobility:?}: nothing drained");
+            for width in [1, 4] {
+                let padded = epochs(&mobility, 256, &|c| {
+                    c.advance_at(0.5, 0, width);
+                    c.advance_at(0.5, 4, 2);
+                    c.advance_at(0.5, 0, width);
+                });
+                assert!(padded == plain, "{mobility:?}: zero sub-steps at width {width} moved");
+            }
+        }
+    }
+
+    #[test]
+    fn an_empty_crowd_only_moves_the_clock() {
+        let mut c = crowd_of(Mobility::RandomWalk { sigma: 0.1 }, 0, 57);
+        let stream = c.mobility_rng.clone();
+        c.advance_at(0.5, 4, 3);
+        assert_eq!(c.now.to_bits(), (0.5f64 + 0.5 + 0.5 + 0.5).to_bits());
+        assert_eq!(c.mobility_rng, stream, "an empty crowd drew mobility words");
     }
 
     /// Rectangles that probe the index from every side: handler-style grid

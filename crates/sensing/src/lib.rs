@@ -29,12 +29,14 @@
 //! # Determinism
 //!
 //! A crowd is a pure function of its seed and the calls made on it, on any
-//! host. [`Crowd::advance`] may move the sensors in a
-//! [`craqr_stats::fan_out`] (one part per
-//! [`crowd::SENSOR_STEPS_PER_WORKER`] sensor-steps, at most the host's
-//! cores, and only when [`Mobility::draws_per_step`] is fixed), but every
-//! width gives the same positions, the same responses, the same counters
-//! and the same RNG states as one thread, bit for bit.
+//! host. Every [`Crowd::advance`] matures the due responses, then runs one
+//! pass that moves the sensors and measures those responses. The pass
+//! splits the sensors into ranges run in a [`craqr_stats::fan_out`] (one
+//! range per [`crowd::SENSOR_STEPS_PER_WORKER`] sensor-steps, at most the
+//! host's cores, and only when [`Mobility::draws_per_step`] is fixed;
+//! the random waypoint runs as one range), but every width gives the same
+//! positions, the same responses, the same counters and the same RNG
+//! states as one range, bit for bit.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

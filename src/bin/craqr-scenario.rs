@@ -569,20 +569,10 @@ fn chaos_one(
         }
         // Conservation after recovery: the budget laws must hold for the
         // resumed run exactly as for an uninterrupted one.
-        if let Some(tenants) = &recovered.report.tenants {
-            for row in &tenants.rows {
-                let eps = 1e-9;
-                if row.peak_epoch_charge > row.capacity + eps
-                    || row.committed > row.capacity + eps
-                    || row.charged > row.capacity * f64::from(epochs) + eps
-                {
-                    fail(format!(
-                        "tenant '{}' violates conservation after recovery: \
-                         peak {} / committed {} / charged {} vs capacity {}",
-                        row.name, row.peak_epoch_charge, row.committed, row.charged, row.capacity,
-                    ));
-                }
-            }
+        let mut rows = recovered.report.tenants.iter().flat_map(|t| &t.rows);
+        if let Some(why) = rows.find_map(|row| row.conservation_violation(epochs)) {
+            fail(format!("conservation broken after recovery: {why}"));
+            continue;
         }
         // The drill passed: the torn artifact has served its purpose.
         let _ = std::fs::remove_file(&crash_path);

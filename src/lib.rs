@@ -81,15 +81,16 @@
 //!
 //! The crowd simulator fans out by the same kind of rule. Each epoch's
 //! mobility sub-steps are one [`Crowd::advance`](craqr_sensing::Crowd::advance),
-//! which moves the sensors on one thread per
+//! and every advance does the same two things: it matures the due
+//! responses on the calling thread, then runs one pass that moves the
+//! sensors and measures those responses. The pass splits the sensors into
+//! one contiguous range per
 //! [`SENSOR_STEPS_PER_WORKER`](craqr_sensing::crowd::SENSOR_STEPS_PER_WORKER)
 //! (16 384) sensor-steps, at most the host's cores, when the population's
 //! mobility draws a fixed number of RNG words a step (walk, Gauss–Markov,
-//! stationary; never the random waypoint). Each part moves one
-//! contiguous range of sensors and skips the words the other ranges draw,
-//! and responses then mature on the calling thread in the one-thread
-//! order, so the same contract holds: every width gives the same
-//! positions, responses and RNG states, bit for bit. Both fan-outs size
+//! stationary); the random waypoint runs as one range. Each range skips
+//! the words the other ranges draw, so the same contract holds: every
+//! width gives the same positions, responses and RNG states, bit for bit. Both fan-outs size
 //! themselves with [`width`](craqr_stats::width) from one read of the core
 //! count ([`host_cores`](craqr_stats::host_cores)) and run through the
 //! same [`fan_out`](craqr_stats::fan_out).

@@ -126,31 +126,10 @@ fn assert_recovered(reference: &RunOutput, recovered: &RunOutput, what: &str) {
         want.canonical(),
         "{what}: the resumed run's regenerated log is not byte-identical"
     );
-    let epochs = recovered.report.epochs.len() as f64;
+    let epochs = recovered.report.epochs.len() as u32;
     if let Some(tenants) = &recovered.report.tenants {
         for row in &tenants.rows {
-            assert!(
-                row.peak_epoch_charge <= row.capacity + 1e-9,
-                "{what}: tenant '{}' charged {} in one epoch against capacity {}",
-                row.name,
-                row.peak_epoch_charge,
-                row.capacity
-            );
-            assert!(
-                row.committed <= row.capacity + 1e-9,
-                "{what}: tenant '{}' committed {} against capacity {}",
-                row.name,
-                row.committed,
-                row.capacity
-            );
-            assert!(
-                row.charged <= row.capacity * epochs + 1e-9,
-                "{what}: tenant '{}' charged {} over {} epochs against capacity {}",
-                row.name,
-                row.charged,
-                epochs,
-                row.capacity
-            );
+            assert_eq!(row.conservation_violation(epochs), None, "{what}");
         }
         // The admission audit predates epoch 0, so every recovery must
         // reproduce it verbatim from the salvaged header.
