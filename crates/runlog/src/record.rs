@@ -61,29 +61,11 @@ impl RunLogRecorder {
         self.log.admissions = decisions.iter().map(AdmissionRecord::from).collect();
     }
 
-    /// Epochs recorded so far.
-    pub fn epochs_recorded(&self) -> usize {
-        self.log.epochs.len()
-    }
-
-    /// The records captured so far (ascending by epoch) — lets a
-    /// resume-style driver cross-check each rebuilt epoch against an
-    /// existing log as it goes.
-    pub fn epochs(&self) -> &[EpochRecord] {
-        &self.log.epochs
-    }
-
     /// Seals the log with the finished run's report checksum (and trace
     /// checksum, when the run closed the loop).
     pub fn finish(mut self, report_checksum: u64, trace_checksum: Option<u64>) -> RunLog {
         self.log.report_checksum = Some(report_checksum);
         self.log.trace_checksum = trace_checksum;
-        self.log
-    }
-
-    /// The log as recorded so far, without sealing (an interrupted run's
-    /// partial log — replayable up to its last recorded epoch).
-    pub fn into_partial(self) -> RunLog {
         self.log
     }
 
@@ -96,9 +78,18 @@ impl RunLogRecorder {
 
 impl EpochTap for RunLogRecorder {
     fn on_epoch(&mut self, record: &EpochInputsRecord<'_>) {
-        self.log.epochs.push(EpochRecord {
+        let shifts = std::mem::take(&mut self.pending_shifts);
+        self.log.epochs.push(EpochRecord::from_tap(record, shifts));
+    }
+}
+
+impl EpochRecord {
+    /// The record of one tapped epoch, preceded by the scripted `shifts` —
+    /// what a recorder appends and what a replay compares with the log.
+    pub fn from_tap(record: &EpochInputsRecord<'_>, shifts: Vec<ShiftEvent>) -> Self {
+        EpochRecord {
             epoch: record.report.epoch,
-            shifts: std::mem::take(&mut self.pending_shifts),
+            shifts,
             requested: record.report.dispatch.requested,
             sent: record.report.dispatch.sent,
             dropped: record.report.faults.dropped,
@@ -107,7 +98,7 @@ impl EpochTap for RunLogRecorder {
             responses: record.responses.iter().map(ResponseRecord::from).collect(),
             actions: record.actions.iter().map(ActionRecord::from).collect(),
             charges: record.report.tenant_charges.iter().map(ChargeRecord::from_charge).collect(),
-        });
+        }
     }
 }
 

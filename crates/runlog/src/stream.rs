@@ -153,11 +153,6 @@ impl StreamingRecorder {
         self.streamed
     }
 
-    /// Epochs recorded in memory so far.
-    pub fn epochs_recorded(&self) -> usize {
-        self.inner.epochs_recorded()
-    }
-
     /// The first I/O error hit while streaming, if any. The in-memory
     /// record stays complete regardless.
     pub fn last_error(&self) -> Option<&io::Error> {
@@ -175,7 +170,7 @@ impl StreamingRecorder {
 
     fn stream_last_epoch(&mut self) -> io::Result<()> {
         self.begin()?;
-        let e = self.inner.epochs().last().expect("stream_last_epoch follows a recorded epoch");
+        let e = self.inner.log_ref().epochs.last().expect("stream_last_epoch follows an epoch");
         self.buf.clear();
         let file = self.file.as_mut().expect("begin() opened the file");
         if self.tear_next {
@@ -220,12 +215,6 @@ impl StreamingRecorder {
         file.write_all(self.buf.as_bytes())?;
         file.sync_all()?;
         Ok(self.inner.finish(report_checksum, trace_checksum))
-    }
-
-    /// The log as recorded in memory so far, without sealing (the on-disk
-    /// file keeps whatever prefix was durable).
-    pub fn into_partial(self) -> RunLog {
-        self.inner.into_partial()
     }
 }
 

@@ -55,8 +55,10 @@
 //! assert_eq!(serial.report.canonical(), recorded.report.canonical());
 //!
 //! // The log is a complete event source: replay it with the crowd detached.
+//! // The replay checks every epoch against the log and records none.
 //! let replayed = replay(recorded.log.as_ref().unwrap(), ExecMode::Serial).unwrap();
 //! assert_eq!(replayed.report.checksum(), serial.report.checksum());
+//! assert!(replayed.log.is_none());
 //! ```
 
 #![warn(missing_docs)]

@@ -6,30 +6,31 @@
 //!
 //! - [`replay`] re-drives a server from the log with the **crowd
 //!   detached** (a zero-sensor world; the recorded responses stand in
-//!   for it) under any [`Execution`], re-records as it goes, and verifies
-//!   both layers: the regenerated epoch inputs/decisions must be
-//!   structurally identical to the log, and the final report/trace
-//!   checksums must match the seals the recording run wrote. A faithful
-//!   log therefore replays **byte-for-byte**, serial or sharded.
+//!   for it) under any [`Execution`]. A faithful log replays
+//!   **byte-for-byte**, serial or sharded.
 //! - [`resume`] truncates at epoch *k* and continues **live**. In this
 //!   in-process system the world itself is part of the deterministic
 //!   simulation, so "rebuild state at *k*" re-drives the world from the
-//!   spec; the log's job during the prefix is *verification* — every
-//!   rebuilt epoch is cross-checked record-by-record against what the
-//!   original run actually consumed, and the first divergence is
-//!   reported precisely ([`ReplayError::Diverged`]). Past *k* the run is
-//!   fresh, and an unperturbed resume re-converges on the uninterrupted
-//!   run's exact report and trace.
-//! - Both paths return the same [`RunOutput`] a live run does, including
-//!   a freshly sealed log, so replays and resumes are themselves
-//!   replayable.
+//!   spec; the log's job during the prefix is *verification*. Past *k*
+//!   the run is fresh, and an unperturbed resume re-converges on the
+//!   uninterrupted run's exact report and trace.
+//!
+//! Both verify through one epoch check (`EpochCheck`) in the session's
+//! tap: the rebuilt admission verdicts must match the log's header, every
+//! tapped epoch below the checked horizon (all of a replay's, the first
+//! *k* of a resume's) is rebuilt as an [`EpochRecord`] and compared with
+//! the recorded one as it closes — the first divergence is reported at
+//! its epoch ([`ReplayError::Diverged`]) — and the run's own report and
+//! trace checksums must match the seals the recording run wrote. A replay
+//! keeps no log of its own (its [`RunOutput::log`] is `None`); a resume
+//! records its continuation afresh, so it is itself resumable.
 
-use crate::runner::{
-    Execution, Record, Recorder, RunError, RunOutput, RunPlan, ScenarioRunner, Session,
-};
+use crate::runner::{Execution, Record, RunError, RunOutput, RunPlan, ScenarioRunner, Session};
 use crate::spec::{ScenarioSpec, SpecError};
-use craqr_core::CrashPoint;
-use craqr_runlog::{diff_logs, parse_salvage, AdmissionRecord, RunLog};
+use craqr_adaptive::AdaptiveTrace;
+use craqr_core::{AdmissionDecision, CrashPoint, EpochInputsRecord};
+use craqr_runlog::diff::diff_epoch;
+use craqr_runlog::{parse_salvage, AdmissionRecord, EpochRecord, RunLog, ShiftEvent};
 use std::fmt;
 
 /// Why a replay or resume failed.
@@ -108,56 +109,16 @@ pub fn spec_of(log: &RunLog) -> Result<ScenarioSpec, ReplayError> {
     Ok(ScenarioSpec::from_toml(&log.spec_toml)?)
 }
 
-/// Opens the session a replay or resume of `log` runs in: the log's own
-/// spec and seed, re-recording in memory under the log's header so the
-/// fresh log is comparable to (and as replayable as) the original.
-fn open<'a>(
-    log: &'a RunLog,
-    spec: &'a ScenarioSpec,
-    how: Execution,
-    detached: bool,
-) -> Result<Session<'a>, RunError> {
-    let recorder = Recorder::new(&Record::Memory, &log.scenario, log.seed, &log.spec_toml);
-    Session::open(spec, log.seed, how, detached.then_some(log), recorder)
-}
-
 /// Re-drives a server from a recorded log with the crowd detached and
-/// verifies the regeneration (see the module docs). Works under any
-/// [`Execution`] (or bare [`craqr_core::ExecMode`]) regardless of how the
-/// run was recorded — the log is execution-independent by construction.
-/// With `timing` on this is how the CLI `metrics` subcommand renders a
-/// full metrics snapshot from any committed log without touching the
-/// original run; timing changes nothing checksummed, so the replay
-/// verifies exactly as untimed.
+/// verifies every recorded epoch and the seals (see the module docs).
+/// Works under any [`Execution`] (or bare [`craqr_core::ExecMode`])
+/// regardless of how the run was recorded — the log is
+/// execution-independent by construction. With `timing` on this is how
+/// the CLI's `replay --metrics` renders a full metrics snapshot from any
+/// committed log without touching the original run; timing changes
+/// nothing checksummed, so the replay verifies exactly as untimed.
 pub fn replay(log: &RunLog, how: impl Into<Execution>) -> Result<RunOutput, ReplayError> {
-    let spec = spec_of(log)?;
-    // Admission re-runs deterministically as the session opens; the diff
-    // below verifies the re-derived verdicts against the recorded ones.
-    let mut session = open(log, &spec, how.into(), true)?;
-    session.drive(None);
-    let mut output = session.close()?;
-    let fresh = output.log.as_mut().expect("a replay re-records");
-
-    // Layer 1: the regenerated inputs and decisions must be structurally
-    // identical to the recording. The seals are layer 2's business, so
-    // align them on the fresh copy for the diff (cheaper than cloning
-    // both multi-hundred-KB logs just to strip two fields) and restore
-    // them afterwards.
-    let (fresh_report_seal, fresh_trace_seal) = (fresh.report_checksum, fresh.trace_checksum);
-    fresh.report_checksum = log.report_checksum;
-    fresh.trace_checksum = log.trace_checksum;
-    let diff = diff_logs(log, fresh);
-    fresh.report_checksum = fresh_report_seal;
-    fresh.trace_checksum = fresh_trace_seal;
-    if !diff.identical() {
-        return Err(ReplayError::Diverged {
-            epoch: diff.first_divergence().map(|d| d.epoch),
-            details: diff.render(),
-        });
-    }
-    // Layer 2: the sealed final checksums must reproduce byte-for-byte.
-    verify_seals(log, fresh)?;
-    Ok(output)
+    rerun(log, how.into(), None)
 }
 
 /// Resumes a recorded run at epoch boundary `at` (0-based: epochs
@@ -172,43 +133,97 @@ pub fn resume(
     if at > log.epochs.len() {
         return Err(ReplayError::BadResumePoint { at, recorded: log.epochs.len() });
     }
-    let spec = spec_of(log)?;
-    let mut session = open(log, &spec, how.into(), false)?;
-    // The rebuilt admission verdicts must match what the original run
-    // recorded — a resume must not silently admit what the recorded run
-    // rejected (or vice versa).
-    let rebuilt_admissions: Vec<AdmissionRecord> =
-        session.admissions().iter().map(AdmissionRecord::from).collect();
-    if rebuilt_admissions != log.admissions {
-        return Err(ReplayError::Diverged {
-            epoch: None,
-            details: format!(
-                "admission decisions diverged from the log: recorded {:?}, rebuilt {:?}",
-                log.admissions, rebuilt_admissions
-            ),
-        });
-    }
-    session.drive(None);
-    let output = session.close()?;
-    let fresh = output.log.as_ref().expect("a resume re-records");
+    rerun(log, how.into(), Some(at))
+}
 
-    // Inside the rebuilt prefix every epoch must reproduce the log's
-    // record exactly; diverging silently here would poison everything
-    // after the resume point — report the first mismatching epoch.
-    for e in 0..at {
-        let details = craqr_runlog::diff::diff_epoch(&log.epochs[e], &fresh.epochs[e]);
-        if !details.is_empty() {
+/// Re-runs `log` under its [`EpochCheck`]: detached over every recorded
+/// epoch, or (`resume_at`) live, checking the epochs before it.
+fn rerun(log: &RunLog, how: Execution, resume_at: Option<usize>) -> Result<RunOutput, ReplayError> {
+    let spec = spec_of(log)?;
+    let mut session = Session::rerun(log, &spec, how, resume_at.is_none())?;
+    let horizon = resume_at.unwrap_or(log.epochs.len());
+    let mut check = EpochCheck::open(log, horizon, session.admissions())?;
+    session.drive(None, Some(&mut check));
+    let output = session.close()?;
+    check.close(&output)?;
+    Ok(output)
+}
+
+/// The one check of a re-run against its log: it opens on the rebuilt
+/// admission verdicts, compares each tapped epoch — built by the
+/// recorder's own [`EpochRecord::from_tap`] — with the recorded one as it
+/// closes, keeping the first divergence, and closes on the seals.
+pub(crate) struct EpochCheck<'a> {
+    log: &'a RunLog,
+    /// The first `horizon` of the log's epochs: the ones checked.
+    recorded: &'a [EpochRecord],
+    checked: usize,
+    diverged: Option<ReplayError>,
+}
+
+impl<'a> EpochCheck<'a> {
+    /// Checks the first `horizon` epochs of `log`, once the rebuilt
+    /// server's `admissions` match the recorded ones — a re-run must not
+    /// silently admit what the recorded run rejected (or vice versa).
+    fn open(
+        log: &'a RunLog,
+        horizon: usize,
+        admissions: &[AdmissionDecision],
+    ) -> Result<Self, ReplayError> {
+        let rebuilt: Vec<AdmissionRecord> = admissions.iter().map(AdmissionRecord::from).collect();
+        if rebuilt != log.admissions {
             return Err(ReplayError::Diverged {
-                epoch: Some(e as u64),
-                details: details.join("\n"),
+                epoch: None,
+                details: format!(
+                    "admission decisions diverged from the log: recorded {:?}, rebuilt {:?}",
+                    log.admissions, rebuilt
+                ),
             });
         }
+        Ok(Self { log, recorded: &log.epochs[..horizon], checked: 0, diverged: None })
     }
-    // A resume of an unperturbed log re-converges on the sealed finals;
-    // only verify them when the whole horizon was recorded (a truncated
-    // log carries no seals — `RunLog::truncated` dropped them).
-    verify_seals(log, fresh)?;
-    Ok(output)
+
+    /// Compares one tapped epoch, preceded by `shifts`, with its record.
+    /// Epochs past the horizon run unchecked.
+    pub(crate) fn on_epoch(&mut self, record: &EpochInputsRecord<'_>, shifts: &[ShiftEvent]) {
+        let e = record.report.epoch;
+        let Some(want) = self.recorded.get(e as usize) else { return };
+        self.checked += 1;
+        if self.diverged.is_some() {
+            return;
+        }
+        let details = diff_epoch(want, &EpochRecord::from_tap(record, shifts.to_vec()));
+        if !details.is_empty() {
+            self.diverged =
+                Some(ReplayError::Diverged { epoch: Some(e), details: details.join("\n") });
+        }
+    }
+
+    /// The verdict on the finished run: the first divergence, then an
+    /// epoch that never ran, then the seals against the run's own
+    /// checksums (a truncated log carries none —
+    /// [`RunLog::truncated`] dropped them).
+    fn close(self, output: &RunOutput) -> Result<(), ReplayError> {
+        if let Some(diverged) = self.diverged {
+            return Err(diverged);
+        }
+        if self.checked < self.recorded.len() {
+            let details = format!("the run ended before recorded epoch {}", self.checked);
+            return Err(ReplayError::Diverged { epoch: Some(self.checked as u64), details });
+        }
+        let seals = [
+            ("report", self.log.report_checksum, Some(output.report.checksum())),
+            ("trace", self.log.trace_checksum, output.trace.as_ref().map(AdaptiveTrace::checksum)),
+        ];
+        for (what, recorded, actual) in seals {
+            if let (Some(recorded), Some(actual)) = (recorded, actual) {
+                if recorded != actual {
+                    return Err(ReplayError::ChecksumMismatch { what, recorded, actual });
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 /// The chaos drill's one cell: kills the run `plan` describes (it must
@@ -238,22 +253,6 @@ pub fn kill_salvage_resume(
         ));
     }
     resume(&salvage.log, plan.execution, durable).map_err(|e| format!("resume: {e}"))
-}
-
-/// Verifies the original log's sealed final checksums (if any) against a
-/// freshly sealed log.
-fn verify_seals(original: &RunLog, fresh: &RunLog) -> Result<(), ReplayError> {
-    if let (Some(recorded), Some(actual)) = (original.report_checksum, fresh.report_checksum) {
-        if recorded != actual {
-            return Err(ReplayError::ChecksumMismatch { what: "report", recorded, actual });
-        }
-    }
-    if let (Some(recorded), Some(actual)) = (original.trace_checksum, fresh.trace_checksum) {
-        if recorded != actual {
-            return Err(ReplayError::ChecksumMismatch { what: "trace", recorded, actual });
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -321,7 +320,7 @@ cooldown_epochs = 2
                 live.trace.as_ref().map(|t| t.canonical()),
                 "{exec:?}: replayed trace differs"
             );
-            assert_eq!(replayed.log.as_ref().unwrap().canonical(), log.canonical());
+            assert!(replayed.log.is_none(), "{exec:?}: a replay checks, it records nothing");
         }
     }
 
@@ -335,12 +334,37 @@ cooldown_epochs = 2
     }
 
     #[test]
+    fn a_bumped_request_diverges_at_its_epoch_on_both_executors() {
+        // A tampered dispatch record is caught as its epoch closes: the
+        // replayed handler recomputes `requested` from budget state.
+        let (live, _) = recorded();
+        let log = live.log.as_ref().unwrap();
+        let last = log.epochs.len() - 1;
+        for k in [0, last / 2, last] {
+            let mut tampered = log.clone();
+            tampered.epochs[k].requested += 1;
+            for pipelined in [false, true] {
+                let how = Execution::from(ExecMode::Serial).pipelined(pipelined);
+                match replay(&tampered, how) {
+                    Err(ReplayError::Diverged { epoch: Some(e), ref details }) => {
+                        assert_eq!(e, k as u64, "pipelined={pipelined}: {details}");
+                        assert!(details.contains("requested"), "{details}");
+                    }
+                    other => panic!("bump at {k}, pipelined={pipelined}: {:?}", other.map(|_| ())),
+                }
+            }
+        }
+        let clean = replay(log, Execution::from(ExecMode::Serial).pipelined(true)).unwrap();
+        assert!(clean.log.is_none(), "a verified replay keeps no log");
+    }
+
+    #[test]
     fn tampered_log_is_caught_as_divergence() {
         let (live, _) = recorded();
         let mut log = live.log.clone().unwrap();
         // Claim one fewer response in some epoch with responses: replay
         // recomputes different downstream state and the report seal breaks
-        // (or the re-recorded inputs differ — either way it must not pass).
+        // (or the regenerated inputs differ — either way it must not pass).
         let e = log.epochs.iter().position(|e| !e.responses.is_empty()).expect("responses");
         log.epochs[e].responses.pop();
         let err = replay(&log, ExecMode::Serial).unwrap_err();
@@ -348,13 +372,6 @@ cooldown_epochs = 2
             matches!(err, ReplayError::ChecksumMismatch { .. } | ReplayError::Diverged { .. }),
             "{err}"
         );
-
-        // A tampered dispatch record is caught by the structural layer:
-        // the replayed handler recomputes `requested` from budget state.
-        let mut log = live.log.clone().unwrap();
-        log.epochs[0].requested += 1;
-        let err = replay(&log, ExecMode::Serial).unwrap_err();
-        assert!(matches!(err, ReplayError::Diverged { epoch: Some(0), .. }), "{err}");
     }
 
     #[test]
@@ -399,14 +416,24 @@ cooldown_epochs = 2
     }
 
     #[test]
+    fn a_resume_that_ends_before_its_checked_epochs_diverges() {
+        let (live, _) = recorded();
+        let mut log = live.log.clone().unwrap();
+        // The embedded spec now stops two epochs short of the recording.
+        log.spec_toml = log.spec_toml.replace("epochs = 6", "epochs = 4");
+        let err = resume(&log, ExecMode::Serial, 6).unwrap_err();
+        assert!(matches!(err, ReplayError::Diverged { epoch: Some(4), .. }), "{err}");
+    }
+
+    #[test]
     fn unsealed_partial_logs_replay_their_prefix() {
         let (live, _) = recorded();
         let cut = live.log.as_ref().unwrap().truncated(3).unwrap();
         let replayed = replay(&cut, ExecMode::Serial).unwrap();
         assert_eq!(replayed.report.epochs.len(), 3, "replay covers the recorded prefix");
-        // The fresh log of the partial replay is sealed over the partial
-        // report — parseable and replayable in turn.
-        let again = replay(replayed.log.as_ref().unwrap(), ExecMode::Serial).unwrap();
+        // The unsealed prefix verifies epoch by epoch, with no seal to
+        // compare against, and replays to the same report every time.
+        let again = replay(&cut, ExecMode::Serial).unwrap();
         assert_eq!(again.report.checksum(), replayed.report.checksum());
     }
 }

@@ -1,6 +1,7 @@
 //! Executing a spec: spec → crowd → server → [`ScenarioReport`]
 //! (+ [`AdaptiveTrace`] when the spec closes the loop).
 
+use crate::replay::EpochCheck;
 use crate::report::{
     AdaptiveSection, AdmissionRow, EpochRow, FaultSection, OperatorRow, QueryRow, RunTotals,
     ScenarioReport, TenantRow, TenantSection,
@@ -87,7 +88,9 @@ pub struct RunOutput {
     /// The adaptive controller's decision log (`[adaptive]` specs only).
     pub trace: Option<AdaptiveTrace>,
     /// The event-sourced epoch log, sealed with the report/trace
-    /// checksums (absent only when the plan recorded nothing).
+    /// checksums (absent when the plan recorded nothing, and from a
+    /// [`crate::replay()`], which checks each epoch against its log
+    /// instead of recording a copy).
     pub log: Option<RunLog>,
     /// The metrics collector (`[telemetry]` specs and timed plans only) —
     /// render it with [`RunTelemetry::render_prometheus`] or aggregate
@@ -225,7 +228,7 @@ impl ScenarioRunner {
     /// (`tests/goldens/<name>.trace.txt` / `<name>.runlog.txt`).
     pub fn run(&self, plan: &RunPlan) -> Result<RunOutput, RunError> {
         let mut session = self.open(plan)?;
-        session.drive(None);
+        session.drive(None, None);
         session.close()
     }
 
@@ -258,7 +261,7 @@ impl ScenarioRunner {
         );
         assert!(matches!(plan.record, Record::Stream(_)), "a crash run streams its log");
         let mut session = self.open(plan)?;
-        session.drive(Some((at_epoch, point)));
+        session.drive(Some((at_epoch, point)), None);
         // The "process" dies here: no seal, no atomic swap. The file keeps
         // exactly the prefix whose `end` lines were synced.
         Ok(session.durable_epochs())
@@ -398,32 +401,38 @@ fn io_error(path: &Path, e: &std::io::Error) -> RunError {
 /// events and epoch appends. The prologue applies a shift on the drain
 /// stage, epochs ahead of the log append under the pipelined executor, so
 /// the adapter replays the deterministic shift schedule into the recorder
-/// immediately before the epoch it precedes is appended. The recorders
-/// buffer shifts onto the *next* appended block, so the log bytes do not
-/// depend on the executor. It also arms the chaos harness's mid-append
-/// tear (meaningful for a stream only) at exactly the right block.
-struct ShiftTap<'a> {
-    recorder: &'a mut Recorder,
+/// (and the replay check) immediately before the epoch it precedes is
+/// appended. The recorders buffer shifts onto the *next* appended block,
+/// so the log bytes do not depend on the executor. It also arms the chaos
+/// harness's mid-append tear (meaningful for a stream only) at exactly
+/// the right block.
+struct ShiftTap<'a, 'log> {
+    recorder: Option<&'a mut Recorder>,
+    check: Option<&'a mut EpochCheck<'log>>,
     shifts: Vec<Vec<ShiftEvent>>,
     tear_at: Option<u64>,
 }
 
-impl EpochTap for ShiftTap<'_> {
+impl EpochTap for ShiftTap<'_, '_> {
     fn on_epoch(&mut self, record: &EpochInputsRecord<'_>) {
         let e = record.report.epoch;
-        let shifts = self.shifts.get(e as usize).into_iter().flatten();
-        match self.recorder {
-            Recorder::Memory(rec) => {
-                shifts.for_each(|ev| rec.record_shift(*ev));
+        let shifts = self.shifts.get(e as usize).map_or(&[][..], Vec::as_slice);
+        if let Some(check) = &mut self.check {
+            check.on_epoch(record, shifts);
+        }
+        match &mut self.recorder {
+            Some(Recorder::Memory(rec)) => {
+                shifts.iter().for_each(|ev| rec.record_shift(*ev));
                 rec.on_epoch(record);
             }
-            Recorder::Stream(rec, _) => {
-                shifts.for_each(|ev| rec.record_shift(*ev));
+            Some(Recorder::Stream(rec, _)) => {
+                shifts.iter().for_each(|ev| rec.record_shift(*ev));
                 if self.tear_at == Some(e) {
                     rec.tear_next_append();
                 }
                 rec.on_epoch(record);
             }
+            None => {}
         }
     }
 }
@@ -444,8 +453,8 @@ fn spec_shift_schedule(spec: &ScenarioSpec) -> Vec<Vec<ShiftEvent>> {
 /// server → collector → controller → recorder → hook → tap → driver →
 /// rows → report → seal sequence exists. Live, streamed, crash-injected,
 /// replayed and resumed runs are all [`Session::open`] →
-/// [`Session::drive`] → [`Session::close`]; `replay`/`resume` interleave
-/// their verification between the steps.
+/// [`Session::drive`] → [`Session::close`]; `replay`/`resume` open through
+/// [`Session::rerun`] and drive with their [`EpochCheck`] in the tap.
 pub(crate) struct Session<'a> {
     spec: &'a ScenarioSpec,
     seed: u64,
@@ -506,6 +515,21 @@ impl<'a> Session<'a> {
         })
     }
 
+    /// Re-runs `log`'s spec and seed. `detached`, the log's epochs stand
+    /// in for the crowd and nothing is recorded (a replay); otherwise the
+    /// world is re-driven live and recorded afresh under the log's header
+    /// (a resume, whose continuation is itself resumable).
+    pub(crate) fn rerun(
+        log: &'a RunLog,
+        spec: &'a ScenarioSpec,
+        how: Execution,
+        detached: bool,
+    ) -> Result<Self, RunError> {
+        let record = if detached { Record::Off } else { Record::Memory };
+        let recorder = Recorder::new(&record, &log.scenario, log.seed, &log.spec_toml);
+        Self::open(spec, log.seed, how, detached.then_some(log), recorder)
+    }
+
     /// The admission decisions the rebuilt server made at submit time.
     pub(crate) fn admissions(&self) -> &[AdmissionDecision] {
         self.server.admissions()
@@ -521,19 +545,24 @@ impl<'a> Session<'a> {
 
     /// Drives the [`craqr_core::EpochDriver`]: the log's recorded epochs
     /// when replaying, else the spec's horizon — or, with `crash`, up to
-    /// that epoch's crash point.
-    pub(crate) fn drive(&mut self, crash: Option<(u32, CrashPoint)>) {
+    /// that epoch's crash point. A `check` sees every tapped epoch.
+    pub(crate) fn drive(
+        &mut self,
+        crash: Option<(u32, CrashPoint)>,
+        check: Option<&mut EpochCheck<'_>>,
+    ) {
         let (spec, how) = (self.spec, self.how);
         // A replay has no world to apply the recorded shifts to; they are
-        // echoed into the fresh log exactly when the recording run
-        // appended them.
+        // echoed to the tap exactly when the recording run appended them.
         let shifts = match self.replayed {
             Some(log) => log.epochs.iter().map(|r| r.shifts.clone()).collect(),
             None => spec_shift_schedule(spec),
         };
         let tear_at = crash
             .and_then(|(at, point)| (point == CrashPoint::MidLogAppend).then_some(u64::from(at)));
-        let mut tap = self.recorder.as_mut().map(|recorder| ShiftTap { recorder, shifts, tear_at });
+        let tapped = self.recorder.is_some() || check.is_some();
+        let recorder = self.recorder.as_mut();
+        let mut tap = tapped.then_some(ShiftTap { recorder, check, shifts, tear_at });
 
         let mut d = self.server.driver();
         if let Some(c) = &mut self.controller {

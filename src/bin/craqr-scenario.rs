@@ -24,19 +24,21 @@
 //! | subcommand | meaning |
 //! |---|---|
 //! | `record <specs…> [--all DIR] [--shards N] [--seed S] [--out DIR]` | run each spec live with run-log recording forced on; write `<out>/<name>.runlog.txt` (default `runs/`) |
-//! | `replay <logs…> [--shards N]` | re-drive each log with the crowd detached; verify the regenerated inputs, decisions, and sealed report/trace checksums byte-for-byte |
+//! | `replay <logs…> [--shards N] [--metrics FILE]` | re-drive each log with the crowd detached; verify each regenerated epoch's inputs and decisions as it closes, then the sealed report/trace checksums; `--metrics` writes the merged exposition once every log verified |
 //! | `resume <log> --at K [--shards N]` | rebuild epochs `0..K` (verified against the log record-by-record), continue live to the horizon, verify the run re-converges on the sealed checksums |
 //! | `diff <a> <b>` | structural epoch-by-epoch comparison of two logs with first-divergence reporting; exit 1 when they differ |
 //! | `salvage <log> [--out FILE] [--resume] [--shards N]` | verify a possibly-torn log: keep the longest valid checksummed prefix, report the tear, optionally rewrite the salvaged prefix (`--out`) and/or resume it live to the horizon (`--resume`) |
 //! | `chaos <specs…> [--all DIR] [--shards N] [--out DIR]` | kill-matrix drill: for every crash point × epoch (or just the spec's `[[faults.crash]]` list when present), stream the run to the crash, salvage the torn file, resume it, and assert the recovery re-converges byte-for-byte on an uninterrupted reference run |
-//! | `metrics <logs…> [--shards N] [--out FILE]` | replay each committed log with the crowd detached and full instrumentation, merge the registries, and render the Prometheus exposition (to `--out`, linted, or stdout) |
 //!
 //! # Metrics (`--metrics FILE`)
 //!
-//! The golden mode plus the `record` and `chaos` subcommands accept
-//! `--metrics FILE`: the run is instrumented (clock-derived tier
+//! The golden mode plus the `record`, `replay` and `chaos` subcommands
+//! accept `--metrics FILE`: the run is instrumented (clock-derived tier
 //! included), every scenario's registry is merged, and the merged
-//! Prometheus exposition is linted and written to `FILE`. Instrumentation
+//! Prometheus exposition is linted and written to `FILE`. A `replay`
+//! derives the metrics detached from committed logs, no live run or
+//! crowd required, and prints each log's `events-checksum` on its `ok`
+//! line when the report has a `[telemetry]` section. Instrumentation
 //! is byte-inert — reports, traces, and run logs are bit-identical with
 //! and without `--metrics` (the built-in cross-mode check compares an
 //! instrumented run against an uninstrumented one on every `--metrics`
@@ -90,8 +92,8 @@
 use craqr::core::{CrashPoint, ExecMode};
 use craqr::runlog::{diff_logs, parse_salvage, write_atomic, RunLog, Salvage, TornTail};
 use craqr::scenario::{
-    kill_salvage_resume, replay, resume, scenario_files, Execution, Record, RunPlan, RunTelemetry,
-    ScenarioRunner,
+    kill_salvage_resume, replay, resume, scenario_files, Execution, Record, RunOutput, RunPlan,
+    RunTelemetry, ScenarioRunner,
 };
 use craqr::telemetry::lint_exposition;
 use std::collections::BTreeSet;
@@ -293,6 +295,14 @@ fn write_metrics(path: &Path, telemetry: Option<&RunTelemetry>) -> Result<(), St
 // record / replay / resume / diff subcommands
 // ---------------------------------------------------------------------------
 
+/// `report 0x… trace 0x…` (`trace -` without one): a verified run's
+/// checksums, as `replay` and `resume` print them.
+fn checksums(output: &RunOutput) -> String {
+    let trace =
+        output.trace.as_ref().map_or("-".to_string(), |t| format!("{:#018x}", t.checksum()));
+    format!("report {:#018x} trace {trace}", output.report.checksum())
+}
+
 fn cmd_record(argv: &[String]) -> Result<(), Failure> {
     let flags = Flags::parse("record", "--shards --seed --out --metrics --all", false, argv)?;
     if flags.files.is_empty() {
@@ -338,55 +348,31 @@ fn cmd_record(argv: &[String]) -> Result<(), Failure> {
     Ok(())
 }
 
-/// `metrics <logs…> [--shards N] [--out FILE]` — detached-replay each
-/// committed log with full instrumentation, merge the registries, render
-/// the Prometheus exposition.
-fn cmd_metrics(argv: &[String]) -> Result<(), Failure> {
-    let flags = Flags::parse("metrics", "--shards --out", false, argv)?;
-    if flags.files.is_empty() {
-        return Err("metrics: at least one .runlog.txt file is required".into());
-    }
-    let how = flags.execution().timing(true);
-    let exec = how.mode;
-    let mut registry: Option<RunTelemetry> = None;
-    for file in &flags.files {
-        let log = load_log(file)?;
-        let output = replay(&log, how).map_err(|e| format!("{}: {e}", file.display()))?;
-        eprintln!(
-            "replayed {} [{exec:?}] events-checksum {:#018x}",
-            output.report.name,
-            output.telemetry.as_ref().map_or(0, |t| t.section().events_checksum),
-        );
-        absorb_metrics(&mut registry, output.telemetry.as_ref());
-    }
-    match &flags.out {
-        Some(path) => write_metrics(path, registry.as_ref())?,
-        None => {
-            print!("{}", registry.as_ref().map(RunTelemetry::render_prometheus).unwrap_or_default())
-        }
-    }
-    Ok(())
-}
-
+/// `replay <logs…> [--shards N] [--metrics FILE]` — verify each log by
+/// a detached replay; with `--metrics`, timed, and the merged exposition
+/// is written only when every log verified.
 fn cmd_replay(argv: &[String]) -> Result<(), Failure> {
-    let flags = Flags::parse("replay", "--shards", false, argv)?;
+    let flags = Flags::parse("replay", "--shards --metrics", false, argv)?;
     if flags.files.is_empty() {
         return Err("replay: at least one .runlog.txt file is required".into());
     }
-    let exec = flags.execution().mode;
+    let how = flags.execution();
+    let exec = how.mode;
+    let mut registry: Option<RunTelemetry> = None;
     let mut failures = 0usize;
     let mut worst_code = 1u8;
     for file in &flags.files {
         let result = load_log(file).and_then(|log| {
-            replay(&log, exec).map_err(|e| Failure::from(format!("{}: {e}", file.display())))
+            replay(&log, how).map_err(|e| Failure::from(format!("{}: {e}", file.display())))
         });
         match result {
-            Ok(output) => println!(
-                "ok {} [{exec:?}] report {:#018x} trace {}",
-                output.report.name,
-                output.report.checksum(),
-                output.trace.map_or("-".to_string(), |t| format!("{:#018x}", t.checksum())),
-            ),
+            Ok(output) => {
+                absorb_metrics(&mut registry, output.telemetry.as_ref());
+                let events = output.report.telemetry.as_ref().map_or(String::new(), |t| {
+                    format!(" events-checksum {:#018x}", t.events_checksum)
+                });
+                println!("ok {} [{exec:?}] {}{events}", output.report.name, checksums(&output));
+            }
             Err(f) => {
                 eprintln!("REPLAY FAILED: {}", f.message);
                 // A torn or corrupt input is more actionable than a
@@ -399,6 +385,9 @@ fn cmd_replay(argv: &[String]) -> Result<(), Failure> {
     if failures > 0 {
         return Err(Failure { code: worst_code, message: format!("{failures} replay(s) failed") });
     }
+    if let Some(path) = &flags.metrics {
+        write_metrics(path, registry.as_ref())?;
+    }
     Ok(())
 }
 
@@ -410,10 +399,9 @@ fn cmd_resume(argv: &[String]) -> Result<(), Failure> {
     let output =
         resume(&log, flags.execution(), at).map_err(|e| format!("{}: {e}", file.display()))?;
     println!(
-        "resumed {} at epoch {at}: re-converged on report {:#018x} trace {}",
+        "resumed {} at epoch {at}: re-converged on {}",
         output.report.name,
-        output.report.checksum(),
-        output.trace.map_or("-".to_string(), |t| format!("{:#018x}", t.checksum())),
+        checksums(&output)
     );
     Ok(())
 }
@@ -484,12 +472,7 @@ fn cmd_salvage(argv: &[String]) -> Result<u8, Failure> {
         let at = salvage.log.epochs.len();
         let output = resume(&salvage.log, flags.execution(), at)
             .map_err(|e| format!("{}: {e}", file.display()))?;
-        println!(
-            "resumed {} at epoch {at}: report {:#018x} trace {}",
-            output.report.name,
-            output.report.checksum(),
-            output.trace.map_or("-".to_string(), |t| format!("{:#018x}", t.checksum())),
-        );
+        println!("resumed {} at epoch {at}: {}", output.report.name, checksums(&output));
     }
     Ok(exit)
 }
@@ -514,7 +497,7 @@ fn chaos_one(
     // drill's exported registry describes the reference runs (recoveries
     // must converge on them anyway).
     let reference =
-        runner.run(&flags.plan(Record::Memory)).map_err(|e| format!("{}: {e}", file.display()))?;
+        runner.run(&flags.plan(Record::Off)).map_err(|e| format!("{}: {e}", file.display()))?;
     absorb_metrics(registry, reference.telemetry.as_ref());
     let want_report = reference.report.checksum();
     let want_trace = reference.trace.as_ref().map(|t| t.checksum());
@@ -949,7 +932,6 @@ fn main() -> ExitCode {
         Some("diff") => cmd_diff(&argv[1..]).map(|same| u8::from(!same)),
         Some("salvage") => cmd_salvage(&argv[1..]),
         Some("chaos") => cmd_chaos(&argv[1..]).map(|()| 0),
-        Some("metrics") => cmd_metrics(&argv[1..]).map(|()| 0),
         _ => return golden_mode(&argv),
     };
     match result {

@@ -38,7 +38,7 @@ fn write(dir: &Path, name: &str, bytes: &[u8]) -> String {
 #[test]
 fn help_flag_prints_the_usage_pointer_and_exits_0_everywhere() {
     let mut cases = vec![vec!["--help"]];
-    for cmd in ["record", "replay", "resume", "diff", "salvage", "chaos", "metrics"] {
+    for cmd in ["record", "replay", "resume", "diff", "salvage", "chaos"] {
         cases.push(vec![cmd, "--help"]);
         cases.push(vec![cmd, "-h"]);
     }

@@ -112,11 +112,8 @@ fn pipelined_replay_and_resume_reconverge() {
             live.report.checksum(),
             "{exec:?}: pipelined replay report diverged"
         );
-        assert_eq!(
-            replayed.log.as_ref().unwrap().canonical(),
-            log.canonical(),
-            "{exec:?}: pipelined replay re-recording diverged"
-        );
+        // `Ok` means every epoch the pipelined tap closed matched the log.
+        assert!(replayed.log.is_none(), "{exec:?}: a replay records nothing");
     }
 
     for k in [0, 1, log.epochs.len() / 2, log.epochs.len()] {

@@ -6,8 +6,8 @@
 //!    `[runlog]` block, so `tests/goldens/<name>.runlog.txt` pins the
 //!    exact epoch inputs of the golden runs. Replaying those committed
 //!    logs (crowd detached, serial *and* `Sharded(4)`) must reproduce
-//!    the committed report and trace goldens byte-for-byte and re-record
-//!    an identical log.
+//!    the committed report and trace goldens byte-for-byte, with every
+//!    regenerated epoch matching the committed log as it closes.
 //! 2. **Whole-corpus record→replay** — every committed scenario can be
 //!    event-sourced and replayed under both modes, reproducing its live
 //!    checksums.
@@ -59,7 +59,7 @@ fn scenario_files() -> Vec<PathBuf> {
 #[test]
 fn committed_runlogs_replay_to_the_committed_goldens() {
     for stem in DRIFT_SCENARIOS {
-        let (text, log) = committed_log(stem);
+        let (_, log) = committed_log(stem);
         assert_eq!(log.scenario, stem);
         for exec in [ExecMode::Serial, ExecMode::Sharded(4)] {
             let out = replay(&log, exec).unwrap_or_else(|e| panic!("{stem} [{exec:?}]: {e}"));
@@ -73,14 +73,9 @@ fn committed_runlogs_replay_to_the_committed_goldens() {
                 golden(&format!("{stem}.trace.txt")),
                 "{stem} [{exec:?}]: replayed trace differs from the committed golden"
             );
-            // The replay re-records; the fresh log must be byte-identical
-            // to the committed one (same inputs, same decisions, same
-            // seals).
-            assert_eq!(
-                out.log.expect("replay re-records").canonical(),
-                text,
-                "{stem} [{exec:?}]: re-recorded log differs from the committed one"
-            );
+            // `Ok` means every epoch matched the committed log as it
+            // closed and both seals held; the replay keeps no copy.
+            assert!(out.log.is_none(), "{stem} [{exec:?}]: a replay records nothing");
         }
     }
 }

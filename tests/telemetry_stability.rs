@@ -93,10 +93,11 @@ fn committed_goldens_match_instrumented_runs_byte_for_byte() {
 
 #[test]
 fn timed_detached_replay_times_the_control_hook_like_a_live_run() {
-    // `craqr-scenario metrics <log>` is a timed detached replay; for an
-    // `[adaptive]` log it must time the control hook exactly as the live
-    // instrumented run did — one `control` phase lap per epoch — without
-    // the timing tier touching the event-tier checksum.
+    // `craqr-scenario replay <log> --metrics FILE` is a timed detached
+    // replay; for an `[adaptive]` log it must time the control hook
+    // exactly as the live instrumented run did — one `control` phase lap
+    // per epoch — without the timing tier touching the event-tier
+    // checksum.
     let runner = load(&repo_root().join("scenarios/telemetry_probe.toml"));
     assert!(runner.spec().adaptive.is_some(), "the scenario must close the loop");
     let live = runner.run(&timed(ExecMode::Serial)).expect("live run");
