@@ -21,9 +21,8 @@
 //! *k* of a resume's) is rebuilt as an [`EpochRecord`] and compared with
 //! the recorded one as it closes — the first divergence is reported at
 //! its epoch ([`ReplayError::Diverged`]) — and the run's own report and
-//! trace checksums must match the seals the recording run wrote. A replay
-//! keeps no log of its own (its [`RunOutput::log`] is `None`); a resume
-//! records its continuation afresh, so it is itself resumable.
+//! trace checksums must match the seals the recording run wrote. Neither
+//! keeps a log of its own: their [`RunOutput::log`] is `None`.
 
 use crate::runner::{Execution, Record, RunError, RunOutput, RunPlan, ScenarioRunner, Session};
 use crate::spec::{ScenarioSpec, SpecError};
@@ -53,8 +52,9 @@ pub enum ReplayError {
     Diverged {
         /// First epoch that differs (`None`: a header-level difference).
         epoch: Option<u64>,
-        /// Human-readable difference report (see
-        /// [`craqr_runlog::LogDiff::render`]).
+        /// Human-readable difference report: the differing fields of the
+        /// epoch, one line each (as [`craqr_runlog::diff::diff_epoch`]
+        /// lists them), or the admissions message.
         details: String,
     },
     /// The run completed and its inputs matched, but a sealed final
@@ -104,11 +104,6 @@ impl From<RunError> for ReplayError {
     }
 }
 
-/// Parses and validates the spec a log embeds.
-pub fn spec_of(log: &RunLog) -> Result<ScenarioSpec, ReplayError> {
-    Ok(ScenarioSpec::from_toml(&log.spec_toml)?)
-}
-
 /// Re-drives a server from a recorded log with the crowd detached and
 /// verifies every recorded epoch and the seals (see the module docs).
 /// Works under any [`Execution`] (or bare [`craqr_core::ExecMode`])
@@ -136,11 +131,13 @@ pub fn resume(
     rerun(log, how.into(), Some(at))
 }
 
-/// Re-runs `log` under its [`EpochCheck`]: detached over every recorded
-/// epoch, or (`resume_at`) live, checking the epochs before it.
+/// Re-runs the spec and seed `log` embeds under its [`EpochCheck`],
+/// recording nothing: detached over every recorded epoch, or
+/// (`resume_at`) live, checking the epochs before it.
 fn rerun(log: &RunLog, how: Execution, resume_at: Option<usize>) -> Result<RunOutput, ReplayError> {
-    let spec = spec_of(log)?;
-    let mut session = Session::rerun(log, &spec, how, resume_at.is_none())?;
+    let spec = ScenarioSpec::from_toml(&log.spec_toml)?;
+    let detached = resume_at.is_none();
+    let mut session = Session::open(&spec, log.seed, how, detached.then_some(log), None)?;
     let horizon = resume_at.unwrap_or(log.epochs.len());
     let mut check = EpochCheck::open(log, horizon, session.admissions())?;
     session.drive(None, Some(&mut check));
@@ -359,6 +356,22 @@ cooldown_epochs = 2
     }
 
     #[test]
+    fn an_edited_and_resealed_shift_diverges_at_its_epoch() {
+        // The check compares the log's shifts with the spec's schedule, not
+        // with themselves: a re-sealed edit passes every block checksum.
+        let (live, _) = recorded();
+        let mut log = live.log.clone().unwrap();
+        log.epochs[3].shifts[0] = ShiftEvent::Participation { factor: 0.5 };
+        let resealed = RunLog::parse(&log.canonical()).unwrap();
+        match replay(&resealed, ExecMode::Serial) {
+            Err(ReplayError::Diverged { epoch: Some(3), ref details }) => {
+                assert!(details.contains("shift"), "{details}");
+            }
+            other => panic!("edited shift: {:?}", other.map(|_| ())),
+        }
+    }
+
+    #[test]
     fn tampered_log_is_caught_as_divergence() {
         let (live, _) = recorded();
         let mut log = live.log.clone().unwrap();
@@ -391,6 +404,7 @@ cooldown_epochs = 2
                 live.trace.as_ref().map(|t| t.checksum()),
                 "resume at {k}: trace diverged"
             );
+            assert!(resumed.log.is_none(), "resume at {k}: a resume checks, it records nothing");
         }
     }
 

@@ -88,9 +88,9 @@ pub struct RunOutput {
     /// The adaptive controller's decision log (`[adaptive]` specs only).
     pub trace: Option<AdaptiveTrace>,
     /// The event-sourced epoch log, sealed with the report/trace
-    /// checksums (absent when the plan recorded nothing, and from a
-    /// [`crate::replay()`], which checks each epoch against its log
-    /// instead of recording a copy).
+    /// checksums (absent when the plan recorded nothing, and from every
+    /// [`crate::replay()`] and [`crate::resume()`], which check each epoch
+    /// against their log instead of recording a copy).
     pub log: Option<RunLog>,
     /// The metrics collector (`[telemetry]` specs and timed plans only) —
     /// render it with [`RunTelemetry::render_prometheus`] or aggregate
@@ -323,14 +323,15 @@ impl std::error::Error for BatchError {}
 
 /// The deterministic pre-epoch world updates every execution path —
 /// live, streamed, crash-injected, and the resume prefix — must apply
-/// identically: scripted shifts, churn, and the `[faults]` crowd-fault
-/// windows active this epoch. Divergence here would break replay/resume
-/// byte-equality, so there is exactly one copy. The function touches
-/// only the crowd, which is what lets the pipelined executor run it on
-/// the drain stage ([`craqr_core::EpochDriver::prologue`]); the shift
-/// events are mirrored into run logs by [`ShiftTap`] on the render side.
-fn epoch_prologue(spec: &ScenarioSpec, e: u32, crowd: &mut Crowd) {
-    for shift in spec.shifts.iter().filter(|s| s.epoch() == e) {
+/// identically: the epoch's `shifts` from the run's one shift schedule,
+/// churn, and the `[faults]` crowd-fault windows active this epoch.
+/// Divergence here would break replay/resume byte-equality, so there is
+/// exactly one copy. The function touches only the crowd, which is what
+/// lets the pipelined executor run it on the drain stage
+/// ([`craqr_core::EpochDriver::prologue`]); [`ShiftTap`] echoes the same
+/// schedule into run logs and the re-run check on the render side.
+fn epoch_prologue(spec: &ScenarioSpec, shifts: &[ShiftEvent], e: u32, crowd: &mut Crowd) {
+    for shift in shifts {
         apply_shift(crowd, shift);
     }
     if let Some(churn) = &spec.churn {
@@ -358,7 +359,7 @@ pub(crate) enum Recorder {
 impl Recorder {
     /// The recorder `record` asks for (`AsSpec` must be resolved against
     /// the spec first); the name, seed and spec text land in the header.
-    pub(crate) fn new(record: &Record, scenario: &str, seed: u64, toml: &str) -> Option<Self> {
+    fn new(record: &Record, scenario: &str, seed: u64, toml: &str) -> Option<Self> {
         match record {
             Record::AsSpec | Record::Off => None,
             Record::Memory => Some(Self::Memory(RunLogRecorder::new(scenario, seed, toml))),
@@ -400,16 +401,16 @@ fn io_error(path: &Path, e: &std::io::Error) -> RunError {
 /// An [`EpochTap`] adapter owning the ordering contract between shift
 /// events and epoch appends. The prologue applies a shift on the drain
 /// stage, epochs ahead of the log append under the pipelined executor, so
-/// the adapter replays the deterministic shift schedule into the recorder
-/// (and the replay check) immediately before the epoch it precedes is
-/// appended. The recorders buffer shifts onto the *next* appended block,
-/// so the log bytes do not depend on the executor. It also arms the chaos
-/// harness's mid-append tear (meaningful for a stream only) at exactly
-/// the right block.
+/// the adapter echoes the run's one shift schedule — the one the prologue
+/// applies — into the recorder (and the re-run check) immediately before
+/// the epoch it precedes is appended. The recorders buffer shifts onto
+/// the *next* appended block, so the log bytes do not depend on the
+/// executor. It also arms the chaos harness's mid-append tear
+/// (meaningful for a stream only) at exactly the right block.
 struct ShiftTap<'a, 'log> {
     recorder: Option<&'a mut Recorder>,
     check: Option<&'a mut EpochCheck<'log>>,
-    shifts: Vec<Vec<ShiftEvent>>,
+    shifts: &'a [Vec<ShiftEvent>],
     tear_at: Option<u64>,
 }
 
@@ -437,8 +438,8 @@ impl EpochTap for ShiftTap<'_, '_> {
     }
 }
 
-/// The per-epoch shift events a spec scripts, indexed by epoch — the
-/// schedule [`ShiftTap`] echoes into run logs.
+/// The per-epoch shift events a spec scripts, indexed by epoch — the one
+/// schedule the prologue applies and [`ShiftTap`] echoes.
 fn spec_shift_schedule(spec: &ScenarioSpec) -> Vec<Vec<ShiftEvent>> {
     let mut schedule = vec![Vec::new(); spec.epochs as usize];
     for shift in &spec.shifts {
@@ -453,8 +454,8 @@ fn spec_shift_schedule(spec: &ScenarioSpec) -> Vec<Vec<ShiftEvent>> {
 /// server → collector → controller → recorder → hook → tap → driver →
 /// rows → report → seal sequence exists. Live, streamed, crash-injected,
 /// replayed and resumed runs are all [`Session::open`] →
-/// [`Session::drive`] → [`Session::close`]; `replay`/`resume` open through
-/// [`Session::rerun`] and drive with their [`EpochCheck`] in the tap.
+/// [`Session::drive`] → [`Session::close`]; `replay`/`resume` open with
+/// no recorder and drive with their [`EpochCheck`] in the tap.
 pub(crate) struct Session<'a> {
     spec: &'a ScenarioSpec,
     seed: u64,
@@ -515,21 +516,6 @@ impl<'a> Session<'a> {
         })
     }
 
-    /// Re-runs `log`'s spec and seed. `detached`, the log's epochs stand
-    /// in for the crowd and nothing is recorded (a replay); otherwise the
-    /// world is re-driven live and recorded afresh under the log's header
-    /// (a resume, whose continuation is itself resumable).
-    pub(crate) fn rerun(
-        log: &'a RunLog,
-        spec: &'a ScenarioSpec,
-        how: Execution,
-        detached: bool,
-    ) -> Result<Self, RunError> {
-        let record = if detached { Record::Off } else { Record::Memory };
-        let recorder = Recorder::new(&record, &log.scenario, log.seed, &log.spec_toml);
-        Self::open(spec, log.seed, how, detached.then_some(log), recorder)
-    }
-
     /// The admission decisions the rebuilt server made at submit time.
     pub(crate) fn admissions(&self) -> &[AdmissionDecision] {
         self.server.admissions()
@@ -552,17 +538,15 @@ impl<'a> Session<'a> {
         check: Option<&mut EpochCheck<'_>>,
     ) {
         let (spec, how) = (self.spec, self.how);
-        // A replay has no world to apply the recorded shifts to; they are
-        // echoed to the tap exactly when the recording run appended them.
-        let shifts = match self.replayed {
-            Some(log) => log.epochs.iter().map(|r| r.shifts.clone()).collect(),
-            None => spec_shift_schedule(spec),
-        };
+        // One schedule for every path: the live prologue applies it, and
+        // the tap echoes it to the recorder and to a re-run's check, which
+        // compares it with the log's recorded shifts.
+        let schedule = spec_shift_schedule(spec);
         let tear_at = crash
             .and_then(|(at, point)| (point == CrashPoint::MidLogAppend).then_some(u64::from(at)));
         let tapped = self.recorder.is_some() || check.is_some();
         let recorder = self.recorder.as_mut();
-        let mut tap = tapped.then_some(ShiftTap { recorder, check, shifts, tear_at });
+        let mut tap = tapped.then_some(ShiftTap { recorder, check, shifts: &schedule, tear_at });
 
         let mut d = self.server.driver();
         if let Some(c) = &mut self.controller {
@@ -594,7 +578,7 @@ impl<'a> Session<'a> {
                 d.run_replayed(&inputs)
             }
         } else {
-            d = d.prologue(|e, crowd| epoch_prologue(spec, e as u32, crowd));
+            d = d.prologue(|e, crowd| epoch_prologue(spec, &schedule[e as usize], e as u32, crowd));
             let mut epochs = u64::from(spec.epochs);
             if let Some((at, point)) = crash {
                 d = d.crash_at(u64::from(at), point);
@@ -629,15 +613,8 @@ impl<'a> Session<'a> {
 
     /// Builds the canonical report from the finished run.
     fn finalize_report(&mut self, trace: Option<&AdaptiveTrace>) -> ScenarioReport {
-        let Self { spec, seed, replayed, server, qids, telemetry, epochs, .. } = self;
+        let Self { spec, seed, server, qids, telemetry, epochs, .. } = self;
         let (spec, seed, epochs) = (*spec, *seed, std::mem::take(epochs));
-        // A detached replay has no crowd counter — it sums the log instead
-        // (the two agree for live runs: every matured response is drained
-        // by some epoch).
-        let responses_delivered = match replayed {
-            Some(log) => log.epochs.iter().map(|r| r.responses.len() as u64).sum(),
-            None => server.crowd().responses_delivered(),
-        };
         let region = Rect::with_size(spec.grid.size_km, spec.grid.size_km);
         let minutes = server.now();
         let window = SpaceTimeWindow::new(region, 0.0, minutes.max(f64::MIN_POSITIVE));
@@ -686,7 +663,9 @@ impl<'a> Session<'a> {
         let totals = RunTotals {
             requested,
             sent,
-            responses: responses_delivered,
+            // Every matured response is drained by some epoch, so the
+            // rows' sum is the crowd's counter, on a detached replay too.
+            responses: epochs.iter().map(|e| e.responses as u64).sum(),
             exhausted_events: server.handler().exhausted_events(),
             final_budget,
             dropped_unmaterialized: server.fabricator().dropped_unmaterialized(),
@@ -763,14 +742,14 @@ impl<'a> Session<'a> {
 }
 
 /// Applies one scripted regime shift to the crowd.
-fn apply_shift(crowd: &mut Crowd, shift: &ShiftSpec) {
-    match shift {
-        ShiftSpec::Participation { factor, .. } => crowd.scale_participation(*factor),
-        ShiftSpec::Dropout { probability, rect, .. } => {
-            crowd.drop_region(&Rect::new(rect.0, rect.1, rect.2, rect.3), *probability);
+fn apply_shift(crowd: &mut Crowd, shift: &ShiftEvent) {
+    match *shift {
+        ShiftEvent::Participation { factor } => crowd.scale_participation(factor),
+        ShiftEvent::Dropout { probability, rect: (x0, y0, x1, y1) } => {
+            crowd.drop_region(&Rect::new(x0, y0, x1, y1), probability);
         }
-        ShiftSpec::Migrate { probability, rect, .. } => {
-            crowd.migrate(*probability, &Rect::new(rect.0, rect.1, rect.2, rect.3));
+        ShiftEvent::Migrate { probability, rect: (x0, y0, x1, y1) } => {
+            crowd.migrate(probability, &Rect::new(x0, y0, x1, y1));
         }
     }
 }
