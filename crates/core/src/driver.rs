@@ -78,11 +78,10 @@ use crate::server::{
     EpochReport, EpochTap, FaultDeltas, ReplayInputs, ServerConfig,
 };
 use crate::tenant::{TenantId, TenantRegistry};
-use crate::tuple::{CrowdTuple, TupleIdGen};
+use crate::tuple::TupleIdGen;
 use craqr_engine::BatchPool;
-use craqr_sensing::{AttributeId, Crowd, SensorResponse};
+use craqr_sensing::{Crowd, SensorResponse};
 use rand::rngs::StdRng;
-use std::collections::HashMap;
 
 /// The planner-side half of a borrow-split server: every field the
 /// ingest stage owns while the drain stage owns the [`Crowd`].
@@ -91,7 +90,6 @@ struct EpochCore<'s> {
     handler: &'s mut RequestResponseHandler,
     idgen: &'s mut TupleIdGen,
     error_rng: &'s mut StdRng,
-    outputs: &'s mut HashMap<QueryId, Vec<CrowdTuple>>,
     tenants: &'s mut Option<TenantRegistry>,
     config: ServerConfig,
 }
@@ -108,11 +106,14 @@ pub(crate) struct SlotHead {
 
 /// The merge of one epoch's ingestion, pre-report.
 struct Ingested {
-    fresh: Vec<(QueryId, Vec<CrowdTuple>)>,
     delivered: Vec<(QueryId, usize)>,
     exec: IngestReport,
     ingested: usize,
     rejected: usize,
+    /// Thread-CPU nanoseconds the fan-outs' workers spent on this epoch
+    /// (timing tier only): ingest shards and merge runs past the first,
+    /// which the calling thread's own clock does not see.
+    workers_ns: u64,
 }
 
 impl EpochCore<'_> {
@@ -145,17 +146,9 @@ impl EpochCore<'_> {
     /// Shortfall feedback for bounded retry (when configured): counts the
     /// drained responses per chain *before* error injection mutates them.
     fn observe_drained(&mut self, responses: &[SensorResponse]) {
-        if !self.handler.retry_enabled() {
-            return;
+        if self.handler.retry_enabled() {
+            self.handler.observe_responses(self.fabricator.responses_per_chain(responses));
         }
-        let grid = self.fabricator.grid();
-        let mut counts: HashMap<(craqr_geom::CellId, AttributeId), u64> = HashMap::new();
-        for r in responses {
-            if let Some(cell) = grid.cell_of(r.measurement.point.x, r.measurement.point.y) {
-                *counts.entry((cell, r.measurement.attr)).or_insert(0) += 1;
-            }
-        }
-        self.handler.observe_responses(&counts);
     }
 
     /// Applies a hook's actions, returning how many were stale (targeted
@@ -180,11 +173,11 @@ impl EpochCore<'_> {
     }
 
     /// Error injection → mitigation → id assignment → map/process →
-    /// per-query merge, consuming one epoch's drained responses. Returns
-    /// the merge outcome and the spent response buffer (retained in place
-    /// through mitigation) for recycling. The mitigation region comes
-    /// from the grid, which stores the crowd's region verbatim — the
-    /// ingest stage never needs the crowd.
+    /// per-query merge into the output banks, consuming one epoch's
+    /// drained responses. Returns the merge outcome and the spent response
+    /// buffer (retained in place through mitigation) for recycling. The
+    /// mitigation region comes from the grid, which stores the crowd's
+    /// region verbatim — the ingest stage never needs the crowd.
     fn absorb(&mut self, mut responses: Vec<SensorResponse>) -> (Ingested, Vec<SensorResponse>) {
         self.config.error_model.corrupt_batch(&mut responses, self.error_rng);
         let region = self.fabricator.grid().region();
@@ -192,14 +185,10 @@ impl EpochCore<'_> {
         let tuples = self.idgen.ingest(&responses);
         let ingested = tuples.len();
         let exec = self.fabricator.ingest_batch_mode(&tuples, self.config.exec);
-        let mut fresh: Vec<(QueryId, Vec<CrowdTuple>)> = Vec::new();
-        let mut delivered = Vec::new();
-        for qid in self.fabricator.query_ids() {
-            let out = self.fabricator.collect_output(qid).expect("standing query");
-            delivered.push((qid, out.len()));
-            fresh.push((qid, out));
-        }
-        (Ingested { fresh, delivered, exec, ingested, rejected }, responses)
+        let (delivered, merge_workers_ns) = self.fabricator.deliver(self.config.exec);
+        let shard_workers_ns: u64 = exec.shards.iter().skip(1).map(|s| s.busy_ns).sum();
+        let workers_ns = shard_workers_ns + merge_workers_ns;
+        (Ingested { delivered, exec, ingested, rejected, workers_ns }, responses)
     }
 }
 
@@ -445,7 +434,7 @@ impl IngestStage<'_> {
         });
         let n_responses = responses.len();
         let (ing, spent) = core.absorb(responses);
-        let tuning = core.handler.tune(&core.fabricator.flatten_reports());
+        let tuning = core.handler.tune(core.fabricator.flatten_telemetry());
         let report = EpochReport {
             epoch: self.base + t,
             now: epoch_end,
@@ -460,12 +449,11 @@ impl IngestStage<'_> {
             stale_actions: head.stale_actions,
             faults,
         };
-        // The hook sees the fresh tuples before they are banked into the
-        // per-query output buffers.
+        // The hook sees the tuples this epoch delivered: each query's last
+        // delivery, already in its output bank.
         let obs = self.hook.is_some().then(|| {
             EpochObservation::capture(
                 &report,
-                &ing.fresh,
                 core.fabricator,
                 core.handler,
                 core.tenants.as_ref(),
@@ -473,9 +461,7 @@ impl IngestStage<'_> {
                 epoch_end,
             )
         });
-        for (qid, out) in ing.fresh {
-            core.outputs.entry(qid).or_default().extend(out);
-        }
+        clock.credit(ing.workers_ns);
         clock.lap(PipelineStage::Ingest, t, EpochPhase::Ingest);
         let actions = match (&mut self.hook, &obs) {
             (Some(hook), Some(obs)) => hook.on_epoch(obs),
@@ -670,7 +656,6 @@ impl<'a> EpochDriver<'a> {
                 handler: &mut server.handler,
                 idgen: &mut server.idgen,
                 error_rng: &mut server.error_rng,
-                outputs: &mut server.outputs,
                 tenants: &mut server.tenants,
                 config,
             },
@@ -734,9 +719,20 @@ impl<'a> EpochDriver<'a> {
 
 #[cfg(test)]
 mod tests {
+    use crate::error_model::Mitigation;
     use crate::exec::ExecMode;
+    use crate::phase::{EpochPhase, PhaseTimer, PipelineStage};
     use crate::pipeline::tests::{server_with, untimed};
-    use crate::server::{EpochInputsRecord, EpochTap};
+    use crate::plan::PlannerConfig;
+    use crate::server::{
+        CraqrServer, EpochInputsRecord, EpochTap, FaultDeltas, ReplayInputs, ServerConfig,
+    };
+    use craqr_geom::{Rect, SpaceTimePoint};
+    use craqr_sensing::fields::ConstantField;
+    use craqr_sensing::{
+        AttrValue, Crowd, CrowdConfig, Measurement, Mobility, Placement, PopulationConfig,
+        SensorId, SensorResponse,
+    };
     use craqr_stats::fnv1a64;
     use std::fmt::Write;
 
@@ -770,5 +766,97 @@ mod tests {
             s.driver().tap(&mut tap).step();
         }
         assert_eq!(fnv1a64(tap.0.as_bytes()), 0x3d9c_db9a_59cd_1924, "the responses a tap saw");
+    }
+
+    /// Sums the `Ingest` spans of each slot.
+    #[derive(Default)]
+    struct IngestSpans(Vec<u64>);
+
+    impl PhaseTimer for IngestSpans {
+        fn observe(&mut self, _: EpochPhase, _: u64) {}
+
+        fn observe_stage(&mut self, _: PipelineStage, slot: u64, phase: EpochPhase, ns: u64) {
+            let slot = slot as usize;
+            if self.0.len() <= slot {
+                self.0.resize(slot + 1, 0);
+            }
+            if phase == EpochPhase::Ingest {
+                self.0[slot] += ns;
+            }
+        }
+    }
+
+    #[test]
+    fn the_ingest_span_counts_the_fan_out_workers() {
+        // A 16 × 16 grid whose chains split round-robin over two shards by
+        // ordinal, q · 16 + r: every response lands in an odd row, whose
+        // chains all run on the worker, so nearly all of an epoch's chain
+        // work is CPU the calling thread's clock never sees.
+        let epochs: Vec<Vec<SensorResponse>> = (0..4)
+            .map(|e| {
+                (0..8_192)
+                    .map(|i| {
+                        let (q, r, f) = (i % 16, 2 * (i / 16 % 8) + 1, i as f64 / 8_192.0);
+                        SensorResponse {
+                            sensor: SensorId(i),
+                            measurement: Measurement {
+                                attr: craqr_sensing::AttributeId(0),
+                                point: SpaceTimePoint::new(
+                                    5.0 * (e as f64 + f),
+                                    0.25 * (q as f64 + f),
+                                    0.25 * (r as f64 + f),
+                                ),
+                                value: AttrValue::Float(21.0),
+                            },
+                            issued_at: 5.0 * e as f64,
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let inputs: Vec<ReplayInputs<'_>> = epochs
+            .iter()
+            .map(|responses| ReplayInputs { sent: 0, responses, faults: FaultDeltas::default() })
+            .collect();
+        for pipelined in [false, true] {
+            let crowd = Crowd::new(CrowdConfig {
+                region: Rect::with_size(4.0, 4.0),
+                population: PopulationConfig {
+                    size: 0,
+                    placement: Placement::Uniform,
+                    mobility: Mobility::Stationary,
+                    human_fraction: 0.0,
+                },
+                seed: 1,
+            });
+            let config = ServerConfig {
+                exec: ExecMode::Sharded(2),
+                mitigation: Mitigation::off(),
+                planner: PlannerConfig { grid_side: 16, ..PlannerConfig::default() },
+                ..ServerConfig::default()
+            };
+            let mut s = CraqrServer::new(crowd, config);
+            s.register_attribute("temp", false, Box::new(ConstantField(AttrValue::Float(21.0))));
+            // Two queries, so the merges split too.
+            s.submit("ACQUIRE temp FROM RECT(0,0,4,4) RATE 40").unwrap();
+            s.submit("ACQUIRE temp FROM RECT(0,0,4,4) RATE 20").unwrap();
+            let mut timer = IngestSpans::default();
+            let driver = s.driver().timer(&mut timer);
+            let outcome = if pipelined {
+                driver.run_replayed_pipelined(&inputs)
+            } else {
+                driver.run_replayed(&inputs)
+            };
+            for (slot, report) in outcome.reports.iter().enumerate() {
+                let worker = report.exec.shards[1];
+                assert_eq!(worker.tuples, 8_192, "every tuple ran on the worker");
+                assert!(
+                    timer.0[slot] >= worker.busy_ns,
+                    "pipelined {pipelined}, slot {slot}: ingest span {} ns, worker {} ns",
+                    timer.0[slot],
+                    worker.busy_ns
+                );
+            }
+        }
     }
 }

@@ -31,7 +31,11 @@
 //! - per-shard results merge in shard order; each shard stages its
 //!   chains' output in its own buffer, and a query's `U`-merge reads its
 //!   staged pieces in port order, so which shard ran a chain never shows;
-//!   budget tuning iterates chains in sorted key order exactly as the
+//! - the per-query merges then fan out too, in runs of consecutive query
+//!   ids at the same width (at most one run per query); a merge touches
+//!   only its own query's staging and output buffer, so which run merged
+//!   a query never shows either;
+//! - budget tuning iterates chains in sorted key order exactly as the
 //!   one-shard path does.
 
 /// How the server executes the per-cell process phase of an epoch.
@@ -103,6 +107,15 @@ pub const CHAINS_PER_WORKER: usize = 256;
 /// monotonic clock (still usable, but contention-sensitive).
 pub fn thread_busy_ns() -> u64 {
     clock_ns(3) // CLOCK_THREAD_CPUTIME_ID
+}
+
+/// Runs `work` and returns its result with the thread-CPU nanoseconds it
+/// took ([`thread_busy_ns`]): how an ingest shard or a merge part
+/// measures itself without reading a clock outside this module.
+pub(crate) fn busy<R>(work: impl FnOnce() -> R) -> (R, u64) {
+    let started = thread_busy_ns();
+    let result = work();
+    (result, thread_busy_ns().saturating_sub(started))
 }
 
 /// Nanoseconds on a cheap monotonic clock, for high-frequency callers.

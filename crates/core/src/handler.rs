@@ -4,6 +4,9 @@
 //! incentive, retry state — lives in one record of one ordered table, the
 //! same key and order as the fabricator's chain table: what exists for a
 //! chain is stated once, and every walk is ascending by construction.
+//! The per-epoch walks (dispatch, retry feedback, tuning) take their
+//! inputs in that same order and step through the table beside them, so
+//! none looks a chain up by key.
 
 use crate::budget::{Budget, BudgetTuner, TuneOutcome};
 use crate::incentive::{IncentivePolicy, IncentiveState};
@@ -13,7 +16,6 @@ use craqr_geom::{CellId, Grid};
 use craqr_sensing::{AttributeId, Crowd};
 use craqr_stats::Interval;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
 
 /// Per-chain tenant ownership shares, as produced by
 /// [`crate::plan::Fabricator::tenant_shares`].
@@ -140,6 +142,19 @@ impl ChainCtl {
             retry: RetryState::default(),
             last_allowed: None,
         }
+    }
+
+    /// One budget-tuning round on this chain at smoothed `N_v` `nv`.
+    fn tune(
+        &mut self,
+        tuner: &BudgetTuner,
+        policy: &IncentivePolicy,
+        (cell, attr): (CellId, AttributeId),
+        nv: f64,
+    ) -> TuneEvent {
+        let outcome = tuner.tune(&mut self.budget, nv);
+        self.incentive.update(policy, outcome);
+        TuneEvent { cell, attr, nv, outcome, budget_after: self.budget.requests_per_epoch }
     }
 }
 
@@ -268,16 +283,23 @@ impl RequestResponseHandler {
     }
 
     /// Feeds back how many responses each chain's most recent dispatch
-    /// yielded (counted at the drain seam, pre-error-injection). Chains
-    /// short of `threshold × allowed` schedule damped extra requests for
-    /// the next dispatch; healthy chains reset their attempt counter;
-    /// chains that asked for nothing at that dispatch are left alone.
-    /// No-op without a policy.
-    pub fn observe_responses(&mut self, counts: &HashMap<(CellId, AttributeId), u64>) {
+    /// yielded (counted at the drain seam, pre-error-injection), ascending
+    /// by `(cell, attribute)` — [`crate::plan::Fabricator::responses_per_chain`];
+    /// a chain missing from `counts` got none. Chains short of
+    /// `threshold × allowed` schedule damped extra requests for the next
+    /// dispatch; healthy chains reset their attempt counter; chains that
+    /// asked for nothing at that dispatch are left alone. No-op without a
+    /// policy.
+    pub fn observe_responses(
+        &mut self,
+        counts: impl IntoIterator<Item = ((CellId, AttributeId), u64)>,
+    ) {
         let Some(policy) = self.retry_policy else { return };
+        let mut counts = counts.into_iter().peekable();
         for (key, ctl) in &mut self.chains {
+            while counts.next_if(|(k, _)| k < key).is_some() {}
+            let got = counts.next_if(|(k, _)| k == key).map_or(0, |(_, n)| n);
             let Some(allowed) = ctl.last_allowed else { continue };
-            let got = counts.get(key).copied().unwrap_or(0);
             let state = &mut ctl.retry;
             let short = allowed > 0 && (got as f64) < policy.shortfall_threshold * (allowed as f64);
             if short && state.attempts < policy.max_attempts {
@@ -317,17 +339,27 @@ impl RequestResponseHandler {
             "demands must ascend by (cell, attribute)"
         );
         // Prune the records of dematerialized chains; the survivors forget
-        // what the previous dispatch allowed them.
+        // what the previous dispatch allowed them. Both sides ascend, so
+        // one cursor through the demands finds each record's chain.
+        let mut demanded = demands.iter().map(|(c, a, _)| (*c, *a)).peekable();
         self.chains.retain(|key, ctl| {
             ctl.last_allowed = None;
-            demands.binary_search_by_key(key, |(c, a, _)| (*c, *a)).is_ok()
+            while demanded.next_if(|k| k < key).is_some() {}
+            demanded.next_if(|k| k == key).is_some()
         });
+        // A record for each newly demanded chain.
+        if self.chains.len() < demands.len() {
+            let initial = self.initial_budget;
+            for (cell, attr, _) in demands {
+                self.chains.entry((*cell, *attr)).or_insert_with(|| ChainCtl::new(initial));
+            }
+        }
 
         let mut orders = Vec::new();
         let mut stats = DispatchStats::default();
-        for (cell, attr, _rate) in demands {
-            let key = (*cell, *attr);
-            let ctl = self.chains.entry(key).or_insert_with(|| ChainCtl::new(self.initial_budget));
+        // The table now holds exactly the demanded chains, in their order.
+        for ((&key, ctl), (cell, attr, _rate)) in self.chains.iter_mut().zip(demands) {
+            debug_assert_eq!(key, (*cell, *attr));
             let n = ctl.budget.draw_requests();
             let extra = std::mem::take(&mut ctl.retry.pending) as usize;
             let want = n + extra;
@@ -365,34 +397,43 @@ impl RequestResponseHandler {
         self.total_sent += sent;
     }
 
-    /// Applies one budget-tuning round from the flatten reports
-    /// (Section V "Budget Tuning") and escalates incentives on exhaustion
-    /// (Section VI).
-    pub fn tune(
+    /// Applies one budget-tuning round from the flatten reports, ascending
+    /// by `(cell, attribute)` — [`crate::plan::Fabricator::flatten_telemetry`]
+    /// (Section V "Budget Tuning") — and escalates incentives on exhaustion
+    /// (Section VI). A chain no dispatch has recorded yet gets its record
+    /// here.
+    pub fn tune<'r>(
         &mut self,
-        reports: &[(CellId, AttributeId, Arc<FlattenReport>, f64)],
+        reports: impl IntoIterator<Item = ((CellId, AttributeId), &'r FlattenReport)>,
     ) -> Vec<TuneEvent> {
-        let mut events = Vec::with_capacity(reports.len());
-        for (cell, attr, report, _rate) in reports {
-            if report.batches() == 0 {
+        let mut events = Vec::with_capacity(self.chains.len());
+        // `(position in events, key, N_v)` of chains without a record.
+        let mut unrecorded = Vec::new();
+        let mut ctls = self.chains.iter_mut().peekable();
+        for (key, report) in reports {
+            let (batches, smoothed) = report.tuning_view();
+            if batches == 0 {
                 continue; // nothing observed yet
             }
-            let key = (*cell, *attr);
-            let nv = report.smoothed_nv().unwrap_or(0.0).clamp(0.0, 100.0);
-            let ctl = self.chains.entry(key).or_insert_with(|| ChainCtl::new(self.initial_budget));
-            let outcome = self.tuner.tune(&mut ctl.budget, nv);
-            if outcome == TuneOutcome::Exhausted {
-                self.exhausted_events += 1;
+            let nv = smoothed.unwrap_or(0.0).clamp(0.0, 100.0);
+            while ctls.next_if(|(k, _)| **k < key).is_some() {}
+            match ctls.next_if(|(k, _)| **k == key) {
+                Some((_, ctl)) => {
+                    events.push(ctl.tune(&self.tuner, &self.incentive_policy, key, nv));
+                }
+                None => unrecorded.push((events.len(), key, nv)),
             }
-            ctl.incentive.update(&self.incentive_policy, outcome);
-            events.push(TuneEvent {
-                cell: *cell,
-                attr: *attr,
-                nv,
-                outcome,
-                budget_after: ctl.budget.requests_per_epoch,
-            });
         }
+        // Tuning is per chain, so a late record tunes exactly as it would
+        // have in the walk; last first, each event lands where the walk
+        // would have put it.
+        for (at, key, nv) in unrecorded.into_iter().rev() {
+            let initial = self.initial_budget;
+            let ctl = self.chains.entry(key).or_insert_with(|| ChainCtl::new(initial));
+            events.insert(at, ctl.tune(&self.tuner, &self.incentive_policy, key, nv));
+        }
+        let exhausted = events.iter().filter(|e| e.outcome == TuneOutcome::Exhausted).count();
+        self.exhausted_events += exhausted as u64;
         events
     }
 
@@ -529,9 +570,9 @@ mod tests {
         // Move every per-chain field off its initial value.
         let report = FlattenReport::new(1.0);
         report.record_batch(100.0, 10, 10);
-        h.tune(&[(key.0, key.1, report, 2.0)]);
+        h.tune([(key, &*report)]);
         assert!(h.set_budget(key.0, key.1, 7.0));
-        h.observe_responses(&HashMap::new());
+        h.observe_responses(std::iter::empty());
         assert!(h.incentive_of(key.0, key.1) > 0.25);
         assert_eq!(h.chains[&key].retry, RetryState { attempts: 1, pending: 10 });
         // Next epoch the demand is gone.
@@ -558,22 +599,21 @@ mod tests {
         }));
         let key = (CellId::new(0, 0), AttributeId(0));
         let demands = vec![(key.0, key.1, 2.0)];
-        let silence = HashMap::new();
         // Epoch 1 asks for 4 and hears nothing: 4 more are queued.
         h.issue_epoch_orders(None, &demands, None);
-        h.observe_responses(&silence);
+        h.observe_responses(std::iter::empty());
         assert!(h.set_budget(key.0, key.1, 0.0));
         // Epoch 2 asks for the 4 queued only; the damped retry is 0.4 → 0.
         let (_, stats) = h.issue_epoch_orders(None, &demands, None);
         assert_eq!(stats.requested, 4);
-        h.observe_responses(&silence);
+        h.observe_responses(std::iter::empty());
         assert_eq!(h.chains[&key].retry, RetryState { attempts: 2, pending: 0 });
         assert_eq!(h.retry_attempts(), 2);
         // Epoch 3 asks for nothing, so there is no shortfall to measure:
         // the attempt count is neither advanced nor reset.
         let (_, stats) = h.issue_epoch_orders(None, &demands, None);
         assert_eq!(stats.requested, 0);
-        h.observe_responses(&silence);
+        h.observe_responses(std::iter::empty());
         assert_eq!(h.chains[&key].retry, RetryState { attempts: 2, pending: 0 });
         assert_eq!(h.retry_attempts(), 2);
     }
@@ -583,8 +623,7 @@ mod tests {
         let mut h = handler();
         let report = FlattenReport::new(0.5);
         report.record_batch(80.0, 100, 100);
-        let reports = vec![(CellId::new(1, 1), AttributeId(0), report, 2.0)];
-        let events = h.tune(&reports);
+        let events = h.tune([((CellId::new(1, 1), AttributeId(0)), &*report)]);
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].outcome, TuneOutcome::Increased);
         assert_eq!(events[0].budget_after, 12.0);
@@ -594,8 +633,7 @@ mod tests {
     fn tuning_skips_chains_without_batches() {
         let mut h = handler();
         let report = FlattenReport::new(0.5);
-        let reports = vec![(CellId::new(1, 1), AttributeId(0), report, 2.0)];
-        assert!(h.tune(&reports).is_empty());
+        assert!(h.tune([((CellId::new(1, 1), AttributeId(0)), &*report)]).is_empty());
     }
 
     #[test]
@@ -605,9 +643,8 @@ mod tests {
         let report = FlattenReport::new(1.0);
         report.record_batch(100.0, 10, 10);
         let key = (CellId::new(0, 0), AttributeId(0));
-        let reports = vec![(key.0, key.1, report, 2.0)];
         assert_eq!(h.incentive_of(key.0, key.1), 0.0);
-        h.tune(&reports); // at cap already → exhausted
+        h.tune([(key, &*report)]); // at cap already → exhausted
         assert_eq!(h.exhausted_events(), 1);
         assert!(h.incentive_of(key.0, key.1) > 0.0);
     }

@@ -68,6 +68,13 @@ impl FlattenReport {
         self.lock().smoothed_nv.value()
     }
 
+    /// `(batches observed, EWMA-smoothed N_v)` under one lock — what
+    /// budget tuning reads.
+    pub fn tuning_view(&self) -> (u64, Option<f64>) {
+        let inner = self.lock();
+        (inner.batches, inner.smoothed_nv.value())
+    }
+
     /// Batches observed.
     pub fn batches(&self) -> u64 {
         self.lock().batches

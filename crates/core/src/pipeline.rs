@@ -121,12 +121,22 @@ use std::thread::{Builder, Scope, ScopedJoinHandle};
 /// workers join by the pipelined one. Inert (zero clock reads) untimed.
 pub(crate) struct StageClock {
     last: Option<u64>,
+    /// Worker CPU the next span adds to its own thread's ([`StageClock::credit`]).
+    credited: u64,
     spans: Vec<(PipelineStage, u64, EpochPhase, u64)>,
 }
 
 impl StageClock {
     pub(crate) fn new(timed: bool) -> Self {
-        Self { last: timed.then(thread_busy_ns), spans: Vec::new() }
+        Self { last: timed.then(thread_busy_ns), credited: 0, spans: Vec::new() }
+    }
+
+    /// Adds `ns` of CPU that fan-out workers spent for this thread to the
+    /// next span, which its own thread-CPU clock cannot see.
+    pub(crate) fn credit(&mut self, ns: u64) {
+        if self.last.is_some() {
+            self.credited += ns;
+        }
     }
 
     /// Re-anchors after a blocking receive so queue-wait cost is not
@@ -140,7 +150,8 @@ impl StageClock {
     pub(crate) fn lap(&mut self, stage: PipelineStage, slot: u64, phase: EpochPhase) {
         if let Some(last) = self.last {
             let now = thread_busy_ns();
-            self.spans.push((stage, slot, phase, now.saturating_sub(last)));
+            let ns = now.saturating_sub(last) + std::mem::take(&mut self.credited);
+            self.spans.push((stage, slot, phase, ns));
             self.last = Some(now);
         }
     }

@@ -167,6 +167,11 @@ impl AttrChain {
         Arc::clone(&self.f_report)
     }
 
+    /// The F-operator's telemetry, borrowed.
+    pub(crate) fn flatten(&self) -> &FlattenReport {
+        &self.f_report
+    }
+
     /// Per-node execution counters of this chain's topology — the report
     /// hook scenario/metrics consumers aggregate across chains (see
     /// [`craqr_engine::TopologyMetrics::absorb`]).

@@ -6,18 +6,22 @@
 //! and the standing queries one keyed by [`QueryId`]: every walk over
 //! chains or queries feeds something checksummed (execution order, float
 //! sums, rendered reports), so canonical ascending order is a property of
-//! the key type rather than a sort each caller has to remember.
+//! the key type rather than a sort each caller has to remember. What the
+//! paper's hashmap is *for*, finding a tuple's topology, is a dense
+//! table: every (attribute, cell) pair holds the ordinal of its chain in
+//! that order, refilled whenever the chain set changes, so the map phase
+//! reads two slots a tuple instead of searching the keys.
 
 use super::chain::{AttrChain, Staging};
 use super::PlannerConfig;
-use crate::exec::{shard_of, ExecMode, IngestReport, ShardIngest};
+use crate::exec::{busy, shard_of, ExecMode, IngestReport, ShardIngest};
 use crate::ops::FlattenReport;
 use crate::query::{AcquisitionQuery, QueryId};
 use crate::tuple::CrowdTuple;
 use crate::UnionOp;
 use craqr_engine::{Emitter, InputPort, Operator};
 use craqr_geom::{CellId, Grid, Rect, Region};
-use craqr_sensing::AttributeId;
+use craqr_sensing::{AttributeId, SensorResponse};
 use craqr_stats::fan_out;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -55,57 +59,126 @@ impl fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
-/// The map phase's state, kept across epochs so routing a batch allocates
-/// only when the batch outgrows every earlier one.
+/// The map phase's state: the paper's per-cell "hashmap" as a dense
+/// table, kept across epochs so routing a batch allocates only when the
+/// batch outgrows every earlier one.
 ///
 /// A chain's *ordinal* is its position in ascending `(cell, attribute)`
-/// order. One counting sort over ordinals places the batch in `routed`
-/// with each chain's tuples contiguous and in input order, so every chain
-/// is handed a borrowed slice instead of a batch of its own.
-#[derive(Default)]
+/// order. `table` holds the ordinal of every (attribute, cell) pair's
+/// chain, so a tuple routes with one cell computation and two loads. A
+/// change to the chain set marks the table stale and the next route or
+/// count refills it ([`Router::sync`]). One counting sort over ordinals then
+/// places the batch in `routed` with each chain's tuples contiguous and
+/// in input order, so every chain is handed a borrowed slice instead of
+/// a batch of its own.
 struct Router {
-    /// The materialized chain keys as of the last [`Router::route`],
-    /// ascending: `keys[i]` has ordinal `i`.
-    keys: Vec<(CellId, AttributeId)>,
+    /// Cells per grid side.
+    side: u32,
+    /// Cells in the grid: the length of one row of `table`.
+    cells: usize,
+    /// Each attribute id's row of `table`, or [`UNROUTED`] for an
+    /// attribute no chain has acquired yet. Rows are added, never removed.
+    rows: Vec<u32>,
+    /// `table[row · cells + r · side + q]`: the ordinal of chain
+    /// `((q, r), attribute)`, or [`UNROUTED`] when it is not materialized.
+    table: Vec<u32>,
+    /// The chain set changed since `table` was filled.
+    stale: bool,
     /// Each input tuple's chain ordinal, or [`UNROUTED`].
     ordinals: Vec<u32>,
     /// After [`Router::route`], chain `i`'s tuples are
     /// `routed[offsets[i]..offsets[i + 1]]`.
     offsets: Vec<usize>,
     routed: Vec<CrowdTuple>,
+    /// Drained responses per chain ordinal, for retry feedback.
+    counts: Vec<u64>,
 }
 
 /// The ordinal of a tuple no materialized chain takes.
 const UNROUTED: u32 = u32::MAX;
 
 impl Router {
+    fn new(side: u32) -> Self {
+        Self {
+            side,
+            cells: (side * side) as usize,
+            rows: Vec::new(),
+            table: Vec::new(),
+            stale: false,
+            ordinals: Vec::new(),
+            offsets: Vec::new(),
+            routed: Vec::new(),
+            counts: Vec::new(),
+        }
+    }
+
+    /// Refills the table from the chain keys (ascending) when the chain
+    /// set changed since the last fill; returns the chain count.
+    fn sync<'a>(
+        &mut self,
+        keys: impl ExactSizeIterator<Item = &'a (CellId, AttributeId)>,
+    ) -> usize {
+        let chains = keys.len();
+        if !self.stale {
+            return chains;
+        }
+        self.stale = false;
+        self.table.fill(UNROUTED);
+        for (ordinal, &(cell, attr)) in keys.enumerate() {
+            let attr = usize::from(attr.0);
+            if attr >= self.rows.len() {
+                self.rows.resize(attr + 1, UNROUTED);
+            }
+            if self.rows[attr] == UNROUTED {
+                self.rows[attr] = (self.table.len() / self.cells) as u32;
+                self.table.resize(self.table.len() + self.cells, UNROUTED);
+            }
+            let at = self.at(self.rows[attr], cell);
+            self.table[at] = ordinal as u32;
+        }
+        chains
+    }
+
+    /// `cell`'s slot in table row `row`.
+    #[inline]
+    fn at(&self, row: u32, cell: CellId) -> usize {
+        row as usize * self.cells + (cell.r * self.side + cell.q) as usize
+    }
+
+    /// The ordinal of the chain a tuple of `attr` at `(x, y)` belongs to,
+    /// or [`UNROUTED`] (outside the grid, or no chain for its cell and
+    /// attribute).
+    #[inline]
+    fn ordinal(&self, grid: &Grid, x: f64, y: f64, attr: AttributeId) -> u32 {
+        let row = self.rows.get(usize::from(attr.0)).copied().unwrap_or(UNROUTED);
+        match grid.cell_of(x, y) {
+            Some(cell) if row != UNROUTED => self.table[self.at(row, cell)],
+            _ => UNROUTED,
+        }
+    }
+
     /// Routes one batch into `routed` over the chains `keys` (ascending);
-    /// returns how many tuples dropped (outside the grid, or in a cell with
-    /// no chain for their attribute).
+    /// returns how many tuples dropped (outside the grid, or in a cell
+    /// with no chain for their attribute).
     fn route<'a>(
         &mut self,
         grid: &Grid,
-        keys: impl Iterator<Item = &'a (CellId, AttributeId)>,
+        keys: impl ExactSizeIterator<Item = &'a (CellId, AttributeId)>,
         tuples: &[CrowdTuple],
     ) -> usize {
-        self.keys.clear();
-        self.keys.extend(keys);
+        let chains = self.sync(keys);
         self.ordinals.clear();
         self.offsets.clear();
-        self.offsets.resize(self.keys.len() + 2, 0);
+        self.offsets.resize(chains + 2, 0);
         let mut dropped = 0;
         for t in tuples {
-            let key = grid.cell_of(t.point.x, t.point.y).map(|cell| (cell, t.attr));
-            match key.and_then(|key| self.keys.binary_search(&key).ok()) {
-                Some(i) => {
-                    self.offsets[i + 2] += 1;
-                    self.ordinals.push(i as u32);
-                }
-                None => {
-                    dropped += 1;
-                    self.ordinals.push(UNROUTED);
-                }
+            let ordinal = self.ordinal(grid, t.point.x, t.point.y, t.attr);
+            if ordinal == UNROUTED {
+                dropped += 1;
+            } else {
+                self.offsets[ordinal as usize + 2] += 1;
             }
+            self.ordinals.push(ordinal);
         }
         // Prefix sums leave chain i's start in offsets[i + 1]; placing a
         // tuple advances it, so once every tuple is placed it holds chain
@@ -131,6 +204,27 @@ impl Router {
     fn batch(&self, ordinal: usize) -> &[CrowdTuple] {
         &self.routed[self.offsets[ordinal]..self.offsets[ordinal + 1]]
     }
+
+    /// Counts `responses` per chain ordinal, over the chains `keys`
+    /// (ascending); a response no chain takes counts nowhere.
+    fn count<'a>(
+        &mut self,
+        grid: &Grid,
+        keys: impl ExactSizeIterator<Item = &'a (CellId, AttributeId)>,
+        responses: &[SensorResponse],
+    ) -> &[u64] {
+        let chains = self.sync(keys);
+        self.counts.clear();
+        self.counts.resize(chains, 0);
+        for r in responses {
+            let m = &r.measurement;
+            let ordinal = self.ordinal(grid, m.point.x, m.point.y, m.attr);
+            if ordinal != UNROUTED {
+                self.counts[ordinal as usize] += 1;
+            }
+        }
+        &self.counts
+    }
 }
 
 /// Runs one shard's chains in the order given, each on its routed slice; a
@@ -142,23 +236,38 @@ fn run_shard<'a>(
     jobs: impl IntoIterator<Item = (&'a mut AttrChain, &'a [CrowdTuple])>,
     staging: &mut Staging,
 ) -> ShardIngest {
-    let (mut chains, mut tuples) = (0, 0);
     staging.clear();
-    // craqr-lint: allow(R1): busy_ns is timing-tier telemetry, excluded from metric equality and every canonical artifact
-    let started = crate::exec::thread_busy_ns();
-    for (chain, batch) in jobs {
-        chains += 1;
-        tuples += batch.len();
-        if batch.is_empty() {
-            chain.record_starved_epoch();
-        } else {
-            chain.process_batch(batch);
+    let ((chains, tuples), busy_ns) = busy(|| {
+        let (mut chains, mut tuples) = (0, 0);
+        for (chain, batch) in jobs {
+            chains += 1;
+            tuples += batch.len();
+            if batch.is_empty() {
+                chain.record_starved_epoch();
+            } else {
+                chain.process_batch(batch);
+            }
+            chain.stage_output(staging);
         }
-        chain.stage_output(staging);
-    }
-    // craqr-lint: allow(R1): same busy_ns span end; never reaches a checksum
-    let busy_ns = crate::exec::thread_busy_ns().saturating_sub(started);
+        (chains, tuples)
+    });
     ShardIngest { shard, chains, tuples, busy_ns }
+}
+
+/// **merge**: feeds what ingest staged for one query through its
+/// `U`-operator in port order (each port's pieces in ingest order) and
+/// returns the result stably sorted by time, so equal times keep port
+/// order. Empties the staging.
+fn merge_staged(merge: &mut UnionOp, staged: &mut Staged) -> Vec<CrowdTuple> {
+    // Allocated once, at its final size.
+    let mut emitter = Emitter::with_capacity(merge.output_ports(), staged.tuples.len());
+    for (port, piece) in staged.in_port_order() {
+        merge.process(InputPort(port as u16), piece, &mut emitter);
+    }
+    staged.clear();
+    let mut out = emitter.into_buffers().remove(0);
+    out.sort_by(|a, b| a.point.t.total_cmp(&b.point.t));
+    out
 }
 
 /// A standing query's placement: which cells it taps and how its per-cell
@@ -174,11 +283,44 @@ pub struct QueryPlan {
 }
 
 /// A standing query: its placement, the `U`-operator that merges its
-/// per-cell pieces, and the pieces ingest staged for it.
+/// per-cell pieces, the pieces ingest staged for it, and its output bank.
 struct Standing {
     plan: QueryPlan,
     merge: UnionOp,
     staged: Staged,
+    /// What [`Fabricator::deliver`] merged and nobody took yet, one
+    /// time-ordered delivery each, oldest first. Kept apart so a
+    /// delivery never moves the ones before it; taking the bank joins
+    /// them.
+    bank: Vec<Vec<CrowdTuple>>,
+    /// Tuples in `bank`.
+    banked: usize,
+}
+
+impl Standing {
+    fn new(plan: QueryPlan, merge: UnionOp) -> Self {
+        Self { plan, merge, staged: Staged::default(), bank: Vec::new(), banked: 0 }
+    }
+
+    /// Merges the staged pieces into a new delivery on the bank; returns
+    /// its size.
+    fn deliver(&mut self) -> usize {
+        let delivery = merge_staged(&mut self.merge, &mut self.staged);
+        let delivered = delivery.len();
+        self.banked += delivered;
+        self.bank.push(delivery);
+        delivered
+    }
+
+    /// Empties the bank into one buffer, oldest delivery first.
+    fn take_bank(&mut self) -> Vec<CrowdTuple> {
+        self.banked = 0;
+        let mut bank = std::mem::take(&mut self.bank);
+        match bank.len() {
+            1 => bank.swap_remove(0),
+            _ => bank.concat(),
+        }
+    }
 }
 
 /// One query's output staged by ingest and not merged yet.
@@ -223,9 +365,11 @@ impl Staged {
 ///   through `F → T … → (P) →` sinks. Right after a chain runs, its sinks
 ///   move into the shard's staging, each piece tagged `(query, port)`,
 ///   and ingest hands every piece to its query.
-/// - **merge** ([`Fabricator::collect_output`]): a per-query `U`-operator
-///   reassembles the staged per-cell pieces, in port order, into the final
-///   MCDS, time-ordered. It never touches a chain.
+/// - **merge** ([`Fabricator::deliver`], or [`Fabricator::collect_output`]
+///   for one query): a per-query `U`-operator reassembles the staged
+///   per-cell pieces, in port order, into the final MCDS, time-ordered.
+///   It never touches a chain; `deliver` runs every query's merge through
+///   the fan-out and banks the result for [`Fabricator::take_output`].
 pub struct Fabricator {
     grid: Grid,
     config: PlannerConfig,
@@ -272,7 +416,7 @@ impl Fabricator {
             tenant_shares: None,
             engine_clock: None,
             retired_metrics: craqr_engine::TopologyMetrics::default(),
-            router: Router::default(),
+            router: Router::new(config.grid_side),
             stagings: Vec::new(),
             cores: craqr_stats::host_cores(),
         }
@@ -389,18 +533,22 @@ impl Fabricator {
         let merge = UnionOp::nary(parts);
         let footprint = merge.output_region().clone();
         let plan = QueryPlan { query, cells, footprint };
-        self.queries.insert(qid, Standing { plan, merge, staged: Staged::default() });
+        self.queries.insert(qid, Standing::new(plan, merge));
         self.tenant_shares = None;
+        self.router.stale = true;
         Ok(qid)
     }
 
     /// Deletes a standing query (Section V "Query Deletions"). Returns the
-    /// tuples ingested for it since its last merge, in port order.
+    /// tuples ingested for it since its last merge, in port order, followed
+    /// by its bank (what [`Fabricator::deliver`] merged and nobody took).
     pub fn delete_query(&mut self, qid: QueryId) -> Result<Vec<CrowdTuple>, PlanError> {
-        let Standing { plan, mut staged, .. } =
-            self.queries.remove(&qid).ok_or(PlanError::UnknownQuery(qid))?;
+        let mut standing = self.queries.remove(&qid).ok_or(PlanError::UnknownQuery(qid))?;
         self.tenant_shares = None;
-        let leftovers = staged.in_port_order().flat_map(|(_, piece)| piece).copied().collect();
+        let mut leftovers: Vec<CrowdTuple> =
+            standing.staged.in_port_order().flat_map(|(_, piece)| piece).copied().collect();
+        leftovers.append(&mut standing.take_bank());
+        let plan = &standing.plan;
         for (cell, _, _) in &plan.cells {
             let key = (*cell, plan.query.attr);
             let Some(chain) = self.chains.get_mut(&key) else { continue };
@@ -410,6 +558,7 @@ impl Fabricator {
             if chain.is_empty() {
                 self.retired_metrics.absorb(&chain.metrics());
                 self.chains.remove(&key);
+                self.router.stale = true;
             }
         }
         Ok(leftovers)
@@ -499,6 +648,25 @@ impl Fabricator {
             .collect()
     }
 
+    /// Every chain's flatten telemetry, read in place, ascending by
+    /// `(cell, attribute)` — what budget tuning walks each epoch.
+    pub fn flatten_telemetry(
+        &self,
+    ) -> impl Iterator<Item = ((CellId, AttributeId), &FlattenReport)> + '_ {
+        self.chains.iter().map(|(key, chain)| (*key, chain.flatten()))
+    }
+
+    /// How many of `responses` each chain's cell and attribute received,
+    /// ascending by `(cell, attribute)`: the shortfall feedback of bounded
+    /// retry. Responses no chain takes count nowhere.
+    pub fn responses_per_chain(
+        &mut self,
+        responses: &[SensorResponse],
+    ) -> impl Iterator<Item = ((CellId, AttributeId), u64)> + '_ {
+        let counts = self.router.count(&self.grid, self.chains.keys(), responses);
+        self.chains.keys().copied().zip(counts.iter().copied())
+    }
+
     /// Current demand per materialized chain, ascending by
     /// `(cell, attribute)`: `(cell, attr, λ̄)` — what the request/response
     /// handler must feed.
@@ -569,11 +737,11 @@ impl Fabricator {
     /// **map + process** under an explicit [`ExecMode`].
     ///
     /// The map phase (tuple → chain routing) always runs on the calling
-    /// thread: a counting sort by chain ordinal into one reused buffer, so
-    /// every width hands every chain a borrowed slice of the batch, in
-    /// input order. The process phase runs at the width
-    /// [`ExecMode::width`] picks for the materialized chains — under the
-    /// default [`ExecMode::Serial`], one worker per
+    /// thread: a table lookup per tuple, then a counting sort by chain
+    /// ordinal into one reused buffer, so every width hands every chain a
+    /// borrowed slice of the batch, in input order. The process phase runs
+    /// at the width [`ExecMode::width`] picks for the materialized chains —
+    /// under the default [`ExecMode::Serial`], one worker per
     /// [`crate::exec::CHAINS_PER_WORKER`] chains, capped at the host's
     /// cores. The ascending chain list splits round-robin into that many
     /// shards, run through [`craqr_stats::fan_out`]; at width 1 that is
@@ -588,7 +756,7 @@ impl Fabricator {
     ///
     /// Each shard stages its chains' output as it goes; once every shard
     /// is done, the pieces move to their queries, shard by shard, for
-    /// [`Fabricator::collect_output`].
+    /// [`Fabricator::deliver`] or [`Fabricator::collect_output`].
     ///
     /// # Panics
     /// Panics on `Sharded(0)`; re-raises a chain's panic, whichever shard
@@ -606,7 +774,7 @@ impl Fabricator {
 
         // The ascending chain list is the canonical execution order, and a
         // chain's ordinal is its position in it.
-        let router = &self.router;
+        let (router, chains) = (&self.router, self.chains.len());
         let jobs = self.chains.values_mut().enumerate().map(|(i, chain)| (chain, router.batch(i)));
         if self.stagings.len() < shards {
             self.stagings.resize_with(shards, Staging::default);
@@ -614,7 +782,7 @@ impl Fabricator {
         let stagings = &mut self.stagings[..shards];
         // Round-robin over the ordinals, so shards only ever see disjoint
         // sub-lists.
-        let per_shard = router.keys.len().div_ceil(shards);
+        let per_shard = chains.div_ceil(shards);
         let mut lists: Vec<Vec<_>> = (0..shards).map(|_| Vec::with_capacity(per_shard)).collect();
         for (i, job) in jobs.enumerate() {
             lists[shard_of(i, shards)].push(job);
@@ -632,22 +800,66 @@ impl Fabricator {
         IngestReport::merge(dropped_now, stats)
     }
 
-    /// **merge**: feeds the pieces ingest staged for a query through its
-    /// `U`-operator in port order (each port's pieces in ingest order) and
-    /// returns the fabricated MCDS slice, stably sorted by time, so equal
-    /// times keep port order.
+    /// **merge** for every standing query: each query's staged pieces go
+    /// through its `U`-operator as in [`Fabricator::collect_output`], and
+    /// the result goes onto its bank instead of back to the caller.
+    ///
+    /// The queries split into runs of consecutive ids, balanced by staged
+    /// tuples, at most one per query and as many as [`ExecMode::width`]
+    /// gives the ingest, run through [`craqr_stats::fan_out`]. A merge
+    /// touches only its own query, so every bank is bit-identical at every
+    /// width.
+    ///
+    /// Returns each standing query's delivered count, ascending by id, and
+    /// the thread-CPU nanoseconds the runs on workers took (timing tier
+    /// only; the calling thread's own run is not in it).
+    pub fn deliver(&mut self, mode: ExecMode) -> (Vec<(QueryId, usize)>, u64) {
+        let width = mode.width(self.chains.len(), self.cores).min(self.queries.len().max(1));
+        let total: usize = self.queries.values().map(|s| s.staged.tuples.len()).sum();
+        let mut parts: Vec<Vec<(QueryId, &mut Standing)>> =
+            (0..width).map(|_| Vec::new()).collect();
+        let mut before = 0;
+        for (qid, standing) in &mut self.queries {
+            // A query joins the run its midpoint in the cumulative staged
+            // count falls in, so runs stay consecutive.
+            let size = standing.staged.tuples.len();
+            let run = ((before + size / 2) * width).checked_div(total).unwrap_or(0);
+            before += size;
+            parts[run.min(width - 1)].push((*qid, standing));
+        }
+        parts.retain(|part| !part.is_empty());
+        let runs = fan_out(parts, |part| {
+            busy(|| part.into_iter().map(|(qid, s)| (qid, s.deliver())).collect::<Vec<_>>())
+        });
+        let workers_ns = runs.iter().skip(1).map(|(_, ns)| ns).sum();
+        (runs.into_iter().flat_map(|(delivered, _)| delivered).collect(), workers_ns)
+    }
+
+    /// **merge** for one query: feeds the pieces ingest staged for it
+    /// through its `U`-operator in port order (each port's pieces in ingest
+    /// order) and returns the fabricated MCDS slice, stably sorted by time,
+    /// so equal times keep port order. Its bank is left as it is.
     pub fn collect_output(&mut self, qid: QueryId) -> Result<Vec<CrowdTuple>, PlanError> {
         let Standing { merge, staged, .. } =
             self.queries.get_mut(&qid).ok_or(PlanError::UnknownQuery(qid))?;
-        // Allocated once, at its final size.
-        let mut emitter = Emitter::with_capacity(merge.output_ports(), staged.tuples.len());
-        for (port, piece) in staged.in_port_order() {
-            merge.process(InputPort(port as u16), piece, &mut emitter);
-        }
-        staged.clear();
-        let mut out = emitter.into_buffers().remove(0);
-        out.sort_by(|a, b| a.point.t.total_cmp(&b.point.t));
-        Ok(out)
+        Ok(merge_staged(merge, staged))
+    }
+
+    /// Takes everything [`Fabricator::deliver`] banked for a query so far,
+    /// in delivery order.
+    pub fn take_output(&mut self, qid: QueryId) -> Vec<CrowdTuple> {
+        self.queries.get_mut(&qid).map_or_else(Vec::new, Standing::take_bank)
+    }
+
+    /// Number of tuples banked for a query.
+    pub fn buffered_len(&self, qid: QueryId) -> usize {
+        self.queries.get(&qid).map_or(0, |s| s.banked)
+    }
+
+    /// What the last [`Fabricator::deliver`] banked for each standing
+    /// query and nobody took since, ascending by id.
+    pub fn last_delivery(&self) -> impl Iterator<Item = (QueryId, &[CrowdTuple])> {
+        self.queries.iter().map(|(qid, s)| (*qid, s.bank.last().map_or(&[][..], Vec::as_slice)))
     }
 
     /// Total tuples processed across every chain (the work measure of the
@@ -1108,30 +1320,65 @@ mod tests {
         (f, qids)
     }
 
+    /// Merges every query three ways — [`Fabricator::deliver`] at `mode`,
+    /// [`Fabricator::collect_output`] and the query-major walk — and holds
+    /// them, and what `deliver` reports and banks, to each other; `banked`
+    /// collects what the bank must hold.
+    fn merge_three_ways(
+        mode: ExecMode,
+        [delivered, collected, grouped]: [&mut Fabricator; 3],
+        qids: &[QueryId],
+        banked: &mut BTreeMap<QueryId, Vec<CrowdTuple>>,
+    ) -> proptest::TestCaseResult {
+        use proptest::{prop_assert, prop_assert_eq};
+        let (counts, _) = delivered.deliver(mode);
+        let fresh: Vec<_> = delivered.last_delivery().map(|(q, out)| (q, out.to_vec())).collect();
+        prop_assert_eq!(counts.iter().map(|(q, _)| *q).collect::<Vec<_>>(), qids.to_vec());
+        for ((qid, n), (q, fresh)) in counts.into_iter().zip(fresh) {
+            let got = collected.collect_output(qid).unwrap();
+            let want = oracle_collect(grouped, qid);
+            prop_assert!(got == want, "{qid}: merged {got:?}, oracle {want:?}");
+            prop_assert_eq!(q, qid);
+            prop_assert!(fresh == got, "{qid}: delivered {fresh:?}, collected {got:?}");
+            prop_assert_eq!(n, got.len());
+            banked.entry(qid).or_default().extend(got);
+        }
+        Ok(())
+    }
+
     use proptest::prelude::*;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Also the merge and deletion against the query-major walks they
-        /// replaced: with every tuple of an epoch at one time (the stable
-        /// sort then keeps port order), with every ingest before one merge
-        /// or a merge after each, and with a query deleted between the last
-        /// ingest and its merge.
+        /// Routing against the grouping it replaced, and both merges — the
+        /// fanned-out [`Fabricator::deliver`] into the banks, and
+        /// [`Fabricator::collect_output`] — against the query-major walk:
+        /// with every tuple of an epoch at one time (the stable sort then
+        /// keeps port order), with every ingest before one merge or a merge
+        /// after each, at widths 1 to 4, with a query deleted and one on a
+        /// new attribute inserted between the first two ingests, and with a
+        /// query deleted between the last ingest and its merge.
         #[test]
         fn routing_matches_the_grouping_it_replaced(
             epochs in prop::collection::vec(
-                prop::collection::vec((-1.0f64..5.0, -1.0f64..5.0, 0u16..3, 0.0f64..5.0), 0..160),
+                prop::collection::vec((-1.0f64..5.0, -1.0f64..5.0, 0u16..4, 0.0f64..5.0), 0..160),
                 2..4,
             ),
             shards in 0usize..5,
             one_time in any::<bool>(),
             merge_each_epoch in any::<bool>(),
-            victim in prop::option::of(0usize..3),
+            retired in prop::option::of(0usize..3),
+            added in any::<bool>(),
+            victim in prop::option::of(0usize..4),
         ) {
             let mode = if shards == 0 { ExecMode::Serial } else { ExecMode::Sharded(shards) };
-            let (mut routed, qids) = routing_fab();
+            let (mut delivered, mut qids) = routing_fab();
+            let (mut collected, _) = routing_fab();
             let (mut grouped, _) = routing_fab();
+            // What collect_output merged per query so far, in merge order:
+            // the bank deliver must hold.
+            let mut banked = BTreeMap::new();
             let mut next_id = 0;
             for (e, draws) in epochs.iter().enumerate() {
                 let batch: Vec<CrowdTuple> = draws
@@ -1148,43 +1395,63 @@ mod tests {
                         }
                     })
                     .collect();
-                let (groups, dropped) = oracle_groups(&routed, &batch);
-                let report = routed.ingest_batch_mode(&batch, mode);
+                let (groups, dropped) = oracle_groups(&delivered, &batch);
+                let report = delivered.ingest_batch_mode(&batch, mode);
+                collected.ingest_batch_mode(&batch, mode);
                 prop_assert_eq!(report.dropped, dropped);
                 prop_assert_eq!(report.routed, batch.len() - dropped);
-                prop_assert_eq!(report.chains(), routed.materialized_chains());
-                for (i, key) in routed.chains.keys().enumerate() {
+                prop_assert_eq!(report.chains(), delivered.materialized_chains());
+                for (i, key) in delivered.chains.keys().enumerate() {
                     let want = groups.get(key).map_or(&[][..], Vec::as_slice);
                     prop_assert!(
-                        routed.router.batch(i) == want,
+                        delivered.router.batch(i) == want,
                         "epoch {e}, chain {key:?}: routed {:?}, grouped {want:?}",
-                        routed.router.batch(i)
+                        delivered.router.batch(i)
                     );
                 }
                 oracle_ingest(&mut grouped, &batch);
                 if merge_each_epoch && e + 1 < epochs.len() {
-                    for &qid in &qids {
-                        let got = routed.collect_output(qid).unwrap();
-                        let want = oracle_collect(&mut grouped, qid);
-                        prop_assert!(got == want, "epoch {e}, {qid}: merged {got:?}, oracle {want:?}");
+                    let fabs = [&mut delivered, &mut collected, &mut grouped];
+                    merge_three_ways(mode, fabs, &qids, &mut banked)?;
+                }
+                if e == 0 {
+                    // Query 2 alone taps cells (2, 0) and (2, 1), query 1
+                    // alone acquires attribute 1: retiring either leaves
+                    // cells whose tuples must drop from now on.
+                    if let Some(i) = retired {
+                        let qid = qids.remove(i);
+                        let bank = delivered.take_output(qid);
+                        prop_assert!(bank == banked.remove(&qid).unwrap_or_default());
+                        let got = delivered.delete_query(qid).unwrap();
+                        prop_assert!(got == collected.delete_query(qid).unwrap());
+                        prop_assert!(got == oracle_delete(&mut grouped, qid), "leftovers {got:?}");
+                    }
+                    // Attribute 2 is above every chain's so far.
+                    if added {
+                        let q = query(2, Rect::new(2.0, 2.0, 4.0, 3.5), 1.0);
+                        let qid = delivered.insert_query(q).unwrap();
+                        prop_assert_eq!(collected.insert_query(q).unwrap(), qid);
+                        prop_assert_eq!(grouped.insert_query(q).unwrap(), qid);
+                        qids.push(qid);
                     }
                 }
             }
-            prop_assert_eq!(routed.dropped_unmaterialized(), grouped.dropped_unmaterialized());
-            let (ours, theirs) = (routed.chain_metrics(), grouped.chain_metrics());
+            prop_assert_eq!(delivered.dropped_unmaterialized(), grouped.dropped_unmaterialized());
+            let (ours, theirs) = (delivered.chain_metrics(), grouped.chain_metrics());
             prop_assert!(ours == theirs, "operator counts differ");
-            if let Some(victim) = victim {
-                let got = routed.delete_query(qids[victim]).unwrap();
-                let want = oracle_delete(&mut grouped, qids[victim]);
-                prop_assert!(got == want, "leftovers {got:?}, oracle {want:?}");
+            if let Some(victim) = victim.filter(|&v| v < qids.len()) {
+                let qid = qids.remove(victim);
+                let mut want = collected.delete_query(qid).unwrap();
+                prop_assert!(want == oracle_delete(&mut grouped, qid), "leftovers {want:?}");
+                want.extend(banked.remove(&qid).unwrap_or_default());
+                let got = delivered.delete_query(qid).unwrap();
+                prop_assert!(got == want, "leftovers then bank {got:?}, want {want:?}");
             }
-            for (i, &qid) in qids.iter().enumerate() {
-                if victim == Some(i) {
-                    continue;
-                }
-                let got = routed.collect_output(qid).unwrap();
-                let want = oracle_collect(&mut grouped, qid);
-                prop_assert!(got == want, "{qid}: merged {got:?}, oracle {want:?}");
+            merge_three_ways(mode, [&mut delivered, &mut collected, &mut grouped], &qids, &mut banked)?;
+            for &qid in &qids {
+                let bank = delivered.take_output(qid);
+                prop_assert!(bank == banked.remove(&qid).unwrap_or_default(), "{qid}'s bank");
+                prop_assert_eq!(delivered.buffered_len(qid), 0);
             }
         }
     }

@@ -259,9 +259,9 @@ impl BudgetView {
 pub struct EpochObservation {
     /// The epoch's loop statistics.
     pub report: EpochReport,
-    /// Tuples delivered this epoch per query, ascending by [`QueryId`].
-    /// (They are *about to be* appended to the per-query output buffers;
-    /// the hook sees them first.)
+    /// Tuples delivered this epoch per query, ascending by [`QueryId`]:
+    /// a copy of what the epoch's merge appended to each query's output
+    /// buffer ([`CraqrServer::take_output`]).
     pub delivered: Vec<(QueryId, Vec<CrowdTuple>)>,
     /// The planner: standing query plans, demands, grid.
     pub plan: PlanView,
@@ -282,7 +282,6 @@ impl EpochObservation {
     /// right after the epoch's report is assembled.
     pub(crate) fn capture(
         report: &EpochReport,
-        fresh: &[(QueryId, Vec<CrowdTuple>)],
         fabricator: &Fabricator,
         handler: &RequestResponseHandler,
         tenants: Option<&TenantRegistry>,
@@ -312,7 +311,7 @@ impl EpochObservation {
             .collect();
         EpochObservation {
             report: report.clone(),
-            delivered: fresh.to_vec(),
+            delivered: fabricator.last_delivery().map(|(q, out)| (q, out.to_vec())).collect(),
             plan: PlanView {
                 batch_duration: fabricator.config().batch_duration,
                 grid: grid.clone(),
@@ -510,7 +509,6 @@ pub struct CraqrServer {
     pub(crate) idgen: TupleIdGen,
     pub(crate) error_rng: StdRng,
     pub(crate) config: ServerConfig,
-    pub(crate) outputs: HashMap<QueryId, Vec<CrowdTuple>>,
     pub(crate) tenants: Option<TenantRegistry>,
     /// What each admitted query actually committed against its tenant's
     /// pool — recorded at admission so deletion releases exactly that
@@ -544,7 +542,6 @@ impl CraqrServer {
             idgen: TupleIdGen::new(),
             error_rng: sub_rng(config.planner.seed, 0xE44),
             config,
-            outputs: HashMap::new(),
             tenants: None,
             committed_demands: HashMap::new(),
             epoch: 0,
@@ -654,7 +651,6 @@ impl CraqrServer {
         };
         match self.fabricator.insert_query(query) {
             Ok(qid) => {
-                self.outputs.entry(qid).or_default();
                 if admitted {
                     self.committed_demands.insert(qid, (query.tenant, demand));
                 }
@@ -677,14 +673,11 @@ impl CraqrServer {
     /// admission (submitted before the first tenant registration)
     /// release nothing — they committed nothing.
     pub fn delete_query(&mut self, qid: QueryId) -> Result<Vec<CrowdTuple>, PlanError> {
-        let mut leftovers = self.fabricator.delete_query(qid)?;
+        let leftovers = self.fabricator.delete_query(qid)?;
         if let Some((tenant, demand)) = self.committed_demands.remove(&qid) {
             if let Some(registry) = &mut self.tenants {
                 registry.release(tenant, demand);
             }
-        }
-        if let Some(mut buffered) = self.outputs.remove(&qid) {
-            leftovers.append(&mut buffered);
         }
         Ok(leftovers)
     }
@@ -711,12 +704,12 @@ impl CraqrServer {
 
     /// Takes everything fabricated for a query so far.
     pub fn take_output(&mut self, qid: QueryId) -> Vec<CrowdTuple> {
-        self.outputs.get_mut(&qid).map(std::mem::take).unwrap_or_default()
+        self.fabricator.take_output(qid)
     }
 
     /// Peeks at the number of buffered tuples for a query.
     pub fn buffered_len(&self, qid: QueryId) -> usize {
-        self.outputs.get(&qid).map_or(0, Vec::len)
+        self.fabricator.buffered_len(qid)
     }
 
     /// Simulation time (minutes).

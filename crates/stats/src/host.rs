@@ -1,7 +1,7 @@
 //! What the process may run on, and the one way it fans work out: the
-//! server's ingest shards and the crowd's sensor ranges both size the
-//! split with [`width`] from one [`host_cores`] read and run it through
-//! [`fan_out`].
+//! server's ingest shards, its per-query merge runs and the crowd's
+//! sensor ranges all size the split with [`width`] from one
+//! [`host_cores`] read and run it through [`fan_out`].
 
 use std::sync::OnceLock;
 use std::thread::ScopedJoinHandle;

@@ -70,6 +70,11 @@
 //! Chains are partitioned round-robin over sorted keys and the shards run
 //! through [`fan_out`](craqr_stats::fan_out), whose contract says which
 //! thread runs what; per-shard results merge in ascending shard order.
+//! Each tuple finds its chain in a dense (attribute, cell) → chain table
+//! first, on the calling thread. Once every shard is done, the per-query
+//! `U` merges run through the same fan-out at the same width (runs of
+//! consecutive queries, at most one per query), each appending to its
+//! query's output buffer.
 //!
 //! **Determinism contract:** for a fixed root seed, every width produces
 //! bit-identical fabricated streams, dispatch statistics, and budget
