@@ -730,6 +730,103 @@ mod tests {
         assert!(s.contains("T(→1.000)[Q2⋉P]"), "{s}");
     }
 
+    /// One epoch through the chain: its staged pieces, `Q<id>/<port>:[ids]`.
+    fn epoch(c: &mut AttrChain, batch: &[CrowdTuple]) -> String {
+        let mut staging = Staging::default();
+        c.process_batch(batch);
+        c.stage_output(&mut staging);
+        let mut start = 0;
+        let pieces = staging.pieces.iter().map(|&(query, port, end)| {
+            let ids: Vec<u64> = staging.tuples[start..end].iter().map(|t| t.id).collect();
+            start = end;
+            format!("{query}/{port}:{ids:?}")
+        });
+        pieces.collect::<Vec<_>>().join(" ")
+    }
+
+    /// `kind in/out/batches` per operator kind.
+    fn kinds(c: &AttrChain) -> String {
+        let rows = c.metrics().by_kind().into_iter();
+        let rows =
+            rows.map(|(kind, m)| format!("{kind} {}/{}/{}", m.tuples_in, m.tuples_out, m.batches));
+        rows.collect::<Vec<_>>().join(" ")
+    }
+
+    /// Epoch `e`'s batch of `n` tuples, ids `100·e …`.
+    fn numbered(e: u64, n: usize) -> Vec<CrowdTuple> {
+        let mut b = batch(n, e as f64 * 10.0);
+        b.iter_mut().for_each(|t| t.id += 100 * e);
+        b
+    }
+
+    /// Both shapes, pinned end to end: the staged pieces with their tuple
+    /// ids and the per-kind counters, over epochs, a partial consumer
+    /// inserted mid-run, then the middle tap's only consumer deleted so its
+    /// neighbours merge (its `T` and `P` take their counters with them).
+    /// Then a one-tuple epoch whose `0.6` tap emits nothing, so neither
+    /// that tap's `P` nor (in the chain) the `T` below it counts a batch,
+    /// and an empty batch, which runs no operator at all.
+    #[test]
+    fn chain_walk_is_pinned() {
+        let (left, right) = (Rect::new(0.0, 0.0, 0.5, 1.0), Rect::new(0.5, 0.0, 1.0, 1.0));
+        for (shape, want) in [(TopologyShape::Chain, CHAIN_PIN), (TopologyShape::Star, STAR_PIN)] {
+            let mut c = AttrChain::new(cell(), 10.0, 0.8, 1.0, EstimatorMode::BatchMle, shape, 7);
+            c.insert_consumer(QueryId(1), 0, 0.8, cell(), true);
+            c.insert_consumer(QueryId(2), 1, 0.4, left, false);
+            c.insert_consumer(QueryId(3), 2, 0.2, cell(), true);
+            let mut log = Vec::new();
+            for e in 0..3 {
+                log.push(format!("e{e} {}", epoch(&mut c, &numbered(e, 20))));
+            }
+            log.push(kinds(&c));
+            c.insert_consumer(QueryId(4), 3, 0.6, right, false);
+            log.push(format!("e3 {}", epoch(&mut c, &numbered(3, 20))));
+            log.push(kinds(&c));
+            assert!(c.delete_consumer(QueryId(2)));
+            log.push(kinds(&c));
+            log.push(format!("e4 {}", epoch(&mut c, &numbered(4, 20))));
+            log.push(kinds(&c));
+            log.push(format!("e5 {}", epoch(&mut c, &numbered(5, 1))));
+            log.push(kinds(&c));
+            log.push(format!("e6 {}", epoch(&mut c, &[])));
+            log.push(kinds(&c));
+            assert_eq!(c.flatten_report().batches(), 6, "the empty batch never reached F");
+            assert_eq!(log, want, "{shape:?}");
+        }
+    }
+
+    const CHAIN_PIN: &[&str] = &[
+        "e0 Q1/0:[3, 8, 10, 11, 14, 16, 18] Q2/1:[18] Q3/2:[11]",
+        "e1 Q1/0:[101, 104, 106, 108, 109, 110, 112, 113, 114, 115, 116, 118] Q2/1:[110, 112] Q3/2:[109, 110, 114]",
+        "e2 Q1/0:[202, 205, 206, 210, 212, 214, 217] Q3/2:[206]",
+        "F 60/26/3 P 8/3/3 T 60/39/9",
+        "e3 Q1/0:[301, 305, 306, 307, 315, 316, 317, 318, 319] Q4/3:[301, 316, 319] Q2/1:[307, 315, 318] Q3/2:[315, 316, 318]",
+        "F 80/35/4 P 20/9/5 T 90/63/13",
+        "F 80/35/4 P 7/3/1 T 57/50/9",
+        "e4 Q1/0:[400, 402, 403, 406, 407, 409, 410, 411, 414, 417, 418] Q4/3:[403, 409, 411, 414, 417] Q3/2:[403, 410, 417]",
+        "F 100/46/5 P 14/8/2 T 86/71/12",
+        "e5 Q1/0:[500]",
+        "F 101/47/6 P 14/8/2 T 88/72/14",
+        "e6 ",
+        "F 101/47/6 P 14/8/2 T 88/72/14",
+    ];
+
+    const STAR_PIN: &[&str] = &[
+        "e0 Q1/0:[3, 8, 10, 11, 14, 16, 18] Q2/1:[18] Q3/2:[3, 11, 14, 18]",
+        "e1 Q1/0:[101, 104, 106, 108, 109, 110, 112, 113, 114, 115, 116, 118] Q2/1:[110, 112] Q3/2:[108, 109, 110, 113, 115]",
+        "e2 Q1/0:[202, 205, 206, 210, 212, 214, 217] Q3/2:[202, 212]",
+        "F 60/26/3 P 8/3/3 T 78/45/9",
+        "e3 Q1/0:[301, 305, 306, 307, 315, 316, 317, 318, 319] Q4/3:[301, 316, 319] Q2/1:[307, 315] Q3/2:[306]",
+        "F 80/35/4 P 19/8/5 T 114/66/13",
+        "F 80/35/4 P 7/3/1 T 79/54/9",
+        "e4 Q1/0:[400, 402, 403, 406, 407, 409, 410, 411, 414, 417, 418] Q4/3:[403, 409, 411, 414, 417] Q3/2:[403, 406, 417, 418]",
+        "F 100/46/5 P 14/8/2 T 112/76/12",
+        "e5 Q1/0:[500] Q3/2:[500]",
+        "F 101/47/6 P 14/8/2 T 115/78/15",
+        "e6 ",
+        "F 101/47/6 P 14/8/2 T 115/78/15",
+    ];
+
     #[test]
     fn headroom_scales_f_target() {
         let mut c = AttrChain::new(
