@@ -12,7 +12,6 @@
 
 use craqr_bench::{f3, preamble, tuples_from_points, Table};
 use craqr_core::ops::{EstimatorMode, FlattenConfig, FlattenOp};
-use craqr_engine::{Emitter, InputPort, Operator};
 use craqr_geom::{Rect, SpaceTimeWindow};
 use craqr_mdpp::diagnostics::homogeneity_report;
 use craqr_mdpp::intensity::LinearIntensity;
@@ -61,9 +60,8 @@ fn main() {
             mode: EstimatorMode::BatchMle,
             seed: 7,
         });
-        let mut em = Emitter::new(op.output_ports());
-        op.process(InputPort(0), &tuples_from_points(&raw, AttributeId(0)), &mut em);
-        let out = em.into_buffers().remove(0);
+        let mut out = Vec::new();
+        op.process(&tuples_from_points(&raw, AttributeId(0)), &mut out);
         let out_points: Vec<_> = out.iter().map(|t| t.point).collect();
         let out_rep = homogeneity_report(&out_points, &window, 4, 2);
 
@@ -146,13 +144,11 @@ fn main() {
                 for b in 0..150 {
                     let w = SpaceTimeWindow::new(cell, b as f64 * 10.0, (b + 1) as f64 * 10.0);
                     let pts = warm_process.sample(&w, &mut warm_rng);
-                    let mut em = Emitter::new(op.output_ports());
-                    op.process(InputPort(0), &tuples_from_points(&pts, AttributeId(0)), &mut em);
+                    op.process(&tuples_from_points(&pts, AttributeId(0)), &mut Vec::new());
                 }
             }
-            let mut em = Emitter::new(op.output_ports());
-            op.process(InputPort(0), &tuples_from_points(&raw, AttributeId(0)), &mut em);
-            let out = em.into_buffers().remove(0);
+            let mut out = Vec::new();
+            op.process(&tuples_from_points(&raw, AttributeId(0)), &mut out);
             let out_points: Vec<_> = out.iter().map(|t| t.point).collect();
             let rep = homogeneity_report(&out_points, &window, 4, 2);
             ablation.row([

@@ -9,7 +9,6 @@
 
 use craqr_bench::{f3, preamble, tuples_from_points, Table};
 use craqr_core::ops::ThinOp;
-use craqr_engine::{Emitter, InputPort, Operator};
 use craqr_geom::{Rect, SpaceTimeWindow};
 use craqr_mdpp::diagnostics::homogeneity_report;
 use craqr_mdpp::process::HomogeneousMdpp;
@@ -37,9 +36,8 @@ fn main() {
     let mut table = Table::new(["λ2", "p=λ2/λ1", "kept", "achieved λ", "rel err", "χ² p", "KS p"]);
     for &lambda2 in &[8.0, 6.0, 4.0, 2.0, 1.0, 0.5, 0.1] {
         let mut op = ThinOp::new(lambda1, lambda2, 7);
-        let mut em = Emitter::new(op.output_ports());
-        op.process(InputPort(0), &input, &mut em);
-        let out = em.into_buffers().remove(0);
+        let mut out = Vec::new();
+        op.process(&input, &mut out);
         let achieved = window.empirical_rate(out.len());
         let rel = (achieved - lambda2).abs() / lambda2;
         let points: Vec<_> = out.iter().map(|t| t.point).collect();

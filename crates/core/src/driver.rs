@@ -79,7 +79,6 @@ use crate::server::{
 };
 use crate::tenant::{TenantId, TenantRegistry};
 use crate::tuple::TupleIdGen;
-use craqr_engine::BatchPool;
 use craqr_sensing::{Crowd, SensorResponse};
 use rand::rngs::StdRng;
 
@@ -192,33 +191,48 @@ impl EpochCore<'_> {
     }
 }
 
-/// A [`BatchPool`] that counts what it hands out. Pooling only reuses
-/// capacity — contents are cleared on every cycle — so it is byte-inert;
-/// the counts are the observable half of it ([`PoolStats`]).
+/// A free list of response buffers that counts what it hands out.
+/// Pooling only reuses capacity — contents are cleared on every cycle — so
+/// it is byte-inert; the counts are the observable half of it
+/// ([`PoolStats`]).
 #[derive(Default)]
 pub(crate) struct CountedPool {
-    pool: BatchPool<SensorResponse>,
+    free: Vec<Vec<SensorResponse>>,
     fresh_allocations: u64,
     recycled: u64,
 }
 
 impl CountedPool {
+    /// Free buffers held at most; a buffer returned past this is dropped.
+    const MAX_RETAINED: usize = 16;
+    /// Capacity, in responses, above which a returned buffer is dropped, so
+    /// one burst does not pin its memory for the rest of the run.
+    const MAX_CAPACITY: usize = 1 << 16;
+
     fn take(&mut self) -> Vec<SensorResponse> {
-        if self.pool.retained() > 0 {
-            self.recycled += 1;
-        } else {
-            self.fresh_allocations += 1;
+        match self.free.pop() {
+            Some(buf) => {
+                self.recycled += 1;
+                buf
+            }
+            None => {
+                self.fresh_allocations += 1;
+                Vec::new()
+            }
         }
-        self.pool.take()
     }
 
-    pub(crate) fn put(&mut self, spent: Vec<SensorResponse>) {
-        self.pool.put(spent);
+    /// Returns a buffer, clearing it but keeping its capacity.
+    pub(crate) fn put(&mut self, mut spent: Vec<SensorResponse>) {
+        spent.clear();
+        if self.free.len() < Self::MAX_RETAINED && spent.capacity() <= Self::MAX_CAPACITY {
+            self.free.push(spent);
+        }
     }
 }
 
 /// Buffer-recycling counters for a horizon run — the observable half of
-/// the [`BatchPool`]-backed response/raw buffer recycling. Timing- and
+/// the driver's pooled response/raw buffer recycling. Timing- and
 /// allocation-free runs are not part of the byte contract; these counters
 /// exist so tests can pin the *steady state*: after warm-up, every epoch
 /// reuses pooled buffers and `fresh_allocations` stops growing.
@@ -239,7 +253,7 @@ impl PoolStats {
         pools.iter().fold(Self::default(), |sum, p| Self {
             fresh_allocations: sum.fresh_allocations + p.fresh_allocations,
             recycled: sum.recycled + p.recycled,
-            pooled: sum.pooled + p.pool.retained(),
+            pooled: sum.pooled + p.free.len(),
         })
     }
 }

@@ -20,9 +20,8 @@
 //!
 //! - [`mod tuple`](crate::tuple): the crowdsensed tuple `(t⟨j⟩ᵢ, x⟨j⟩ᵢ, y⟨j⟩ᵢ, a⟨j⟩ᵢ)`.
 //! - [`ops`]: the PMAT operator family — [`ops::FlattenOp`] (`F`),
-//!   [`ops::ThinOp`] (`T`), [`ops::PartitionOp`] (`P`), [`ops::UnionOp`]
-//!   (`U`), plus the researched-but-unpublished extra the paper alludes to
-//!   ([`ops::SuperposeOp`]).
+//!   [`ops::ThinOp`] (`T`), [`ops::PartitionOp`] (`P`) and [`ops::UnionOp`]
+//!   (`U`).
 //! - [`query`]: typed acquisitional queries, the attribute catalog, and a
 //!   small declarative parser (`ACQUIRE rain FROM RECT(..) RATE 10`).
 //! - [`plan`]: the Section V machinery — the cell hashmap, per-cell
@@ -65,9 +64,9 @@ pub use error_model::{ErrorModel, Mitigation};
 pub use exec::{ExecMode, IngestReport, ShardIngest};
 pub use handler::{RequestResponseHandler, RetryPolicy};
 pub use incentive::IncentivePolicy;
-pub use ops::{FlattenOp, PartitionOp, SuperposeOp, ThinOp, UnionOp};
+pub use ops::{FlattenOp, PartitionOp, ThinOp, UnionOp};
 pub use phase::{EpochPhase, PhaseTimer, PipelineStage};
-pub use plan::{Fabricator, PlannerConfig, TopologyShape};
+pub use plan::{Fabricator, OpCounters, OperatorMetrics, PlannerConfig, TopologyShape};
 pub use query::{AcquisitionQuery, AttributeCatalog, ParseError, QueryId};
 pub use server::{
     BudgetView, ControlAction, ControlHook, CraqrServer, CrashPoint, EpochInputsRecord,

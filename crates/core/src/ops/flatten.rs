@@ -2,7 +2,6 @@
 
 use crate::ops::report::FlattenReport;
 use crate::tuple::CrowdTuple;
-use craqr_engine::{Emitter, InputPort, Operator, OutputPort};
 use craqr_geom::{Grid, Rect, SpaceTimePoint, SpaceTimeWindow};
 use craqr_mdpp::fit::{fit_mle_with, FitConfig, FitScratch, SgdConfig, SgdEstimator};
 use craqr_mdpp::intensity::{IntensityModel, LinearIntensity, PiecewiseConstantIntensity};
@@ -83,7 +82,6 @@ pub struct FlattenConfig {
 /// tuples are retained in areas of low rate and less tuples are retained in
 /// areas of high rate" — which is what homogenizes the output.
 pub struct FlattenOp {
-    name: String,
     cell: Rect,
     batch_duration: f64,
     target_rate: f64,
@@ -122,7 +120,6 @@ impl FlattenOp {
         };
         (
             Self {
-                name: format!("F(λ̄={:.3})", config.target_rate),
                 cell: config.cell,
                 batch_duration: config.batch_duration,
                 target_rate: config.target_rate,
@@ -154,7 +151,6 @@ impl FlattenOp {
     pub fn set_target_rate(&mut self, rate: f64) {
         assert!(rate > 0.0, "target rate must be > 0");
         self.target_rate = rate;
-        self.name = format!("F(λ̄={rate:.3})");
     }
 
     /// The operator's spatial extent `R*`.
@@ -208,39 +204,10 @@ impl FlattenOp {
             (EstimatorMode::Sgd(_), None) => unreachable!("sgd mode always has an estimator"),
         }
     }
-}
 
-/// The histogram intensity estimate: empirical rate per `bins × bins`
-/// sub-cell, with add-half smoothing so empty bins keep a small positive
-/// rate (a zero-rate bin would make Eq. (3)'s retaining probability blow
-/// up for any stray point that lands there next).
-fn histogram_intensity(
-    points: &[SpaceTimePoint],
-    window: &SpaceTimeWindow,
-    bins: u32,
-) -> PiecewiseConstantIntensity {
-    let grid = Grid::new(window.rect, bins);
-    let mut counts = vec![0.5f64; (bins * bins) as usize];
-    for p in points {
-        if let Some(cell) = grid.cell_of(p.x, p.y) {
-            counts[(cell.r * bins + cell.q) as usize] += 1.0;
-        }
-    }
-    let bin_volume = grid.cell_area() * window.duration();
-    let rates: Vec<f64> = counts.into_iter().map(|c| c / bin_volume).collect();
-    PiecewiseConstantIntensity::new(grid, rates)
-}
-
-impl Operator<CrowdTuple> for FlattenOp {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
-    }
-
-    fn process(&mut self, _port: InputPort, batch: &[CrowdTuple], out: &mut Emitter<CrowdTuple>) {
+    /// Flattens one batch, appending the retained tuples to `out` in input
+    /// order, and reports the batch's `N_v`.
+    pub fn process(&mut self, batch: &[CrowdTuple], out: &mut Vec<CrowdTuple>) {
         if batch.is_empty() {
             // An empty batch with a positive target is a total violation:
             // there is nothing to fabricate the requested rate from.
@@ -268,12 +235,33 @@ impl Operator<CrowdTuple> for FlattenOp {
             }
             if self.rng.gen::<f64>() < p {
                 kept += 1;
-                out.emit(OutputPort(0), *tuple);
+                out.push(*tuple);
             }
         }
         let nv = 100.0 * violations as f64 / batch.len() as f64;
         self.report.record_batch(nv, batch.len(), kept);
     }
+}
+
+/// The histogram intensity estimate: empirical rate per `bins × bins`
+/// sub-cell, with add-half smoothing so empty bins keep a small positive
+/// rate (a zero-rate bin would make Eq. (3)'s retaining probability blow
+/// up for any stray point that lands there next).
+fn histogram_intensity(
+    points: &[SpaceTimePoint],
+    window: &SpaceTimeWindow,
+    bins: u32,
+) -> PiecewiseConstantIntensity {
+    let grid = Grid::new(window.rect, bins);
+    let mut counts = vec![0.5f64; (bins * bins) as usize];
+    for p in points {
+        if let Some(cell) = grid.cell_of(p.x, p.y) {
+            counts[(cell.r * bins + cell.q) as usize] += 1.0;
+        }
+    }
+    let bin_volume = grid.cell_area() * window.duration();
+    let rates: Vec<f64> = counts.into_iter().map(|c| c / bin_volume).collect();
+    PiecewiseConstantIntensity::new(grid, rates)
 }
 
 // The stochastic assertions below (χ² homogeneity at α = 0.001, CV-ratio
@@ -319,9 +307,9 @@ mod tests {
     }
 
     fn run_batch(op: &mut FlattenOp, batch: &[CrowdTuple]) -> Vec<CrowdTuple> {
-        let mut em = Emitter::new(op.output_ports());
-        op.process(InputPort(0), batch, &mut em);
-        em.into_buffers().remove(0)
+        let mut out = Vec::new();
+        op.process(batch, &mut out);
+        out
     }
 
     #[test]

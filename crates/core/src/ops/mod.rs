@@ -5,10 +5,12 @@
 //! provable expected behaviour; thus dramatically simplifying their
 //! implementation."
 //!
-//! Each operator here implements [`craqr_engine::Operator`] over
-//! [`crate::CrowdTuple`] and carries its own provable-expectation contract,
-//! verified by unit tests (exact counting identities) and statistical tests
-//! (seeded, generous significance levels):
+//! Each operator here is a plain struct whose `process` method reads a
+//! batch of [`crate::CrowdTuple`]s and appends what it emits to the
+//! caller's buffer (one buffer per region for a multi-region `P`). Each
+//! carries its own provable-expectation contract, verified by unit tests
+//! (exact counting identities) and statistical tests (seeded, generous
+//! significance levels):
 //!
 //! | Op | Published? | Contract |
 //! |----|-----------|----------|
@@ -16,18 +18,15 @@
 //! | [`ThinOp`] (`T`)      | yes | `P(λ1, R*)` → `P(λ2, R*)`, `λ2 ≤ λ1`, by Bernoulli(λ2/λ1) |
 //! | [`PartitionOp`] (`P`) | yes | routes `P(λ, R*)` into `P(λ, R*ₖ)` on disjoint sub-regions |
 //! | [`UnionOp`] (`U`)     | yes | merges `P(λ, R*₁), P(λ, R*₂)` into `P(λ, R*₁ ∪ R*₂)`; binary form requires a full common side |
-//! | [`SuperposeOp`] (`S`) | "many more operators" | merges processes on the *same* region; rates add |
 
 mod flatten;
 mod partition;
 mod report;
-mod superpose;
 mod thin;
 mod union;
 
 pub use flatten::{EstimatorMode, FlattenConfig, FlattenOp};
 pub use partition::PartitionOp;
 pub use report::FlattenReport;
-pub use superpose::SuperposeOp;
 pub use thin::ThinOp;
 pub use union::UnionOp;

@@ -1,21 +1,19 @@
 //! The `P` (partition) operator — Section IV-B.1.
 
 use crate::tuple::CrowdTuple;
-use craqr_engine::{Emitter, InputPort, Operator, OutputPort};
 use craqr_geom::Rect;
 
 /// The partition operator `P`: splits `P⟨j⟩(λ, R*)` into processes of the
 /// *same* rate on disjoint sub-regions `R*₁, …, R*ₖ` by routing each tuple
-/// to the output port of the region containing it.
+/// to the output of the region containing it.
 ///
 /// The paper defines the binary form and notes it "can be easily extended
 /// to partition processes into multiple regions"; this is the k-ary
-/// extension (port `i` carries region `i`). Tuples falling in none of the
+/// extension (output `i` carries region `i`). Tuples falling in none of the
 /// sub-regions are dropped and counted — the planner uses a single-region
 /// partition to carve a query's partial overlap out of a grid cell (the
 /// `Q⟨2⟩₃` case of Fig. 2), where dropping the remainder is the intent.
 pub struct PartitionOp {
-    name: String,
     regions: Vec<Rect>,
     dropped: u64,
 }
@@ -34,7 +32,7 @@ impl PartitionOp {
                 assert!(!a.intersects(b), "partition regions overlap: {a} and {b}");
             }
         }
-        Self { name: format!("P(x{})", regions.len()), regions, dropped: 0 }
+        Self { regions, dropped: 0 }
     }
 
     /// The paper's binary form.
@@ -43,7 +41,7 @@ impl PartitionOp {
         Self::new(vec![r1, r2])
     }
 
-    /// The sub-regions, in output-port order.
+    /// The sub-regions, in output order.
     #[inline]
     pub fn regions(&self) -> &[Rect] {
         &self.regions
@@ -54,22 +52,19 @@ impl PartitionOp {
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
-}
 
-impl Operator<CrowdTuple> for PartitionOp {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn output_ports(&self) -> usize {
-        self.regions.len()
-    }
-
-    fn process(&mut self, _port: InputPort, batch: &[CrowdTuple], out: &mut Emitter<CrowdTuple>) {
+    /// Routes `batch`, appending each tuple to `out[i]` for the region `i`
+    /// containing it, in input order.
+    ///
+    /// # Panics
+    /// Panics unless `out` holds one buffer per region.
+    #[track_caller]
+    pub fn process(&mut self, batch: &[CrowdTuple], out: &mut [Vec<CrowdTuple>]) {
+        assert_eq!(out.len(), self.regions.len(), "one output buffer per region");
         'tuples: for tuple in batch {
-            for (i, region) in self.regions.iter().enumerate() {
+            for (region, out) in self.regions.iter().zip(out.iter_mut()) {
                 if region.contains(tuple.point.x, tuple.point.y) {
-                    out.emit(OutputPort(i as u16), *tuple);
+                    out.push(*tuple);
                     continue 'tuples;
                 }
             }
@@ -95,9 +90,9 @@ mod tests {
     }
 
     fn run(op: &mut PartitionOp, batch: &[CrowdTuple]) -> Vec<Vec<CrowdTuple>> {
-        let mut em = Emitter::new(op.output_ports());
-        op.process(InputPort(0), batch, &mut em);
-        em.into_buffers()
+        let mut out = vec![Vec::new(); op.regions().len()];
+        op.process(batch, &mut out);
+        out
     }
 
     #[test]
@@ -124,7 +119,7 @@ mod tests {
         let regions: Vec<Rect> =
             (0..4).map(|i| Rect::new(i as f64, 0.0, i as f64 + 1.0, 1.0)).collect();
         let mut op = PartitionOp::new(regions);
-        assert_eq!(op.output_ports(), 4);
+        assert_eq!(op.regions().len(), 4);
         let batch: Vec<CrowdTuple> = (0..4).map(|i| tuple_at(i as f64 + 0.5, 0.5)).collect();
         let out = run(&mut op, &batch);
         for (i, port) in out.iter().enumerate() {

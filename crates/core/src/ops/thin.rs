@@ -1,7 +1,6 @@
 //! The `T` (thin) operator — Section IV-B.1.
 
 use crate::tuple::CrowdTuple;
-use craqr_engine::{Emitter, InputPort, Operator, OutputPort};
 use craqr_stats::sub_rng;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -19,7 +18,6 @@ use rand::Rng;
 /// both rates are mutable through [`ThinOp::set_input_rate`] /
 /// [`ThinOp::set_output_rate`].
 pub struct ThinOp {
-    name: String,
     input_rate: f64,
     output_rate: f64,
     rng: StdRng,
@@ -42,14 +40,7 @@ impl ThinOp {
             output_rate <= input_rate,
             "thinning cannot raise the rate: λ2={output_rate} > λ1={input_rate}"
         );
-        Self {
-            name: format!("T({input_rate:.3}→{output_rate:.3})"),
-            input_rate,
-            output_rate,
-            rng: sub_rng(seed, 0x7417),
-            seen: 0,
-            kept: 0,
-        }
+        Self { input_rate, output_rate, rng: sub_rng(seed, 0x7417), seen: 0, kept: 0 }
     }
 
     /// The retention probability `p = λ2/λ1`.
@@ -78,7 +69,6 @@ impl ThinOp {
     pub fn set_input_rate(&mut self, rate: f64) {
         assert!(rate >= self.output_rate, "input rate {rate} below output {}", self.output_rate);
         self.input_rate = rate;
-        self.name = format!("T({:.3}→{:.3})", self.input_rate, self.output_rate);
     }
 
     /// Re-rates the output side.
@@ -89,36 +79,26 @@ impl ThinOp {
     pub fn set_output_rate(&mut self, rate: f64) {
         assert!(rate > 0.0 && rate <= self.input_rate, "bad output rate {rate}");
         self.output_rate = rate;
-        self.name = format!("T({:.3}→{:.3})", self.input_rate, self.output_rate);
     }
 
     /// `(tuples seen, tuples kept)` since creation.
     pub fn totals(&self) -> (u64, u64) {
         (self.seen, self.kept)
     }
-}
 
-impl Operator<CrowdTuple> for ThinOp {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
-    }
-
-    fn process(&mut self, _port: InputPort, batch: &[CrowdTuple], out: &mut Emitter<CrowdTuple>) {
+    /// Thins `batch`, appending the kept tuples to `out` in input order.
+    pub fn process(&mut self, batch: &[CrowdTuple], out: &mut Vec<CrowdTuple>) {
         let p = self.probability();
         self.seen += batch.len() as u64;
         if p >= 1.0 {
             self.kept += batch.len() as u64;
-            out.emit_batch(OutputPort(0), batch.iter().copied());
+            out.extend_from_slice(batch);
             return;
         }
         for tuple in batch {
             if self.rng.gen::<f64>() < p {
                 self.kept += 1;
-                out.emit(OutputPort(0), *tuple);
+                out.push(*tuple);
             }
         }
     }
@@ -146,9 +126,9 @@ mod tests {
     }
 
     fn run(op: &mut ThinOp, batch: &[CrowdTuple]) -> Vec<CrowdTuple> {
-        let mut em = Emitter::new(op.output_ports());
-        op.process(InputPort(0), batch, &mut em);
-        em.into_buffers().remove(0)
+        let mut out = Vec::new();
+        op.process(batch, &mut out);
+        out
     }
 
     #[test]
@@ -182,7 +162,6 @@ mod tests {
         let mut op = ThinOp::new(4.0, 1.0, 7);
         op.set_input_rate(2.0);
         assert!((op.probability() - 0.5).abs() < 1e-12);
-        assert!(op.name().contains("2.000"), "{}", op.name());
         op.set_output_rate(2.0);
         assert!((op.probability() - 1.0).abs() < 1e-12);
     }

@@ -1,7 +1,6 @@
 //! The `U` (union) operator — Section IV-B.1.
 
 use crate::tuple::CrowdTuple;
-use craqr_engine::{Emitter, InputPort, Operator, OutputPort};
 use craqr_geom::{Rect, Region};
 
 /// The union operator `U`: merges `P⟨j⟩(λ, R*₁)` and `P⟨j⟩(λ, R*₂)` into
@@ -15,12 +14,11 @@ use craqr_geom::{Rect, Region};
 /// per-cell pieces of a query footprint, which may form an L-shape) and
 /// exposes whether the strict rectangular precondition happened to hold.
 ///
-/// Execution is trivial — tuples from every input port are forwarded to the
-/// single output port; because the inputs live on disjoint regions, the
+/// Execution is trivial — tuples from every input port are appended to the
+/// one output; because the inputs live on disjoint regions, the
 /// merged stream has the same rate λ on the union region (superposition of
 /// independent Poisson processes).
 pub struct UnionOp {
-    name: String,
     inputs: Vec<Rect>,
     output: Region,
 }
@@ -35,7 +33,7 @@ impl UnionOp {
         let merged = r1.union_adjacent(&r2).unwrap_or_else(|| {
             panic!("U requires adjacent rectangles with a common side: {r1} and {r2}")
         });
-        Self { name: "U".to_string(), inputs: vec![r1, r2], output: Region::from_rect(merged) }
+        Self { inputs: vec![r1, r2], output: Region::from_rect(merged) }
     }
 
     /// The k-ary extension over pairwise-disjoint rectangles.
@@ -46,7 +44,7 @@ impl UnionOp {
     pub fn nary(inputs: Vec<Rect>) -> Self {
         assert!(!inputs.is_empty(), "union needs at least one input");
         let output = Region::from_disjoint(inputs.clone());
-        Self { name: format!("U(x{})", inputs.len()), inputs, output }
+        Self { inputs, output }
     }
 
     /// The input regions, in input-port order.
@@ -71,33 +69,24 @@ impl UnionOp {
     pub fn input_ports(&self) -> usize {
         self.inputs.len()
     }
-}
 
-impl Operator<CrowdTuple> for UnionOp {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn process(&mut self, port: InputPort, batch: &[CrowdTuple], out: &mut Emitter<CrowdTuple>) {
-        debug_assert!(
-            (port.0 as usize) < self.inputs.len(),
-            "tuple arrived on undeclared port {port:?}"
-        );
+    /// Appends `batch`, arriving on input `port`, to `out`.
+    pub fn process(&self, port: usize, batch: &[CrowdTuple], out: &mut Vec<CrowdTuple>) {
+        debug_assert!(port < self.inputs.len(), "tuple arrived on undeclared port {port}");
         // In debug builds, verify the routing contract: tuples on port i
         // belong to input region i.
         #[cfg(debug_assertions)]
-        if let Some(region) = self.inputs.get(port.0 as usize) {
+        if let Some(region) = self.inputs.get(port) {
             for t in batch {
                 debug_assert!(
                     region.contains(t.point.x, t.point.y),
-                    "tuple at ({}, {}) outside port-{} region {region}",
+                    "tuple at ({}, {}) outside port-{port} region {region}",
                     t.point.x,
                     t.point.y,
-                    port.0
                 );
             }
         }
-        out.emit_batch(OutputPort(0), batch.iter().copied());
+        out.extend_from_slice(batch);
     }
 }
 
@@ -140,20 +129,19 @@ mod tests {
 
     #[test]
     fn forwards_tuples_from_all_ports() {
-        let mut op = UnionOp::binary(Rect::new(0.0, 0.0, 1.0, 1.0), Rect::new(1.0, 0.0, 2.0, 1.0));
-        let mut em = Emitter::new(op.output_ports());
-        op.process(InputPort(0), &[tuple_at(0.5, 0.5)], &mut em);
-        op.process(InputPort(1), &[tuple_at(1.5, 0.5), tuple_at(1.9, 0.9)], &mut em);
-        assert_eq!(em.into_buffers()[0].len(), 3);
+        let op = UnionOp::binary(Rect::new(0.0, 0.0, 1.0, 1.0), Rect::new(1.0, 0.0, 2.0, 1.0));
+        let mut out = Vec::new();
+        op.process(0, &[tuple_at(0.5, 0.5)], &mut out);
+        op.process(1, &[tuple_at(1.5, 0.5), tuple_at(1.9, 0.9)], &mut out);
+        assert_eq!(out.len(), 3);
     }
 
     #[test]
     #[should_panic(expected = "outside port")]
     #[cfg(debug_assertions)]
     fn misrouted_tuple_caught_in_debug() {
-        let mut op = UnionOp::binary(Rect::new(0.0, 0.0, 1.0, 1.0), Rect::new(1.0, 0.0, 2.0, 1.0));
-        let mut em = Emitter::new(op.output_ports());
+        let op = UnionOp::binary(Rect::new(0.0, 0.0, 1.0, 1.0), Rect::new(1.0, 0.0, 2.0, 1.0));
         // Tuple from region 1 arriving on port 0.
-        op.process(InputPort(0), &[tuple_at(1.5, 0.5)], &mut em);
+        op.process(0, &[tuple_at(1.5, 0.5)], &mut Vec::new());
     }
 }

@@ -9,25 +9,46 @@
 //! 2. *"The T-operators are added such that the rates of all the existing
 //!    T-operators remain sorted in a descending order and the highest rate
 //!    T-operator is closest to the F-operator"* — [`AttrChain::taps`] is
-//!    kept sorted descending by rate and wired `F → T → T → …`.
+//!    kept sorted descending by rate, and each tap's `T` thins the output
+//!    of the tap before it (`F`'s output for the first).
 //! 3. *"Two T-operators cannot be consecutively placed unless there is a
 //!    branching point between them, otherwise these operators can be
 //!    combined to form a single T-operator"* — a tap exists only while it
 //!    has consumers (every tap *is* a branching point); the moment deletion
-//!    empties a tap, the tap's `T` is removed and its neighbours splice,
-//!    which is exactly the merge (the spliced `T`'s retention probability
-//!    becomes the product of the two it replaces).
+//!    empties a tap, the tap's `T` is removed and the next tap reads from
+//!    the one before, which is exactly the merge (its `T`'s retention
+//!    probability becomes the product of the two it replaces).
 //! 4. *"If needed, the output rate of the F-operator is changed to a value
 //!    greater than the output rate of the first T-operator"* —
 //!    [`AttrChain::retarget_f`] runs on every insert/delete.
 //! 5. *"If required the P-operators are added after the T-operators"* — a
 //!    consumer whose query only partially overlaps the cell routes through
 //!    a single-region [`PartitionOp`].
+//!
+//! # Execution
+//!
+//! [`AttrChain::process_batch`] walks the tap list: `F` flattens the
+//! chain's routed slice into its own buffer, each `T` thins its upstream's
+//! buffer into its own, and each consumer appends its piece (the tap's
+//! output, or its `P`'s share of it) straight onto the shard's
+//! [`Staging`], taps in order, then consumers in order. An operator runs,
+//! and counts a batch, only on a non-empty input; every operator keeps
+//! its own [`OpCounters`], so a deleted `T` or `P` takes its counts with
+//! it.
+//!
+//! ## What the walk allocates
+//!
+//! The `F` and tap buffers are cleared, not dropped, between batches, and
+//! the staging keeps its capacity, so once every buffer has carried its
+//! largest batch the walk itself allocates nothing. That is a steady
+//! state, not a guarantee: a buffer grows the first time a batch outgrows
+//! it (random thinning can hand a tap a new largest batch long after
+//! warm-up), a new tap starts with an empty buffer, and operators that
+//! build per-batch state (the histogram estimator) allocate.
 
 use crate::ops::{EstimatorMode, FlattenConfig, FlattenOp, FlattenReport, PartitionOp, ThinOp};
 use crate::query::QueryId;
 use crate::tuple::CrowdTuple;
-use craqr_engine::{InputPort, NodeId, OutputPort, SinkId, Target, Topology};
 use craqr_geom::Rect;
 use std::sync::Arc;
 
@@ -44,36 +65,128 @@ pub enum TopologyShape {
     Star,
 }
 
+/// One operator's execution counters.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct OpCounters {
+    /// Tuples received.
+    pub tuples_in: u64,
+    /// Tuples emitted.
+    pub tuples_out: u64,
+    /// Input batches processed (an operator runs only on a non-empty
+    /// input).
+    pub batches: u64,
+    /// Nanoseconds spent inside the operator, accumulated only while a
+    /// clock is installed ([`crate::Fabricator::set_engine_clock`]); zero
+    /// otherwise. Host- and schedule-dependent, so it is **excluded from
+    /// equality** (and therefore from every checksummed comparison),
+    /// exactly like shard `busy_ns`.
+    pub busy_ns: u64,
+}
+
+/// Equality ignores `busy_ns`: two runs that processed the same tuples
+/// compare equal regardless of how long the host took.
+impl PartialEq for OpCounters {
+    fn eq(&self, other: &Self) -> bool {
+        self.tuples_in == other.tuples_in
+            && self.tuples_out == other.tuples_out
+            && self.batches == other.batches
+    }
+}
+
+impl Eq for OpCounters {}
+
+impl OpCounters {
+    /// Accumulates another operator's counters into these.
+    fn absorb(&mut self, other: &OpCounters) {
+        self.tuples_in += other.tuples_in;
+        self.tuples_out += other.tuples_out;
+        self.batches += other.batches;
+        self.busy_ns += other.busy_ns;
+    }
+
+    /// Counts one batch of `input` tuples through `op`, which returns how
+    /// many tuples it emitted; `op` is timed when `clock` is set.
+    fn run(&mut self, clock: Option<fn() -> u64>, input: usize, op: impl FnOnce() -> usize) {
+        self.tuples_in += input as u64;
+        self.batches += 1;
+        let emitted = match clock {
+            Some(clock) => {
+                let started = clock();
+                let emitted = op();
+                self.busy_ns += clock().saturating_sub(started);
+                emitted
+            }
+            None => op(),
+        };
+        self.tuples_out += emitted as u64;
+    }
+}
+
+/// Operator counters summed by kind over any number of chains — what the
+/// scenario report's `[operators]` rows show.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct OperatorMetrics {
+    f: Option<OpCounters>,
+    p: Option<OpCounters>,
+    t: Option<OpCounters>,
+}
+
+impl OperatorMetrics {
+    fn count(kind: &mut Option<OpCounters>, counters: &OpCounters) {
+        kind.get_or_insert_with(OpCounters::default).absorb(counters);
+    }
+
+    /// Folds another snapshot into this one.
+    pub(crate) fn absorb(&mut self, other: &OperatorMetrics) {
+        for (mine, theirs) in
+            [(&mut self.f, &other.f), (&mut self.p, &other.p), (&mut self.t, &other.t)]
+        {
+            if let Some(theirs) = theirs {
+                Self::count(mine, theirs);
+            }
+        }
+    }
+
+    /// `(kind, counters)` for every kind with at least one operator
+    /// counted in, sorted by kind: `F`, `P`, `T`.
+    pub fn by_kind(&self) -> Vec<(&'static str, OpCounters)> {
+        [("F", self.f), ("P", self.p), ("T", self.t)]
+            .into_iter()
+            .filter_map(|(kind, counters)| Some((kind, counters?)))
+            .collect()
+    }
+}
+
 /// One rate level of the chain with its consumers.
-#[derive(Debug)]
 pub(crate) struct RateTap {
     /// The tap's homogeneous output rate.
     pub rate: f64,
     /// The `T` operator producing this rate.
-    pub thin: NodeId,
+    pub thin: ThinOp,
+    /// The `T`'s counters.
+    pub counters: OpCounters,
+    /// The `T`'s output for the current batch, kept for its capacity.
+    pub out: Vec<CrowdTuple>,
     /// Queries consuming at this rate.
     pub consumers: Vec<QueryTap>,
 }
 
 /// One query's attachment to a tap.
-#[derive(Debug)]
 pub(crate) struct QueryTap {
     /// The consuming query.
     pub query: QueryId,
     /// The query's `U` input port for this cell: the cell's index in the
     /// query plan's cell list.
     pub port: u32,
-    /// A `P`-operator carving the partial overlap, when the query does not
-    /// cover the whole cell.
-    pub partition: Option<NodeId>,
-    /// The per-(query, cell) output sink.
-    pub sink: SinkId,
+    /// A `P`-operator carving the partial overlap, with its counters, when
+    /// the query does not cover the whole cell.
+    pub partition: Option<(PartitionOp, OpCounters)>,
     /// The query's footprint inside this cell.
     pub overlap: Rect,
 }
 
-/// What a shard's chains hand the merge: every consumer's sink output,
-/// moved out right after its chain ran.
+/// What a shard's chains hand the merge: every consumer's output, staged
+/// as its chain runs.
 #[derive(Default)]
 pub(crate) struct Staging {
     /// The staged tuples, piece after piece.
@@ -100,8 +213,11 @@ fn rates_equal(a: f64, b: f64) -> bool {
 
 /// The execution chain for one (grid cell, attribute) pair.
 pub struct AttrChain {
-    topo: Topology<CrowdTuple>,
-    f_node: NodeId,
+    flatten: FlattenOp,
+    /// `F`'s counters.
+    f_counters: OpCounters,
+    /// `F`'s output for the current batch, kept for its capacity.
+    f_out: Vec<CrowdTuple>,
     f_report: Arc<FlattenReport>,
     /// Current F target rate λ̄ (= headroom × max tap rate).
     f_rate: f64,
@@ -111,6 +227,9 @@ pub struct AttrChain {
     shape: TopologyShape,
     seed: u64,
     salt: u64,
+    /// The per-operator processing-time clock; `None` (the default) means
+    /// the walk never reads a clock and every `busy_ns` stays zero.
+    clock: Option<fn() -> u64>,
 }
 
 impl AttrChain {
@@ -126,19 +245,18 @@ impl AttrChain {
         seed: u64,
     ) -> Self {
         super::PlannerConfig::F_HEADROOM.assert("F headroom", headroom);
-        let mut topo = Topology::new();
         let f_rate = initial_rate * headroom;
-        let (f_op, f_report) = FlattenOp::new(FlattenConfig {
+        let (flatten, f_report) = FlattenOp::new(FlattenConfig {
             cell: cell_rect,
             batch_duration,
             target_rate: f_rate,
             mode: estimator,
             seed,
         });
-        let f_node = topo.add_operator(Box::new(f_op));
         Self {
-            topo,
-            f_node,
+            flatten,
+            f_counters: OpCounters::default(),
+            f_out: Vec::new(),
             f_report,
             f_rate,
             taps: Vec::new(),
@@ -147,6 +265,7 @@ impl AttrChain {
             shape,
             seed,
             salt: 0,
+            clock: None,
         }
     }
 
@@ -155,11 +274,10 @@ impl AttrChain {
         self.seed.wrapping_add(self.salt.wrapping_mul(0x9E37_79B9))
     }
 
-    /// Installs (or removes) the per-node processing-time clock on this
-    /// chain's topology (see [`craqr_engine::Topology::set_clock`]). With
-    /// no clock the engine performs zero clock reads.
+    /// Installs (or removes) the per-operator processing-time clock. With
+    /// no clock the walk performs zero clock reads.
     pub(crate) fn set_clock(&mut self, clock: Option<fn() -> u64>) {
-        self.topo.set_clock(clock);
+        self.clock = clock;
     }
 
     /// The chain's flatten telemetry (budget tuning reads `N_v` here).
@@ -172,11 +290,18 @@ impl AttrChain {
         &self.f_report
     }
 
-    /// Per-node execution counters of this chain's topology — the report
-    /// hook scenario/metrics consumers aggregate across chains (see
-    /// [`craqr_engine::TopologyMetrics::absorb`]).
-    pub fn metrics(&self) -> craqr_engine::TopologyMetrics {
-        self.topo.metrics()
+    /// The counters of this chain's live operators by kind — what the
+    /// fabricator sums over chains for the report.
+    pub fn metrics(&self) -> OperatorMetrics {
+        let mut m = OperatorMetrics::default();
+        OperatorMetrics::count(&mut m.f, &self.f_counters);
+        for tap in &self.taps {
+            OperatorMetrics::count(&mut m.t, &tap.counters);
+            for (_, counters) in tap.consumers.iter().filter_map(|c| c.partition.as_ref()) {
+                OperatorMetrics::count(&mut m.p, counters);
+            }
+        }
+        m
     }
 
     /// Current F target rate λ̄.
@@ -199,9 +324,10 @@ impl AttrChain {
         self.taps.is_empty()
     }
 
-    /// Operator-node count (F + T's + P's), for plan-size assertions.
+    /// Operator count (F + T's + P's), for plan-size assertions.
     pub fn node_count(&self) -> usize {
-        self.topo.node_count()
+        let partitions = self.taps.iter().flat_map(|t| &t.consumers);
+        1 + self.taps.len() + partitions.filter(|c| c.partition.is_some()).count()
     }
 
     /// The queries consuming from this chain.
@@ -211,36 +337,6 @@ impl AttrChain {
         ids.sort();
         ids.dedup();
         ids
-    }
-
-    fn thin_mut(&mut self, node: NodeId) -> &mut ThinOp {
-        self.topo
-            .operator_mut(node)
-            .as_any_mut()
-            .and_then(|a| a.downcast_mut::<ThinOp>())
-            .expect("tap node is a ThinOp")
-    }
-
-    fn flatten_mut(&mut self) -> &mut FlattenOp {
-        self.topo
-            .operator_mut(self.f_node)
-            .as_any_mut()
-            .and_then(|a| a.downcast_mut::<FlattenOp>())
-            .expect("head node is a FlattenOp")
-    }
-
-    /// The upstream node feeding tap position `pos`.
-    fn upstream_node(&self, pos: usize) -> NodeId {
-        match self.shape {
-            TopologyShape::Star => self.f_node,
-            TopologyShape::Chain => {
-                if pos == 0 {
-                    self.f_node
-                } else {
-                    self.taps[pos - 1].thin
-                }
-            }
-        }
     }
 
     /// The input rate seen by tap position `pos`.
@@ -271,12 +367,12 @@ impl AttrChain {
         // fix taps first. Simplest safe order: raise F, fix taps, lower F.
         if new_rate > self.f_rate {
             self.f_rate = new_rate;
-            self.flatten_mut().set_target_rate(new_rate);
+            self.flatten.set_target_rate(new_rate);
             self.refresh_tap_inputs();
         } else {
             self.f_rate = new_rate;
             self.refresh_tap_inputs();
-            self.flatten_mut().set_target_rate(new_rate);
+            self.flatten.set_target_rate(new_rate);
         }
     }
 
@@ -284,14 +380,13 @@ impl AttrChain {
     fn refresh_tap_inputs(&mut self) {
         for pos in 0..self.taps.len() {
             let rate = self.upstream_rate(pos);
-            let node = self.taps[pos].thin;
-            self.thin_mut(node).set_input_rate(rate);
+            self.taps[pos].thin.set_input_rate(rate);
         }
     }
 
     /// Inserts a consumer for `query` at `rate` over `overlap` (`full` when
     /// the query covers the entire cell); its output is staged for `U`
-    /// input `port`. Returns the consumer's sink.
+    /// input `port`.
     pub(crate) fn insert_consumer(
         &mut self,
         query: QueryId,
@@ -299,76 +394,55 @@ impl AttrChain {
         rate: f64,
         overlap: Rect,
         full: bool,
-    ) -> SinkId {
+    ) {
         assert!(rate > 0.0, "consumer rate must be > 0");
         // Locate or create the tap.
         let pos = match self.taps.iter().position(|t| rates_equal(t.rate, rate)) {
             Some(pos) => pos,
             None => {
                 let pos = self.taps.iter().position(|t| t.rate < rate).unwrap_or(self.taps.len());
-                self.splice_tap(pos, rate);
+                self.insert_tap(pos, rate);
                 pos
             }
         };
 
-        // Build the consumer: optional P-operator, then a sink.
-        let sink = self.topo.add_sink();
-        let partition = if full {
-            self.topo.connect(self.taps[pos].thin, OutputPort(0), Target::Sink(sink));
-            None
-        } else {
+        // A partial overlap gets its own P-operator.
+        let partition = (!full).then(|| {
             assert!(
                 self.cell_rect.contains_rect(&overlap),
                 "overlap {overlap} escapes cell {}",
                 self.cell_rect
             );
-            let p = self.topo.add_operator(Box::new(PartitionOp::new(vec![overlap])));
-            self.topo.connect(self.taps[pos].thin, OutputPort(0), Target::Node(p, InputPort(0)));
-            self.topo.connect(p, OutputPort(0), Target::Sink(sink));
-            Some(p)
-        };
-        self.taps[pos].consumers.push(QueryTap { query, port, partition, sink, overlap });
+            (PartitionOp::new(vec![overlap]), OpCounters::default())
+        });
+        self.taps[pos].consumers.push(QueryTap { query, port, partition, overlap });
 
         // Rule 4 after the dust settles.
         self.retarget_f();
         self.assert_invariants();
-        sink
     }
 
-    /// Creates a `T` at tap position `pos` with output `rate` and splices it
-    /// into the chain (rules 2 and 3).
-    fn splice_tap(&mut self, pos: usize, rate: f64) {
+    /// Creates a `T` at tap position `pos` with output `rate` (rules 2
+    /// and 3).
+    fn insert_tap(&mut self, pos: usize, rate: f64) {
         // Provisional F raise so a new top tap can legally splice in.
         let raised = rate * self.headroom;
         if raised > self.f_rate {
             self.f_rate = raised;
-            self.flatten_mut().set_target_rate(raised);
+            self.flatten.set_target_rate(raised);
         }
         let upstream_rate = self.upstream_rate(pos).max(rate);
-        let seed = self.next_seed();
-        let thin = self.topo.add_operator(Box::new(ThinOp::new(upstream_rate, rate, seed)));
-
-        match self.shape {
-            TopologyShape::Star => {
-                self.topo.connect(self.f_node, OutputPort(0), Target::Node(thin, InputPort(0)));
-                self.taps.insert(pos, RateTap { rate, thin, consumers: Vec::new() });
-            }
-            TopologyShape::Chain => {
-                let upstream = self.upstream_node(pos);
-                // Detach upstream from the tap that used to follow it.
-                if let Some(next) = self.taps.get(pos) {
-                    let next_thin = next.thin;
-                    self.topo.disconnect(
-                        upstream,
-                        OutputPort(0),
-                        Target::Node(next_thin, InputPort(0)),
-                    );
-                    self.topo.connect(thin, OutputPort(0), Target::Node(next_thin, InputPort(0)));
-                }
-                self.topo.connect(upstream, OutputPort(0), Target::Node(thin, InputPort(0)));
-                self.taps.insert(pos, RateTap { rate, thin, consumers: Vec::new() });
-                self.refresh_tap_inputs();
-            }
+        let thin = ThinOp::new(upstream_rate, rate, self.next_seed());
+        let tap = RateTap {
+            rate,
+            thin,
+            counters: OpCounters::default(),
+            out: Vec::new(),
+            consumers: Vec::new(),
+        };
+        self.taps.insert(pos, tap);
+        if self.shape == TopologyShape::Chain {
+            self.refresh_tap_inputs();
         }
     }
 
@@ -382,38 +456,14 @@ impl AttrChain {
         }) else {
             return false;
         };
-        let consumer = self.taps[pos].consumers.swap_remove(cidx);
-        let leftovers = self.topo.remove_sink(consumer.sink);
-        debug_assert!(leftovers.is_empty(), "sinks are staged empty at every ingest");
-        if let Some(p) = consumer.partition {
-            self.topo.remove_node(p);
-        } else {
-            // Direct thin→sink edge died with the sink removal.
-        }
+        self.taps[pos].consumers.swap_remove(cidx);
 
         // Rule 3: a tap without consumers is no longer a branching point —
-        // remove its T and merge the neighbours.
+        // remove its T; in a chain, the next tap now reads the one before.
         if self.taps[pos].consumers.is_empty() {
-            let tap = self.taps.remove(pos);
-            match self.shape {
-                TopologyShape::Star => {
-                    self.topo.remove_node(tap.thin);
-                }
-                TopologyShape::Chain => {
-                    // After removal, position `pos` holds the tap that used
-                    // to follow the removed one (if any).
-                    let downstream: Option<NodeId> = self.taps.get(pos).map(|t| t.thin);
-                    self.topo.remove_node(tap.thin);
-                    if let Some(down) = downstream {
-                        let upstream = if pos == 0 { self.f_node } else { self.taps[pos - 1].thin };
-                        self.topo.connect(
-                            upstream,
-                            OutputPort(0),
-                            Target::Node(down, InputPort(0)),
-                        );
-                    }
-                    self.refresh_tap_inputs();
-                }
+            self.taps.remove(pos);
+            if self.shape == TopologyShape::Chain {
+                self.refresh_tap_inputs();
             }
         }
         self.retarget_f();
@@ -421,49 +471,74 @@ impl AttrChain {
         true
     }
 
-    /// Pushes one ingestion batch through the chain.
-    pub(crate) fn process_batch(&mut self, batch: &[CrowdTuple]) {
-        self.topo.push(self.f_node, batch);
+    /// Runs one ingestion batch through the chain, appending every
+    /// consumer's non-empty piece onto `staging`, tagged with its query
+    /// and port: taps in order, each tap's consumers in order.
+    ///
+    /// `F` never runs on an empty batch; [`AttrChain::record_starved_epoch`]
+    /// covers that case.
+    pub(crate) fn process_batch(&mut self, batch: &[CrowdTuple], staging: &mut Staging) {
+        if batch.is_empty() {
+            return;
+        }
+        let clock = self.clock;
+        let (flatten, f_out) = (&mut self.flatten, &mut self.f_out);
+        f_out.clear();
+        self.f_counters.run(clock, batch.len(), || {
+            flatten.process(batch, f_out);
+            f_out.len()
+        });
+        for pos in 0..self.taps.len() {
+            let (upstream, rest) = self.taps.split_at_mut(pos);
+            let input = match (self.shape, upstream.last()) {
+                (TopologyShape::Chain, Some(previous)) => &previous.out,
+                _ => &self.f_out,
+            };
+            let tap = &mut rest[0];
+            tap.out.clear();
+            if input.is_empty() {
+                continue;
+            }
+            let (thin, out) = (&mut tap.thin, &mut tap.out);
+            tap.counters.run(clock, input.len(), || {
+                thin.process(input, out);
+                out.len()
+            });
+            if tap.out.is_empty() {
+                continue;
+            }
+            for consumer in &mut tap.consumers {
+                let start = staging.tuples.len();
+                match &mut consumer.partition {
+                    None => staging.tuples.extend_from_slice(&tap.out),
+                    Some((partition, counters)) => {
+                        counters.run(clock, tap.out.len(), || {
+                            partition.process(&tap.out, std::slice::from_mut(&mut staging.tuples));
+                            staging.tuples.len() - start
+                        });
+                    }
+                }
+                if staging.tuples.len() > start {
+                    staging.pieces.push((consumer.query, consumer.port, staging.tuples.len()));
+                }
+            }
+        }
     }
 
     /// Records an epoch in which this chain received *no* tuples at all.
     ///
-    /// The engine never invokes operators on empty batches, so without this
-    /// a totally starved cell would leave its last `N_v` frozen and the
-    /// budget tuner would act on stale telemetry. Total starvation is the
-    /// strongest possible violation: 100%.
+    /// `F` never runs on an empty batch, so without this a totally starved
+    /// cell would leave its last `N_v` frozen and the budget tuner would
+    /// act on stale telemetry. Total starvation is the strongest possible
+    /// violation: 100%.
     pub(crate) fn record_starved_epoch(&mut self) {
         self.flatten_report().record_starved_batch();
-    }
-
-    /// Moves every consumer's sink output onto the end of `staging`, one
-    /// piece per non-empty sink, tagged with its query and port. The sinks
-    /// keep their capacity for the next epoch.
-    pub(crate) fn stage_output(&mut self, staging: &mut Staging) {
-        for consumer in self.taps.iter().flat_map(|t| &t.consumers) {
-            let start = staging.tuples.len();
-            self.topo.drain_sink_into(consumer.sink, &mut staging.tuples);
-            if staging.tuples.len() > start {
-                staging.pieces.push((consumer.query, consumer.port, staging.tuples.len()));
-            }
-        }
-    }
-
-    /// Moves the per-cell output of `query` onto the end of `out`: the
-    /// query-major drain the test oracles hold the staging to.
-    #[cfg(test)]
-    pub(crate) fn drain_query(&mut self, query: QueryId, out: &mut Vec<CrowdTuple>) {
-        for consumer in self.taps.iter().flat_map(|t| &t.consumers) {
-            if consumer.query == query {
-                self.topo.drain_sink_into(consumer.sink, out);
-            }
-        }
     }
 
     /// Total tuples processed by every operator in this chain (the work
     /// measure of the sharing experiments).
     pub fn tuples_processed(&self) -> u64 {
-        self.topo.metrics().total_tuples_processed()
+        self.metrics().by_kind().iter().map(|(_, m)| m.tuples_in).sum()
     }
 
     /// A one-line diagram: `F(λ̄=…) → T(a→b)[consumers…] → …`.
@@ -493,8 +568,8 @@ impl AttrChain {
         s
     }
 
-    /// Structural invariants (rules 1–4), checked after every mutation in
-    /// debug and test builds.
+    /// Structural invariants (rules 2–4), checked after every insert and
+    /// delete, in every build.
     pub fn assert_invariants(&self) {
         // Rule 2: strictly descending tap rates.
         for pair in self.taps.windows(2) {
@@ -525,16 +600,6 @@ impl AttrChain {
                 "F rate {} below first tap {}",
                 self.f_rate,
                 first.rate
-            );
-        }
-        // Wiring: chain taps form a path; star taps hang off F.
-        for (pos, tap) in self.taps.iter().enumerate() {
-            let upstream = self.upstream_node(pos);
-            assert!(
-                self.topo
-                    .targets(upstream, OutputPort(0))
-                    .contains(&Target::Node(tap.thin, InputPort(0))),
-                "tap {pos} not wired to its upstream"
             );
         }
     }
@@ -578,9 +643,16 @@ mod tests {
             .collect()
     }
 
-    fn drained(c: &mut AttrChain, query: QueryId) -> Vec<CrowdTuple> {
+    /// What `staging` holds for `query`, piece after piece.
+    fn staged(staging: &Staging, query: QueryId) -> Vec<CrowdTuple> {
+        let mut start = 0;
         let mut out = Vec::new();
-        c.drain_query(query, &mut out);
+        for &(q, _, end) in &staging.pieces {
+            if q == query {
+                out.extend_from_slice(&staging.tuples[start..end]);
+            }
+            start = end;
+        }
         out
     }
 
@@ -603,7 +675,7 @@ mod tests {
         c.insert_consumer(QueryId(2), 0, 5.0, cell(), true);
         assert_eq!(c.tap_rates(), vec![5.0]);
         assert_eq!(c.consumer_count(), 2);
-        // One F and one T; two sinks but no P.
+        // One F and one T; two consumers but no P.
         assert_eq!(c.node_count(), 2);
     }
 
@@ -664,11 +736,12 @@ mod tests {
         c.insert_consumer(QueryId(1), 0, 4.0, cell(), true);
         c.insert_consumer(QueryId(2), 0, 1.0, cell(), true);
         // Push a healthy batch: 10 minutes over 1 km² at implied high rate.
+        let mut staging = Staging::default();
         for e in 0..5 {
-            c.process_batch(&batch(2_000, e as f64 * 10.0));
+            c.process_batch(&batch(2_000, e as f64 * 10.0), &mut staging);
         }
-        let q1: Vec<_> = drained(&mut c, QueryId(1));
-        let q2: Vec<_> = drained(&mut c, QueryId(2));
+        let q1 = staged(&staging, QueryId(1));
+        let q2 = staged(&staging, QueryId(2));
         // Q1 wants 4/km²·min * 50 min = 200 expected; Q2 wants 50.
         let got1 = q1.len() as f64;
         let got2 = q2.len() as f64;
@@ -684,17 +757,16 @@ mod tests {
         let mut c = chain(1.0);
         c.insert_consumer(QueryId(1), 3, 4.0, cell(), true);
         c.insert_consumer(QueryId(2), 5, 1.0, Rect::new(0.0, 0.0, 0.5, 1.0), false);
-        c.process_batch(&batch(2_000, 0.0));
         let mut staging = Staging::default();
-        c.stage_output(&mut staging);
+        c.process_batch(&batch(2_000, 0.0), &mut staging);
         let tags: Vec<_> = staging.pieces.iter().map(|&(q, port, _)| (q, port)).collect();
-        assert_eq!(tags, vec![(QueryId(1), 3), (QueryId(2), 5)], "tap order, non-empty sinks");
+        assert_eq!(tags, vec![(QueryId(1), 3), (QueryId(2), 5)], "tap order, non-empty pieces");
         assert_eq!(staging.pieces.last().map(|p| p.2), Some(staging.tuples.len()));
-        // Staging left every sink empty: a second staging finds nothing.
-        let mut again = Staging::default();
-        c.stage_output(&mut again);
-        assert!(again.pieces.is_empty() && again.tuples.is_empty());
-        assert!(drained(&mut c, QueryId(1)).is_empty());
+        // A second batch appends after the first.
+        let first = staging.tuples.len();
+        c.process_batch(&batch(2_000, 10.0), &mut staging);
+        assert_eq!(staging.pieces.len(), 4);
+        assert!(staging.tuples.len() > first);
     }
 
     #[test]
@@ -707,11 +779,12 @@ mod tests {
         assert!(c.explain().contains("star"));
         // Star: outputs are NOT nested subsets (independent coins), but
         // rates must still be honoured.
+        let mut staging = Staging::default();
         for e in 0..5 {
-            c.process_batch(&batch(2_000, e as f64 * 10.0));
+            c.process_batch(&batch(2_000, e as f64 * 10.0), &mut staging);
         }
-        let got1 = drained(&mut c, QueryId(1)).len() as f64;
-        let got2 = drained(&mut c, QueryId(2)).len() as f64;
+        let got1 = staged(&staging, QueryId(1)).len() as f64;
+        let got2 = staged(&staging, QueryId(2)).len() as f64;
         assert!((got1 - 200.0).abs() < 60.0, "q1 got {got1}");
         assert!((got2 - 50.0).abs() < 25.0, "q2 got {got2}");
         // Star deletion leaves the other tap untouched.
@@ -733,8 +806,7 @@ mod tests {
     /// One epoch through the chain: its staged pieces, `Q<id>/<port>:[ids]`.
     fn epoch(c: &mut AttrChain, batch: &[CrowdTuple]) -> String {
         let mut staging = Staging::default();
-        c.process_batch(batch);
-        c.stage_output(&mut staging);
+        c.process_batch(batch, &mut staging);
         let mut start = 0;
         let pieces = staging.pieces.iter().map(|&(query, port, end)| {
             let ids: Vec<u64> = staging.tuples[start..end].iter().map(|t| t.id).collect();

@@ -12,14 +12,13 @@
 //! that order, refilled whenever the chain set changes, so the map phase
 //! reads two slots a tuple instead of searching the keys.
 
-use super::chain::{AttrChain, Staging};
+use super::chain::{AttrChain, OperatorMetrics, Staging};
 use super::PlannerConfig;
 use crate::exec::{busy, shard_of, ExecMode, IngestReport, ShardIngest};
 use crate::ops::FlattenReport;
 use crate::query::{AcquisitionQuery, QueryId};
 use crate::tuple::CrowdTuple;
 use crate::UnionOp;
-use craqr_engine::{Emitter, InputPort, Operator};
 use craqr_geom::{CellId, Grid, Rect, Region};
 use craqr_sensing::{AttributeId, SensorResponse};
 use craqr_stats::fan_out;
@@ -229,8 +228,8 @@ impl Router {
 
 /// Runs one shard's chains in the order given, each on its routed slice; a
 /// chain whose slice is empty records a starvation epoch instead. Each
-/// chain's sinks move onto `staging` (emptied first) while the chain is
-/// still hot, so every sink is empty once the shard returns.
+/// chain stages its consumers' pieces onto `staging` (emptied first) as it
+/// runs.
 fn run_shard<'a>(
     shard: usize,
     jobs: impl IntoIterator<Item = (&'a mut AttrChain, &'a [CrowdTuple])>,
@@ -245,9 +244,8 @@ fn run_shard<'a>(
             if batch.is_empty() {
                 chain.record_starved_epoch();
             } else {
-                chain.process_batch(batch);
+                chain.process_batch(batch, staging);
             }
-            chain.stage_output(staging);
         }
         (chains, tuples)
     });
@@ -258,14 +256,13 @@ fn run_shard<'a>(
 /// `U`-operator in port order (each port's pieces in ingest order) and
 /// returns the result stably sorted by time, so equal times keep port
 /// order. Empties the staging.
-fn merge_staged(merge: &mut UnionOp, staged: &mut Staged) -> Vec<CrowdTuple> {
+fn merge_staged(merge: &UnionOp, staged: &mut Staged) -> Vec<CrowdTuple> {
     // Allocated once, at its final size.
-    let mut emitter = Emitter::with_capacity(merge.output_ports(), staged.tuples.len());
+    let mut out = Vec::with_capacity(staged.tuples.len());
     for (port, piece) in staged.in_port_order() {
-        merge.process(InputPort(port as u16), piece, &mut emitter);
+        merge.process(port as usize, piece, &mut out);
     }
     staged.clear();
-    let mut out = emitter.into_buffers().remove(0);
     out.sort_by(|a, b| a.point.t.total_cmp(&b.point.t));
     out
 }
@@ -305,7 +302,7 @@ impl Standing {
     /// Merges the staged pieces into a new delivery on the bank; returns
     /// its size.
     fn deliver(&mut self) -> usize {
-        let delivery = merge_staged(&mut self.merge, &mut self.staged);
+        let delivery = merge_staged(&self.merge, &mut self.staged);
         let delivered = delivery.len();
         self.banked += delivered;
         self.bank.push(delivery);
@@ -342,7 +339,7 @@ impl Staged {
     }
 
     /// The staged pieces in port order, each port's in ingest order — the
-    /// order a query-major drain of the sinks would have produced.
+    /// order a query-major walk over the chains would have produced.
     fn in_port_order(&mut self) -> impl Iterator<Item = (u32, &[CrowdTuple])> {
         self.pieces.sort_unstable_by_key(|&(port, start, _)| (port, start));
         self.pieces.iter().map(|&(port, start, end)| (port, &self.tuples[start..end]))
@@ -362,9 +359,9 @@ impl Staged {
 ///   to its grid cell's key; unmaterialized cells (no standing query there)
 ///   drop their tuples unprocessed — the grid is "entirely logical".
 /// - **process**: the per-(cell, attribute) [`AttrChain`]s push tuples
-///   through `F → T … → (P) →` sinks. Right after a chain runs, its sinks
-///   move into the shard's staging, each piece tagged `(query, port)`,
-///   and ingest hands every piece to its query.
+///   through `F → T … → (P)`, each consumer's piece going onto the
+///   shard's staging as the chain runs, tagged `(query, port)`; ingest
+///   then hands every piece to its query.
 /// - **merge** ([`Fabricator::deliver`], or [`Fabricator::collect_output`]
 ///   for one query): a per-query `U`-operator reassembles the staged
 ///   per-cell pieces, in port order, into the final MCDS, time-ordered.
@@ -382,16 +379,16 @@ pub struct Fabricator {
     /// consumer set, so they leave it valid) and rebuilt lazily so the
     /// epoch loop does not re-derive it every epoch.
     tenant_shares: Option<crate::handler::ChainShares>,
-    /// Per-node processing-time clock handed to every chain topology
-    /// (existing and future). `None` (default): the engine never reads a
-    /// clock and `NodeMetrics::busy_ns` stays zero.
+    /// Per-operator processing-time clock handed to every chain (existing
+    /// and future). `None` (default): no chain reads a clock and every
+    /// `OpCounters::busy_ns` stays zero.
     engine_clock: Option<fn() -> u64>,
     /// Operator counters of chains that no longer exist — accumulated when
     /// a chain is rebuilt ([`Fabricator::rebuild_chain`]) or dematerialized
     /// (last consumer deleted), so [`Fabricator::chain_metrics`] reports
     /// the fleet's whole history. Without this, a rebuild on the final
     /// epoch would erase every operator counter from the run's report.
-    retired_metrics: craqr_engine::TopologyMetrics,
+    retired_metrics: OperatorMetrics,
     router: Router,
     /// One staging per shard of the widest ingest so far, kept for its
     /// capacity; empty between ingests.
@@ -415,14 +412,14 @@ impl Fabricator {
             dropped_unmaterialized: 0,
             tenant_shares: None,
             engine_clock: None,
-            retired_metrics: craqr_engine::TopologyMetrics::default(),
+            retired_metrics: OperatorMetrics::default(),
             router: Router::new(config.grid_side),
             stagings: Vec::new(),
             cores: craqr_stats::host_cores(),
         }
     }
 
-    /// Installs (or removes) the per-node processing-time clock on every
+    /// Installs (or removes) the per-operator processing-time clock on every
     /// materialized chain, and remembers it for chains materialized
     /// later. Timing-only observability: `busy_ns` is excluded from
     /// metric equality, so this never changes any deterministic artifact.
@@ -572,9 +569,9 @@ impl Fabricator {
     /// and (like every chain mutation) identical across [`ExecMode`]s.
     ///
     /// Consumers re-attach in ascending [`QueryId`], each on its old port.
-    /// Nothing is lost: ingest leaves every sink empty, and what it staged
-    /// belongs to the queries, not the chain. Returns `false` when no such
-    /// chain is materialized.
+    /// Nothing is lost: a chain holds no output between ingests, and what
+    /// ingest staged belongs to the queries, not the chain. Returns
+    /// `false` when no such chain is materialized.
     pub fn rebuild_chain(&mut self, cell: CellId, attr: AttributeId) -> bool {
         let Some(old) = self.chains.remove(&(cell, attr)) else { return false };
         // The standing consumers of this chain, ascending by query id.
@@ -746,7 +743,7 @@ impl Fabricator {
     /// cores. The ascending chain list splits round-robin into that many
     /// shards, run through [`craqr_stats::fan_out`]; at width 1 that is
     /// every chain on the calling thread in ascending key order. Chains
-    /// share nothing (their RNG streams, estimators, and sinks are all
+    /// share nothing (their RNG streams, estimators, and buffers are all
     /// chain-local, seeded from the planner's root seed), so the result is
     /// **bit-identical** at every width regardless of scheduling — see the
     /// determinism contract on [`crate::exec`].
@@ -868,15 +865,15 @@ impl Fabricator {
         self.chains.values().map(AttrChain::tuples_processed).sum()
     }
 
-    /// Fleet-wide operator metrics: every chain's topology counters folded
-    /// into one [`craqr_engine::TopologyMetrics`] snapshot, chains visited
+    /// Fleet-wide operator metrics: every chain's operator counters folded
+    /// into one [`OperatorMetrics`] snapshot, chains visited
     /// in ascending `(cell, attribute)` order so the aggregate is
     /// deterministic. Includes the history of retired chains (rebuilt or
     /// dematerialized) — the aggregate is cumulative over the fabricator's
     /// whole life, never reset by churn or adaptive rebuilds. Scenario
     /// reports compress this further with
-    /// [`craqr_engine::TopologyMetrics::by_kind`].
-    pub fn chain_metrics(&self) -> craqr_engine::TopologyMetrics {
+    /// [`OperatorMetrics::by_kind`].
+    pub fn chain_metrics(&self) -> OperatorMetrics {
         let mut agg = self.retired_metrics.clone();
         for chain in self.chains.values() {
             agg.absorb(&chain.metrics());
@@ -1261,49 +1258,60 @@ mod tests {
         (groups, dropped)
     }
 
+    /// The query-major side of the oracles: a fabricator whose chains stage
+    /// into a map instead of handing their pieces to the queries.
+    struct Oracle {
+        f: Fabricator,
+        /// `(chain, query)` → everything the chain produced for the query
+        /// and nobody took yet, in ingest order.
+        out: BTreeMap<((CellId, AttributeId), QueryId), Vec<CrowdTuple>>,
+    }
+
     /// The map/process the router replaced: every chain, in key order, gets
     /// its own group or records a starvation epoch.
-    fn oracle_ingest(f: &mut Fabricator, tuples: &[CrowdTuple]) {
-        let (groups, dropped) = oracle_groups(f, tuples);
-        f.dropped_unmaterialized += dropped as u64;
-        for (key, chain) in &mut f.chains {
+    fn oracle_ingest(o: &mut Oracle, tuples: &[CrowdTuple]) {
+        let (groups, dropped) = oracle_groups(&o.f, tuples);
+        o.f.dropped_unmaterialized += dropped as u64;
+        let mut staging = Staging::default();
+        for (key, chain) in &mut o.f.chains {
             match groups.get(key) {
-                Some(batch) => chain.process_batch(batch),
+                Some(batch) => chain.process_batch(batch, &mut staging),
                 None => chain.record_starved_epoch(),
             }
+            let mut start = 0;
+            for &(qid, _, end) in &staging.pieces {
+                let piece = &staging.tuples[start..end];
+                o.out.entry((*key, qid)).or_default().extend_from_slice(piece);
+                start = end;
+            }
+            staging.clear();
         }
     }
 
-    /// The merge ingest staging replaced: a query-major walk that drains
-    /// each cell's sink into a fresh buffer and pushes it through `U` on
-    /// its own port.
-    fn oracle_collect(f: &mut Fabricator, qid: QueryId) -> Vec<CrowdTuple> {
-        let Standing { plan, merge, .. } = f.queries.get_mut(&qid).expect("standing query");
-        let mut emitter = Emitter::new(merge.output_ports());
+    /// The merge ingest staging replaced: a query-major walk that takes
+    /// each cell's output for the query and pushes it through `U` on its
+    /// own port.
+    fn oracle_collect(o: &mut Oracle, qid: QueryId) -> Vec<CrowdTuple> {
+        let Standing { plan, merge, .. } = &o.f.queries[&qid];
+        let mut out = Vec::new();
         for (port, (cell, _, _)) in plan.cells.iter().enumerate() {
-            let Some(chain) = f.chains.get_mut(&(*cell, plan.query.attr)) else { continue };
-            let mut piece = Vec::new();
-            chain.drain_query(qid, &mut piece);
-            if !piece.is_empty() {
-                merge.process(InputPort(port as u16), &piece, &mut emitter);
+            if let Some(piece) = o.out.remove(&((*cell, plan.query.attr), qid)) {
+                merge.process(port, &piece, &mut out);
             }
         }
-        let mut out = emitter.into_buffers().remove(0);
         out.sort_by(|a, b| a.point.t.total_cmp(&b.point.t));
         out
     }
 
-    /// The deletion ingest staging replaced: the query's sinks drained in
-    /// port order as its consumers go.
-    fn oracle_delete(f: &mut Fabricator, qid: QueryId) -> Vec<CrowdTuple> {
-        let Standing { plan, .. } = &f.queries[&qid];
+    /// The deletion ingest staging replaced: the query's per-cell output
+    /// taken in port order as its consumers go.
+    fn oracle_delete(o: &mut Oracle, qid: QueryId) -> Vec<CrowdTuple> {
+        let Standing { plan, .. } = &o.f.queries[&qid];
         let mut leftovers = Vec::new();
         for (cell, _, _) in &plan.cells {
-            if let Some(chain) = f.chains.get_mut(&(*cell, plan.query.attr)) {
-                chain.drain_query(qid, &mut leftovers);
-            }
+            leftovers.extend(o.out.remove(&((*cell, plan.query.attr), qid)).unwrap_or_default());
         }
-        assert!(f.delete_query(qid).unwrap().is_empty(), "the oracle's ingest stages nothing");
+        assert!(o.f.delete_query(qid).unwrap().is_empty(), "the oracle's ingest stages nothing");
         leftovers
     }
 
@@ -1326,7 +1334,8 @@ mod tests {
     /// collects what the bank must hold.
     fn merge_three_ways(
         mode: ExecMode,
-        [delivered, collected, grouped]: [&mut Fabricator; 3],
+        [delivered, collected]: [&mut Fabricator; 2],
+        grouped: &mut Oracle,
         qids: &[QueryId],
         banked: &mut BTreeMap<QueryId, Vec<CrowdTuple>>,
     ) -> proptest::TestCaseResult {
@@ -1375,7 +1384,7 @@ mod tests {
             let mode = if shards == 0 { ExecMode::Serial } else { ExecMode::Sharded(shards) };
             let (mut delivered, mut qids) = routing_fab();
             let (mut collected, _) = routing_fab();
-            let (mut grouped, _) = routing_fab();
+            let mut grouped = Oracle { f: routing_fab().0, out: BTreeMap::new() };
             // What collect_output merged per query so far, in merge order:
             // the bank deliver must hold.
             let mut banked = BTreeMap::new();
@@ -1411,8 +1420,8 @@ mod tests {
                 }
                 oracle_ingest(&mut grouped, &batch);
                 if merge_each_epoch && e + 1 < epochs.len() {
-                    let fabs = [&mut delivered, &mut collected, &mut grouped];
-                    merge_three_ways(mode, fabs, &qids, &mut banked)?;
+                    let fabs = [&mut delivered, &mut collected];
+                    merge_three_ways(mode, fabs, &mut grouped, &qids, &mut banked)?;
                 }
                 if e == 0 {
                     // Query 2 alone taps cells (2, 0) and (2, 1), query 1
@@ -1431,13 +1440,13 @@ mod tests {
                         let q = query(2, Rect::new(2.0, 2.0, 4.0, 3.5), 1.0);
                         let qid = delivered.insert_query(q).unwrap();
                         prop_assert_eq!(collected.insert_query(q).unwrap(), qid);
-                        prop_assert_eq!(grouped.insert_query(q).unwrap(), qid);
+                        prop_assert_eq!(grouped.f.insert_query(q).unwrap(), qid);
                         qids.push(qid);
                     }
                 }
             }
-            prop_assert_eq!(delivered.dropped_unmaterialized(), grouped.dropped_unmaterialized());
-            let (ours, theirs) = (delivered.chain_metrics(), grouped.chain_metrics());
+            prop_assert_eq!(delivered.dropped_unmaterialized(), grouped.f.dropped_unmaterialized());
+            let (ours, theirs) = (delivered.chain_metrics(), grouped.f.chain_metrics());
             prop_assert!(ours == theirs, "operator counts differ");
             if let Some(victim) = victim.filter(|&v| v < qids.len()) {
                 let qid = qids.remove(victim);
@@ -1447,7 +1456,7 @@ mod tests {
                 let got = delivered.delete_query(qid).unwrap();
                 prop_assert!(got == want, "leftovers then bank {got:?}, want {want:?}");
             }
-            merge_three_ways(mode, [&mut delivered, &mut collected, &mut grouped], &qids, &mut banked)?;
+            merge_three_ways(mode, [&mut delivered, &mut collected], &mut grouped, &qids, &mut banked)?;
             for &qid in &qids {
                 let bank = delivered.take_output(qid);
                 prop_assert!(bank == banked.remove(&qid).unwrap_or_default(), "{qid}'s bank");

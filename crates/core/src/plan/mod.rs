@@ -3,7 +3,7 @@
 mod chain;
 mod fabricator;
 
-pub use chain::{AttrChain, TopologyShape};
+pub use chain::{AttrChain, OpCounters, OperatorMetrics, TopologyShape};
 pub use fabricator::{Fabricator, PlanError, QueryPlan};
 
 use crate::ops::EstimatorMode;

@@ -728,8 +728,8 @@ impl CraqrServer {
     }
 
     /// Switches per-operator processing-time accumulation on or off:
-    /// every chain topology (existing and future) gets a nanosecond
-    /// clock, and `NodeMetrics::busy_ns` starts accruing. The clock is
+    /// every chain (existing and future) gets a nanosecond clock, and
+    /// `OpCounters::busy_ns` starts accruing. The clock is
     /// the cheap vDSO monotonic reader ([`fast_monotonic_ns`]) — it fires
     /// twice per operator batch, where a thread-CPU syscall would cost
     /// more than many operators' processing itself. Timing-only —

@@ -79,10 +79,10 @@ pub struct QueryRow {
 }
 
 /// Acceptance/thinning totals for one operator kind (aggregated over every
-/// chain via [`craqr_engine::TopologyMetrics::by_kind`]).
+/// chain via [`craqr_core::OperatorMetrics::by_kind`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct OperatorRow {
-    /// Operator kind (name prefix before the parameter list).
+    /// Operator kind: `F`, `P` or `T`.
     pub kind: String,
     /// Tuples in.
     pub tuples_in: u64,

@@ -646,7 +646,7 @@ impl<'a> Session<'a> {
             .by_kind()
             .into_iter()
             .map(|(kind, m)| OperatorRow {
-                kind,
+                kind: kind.to_string(),
                 tuples_in: m.tuples_in,
                 tuples_out: m.tuples_out,
                 batches: m.batches,

@@ -174,7 +174,7 @@ impl RunTelemetry {
     pub fn finalize(
         &mut self,
         handler: &RequestResponseHandler,
-        chain_metrics: &craqr_engine::TopologyMetrics,
+        chain_metrics: &craqr_core::OperatorMetrics,
         trace: Option<&craqr_adaptive::AdaptiveTrace>,
     ) {
         let rty = "craqr_retries_total";
@@ -202,7 +202,7 @@ impl RunTelemetry {
                     "craqr_operator_busy_seconds_total",
                     "Per-operator-kind processing time (thread CPU).",
                     T,
-                    &[("kind", &kind)],
+                    &[("kind", kind)],
                     m.busy_ns as f64 / 1e9,
                 );
             }

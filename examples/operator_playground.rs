@@ -15,7 +15,6 @@
 //! - `U` reassembles adjacent pieces.
 
 use craqr::core::ops::{EstimatorMode, FlattenConfig};
-use craqr::engine::{Emitter, InputPort, Operator};
 use craqr::prelude::*;
 use craqr::sensing::{AttrValue, AttributeId, SensorId};
 
@@ -31,12 +30,6 @@ fn tuples_from(points: &[SpaceTimePoint]) -> Vec<CrowdTuple> {
             sensor: SensorId(0),
         })
         .collect()
-}
-
-fn run<O: Operator<CrowdTuple>>(op: &mut O, batch: &[CrowdTuple]) -> Vec<Vec<CrowdTuple>> {
-    let mut em = Emitter::new(op.output_ports());
-    op.process(InputPort(0), batch, &mut em);
-    em.into_buffers()
 }
 
 fn main() {
@@ -56,7 +49,8 @@ fn main() {
         mode: EstimatorMode::BatchMle,
         seed: 1,
     });
-    let flat = run(&mut flatten, &tuples_from(&raw)).remove(0);
+    let mut flat = Vec::new();
+    flatten.process(&tuples_from(&raw), &mut flat);
     let flat_points: Vec<SpaceTimePoint> = flat.iter().map(|t| t.point).collect();
     let out_rep = homogeneity_report(&flat_points, &window, 4, 2);
     println!(
@@ -74,7 +68,8 @@ fn main() {
     let homog = HomogeneousMdpp::new(2.0, cell);
     let stream = tuples_from(&homog.sample(&window, &mut rng));
     let mut thin = ThinOp::new(2.0, 0.5, 11);
-    let thinned = run(&mut thin, &stream).remove(0);
+    let mut thinned = Vec::new();
+    thin.process(&stream, &mut thinned);
     println!(
         "{} tuples at λ=2.0 → {} tuples (expected ≈ {:.0} at λ=0.5, p={})",
         stream.len(),
@@ -89,7 +84,8 @@ fn main() {
     let west = Rect::new(0.0, 0.0, 5.0, 10.0);
     let east = Rect::new(5.0, 0.0, 10.0, 10.0);
     let mut partition = PartitionOp::binary(west, east);
-    let halves = run(&mut partition, &thinned);
+    let mut halves = vec![Vec::new(); 2];
+    partition.process(&thinned, &mut halves);
     println!(
         "west: {} tuples ({:.2} /km²/min), east: {} tuples ({:.2} /km²/min)",
         halves[0].len(),
@@ -101,11 +97,10 @@ fn main() {
 
     // ---- U: union adjacent pieces ----------------------------------------
     println!("== U (union) ==");
-    let mut union = UnionOp::binary(west, east);
-    let mut em = Emitter::new(union.output_ports());
-    union.process(InputPort(0), &halves[0], &mut em);
-    union.process(InputPort(1), &halves[1], &mut em);
-    let rejoined = em.into_buffers().remove(0);
+    let union = UnionOp::binary(west, east);
+    let mut rejoined = Vec::new();
+    union.process(0, &halves[0], &mut rejoined);
+    union.process(1, &halves[1], &mut rejoined);
     println!(
         "rejoined {} tuples on {} (rectangular: {})",
         rejoined.len(),

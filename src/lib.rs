@@ -9,7 +9,6 @@
 //!   MLE/SGD inference, homogeneity diagnostics.
 //! - [`sensing`] — the simulated mobile crowd: mobility, ground-truth
 //!   fields, response behaviour, delivery faults.
-//! - [`engine`] — the streaming dataflow engine PMAT operators run on.
 //! - [`core`] — CrAQR itself: PMAT operators, acquisitional queries, the
 //!   Section V planner, budget tuning, and the server.
 //! - [`adaptive`] — the closed-loop acquisition controller: per-query
@@ -109,7 +108,6 @@
 
 pub use craqr_adaptive as adaptive;
 pub use craqr_core as core;
-pub use craqr_engine as engine;
 pub use craqr_geom as geom;
 pub use craqr_mdpp as mdpp;
 pub use craqr_runlog as runlog;
@@ -125,7 +123,7 @@ pub mod prelude {
         AcquisitionQuery, AttributeCatalog, Budget, BudgetTuner, ControlAction, ControlHook,
         CraqrServer, CrowdTuple, EpochObservation, EpochReport, ErrorModel, ExecMode, Fabricator,
         FlattenOp, IncentivePolicy, IngestReport, Mitigation, PartitionOp, PlannerConfig, QueryId,
-        ServerConfig, ShardIngest, SuperposeOp, ThinOp, TopologyShape, UnionOp,
+        ServerConfig, ShardIngest, ThinOp, TopologyShape, UnionOp,
     };
     pub use craqr_geom::{CellId, Grid, Rect, Region, SpaceTimePoint, SpaceTimeWindow};
     pub use craqr_mdpp::{

@@ -6,13 +6,11 @@
 //!
 //! - thinning composes multiplicatively: `T_p ∘ T_q = T_{p·q}`,
 //! - thinning and partition commute,
-//! - superposition adds rates; thinning distributes over superposition,
 //! - flatten is (approximately) idempotent: flattening an already
 //!   homogeneous stream at its own rate changes little,
 //! - partition then union is the identity.
 
 use craqr::core::ops::{EstimatorMode, FlattenConfig, FlattenOp};
-use craqr::engine::{Emitter, InputPort, Operator};
 use craqr::prelude::*;
 use craqr::sensing::{AttrValue, AttributeId, SensorId};
 
@@ -30,10 +28,16 @@ fn tuples_from(points: &[SpaceTimePoint]) -> Vec<CrowdTuple> {
         .collect()
 }
 
-fn run<O: Operator<CrowdTuple>>(op: &mut O, batch: &[CrowdTuple]) -> Vec<Vec<CrowdTuple>> {
-    let mut em = Emitter::new(op.output_ports());
-    op.process(InputPort(0), batch, &mut em);
-    em.into_buffers()
+fn thin(op: &mut ThinOp, batch: &[CrowdTuple]) -> Vec<CrowdTuple> {
+    let mut out = Vec::new();
+    op.process(batch, &mut out);
+    out
+}
+
+fn partition(op: &mut PartitionOp, batch: &[CrowdTuple]) -> Vec<Vec<CrowdTuple>> {
+    let mut out = vec![Vec::new(); op.regions().len()];
+    op.process(batch, &mut out);
+    out
 }
 
 fn cell() -> Rect {
@@ -51,11 +55,11 @@ fn thinning_composes_multiplicatively() {
     // T(8→4) then T(4→2) …
     let mut t1 = ThinOp::new(8.0, 4.0, 10);
     let mut t2 = ThinOp::new(4.0, 2.0, 11);
-    let mid = run(&mut t1, &input).remove(0);
-    let composed = run(&mut t2, &mid).remove(0);
+    let mid = thin(&mut t1, &input);
+    let composed = thin(&mut t2, &mid);
     // … must match T(8→2) in expectation.
     let mut direct_op = ThinOp::new(8.0, 2.0, 12);
-    let direct = run(&mut direct_op, &input).remove(0);
+    let direct = thin(&mut direct_op, &input);
     let n = input.len() as f64;
     let expect = n * 0.25;
     let sd = (n * 0.25 * 0.75).sqrt();
@@ -78,17 +82,17 @@ fn thinning_commutes_with_partition() {
 
     // Path A: thin then partition.
     let mut thin_a = ThinOp::new(6.0, 2.0, 20);
-    let thinned = run(&mut thin_a, &input).remove(0);
+    let thinned = thin(&mut thin_a, &input);
     let mut part_a = PartitionOp::binary(west, east);
-    let a = run(&mut part_a, &thinned);
+    let a = partition(&mut part_a, &thinned);
 
     // Path B: partition then thin each branch.
     let mut part_b = PartitionOp::binary(west, east);
-    let halves = run(&mut part_b, &input);
+    let halves = partition(&mut part_b, &input);
     let mut thin_w = ThinOp::new(6.0, 2.0, 21);
     let mut thin_e = ThinOp::new(6.0, 2.0, 22);
-    let b_west = run(&mut thin_w, &halves[0]).remove(0);
-    let b_east = run(&mut thin_e, &halves[1]).remove(0);
+    let b_west = thin(&mut thin_w, &halves[0]);
+    let b_east = thin(&mut thin_e, &halves[1]);
 
     // Same expected counts per branch (west is 40% of the area).
     let minutes = 20.0;
@@ -105,53 +109,6 @@ fn thinning_commutes_with_partition() {
 }
 
 #[test]
-fn superposition_adds_rates() {
-    let a = homogeneous_stream(2.0, 20.0, 3);
-    let b = homogeneous_stream(3.0, 20.0, 4);
-    let mut s = SuperposeOp::new(cell(), vec![2.0, 3.0]);
-    assert!((s.output_rate() - 5.0).abs() < 1e-12);
-    let mut em = Emitter::new(s.output_ports());
-    s.process(InputPort(0), &a, &mut em);
-    s.process(InputPort(1), &b, &mut em);
-    let merged = em.into_buffers().remove(0);
-    let w = SpaceTimeWindow::new(cell(), 0.0, 20.0);
-    let rate = w.empirical_rate(merged.len());
-    assert!((rate - 5.0).abs() < 0.25, "superposed rate {rate}");
-    // And the merged stream is still homogeneous Poisson.
-    let points: Vec<_> = merged.iter().map(|t| t.point).collect();
-    let rep = homogeneity_report(&points, &w, 4, 2);
-    assert!(rep.is_homogeneous(0.001), "chi p={}", rep.chi_square.p_value);
-}
-
-#[test]
-fn thinning_distributes_over_superposition() {
-    // thin(superpose(a, b)) ≈ superpose(thin(a), thin(b)) in rate.
-    let a = homogeneous_stream(2.0, 20.0, 5);
-    let b = homogeneous_stream(4.0, 20.0, 6);
-    let w = SpaceTimeWindow::new(cell(), 0.0, 20.0);
-
-    // Left side.
-    let mut s = SuperposeOp::new(cell(), vec![2.0, 4.0]);
-    let mut em = Emitter::new(s.output_ports());
-    s.process(InputPort(0), &a, &mut em);
-    s.process(InputPort(1), &b, &mut em);
-    let merged = em.into_buffers().remove(0);
-    let mut t = ThinOp::new(6.0, 3.0, 30);
-    let left = run(&mut t, &merged).remove(0);
-
-    // Right side.
-    let mut ta = ThinOp::new(2.0, 1.0, 31);
-    let mut tb = ThinOp::new(4.0, 2.0, 32);
-    let thin_a = run(&mut ta, &a).remove(0);
-    let thin_b = run(&mut tb, &b).remove(0);
-
-    let left_rate = w.empirical_rate(left.len());
-    let right_rate = w.empirical_rate(thin_a.len() + thin_b.len());
-    assert!((left_rate - 3.0).abs() < 0.2, "left {left_rate}");
-    assert!((right_rate - 3.0).abs() < 0.2, "right {right_rate}");
-}
-
-#[test]
 fn flatten_is_approximately_idempotent_on_homogeneous_input() {
     let input = homogeneous_stream(1.0, 10.0, 7);
     let (mut op, report) = FlattenOp::new(FlattenConfig {
@@ -161,7 +118,8 @@ fn flatten_is_approximately_idempotent_on_homogeneous_input() {
         mode: EstimatorMode::BatchMle,
         seed: 40,
     });
-    let out = run(&mut op, &input).remove(0);
+    let mut out = Vec::new();
+    op.process(&input, &mut out);
     // Flattening an already-homogeneous stream at its own rate keeps
     // (nearly) everything: the retaining probabilities sit at ≈ 1.
     let kept_frac = out.len() as f64 / input.len() as f64;
@@ -183,16 +141,15 @@ fn partition_union_identity_over_grid_cells() {
     let grid = Grid::new(cell(), 3);
     let rects: Vec<Rect> = grid.all_cells().map(|c| grid.cell_rect(c)).collect();
     let mut p = PartitionOp::new(rects.clone());
-    let pieces = run(&mut p, &input);
+    let pieces = partition(&mut p, &input);
     assert_eq!(p.dropped(), 0, "grid covers the region");
 
-    let mut u = UnionOp::nary(rects);
+    let u = UnionOp::nary(rects);
     assert!(u.is_rectangular(), "3×3 block merges to one rect");
-    let mut em = Emitter::new(u.output_ports());
+    let mut merged = Vec::new();
     for (i, piece) in pieces.iter().enumerate() {
-        u.process(InputPort(i as u16), piece, &mut em);
+        u.process(i, piece, &mut merged);
     }
-    let merged = em.into_buffers().remove(0);
     assert_eq!(merged.len(), input.len());
     let mut ids: Vec<u64> = merged.iter().map(|t| t.id).collect();
     ids.sort_unstable();

@@ -4,7 +4,6 @@
 use craqr::core::ops::{EstimatorMode, FlattenConfig, FlattenOp};
 use craqr::core::plan::PlannerConfig;
 use craqr::core::{AcquisitionQuery, Fabricator, PartitionOp, ThinOp, UnionOp};
-use craqr::engine::{Emitter, InputPort, Operator};
 use craqr::prelude::*;
 use craqr::sensing::{AttrValue, AttributeId, SensorId};
 use proptest::prelude::*;
@@ -19,10 +18,10 @@ fn tuple_at(id: u64, t: f64, x: f64, y: f64) -> CrowdTuple {
     }
 }
 
-fn run_op<O: Operator<CrowdTuple>>(op: &mut O, batch: &[CrowdTuple]) -> Vec<Vec<CrowdTuple>> {
-    let mut em = Emitter::new(op.output_ports());
-    op.process(InputPort(0), batch, &mut em);
-    em.into_buffers()
+fn thin(op: &mut ThinOp, batch: &[CrowdTuple]) -> Vec<CrowdTuple> {
+    let mut out = Vec::new();
+    op.process(batch, &mut out);
+    out
 }
 
 proptest! {
@@ -41,7 +40,7 @@ proptest! {
         let n = 8_000usize;
         let batch: Vec<CrowdTuple> =
             (0..n).map(|i| tuple_at(i as u64, i as f64, 0.5, 0.5)).collect();
-        let kept = run_op(&mut op, &batch).remove(0).len() as f64;
+        let kept = thin(&mut op, &batch).len() as f64;
         let expect = ratio * n as f64;
         let sd = (n as f64 * ratio * (1.0 - ratio)).sqrt().max(1.0);
         prop_assert!(
@@ -59,7 +58,7 @@ proptest! {
         let mut op = ThinOp::new(2.0, 1.0, seed);
         let batch: Vec<CrowdTuple> =
             (0..n).map(|i| tuple_at(i as u64, i as f64, 0.1, 0.1)).collect();
-        let out = run_op(&mut op, &batch).remove(0);
+        let out = thin(&mut op, &batch);
         let ids: Vec<u64> = out.iter().map(|t| t.id).collect();
         let mut sorted = ids.clone();
         sorted.sort_unstable();
@@ -87,14 +86,14 @@ proptest! {
             .collect();
 
         let mut p = PartitionOp::binary(west, east);
-        let halves = run_op(&mut p, &batch);
+        let mut halves = vec![Vec::new(); 2];
+        p.process(&batch, &mut halves);
         prop_assert_eq!(halves[0].len() + halves[1].len(), n, "partition is exhaustive");
 
-        let mut u = UnionOp::binary(west, east);
-        let mut em = Emitter::new(u.output_ports());
-        u.process(InputPort(0), &halves[0], &mut em);
-        u.process(InputPort(1), &halves[1], &mut em);
-        let rejoined = em.into_buffers().remove(0);
+        let u = UnionOp::binary(west, east);
+        let mut rejoined = Vec::new();
+        u.process(0, &halves[0], &mut rejoined);
+        u.process(1, &halves[1], &mut rejoined);
         prop_assert_eq!(rejoined.len(), n, "union is lossless");
         let mut ids: Vec<u64> = rejoined.iter().map(|t| t.id).collect();
         ids.sort_unstable();
@@ -124,7 +123,8 @@ proptest! {
             .enumerate()
             .map(|(i, p)| tuple_at(i as u64, p.t, p.x, p.y))
             .collect();
-        let out = run_op(&mut op, &batch).remove(0);
+        let mut out = Vec::new();
+        op.process(&batch, &mut out);
         prop_assert!(out.len() <= batch.len());
         let target = target_rate * window.volume();
         let sd = target.sqrt().max(1.0);
