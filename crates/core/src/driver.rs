@@ -762,12 +762,15 @@ mod tests {
     /// The fingerprints were taken on the last commit whose `step` ran a
     /// single-epoch loop of its own (issue and execute at the top of the
     /// epoch, actions applied in-epoch), before `step` became a one-slot
-    /// horizon of the staged schedule.
+    /// horizon of the staged schedule. They were re-taken, with `step`
+    /// unchanged, when `F` began estimating batches below
+    /// `FlattenOp::MIN_FIT_POINTS` as `n / V`, which moves every epoch's
+    /// retained tuples and so the dispatch that tuning feeds.
     #[test]
     fn step_is_byte_identical_to_the_single_epoch_loop_it_replaced() {
         let pinned = [
-            (ExecMode::Serial, 0xdc47_e1a5_a634_0c68),
-            (ExecMode::Sharded(3), 0x7644_06e7_7b43_7e1c),
+            (ExecMode::Serial, 0xcbc5_0993_8798_3422),
+            (ExecMode::Sharded(3), 0x6452_fabc_0404_f236),
         ];
         for (exec, want) in pinned {
             let mut s = server_with(400, exec);
@@ -779,7 +782,7 @@ mod tests {
         for _ in 0..8 {
             s.driver().tap(&mut tap).step();
         }
-        assert_eq!(fnv1a64(tap.0.as_bytes()), 0x3d9c_db9a_59cd_1924, "the responses a tap saw");
+        assert_eq!(fnv1a64(tap.0.as_bytes()), 0x5cdc_16fb_4238_e715, "the responses a tap saw");
     }
 
     /// Sums the `Ingest` spans of each slot.

@@ -569,7 +569,7 @@ mod tests {
         assert_eq!(h.incentive_of(key.0, key.1), 0.25, "never tuned: the policy base");
         // Move every per-chain field off its initial value.
         let report = FlattenReport::new(1.0);
-        report.record_batch(100.0, 10, 10);
+        report.record_batch(100.0, 10, 10, None);
         h.tune([(key, &*report)]);
         assert!(h.set_budget(key.0, key.1, 7.0));
         h.observe_responses(std::iter::empty());
@@ -622,7 +622,7 @@ mod tests {
     fn tuning_raises_budget_on_violations() {
         let mut h = handler();
         let report = FlattenReport::new(0.5);
-        report.record_batch(80.0, 100, 100);
+        report.record_batch(80.0, 100, 100, None);
         let events = h.tune([((CellId::new(1, 1), AttributeId(0)), &*report)]);
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].outcome, TuneOutcome::Increased);
@@ -641,7 +641,7 @@ mod tests {
         let tuner = BudgetTuner { max_budget: 10.0, ..Default::default() };
         let mut h = RequestResponseHandler::new(tuner, IncentivePolicy::default(), 10.0);
         let report = FlattenReport::new(1.0);
-        report.record_batch(100.0, 10, 10);
+        report.record_batch(100.0, 10, 10, None);
         let key = (CellId::new(0, 0), AttributeId(0));
         assert_eq!(h.incentive_of(key.0, key.1), 0.0);
         h.tune([(key, &*report)]); // at cap already → exhausted

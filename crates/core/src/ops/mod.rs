@@ -27,6 +27,6 @@ mod union;
 
 pub use flatten::{EstimatorMode, FlattenConfig, FlattenOp};
 pub use partition::PartitionOp;
-pub use report::FlattenReport;
+pub use report::{FitCounts, FlattenReport};
 pub use thin::ThinOp;
 pub use union::UnionOp;

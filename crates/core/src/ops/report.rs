@@ -21,6 +21,64 @@ struct ReportInner {
     batches: u64,
     tuples_seen: u64,
     tuples_kept: u64,
+    fits: FitCounts,
+}
+
+/// How the batch MLE estimated one batch's intensity.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FitOutcome {
+    /// Eq. (1) fitted; the fit met its tolerance in `iterations`.
+    Fitted { iterations: usize },
+    /// Eq. (1) fitted; the fit stopped at its iteration cap.
+    Capped { iterations: usize },
+    /// Too few points to identify Eq. (1): the homogeneous `n / V`.
+    Homogeneous,
+}
+
+/// The batch MLE's outcomes, counted per batch, over one `F` or summed
+/// over many. Counts are deterministic, but they sit in the metrics'
+/// timing tier, so no report or checksum carries them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FitCounts {
+    /// Batches fitted to Eq. (1) whose fit converged.
+    pub fitted: u64,
+    /// Batches below [`super::FlattenOp::MIN_FIT_POINTS`], estimated as
+    /// the homogeneous `n / V`.
+    pub homogeneous: u64,
+    /// Batches fitted to Eq. (1) whose fit stopped at the iteration cap
+    /// (`FitResult::converged` false).
+    pub capped: u64,
+    /// Gradient iterations summed over fitted and capped batches.
+    pub iterations: u64,
+}
+
+impl FitCounts {
+    /// Adds another count into this one.
+    pub fn absorb(&mut self, other: &FitCounts) {
+        self.fitted += other.fitted;
+        self.homogeneous += other.homogeneous;
+        self.capped += other.capped;
+        self.iterations += other.iterations;
+    }
+
+    /// `(outcome, batches)` for the three outcomes, in that order.
+    pub fn by_outcome(&self) -> [(&'static str, u64); 3] {
+        [("fitted", self.fitted), ("homogeneous", self.homogeneous), ("capped", self.capped)]
+    }
+
+    fn count(&mut self, outcome: FitOutcome) {
+        match outcome {
+            FitOutcome::Fitted { iterations } => {
+                self.fitted += 1;
+                self.iterations += iterations as u64;
+            }
+            FitOutcome::Capped { iterations } => {
+                self.capped += 1;
+                self.iterations += iterations as u64;
+            }
+            FitOutcome::Homogeneous => self.homogeneous += 1,
+        }
+    }
 }
 
 impl FlattenReport {
@@ -33,6 +91,7 @@ impl FlattenReport {
                 batches: 0,
                 tuples_seen: 0,
                 tuples_kept: 0,
+                fits: FitCounts::default(),
             }),
         })
     }
@@ -46,11 +105,22 @@ impl FlattenReport {
 
     /// Records an epoch with no input at all — a total (100%) violation.
     pub(crate) fn record_starved_batch(&self) {
-        self.record_batch(100.0, 0, 0);
+        self.record_batch(100.0, 0, 0, None);
     }
 
-    pub(crate) fn record_batch(&self, nv_percent: f64, seen: usize, kept: usize) {
+    /// Records one batch: its `N_v`, its tuples seen and kept, and how
+    /// the batch MLE estimated it (`None` for a batch no fit ran on).
+    pub(crate) fn record_batch(
+        &self,
+        nv_percent: f64,
+        seen: usize,
+        kept: usize,
+        fit: Option<FitOutcome>,
+    ) {
         let mut inner = self.lock();
+        if let Some(outcome) = fit {
+            inner.fits.count(outcome);
+        }
         inner.last_nv = nv_percent;
         inner.smoothed_nv.push(nv_percent);
         inner.batches += 1;
@@ -85,6 +155,11 @@ impl FlattenReport {
         let inner = self.lock();
         (inner.tuples_seen, inner.tuples_kept)
     }
+
+    /// The batch MLE's outcomes since creation.
+    pub fn fit_counts(&self) -> FitCounts {
+        self.lock().fits
+    }
 }
 
 #[cfg(test)]
@@ -96,11 +171,27 @@ mod tests {
         let r = FlattenReport::new(0.5);
         assert_eq!(r.batches(), 0);
         assert_eq!(r.smoothed_nv(), None);
-        r.record_batch(10.0, 100, 60);
-        r.record_batch(20.0, 50, 30);
+        r.record_batch(10.0, 100, 60, None);
+        r.record_batch(20.0, 50, 30, None);
         assert_eq!(r.batches(), 2);
         assert_eq!(r.last_nv(), 20.0);
         assert_eq!(r.smoothed_nv(), Some(15.0));
         assert_eq!(r.totals(), (150, 90));
+    }
+
+    #[test]
+    fn report_counts_fit_outcomes() {
+        let r = FlattenReport::new(0.5);
+        r.record_batch(10.0, 100, 60, Some(FitOutcome::Fitted { iterations: 7 }));
+        r.record_batch(20.0, 50, 30, Some(FitOutcome::Capped { iterations: 500 }));
+        r.record_batch(0.0, 3, 1, Some(FitOutcome::Homogeneous));
+        r.record_starved_batch();
+        assert_eq!(r.batches(), 4);
+        let fits = r.fit_counts();
+        assert_eq!(fits.by_outcome(), [("fitted", 1), ("homogeneous", 1), ("capped", 1)]);
+        assert_eq!(fits.iterations, 507, "a starved batch counts no fit");
+        let mut sum = fits;
+        sum.absorb(&fits);
+        assert_eq!((sum.fitted, sum.homogeneous, sum.capped, sum.iterations), (2, 2, 2, 1014));
     }
 }

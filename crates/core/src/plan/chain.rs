@@ -46,7 +46,9 @@
 //! warm-up), a new tap starts with an empty buffer, and operators that
 //! build per-batch state (the histogram estimator) allocate.
 
-use crate::ops::{EstimatorMode, FlattenConfig, FlattenOp, FlattenReport, PartitionOp, ThinOp};
+use crate::ops::{
+    EstimatorMode, FitCounts, FlattenConfig, FlattenOp, FlattenReport, PartitionOp, ThinOp,
+};
 use crate::query::QueryId;
 use crate::tuple::CrowdTuple;
 use craqr_geom::Rect;
@@ -123,12 +125,14 @@ impl OpCounters {
 }
 
 /// Operator counters summed by kind over any number of chains — what the
-/// scenario report's `[operators]` rows show.
+/// scenario report's `[operators]` rows show — plus the `F` row's fit
+/// outcomes, which only the metrics export shows.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OperatorMetrics {
     f: Option<OpCounters>,
     p: Option<OpCounters>,
     t: Option<OpCounters>,
+    fits: FitCounts,
 }
 
 impl OperatorMetrics {
@@ -145,6 +149,12 @@ impl OperatorMetrics {
                 Self::count(mine, theirs);
             }
         }
+        self.fits.absorb(&other.fits);
+    }
+
+    /// How the `F` operators' batch MLE estimated their batches.
+    pub fn fits(&self) -> FitCounts {
+        self.fits
     }
 
     /// `(kind, counters)` for every kind with at least one operator
@@ -293,7 +303,7 @@ impl AttrChain {
     /// The counters of this chain's live operators by kind — what the
     /// fabricator sums over chains for the report.
     pub fn metrics(&self) -> OperatorMetrics {
-        let mut m = OperatorMetrics::default();
+        let mut m = OperatorMetrics { fits: self.f_report.fit_counts(), ..Default::default() };
         OperatorMetrics::count(&mut m.f, &self.f_counters);
         for tap in &self.taps {
             OperatorMetrics::count(&mut m.t, &tap.counters);
@@ -353,8 +363,9 @@ impl AttrChain {
         }
     }
 
-    /// Rule 4: keep `λ̄ = headroom × max tap rate`, updating the first tap's
-    /// input rate accordingly.
+    /// Rule 4: keep `λ̄ = headroom × max tap rate`, updating the taps'
+    /// input rates accordingly (the first tap's in a chain, every tap's in
+    /// a star).
     fn retarget_f(&mut self) {
         let Some(max_rate) = self.taps.first().map(|t| t.rate) else {
             return;
@@ -441,9 +452,8 @@ impl AttrChain {
             consumers: Vec::new(),
         };
         self.taps.insert(pos, tap);
-        if self.shape == TopologyShape::Chain {
-            self.refresh_tap_inputs();
-        }
+        // Either shape: a provisional raise moved every star tap's input.
+        self.refresh_tap_inputs();
     }
 
     /// Deletes `query`'s consumer; returns `false` when it had none.
@@ -462,9 +472,7 @@ impl AttrChain {
         // remove its T; in a chain, the next tap now reads the one before.
         if self.taps[pos].consumers.is_empty() {
             self.taps.remove(pos);
-            if self.shape == TopologyShape::Chain {
-                self.refresh_tap_inputs();
-            }
+            self.refresh_tap_inputs();
         }
         self.retarget_f();
         self.assert_invariants();
@@ -790,6 +798,21 @@ mod tests {
         // Star deletion leaves the other tap untouched.
         c.delete_consumer(QueryId(1));
         assert_eq!(c.tap_rates(), vec![1.0]);
+    }
+
+    /// A star's every `T` reads `F`, so a consumer above the top rate,
+    /// which raises `F`, moves every older tap's input with it.
+    #[test]
+    fn star_taps_follow_a_raised_f() {
+        let mut c =
+            AttrChain::new(cell(), 10.0, 0.4, 1.0, EstimatorMode::BatchMle, TopologyShape::Star, 7);
+        c.insert_consumer(QueryId(1), 0, 0.4, cell(), true);
+        c.insert_consumer(QueryId(2), 0, 0.8, cell(), true);
+        assert_eq!(c.f_rate(), 0.8);
+        let inputs: Vec<f64> = c.taps.iter().map(|t| t.thin.input_rate()).collect();
+        assert_eq!(inputs, vec![0.8, 0.8], "every T thins F's λ̄");
+        let outputs: Vec<f64> = c.taps.iter().map(|t| t.thin.output_rate()).collect();
+        assert_eq!(outputs, vec![0.8, 0.4]);
     }
 
     #[test]

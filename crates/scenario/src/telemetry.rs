@@ -170,7 +170,7 @@ impl RunTelemetry {
     /// Folds in whole-run counters available only at the end: handler
     /// retry/exhaustion totals, adaptive drift/replan counts, and (when
     /// timing) the per-operator-kind processing time the engine clock
-    /// accumulated.
+    /// accumulated and the `F` operators' fit outcomes.
     pub fn finalize(
         &mut self,
         handler: &RequestResponseHandler,
@@ -206,6 +206,25 @@ impl RunTelemetry {
                     m.busy_ns as f64 / 1e9,
                 );
             }
+            // Deterministic, but kept out of the checksummed tier so that
+            // no report moves with them.
+            let fits = chain_metrics.fits();
+            for (outcome, batches) in fits.by_outcome() {
+                self.registry.inc(
+                    "craqr_flatten_fits_total",
+                    "F batches by how the batch MLE estimated them.",
+                    T,
+                    &[("outcome", outcome)],
+                    batches,
+                );
+            }
+            self.registry.inc(
+                "craqr_flatten_fit_iterations_total",
+                "Gradient iterations of the batch MLE's fits.",
+                T,
+                &[],
+                fits.iterations,
+            );
         }
     }
 

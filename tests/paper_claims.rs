@@ -15,8 +15,9 @@
 //!   most batches — is pinned.
 //! - **E1** (§IV-B.1, "F converts P̃(λ̃, R*) into an approximately
 //!   homogeneous P(λ̄, R*)"): F's output pooled over many batches of n
-//!   points from the same truth, under the rule (fit only from the E3
-//!   crossover, `n / V` below) and under a fit on every batch. Homogeneity
+//!   points from the same truth, under the product's rule (fit only from
+//!   `FlattenOp::MIN_FIT_POINTS`, `n / V` below) and under a fit on every
+//!   batch. Homogeneity
 //!   is measured as the pooled output's skew, `(χ² − df) / n` over a
 //!   4 × 4 × 2 lattice: the χ² statistic's excess over its Poisson
 //!   expectation per point, which does not grow with the output's size.
@@ -46,7 +47,8 @@ const SMALL_N: [usize; 5] = [2, 4, 8, 16, 32];
 const LARGE_N: usize = 2_000;
 
 /// The smallest tested batch size from which the MLE beats `n / V` on
-/// most batches (E3). Below it the rule uses `n / V`.
+/// most batches (E3). `FlattenOp::MIN_FIT_POINTS` is this, but never below
+/// five: four parameters plus one.
 const CROSSOVER: usize = 8;
 
 fn truth() -> LinearIntensity {
@@ -175,6 +177,7 @@ fn e3_the_mle_identifies_eq1_only_from_the_crossover() {
         }
     }
     assert_eq!(crossover, Some(CROSSOVER));
+    assert_eq!(FlattenOp::MIN_FIT_POINTS, CROSSOVER.max(5), "F's threshold is E3's crossover");
 
     let (mle, flat, share) = e3_at(LARGE_N, 50);
     eprintln!("E3 n={LARGE_N}: MLE {mle:.4}  n/V {flat:.4}  MLE wins {:.1} %", 100.0 * share);
@@ -191,7 +194,9 @@ const E1_INPUT: usize = 24_000;
 
 /// Eq. (3) on one batch in `w`, with `λ̃` the batch MLE (`fit`) or the
 /// homogeneous `n / V`; kept points go to `out` in batch-local time
-/// scaled to `[0, 1)`.
+/// scaled to `[0, 1)`. The product's F computes the same retaining
+/// probabilities (pinned bit for bit by its unit tests); this reference
+/// also runs the fit below `MIN_FIT_POINTS`, which F no longer does.
 fn flatten_reference(
     points: &[SpaceTimePoint],
     w: &SpaceTimeWindow,
@@ -239,7 +244,8 @@ fn e1_at(n: usize) -> Pooled {
         let points = sample_exact(&truth, &w, n, &mut points_rng);
         let scaled = points.iter().map(|p| SpaceTimePoint::new((p.t - w.t0) / d, p.x, p.y));
         pooled.input.extend(scaled);
-        flatten_reference(&points, &w, n >= CROSSOVER, &mut rule_rng, &mut pooled.rule);
+        let fit = n >= FlattenOp::MIN_FIT_POINTS;
+        flatten_reference(&points, &w, fit, &mut rule_rng, &mut pooled.rule);
         flatten_reference(&points, &w, true, &mut mle_rng, &mut pooled.mle);
         pooled.target += LAMBDA_BAR * w.volume();
     }
@@ -282,7 +288,7 @@ fn e1_the_rule_flattens_as_the_mle_does_where_it_fits() {
             let rel = (out.n as f64 - pooled.target).abs() / pooled.target;
             assert!(rel < 0.04, "n = {n}: {name} kept {} of {:.0}", out.n, pooled.target);
         }
-        if n >= CROSSOVER {
+        if n >= FlattenOp::MIN_FIT_POINTS {
             assert_eq!(pooled.rule, pooled.mle, "n = {n}: the rule fits as the MLE does");
             continue;
         }
