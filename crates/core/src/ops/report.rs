@@ -54,7 +54,7 @@ pub struct FitCounts {
 
 impl FitCounts {
     /// Adds another count into this one.
-    pub fn absorb(&mut self, other: &FitCounts) {
+    pub(crate) fn absorb(&mut self, other: &FitCounts) {
         self.fitted += other.fitted;
         self.homogeneous += other.homogeneous;
         self.capped += other.capped;

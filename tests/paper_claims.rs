@@ -3,9 +3,9 @@
 //!
 //! The F operator (§IV-B.1) estimates Eq. (1)'s four parameters per batch
 //! by maximum likelihood [12]. The product's batches are small: a
-//! 48×48-grid run hands F a median of two points a batch, and none above
-//! eight. These claims check where a four-parameter fit means something
-//! and where the homogeneous estimate `n / V` does as well:
+//! 48×48-grid run hands F a median of two points a batch. These claims
+//! check where a four-parameter fit means something and where the
+//! homogeneous estimate `n / V` does as well:
 //!
 //! - **E3** (§III-A, "we can estimate the rate … using maximum-likelihood
 //!   estimation"): on E3's truth θ* = [2.0, 0.02, 0.4, −0.1], the batch
