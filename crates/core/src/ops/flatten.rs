@@ -222,11 +222,11 @@ impl FlattenOp {
                     FitConfig::default(),
                     &mut self.fit_scratch,
                 );
-                let iterations = fit.iterations;
-                let outcome = if fit.converged {
-                    FitOutcome::Fitted { iterations }
-                } else {
-                    FitOutcome::Capped { iterations }
+                let outcome = FitOutcome::Fitted {
+                    points: points.len(),
+                    iterations: fit.iterations,
+                    converged: fit.converged,
+                    on_boundary: fit.on_boundary,
                 };
                 (FittedModel::Linear(fit.intensity), Some(outcome))
             }

@@ -27,10 +27,10 @@ struct ReportInner {
 /// How the batch MLE estimated one batch's intensity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum FitOutcome {
-    /// Eq. (1) fitted; the fit met its tolerance in `iterations`.
-    Fitted { iterations: usize },
-    /// Eq. (1) fitted; the fit stopped at its iteration cap.
-    Capped { iterations: usize },
+    /// Eq. (1) fitted to `points` tuples in `iterations`: `converged`
+    /// false when the fit stopped at its iteration cap, `on_boundary` when
+    /// it ended with a corner of the window at the positivity floor.
+    Fitted { points: usize, iterations: usize, converged: bool, on_boundary: bool },
     /// Too few points to identify Eq. (1): the homogeneous `n / V`.
     Homogeneous,
 }
@@ -48,8 +48,13 @@ pub struct FitCounts {
     /// Batches fitted to Eq. (1) whose fit stopped at the iteration cap
     /// (`FitResult::converged` false).
     pub capped: u64,
-    /// Gradient iterations summed over fitted and capped batches.
+    /// Fitted and capped batches whose fit ended with at least one corner
+    /// of the window at the positivity floor (`FitResult::on_boundary`).
+    pub on_boundary: u64,
+    /// Solver iterations summed over fitted and capped batches.
     pub iterations: u64,
+    /// Tuples summed over fitted and capped batches.
+    pub points: u64,
 }
 
 impl FitCounts {
@@ -58,7 +63,9 @@ impl FitCounts {
         self.fitted += other.fitted;
         self.homogeneous += other.homogeneous;
         self.capped += other.capped;
+        self.on_boundary += other.on_boundary;
         self.iterations += other.iterations;
+        self.points += other.points;
     }
 
     /// `(outcome, batches)` for the three outcomes, in that order.
@@ -68,13 +75,15 @@ impl FitCounts {
 
     fn count(&mut self, outcome: FitOutcome) {
         match outcome {
-            FitOutcome::Fitted { iterations } => {
-                self.fitted += 1;
+            FitOutcome::Fitted { points, iterations, converged, on_boundary } => {
+                if converged {
+                    self.fitted += 1;
+                } else {
+                    self.capped += 1;
+                }
+                self.on_boundary += u64::from(on_boundary);
                 self.iterations += iterations as u64;
-            }
-            FitOutcome::Capped { iterations } => {
-                self.capped += 1;
-                self.iterations += iterations as u64;
+                self.points += points as u64;
             }
             FitOutcome::Homogeneous => self.homogeneous += 1,
         }
@@ -182,16 +191,31 @@ mod tests {
     #[test]
     fn report_counts_fit_outcomes() {
         let r = FlattenReport::new(0.5);
-        r.record_batch(10.0, 100, 60, Some(FitOutcome::Fitted { iterations: 7 }));
-        r.record_batch(20.0, 50, 30, Some(FitOutcome::Capped { iterations: 500 }));
+        let fit = |points, iterations, converged, on_boundary| {
+            Some(FitOutcome::Fitted { points, iterations, converged, on_boundary })
+        };
+        r.record_batch(10.0, 100, 60, fit(100, 7, true, true));
+        r.record_batch(20.0, 50, 30, fit(50, 100, false, false));
+        r.record_batch(5.0, 9, 4, fit(9, 6, true, false));
         r.record_batch(0.0, 3, 1, Some(FitOutcome::Homogeneous));
         r.record_starved_batch();
-        assert_eq!(r.batches(), 4);
+        assert_eq!(r.batches(), 5);
         let fits = r.fit_counts();
-        assert_eq!(fits.by_outcome(), [("fitted", 1), ("homogeneous", 1), ("capped", 1)]);
-        assert_eq!(fits.iterations, 507, "a starved batch counts no fit");
+        assert_eq!(fits.by_outcome(), [("fitted", 2), ("homogeneous", 1), ("capped", 1)]);
+        assert_eq!(fits.iterations, 113, "a starved batch counts no fit");
+        assert_eq!((fits.on_boundary, fits.points), (1, 159), "homogeneous batches fit nothing");
         let mut sum = fits;
         sum.absorb(&fits);
-        assert_eq!((sum.fitted, sum.homogeneous, sum.capped, sum.iterations), (2, 2, 2, 1014));
+        assert_eq!(
+            sum,
+            FitCounts {
+                fitted: 4,
+                homogeneous: 2,
+                capped: 2,
+                on_boundary: 2,
+                iterations: 226,
+                points: 318
+            }
+        );
     }
 }

@@ -220,10 +220,24 @@ impl RunTelemetry {
             }
             self.registry.inc(
                 "craqr_flatten_fit_iterations_total",
-                "Gradient iterations of the batch MLE's fits.",
+                "Solver iterations of the batch MLE's fits.",
                 T,
                 &[],
                 fits.iterations,
+            );
+            self.registry.inc(
+                "craqr_flatten_fit_boundary_total",
+                "Batch MLE fits that ended with a window corner at the positivity floor.",
+                T,
+                &[],
+                fits.on_boundary,
+            );
+            self.registry.inc(
+                "craqr_flatten_fit_points_total",
+                "Tuples the batch MLE's fits were fitted to.",
+                T,
+                &[],
+                fits.points,
             );
         }
     }

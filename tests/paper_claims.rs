@@ -8,19 +8,22 @@
 //! homogeneous estimate `n / V` does as well:
 //!
 //! - **E3** (§III-A, "we can estimate the rate … using maximum-likelihood
-//!   estimation"): on E3's truth θ* = [2.0, 0.02, 0.4, −0.1], the batch
-//!   MLE's relative surface RMSE against `n / V`'s, over seeded batches of
-//!   exactly n points. `n / V` wins at n = 2, the MLE at n ≈ 2 000, and the
-//!   crossover — the smallest tested n from which the MLE beats `n / V` on
-//!   most batches — is pinned.
+//!   estimation"), a claim about `fit_mle` alone: on E3's truth
+//!   θ* = [2.0, 0.02, 0.4, −0.1], the batch MLE's relative surface RMSE
+//!   against `n / V`'s, over seeded batches of exactly n points. `n / V`
+//!   wins at n = 2, the two tie at n = 8, the MLE wins at n ≈ 2 000, and
+//!   the crossover (from which the MLE beats `n / V` on most batches) is
+//!   pinned.
 //! - **E1** (§IV-B.1, "F converts P̃(λ̃, R*) into an approximately
 //!   homogeneous P(λ̄, R*)"): F's output pooled over many batches of n
-//!   points from the same truth, under the product's rule (fit only from
-//!   `FlattenOp::MIN_FIT_POINTS`, `n / V` below) and under a fit on every
-//!   batch. Homogeneity
-//!   is measured as the pooled output's skew, `(χ² − df) / n` over a
-//!   4 × 4 × 2 lattice: the χ² statistic's excess over its Poisson
-//!   expectation per point, which does not grow with the output's size.
+//!   points from the same truth, with `λ̃` the batch MLE on every batch or
+//!   `n / V` on every batch. Homogeneity is measured as the pooled
+//!   output's skew, `(χ² − df) / n` over a 4 × 4 × 2 lattice: the χ²
+//!   statistic's excess over its Poisson expectation per point, which
+//!   does not grow with the output's size. F exists to make its output
+//!   homogeneous, so E1 sets F's threshold `FlattenOp::MIN_FIT_POINTS`:
+//!   the smallest tested n at which the MLE at least halves `n / V`'s
+//!   pooled skew.
 //!
 //! Every draw is seeded, so each assertion is a fixed computation; the
 //! tolerances are stated beside them. Batches of n points are drawn from
@@ -43,13 +46,17 @@ const THETA_STAR: [f64; 4] = [2.0, 0.02, 0.4, -0.1];
 
 /// The batch sizes under test: the product's regime, then E3's large-n
 /// reference.
-const SMALL_N: [usize; 5] = [2, 4, 8, 16, 32];
+const SMALL_N: [usize; 6] = [2, 4, 8, 12, 16, 32];
 const LARGE_N: usize = 2_000;
 
+/// The tested batch size at which the MLE and `n / V` tie in E3: each wins
+/// about half the batches, while `n / V` is ahead on the mean.
+const TIE: usize = 8;
+
 /// The smallest tested batch size from which the MLE beats `n / V` on
-/// most batches (E3). `FlattenOp::MIN_FIT_POINTS` is this, but never below
-/// five: four parameters plus one.
-const CROSSOVER: usize = 8;
+/// most batches, with its mean RMSE within 3 % of `n / V`'s, at every
+/// larger tested size too (E3).
+const CROSSOVER: usize = 12;
 
 fn truth() -> LinearIntensity {
     LinearIntensity::new(THETA_STAR)
@@ -149,35 +156,35 @@ fn e3_at(n: usize, batches: u64) -> (f64, f64, f64) {
 }
 
 /// E3: `n / V` recovers Eq. (1)'s surface better than the batch MLE on
-/// two points, the MLE better on 2 000, and the crossover is pinned.
+/// two points, the two tie at 8, the MLE is better on 2 000, and the
+/// crossover is pinned.
 ///
 /// 400 batches at each small n (the share of MLE wins has a standard
-/// error of 2.5 points there), 50 at n ≈ 2 000. At n = 8 the two means
-/// are within 3 % of each other, so the crossover is read from the share
-/// of batches won, which separates 4 (≈ 45 %) from 8 (≈ 56 %) by four
-/// standard errors.
+/// error of 2.5 points there), 50 at n ≈ 2 000. The crossover is read
+/// from the share of batches won together with the mean: at n = 8 the MLE
+/// wins half the batches, but its misses are the larger, so `n / V` is
+/// ahead on the mean by more than 5 %.
 #[test]
 fn e3_the_mle_identifies_eq1_only_from_the_crossover() {
-    let mut crossover = None;
+    let mut rows = Vec::new();
     for n in SMALL_N {
         let (mle, flat, share) = e3_at(n, 400);
         eprintln!("E3 n={n}: MLE {mle:.4}  n/V {flat:.4}  MLE wins {:.1} %", 100.0 * share);
-        if n < CROSSOVER {
+        if n == TIE {
+            assert!((share - 0.5).abs() <= 0.05, "n = {n}: the MLE won {share} of batches");
+            assert!(flat < 0.95 * mle, "n = {n}: n/V {flat} vs MLE {mle}, want a 5 % margin");
+        } else if n < CROSSOVER {
             assert!(share < 0.5, "n = {n}: the MLE won {share} of batches");
             assert!(flat < 0.95 * mle, "n = {n}: n/V {flat} vs MLE {mle}, want a 5 % margin");
-        } else {
-            assert!(share > 0.5, "n = {n}: the MLE won only {share} of batches");
-            assert!(mle < 1.03 * flat, "n = {n}: MLE {mle} vs n/V {flat}");
         }
         if n >= 16 {
             assert!(mle < flat, "n = {n}: MLE {mle} must beat n/V {flat} on the mean too");
         }
-        if share > 0.5 && crossover.is_none() {
-            crossover = Some(n);
-        }
+        rows.push((n, share > 0.5 && mle < 1.03 * flat));
     }
+    // The smallest n from which every tested n has the MLE ahead.
+    let crossover = (0..rows.len()).find(|&i| rows[i..].iter().all(|r| r.1)).map(|i| rows[i].0);
     assert_eq!(crossover, Some(CROSSOVER));
-    assert_eq!(FlattenOp::MIN_FIT_POINTS, CROSSOVER.max(5), "F's threshold is E3's crossover");
 
     let (mle, flat, share) = e3_at(LARGE_N, 50);
     eprintln!("E3 n={LARGE_N}: MLE {mle:.4}  n/V {flat:.4}  MLE wins {:.1} %", 100.0 * share);
@@ -195,8 +202,8 @@ const E1_INPUT: usize = 24_000;
 /// Eq. (3) on one batch in `w`, with `λ̃` the batch MLE (`fit`) or the
 /// homogeneous `n / V`; kept points go to `out` in batch-local time
 /// scaled to `[0, 1)`. The product's F computes the same retaining
-/// probabilities (pinned bit for bit by its unit tests); this reference
-/// also runs the fit below `MIN_FIT_POINTS`, which F no longer does.
+/// probabilities (pinned bit for bit by its unit tests) on each side of
+/// `MIN_FIT_POINTS`; this reference runs either estimate at every n.
 fn flatten_reference(
     points: &[SpaceTimePoint],
     w: &SpaceTimeWindow,
@@ -223,11 +230,12 @@ fn flatten_reference(
     }
 }
 
-/// One E1 run at batch size `n`: the input, the rule's output and the
-/// every-batch MLE's output, each pooled in batch-local time.
+/// One E1 run at batch size `n`: the input, and F's output under `n / V`
+/// on every batch and under the MLE on every batch, each pooled in
+/// batch-local time.
 struct Pooled {
     input: Vec<SpaceTimePoint>,
-    rule: Vec<SpaceTimePoint>,
+    flat: Vec<SpaceTimePoint>,
     mle: Vec<SpaceTimePoint>,
     /// `λ̄ ×` the pooled batches' volume: the count F is asked for.
     target: f64,
@@ -236,16 +244,15 @@ struct Pooled {
 fn e1_at(n: usize) -> Pooled {
     let truth = truth();
     let d = duration_for(&truth, n);
-    let mut pooled = Pooled { input: vec![], rule: vec![], mle: vec![], target: 0.0 };
+    let mut pooled = Pooled { input: vec![], flat: vec![], mle: vec![], target: 0.0 };
     let mut points_rng = seeded_rng(0xE1);
-    let (mut rule_rng, mut mle_rng) = (seeded_rng(0xF1), seeded_rng(0xF1));
+    let (mut flat_rng, mut mle_rng) = (seeded_rng(0xF1), seeded_rng(0xF1));
     for b in 0..E1_INPUT / n {
         let w = SpaceTimeWindow::new(region(), b as f64 * d, (b + 1) as f64 * d);
         let points = sample_exact(&truth, &w, n, &mut points_rng);
         let scaled = points.iter().map(|p| SpaceTimePoint::new((p.t - w.t0) / d, p.x, p.y));
         pooled.input.extend(scaled);
-        let fit = n >= FlattenOp::MIN_FIT_POINTS;
-        flatten_reference(&points, &w, fit, &mut rule_rng, &mut pooled.rule);
+        flatten_reference(&points, &w, false, &mut flat_rng, &mut pooled.flat);
         flatten_reference(&points, &w, true, &mut mle_rng, &mut pooled.mle);
         pooled.target += LAMBDA_BAR * w.volume();
     }
@@ -261,46 +268,48 @@ fn skew(r: &HomogeneityReport) -> f64 {
     (r.chi_square.statistic - r.chi_square.df).max(0.0) / r.n as f64
 }
 
-/// E1 at the product's batch sizes. Tolerances: each pooled output's
-/// count within 4 % of `λ̄ × V` (about 3 binomial standard deviations of
-/// ≈ 5 500 kept points); at n = 2 the rule's skew within 15 % of the
-/// MLE's; below the crossover the rule keeps the input's skew (it thins
-/// uniformly) to within 15 %. At n = 4 the MLE's fits, noisy as each one
-/// is, still remove a share of the skew on average, so the rule's pooled
-/// output is measurably less homogeneous there: that cost is bounded at
-/// twice the MLE's skew.
+/// E1 at the product's batch sizes sets F's threshold: `MIN_FIT_POINTS`
+/// is the smallest tested n at which `n / V` on every batch pools to more
+/// than twice the skew of the MLE on every batch. Tolerances: each pooled
+/// output's count within 4 % of `λ̄ × V` (about 3 binomial standard
+/// deviations of ≈ 5 500 kept points); `n / V` keeps the input's skew (it
+/// thins uniformly) to within 15 %; at n = 2 the MLE's skew is within
+/// 15 % of `n / V`'s, so a fit on two points buys no homogeneity.
 #[test]
-fn e1_the_rule_flattens_as_the_mle_does_where_it_fits() {
+fn e1_sets_the_fit_threshold_where_the_mle_halves_the_pooled_skew() {
+    let mut threshold = None;
     for n in SMALL_N {
         let pooled = e1_at(n);
-        let (input, rule, mle) =
-            (homogeneity(&pooled.input), homogeneity(&pooled.rule), homogeneity(&pooled.mle));
+        let (input, flat, mle) =
+            (homogeneity(&pooled.input), homogeneity(&pooled.flat), homogeneity(&pooled.mle));
         eprintln!(
-            "E1 n={n}: skew input {:.4}  rule {:.4}  MLE {:.4}  kept rule {} MLE {} of {:.0}",
+            "E1 n={n}: skew input {:.4}  n/V {:.4}  MLE {:.4} ({:.2}×)  kept n/V {} MLE {} of {:.0}",
             skew(&input),
-            skew(&rule),
+            skew(&flat),
             skew(&mle),
-            rule.n,
+            skew(&flat) / skew(&mle),
+            flat.n,
             mle.n,
             pooled.target
         );
-        for (name, out) in [("rule", &rule), ("MLE", &mle)] {
+        for (name, out) in [("n/V", &flat), ("MLE", &mle)] {
             let rel = (out.n as f64 - pooled.target).abs() / pooled.target;
             assert!(rel < 0.04, "n = {n}: {name} kept {} of {:.0}", out.n, pooled.target);
         }
-        if n >= FlattenOp::MIN_FIT_POINTS {
-            assert_eq!(pooled.rule, pooled.mle, "n = {n}: the rule fits as the MLE does");
-            continue;
+        assert!(skew(&flat) < 1.15 * skew(&input), "n = {n}: n/V added skew");
+        if n == 2 {
+            assert!(
+                skew(&flat) < 1.15 * skew(&mle),
+                "n/V skew {} vs MLE {}",
+                skew(&flat),
+                skew(&mle)
+            );
         }
-        assert!(skew(&rule) < 1.15 * skew(&input), "n = {n}: the rule added skew");
-        let bound = if n == 2 { 1.15 } else { 2.0 };
-        assert!(
-            skew(&rule) < bound * skew(&mle),
-            "n = {n}: rule skew {} vs MLE {}",
-            skew(&rule),
-            skew(&mle)
-        );
+        if threshold.is_none() && skew(&flat) > 2.0 * skew(&mle) {
+            threshold = Some(n);
+        }
     }
+    assert_eq!(threshold, Some(FlattenOp::MIN_FIT_POINTS), "F's threshold is E1's");
 }
 
 fn tuples(points: &[SpaceTimePoint]) -> Vec<CrowdTuple> {
