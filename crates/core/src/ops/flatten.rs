@@ -15,10 +15,11 @@ use std::sync::Arc;
 pub enum EstimatorMode {
     /// Fit θ by maximum likelihood (ref. \[12\]), the paper's default batch
     /// behaviour, on every batch of at least [`FlattenOp::MIN_FIT_POINTS`]
-    /// tuples. A smaller batch cannot identify Eq. (1)'s four parameters,
-    /// and its fit lands on the positivity boundary; it uses the
-    /// homogeneous MLE `n / V`, so each tuple is kept with probability
-    /// `λ̄ V / n` (clamped at 1).
+    /// tuples. On a smaller batch the fit recovers the intensity surface
+    /// worse than `n / V` (E3: the MLE wins 32 % of 2-point batches, 39 %
+    /// at 4) and removes less than half of `n / V`'s skew from F's pooled
+    /// output (E1), so it uses the homogeneous MLE `n / V`, and each tuple
+    /// is kept with probability `λ̄ V / n` (clamped at 1).
     BatchMle,
     /// Maintain θ across batches with online stochastic gradient descent
     /// (ref. \[13\]); the paper's sliding-window variant.
@@ -75,12 +76,13 @@ pub struct FlattenConfig {
 ///    fits only a batch of at least [`FlattenOp::MIN_FIT_POINTS`] (8)
 ///    tuples and estimates a smaller one as the homogeneous `n / V`, so
 ///    that step 2 keeps every tuple with probability `λ̄ V / n`. The
-///    threshold is where E3 (`tests/paper_claims.rs`) finds the MLE
-///    overtaking `n / V`: on E3's truth the MLE recovers the intensity
-///    surface with the lower relative RMSE on 41 % of 2-point batches,
-///    47 % at 4, 56 % at 8, 72 % at 16 and 90 % at 32 (400 batches
-///    each); its mean RMSE is 0.40, 0.37, 0.33, 0.28 and 0.22 against
-///    `n / V`'s 0.33,
+///    threshold is where E1 (`tests/paper_claims.rs`) finds the MLE at
+///    least halving the pooled skew of F's output against `n / V`: 1.06×
+///    at 2, 1.35× at 4, 2.6× at 8. E3 finds the two estimates tied at 8
+///    on the intensity surface: the MLE has the lower relative RMSE on
+///    32 % of 2-point batches, 39 % at 4, 50 % at 8, 57 % at 12, 69 % at
+///    16 and 88 % at 32 (400 batches each), with mean RMSE 0.52, 0.46,
+///    0.38, 0.33, 0.29 and 0.22 against `n / V`'s 0.33,
 /// 2. computes each tuple's *retaining probability* — Eq. (3):
 ///    `pᵢ = λ̄ / (λ̃(pᵢ; θ) · λ_c)` with `λ_c = Σᵢ λ̃(pᵢ; θ)⁻¹`,
 ///    where `λ̄` is expressed as the target *count* for the batch
@@ -113,9 +115,9 @@ pub struct FlattenOp {
 
 impl FlattenOp {
     /// The smallest batch the batch MLE fits Eq. (1) to; a smaller one is
-    /// estimated as the homogeneous `n / V`. Four parameters need at least
-    /// five points, and E3 puts the MLE ahead of `n / V` from 8 (see the
-    /// type's doc).
+    /// estimated as the homogeneous `n / V`. E1 sets it: the smallest
+    /// tested batch size at which the MLE pools to less than half of
+    /// `n / V`'s skew (see the type's doc).
     pub const MIN_FIT_POINTS: usize = 8;
 
     /// Creates a flatten operator and its telemetry handle.

@@ -62,7 +62,7 @@ pub struct FitResult {
 /// intensity surface worse than the homogeneous `n / V` does. On E3's
 /// truth (`tests/paper_claims.rs`) the fit has the lower relative RMSE on
 /// 32 % of 2-point samples, 39 % at 4, half at 8 (a tie by share, while
-/// `n / V` is ahead on the mean), 56 % at 12 and 69 % at 16. The flatten
+/// `n / V` is ahead on the mean), 57 % at 12 and 69 % at 16. The flatten
 /// operator calls it from 8 points (`FlattenOp::MIN_FIT_POINTS` in
 /// `craqr-core`), where E1 finds its pooled output twice as homogeneous.
 ///

@@ -13,7 +13,7 @@
 //!   Poisson-count/uniform placement for the homogeneous case and
 //!   Lewis–Shedler thinning for the inhomogeneous case.
 //! - [`fit`]: parameter estimation for Eq. (1) — batch maximum-likelihood
-//!   (projected gradient ascent on the concave Poisson log-likelihood,
+//!   (an active-set Newton method on the concave Poisson log-likelihood,
 //!   ref. \[12\] of the paper) and online stochastic gradient descent
 //!   (ref. \[13\], used by sliding-window flattening).
 //! - [`diagnostics`]: empirical homogeneity checks (binned χ², dispersion,
