@@ -1,9 +1,12 @@
-//! Shared infrastructure for the paper's experiments (E1–E12, Fig. 1–2).
+//! Shared infrastructure for the paper's printed experiments (E2, E4, E5,
+//! E7–E12 and Fig. 1).
 //!
 //! Every target under `benches/` is a `harness = false` binary that
 //! prints its experiment's table or series in markdown;
-//! `cargo bench -p craqr-bench` regenerates the whole evaluation. None of
-//! them gates performance: that is measured by `benchmark/` only.
+//! `cargo bench -p craqr-bench` regenerates them all. E1 and E3 are
+//! asserted by `tests/paper_claims.rs` and Fig. 2 by
+//! `tests/fig2_topology.rs` instead. None of them gates performance: that
+//! is measured by `benchmark/` only.
 
 use craqr_core::tuple::CrowdTuple;
 use craqr_geom::{SpaceTimePoint, SpaceTimeWindow};

@@ -2,54 +2,13 @@
 
 use crate::ops::report::{FitOutcome, FlattenReport};
 use crate::tuple::CrowdTuple;
-use craqr_geom::{Grid, Rect, SpaceTimePoint, SpaceTimeWindow};
-use craqr_mdpp::fit::{fit_mle_with, FitConfig, FitScratch, SgdConfig, SgdEstimator};
-use craqr_mdpp::intensity::{IntensityModel, LinearIntensity, PiecewiseConstantIntensity};
+use craqr_geom::{Rect, SpaceTimePoint, SpaceTimeWindow};
+use craqr_mdpp::fit::{fit_mle_with, FitConfig, FitScratch};
+use craqr_mdpp::intensity::{IntensityModel, LinearIntensity};
 use craqr_stats::sub_rng;
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::sync::Arc;
-
-/// How the flatten operator estimates the conditional intensity `λ̃(·; θ)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum EstimatorMode {
-    /// Fit θ by maximum likelihood (ref. \[12\]), the paper's default batch
-    /// behaviour, on every batch of at least [`FlattenOp::MIN_FIT_POINTS`]
-    /// tuples. On a smaller batch the fit recovers the intensity surface
-    /// worse than `n / V` (E3: the MLE wins 32 % of 2-point batches, 39 %
-    /// at 4) and removes less than half of `n / V`'s skew from F's pooled
-    /// output (E1), so it uses the homogeneous MLE `n / V`, and each tuple
-    /// is kept with probability `λ̄ V / n` (clamped at 1).
-    BatchMle,
-    /// Maintain θ across batches with online stochastic gradient descent
-    /// (ref. \[13\]); the paper's sliding-window variant.
-    Sgd(SgdConfig),
-    /// Nonparametric per-batch estimate: bin the cell into `bins × bins`
-    /// sub-cells and use the empirical rate of each bin as `λ̃` — the
-    /// classic histogram intensity estimator. Makes no linearity
-    /// assumption, so it also flattens multi-modal (hotspot) skew that
-    /// Eq. (1) cannot represent; the price is coarse resolution on sparse
-    /// batches.
-    Histogram {
-        /// Sub-cells per side (≥ 1).
-        bins: u32,
-    },
-}
-
-/// The per-batch fitted intensity, whichever family produced it.
-enum FittedModel {
-    Linear(LinearIntensity),
-    Piecewise(PiecewiseConstantIntensity),
-}
-
-impl FittedModel {
-    fn rate_at(&self, p: &SpaceTimePoint) -> f64 {
-        match self {
-            FittedModel::Linear(m) => m.rate_at(p),
-            FittedModel::Piecewise(m) => m.rate_at(p),
-        }
-    }
-}
 
 /// Configuration of a [`FlattenOp`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -61,8 +20,6 @@ pub struct FlattenConfig {
     pub batch_duration: f64,
     /// The desired homogeneous output rate `λ̄` (tuples / km² / min).
     pub target_rate: f64,
-    /// Intensity estimation mode.
-    pub mode: EstimatorMode,
     /// RNG seed for the Bernoulli retention draws.
     pub seed: u64,
 }
@@ -72,7 +29,7 @@ pub struct FlattenConfig {
 ///
 /// Per batch of `n` tuples it:
 ///
-/// 1. estimates θ of Eq. (1) (batch MLE or online SGD). The batch MLE
+/// 1. estimates θ of Eq. (1) by maximum likelihood (ref. \[12\]). It
 ///    fits only a batch of at least [`FlattenOp::MIN_FIT_POINTS`] (8)
 ///    tuples and estimates a smaller one as the homogeneous `n / V`, so
 ///    that step 2 keeps every tuple with probability `λ̄ V / n`. The
@@ -82,7 +39,7 @@ pub struct FlattenConfig {
 ///    on the intensity surface: the MLE has the lower relative RMSE on
 ///    32 % of 2-point batches, 39 % at 4, 50 % at 8, 57 % at 12, 69 % at
 ///    16 and 88 % at 32 (400 batches each), with mean RMSE 0.52, 0.46,
-///    0.38, 0.33, 0.29 and 0.22 against `n / V`'s 0.33,
+///    0.38, 0.33, 0.29 and 0.22 against `n / V`'s 0.33.
 /// 2. computes each tuple's *retaining probability* — Eq. (3):
 ///    `pᵢ = λ̄ / (λ̃(pᵢ; θ) · λ_c)` with `λ_c = Σᵢ λ̃(pᵢ; θ)⁻¹`,
 ///    where `λ̄` is expressed as the target *count* for the batch
@@ -100,12 +57,10 @@ pub struct FlattenOp {
     cell: Rect,
     batch_duration: f64,
     target_rate: f64,
-    mode: EstimatorMode,
-    sgd: Option<SgdEstimator>,
     rng: StdRng,
     report: Arc<FlattenReport>,
-    /// Per-batch scratch, kept across batches so that once warm the batch
-    /// MLE path allocates nothing: the batch in batch-local time, each
+    /// Per-batch scratch, kept across batches so that once warm a fitted
+    /// batch allocates nothing: the batch in batch-local time, each
     /// tuple's fitted intensity, and the MLE's buffers. A batch below
     /// [`Self::MIN_FIT_POINTS`] touches none of them.
     points: Vec<SpaceTimePoint>,
@@ -114,10 +69,10 @@ pub struct FlattenOp {
 }
 
 impl FlattenOp {
-    /// The smallest batch the batch MLE fits Eq. (1) to; a smaller one is
-    /// estimated as the homogeneous `n / V`. E1 sets it: the smallest
-    /// tested batch size at which the MLE pools to less than half of
-    /// `n / V`'s skew (see the type's doc).
+    /// The smallest batch F fits Eq. (1) to; a smaller one is estimated
+    /// as the homogeneous `n / V`. E1 sets it: the smallest tested batch
+    /// size at which the MLE pools to less than half of `n / V`'s skew
+    /// (see the type's doc).
     pub const MIN_FIT_POINTS: usize = 8;
 
     /// Creates a flatten operator and its telemetry handle.
@@ -129,24 +84,11 @@ impl FlattenOp {
         assert!(config.target_rate > 0.0, "target rate must be > 0");
         assert!(config.batch_duration > 0.0, "batch duration must be > 0");
         let report = FlattenReport::new(0.3);
-        let sgd = match config.mode {
-            EstimatorMode::BatchMle => None,
-            EstimatorMode::Histogram { bins } => {
-                assert!(bins > 0, "histogram estimator needs at least one bin");
-                None
-            }
-            EstimatorMode::Sgd(cfg) => {
-                let reference = SpaceTimeWindow::new(config.cell, 0.0, config.batch_duration);
-                Some(SgdEstimator::new(&reference, cfg))
-            }
-        };
         (
             Self {
                 cell: config.cell,
                 batch_duration: config.batch_duration,
                 target_rate: config.target_rate,
-                mode: config.mode,
-                sgd,
                 rng: sub_rng(config.seed, 0xF1A7),
                 report: Arc::clone(&report),
                 points: Vec::new(),
@@ -194,20 +136,19 @@ impl FlattenOp {
         SpaceTimeWindow::new(self.cell, t0, t1)
     }
 
-    /// Estimates the intensity for this batch according to the mode,
-    /// leaving the batch in batch-local time in `self.points`, and says
-    /// how the batch MLE's fit ended (`None` in the other modes).
+    /// Fits Eq. (1) to this batch, leaving the batch in batch-local time
+    /// in `self.points`, and says how the fit ended.
     ///
-    /// Estimation happens in *batch-local time* (`t − window.t0`): the SGD
-    /// estimator is anchored to a reference window starting at 0, and
-    /// shifting keeps its scaled time feature in `[−1, 1]` no matter how
-    /// long the stream has been running. The returned model must therefore
-    /// be evaluated at batch-local coordinates too.
+    /// Estimation happens in *batch-local time* (`t − window.t0`): the
+    /// fitted model's intercept is then the rate at the batch's start, not
+    /// at stream time 0, so evaluating it loses no precision to how long
+    /// the stream has been running. The returned model must therefore be
+    /// evaluated at batch-local coordinates too.
     fn estimate(
         &mut self,
         batch: &[CrowdTuple],
         window: &SpaceTimeWindow,
-    ) -> (FittedModel, Option<FitOutcome>) {
+    ) -> (LinearIntensity, FitOutcome) {
         let local_window = SpaceTimeWindow::new(self.cell, 0.0, window.duration());
         self.points.clear();
         self.points.extend(batch.iter().map(|t| {
@@ -215,32 +156,15 @@ impl FlattenOp {
             p.t -= window.t0;
             p
         }));
-        let points = &self.points;
-        match (&self.mode, self.sgd.as_mut()) {
-            (EstimatorMode::BatchMle, _) => {
-                let fit = fit_mle_with(
-                    points,
-                    &local_window,
-                    FitConfig::default(),
-                    &mut self.fit_scratch,
-                );
-                let outcome = FitOutcome::Fitted {
-                    points: points.len(),
-                    iterations: fit.iterations,
-                    converged: fit.converged,
-                    on_boundary: fit.on_boundary,
-                };
-                (FittedModel::Linear(fit.intensity), Some(outcome))
-            }
-            (EstimatorMode::Histogram { bins }, _) => {
-                (FittedModel::Piecewise(histogram_intensity(points, &local_window, *bins)), None)
-            }
-            (EstimatorMode::Sgd(_), Some(sgd)) => {
-                sgd.observe_batch(points, &local_window);
-                (FittedModel::Linear(sgd.estimate()), None)
-            }
-            (EstimatorMode::Sgd(_), None) => unreachable!("sgd mode always has an estimator"),
-        }
+        let fit =
+            fit_mle_with(&self.points, &local_window, FitConfig::default(), &mut self.fit_scratch);
+        let outcome = FitOutcome::Fitted {
+            points: self.points.len(),
+            iterations: fit.iterations,
+            converged: fit.converged,
+            on_boundary: fit.on_boundary,
+        };
+        (fit.intensity, outcome)
     }
 
     /// Flattens one batch, appending the retained tuples to `out` in input
@@ -255,28 +179,24 @@ impl FlattenOp {
         let window = self.batch_window(batch);
         let target_count = self.target_rate * window.volume();
 
-        let ((violations, kept), fit) =
-            if matches!(self.mode, EstimatorMode::BatchMle) && batch.len() < Self::MIN_FIT_POINTS {
-                // `λ̃ = n / V` at every tuple, so `λ_c = V` and Eq. (3) is
-                // `λ̄ V / n` for each: no batch-local copy, rates or fit.
-                let p = target_count / batch.len() as f64;
-                (
-                    retain(batch.iter().map(|t| (t, p)), &mut self.rng, out),
-                    Some(FitOutcome::Homogeneous),
-                )
-            } else {
-                let (model, fit) = self.estimate(batch, &window);
-                // Eq. (3), evaluated in batch-local time to match the estimate.
-                // Intensities are floored to avoid division blow-ups where the
-                // fitted plane grazes zero inside the window.
-                self.rates.clear();
-                self.rates.extend(self.points.iter().map(|p| model.rate_at(p).max(1e-9)));
-                let lambda_c: f64 = self.rates.iter().map(|r| 1.0 / r).sum();
-                let p = self.rates.iter().map(|&rate| target_count / (rate * lambda_c));
-                (retain(batch.iter().zip(p), &mut self.rng, out), fit)
-            };
+        let ((violations, kept), fit) = if batch.len() < Self::MIN_FIT_POINTS {
+            // `λ̃ = n / V` at every tuple, so `λ_c = V` and Eq. (3) is
+            // `λ̄ V / n` for each: no batch-local copy, rates or fit.
+            let p = target_count / batch.len() as f64;
+            (retain(batch.iter().map(|t| (t, p)), &mut self.rng, out), FitOutcome::Homogeneous)
+        } else {
+            let (model, fit) = self.estimate(batch, &window);
+            // Eq. (3), evaluated in batch-local time to match the estimate.
+            // Intensities are floored to avoid division blow-ups where the
+            // fitted plane grazes zero inside the window.
+            self.rates.clear();
+            self.rates.extend(self.points.iter().map(|p| model.rate_at(p).max(1e-9)));
+            let lambda_c: f64 = self.rates.iter().map(|r| 1.0 / r).sum();
+            let p = self.rates.iter().map(|&rate| target_count / (rate * lambda_c));
+            (retain(batch.iter().zip(p), &mut self.rng, out), fit)
+        };
         let nv = 100.0 * violations as f64 / batch.len() as f64;
-        self.report.record_batch(nv, batch.len(), kept, fit);
+        self.report.record_batch(nv, batch.len(), kept, Some(fit));
     }
 }
 
@@ -300,27 +220,6 @@ fn retain<'a>(
         }
     }
     (violations, kept)
-}
-
-/// The histogram intensity estimate: empirical rate per `bins × bins`
-/// sub-cell, with add-half smoothing so empty bins keep a small positive
-/// rate (a zero-rate bin would make Eq. (3)'s retaining probability blow
-/// up for any stray point that lands there next).
-fn histogram_intensity(
-    points: &[SpaceTimePoint],
-    window: &SpaceTimeWindow,
-    bins: u32,
-) -> PiecewiseConstantIntensity {
-    let grid = Grid::new(window.rect, bins);
-    let mut counts = vec![0.5f64; (bins * bins) as usize];
-    for p in points {
-        if let Some(cell) = grid.cell_of(p.x, p.y) {
-            counts[(cell.r * bins + cell.q) as usize] += 1.0;
-        }
-    }
-    let bin_volume = grid.cell_area() * window.duration();
-    let rates: Vec<f64> = counts.into_iter().map(|c| c / bin_volume).collect();
-    PiecewiseConstantIntensity::new(grid, rates)
 }
 
 // The stochastic assertions below (χ² homogeneity at α = 0.001, CV-ratio
@@ -356,13 +255,7 @@ mod tests {
     }
 
     fn config(target_rate: f64) -> FlattenConfig {
-        FlattenConfig {
-            cell: cell(),
-            batch_duration: 10.0,
-            target_rate,
-            mode: EstimatorMode::BatchMle,
-            seed: 99,
-        }
+        FlattenConfig { cell: cell(), batch_duration: 10.0, target_rate, seed: 99 }
     }
 
     fn run_batch(op: &mut FlattenOp, batch: &[CrowdTuple]) -> Vec<CrowdTuple> {
@@ -503,82 +396,6 @@ mod tests {
         assert_eq!(fits.homogeneous, below);
         assert_eq!(fits.fitted + fits.capped, below + 2);
         assert!(fits.iterations > 0);
-    }
-
-    #[test]
-    fn sgd_mode_learns_across_batches() {
-        let cfg = FlattenConfig { mode: EstimatorMode::Sgd(SgdConfig::default()), ..config(0.5) };
-        let (mut op, report) = FlattenOp::new(cfg);
-        let truth = LinearIntensity::new([0.5, 0.0, 0.5, 0.0]);
-        let process = InhomogeneousMdpp::new(truth, cell());
-        let mut rng = seeded_rng(5);
-        let mut last_out = Vec::new();
-        for b in 0..80 {
-            let w = SpaceTimeWindow::new(cell(), b as f64 * 10.0, (b + 1) as f64 * 10.0);
-            let pts = process.sample(&w, &mut rng);
-            last_out = run_batch(&mut op, &tuples_from_points(&pts));
-        }
-        assert_eq!(report.batches(), 80);
-        // After convergence, the last batch's output should be near target
-        // count and roughly balanced across the x gradient.
-        let target = 0.5 * 10.0 * 100.0;
-        let got = last_out.len() as f64;
-        assert!((got - target).abs() < 0.3 * target, "kept {got} want ~{target}");
-        let low_half = last_out.iter().filter(|t| t.point.x < 5.0).count() as f64;
-        let ratio = low_half / last_out.len() as f64;
-        assert!((ratio - 0.5).abs() < 0.12, "balance {ratio}");
-    }
-
-    #[test]
-    fn histogram_mode_flattens_linear_skew() {
-        let cfg = FlattenConfig { mode: EstimatorMode::Histogram { bins: 4 }, ..config(0.6) };
-        let (mut op, _) = FlattenOp::new(cfg);
-        let w = SpaceTimeWindow::new(cell(), 0.0, 10.0);
-        let truth = LinearIntensity::new([0.3, 0.0, 0.7, 0.0]);
-        let pts = InhomogeneousMdpp::new(truth, cell()).sample(&w, &mut seeded_rng(23));
-        let out = run_batch(&mut op, &tuples_from_points(&pts));
-        let out_points: Vec<_> = out.iter().map(|t| t.point).collect();
-        let rep = homogeneity_report(&out_points, &w, 4, 2);
-        assert!(rep.is_homogeneous(0.001), "chi p={}", rep.chi_square.p_value);
-        assert!((rep.empirical_rate - 0.6).abs() < 0.12, "rate {}", rep.empirical_rate);
-    }
-
-    #[test]
-    fn histogram_mode_flattens_hotspot_skew_where_linear_cannot() {
-        use craqr_mdpp::intensity::{Bump, GaussianBumpIntensity};
-        // A central hotspot: not representable by Eq. (1)'s plane.
-        let truth = GaussianBumpIntensity::new(
-            0.3,
-            vec![Bump { cx: 5.0, cy: 5.0, amplitude: 8.0, sigma: 1.2 }],
-        );
-        let w = SpaceTimeWindow::new(cell(), 0.0, 10.0);
-        let pts = InhomogeneousMdpp::new(truth, cell()).sample(&w, &mut seeded_rng(23));
-        let batch = tuples_from_points(&pts);
-
-        let run_mode = |mode: EstimatorMode, seed: u64| {
-            let (mut op, _) = FlattenOp::new(FlattenConfig { mode, seed, ..config(0.4) });
-            let out = run_batch(&mut op, &batch);
-            let out_points: Vec<_> = out.iter().map(|t| t.point).collect();
-            homogeneity_report(&out_points, &w, 4, 2)
-        };
-        let hist = run_mode(EstimatorMode::Histogram { bins: 5 }, 1);
-        let mle = run_mode(EstimatorMode::BatchMle, 1);
-        // The histogram estimator must flatten the bump; the plane fit is
-        // structurally blind to it (a symmetric bump has no gradient).
-        assert!(
-            hist.count_cv < mle.count_cv * 0.75,
-            "hist CV {} vs mle CV {}",
-            hist.count_cv,
-            mle.count_cv
-        );
-        assert!(hist.is_homogeneous(0.001), "hist chi p={}", hist.chi_square.p_value);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bin")]
-    fn histogram_mode_rejects_zero_bins() {
-        let cfg = FlattenConfig { mode: EstimatorMode::Histogram { bins: 0 }, ..config(0.5) };
-        let _ = FlattenOp::new(cfg);
     }
 
     #[test]

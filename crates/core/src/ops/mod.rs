@@ -25,7 +25,7 @@ mod report;
 mod thin;
 mod union;
 
-pub use flatten::{EstimatorMode, FlattenConfig, FlattenOp};
+pub use flatten::{FlattenConfig, FlattenOp};
 pub use partition::PartitionOp;
 pub use report::{FitCounts, FlattenReport};
 pub use thin::ThinOp;

@@ -118,7 +118,7 @@ impl FlattenReport {
     }
 
     /// Records one batch: its `N_v`, its tuples seen and kept, and how
-    /// the batch MLE estimated it (`None` for a batch no fit ran on).
+    /// F estimated it (`None` for an empty batch, which has no estimate).
     pub(crate) fn record_batch(
         &self,
         nv_percent: f64,

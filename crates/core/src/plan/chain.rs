@@ -43,12 +43,9 @@
 //! largest batch the walk itself allocates nothing. That is a steady
 //! state, not a guarantee: a buffer grows the first time a batch outgrows
 //! it (random thinning can hand a tap a new largest batch long after
-//! warm-up), a new tap starts with an empty buffer, and operators that
-//! build per-batch state (the histogram estimator) allocate.
+//! warm-up), and a new tap starts with an empty buffer.
 
-use crate::ops::{
-    EstimatorMode, FitCounts, FlattenConfig, FlattenOp, FlattenReport, PartitionOp, ThinOp,
-};
+use crate::ops::{FitCounts, FlattenConfig, FlattenOp, FlattenReport, PartitionOp, ThinOp};
 use crate::query::QueryId;
 use crate::tuple::CrowdTuple;
 use craqr_geom::Rect;
@@ -244,13 +241,11 @@ pub struct AttrChain {
 
 impl AttrChain {
     /// Creates a chain whose `F` head flattens to `initial_rate × headroom`.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         cell_rect: Rect,
         batch_duration: f64,
         initial_rate: f64,
         headroom: f64,
-        estimator: EstimatorMode,
         shape: TopologyShape,
         seed: u64,
     ) -> Self {
@@ -260,7 +255,6 @@ impl AttrChain {
             cell: cell_rect,
             batch_duration,
             target_rate: f_rate,
-            mode: estimator,
             seed,
         });
         Self {
@@ -624,15 +618,7 @@ mod tests {
     }
 
     fn chain(initial_rate: f64) -> AttrChain {
-        AttrChain::new(
-            cell(),
-            10.0,
-            initial_rate,
-            1.0,
-            EstimatorMode::BatchMle,
-            TopologyShape::Chain,
-            7,
-        )
+        AttrChain::new(cell(), 10.0, initial_rate, 1.0, TopologyShape::Chain, 7)
     }
 
     fn batch(n: usize, t0: f64) -> Vec<CrowdTuple> {
@@ -779,8 +765,7 @@ mod tests {
 
     #[test]
     fn star_shape_taps_hang_off_f() {
-        let mut c =
-            AttrChain::new(cell(), 10.0, 1.0, 1.0, EstimatorMode::BatchMle, TopologyShape::Star, 7);
+        let mut c = AttrChain::new(cell(), 10.0, 1.0, 1.0, TopologyShape::Star, 7);
         c.insert_consumer(QueryId(1), 0, 4.0, cell(), true);
         c.insert_consumer(QueryId(2), 0, 1.0, cell(), true);
         c.assert_invariants();
@@ -804,8 +789,7 @@ mod tests {
     /// which raises `F`, moves every older tap's input with it.
     #[test]
     fn star_taps_follow_a_raised_f() {
-        let mut c =
-            AttrChain::new(cell(), 10.0, 0.4, 1.0, EstimatorMode::BatchMle, TopologyShape::Star, 7);
+        let mut c = AttrChain::new(cell(), 10.0, 0.4, 1.0, TopologyShape::Star, 7);
         c.insert_consumer(QueryId(1), 0, 0.4, cell(), true);
         c.insert_consumer(QueryId(2), 0, 0.8, cell(), true);
         assert_eq!(c.f_rate(), 0.8);
@@ -868,7 +852,7 @@ mod tests {
     fn chain_walk_is_pinned() {
         let (left, right) = (Rect::new(0.0, 0.0, 0.5, 1.0), Rect::new(0.5, 0.0, 1.0, 1.0));
         for (shape, want) in [(TopologyShape::Chain, CHAIN_PIN), (TopologyShape::Star, STAR_PIN)] {
-            let mut c = AttrChain::new(cell(), 10.0, 0.8, 1.0, EstimatorMode::BatchMle, shape, 7);
+            let mut c = AttrChain::new(cell(), 10.0, 0.8, 1.0, shape, 7);
             c.insert_consumer(QueryId(1), 0, 0.8, cell(), true);
             c.insert_consumer(QueryId(2), 1, 0.4, left, false);
             c.insert_consumer(QueryId(3), 2, 0.2, cell(), true);
@@ -927,15 +911,7 @@ mod tests {
 
     #[test]
     fn headroom_scales_f_target() {
-        let mut c = AttrChain::new(
-            cell(),
-            10.0,
-            1.0,
-            1.5,
-            EstimatorMode::BatchMle,
-            TopologyShape::Chain,
-            7,
-        );
+        let mut c = AttrChain::new(cell(), 10.0, 1.0, 1.5, TopologyShape::Chain, 7);
         c.insert_consumer(QueryId(1), 0, 4.0, cell(), true);
         assert!((c.f_rate() - 6.0).abs() < 1e-9, "1.5 × 4 = 6, got {}", c.f_rate());
     }

@@ -514,7 +514,6 @@ impl Fabricator {
                     self.config.batch_duration,
                     query.rate,
                     self.config.f_headroom,
-                    self.config.estimator,
                     self.config.shape,
                     chain_seed,
                 );
@@ -563,8 +562,8 @@ impl Fabricator {
 
     /// Tears one (cell, attribute) chain down and rebuilds it from its
     /// standing consumers — the adaptive controller's actuator after a
-    /// confirmed regime shift. The fresh chain restarts its flatten
-    /// estimator, `N_v` telemetry, and thinning RNG streams from the same
+    /// confirmed regime shift. The fresh chain restarts its `N_v`
+    /// telemetry and its flatten and thinning RNG streams from the same
     /// seed derivation query insertion uses, so a rebuild is deterministic
     /// and (like every chain mutation) identical across [`ExecMode`]s.
     ///
@@ -585,7 +584,7 @@ impl Fabricator {
                 consumers.push((*qid, port as u32, plan.query.rate, overlap, full));
             }
         }
-        // The chain's flatten estimator and RNG streams restart (that is
+        // The chain's RNG streams and `N_v` telemetry restart (that is
         // the point of a rebuild), but its processed-work history joins
         // the retired aggregate: operator counters are fleet-cumulative.
         self.retired_metrics.absorb(&old.metrics());
@@ -597,7 +596,6 @@ impl Fabricator {
             self.config.batch_duration,
             initial_rate,
             self.config.f_headroom,
-            self.config.estimator,
             self.config.shape,
             self.chain_seed(cell, attr),
         );
@@ -743,7 +741,7 @@ impl Fabricator {
     /// cores. The ascending chain list splits round-robin into that many
     /// shards, run through [`craqr_stats::fan_out`]; at width 1 that is
     /// every chain on the calling thread in ascending key order. Chains
-    /// share nothing (their RNG streams, estimators, and buffers are all
+    /// share nothing (their RNG streams, fit scratch, and buffers are all
     /// chain-local, seeded from the planner's root seed), so the result is
     /// **bit-identical** at every width regardless of scheduling — see the
     /// determinism contract on [`crate::exec`].

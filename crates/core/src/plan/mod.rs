@@ -6,7 +6,6 @@ mod fabricator;
 pub use chain::{AttrChain, OpCounters, OperatorMetrics, TopologyShape};
 pub use fabricator::{Fabricator, PlanError, QueryPlan};
 
-use crate::ops::EstimatorMode;
 use craqr_stats::Interval;
 
 /// Planner/fabricator configuration.
@@ -23,8 +22,6 @@ pub struct PlannerConfig {
     pub f_headroom: f64,
     /// Per-cell topology shape (Section VI "alternative topologies").
     pub shape: TopologyShape,
-    /// Intensity-estimation mode for the `F` operators.
-    pub estimator: EstimatorMode,
     /// Master seed for all operator randomness.
     pub seed: u64,
     /// Enforce the Section IV minimum-query-area rule ("a single-attribute
@@ -41,7 +38,6 @@ impl Default for PlannerConfig {
             batch_duration: 5.0,
             f_headroom: 1.0,
             shape: TopologyShape::Chain,
-            estimator: EstimatorMode::BatchMle,
             seed: 0xC7A9,
             enforce_min_area: true,
         }

@@ -342,7 +342,7 @@ pub enum ControlAction {
         requests_per_epoch: f64,
     },
     /// Tear the chain down and rebuild it from its standing consumers,
-    /// restarting its flatten estimator and telemetry
+    /// restarting its RNG streams and telemetry
     /// ([`Fabricator::rebuild_chain`]). Ingest leaves every sink empty,
     /// so no tuple is buffered in the old chain to lose.
     RebuildChain {

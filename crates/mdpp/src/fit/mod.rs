@@ -1,9 +1,10 @@
 //! Parameter estimation for the linear conditional-intensity model.
 //!
 //! The paper points at two estimation regimes (Section III-A and IV-B):
-//! batch maximum-likelihood "given a set of acquired tuples" (ref. \[12\]) and
-//! online stochastic gradient descent for sliding-window flattening
-//! (ref. \[13\]). Both are implemented here over the concave Poisson
+//! batch maximum-likelihood "given a set of acquired tuples" (ref. \[12\]),
+//! which the `F` operator fits to each batch, and online stochastic
+//! gradient descent (ref. \[13\]), which the adaptive controller runs as
+//! one track per query. Both are implemented here over the concave Poisson
 //! log-likelihood
 //!
 //! ```text

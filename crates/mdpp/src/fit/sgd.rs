@@ -1,10 +1,10 @@
 //! Online stochastic-gradient estimation of Eq. (1).
 //!
-//! Sliding-window flattening (Section IV-B) cannot afford a batch MLE per
-//! window; the paper points to "online parameter estimation algorithms like
-//! stochastic gradient descent … [13]". [`SgdEstimator`] consumes point
-//! batches as they arrive and maintains a running θ estimate with O(1) work
-//! per point.
+//! For sliding windows the paper points to "online parameter estimation
+//! algorithms like stochastic gradient descent … [13]" (Section IV-B).
+//! [`SgdEstimator`] consumes point batches as they arrive and maintains a
+//! running θ estimate with O(1) work per point; the adaptive controller
+//! keeps one per query.
 
 use craqr_geom::{SpaceTimePoint, SpaceTimeWindow};
 use craqr_stats::Interval;

@@ -7,7 +7,7 @@
 //! log-likelihood). Models where the integral has a closed form implement
 //! it exactly; the rest fall back to midpoint-rule quadrature.
 
-use craqr_geom::{Grid, SpaceTimePoint, SpaceTimeWindow};
+use craqr_geom::{SpaceTimePoint, SpaceTimeWindow};
 
 /// A conditional spatio-temporal intensity (rate) function.
 pub trait IntensityModel {
@@ -395,72 +395,6 @@ impl IntensityModel for GaussianBumpIntensity {
     }
 }
 
-/// Piecewise-constant intensity over the cells of a [`Grid`]
-/// (time-invariant).
-///
-/// This is the natural "estimated rate per materialized grid cell" model:
-/// the budget tuner can use it to describe how crowd density varies across
-/// cells without committing to a parametric form.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PiecewiseConstantIntensity {
-    grid: Grid,
-    /// Row-major `side × side` rates.
-    rates: Vec<f64>,
-    /// Rate outside the grid region.
-    outside: f64,
-}
-
-impl PiecewiseConstantIntensity {
-    /// Creates the model; `rates` is row-major over the grid's cells.
-    ///
-    /// # Panics
-    /// Panics when `rates.len() != grid.cell_count()` or any rate is
-    /// negative/non-finite.
-    #[track_caller]
-    pub fn new(grid: Grid, rates: Vec<f64>) -> Self {
-        assert_eq!(rates.len(), grid.cell_count() as usize, "one rate per cell required");
-        assert!(rates.iter().all(|r| r.is_finite() && *r >= 0.0), "rates must be finite and >= 0");
-        Self { grid, rates, outside: 0.0 }
-    }
-
-    /// The underlying grid.
-    #[inline]
-    pub fn grid(&self) -> &Grid {
-        &self.grid
-    }
-
-    /// Rate of cell `(q, r)`.
-    pub fn cell_rate(&self, q: u32, r: u32) -> f64 {
-        self.rates[(r * self.grid.side() + q) as usize]
-    }
-}
-
-impl IntensityModel for PiecewiseConstantIntensity {
-    fn rate_at(&self, p: &SpaceTimePoint) -> f64 {
-        match self.grid.cell_of(p.x, p.y) {
-            Some(c) => self.cell_rate(c.q, c.r),
-            None => self.outside,
-        }
-    }
-
-    fn max_rate(&self, _w: &SpaceTimeWindow) -> f64 {
-        self.rates.iter().copied().fold(0.0, f64::max)
-    }
-
-    fn integral(&self, w: &SpaceTimeWindow) -> f64 {
-        // Exact: sum rate × overlap-area over the cells the window touches.
-        let overlaps = self.grid.cells_overlapping(&w.rect);
-        let spatial: f64 =
-            overlaps.iter().map(|o| self.cell_rate(o.cell.q, o.cell.r) * o.overlap.area()).sum();
-        spatial * w.duration()
-    }
-
-    #[inline]
-    fn is_time_invariant(&self) -> bool {
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -544,39 +478,6 @@ mod tests {
         let w = window();
         let int = numeric_integral(&g, &w, 24);
         assert!((int - 2.0 * w.volume()).abs() < 1e-6 * w.volume());
-    }
-
-    #[test]
-    fn piecewise_constant_rate_lookup_and_integral() {
-        let grid = Grid::new(Rect::with_size(2.0, 2.0), 2);
-        // rates: cell (0,0)=1, (1,0)=2, (0,1)=3, (1,1)=4 (row-major by r).
-        let pc = PiecewiseConstantIntensity::new(grid, vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(pc.rate_at(&SpaceTimePoint::new(0.0, 0.5, 0.5)), 1.0);
-        assert_eq!(pc.rate_at(&SpaceTimePoint::new(0.0, 1.5, 0.5)), 2.0);
-        assert_eq!(pc.rate_at(&SpaceTimePoint::new(0.0, 0.5, 1.5)), 3.0);
-        assert_eq!(pc.rate_at(&SpaceTimePoint::new(0.0, 1.5, 1.5)), 4.0);
-        assert_eq!(pc.rate_at(&SpaceTimePoint::new(0.0, 5.0, 5.0)), 0.0);
-
-        // Whole-region window: ∫ = Σ rate × cell area × duration.
-        let w = SpaceTimeWindow::new(Rect::with_size(2.0, 2.0), 0.0, 3.0);
-        assert!((pc.integral(&w) - (1.0 + 2.0 + 3.0 + 4.0) * 1.0 * 3.0).abs() < 1e-9);
-        assert_eq!(pc.max_rate(&w), 4.0);
-    }
-
-    #[test]
-    fn piecewise_partial_window_integral() {
-        let grid = Grid::new(Rect::with_size(2.0, 2.0), 2);
-        let pc = PiecewiseConstantIntensity::new(grid, vec![1.0, 2.0, 3.0, 4.0]);
-        // Window covering only the left column (x in [0,1)).
-        let w = SpaceTimeWindow::new(Rect::new(0.0, 0.0, 1.0, 2.0), 0.0, 1.0);
-        assert!((pc.integral(&w) - (1.0 + 3.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "one rate per cell")]
-    fn piecewise_wrong_rate_count_rejected() {
-        let grid = Grid::new(Rect::with_size(1.0, 1.0), 2);
-        let _ = PiecewiseConstantIntensity::new(grid, vec![1.0]);
     }
 
     /// Counts `rate_at` evaluations, so tests can prove the cache elides

@@ -6,8 +6,8 @@
 //!
 //! - [`intensity`]: conditional-intensity functions `λ̃(t, x, y; θ)`,
 //!   including the paper's linear parametrization (Eq. (1)) with a
-//!   closed-form window integral, plus separable Gaussian-bump and
-//!   piecewise-constant models used by the crowd simulator.
+//!   closed-form window integral, plus a constant and a separable
+//!   Gaussian-bump model.
 //! - [`process`]: the process types `P(λ, R)` (homogeneous) and
 //!   `P̃(λ̃, R)` (inhomogeneous) with exact samplers — direct
 //!   Poisson-count/uniform placement for the homogeneous case and
@@ -15,7 +15,7 @@
 //! - [`fit`]: parameter estimation for Eq. (1) — batch maximum-likelihood
 //!   (an active-set Newton method on the concave Poisson log-likelihood,
 //!   ref. \[12\] of the paper) and online stochastic gradient descent
-//!   (ref. \[13\], used by sliding-window flattening).
+//!   (ref. \[13\], the adaptive controller's per-query tracks).
 //! - [`diagnostics`]: empirical homogeneity checks (binned χ², dispersion,
 //!   count CV, temporal KS) used to verify operator behaviour.
 //! - [`excite`]: self-exciting (Hawkes-style) conditional intensities with
@@ -60,7 +60,6 @@ pub use excite::SelfExcitingIntensity;
 pub use fit::{fit_mle, FitConfig, FitResult, Innovation, SgdConfig, SgdEstimator};
 pub use intensity::{
     ConstantIntensity, GaussianBumpIntensity, IntegralCache, IntensityModel, LinearIntensity,
-    PiecewiseConstantIntensity,
 };
 pub use process::{HomogeneousMdpp, InhomogeneousMdpp};
 pub use summary::IntensitySummary;

@@ -1816,7 +1816,6 @@ impl ScenarioSpec {
                 shape,
                 seed: self.seed,
                 enforce_min_area: self.planner.enforce_min_area,
-                ..PlannerConfig::default()
             },
             tuner: BudgetTuner {
                 nv_threshold: self.budget.nv_threshold,

@@ -14,15 +14,12 @@
 //!   variance-to-mean dispersion index. These are how the test-suite and the
 //!   experiment harness *verify* the paper's claims that `flatten` output is
 //!   "approximately homogeneous" and `thin` hits its target rate.
-//! - **Online estimators** ([`online`]): Welford moments, EWMA, and
-//!   windowed rates used by sliding-window flattening and budget tuning.
+//! - **Online estimators** ([`online`]): Welford moments and EWMA.
 //! - **Drift detectors** ([`drift`]): sequential change-point tests
 //!   (two-sided CUSUM, Page–Hinkley) the adaptive acquisition loop runs
 //!   over estimator innovation streams.
 //! - **Knob ranges** ([`interval`]): the [`Interval`] every float knob's
 //!   owner declares once and every validator and assert reads.
-//! - **Summaries** ([`summary`]): histograms and quantiles for experiment
-//!   reports.
 //! - **Seed derivation** ([`rng`]): stable per-component sub-seeds so a
 //!   whole simulation is reproducible from one master seed.
 //! - **Checksums** ([`fnv`]): the FNV-1a hash every canonical golden
@@ -42,7 +39,6 @@ pub mod interval;
 pub mod online;
 pub mod rng;
 pub mod special;
-pub mod summary;
 pub mod text;
 
 pub use dist::{Exponential, Normal, Poisson};
@@ -51,7 +47,6 @@ pub use fnv::{fnv1a64, fnv1a64_extend, fnv1a64_extend2};
 pub use host::{fan_out, host_cores, join, width};
 pub use hypothesis::{chi_square_uniform, dispersion_index, ks_exponential, ChiSquare, KsTest};
 pub use interval::Interval;
-pub use online::{Ewma, OnlineMoments, WindowedRate};
+pub use online::{Ewma, OnlineMoments};
 pub use rng::{seeded_rng, sub_rng};
-pub use summary::{Histogram, Summary};
 pub use text::{format_float, write_float};

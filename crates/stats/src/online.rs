@@ -1,9 +1,7 @@
-//! Streaming estimators.
-//!
-//! Budget tuning and sliding-window flattening observe unbounded tuple
-//! streams; everything here is O(1) memory per statistic.
-
-use std::collections::VecDeque;
+//! Streaming estimators: Welford moments and an exponentially weighted
+//! mean, each O(1) memory however long the stream. `F`'s report smooths
+//! its `N_v` with [`Ewma`]; the samplers' tests check their moments with
+//! [`OnlineMoments`].
 
 /// Welford's online mean/variance accumulator.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -143,68 +141,6 @@ impl Ewma {
     }
 }
 
-/// Event rate over a sliding time window.
-///
-/// Stores event timestamps inside the window; `rate()` is
-/// `events / window`. Used by the request/response handler to measure the
-/// actual delivery rate per (attribute, cell) and by sliding-window flatten.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WindowedRate {
-    window: f64,
-    times: VecDeque<f64>,
-}
-
-impl WindowedRate {
-    /// Creates a rate tracker over a window of `window` time units.
-    ///
-    /// # Panics
-    /// Panics unless `window > 0`.
-    #[track_caller]
-    pub fn new(window: f64) -> Self {
-        assert!(window.is_finite() && window > 0.0, "window must be > 0, got {window}");
-        Self { window, times: VecDeque::new() }
-    }
-
-    /// Records an event at time `t`. Times must be non-decreasing; a stale
-    /// event (older than the newest by more than the window) is ignored.
-    pub fn record(&mut self, t: f64) {
-        if let Some(&newest) = self.times.back() {
-            if t < newest - self.window {
-                return;
-            }
-        }
-        self.times.push_back(t);
-        self.evict(t);
-    }
-
-    /// Number of events within `(now − window, now]`.
-    pub fn count_at(&mut self, now: f64) -> usize {
-        self.evict(now);
-        self.times.len()
-    }
-
-    /// Event rate per time unit as of `now`.
-    pub fn rate_at(&mut self, now: f64) -> f64 {
-        self.count_at(now) as f64 / self.window
-    }
-
-    /// The window length.
-    #[inline]
-    pub fn window(&self) -> f64 {
-        self.window
-    }
-
-    fn evict(&mut self, now: f64) {
-        while let Some(&front) = self.times.front() {
-            if front <= now - self.window {
-                self.times.pop_front();
-            } else {
-                break;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,33 +240,5 @@ mod tests {
     #[should_panic(expected = "alpha")]
     fn ewma_rejects_zero_alpha() {
         let _ = Ewma::new(0.0);
-    }
-
-    #[test]
-    fn windowed_rate_counts_recent_events() {
-        let mut w = WindowedRate::new(10.0);
-        for t in 0..20 {
-            w.record(t as f64);
-        }
-        // At t=19, events in (9, 19] are 10..=19 → 10 events.
-        assert_eq!(w.count_at(19.0), 10);
-        assert!((w.rate_at(19.0) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn windowed_rate_evicts_everything_after_gap() {
-        let mut w = WindowedRate::new(5.0);
-        w.record(1.0);
-        w.record(2.0);
-        assert_eq!(w.count_at(100.0), 0);
-        assert_eq!(w.rate_at(100.0), 0.0);
-    }
-
-    #[test]
-    fn windowed_rate_ignores_stale_records() {
-        let mut w = WindowedRate::new(5.0);
-        w.record(100.0);
-        w.record(1.0); // far in the past relative to newest: ignored
-        assert_eq!(w.count_at(100.0), 1);
     }
 }

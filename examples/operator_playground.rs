@@ -14,7 +14,7 @@
 //! - `P` splits a stream by region without changing local rates;
 //! - `U` reassembles adjacent pieces.
 
-use craqr::core::ops::{EstimatorMode, FlattenConfig};
+use craqr::core::ops::FlattenConfig;
 use craqr::prelude::*;
 use craqr::sensing::{AttrValue, AttributeId, SensorId};
 
@@ -42,13 +42,8 @@ fn main() {
     let skewed = InhomogeneousMdpp::new(LinearIntensity::new([0.3, 0.0, 0.7, 0.0]), cell);
     let raw = skewed.sample(&window, &mut rng);
     let in_rep = homogeneity_report(&raw, &window, 4, 2);
-    let (mut flatten, report) = FlattenOp::new(FlattenConfig {
-        cell,
-        batch_duration: 10.0,
-        target_rate: 0.6,
-        mode: EstimatorMode::BatchMle,
-        seed: 1,
-    });
+    let (mut flatten, report) =
+        FlattenOp::new(FlattenConfig { cell, batch_duration: 10.0, target_rate: 0.6, seed: 1 });
     let mut flat = Vec::new();
     flatten.process(&tuples_from(&raw), &mut flat);
     let flat_points: Vec<SpaceTimePoint> = flat.iter().map(|t| t.point).collect();

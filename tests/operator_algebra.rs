@@ -10,7 +10,7 @@
 //!   homogeneous stream at its own rate changes little,
 //! - partition then union is the identity.
 
-use craqr::core::ops::{EstimatorMode, FlattenConfig, FlattenOp};
+use craqr::core::ops::{FlattenConfig, FlattenOp};
 use craqr::prelude::*;
 use craqr::sensing::{AttrValue, AttributeId, SensorId};
 
@@ -115,7 +115,6 @@ fn flatten_is_approximately_idempotent_on_homogeneous_input() {
         cell: cell(),
         batch_duration: 10.0,
         target_rate: 1.0,
-        mode: EstimatorMode::BatchMle,
         seed: 40,
     });
     let mut out = Vec::new();

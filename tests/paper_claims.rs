@@ -30,7 +30,7 @@
 //! the truth conditioned on n points (rejection from the window's
 //! envelope), over a window whose expected count under the truth is n.
 
-use craqr::core::ops::{EstimatorMode, FlattenConfig, FlattenOp};
+use craqr::core::ops::{FlattenConfig, FlattenOp};
 use craqr::core::tuple::CrowdTuple;
 use craqr::geom::{Rect, SpaceTimePoint, SpaceTimeWindow};
 use craqr::mdpp::diagnostics::{homogeneity_report, HomogeneityReport};
@@ -334,7 +334,6 @@ fn e1_the_product_f_homogenizes_large_batches() {
         cell: region(),
         batch_duration: d,
         target_rate: LAMBDA_BAR,
-        mode: EstimatorMode::BatchMle,
         seed: 0xE1,
     });
     let mut rng = seeded_rng(0xE1);

@@ -1,7 +1,7 @@
 //! Cross-crate property tests: PMAT operator contracts and planner
 //! invariants under randomized inputs.
 
-use craqr::core::ops::{EstimatorMode, FlattenConfig, FlattenOp};
+use craqr::core::ops::{FlattenConfig, FlattenOp};
 use craqr::core::plan::PlannerConfig;
 use craqr::core::{AcquisitionQuery, Fabricator, PartitionOp, ThinOp, UnionOp};
 use craqr::prelude::*;
@@ -113,7 +113,6 @@ proptest! {
             cell,
             batch_duration: 10.0,
             target_rate,
-            mode: EstimatorMode::BatchMle,
             seed,
         });
         let window = SpaceTimeWindow::new(cell, 0.0, 10.0);
