@@ -31,8 +31,8 @@
 //!   per-(attribute, cell) budgets tuned by the flatten operators' percent
 //!   rate violation `N_v`.
 //! - [`incentive`], [`optimizer`], [`error_model`]: the Section VI
-//!   extensions (incentive escalation, chain-vs-tree topology cost,
-//!   error injection and mitigation).
+//!   extensions (incentive escalation, the chain-vs-star `T`-work model
+//!   that the E10 claim checks, error injection and mitigation).
 //! - [`tenant`]: multi-tenant budget pools — per-owner admission control
 //!   at submit time and conservation-enforced per-epoch charging at
 //!   dispatch time.

@@ -5,9 +5,8 @@
 //! PMAT topology is tuples-processed-per-operator (every operator is a
 //! constant-time filter), so the model here counts expected tuples per
 //! km²·min flowing into each operator, parameterized by the chain shape.
-//! The `e10_topology` bench validates the model against measured counts.
-
-use crate::plan::TopologyShape;
+//! `tests/paper_claims.rs` (E10) checks the model's star / chain ratio
+//! against the `T` operators' measured input.
 
 /// Expected tuples processed per km²·min by the `T`-operators of a chain
 /// topology with flatten output `f_rate` and tap rates `rates` (descending).
@@ -36,16 +35,6 @@ pub fn chain_processing_rate(f_rate: f64, rates: &[f64]) -> f64 {
 pub fn star_processing_rate(f_rate: f64, rates: &[f64]) -> f64 {
     validate(f_rate, rates);
     f_rate * rates.len() as f64
-}
-
-/// Pipeline depth (operator hops) a query at tap position `pos` (0-based)
-/// experiences: chains trade per-tuple work for latency, stars the
-/// opposite — the paper's "response time" optimization axis.
-pub fn pipeline_depth(shape: TopologyShape, pos: usize) -> usize {
-    match shape {
-        TopologyShape::Chain => 2 + pos, // F, then pos+1 T's
-        TopologyShape::Star => 2,        // F, then its own T
-    }
 }
 
 #[track_caller]
@@ -89,13 +78,6 @@ mod tests {
     fn empty_chain_is_free() {
         assert_eq!(chain_processing_rate(5.0, &[]), 0.0);
         assert_eq!(star_processing_rate(5.0, &[]), 0.0);
-    }
-
-    #[test]
-    fn depth_model() {
-        assert_eq!(pipeline_depth(TopologyShape::Chain, 0), 2);
-        assert_eq!(pipeline_depth(TopologyShape::Chain, 3), 5);
-        assert_eq!(pipeline_depth(TopologyShape::Star, 3), 2);
     }
 
     #[test]

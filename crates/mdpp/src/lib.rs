@@ -6,8 +6,7 @@
 //!
 //! - [`intensity`]: conditional-intensity functions `λ̃(t, x, y; θ)`,
 //!   including the paper's linear parametrization (Eq. (1)) with a
-//!   closed-form window integral, plus a constant and a separable
-//!   Gaussian-bump model.
+//!   closed-form window integral, plus a constant model.
 //! - [`process`]: the process types `P(λ, R)` (homogeneous) and
 //!   `P̃(λ̃, R)` (inhomogeneous) with exact samplers — direct
 //!   Poisson-count/uniform placement for the homogeneous case and
@@ -58,8 +57,6 @@ pub mod summary;
 pub use diagnostics::{homogeneity_report, HomogeneityReport};
 pub use excite::SelfExcitingIntensity;
 pub use fit::{fit_mle, FitConfig, FitResult, Innovation, SgdConfig, SgdEstimator};
-pub use intensity::{
-    ConstantIntensity, GaussianBumpIntensity, IntegralCache, IntensityModel, LinearIntensity,
-};
+pub use intensity::{ConstantIntensity, IntensityModel, LinearIntensity};
 pub use process::{HomogeneousMdpp, InhomogeneousMdpp};
 pub use summary::IntensitySummary;

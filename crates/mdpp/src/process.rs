@@ -136,27 +136,6 @@ impl<I: IntensityModel> InhomogeneousMdpp<I> {
     pub fn expected_count(&self, window: &SpaceTimeWindow) -> f64 {
         window.restricted_to(&self.region).map_or(0.0, |w| self.intensity.integral(&w))
     }
-
-    /// [`InhomogeneousMdpp::expected_count`] through an
-    /// [`crate::intensity::IntegralCache`].
-    ///
-    /// Epoch-driven workloads evaluate the expected count of the *same*
-    /// window shape every epoch (per cell, the batch window just slides in
-    /// time); for models
-    /// without a closed-form integral each evaluation costs `32³`
-    /// `rate_at` calls of quadrature. Callers that own a cache pay that
-    /// once per distinct `(model epoch, window)` instead. Pass a new
-    /// `epoch` whenever this process's intensity is replaced.
-    pub fn expected_count_cached(
-        &self,
-        window: &SpaceTimeWindow,
-        cache: &mut crate::intensity::IntegralCache,
-        epoch: u64,
-    ) -> f64 {
-        window
-            .restricted_to(&self.region)
-            .map_or(0.0, |w| cache.integral_of(&self.intensity, epoch, &w))
-    }
 }
 
 #[cfg(test)]
