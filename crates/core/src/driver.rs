@@ -2,21 +2,25 @@
 //! slot body.
 //!
 //! [`EpochDriver`] holds the optional seams ([`ControlHook`],
-//! [`EpochTap`], [`PhaseTimer`], a pre-epoch prologue, a [`CrashPoint`])
-//! and offers the execution shapes. All of them run the **staged
-//! schedule** below, and its slot body exists once — the three stage
-//! structs of this module, each owning its state and exposing its slot
-//! operation; an executor is only the loop that calls them:
+//! [`EpochTap`], [`PhaseTimer`], a pre-epoch prologue, a [`CrashPoint`],
+//! a [`ReplaySource`]) and offers three execution shapes. All of them run
+//! the **staged schedule** below, and its slot body exists once — the
+//! three stage structs of this module, each owning its state and exposing
+//! its slot operation; an executor is only the loop that calls them:
 //!
-//! - [`EpochDriver::run`] / [`EpochDriver::run_replayed`]: a horizon of
-//!   slots, the stages called back to back on the calling thread.
-//! - [`EpochDriver::run_pipelined`] /
-//!   [`EpochDriver::run_replayed_pipelined`]: the same calls with each
-//!   stage on its own worker thread, so the drain of epoch `t+1` overlaps
-//!   the ingest of epoch `t` and the log append of epoch `t-1`
+//! - [`EpochDriver::run`]: a horizon of slots, the stages called back to
+//!   back on the calling thread.
+//! - [`EpochDriver::run_pipelined`]: the same calls with each stage on
+//!   its own worker thread, so the drain of epoch `t+1` overlaps the
+//!   ingest of epoch `t` and the log append of epoch `t-1`
 //!   ([`crate::pipeline`] owns the channels and computes nothing).
-//! - [`EpochDriver::step`] / [`EpochDriver::step_replayed`]: a horizon of
-//!   one slot, for callers that do their own work between epochs.
+//! - [`EpochDriver::step`]: a horizon of one slot, for callers that do
+//!   their own work between epochs.
+//!
+//! Only the drain stage knows where an epoch's responses come from: the
+//! live crowd, or the [`ReplaySource`] of [`EpochDriver::replay`]. The
+//! ingest stage learns one fact from it — no orders to collect — and
+//! every stage after the drain runs exactly as live.
 //!
 //! # The staged schedule, precisely
 //!
@@ -75,7 +79,7 @@ use crate::plan::Fabricator;
 use crate::query::QueryId;
 use crate::server::{
     ControlAction, ControlHook, CraqrServer, CrashPoint, EpochInputsRecord, EpochObservation,
-    EpochReport, EpochTap, FaultDeltas, ReplayInputs, ServerConfig,
+    EpochReport, EpochTap, FaultDeltas, ReplayInputs, ReplaySource, ServerConfig,
 };
 use crate::tenant::{TenantId, TenantRegistry};
 use crate::tuple::TupleIdGen;
@@ -120,7 +124,7 @@ impl EpochCore<'_> {
     /// [`RequestResponseHandler::issue_epoch_orders`]): demands, tenant
     /// share refresh, epoch meters, budget draws, clamping/charging, and
     /// the per-epoch tenant charges — everything but the crowd sends.
-    /// `detached` skips order collection for replays.
+    /// `detached` skips order collection: a replay has no crowd to send to.
     fn issue(&mut self, detached: bool) -> (Vec<SendOrder>, SlotHead) {
         let demands = self.fabricator.demands();
         let shares = if self.tenants.is_some() {
@@ -271,14 +275,6 @@ pub struct RunOutcome {
     pub pool: PoolStats,
 }
 
-impl RunOutcome {
-    /// Buffers parked in the driver's pools when the run ended —
-    /// non-zero once recycling reached steady state.
-    pub fn pooled_buffers(&self) -> usize {
-        self.pool.pooled
-    }
-}
-
 /// One slot's crowd-side outcome: what the drain stage hands the ingest
 /// stage.
 pub(crate) struct DrainedBatch {
@@ -295,16 +291,17 @@ pub(crate) struct SlotRecord {
     slot: u64,
     report: EpochReport,
     /// Raw (pre-corruption) responses for the tap; `None` when no tap
-    /// listens or a replay borrows them from the recorded inputs.
+    /// listens.
     raw: Option<Vec<SensorResponse>>,
     actions: Vec<ControlAction>,
 }
 
-/// The drain stage: the crowd and everything a slot does to it.
+/// The drain stage: the crowd, the replay source, and everything a slot
+/// does to them.
 pub(crate) struct DrainStage<'d> {
     crowd: &'d mut Crowd,
     prologue: Option<&'d mut PrologueFn<'d>>,
-    replay: Option<&'d [ReplayInputs<'d>]>,
+    source: Option<&'d mut (dyn ReplaySource + 'd)>,
     crash: Option<(u64, CrashPoint)>,
     substeps: u32,
     dt: f64,
@@ -316,9 +313,8 @@ impl DrainStage<'_> {
     /// Slot `t`: prologue → execute `orders` → sub-steps → fault deltas →
     /// drain. The sub-steps are one [`Crowd::advance`], which may move the
     /// crowd on several threads and is bit-identical at every width. Under
-    /// replay the crowd is only advanced — through the same sub-steps, so
-    /// accumulated simulation time stays bit-identical to the live run —
-    /// and the recorded inputs stand in for its outcome. `None` when the
+    /// replay there are no orders and the crowd is only advanced; the
+    /// source's next epoch stands in for its outcome. `None` when the
     /// armed crash point fired here.
     pub(crate) fn slot(
         &mut self,
@@ -331,8 +327,7 @@ impl DrainStage<'_> {
             p(t, crowd);
         }
         let epoch_start = crowd.now();
-        let recorded = self.replay.map(|inputs| &inputs[t as usize]);
-        let sent = recorded.map_or_else(|| execute_orders(crowd, orders), |r| r.sent);
+        let sent = execute_orders(crowd, orders);
         clock.lap(PipelineStage::Drain, t, EpochPhase::Dispatch);
         if self.crash == Some((t, CrashPoint::PostDispatch)) {
             return None;
@@ -345,7 +340,7 @@ impl DrainStage<'_> {
         let before = counters(crowd);
         crowd.advance(dt, self.substeps);
         let mut buf = self.pool.take();
-        let (faults, responses) = match recorded {
+        let (sent, faults, responses) = match self.source.as_deref_mut() {
             None => {
                 let after = counters(crowd);
                 let faults = FaultDeltas {
@@ -353,11 +348,11 @@ impl DrainStage<'_> {
                     delayed: after.delayed - before.delayed,
                     duplicated: after.duplicated - before.duplicated,
                 };
-                (faults, crowd.drain_responses_reusing(buf))
+                (sent, faults, crowd.drain_responses_reusing(buf))
             }
-            Some(r) => {
-                buf.extend_from_slice(r.responses);
-                (r.faults, buf)
+            Some(source) => {
+                let (sent, faults) = source.next_epoch(&mut buf);
+                (sent, faults, buf)
             }
         };
         let epoch_end = crowd.now();
@@ -378,6 +373,7 @@ pub(crate) struct IngestStage<'d> {
     /// `base + t`.
     base: u64,
     slots: u64,
+    /// No orders to collect: the drain stage replays a source.
     detached: bool,
     snapshot_raw: bool,
     crash: Option<(u64, CrashPoint)>,
@@ -497,7 +493,6 @@ impl IngestStage<'_> {
 /// The render stage: the tap, and the reports of the epochs it saw.
 pub(crate) struct RenderStage<'d> {
     tap: Option<&'d mut (dyn EpochTap + 'd)>,
-    replay: Option<&'d [ReplayInputs<'d>]>,
     pub(crate) reports: Vec<EpochReport>,
 }
 
@@ -510,13 +505,9 @@ impl RenderStage<'_> {
         clock: &mut StageClock,
     ) -> Option<Vec<SensorResponse>> {
         if let Some(tap) = self.tap.as_deref_mut() {
-            let responses = match self.replay {
-                Some(inputs) => inputs[record.slot as usize].responses,
-                None => record.raw.as_deref().unwrap_or_default(),
-            };
             tap.on_epoch(&EpochInputsRecord {
                 report: &record.report,
-                responses,
+                responses: record.raw.as_deref().unwrap_or_default(),
                 actions: &record.actions,
             });
         }
@@ -533,12 +524,13 @@ type PrologueFn<'a> = dyn FnMut(u64, &mut Crowd) + Send + 'a;
 /// The builder-style epoch executor over one [`CraqrServer`] — see the
 /// [module docs](crate::driver) for the schedule and its semantics. Build
 /// one with [`CraqrServer::driver`], chain the optional seams, then call
-/// one of the execution shapes:
+/// one of the three execution shapes:
 ///
 /// ```text
 /// server.driver().step();                        // one epoch
 /// server.driver().hook(&mut h).run(16);          // a 16-epoch horizon
 /// server.driver().tap(&mut t).run_pipelined(16); // same bytes, 3 threads
+/// detached.driver().replay(log.source()).run(n); // a recording's n epochs
 /// ```
 pub struct EpochDriver<'a> {
     server: &'a mut CraqrServer,
@@ -546,13 +538,22 @@ pub struct EpochDriver<'a> {
     tap: Option<&'a mut dyn EpochTap>,
     timer: Option<&'a mut dyn PhaseTimer>,
     prologue: Option<Box<PrologueFn<'a>>>,
+    source: Option<Box<dyn ReplaySource + 'a>>,
     crash: Option<(u64, CrashPoint)>,
 }
 
 impl<'a> EpochDriver<'a> {
     /// A bare driver: no seams, no crash.
     pub fn new(server: &'a mut CraqrServer) -> Self {
-        Self { server, hook: None, tap: None, timer: None, prologue: None, crash: None }
+        Self {
+            server,
+            hook: None,
+            tap: None,
+            timer: None,
+            prologue: None,
+            source: None,
+            crash: None,
+        }
     }
 
     /// Installs the control seam: the hook observes every epoch and its
@@ -587,6 +588,15 @@ impl<'a> EpochDriver<'a> {
         self
     }
 
+    /// Installs the input seam: each slot takes its responses from the
+    /// next epoch of `source`, not from the crowd. Dispatch draws the
+    /// budgets but sends nothing; the prologue still runs and the crowd
+    /// (detached: zero sensors) still advances the simulation clock.
+    pub fn replay(mut self, source: impl ReplaySource + 'a) -> Self {
+        self.source = Some(Box::new(source));
+        self
+    }
+
     /// Arms a crash: the horizon run dies at `point` of slot `slot`,
     /// exactly as a process kill there would (see the module docs).
     pub fn crash_at(mut self, slot: u64, point: CrashPoint) -> Self {
@@ -600,65 +610,51 @@ impl<'a> EpochDriver<'a> {
     /// *together with* a hook sees the report before that addition; no
     /// caller combines the two on a `step`.
     pub fn step(&mut self) -> EpochReport {
-        self.one_slot(None)
-    }
-
-    /// [`EpochDriver::step`] from recorded inputs instead of the live
-    /// crowd: dispatch draws the budgets but sends nothing, the crowd is
-    /// only stepped to advance the simulation clock (use a detached —
-    /// zero-sensor — crowd), and the recorded responses take the place of
-    /// the drained ones. Everything downstream runs exactly as live.
-    pub fn step_replayed(&mut self, inputs: ReplayInputs<'_>) -> EpochReport {
-        self.one_slot(Some(std::slice::from_ref(&inputs)))
+        let (outcome, trailing_stale) = self.run_horizon(1);
+        let mut report = outcome.reports.into_iter().next().expect("no crash point armed");
+        report.stale_actions += trailing_stale;
+        report
     }
 
     /// Runs `epochs` slots of the staged schedule on the calling thread.
     pub fn run(mut self, epochs: u64) -> RunOutcome {
-        self.run_horizon(epochs, None).0
+        self.run_horizon(epochs).0
     }
 
     /// Runs the staged schedule across three worker threads (drain,
     /// ingest, render) connected by bounded channels — see
     /// [`crate::pipeline`]. Byte-identical to [`EpochDriver::run`].
     pub fn run_pipelined(self, epochs: u64) -> RunOutcome {
-        crate::pipeline::run(self, epochs, None)
+        crate::pipeline::run(self, epochs)
     }
 
-    /// [`EpochDriver::run`] from recorded inputs (one [`ReplayInputs`]
-    /// per slot, the horizon is the slice length).
-    pub fn run_replayed(mut self, inputs: &[ReplayInputs<'_>]) -> RunOutcome {
-        self.run_horizon(inputs.len() as u64, Some(inputs)).0
+    /// [`EpochDriver::run`] over one [`ReplayInputs`] per slot, kept for the
+    /// benchmark's adapter until ROADMAP item 4(h) deletes it.
+    pub fn run_replayed(self, inputs: &'a [ReplayInputs<'_>]) -> RunOutcome {
+        self.replay(inputs).run(inputs.len() as u64)
     }
 
-    /// [`EpochDriver::run_pipelined`] from recorded inputs — replays a
-    /// log across the three stage workers, byte-identical to
-    /// [`EpochDriver::run_replayed`].
-    pub fn run_replayed_pipelined(self, inputs: &[ReplayInputs<'_>]) -> RunOutcome {
-        crate::pipeline::run(self, inputs.len() as u64, Some(inputs))
-    }
-
-    fn one_slot(&mut self, replay: Option<&[ReplayInputs<'_>]>) -> EpochReport {
-        let (outcome, trailing_stale) = self.run_horizon(1, replay);
-        let mut report = outcome.reports.into_iter().next().expect("no crash point armed");
-        report.stale_actions += trailing_stale;
-        report
+    /// [`EpochDriver::run_pipelined`] over one [`ReplayInputs`] per slot,
+    /// kept for the benchmark's adapter until ROADMAP item 4(h) deletes it.
+    pub fn run_replayed_pipelined(self, inputs: &'a [ReplayInputs<'_>]) -> RunOutcome {
+        self.replay(inputs).run_pipelined(inputs.len() as u64)
     }
 
     /// Borrow-splits the driver into the three stages of an `n`-slot run
     /// and the timer. No state is shared between the stages, so calling
     /// them from one thread or from three computes the same bytes.
-    pub(crate) fn stages<'d>(
-        &'d mut self,
+    pub(crate) fn stages(
+        &mut self,
         n: u64,
-        replay: Option<&'d [ReplayInputs<'d>]>,
-    ) -> (DrainStage<'d>, IngestStage<'d>, RenderStage<'d>, Option<&'d mut (dyn PhaseTimer + 'd)>)
+    ) -> (DrainStage<'_>, IngestStage<'_>, RenderStage<'_>, Option<&mut (dyn PhaseTimer + '_)>)
     {
         let server = &mut *self.server;
         let config = server.config;
+        let detached = self.source.is_some();
         let drain = DrainStage {
             crowd: &mut server.crowd,
             prologue: self.prologue.as_deref_mut().map(|p| p as _),
-            replay,
+            source: self.source.as_deref_mut().map(|s| s as _),
             crash: self.crash,
             substeps: config.mobility_substeps,
             dt: config.planner.batch_duration / config.mobility_substeps as f64,
@@ -676,8 +672,8 @@ impl<'a> EpochDriver<'a> {
             hook: self.hook.as_deref_mut().map(|h| h as _),
             base: server.epoch,
             slots: n,
-            detached: replay.is_some(),
-            snapshot_raw: self.tap.is_some() && replay.is_none(),
+            detached,
+            snapshot_raw: self.tap.is_some(),
             crash: self.crash,
             pending: None,
             pending_actions: Vec::new(),
@@ -686,7 +682,6 @@ impl<'a> EpochDriver<'a> {
         };
         let render = RenderStage {
             tap: self.tap.as_deref_mut().map(|t| t as _),
-            replay,
             reports: Vec::with_capacity(n as usize),
         };
         (drain, ingest, render, self.timer.as_deref_mut().map(|t| t as _))
@@ -704,11 +699,11 @@ impl<'a> EpochDriver<'a> {
 
     /// The staged schedule on the calling thread. Also returns the stale
     /// count of the final slot's actions, which no horizon report carries.
-    fn run_horizon(&mut self, n: u64, replay: Option<&[ReplayInputs<'_>]>) -> (RunOutcome, u64) {
+    fn run_horizon(&mut self, n: u64) -> (RunOutcome, u64) {
         if n == 0 {
             return (RunOutcome { completed: true, ..Default::default() }, 0);
         }
-        let (mut drain, mut ingest, mut render, mut timer) = self.stages(n, replay);
+        let (mut drain, mut ingest, mut render, mut timer) = self.stages(n);
         let mut clock = StageClock::new(timer.is_some());
         let mut orders = ingest.open(&mut clock);
         for t in 0..n {
@@ -861,12 +856,8 @@ mod tests {
             s.submit("ACQUIRE temp FROM RECT(0,0,4,4) RATE 40").unwrap();
             s.submit("ACQUIRE temp FROM RECT(0,0,4,4) RATE 20").unwrap();
             let mut timer = IngestSpans::default();
-            let driver = s.driver().timer(&mut timer);
-            let outcome = if pipelined {
-                driver.run_replayed_pipelined(&inputs)
-            } else {
-                driver.run_replayed(&inputs)
-            };
+            let driver = s.driver().timer(&mut timer).replay(&inputs[..]);
+            let outcome = if pipelined { driver.run_pipelined(4) } else { driver.run(4) };
             for (slot, report) in outcome.reports.iter().enumerate() {
                 let worker = report.exec.shards[1];
                 assert_eq!(worker.tuples, 8_192, "every tuple ran on the worker");

@@ -71,7 +71,7 @@ pub use query::{AcquisitionQuery, AttributeCatalog, ParseError, QueryId};
 pub use server::{
     BudgetView, ControlAction, ControlHook, CraqrServer, CrashPoint, EpochInputsRecord,
     EpochObservation, EpochReport, EpochTap, FaultDeltas, PlanView, QueryPlanView, ReplayInputs,
-    ServerConfig,
+    ReplaySource, ServerConfig,
 };
 pub use tenant::{AdmissionDecision, BudgetPool, TenantId, TenantRegistry, TenantSummary};
 pub use tuple::CrowdTuple;

@@ -77,10 +77,11 @@
 //!
 //! # Why the bytes cannot change
 //!
-//! Each stage *owns* its state — S1 the crowd, S2 the planner half and
-//! the hook, S4 the tap — and its slot operation is the function the
-//! serial loop calls. No state is shared, so every mutation happens in
-//! the same order as there; the channels only move owned values forward.
+//! Each stage *owns* its state — S1 the crowd and the replay source, S2
+//! the planner half and the hook, S4 the tap — and its slot operation is
+//! the function the serial loop calls. No state is shared, so every
+//! mutation happens in the same order as there; the channels only move
+//! owned values forward.
 //! The hook observes epochs in strict order on S2 and its actions never
 //! leave that thread, the tap appends in strict order on S4 (record(t)
 //! cannot overtake record(t-1) in a FIFO channel). Thread scheduling can
@@ -109,7 +110,6 @@ use crate::driver::{DrainedBatch, EpochDriver, PoolStats, RunOutcome, SlotRecord
 use crate::exec::thread_busy_ns;
 use crate::handler::SendOrder;
 use crate::phase::{EpochPhase, PhaseTimer, PipelineStage};
-use crate::server::ReplayInputs;
 use craqr_sensing::SensorResponse;
 use craqr_stats::join;
 use std::sync::mpsc::{channel, sync_channel};
@@ -186,15 +186,11 @@ fn spawn<'scope, T: Send + 'scope>(
 /// Runs the staged schedule with each stage on its own worker thread.
 /// Byte-identical to [`EpochDriver::run`]: the workers call the stage
 /// operations the serial loop calls.
-pub(crate) fn run(
-    mut driver: EpochDriver<'_>,
-    n: u64,
-    replay: Option<&[ReplayInputs<'_>]>,
-) -> RunOutcome {
+pub(crate) fn run(mut driver: EpochDriver<'_>, n: u64) -> RunOutcome {
     if n == 0 {
         return RunOutcome { completed: true, ..Default::default() };
     }
-    let (mut drain, mut ingest, mut render, mut timer) = driver.stages(n, replay);
+    let (mut drain, mut ingest, mut render, mut timer) = driver.stages(n);
     let timed = timer.is_some();
 
     let (order_tx, order_rx) = sync_channel::<(u64, Vec<SendOrder>)>(OPEN_EPOCHS);
@@ -392,8 +388,7 @@ pub(crate) mod tests {
         // The blocking wind-down drain parks every buffer ever allocated
         // back in a pool — none leak into the closed channels.
         assert_eq!(
-            long.pooled_buffers() as u64,
-            long.pool.fresh_allocations,
+            long.pool.pooled as u64, long.pool.fresh_allocations,
             "all allocated buffers come to rest: {:?}",
             long.pool
         );
@@ -429,7 +424,7 @@ pub(crate) mod tests {
             .run_pipelined(32);
         assert!(widest <= super::OPEN_EPOCHS as u64, "{widest} epochs open at a prologue call");
         assert_eq!(tap.epochs, (0..32).collect::<Vec<u64>>());
-        assert_eq!(got.pooled_buffers() as u64, got.pool.fresh_allocations, "{:?}", got.pool);
+        assert_eq!(got.pool.pooled as u64, got.pool.fresh_allocations, "{:?}", got.pool);
         assert_eq!(untimed(got.reports), want, "the window moved a byte");
     }
 

@@ -142,8 +142,8 @@ impl From<PlanError> for SubmitError {
 /// Event-derived and deterministic (the fault RNG is seeded), so the
 /// counts are safe to checksum, record in run logs, and surface in
 /// reports. A detached replay cannot recompute them (there is no crowd),
-/// so the recorded values ride through [`ReplayInputs::faults`] instead —
-/// the same echo pattern run logs use for world shifts.
+/// so its [`ReplaySource`] returns the recorded values instead — the same
+/// echo pattern run logs use for world shifts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultDeltas {
     /// Responses dropped (lost forever).
@@ -476,10 +476,8 @@ impl fmt::Display for CrashPoint {
     }
 }
 
-/// The recorded crowd-side inputs of one epoch, fed back into
-/// [`crate::EpochDriver::step_replayed`] (or a whole-horizon
-/// [`crate::EpochDriver::run_replayed`]) to re-drive the loop without a
-/// live crowd.
+/// The recorded crowd-side inputs of one epoch, held in memory. A slice
+/// of them, one per slot, is a [`ReplaySource`].
 pub struct ReplayInputs<'a> {
     /// Requests the crowd actually received at dispatch (the crowd-side
     /// outcome the detached server cannot recompute).
@@ -492,6 +490,29 @@ pub struct ReplayInputs<'a> {
     /// epoch's report echoes these values verbatim (zero for logs
     /// recorded without faults).
     pub faults: FaultDeltas,
+}
+
+/// Where a replayed run's crowd-side inputs come from, one epoch at a
+/// time: the input seam of [`crate::EpochDriver::replay`], held by the
+/// drain stage alone and asked once per slot, in slot order.
+///
+/// `Send` is a supertrait because the pipelined executor runs the drain
+/// stage on its own worker thread.
+pub trait ReplaySource: Send {
+    /// Writes the next epoch's responses, as a tap recorded them, into
+    /// `responses` (handed over empty), and returns the requests the crowd
+    /// received and the fault activity it recorded.
+    fn next_epoch(&mut self, responses: &mut Vec<SensorResponse>) -> (u64, FaultDeltas);
+}
+
+/// The slice yields its elements in order and shrinks as it goes.
+impl ReplaySource for &[ReplayInputs<'_>] {
+    fn next_epoch(&mut self, responses: &mut Vec<SensorResponse>) -> (u64, FaultDeltas) {
+        let (first, rest) = self.split_first().expect("a recorded input for every slot");
+        *self = rest;
+        responses.extend_from_slice(first.responses);
+        (first.sent, first.faults)
+    }
 }
 
 /// The CrAQR server: accepts declarative acquisitional queries, drives the
@@ -1002,11 +1023,8 @@ mod tests {
         assert_eq!(qid, rqid, "query planning must not depend on the crowd");
 
         for (live_report, (sent, responses, _)) in live_reports.iter().zip(&tap.epochs) {
-            let r = replayed.driver().step_replayed(ReplayInputs {
-                sent: *sent,
-                responses,
-                faults: FaultDeltas::default(),
-            });
+            let input = ReplayInputs { sent: *sent, responses, faults: FaultDeltas::default() };
+            let r = replayed.driver().replay(std::slice::from_ref(&input)).step();
             assert_eq!(r.epoch, live_report.epoch);
             assert_eq!(r.dispatch, live_report.dispatch, "epoch {}", r.epoch);
             assert_eq!(r.responses, live_report.responses, "epoch {}", r.epoch);

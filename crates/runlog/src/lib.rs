@@ -14,9 +14,9 @@
 //! `(spec, seed, inputs)`, so the log is a complete event source:
 //!
 //! - **replay** — re-drive a server from the log with the crowd detached
-//!   ([`craqr_core::EpochDriver::run_replayed`]) and reproduce the
-//!   live run's reports, traces, and decisions bit-for-bit, serial or
-//!   sharded (the scenario harness wires this up end to end);
+//!   ([`craqr_core::EpochDriver::replay`] of [`RunLog::source`]) and
+//!   reproduce the live run's reports, traces, and decisions bit-for-bit,
+//!   serial or sharded (the scenario harness wires this up end to end);
 //! - **resume** — truncate at epoch *k* ([`RunLog::truncated`]), rebuild
 //!   state, and continue live;
 //! - **diff** — structurally compare two logs epoch by epoch with
@@ -81,8 +81,8 @@ pub mod stream;
 pub use codec::{parse_salvage, CodecError, Salvage, TornTail};
 pub use diff::{diff_logs, EpochDiff, LogDiff};
 pub use log::{
-    ActionRecord, AdmissionRecord, ChargeRecord, EpochRecord, ResponseRecord, RunLog, ShiftEvent,
-    ValueRecord,
+    ActionRecord, AdmissionRecord, ChargeRecord, EpochRecord, LogSource, ResponseRecord, RunLog,
+    ShiftEvent, ValueRecord,
 };
 pub use record::RunLogRecorder;
 pub use stream::{write_atomic, StreamingRecorder};

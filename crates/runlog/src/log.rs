@@ -1,7 +1,7 @@
 //! The run-log data model: one record per epoch, holding exactly what the
 //! epoch consumed from outside the server.
 
-use craqr_core::{AdmissionDecision, ControlAction, TenantId};
+use craqr_core::{AdmissionDecision, ControlAction, FaultDeltas, ReplaySource, TenantId};
 use craqr_geom::SpaceTimePoint;
 use craqr_sensing::{AttrValue, AttributeId, Measurement, SensorId, SensorResponse};
 
@@ -225,14 +225,10 @@ pub struct EpochRecord {
 }
 
 impl EpochRecord {
-    /// The epoch's recorded fault activity as core's [`craqr_core::FaultDeltas`] —
-    /// what [`craqr_core::ReplayInputs::faults`] wants.
-    pub fn faults(&self) -> craqr_core::FaultDeltas {
-        craqr_core::FaultDeltas {
-            dropped: self.dropped,
-            delayed: self.delayed,
-            duplicated: self.duplicated,
-        }
+    /// The epoch's recorded fault activity — what a replayed epoch's
+    /// report echoes.
+    pub fn faults(&self) -> FaultDeltas {
+        FaultDeltas { dropped: self.dropped, delayed: self.delayed, duplicated: self.duplicated }
     }
 }
 
@@ -303,6 +299,25 @@ impl RunLog {
         log.report_checksum = None;
         log.trace_checksum = None;
         Some(log)
+    }
+
+    /// This log's recorded epochs as the input of a detached replay
+    /// ([`craqr_core::EpochDriver::replay`]).
+    pub fn source(&self) -> LogSource<'_> {
+        LogSource(self.epochs.iter())
+    }
+}
+
+/// A parsed log's epochs as a [`ReplaySource`] ([`RunLog::source`]): each
+/// epoch's responses are converted into the drain stage's buffer when it
+/// asks, never the whole log at once.
+pub struct LogSource<'a>(std::slice::Iter<'a, EpochRecord>);
+
+impl ReplaySource for LogSource<'_> {
+    fn next_epoch(&mut self, responses: &mut Vec<SensorResponse>) -> (u64, FaultDeltas) {
+        let epoch = self.0.next().expect("a recorded epoch for every slot");
+        responses.extend(epoch.responses.iter().map(ResponseRecord::to_response));
+        (epoch.sent, epoch.faults())
     }
 }
 

@@ -13,12 +13,12 @@ use craqr_core::budget::TuneOutcome;
 use craqr_core::server::SubmitError;
 use craqr_core::{
     AdmissionDecision, CraqrServer, CrashPoint, EpochInputsRecord, EpochReport, EpochTap, ExecMode,
-    QueryId, ReplayInputs,
+    QueryId,
 };
 use craqr_geom::{Rect, SpaceTimePoint, SpaceTimeWindow};
 use craqr_mdpp::{IntensityModel, IntensitySummary, SelfExcitingIntensity};
 use craqr_runlog::{RunLog, RunLogRecorder, ShiftEvent, StreamingRecorder};
-use craqr_sensing::{fields::ConstantField, AttrValue, Crowd, CrowdConfig, Field, SensorResponse};
+use craqr_sensing::{fields::ConstantField, AttrValue, Crowd, CrowdConfig, Field};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -560,36 +560,18 @@ impl<'a> Session<'a> {
         if let Some(t) = self.telemetry.as_mut().filter(|_| how.timing) {
             d = d.timer(t);
         }
-        let outcome = if let Some(log) = self.replayed {
-            let responses: Vec<Vec<SensorResponse>> = log
-                .epochs
-                .iter()
-                .map(|r| r.responses.iter().map(|resp| resp.to_response()).collect())
-                .collect();
-            let inputs: Vec<ReplayInputs<'_>> = log
-                .epochs
-                .iter()
-                .zip(&responses)
-                .map(|(r, resp)| ReplayInputs { sent: r.sent, responses: resp, faults: r.faults() })
-                .collect();
-            if how.pipelined {
-                d.run_replayed_pipelined(&inputs)
-            } else {
-                d.run_replayed(&inputs)
-            }
+        let mut epochs = u64::from(spec.epochs);
+        if let Some(log) = self.replayed {
+            d = d.replay(log.source());
+            epochs = log.epochs.len() as u64;
         } else {
             d = d.prologue(|e, crowd| epoch_prologue(spec, &schedule[e as usize], e as u32, crowd));
-            let mut epochs = u64::from(spec.epochs);
             if let Some((at, point)) = crash {
                 d = d.crash_at(u64::from(at), point);
                 epochs = u64::from(at) + 1;
             }
-            if how.pipelined {
-                d.run_pipelined(epochs)
-            } else {
-                d.run(epochs)
-            }
-        };
+        }
+        let outcome = if how.pipelined { d.run_pipelined(epochs) } else { d.run(epochs) };
         for r in &outcome.reports {
             if let Some(t) = &mut self.telemetry {
                 t.observe_epoch(r);

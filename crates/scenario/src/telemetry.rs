@@ -11,9 +11,8 @@
 //! - **Event metrics** are computed from [`EpochReport`] fields, handler
 //!   counters, and the adaptive trace — all of which are bit-identical
 //!   for a fixed seed across hosts, [`craqr_core::ExecMode`]s, and
-//!   live-vs-replayed runs (faults ride through
-//!   [`craqr_core::ReplayInputs::faults`]; crowd-side counters are never
-//!   used). Their canonical rendering joins the scenario report as the
+//!   live-vs-replayed runs (a replay's faults come from its
+//!   [`craqr_core::ReplaySource`]; crowd-side counters are never used). Their canonical rendering joins the scenario report as the
 //!   checksummed `[telemetry]` section.
 //! - **Timing metrics** are read from thread-CPU clocks and are excluded
 //!   from every checksummed surface ([`Registry::canonical_events`]

@@ -23,7 +23,7 @@
 
 use craqr::core::ExecMode;
 use craqr::runlog::RunLog;
-use craqr::scenario::{replay, resume, Record, RunPlan, ScenarioRunner};
+use craqr::scenario::{replay, resume, Execution, Record, RunPlan, ScenarioRunner};
 use std::path::{Path, PathBuf};
 
 /// The committed drift scenarios with replay goldens.
@@ -112,7 +112,11 @@ fn whole_corpus_records_and_replays_in_both_modes() {
         let log = live.log.as_ref().expect("Record::Memory returns a log");
         // The log survives its own codec.
         let reparsed = RunLog::parse(&log.canonical()).unwrap_or_else(|e| panic!("{name}: {e}"));
-        for exec in [ExecMode::Serial, ExecMode::Sharded(4)] {
+        // The pipelined replay puts the drain stage's source and the tap's
+        // snapshot on worker threads; `rain_sweep`'s error injection
+        // checks the snapshot is taken before corruption edits the batch.
+        let serial = Execution::from(ExecMode::Serial);
+        for exec in [serial, ExecMode::Sharded(4).into(), serial.pipelined(true)] {
             let out = replay(&reparsed, exec).unwrap_or_else(|e| panic!("{name} [{exec:?}]: {e}"));
             assert_eq!(
                 out.report.checksum(),
