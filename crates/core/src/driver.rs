@@ -114,8 +114,8 @@ struct Ingested {
     ingested: usize,
     rejected: usize,
     /// Thread-CPU nanoseconds the fan-outs' workers spent on this epoch
-    /// (timing tier only): ingest shards and merge runs past the first,
-    /// which the calling thread's own clock does not see.
+    /// (timing tier only): every shard past the first, merge runs
+    /// included, which the calling thread's own clock does not see.
     workers_ns: u64,
 }
 
@@ -188,9 +188,8 @@ impl EpochCore<'_> {
         let tuples = self.idgen.ingest(&responses);
         let ingested = tuples.len();
         let exec = self.fabricator.ingest_batch_mode(&tuples, self.config.exec);
-        let (delivered, merge_workers_ns) = self.fabricator.deliver(self.config.exec);
-        let shard_workers_ns: u64 = exec.shards.iter().skip(1).map(|s| s.busy_ns).sum();
-        let workers_ns = shard_workers_ns + merge_workers_ns;
+        let delivered = self.fabricator.last_delivery().map(|(q, out)| (q, out.len())).collect();
+        let workers_ns = exec.shards.iter().skip(1).map(|s| s.busy_ns).sum();
         (Ingested { delivered, exec, ingested, rejected, workers_ns }, responses)
     }
 }

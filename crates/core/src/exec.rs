@@ -30,11 +30,12 @@
 //! - the map phase (tuple → chain routing) happens before workers start;
 //! - per-shard results merge in shard order; each shard stages its
 //!   chains' output in its own buffer, and a query's `U`-merge reads its
-//!   staged pieces in port order, so which shard ran a chain never shows;
+//!   pieces from every shard's staging in port order, so which shard ran
+//!   a chain never shows;
 //! - the per-query merges then fan out too, in runs of consecutive query
-//!   ids at the same width (at most one run per query); a merge touches
-//!   only its own query's staging and output buffer, so which run merged
-//!   a query never shows either;
+//!   ids at the same width (at most one run per query); a merge only reads
+//!   the stagings and writes its own query's output buffer, so which run
+//!   merged a query never shows either;
 //! - budget tuning iterates chains in sorted key order exactly as the
 //!   one-shard path does.
 
@@ -184,10 +185,11 @@ pub struct ShardIngest {
     /// Tuples routed into this shard's chains.
     pub tuples: usize,
     /// Thread-CPU nanoseconds this shard's worker spent processing its
-    /// chains ([`thread_busy_ns`]) — the scheduling-quality signal: an
-    /// epoch's critical path is `max` over shards, its total work is
-    /// `sum` over shards. CPU time (not wall) so oversubscribed hosts
-    /// don't inflate idle shards.
+    /// chains ([`thread_busy_ns`]), plus what the merge run with the same
+    /// index spent — the scheduling-quality signal: an epoch's critical
+    /// path is `max` over shards, its total work is `sum` over shards.
+    /// CPU time (not wall) so oversubscribed hosts don't inflate idle
+    /// shards.
     pub busy_ns: u64,
 }
 

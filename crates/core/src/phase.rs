@@ -38,9 +38,10 @@ pub enum EpochPhase {
     /// Error injection, mitigation, id assignment, the map + per-cell
     /// process phases, and the per-query merge into the output buffers.
     /// Its spans include the thread-CPU time the ingest and merge
-    /// fan-outs' workers spent on the epoch (every part past the first,
-    /// which runs on the stage's own thread), so a span is the phase's
-    /// CPU cost at every width, not only the calling thread's share.
+    /// fan-outs' workers spent on the epoch (every shard's
+    /// [`crate::exec::ShardIngest::busy_ns`] past the first, which runs on
+    /// the stage's own thread), so a span is the phase's CPU cost at every
+    /// width, not only the calling thread's share.
     Ingest,
     /// The control hook's observation of the finished epoch. (Budget
     /// tuning and the application of the hook's actions — at the top of

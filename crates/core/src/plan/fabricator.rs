@@ -252,21 +252,6 @@ fn run_shard<'a>(
     ShardIngest { shard, chains, tuples, busy_ns }
 }
 
-/// **merge**: feeds what ingest staged for one query through its
-/// `U`-operator in port order (each port's pieces in ingest order) and
-/// returns the result stably sorted by time, so equal times keep port
-/// order. Empties the staging.
-fn merge_staged(merge: &UnionOp, staged: &mut Staged) -> Vec<CrowdTuple> {
-    // Allocated once, at its final size.
-    let mut out = Vec::with_capacity(staged.tuples.len());
-    for (port, piece) in staged.in_port_order() {
-        merge.process(port as usize, piece, &mut out);
-    }
-    staged.clear();
-    out.sort_by(|a, b| a.point.t.total_cmp(&b.point.t));
-    out
-}
-
 /// A standing query's placement: which cells it taps and how its per-cell
 /// pieces merge back together.
 #[derive(Debug)]
@@ -280,15 +265,19 @@ pub struct QueryPlan {
 }
 
 /// A standing query: its placement, the `U`-operator that merges its
-/// per-cell pieces, the pieces ingest staged for it, and its output bank.
+/// per-cell pieces, where the last ingest staged them, and its output bank.
 struct Standing {
     plan: QueryPlan,
     merge: UnionOp,
-    staged: Staged,
-    /// What [`Fabricator::deliver`] merged and nobody took yet, one
-    /// time-ordered delivery each, oldest first. Kept apart so a
-    /// delivery never moves the ones before it; taking the bank joins
-    /// them.
+    /// `(shard, start, end)` for each `U` input port: the piece the last
+    /// ingest staged for the port is `stagings[shard].tuples[start..end]`,
+    /// empty where its cell gave nothing. A port is one chain's consumer,
+    /// so it gets at most one piece an ingest. Filled by ingest, emptied
+    /// by its merge.
+    pieces: Vec<(usize, usize, usize)>,
+    /// What ingest merged and nobody took yet, one time-ordered delivery
+    /// each, oldest first. Kept apart so a delivery never moves the ones
+    /// before it; taking the bank joins them.
     bank: Vec<Vec<CrowdTuple>>,
     /// Tuples in `bank`.
     banked: usize,
@@ -296,17 +285,29 @@ struct Standing {
 
 impl Standing {
     fn new(plan: QueryPlan, merge: UnionOp) -> Self {
-        Self { plan, merge, staged: Staged::default(), bank: Vec::new(), banked: 0 }
+        let pieces = vec![(0, 0, 0); plan.cells.len()];
+        Self { plan, merge, pieces, bank: Vec::new(), banked: 0 }
     }
 
-    /// Merges the staged pieces into a new delivery on the bank; returns
-    /// its size.
-    fn deliver(&mut self) -> usize {
-        let delivery = merge_staged(&self.merge, &mut self.staged);
-        let delivered = delivery.len();
-        self.banked += delivered;
-        self.bank.push(delivery);
-        delivered
+    /// Tuples the last ingest staged for this query.
+    fn staged(&self) -> usize {
+        self.pieces.iter().map(|&(_, start, end)| end - start).sum()
+    }
+
+    /// **merge**: feeds the pieces ingest staged for this query through its
+    /// `U`-operator in port order, reading them where the shards staged
+    /// them, and banks the result stably sorted by time, so equal times
+    /// keep port order.
+    fn deliver(&mut self, stagings: &[Staging]) {
+        // Allocated once, at its final size.
+        let mut out = Vec::with_capacity(self.staged());
+        for (port, piece) in self.pieces.iter_mut().enumerate() {
+            let (shard, start, end) = std::mem::take(piece);
+            self.merge.process(port, &stagings[shard].tuples[start..end], &mut out);
+        }
+        out.sort_by(|a, b| a.point.t.total_cmp(&b.point.t));
+        self.banked += out.len();
+        self.bank.push(out);
     }
 
     /// Empties the bank into one buffer, oldest delivery first.
@@ -320,38 +321,6 @@ impl Standing {
     }
 }
 
-/// One query's output staged by ingest and not merged yet.
-#[derive(Default)]
-struct Staged {
-    tuples: Vec<CrowdTuple>,
-    /// `(port, start, end)`: `tuples[start..end]` is for `U` input `port`.
-    /// Ingest only appends, so one port's pieces order by `start` in the
-    /// order they were ingested.
-    pieces: Vec<(u32, usize, usize)>,
-}
-
-impl Staged {
-    /// Appends one piece for `port`.
-    fn push(&mut self, port: u32, piece: &[CrowdTuple]) {
-        let start = self.tuples.len();
-        self.tuples.extend_from_slice(piece);
-        self.pieces.push((port, start, self.tuples.len()));
-    }
-
-    /// The staged pieces in port order, each port's in ingest order — the
-    /// order a query-major walk over the chains would have produced.
-    fn in_port_order(&mut self) -> impl Iterator<Item = (u32, &[CrowdTuple])> {
-        self.pieces.sort_unstable_by_key(|&(port, start, _)| (port, start));
-        self.pieces.iter().map(|&(port, start, end)| (port, &self.tuples[start..end]))
-    }
-
-    /// Empties the staging, keeping its capacity.
-    fn clear(&mut self) {
-        self.tuples.clear();
-        self.pieces.clear();
-    }
-}
-
 /// The fabricator: the grid table of per-cell execution topologies plus
 /// per-query merge stages.
 ///
@@ -360,13 +329,11 @@ impl Staged {
 ///   drop their tuples unprocessed — the grid is "entirely logical".
 /// - **process**: the per-(cell, attribute) [`AttrChain`]s push tuples
 ///   through `F → T … → (P)`, each consumer's piece going onto the
-///   shard's staging as the chain runs, tagged `(query, port)`; ingest
-///   then hands every piece to its query.
-/// - **merge** ([`Fabricator::deliver`], or [`Fabricator::collect_output`]
-///   for one query): a per-query `U`-operator reassembles the staged
-///   per-cell pieces, in port order, into the final MCDS, time-ordered.
-///   It never touches a chain; `deliver` runs every query's merge through
-///   the fan-out and banks the result for [`Fabricator::take_output`].
+///   shard's staging as the chain runs, tagged `(query, port)`.
+/// - **merge**, the end of every ingest: a per-query `U`-operator
+///   reassembles the per-cell pieces, read in place from the shard
+///   stagings in port order, into the final MCDS, time-ordered, and banks
+///   it for [`Fabricator::collect_output`]. It never touches a chain.
 pub struct Fabricator {
     grid: Grid,
     config: PlannerConfig,
@@ -535,15 +502,13 @@ impl Fabricator {
         Ok(qid)
     }
 
-    /// Deletes a standing query (Section V "Query Deletions"). Returns the
-    /// tuples ingested for it since its last merge, in port order, followed
-    /// by its bank (what [`Fabricator::deliver`] merged and nobody took).
+    /// Deletes a standing query (Section V "Query Deletions"). Returns its
+    /// bank: what ingest merged for it and nobody took, oldest delivery
+    /// first.
     pub fn delete_query(&mut self, qid: QueryId) -> Result<Vec<CrowdTuple>, PlanError> {
         let mut standing = self.queries.remove(&qid).ok_or(PlanError::UnknownQuery(qid))?;
         self.tenant_shares = None;
-        let mut leftovers: Vec<CrowdTuple> =
-            standing.staged.in_port_order().flat_map(|(_, piece)| piece).copied().collect();
-        leftovers.append(&mut standing.take_bank());
+        let leftovers = standing.take_bank();
         let plan = &standing.plan;
         for (cell, _, _) in &plan.cells {
             let key = (*cell, plan.query.attr);
@@ -569,7 +534,7 @@ impl Fabricator {
     ///
     /// Consumers re-attach in ascending [`QueryId`], each on its old port.
     /// Nothing is lost: a chain holds no output between ingests, and what
-    /// ingest staged belongs to the queries, not the chain. Returns
+    /// ingest merged sits in the queries' banks, not the chain. Returns
     /// `false` when no such chain is materialized.
     pub fn rebuild_chain(&mut self, cell: CellId, attr: AttributeId) -> bool {
         let Some(old) = self.chains.remove(&(cell, attr)) else { return false };
@@ -723,13 +688,13 @@ impl Fabricator {
             .collect()
     }
 
-    /// **map + process**: routes one ingestion batch to the per-cell
-    /// chains and runs them under the default [`ExecMode`].
+    /// **map + process + merge**: routes one ingestion batch to the
+    /// per-cell chains and runs them under the default [`ExecMode`].
     pub fn ingest_batch(&mut self, tuples: &[CrowdTuple]) {
         self.ingest_batch_mode(tuples, ExecMode::Serial);
     }
 
-    /// **map + process** under an explicit [`ExecMode`].
+    /// **map + process + merge** under an explicit [`ExecMode`].
     ///
     /// The map phase (tuple → chain routing) always runs on the calling
     /// thread: a table lookup per tuple, then a counting sort by chain
@@ -749,9 +714,16 @@ impl Fabricator {
     /// Materialized chains that received nothing this batch record a
     /// starvation epoch so their `N_v` telemetry never goes stale.
     ///
-    /// Each shard stages its chains' output as it goes; once every shard
-    /// is done, the pieces move to their queries, shard by shard, for
-    /// [`Fabricator::deliver`] or [`Fabricator::collect_output`].
+    /// Each shard stages its chains' output as it goes. Once every shard
+    /// is done, each query learns where its pieces lie, and the merges run:
+    /// the queries split into runs of consecutive ids, balanced by staged
+    /// tuples, at most one per query and as many as the ingest's width,
+    /// run through [`craqr_stats::fan_out`]. Each merge reads its query's
+    /// pieces from the stagings in place and banks one delivery, empty or
+    /// not, for every standing query ([`Fabricator::last_delivery`],
+    /// [`Fabricator::collect_output`]). A merge writes only its own
+    /// query, so every bank is bit-identical at every width. Merge run
+    /// `i`'s thread-CPU time joins shard `i`'s [`ShardIngest::busy_ns`].
     ///
     /// # Panics
     /// Panics on `Sharded(0)`; re-raises a chain's panic, whichever shard
@@ -783,67 +755,47 @@ impl Fabricator {
             lists[shard_of(i, shards)].push(job);
         }
         let parts = lists.into_iter().zip(stagings.iter_mut()).enumerate();
-        let stats = fan_out(parts, |(shard, (list, staging))| run_shard(shard, list, staging));
-        for staging in stagings.iter() {
+        let mut stats = fan_out(parts, |(shard, (list, staging))| run_shard(shard, list, staging));
+
+        // Each query's pieces, found in one pass; no tuple moves.
+        let stagings = &self.stagings[..shards];
+        for (shard, staging) in stagings.iter().enumerate() {
             let mut start = 0;
             for &(qid, port, end) in &staging.pieces {
                 let standing = self.queries.get_mut(&qid).expect("a consumer's query stands");
-                standing.staged.push(port, &staging.tuples[start..end]);
+                let piece = &mut standing.pieces[port as usize];
+                assert!(piece.1 == piece.2, "{qid} got a second piece on port {port}");
+                *piece = (shard, start, end);
                 start = end;
             }
+        }
+        // merge: a query joins the run its midpoint in the cumulative
+        // staged count falls in, so runs stay consecutive.
+        let width = shards.min(self.queries.len());
+        let total: usize = self.queries.values().map(Standing::staged).sum();
+        let mut runs: Vec<Vec<&mut Standing>> = (0..width).map(|_| Vec::new()).collect();
+        let mut before = 0;
+        for standing in self.queries.values_mut() {
+            let size = standing.staged();
+            let run = ((before + size / 2) * width).checked_div(total).unwrap_or(0);
+            before += size;
+            runs[run.min(width - 1)].push(standing);
+        }
+        runs.retain(|run| !run.is_empty());
+        let merged =
+            fan_out(runs, |run| busy(|| run.into_iter().for_each(|s| s.deliver(stagings))));
+        for (shard, ((), busy_ns)) in stats.iter_mut().zip(merged) {
+            shard.busy_ns += busy_ns;
         }
         IngestReport::merge(dropped_now, stats)
     }
 
-    /// **merge** for every standing query: each query's staged pieces go
-    /// through its `U`-operator as in [`Fabricator::collect_output`], and
-    /// the result goes onto its bank instead of back to the caller.
-    ///
-    /// The queries split into runs of consecutive ids, balanced by staged
-    /// tuples, at most one per query and as many as [`ExecMode::width`]
-    /// gives the ingest, run through [`craqr_stats::fan_out`]. A merge
-    /// touches only its own query, so every bank is bit-identical at every
-    /// width.
-    ///
-    /// Returns each standing query's delivered count, ascending by id, and
-    /// the thread-CPU nanoseconds the runs on workers took (timing tier
-    /// only; the calling thread's own run is not in it).
-    pub fn deliver(&mut self, mode: ExecMode) -> (Vec<(QueryId, usize)>, u64) {
-        let width = mode.width(self.chains.len(), self.cores).min(self.queries.len().max(1));
-        let total: usize = self.queries.values().map(|s| s.staged.tuples.len()).sum();
-        let mut parts: Vec<Vec<(QueryId, &mut Standing)>> =
-            (0..width).map(|_| Vec::new()).collect();
-        let mut before = 0;
-        for (qid, standing) in &mut self.queries {
-            // A query joins the run its midpoint in the cumulative staged
-            // count falls in, so runs stay consecutive.
-            let size = standing.staged.tuples.len();
-            let run = ((before + size / 2) * width).checked_div(total).unwrap_or(0);
-            before += size;
-            parts[run.min(width - 1)].push((*qid, standing));
-        }
-        parts.retain(|part| !part.is_empty());
-        let runs = fan_out(parts, |part| {
-            busy(|| part.into_iter().map(|(qid, s)| (qid, s.deliver())).collect::<Vec<_>>())
-        });
-        let workers_ns = runs.iter().skip(1).map(|(_, ns)| ns).sum();
-        (runs.into_iter().flat_map(|(delivered, _)| delivered).collect(), workers_ns)
-    }
-
-    /// **merge** for one query: feeds the pieces ingest staged for it
-    /// through its `U`-operator in port order (each port's pieces in ingest
-    /// order) and returns the fabricated MCDS slice, stably sorted by time,
-    /// so equal times keep port order. Its bank is left as it is.
+    /// Takes everything ingest banked for a query so far — one
+    /// time-ordered MCDS slice an ingest, in ingest order — leaving its
+    /// bank empty.
     pub fn collect_output(&mut self, qid: QueryId) -> Result<Vec<CrowdTuple>, PlanError> {
-        let Standing { merge, staged, .. } =
-            self.queries.get_mut(&qid).ok_or(PlanError::UnknownQuery(qid))?;
-        Ok(merge_staged(merge, staged))
-    }
-
-    /// Takes everything [`Fabricator::deliver`] banked for a query so far,
-    /// in delivery order.
-    pub fn take_output(&mut self, qid: QueryId) -> Vec<CrowdTuple> {
-        self.queries.get_mut(&qid).map_or_else(Vec::new, Standing::take_bank)
+        let standing = self.queries.get_mut(&qid).ok_or(PlanError::UnknownQuery(qid))?;
+        Ok(standing.take_bank())
     }
 
     /// Number of tuples banked for a query.
@@ -851,8 +803,8 @@ impl Fabricator {
         self.queries.get(&qid).map_or(0, |s| s.banked)
     }
 
-    /// What the last [`Fabricator::deliver`] banked for each standing
-    /// query and nobody took since, ascending by id.
+    /// What the last ingest banked for each standing query and nobody
+    /// took since, ascending by id.
     pub fn last_delivery(&self) -> impl Iterator<Item = (QueryId, &[CrowdTuple])> {
         self.queries.iter().map(|(qid, s)| (*qid, s.bank.last().map_or(&[][..], Vec::as_slice)))
     }
@@ -1199,24 +1151,25 @@ mod tests {
             f.ingest_batch(&tuples(0, 500, e as f64 * 5.0, Rect::new(0.0, 0.0, 2.0, 1.0)));
         }
         assert!(f.chain(cell, AttributeId(0)).unwrap().flatten_report().batches() > 0);
-        // Rebuild between ingest and merge: what ingest staged belongs to
-        // the queries, not the chain, so the rebuild loses none of it.
-        let staged = [q1, q2].map(|q| f.queries[&q].staged.tuples.len());
+        // What ingest delivered sits in the queries' banks, not the chain,
+        // so the rebuild loses none of it.
+        let banks = [q1, q2].map(|q| f.queries[&q].bank.clone());
         assert!(f.rebuild_chain(cell, AttributeId(0)), "chain exists");
         let chain = f.chain(cell, AttributeId(0)).expect("chain rebuilt");
         assert_eq!(chain.tap_rates(), vec![4.0, 2.0, 1.0], "consumers re-attached");
         assert_eq!(chain.query_ids(), vec![q1, q2, q3]);
         assert_eq!(chain.flatten_report().batches(), 0, "telemetry restarted");
-        for (q, n) in [q1, q2].into_iter().zip(staged) {
-            assert!(n > 0, "{q} had output staged");
-            assert_eq!(f.collect_output(q).unwrap().len(), n, "{q}'s staged output kept");
+        for (q, bank) in [q1, q2].into_iter().zip(banks) {
+            assert_eq!(bank.len(), 4, "{q}: one delivery an ingest");
+            assert!(bank.iter().all(|delivery| !delivery.is_empty()), "{q} had output banked");
+            assert!(f.collect_output(q).unwrap() == bank.concat(), "{q}'s banked output kept");
         }
-        // A rebuilt consumer keeps its port.
-        f.collect_output(q3).unwrap();
+        // A rebuilt consumer keeps its port: one shard staged both of q3's
+        // pieces, cell (0, 0)'s on port 0 before cell (1, 0)'s on port 1.
         assert!(f.rebuild_chain(CellId::new(1, 0), AttributeId(0)));
         f.ingest_batch(&tuples(0, 500, 20.0, Rect::new(0.0, 0.0, 2.0, 1.0)));
-        let staged = &mut f.queries.get_mut(&q3).unwrap().staged;
-        let ports: Vec<u32> = staged.in_port_order().map(|(port, _)| port).collect();
+        let pieces = &f.stagings[0].pieces;
+        let ports: Vec<u32> = pieces.iter().filter(|p| p.0 == q3).map(|p| p.1).collect();
         assert_eq!(ports, vec![0, 1]);
         assert!(!f.rebuild_chain(CellId::new(3, 3), AttributeId(0)), "unmaterialized");
     }
@@ -1257,7 +1210,7 @@ mod tests {
     }
 
     /// The query-major side of the oracles: a fabricator whose chains stage
-    /// into a map instead of handing their pieces to the queries.
+    /// into a map instead of the shard stagings.
     struct Oracle {
         f: Fabricator,
         /// `(chain, query)` → everything the chain produced for the query
@@ -1286,9 +1239,9 @@ mod tests {
         }
     }
 
-    /// The merge ingest staging replaced: a query-major walk that takes
-    /// each cell's output for the query and pushes it through `U` on its
-    /// own port.
+    /// The merge that reading the stagings in place replaced: a query-major
+    /// walk that takes each cell's output for the query and pushes it
+    /// through `U` on its own port.
     fn oracle_collect(o: &mut Oracle, qid: QueryId) -> Vec<CrowdTuple> {
         let Standing { plan, merge, .. } = &o.f.queries[&qid];
         let mut out = Vec::new();
@@ -1299,18 +1252,6 @@ mod tests {
         }
         out.sort_by(|a, b| a.point.t.total_cmp(&b.point.t));
         out
-    }
-
-    /// The deletion ingest staging replaced: the query's per-cell output
-    /// taken in port order as its consumers go.
-    fn oracle_delete(o: &mut Oracle, qid: QueryId) -> Vec<CrowdTuple> {
-        let Standing { plan, .. } = &o.f.queries[&qid];
-        let mut leftovers = Vec::new();
-        for (cell, _, _) in &plan.cells {
-            leftovers.extend(o.out.remove(&((*cell, plan.query.attr), qid)).unwrap_or_default());
-        }
-        assert!(o.f.delete_query(qid).unwrap().is_empty(), "the oracle's ingest stages nothing");
-        leftovers
     }
 
     /// Three queries over two of the three attributes tuples carry, two of
@@ -1326,46 +1267,18 @@ mod tests {
         (f, qids)
     }
 
-    /// Merges every query three ways — [`Fabricator::deliver`] at `mode`,
-    /// [`Fabricator::collect_output`] and the query-major walk — and holds
-    /// them, and what `deliver` reports and banks, to each other; `banked`
-    /// collects what the bank must hold.
-    fn merge_three_ways(
-        mode: ExecMode,
-        [delivered, collected]: [&mut Fabricator; 2],
-        grouped: &mut Oracle,
-        qids: &[QueryId],
-        banked: &mut BTreeMap<QueryId, Vec<CrowdTuple>>,
-    ) -> proptest::TestCaseResult {
-        use proptest::{prop_assert, prop_assert_eq};
-        let (counts, _) = delivered.deliver(mode);
-        let fresh: Vec<_> = delivered.last_delivery().map(|(q, out)| (q, out.to_vec())).collect();
-        prop_assert_eq!(counts.iter().map(|(q, _)| *q).collect::<Vec<_>>(), qids.to_vec());
-        for ((qid, n), (q, fresh)) in counts.into_iter().zip(fresh) {
-            let got = collected.collect_output(qid).unwrap();
-            let want = oracle_collect(grouped, qid);
-            prop_assert!(got == want, "{qid}: merged {got:?}, oracle {want:?}");
-            prop_assert_eq!(q, qid);
-            prop_assert!(fresh == got, "{qid}: delivered {fresh:?}, collected {got:?}");
-            prop_assert_eq!(n, got.len());
-            banked.entry(qid).or_default().extend(got);
-        }
-        Ok(())
-    }
-
     use proptest::prelude::*;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Routing against the grouping it replaced, and both merges — the
-        /// fanned-out [`Fabricator::deliver`] into the banks, and
-        /// [`Fabricator::collect_output`] — against the query-major walk:
-        /// with every tuple of an epoch at one time (the stable sort then
-        /// keeps port order), with every ingest before one merge or a merge
-        /// after each, at widths 1 to 4, with a query deleted and one on a
-        /// new attribute inserted between the first two ingests, and with a
-        /// query deleted between the last ingest and its merge.
+        /// Routing against the grouping it replaced, and every ingest's
+        /// merge against the query-major walk: with every tuple of an epoch
+        /// at one time (the stable sort then keeps port order), at widths 1
+        /// to 4, with a query deleted and one on a new attribute inserted
+        /// between the first two ingests, and with a query deleted after
+        /// the last. Each ingest banks one delivery a query; a deletion or
+        /// [`Fabricator::collect_output`] returns them all, in ingest order.
         #[test]
         fn routing_matches_the_grouping_it_replaced(
             epochs in prop::collection::vec(
@@ -1374,18 +1287,16 @@ mod tests {
             ),
             shards in 0usize..5,
             one_time in any::<bool>(),
-            merge_each_epoch in any::<bool>(),
             retired in prop::option::of(0usize..3),
             added in any::<bool>(),
             victim in prop::option::of(0usize..4),
         ) {
             let mode = if shards == 0 { ExecMode::Serial } else { ExecMode::Sharded(shards) };
-            let (mut delivered, mut qids) = routing_fab();
-            let (mut collected, _) = routing_fab();
+            let (mut f, mut qids) = routing_fab();
             let mut grouped = Oracle { f: routing_fab().0, out: BTreeMap::new() };
-            // What collect_output merged per query so far, in merge order:
-            // the bank deliver must hold.
-            let mut banked = BTreeMap::new();
+            // The oracle's merges per query so far, in ingest order: what
+            // the bank must hold.
+            let mut banked: BTreeMap<QueryId, Vec<CrowdTuple>> = BTreeMap::new();
             let mut next_id = 0;
             for (e, draws) in epochs.iter().enumerate() {
                 let batch: Vec<CrowdTuple> = draws
@@ -1402,24 +1313,26 @@ mod tests {
                         }
                     })
                     .collect();
-                let (groups, dropped) = oracle_groups(&delivered, &batch);
-                let report = delivered.ingest_batch_mode(&batch, mode);
-                collected.ingest_batch_mode(&batch, mode);
+                let (groups, dropped) = oracle_groups(&f, &batch);
+                let report = f.ingest_batch_mode(&batch, mode);
                 prop_assert_eq!(report.dropped, dropped);
                 prop_assert_eq!(report.routed, batch.len() - dropped);
-                prop_assert_eq!(report.chains(), delivered.materialized_chains());
-                for (i, key) in delivered.chains.keys().enumerate() {
+                prop_assert_eq!(report.chains(), f.materialized_chains());
+                for (i, key) in f.chains.keys().enumerate() {
                     let want = groups.get(key).map_or(&[][..], Vec::as_slice);
                     prop_assert!(
-                        delivered.router.batch(i) == want,
+                        f.router.batch(i) == want,
                         "epoch {e}, chain {key:?}: routed {:?}, grouped {want:?}",
-                        delivered.router.batch(i)
+                        f.router.batch(i)
                     );
                 }
                 oracle_ingest(&mut grouped, &batch);
-                if merge_each_epoch && e + 1 < epochs.len() {
-                    let fabs = [&mut delivered, &mut collected];
-                    merge_three_ways(mode, fabs, &mut grouped, &qids, &mut banked)?;
+                let delivered: Vec<_> = f.last_delivery().map(|(q, out)| (q, out.to_vec())).collect();
+                prop_assert_eq!(delivered.iter().map(|(q, _)| *q).collect::<Vec<_>>(), qids.clone());
+                for (qid, got) in delivered {
+                    let want = oracle_collect(&mut grouped, qid);
+                    prop_assert!(got == want, "epoch {e}, {qid}: merged {got:?}, oracle {want:?}");
+                    banked.entry(qid).or_default().extend(got);
                 }
                 if e == 0 {
                     // Query 2 alone taps cells (2, 0) and (2, 1), query 1
@@ -1427,38 +1340,31 @@ mod tests {
                     // cells whose tuples must drop from now on.
                     if let Some(i) = retired {
                         let qid = qids.remove(i);
-                        let bank = delivered.take_output(qid);
-                        prop_assert!(bank == banked.remove(&qid).unwrap_or_default());
-                        let got = delivered.delete_query(qid).unwrap();
-                        prop_assert!(got == collected.delete_query(qid).unwrap());
-                        prop_assert!(got == oracle_delete(&mut grouped, qid), "leftovers {got:?}");
+                        let got = f.delete_query(qid).unwrap();
+                        prop_assert!(got == banked.remove(&qid).unwrap_or_default(), "bank {got:?}");
+                        grouped.f.delete_query(qid).unwrap();
                     }
                     // Attribute 2 is above every chain's so far.
                     if added {
                         let q = query(2, Rect::new(2.0, 2.0, 4.0, 3.5), 1.0);
-                        let qid = delivered.insert_query(q).unwrap();
-                        prop_assert_eq!(collected.insert_query(q).unwrap(), qid);
+                        let qid = f.insert_query(q).unwrap();
                         prop_assert_eq!(grouped.f.insert_query(q).unwrap(), qid);
                         qids.push(qid);
                     }
                 }
             }
-            prop_assert_eq!(delivered.dropped_unmaterialized(), grouped.f.dropped_unmaterialized());
-            let (ours, theirs) = (delivered.chain_metrics(), grouped.f.chain_metrics());
+            prop_assert_eq!(f.dropped_unmaterialized(), grouped.f.dropped_unmaterialized());
+            let (ours, theirs) = (f.chain_metrics(), grouped.f.chain_metrics());
             prop_assert!(ours == theirs, "operator counts differ");
             if let Some(victim) = victim.filter(|&v| v < qids.len()) {
                 let qid = qids.remove(victim);
-                let mut want = collected.delete_query(qid).unwrap();
-                prop_assert!(want == oracle_delete(&mut grouped, qid), "leftovers {want:?}");
-                want.extend(banked.remove(&qid).unwrap_or_default());
-                let got = delivered.delete_query(qid).unwrap();
-                prop_assert!(got == want, "leftovers then bank {got:?}, want {want:?}");
+                let got = f.delete_query(qid).unwrap();
+                prop_assert!(got == banked.remove(&qid).unwrap_or_default(), "bank {got:?}");
             }
-            merge_three_ways(mode, [&mut delivered, &mut collected], &mut grouped, &qids, &mut banked)?;
             for &qid in &qids {
-                let bank = delivered.take_output(qid);
+                let bank = f.collect_output(qid).unwrap();
                 prop_assert!(bank == banked.remove(&qid).unwrap_or_default(), "{qid}'s bank");
-                prop_assert_eq!(delivered.buffered_len(qid), 0);
+                prop_assert_eq!(f.buffered_len(qid), 0);
             }
         }
     }

@@ -170,7 +170,8 @@ pub struct EpochReport {
     /// Well-formed tuples ingested into the fabricator.
     pub ingested: usize,
     /// Map + process outcome, with one per-shard entry for each shard of
-    /// the width the epoch ran at (a single entry at width 1).
+    /// the width the epoch ran at; no entry when no chain is materialized,
+    /// since then nothing runs.
     pub exec: IngestReport,
     /// Per-query tuples delivered this epoch.
     pub delivered: Vec<(QueryId, usize)>,
@@ -688,8 +689,9 @@ impl CraqrServer {
         }
     }
 
-    /// Deletes a standing query, returning any tuples still buffered for
-    /// it. A query that committed demand at admission releases exactly
+    /// Deletes a standing query, returning what was delivered to it and
+    /// not taken, oldest delivery first ([`Fabricator::delete_query`]). A
+    /// query that committed demand at admission releases exactly
     /// that amount back to its tenant's pool; queries that never passed
     /// admission (submitted before the first tenant registration)
     /// release nothing — they committed nothing.
@@ -723,9 +725,11 @@ impl CraqrServer {
         crate::driver::EpochDriver::new(self)
     }
 
-    /// Takes everything fabricated for a query so far.
+    /// Takes everything fabricated for a query so far
+    /// ([`Fabricator::collect_output`]); nothing for a query that does not
+    /// stand.
     pub fn take_output(&mut self, qid: QueryId) -> Vec<CrowdTuple> {
-        self.fabricator.take_output(qid)
+        self.fabricator.collect_output(qid).unwrap_or_default()
     }
 
     /// Peeks at the number of buffered tuples for a query.

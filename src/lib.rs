@@ -72,8 +72,9 @@
 //! Each tuple finds its chain in a dense (attribute, cell) → chain table
 //! first, on the calling thread. Once every shard is done, the per-query
 //! `U` merges run through the same fan-out at the same width (runs of
-//! consecutive queries, at most one per query), each appending to its
-//! query's output buffer.
+//! consecutive queries, at most one per query), each reading its query's
+//! pieces from the shard stagings in place and appending to its query's
+//! output buffer.
 //!
 //! **Determinism contract:** for a fixed root seed, every width produces
 //! bit-identical fabricated streams, dispatch statistics, and budget
