@@ -42,18 +42,21 @@ impl Default for SgdConfig {
 /// The one-step-ahead residual of a batch: how far the observed count fell
 /// from what the *pre-update* model predicted for the batch window.
 ///
-/// Under a well-calibrated model the observed count is approximately
-/// Poisson with mean `expected`, so the Anscombe-free standardization
-/// `(observed − expected) / √max(expected, 1)` hovers around zero with
-/// unit-ish variance while the process is stationary — exactly the signal
-/// sequential drift detectors ([`craqr_stats::drift`]) are built to watch.
+/// While the process is stationary the observed count is approximately
+/// Poisson with mean μ, and `expected` is itself a weighted average of
+/// earlier counts, with variance `s·μ` for the sum `s` of its squared
+/// weights ([`SgdEstimator`]'s level). The residual's variance is then
+/// `(1 + s)·μ`, so the standardization
+/// `(observed − expected) / √(max(expected, 1)·(1 + s))` hovers around
+/// zero with unit variance — exactly the signal sequential drift
+/// detectors ([`craqr_stats::drift`]) are calibrated for.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Innovation {
     /// Points observed in the batch window.
     pub observed: usize,
     /// Expected count under the pre-update estimate: `∫_window λ̂`.
     pub expected: f64,
-    /// `(observed − expected) / √max(expected, 1)`.
+    /// `(observed − expected) / √(max(expected, 1)·(1 + s))`.
     pub standardized: f64,
 }
 
@@ -62,10 +65,23 @@ pub struct Innovation {
 /// The estimator is anchored to a *reference window* (the spatial region and
 /// a nominal batch duration) whose scaling keeps the optimization
 /// well-conditioned; batches may cover any sub-window of the region.
+///
+/// The level (the rate at the window's centre, `φ0` in scaled coordinates)
+/// is a running average of the batch rates `n / V`: the first batch sets
+/// it, and each later one relaxes it by `γ_k`. For an affine intensity
+/// over a rectangle `∫_W λ = V·λ(centre)`, and Eq. (1)'s maximum-likelihood
+/// fit, railed at the positivity boundary or not, integrates to the count
+/// it was fitted to (scaling λ by `c` scales the likelihood's `∫ λ` term by
+/// `c` and stays feasible), so the level's own statistic is the count. The
+/// spatial and temporal slopes take gradient steps.
 #[derive(Debug, Clone)]
 pub struct SgdEstimator {
     scale: WindowScale,
     phi: [f64; 4],
+    /// Sum of the squared weights the level gives past batch rates: its
+    /// variance in units of one batch's Poisson variance (0 before any
+    /// batch, when it is the prior `initial_rate`).
+    level_weight2: f64,
     batches_seen: u64,
     points_seen: u64,
     config: SgdConfig,
@@ -81,7 +97,7 @@ impl SgdEstimator {
         let scale = WindowScale::of(reference);
         let mut phi = [config.initial_rate, 0.0, 0.0, 0.0];
         project_positive(&mut phi, POSITIVITY_EPS);
-        Self { scale, phi, batches_seen: 0, points_seen: 0, config }
+        Self { scale, phi, level_weight2: 0.0, batches_seen: 0, points_seen: 0, config }
     }
 
     /// Feeds one batch of points observed in `window` (a sub-window of the
@@ -92,7 +108,8 @@ impl SgdEstimator {
     ///
     /// The per-batch gradient of the Poisson log-likelihood is
     /// `Σᵢ f(pᵢ)/λ(pᵢ) − V_b · f(midpoint)`, normalized by the expected
-    /// batch size so the step magnitude is insensitive to batch volume.
+    /// batch size so the step magnitude is insensitive to batch volume;
+    /// the slopes follow it, and the level relaxes towards the batch rate.
     pub fn observe_batch(
         &mut self,
         points: &[SpaceTimePoint],
@@ -114,10 +131,11 @@ impl SgdEstimator {
         // an affine intensity.
         let lam_mid: f64 = self.phi.iter().zip(&fbar).map(|(a, b)| a * b).sum();
         let expected = (volume * lam_mid).max(0.0);
+        let spread = (expected.max(1.0) * (1.0 + self.level_weight2)).sqrt();
         let innovation = Innovation {
             observed: points.len(),
             expected,
-            standardized: (points.len() as f64 - expected) / expected.max(1.0).sqrt(),
+            standardized: (points.len() as f64 - expected) / spread,
         };
 
         let mut g = [0.0f64; 4];
@@ -126,35 +144,33 @@ impl SgdEstimator {
             let lam: f64 = self.phi.iter().zip(&f).map(|(a, b)| a * b).sum();
             let lam = lam.max(POSITIVITY_EPS);
             let inv = 1.0 / lam;
-            for i in 0..4 {
+            for i in 1..4 {
                 g[i] += f[i] * inv;
             }
         }
-        for i in 0..4 {
+        for i in 1..4 {
             g[i] -= volume * fbar[i];
         }
-        // Normalize by the expected batch count under the current model so
-        // steps stay O(gamma) regardless of batch size.
-        // Preconditioned step: scaling the raw gradient by `φ0 / V` turns
-        // the level coordinate into the relaxation `φ0 ← φ0 + γ (n/V − φ0)`
-        // (an unbiased multiplicative Robbins–Monro scheme whose relative
-        // step noise is `γ/√E[n]`), instead of the `1/φ0²`-scaled steps a
-        // flat normalizer produces — those overshoot violently once the
-        // estimate dips low.
+        // Preconditioned slope steps: scaling the raw gradient by `φ0 / V`
+        // keeps them O(γ) relative to the level whatever the batch size,
+        // instead of the `1/φ0²`-scaled steps a flat normalizer produces —
+        // those overshoot violently once the estimate dips low.
         let prev0 = self.phi[0];
         let precond = prev0.max(POSITIVITY_EPS) / volume.max(f64::MIN_POSITIVE);
-        for (p, gi) in self.phi.iter_mut().zip(&g) {
+        for (p, gi) in self.phi[1..].iter_mut().zip(&g[1..]) {
             *p += gamma * gi * precond;
         }
-        // Trust region on the level: one batch may at most halve the
-        // estimate, or raise it toward the batch's own empirical rate.
-        // Without this a near-zero estimate makes the `1/λ` gradients
-        // explode and a single batch can catapult the estimator into a
-        // huge frozen state (the step normalizer then kills all future
-        // corrections).
+        // The level relaxes towards the batch rate, `φ0 ← φ0 + γ (n/V − φ0)`,
+        // and the first batch replaces the prior outright. A gradient step
+        // would reach the same fixed point only with the slopes stationary:
+        // while the positivity projection holds them back (points clustered
+        // in part of the window), the level settles below `n / V` and every
+        // expected count reads low.
+        let level_gamma = if self.batches_seen == 1 { 1.0 } else { gamma };
         let batch_rate = points.len() as f64 / volume.max(f64::MIN_POSITIVE);
-        let hi = (2.0 * prev0 + gamma * batch_rate).max(POSITIVITY_EPS);
-        self.phi[0] = self.phi[0].clamp(0.5 * prev0, hi);
+        self.phi[0] = prev0 + level_gamma * (batch_rate - prev0);
+        self.level_weight2 = (1.0 - level_gamma) * (1.0 - level_gamma) * self.level_weight2
+            + level_gamma * level_gamma;
         project_positive(&mut self.phi, POSITIVITY_EPS);
         innovation
     }
