@@ -1198,12 +1198,15 @@ mod tests {
             (c.drain_responses(), c.responses_dropped(), c.responses_duplicated())
         };
         assert_eq!(run(), run());
-        // Pinned at the commit before the heap entry carried its payload:
-        // fault draws happen in pop order, so the same drained sequence
-        // means the heap still compares `(Reverse(due), seq)`.
+        // The counts are pinned at the commit before the heap entry carried
+        // its payload: fault draws happen in pop order, so the same counts
+        // mean the heap still compares `(Reverse(due), seq)`. The hash
+        // covers where each response was measured, so it moved once, when a
+        // walk step began drawing both axes from one Box–Muller pair; the
+        // fault and participation streams, and so the counts, did not.
         let (drained, dropped, duplicated) = run();
         assert_eq!((drained.len(), dropped, duplicated), (130, 75, 16));
-        assert_eq!(drained.iter().fold(FNV_OFFSET, fingerprint), 0x2925_ecb7_bd13_9be2);
+        assert_eq!(drained.iter().fold(FNV_OFFSET, fingerprint), 0x9549_46f9_b5f0_1680);
     }
 
     #[test]
@@ -1224,9 +1227,12 @@ mod tests {
         assert_eq!(c.pending.len(), 11);
         assert!(c.pending.iter().all(|p| p.due > c.now()));
         // The same 64 rounds at the commit before (side table, growing).
+        // The hash moved once since, with the positions, when a walk step
+        // began drawing both axes from one Box–Muller pair; the counts come
+        // from the fault and participation streams and did not.
         let faults = (c.responses_dropped(), c.responses_delayed(), c.responses_duplicated());
         assert_eq!((drained, faults), (1916, (933, 591, 426)));
-        assert_eq!(hash, 0xcf0f_e88c_bcf4_0bb1);
+        assert_eq!(hash, 0x15e4_c646_a7a7_3cc4);
     }
 
     #[test]

@@ -10,7 +10,6 @@
 use craqr_geom::Rect;
 use craqr_stats::dist::Normal;
 use craqr_stats::Interval;
-use rand::distributions::Distribution;
 use rand::Rng;
 
 /// Per-sensor mobility state machine. Units: km, minutes.
@@ -91,15 +90,15 @@ impl Mobility {
 
     /// The RNG words one [`Mobility::step`] of `dt` minutes draws, when
     /// that number is fixed: a random walk and Gauss–Markov draw one
-    /// Box–Muller normal (two words) per axis, or nothing when their noise
-    /// is zero; a station draws nothing. `None` for the random waypoint,
-    /// which draws a new target only when it arrives.
+    /// Box–Muller pair (two words) for both axes, or nothing when their
+    /// noise is zero; a station draws nothing. `None` for the random
+    /// waypoint, which draws a new target only when it arrives.
     ///
     /// [`crate::Crowd::advance`] splits its sensors over workers only when
     /// this is `Some`: then each worker can skip exactly the words the
     /// sensors outside its range draw.
     pub fn draws_per_step(&self, dt: f64) -> Option<usize> {
-        let normals = |noise: Normal| if noise.sd() == 0.0 { 0 } else { 2 * NORMAL_DRAWS };
+        let normals = |noise: Normal| if noise.sd() == 0.0 { 0 } else { PAIR_DRAWS };
         match self {
             Mobility::Stationary => Some(0),
             Mobility::RandomWalk { sigma } => Some(normals(walk_noise(*sigma, dt))),
@@ -127,8 +126,8 @@ impl Mobility {
         let raw = match self {
             Mobility::Stationary => pos,
             Mobility::RandomWalk { sigma } => {
-                let step = walk_noise(*sigma, dt);
-                (pos.0 + step.sample(rng), pos.1 + step.sample(rng))
+                let (dx, dy) = walk_noise(*sigma, dt).sample_pair(rng);
+                (pos.0 + dx, pos.1 + dy)
             }
             Mobility::RandomWaypoint { speed, pause, target, pause_left } => {
                 let mut remaining = dt;
@@ -161,18 +160,16 @@ impl Mobility {
                 p
             }
             Mobility::GaussMarkov { alpha, mean_speed, sigma, velocity } => {
-                let noise = gauss_markov_noise(*alpha, *sigma);
+                let (nx, ny) = gauss_markov_noise(*alpha, *sigma).sample_pair(rng);
                 // Mean velocity direction drifts isotropically around the
                 // current heading; classic formulation uses a mean speed on
                 // each axis of mean_speed/√2.
                 let mean_axis = *mean_speed / std::f64::consts::SQRT_2;
                 let sign = |v: f64| if v >= 0.0 { 1.0 } else { -1.0 };
-                velocity.0 = *alpha * velocity.0
-                    + (1.0 - *alpha) * mean_axis * sign(velocity.0)
-                    + noise.sample(rng);
-                velocity.1 = *alpha * velocity.1
-                    + (1.0 - *alpha) * mean_axis * sign(velocity.1)
-                    + noise.sample(rng);
+                velocity.0 =
+                    *alpha * velocity.0 + (1.0 - *alpha) * mean_axis * sign(velocity.0) + nx;
+                velocity.1 =
+                    *alpha * velocity.1 + (1.0 - *alpha) * mean_axis * sign(velocity.1) + ny;
                 (pos.0 + velocity.0 * dt, pos.1 + velocity.1 * dt)
             }
         };
@@ -180,8 +177,9 @@ impl Mobility {
     }
 }
 
-/// RNG words one [`Normal`] sample with a non-zero deviation draws.
-const NORMAL_DRAWS: usize = 2;
+/// RNG words one [`Normal::sample_pair`] with a non-zero deviation draws:
+/// a step's x and y come from one Box–Muller draw.
+const PAIR_DRAWS: usize = 2;
 
 /// The per-axis step of a random walk over `dt` minutes.
 fn walk_noise(sigma: f64, dt: f64) -> Normal {
@@ -373,7 +371,9 @@ mod tests {
             Mobility::gauss_markov(0.8, 0.12, 0.0),
             Mobility::gauss_markov(0.0, 0.0, 0.5),
         ];
-        let expected = [0, 4, 0, 4, 0, 4];
+        // One Box–Muller pair a step (two words) covers both axes; before
+        // the pair, each axis drew its own normal and a step took four.
+        let expected = [0, 2, 0, 2, 0, 2];
         for (m, want) in models.into_iter().zip(expected) {
             for dt in [0.25, 1.0, 7.5] {
                 assert_eq!(m.draws_per_step(dt), Some(want), "{m:?} at dt {dt}");

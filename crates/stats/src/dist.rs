@@ -6,7 +6,9 @@
 //! - [`Exponential`] by inversion — inter-arrival times of a temporal
 //!   Poisson process.
 //! - [`Normal`] by Box–Muller — mobility perturbations and the GPS /
-//!   sensor-noise error models of Section VI.
+//!   sensor-noise error models of Section VI. [`Normal::sample_pair`]
+//!   returns both variates of one draw; a single sample discards the
+//!   second.
 //! - [`Poisson`] by Knuth's product method for small means and Hörmann's
 //!   PTRS transformed rejection for large means — the count of points a
 //!   homogeneous MDPP drops in a window.
@@ -95,6 +97,22 @@ impl Normal {
     pub fn sd(&self) -> f64 {
         self.sd
     }
+
+    /// Two independent samples from one Box–Muller draw: the same two RNG
+    /// words as [`Distribution::sample`], in the same order (none when
+    /// `sd == 0`), with `r = sd·√(−2 ln u₁)` and `θ = 2π u₂` giving
+    /// `(mean + r cos θ, mean + r sin θ)`. The first is bit-identical to
+    /// what `sample` returns for those words. Stateless, like `sample`.
+    pub fn sample_pair<R: Rng + ?Sized>(&self, rng: &mut R) -> (f64, f64) {
+        if self.sd == 0.0 {
+            return (self.mean, self.mean);
+        }
+        let u1: f64 = 1.0 - rng.gen::<f64>(); // (0, 1]
+        let u2: f64 = rng.gen();
+        let r = self.sd * (-2.0 * u1.ln()).sqrt();
+        let (sin, cos) = (2.0 * std::f64::consts::PI * u2).sin_cos();
+        (self.mean + r * cos, self.mean + r * sin)
+    }
 }
 
 impl Distribution<f64> for Normal {
@@ -102,9 +120,9 @@ impl Distribution<f64> for Normal {
         if self.sd == 0.0 {
             return self.mean;
         }
-        // Box–Muller. The spare variate is deliberately discarded: the
-        // sampler stays stateless, so interleaved samplers sharing one RNG
-        // remain reproducible.
+        // Box–Muller. The spare variate is discarded (`sample_pair` keeps
+        // it): the sampler stays stateless, so interleaved samplers sharing
+        // one RNG remain reproducible.
         let u1: f64 = 1.0 - rng.gen::<f64>(); // (0, 1]
         let u2: f64 = rng.gen();
         let r = (-2.0 * u1.ln()).sqrt();
