@@ -308,12 +308,16 @@ impl Pass<'_> {
 /// `(sensors × substeps / SENSOR_STEPS_PER_WORKER).clamp(1, cores)`
 /// threads.
 ///
-/// Measured on a 2-core host with 20 000 random walkers: one thread region
-/// per 80 000 sensor-steps (an epoch of four sub-steps) wins, one per
-/// 20 000 (a single sub-step) loses to the spawn, join and skipped RNG
-/// words. The constant sits between the two, so an epoch fans out and a
-/// single [`Crowd::step`] of that crowd does not.
-pub const SENSOR_STEPS_PER_WORKER: usize = 16_384;
+/// Measured on a 2-core host, 6 alternating pairs a case, at ≈ 72 ns and
+/// two RNG words a sensor-step on one thread: with 20 000 random walkers,
+/// two ranges win at four sub-steps (40 against 73 ns a sensor-step) and at
+/// one (43 against 73), where they lost at ≈ 100 ns and four words a step;
+/// with 8 192 walkers and one sub-step they still win (42–51 against
+/// 53–76 ns), and with 4 096 it is a coin toss (4 of 6). The constant is
+/// the smallest share that wins every pair, so a single [`Crowd::step`] of
+/// 20 000 walkers fans out, and 4 000 walkers through four sub-steps
+/// (16 000 sensor-steps) do not.
+pub const SENSOR_STEPS_PER_WORKER: usize = 8_192;
 
 /// The simulated mobile crowd.
 ///
@@ -528,7 +532,9 @@ impl Crowd {
     /// **Determinism contract.** The result is bit-identical to
     /// `substeps` calls of [`Crowd::step`], on any host. When the
     /// population's mobility draws a fixed number of RNG words a
-    /// sensor-step ([`Mobility::draws_per_step`]), the pass splits the
+    /// sensor-step ([`Mobility::draws_per_step`]: two for a walk or
+    /// Gauss–Markov step, whose x and y come from one Box–Muller pair, and
+    /// none for a station or zero noise), the pass splits the
     /// sensors into one contiguous range per [`SENSOR_STEPS_PER_WORKER`]
     /// sensor-steps, capped at the host's cores, and runs them in one
     /// [`fan_out`]; each range moves on its own copy of the mobility

@@ -91,7 +91,7 @@
 //! sensors and measures those responses. The pass splits the sensors into
 //! one contiguous range per
 //! [`SENSOR_STEPS_PER_WORKER`](craqr_sensing::crowd::SENSOR_STEPS_PER_WORKER)
-//! (16 384) sensor-steps, at most the host's cores, when the population's
+//! (8 192) sensor-steps, at most the host's cores, when the population's
 //! mobility draws a fixed number of RNG words a step (walk, Gauss–Markov,
 //! stationary); the random waypoint runs as one range. Each range skips
 //! the words the other ranges draw, so the same contract holds: every
