@@ -219,7 +219,7 @@ mod tests {
     use super::*;
     use crate::online::OnlineMoments;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(0x5EED_CAFE)
@@ -276,6 +276,20 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(d.sample(&mut r), 5.0);
         }
+    }
+
+    #[test]
+    fn a_pair_draws_the_words_of_one_sample_and_starts_with_its_value() {
+        let d = Normal::new(3.0, 2.0);
+        let (mut single, mut paired) = (rng(), rng());
+        for _ in 0..1_000 {
+            let (x, _) = d.sample_pair(&mut paired);
+            assert_eq!(x.to_bits(), d.sample(&mut single).to_bits());
+        }
+        assert_eq!(single.next_u64(), paired.next_u64(), "the two streams diverged");
+        let mut r = rng();
+        assert_eq!(Normal::new(5.0, 0.0).sample_pair(&mut r), (5.0, 5.0));
+        assert_eq!(r.next_u64(), rng().next_u64(), "a zero deviation draws no word");
     }
 
     #[test]
