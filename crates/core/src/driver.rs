@@ -121,37 +121,18 @@ struct Ingested {
 
 impl EpochCore<'_> {
     /// The issuing half of a dispatch (see
-    /// [`RequestResponseHandler::issue_epoch_orders`]): demands, tenant
-    /// share refresh, epoch meters, budget draws, clamping/charging, and
-    /// the per-epoch tenant charges — everything but the crowd sends.
-    /// `detached` skips order collection: a replay has no crowd to send to.
+    /// [`RequestResponseHandler::issue_epoch_orders`]): epoch meters,
+    /// budget draws, clamping/charging, and the per-epoch tenant charges —
+    /// everything but the crowd sends. `detached` skips order collection:
+    /// a replay has no crowd to send to.
     fn issue(&mut self, detached: bool) -> (Vec<SendOrder>, SlotHead) {
-        let demands = self.fabricator.demands();
-        let shares = if self.tenants.is_some() {
-            self.fabricator.refresh_tenant_shares();
-            Some(self.fabricator.tenant_shares())
-        } else {
-            None
-        };
         if let Some(registry) = self.tenants.as_mut() {
             registry.begin_epoch();
         }
-        let tenancy = match (self.tenants.as_mut(), shares) {
-            (Some(registry), Some(shares)) => Some((registry, shares)),
-            _ => None,
-        };
-        let grid = if detached { None } else { Some(self.fabricator.grid()) };
-        let (orders, dispatch) = self.handler.issue_epoch_orders(grid, &demands, tenancy);
+        let (orders, dispatch) =
+            self.handler.issue_epoch_orders(self.fabricator, detached, self.tenants.as_mut());
         let charges = self.tenants.as_ref().map_or_else(Vec::new, |t| t.epoch_charges());
         (orders, SlotHead { dispatch, charges, stale_actions: 0 })
-    }
-
-    /// Shortfall feedback for bounded retry (when configured): counts the
-    /// drained responses per chain *before* error injection mutates them.
-    fn observe_drained(&mut self, responses: &[SensorResponse]) {
-        if self.handler.retry_enabled() {
-            self.handler.observe_responses(self.fabricator.responses_per_chain(responses));
-        }
     }
 
     /// Applies a hook's actions, returning how many were stale (targeted
@@ -161,7 +142,7 @@ impl EpochCore<'_> {
         for action in actions {
             match *action {
                 ControlAction::SetBudget { cell, attr, requests_per_epoch } => {
-                    if !self.handler.set_budget(cell, attr, requests_per_epoch) {
+                    if !self.fabricator.set_budget(cell, attr, requests_per_epoch) {
                         stale += 1;
                     }
                 }
@@ -415,7 +396,9 @@ impl IngestStage<'_> {
         head.dispatch.sent = batch.sent;
         self.core.handler.record_sent(batch.sent);
         head.stale_actions = self.core.apply_actions(&self.pending_actions);
-        self.core.observe_drained(&batch.responses);
+        // Shortfall feedback for bounded retry, from the responses as
+        // drained, before error injection mutates them.
+        self.core.handler.observe_responses(self.core.fabricator, &batch.responses);
         clock.lap(PipelineStage::Ingest, t, EpochPhase::Ingest);
         (head, (t + 1 < self.slots).then(|| self.issue(t, clock)))
     }
@@ -443,7 +426,7 @@ impl IngestStage<'_> {
         });
         let n_responses = responses.len();
         let (ing, spent) = core.absorb(responses);
-        let tuning = core.handler.tune(core.fabricator.flatten_telemetry());
+        let tuning = core.handler.tune(core.fabricator);
         let report = EpochReport {
             epoch: self.base + t,
             now: epoch_end,

@@ -8,7 +8,6 @@ use craqr_mdpp::intensity::{IntensityModel, LinearIntensity};
 use craqr_stats::sub_rng;
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::sync::Arc;
 
 /// Configuration of a [`FlattenOp`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,8 +45,8 @@ pub struct FlattenConfig {
 ///    (`target_rate × batch volume`), so that `Σᵢ pᵢ = λ̄` exactly when no
 ///    violation occurs,
 /// 3. labels tuples with `pᵢ > 1` as *rate violations*, clamps them to 1,
-///    and reports the percent rate violation `N_v` on its
-///    [`FlattenReport`],
+///    and records the percent rate violation `N_v` in its own
+///    [`FlattenReport`] ([`FlattenOp::report`]),
 /// 4. forwards each tuple iff an independent Bernoulli(`pᵢ`) draw succeeds.
 ///
 /// Retention is inversely proportional to the local intensity — "more
@@ -58,7 +57,7 @@ pub struct FlattenOp {
     batch_duration: f64,
     target_rate: f64,
     rng: StdRng,
-    report: Arc<FlattenReport>,
+    report: FlattenReport,
     /// Per-batch scratch, kept across batches so that once warm a fitted
     /// batch allocates nothing: the batch in batch-local time, each
     /// tuple's fitted intensity, and the MLE's buffers. A batch below
@@ -75,28 +74,30 @@ impl FlattenOp {
     /// (see the type's doc).
     pub const MIN_FIT_POINTS: usize = 8;
 
-    /// Creates a flatten operator and its telemetry handle.
+    /// Creates a flatten operator.
     ///
     /// # Panics
     /// Panics on non-positive `target_rate` or `batch_duration`.
     #[track_caller]
-    pub fn new(config: FlattenConfig) -> (Self, Arc<FlattenReport>) {
+    pub fn new(config: FlattenConfig) -> Self {
         assert!(config.target_rate > 0.0, "target rate must be > 0");
         assert!(config.batch_duration > 0.0, "batch duration must be > 0");
-        let report = FlattenReport::new(0.3);
-        (
-            Self {
-                cell: config.cell,
-                batch_duration: config.batch_duration,
-                target_rate: config.target_rate,
-                rng: sub_rng(config.seed, 0xF1A7),
-                report: Arc::clone(&report),
-                points: Vec::new(),
-                rates: Vec::new(),
-                fit_scratch: FitScratch::default(),
-            },
-            report,
-        )
+        Self {
+            cell: config.cell,
+            batch_duration: config.batch_duration,
+            target_rate: config.target_rate,
+            rng: sub_rng(config.seed, 0xF1A7),
+            report: FlattenReport::new(0.3),
+            points: Vec::new(),
+            rates: Vec::new(),
+            fit_scratch: FitScratch::default(),
+        }
+    }
+
+    /// The operator's telemetry: `N_v` and the batch MLE's outcomes.
+    #[inline]
+    pub fn report(&self) -> &FlattenReport {
+        &self.report
     }
 
     /// The current target rate λ̄.
@@ -168,18 +169,18 @@ impl FlattenOp {
     }
 
     /// Flattens one batch, appending the retained tuples to `out` in input
-    /// order, and reports the batch's `N_v`.
+    /// order, and records the batch's `N_v`.
     pub fn process(&mut self, batch: &[CrowdTuple], out: &mut Vec<CrowdTuple>) {
         if batch.is_empty() {
             // An empty batch with a positive target is a total violation:
             // there is nothing to fabricate the requested rate from.
-            self.report.record_batch(100.0, 0, 0, None);
+            self.report.record_batch(100.0, None);
             return;
         }
         let window = self.batch_window(batch);
         let target_count = self.target_rate * window.volume();
 
-        let ((violations, kept), fit) = if batch.len() < Self::MIN_FIT_POINTS {
+        let (violations, fit) = if batch.len() < Self::MIN_FIT_POINTS {
             // `λ̃ = n / V` at every tuple, so `λ_c = V` and Eq. (3) is
             // `λ̄ V / n` for each: no batch-local copy, rates or fit.
             let p = target_count / batch.len() as f64;
@@ -196,30 +197,29 @@ impl FlattenOp {
             (retain(batch.iter().zip(p), &mut self.rng, out), fit)
         };
         let nv = 100.0 * violations as f64 / batch.len() as f64;
-        self.report.record_batch(nv, batch.len(), kept, Some(fit));
+        self.report.record_batch(nv, Some(fit));
     }
 }
 
 /// Forwards each tuple iff a Bernoulli(`p`) draw succeeds, one draw per
-/// tuple, `p` clamped at 1; returns `(violations, kept)`, a violation
-/// being a `p` above 1.
+/// tuple, `p` clamped at 1; returns the violations, a violation being a
+/// `p` above 1.
 fn retain<'a>(
     tuples: impl Iterator<Item = (&'a CrowdTuple, f64)>,
     rng: &mut StdRng,
     out: &mut Vec<CrowdTuple>,
-) -> (usize, usize) {
-    let (mut violations, mut kept) = (0, 0);
+) -> usize {
+    let mut violations = 0;
     for (tuple, mut p) in tuples {
         if p > 1.0 {
             violations += 1;
             p = 1.0;
         }
         if rng.gen::<f64>() < p {
-            kept += 1;
             out.push(*tuple);
         }
     }
-    (violations, kept)
+    violations
 }
 
 // The stochastic assertions below (χ² homogeneity at α = 0.001, CV-ratio
@@ -267,7 +267,7 @@ mod tests {
     #[test]
     fn uniform_input_keeps_expected_fraction() {
         // Homogeneous input at rate 2.0, target 0.5: keep ~25%.
-        let (mut op, report) = FlattenOp::new(config(0.5));
+        let mut op = FlattenOp::new(config(0.5));
         let w = SpaceTimeWindow::new(cell(), 0.0, 10.0);
         let pts = HomogeneousMdpp::new(2.0, cell()).sample(&w, &mut seeded_rng(1));
         let batch = tuples_from_points(&pts);
@@ -275,12 +275,12 @@ mod tests {
         let target = 0.5 * w.volume();
         let got = out.len() as f64;
         assert!((got - target).abs() < 0.15 * target, "kept {got}, want ~{target}");
-        assert!(report.last_nv() < 5.0, "N_v {}", report.last_nv());
+        assert!(op.report().last_nv() < 5.0, "N_v {}", op.report().last_nv());
     }
 
     #[test]
     fn flatten_homogenizes_skewed_input() {
-        let (mut op, _report) = FlattenOp::new(config(0.6));
+        let mut op = FlattenOp::new(config(0.6));
         let w = SpaceTimeWindow::new(cell(), 0.0, 10.0);
         // Strong x-gradient input.
         let truth = LinearIntensity::new([0.3, 0.0, 0.7, 0.0]);
@@ -306,23 +306,23 @@ mod tests {
     fn starved_batch_reports_violations() {
         // Target 1.0/km²·min over 10 min × 100 km² = 1000 tuples wanted;
         // provide only a trickle.
-        let (mut op, report) = FlattenOp::new(config(1.0));
+        let mut op = FlattenOp::new(config(1.0));
         let w = SpaceTimeWindow::new(cell(), 0.0, 10.0);
         let pts = HomogeneousMdpp::new(0.05, cell()).sample(&w, &mut seeded_rng(3));
         let batch = tuples_from_points(&pts);
         let out = run_batch(&mut op, &batch);
         // Everything is kept (p clamps to 1), and N_v is near total.
         assert_eq!(out.len(), batch.len());
-        assert!(report.last_nv() > 90.0, "N_v {}", report.last_nv());
+        assert!(op.report().last_nv() > 90.0, "N_v {}", op.report().last_nv());
     }
 
     #[test]
     fn empty_batch_is_total_violation() {
-        let (mut op, report) = FlattenOp::new(config(1.0));
+        let mut op = FlattenOp::new(config(1.0));
         let out = run_batch(&mut op, &[]);
         assert!(out.is_empty());
-        assert_eq!(report.last_nv(), 100.0);
-        assert_eq!(report.batches(), 1);
+        assert_eq!(op.report().last_nv(), 100.0);
+        assert_eq!(op.report().batches(), 1);
     }
 
     #[test]
@@ -331,7 +331,7 @@ mod tests {
         let pts = HomogeneousMdpp::new(2.0, cell()).sample(&w, &mut seeded_rng(4));
         let batch = tuples_from_points(&pts);
 
-        let (mut op, _) = FlattenOp::new(config(0.2));
+        let mut op = FlattenOp::new(config(0.2));
         let low = run_batch(&mut op, &batch).len();
         op.set_target_rate(1.0);
         assert_eq!(op.target_rate(), 1.0);
@@ -367,7 +367,7 @@ mod tests {
     #[test]
     fn the_batch_mle_fits_only_from_min_fit_points() {
         // λ̄ V = 0.002 × 100 km² × 10 min = 2 tuples a batch.
-        let (mut op, report) = FlattenOp::new(config(0.002));
+        let mut op = FlattenOp::new(config(0.002));
         let mut rng = seeded_rng(8);
         let truth = LinearIntensity::new([0.3, 0.0, 0.7, 0.0]);
         for n in 1..=2 * FlattenOp::MIN_FIT_POINTS {
@@ -388,10 +388,10 @@ mod tests {
             assert_eq!(op.rng, draws, "n = {n}: one draw a tuple");
             if n < FlattenOp::MIN_FIT_POINTS {
                 // A violation is all or nothing: `λ̄ V / n` is above 1 or not.
-                assert_eq!(report.last_nv(), if n < 2 { 100.0 } else { 0.0 }, "n = {n}");
+                assert_eq!(op.report().last_nv(), if n < 2 { 100.0 } else { 0.0 }, "n = {n}");
             }
         }
-        let fits = report.fit_counts();
+        let fits = op.report().fit_counts();
         let below = FlattenOp::MIN_FIT_POINTS as u64 - 1;
         assert_eq!(fits.homogeneous, below);
         assert_eq!(fits.fitted + fits.capped, below + 2);
@@ -400,7 +400,7 @@ mod tests {
 
     #[test]
     fn batch_window_alignment() {
-        let (op, _) = FlattenOp::new(config(1.0));
+        let op = FlattenOp::new(config(1.0));
         let batch = tuples_from_points(&[
             SpaceTimePoint::new(23.0, 1.0, 1.0),
             SpaceTimePoint::new(27.5, 2.0, 2.0),
@@ -412,7 +412,7 @@ mod tests {
 
     #[test]
     fn spilled_batch_window_widens() {
-        let (op, _) = FlattenOp::new(config(1.0));
+        let op = FlattenOp::new(config(1.0));
         let batch = tuples_from_points(&[
             SpaceTimePoint::new(21.0, 1.0, 1.0),
             SpaceTimePoint::new(34.0, 2.0, 2.0),

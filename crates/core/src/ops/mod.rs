@@ -14,7 +14,7 @@
 //!
 //! | Op | Published? | Contract |
 //! |----|-----------|----------|
-//! | [`FlattenOp`] (`F`)   | yes | inhomogeneous `P̃(λ̃, R*)` → approximately homogeneous `P(λ̄, R*)`; reports percent rate violation `N_v` |
+//! | [`FlattenOp`] (`F`)   | yes | inhomogeneous `P̃(λ̃, R*)` → approximately homogeneous `P(λ̄, R*)`; records percent rate violation `N_v` in its own [`FlattenReport`] |
 //! | [`ThinOp`] (`T`)      | yes | `P(λ1, R*)` → `P(λ2, R*)`, `λ2 ≤ λ1`, by Bernoulli(λ2/λ1) |
 //! | [`PartitionOp`] (`P`) | yes | routes `P(λ, R*)` into `P(λ, R*ₖ)` on disjoint sub-regions |
 //! | [`UnionOp`] (`U`)     | yes | merges `P(λ, R*₁), P(λ, R*₂)` into `P(λ, R*₁ ∪ R*₂)`; binary form requires a full common side |

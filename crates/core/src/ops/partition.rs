@@ -10,12 +10,12 @@ use craqr_geom::Rect;
 /// The paper defines the binary form and notes it "can be easily extended
 /// to partition processes into multiple regions"; this is the k-ary
 /// extension (output `i` carries region `i`). Tuples falling in none of the
-/// sub-regions are dropped and counted — the planner uses a single-region
-/// partition to carve a query's partial overlap out of a grid cell (the
-/// `Q⟨2⟩₃` case of Fig. 2), where dropping the remainder is the intent.
+/// sub-regions are dropped — the planner uses a single-region partition to
+/// carve a query's partial overlap out of a grid cell (the `Q⟨2⟩₃` case of
+/// Fig. 2), where dropping the remainder is the intent. The chain's
+/// [`crate::plan::OpCounters`] count them: `tuples_in − tuples_out`.
 pub struct PartitionOp {
     regions: Vec<Rect>,
-    dropped: u64,
 }
 
 impl PartitionOp {
@@ -32,7 +32,7 @@ impl PartitionOp {
                 assert!(!a.intersects(b), "partition regions overlap: {a} and {b}");
             }
         }
-        Self { regions, dropped: 0 }
+        Self { regions }
     }
 
     /// The paper's binary form.
@@ -45,12 +45,6 @@ impl PartitionOp {
     #[inline]
     pub fn regions(&self) -> &[Rect] {
         &self.regions
-    }
-
-    /// Tuples dropped because they matched no sub-region.
-    #[inline]
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 
     /// Routes `batch`, appending each tuple to `out[i]` for the region `i`
@@ -68,7 +62,6 @@ impl PartitionOp {
                     continue 'tuples;
                 }
             }
-            self.dropped += 1;
         }
     }
 }
@@ -103,15 +96,15 @@ mod tests {
         let out = run(&mut op, &batch);
         assert_eq!(out[0].len(), 2);
         assert_eq!(out[1].len(), 1);
-        assert_eq!(op.dropped(), 0);
+        assert_eq!(out[0][1].point.y, 0.9, "input order within a region");
     }
 
     #[test]
     fn drops_tuples_outside_all_regions() {
         let mut op = PartitionOp::new(vec![Rect::new(0.0, 0.0, 1.0, 1.0)]);
         let out = run(&mut op, &[tuple_at(0.5, 0.5), tuple_at(5.0, 5.0)]);
-        assert_eq!(out[0].len(), 1);
-        assert_eq!(op.dropped(), 1);
+        assert_eq!(out[0].len(), 1, "the outside tuple is dropped");
+        assert_eq!(out[0][0].point.x, 0.5);
     }
 
     #[test]
@@ -130,12 +123,15 @@ mod tests {
     #[test]
     fn rate_preservation_within_region() {
         // Partitioning must not drop or duplicate tuples inside the regions.
-        let mut op =
-            PartitionOp::binary(Rect::new(0.0, 0.0, 1.0, 2.0), Rect::new(1.0, 0.0, 2.0, 2.0));
+        let (west, east) = (Rect::new(0.0, 0.0, 1.0, 2.0), Rect::new(1.0, 0.0, 2.0, 2.0));
+        let mut op = PartitionOp::binary(west, east);
         let batch: Vec<CrowdTuple> =
             (0..1000).map(|i| tuple_at((i % 20) as f64 * 0.1, (i % 7) as f64 * 0.25)).collect();
         let out = run(&mut op, &batch);
-        assert_eq!(out[0].len() + out[1].len() + op.dropped() as usize, 1000);
+        for (region, port) in [west, east].iter().zip(&out) {
+            let inside = batch.iter().filter(|t| region.contains(t.point.x, t.point.y)).count();
+            assert_eq!(port.len(), inside, "every tuple in {region}, once");
+        }
     }
 
     #[test]

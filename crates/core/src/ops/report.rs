@@ -1,26 +1,20 @@
-//! Shared flatten telemetry.
+//! F's telemetry, owned by value by its [`super::FlattenOp`].
 
 use craqr_stats::Ewma;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// Telemetry a [`super::FlattenOp`] publishes after every batch; the budget
-/// tuner (Section V "Budget Tuning") subscribes to it.
+/// Telemetry a [`super::FlattenOp`] keeps after every batch; the budget
+/// tuner (Section V "Budget Tuning") reads it in each chain's entry of
+/// the fabricator's chain table, and [`crate::Fabricator::flatten_reports`]
+/// lends every chain's.
 ///
 /// `N_v` is the paper's *percent rate violation*: the percentage of tuples
 /// in a batch whose retaining probability exceeded 1 — evidence the batch
 /// did not contain enough raw tuples to fabricate the requested rate.
 #[derive(Debug)]
 pub struct FlattenReport {
-    inner: Mutex<ReportInner>,
-}
-
-#[derive(Debug)]
-struct ReportInner {
     last_nv: f64,
     smoothed_nv: Ewma,
     batches: u64,
-    tuples_seen: u64,
-    tuples_kept: u64,
     fits: FitCounts,
 }
 
@@ -91,83 +85,40 @@ impl FitCounts {
 }
 
 impl FlattenReport {
-    /// A fresh report handle with EWMA smoothing factor `alpha`.
-    pub fn new(alpha: f64) -> Arc<Self> {
-        Arc::new(Self {
-            inner: Mutex::new(ReportInner {
-                last_nv: 0.0,
-                smoothed_nv: Ewma::new(alpha),
-                batches: 0,
-                tuples_seen: 0,
-                tuples_kept: 0,
-                fits: FitCounts::default(),
-            }),
-        })
+    /// A fresh report with EWMA smoothing factor `alpha`.
+    pub(crate) fn new(alpha: f64) -> Self {
+        Self { last_nv: 0.0, smoothed_nv: Ewma::new(alpha), batches: 0, fits: FitCounts::default() }
     }
 
-    /// Locks the counters. A poisoned lock means a holder panicked between
-    /// plain field writes, which leave the counters usable, so it is
-    /// recovered rather than propagated.
-    fn lock(&self) -> MutexGuard<'_, ReportInner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Records an epoch with no input at all — a total (100%) violation.
-    pub(crate) fn record_starved_batch(&self) {
-        self.record_batch(100.0, 0, 0, None);
-    }
-
-    /// Records one batch: its `N_v`, its tuples seen and kept, and how
-    /// F estimated it (`None` for an empty batch, which has no estimate).
-    pub(crate) fn record_batch(
-        &self,
-        nv_percent: f64,
-        seen: usize,
-        kept: usize,
-        fit: Option<FitOutcome>,
-    ) {
-        let mut inner = self.lock();
+    /// Records one batch: its `N_v` and how F estimated it (`None` for an
+    /// empty batch, which has no estimate).
+    pub(crate) fn record_batch(&mut self, nv_percent: f64, fit: Option<FitOutcome>) {
         if let Some(outcome) = fit {
-            inner.fits.count(outcome);
+            self.fits.count(outcome);
         }
-        inner.last_nv = nv_percent;
-        inner.smoothed_nv.push(nv_percent);
-        inner.batches += 1;
-        inner.tuples_seen += seen as u64;
-        inner.tuples_kept += kept as u64;
+        self.last_nv = nv_percent;
+        self.smoothed_nv.push(nv_percent);
+        self.batches += 1;
     }
 
     /// `N_v` of the most recent batch (percent, 0–100).
     pub fn last_nv(&self) -> f64 {
-        self.lock().last_nv
+        self.last_nv
     }
 
     /// EWMA-smoothed `N_v` (percent), `None` before the first batch.
     pub fn smoothed_nv(&self) -> Option<f64> {
-        self.lock().smoothed_nv.value()
-    }
-
-    /// `(batches observed, EWMA-smoothed N_v)` under one lock — what
-    /// budget tuning reads.
-    pub fn tuning_view(&self) -> (u64, Option<f64>) {
-        let inner = self.lock();
-        (inner.batches, inner.smoothed_nv.value())
+        self.smoothed_nv.value()
     }
 
     /// Batches observed.
     pub fn batches(&self) -> u64 {
-        self.lock().batches
-    }
-
-    /// `(tuples seen, tuples kept)` since creation.
-    pub fn totals(&self) -> (u64, u64) {
-        let inner = self.lock();
-        (inner.tuples_seen, inner.tuples_kept)
+        self.batches
     }
 
     /// The batch MLE's outcomes since creation.
     pub fn fit_counts(&self) -> FitCounts {
-        self.lock().fits
+        self.fits
     }
 }
 
@@ -177,28 +128,27 @@ mod tests {
 
     #[test]
     fn report_tracks_batches() {
-        let r = FlattenReport::new(0.5);
+        let mut r = FlattenReport::new(0.5);
         assert_eq!(r.batches(), 0);
         assert_eq!(r.smoothed_nv(), None);
-        r.record_batch(10.0, 100, 60, None);
-        r.record_batch(20.0, 50, 30, None);
+        r.record_batch(10.0, None);
+        r.record_batch(20.0, None);
         assert_eq!(r.batches(), 2);
         assert_eq!(r.last_nv(), 20.0);
         assert_eq!(r.smoothed_nv(), Some(15.0));
-        assert_eq!(r.totals(), (150, 90));
     }
 
     #[test]
     fn report_counts_fit_outcomes() {
-        let r = FlattenReport::new(0.5);
+        let mut r = FlattenReport::new(0.5);
         let fit = |points, iterations, converged, on_boundary| {
             Some(FitOutcome::Fitted { points, iterations, converged, on_boundary })
         };
-        r.record_batch(10.0, 100, 60, fit(100, 7, true, true));
-        r.record_batch(20.0, 50, 30, fit(50, 100, false, false));
-        r.record_batch(5.0, 9, 4, fit(9, 6, true, false));
-        r.record_batch(0.0, 3, 1, Some(FitOutcome::Homogeneous));
-        r.record_starved_batch();
+        r.record_batch(10.0, fit(100, 7, true, true));
+        r.record_batch(20.0, fit(50, 100, false, false));
+        r.record_batch(5.0, fit(9, 6, true, false));
+        r.record_batch(0.0, Some(FitOutcome::Homogeneous));
+        r.record_batch(100.0, None);
         assert_eq!(r.batches(), 5);
         let fits = r.fit_counts();
         assert_eq!(fits.by_outcome(), [("fitted", 2), ("homogeneous", 1), ("capped", 1)]);

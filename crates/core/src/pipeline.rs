@@ -494,9 +494,9 @@ pub(crate) mod tests {
         assert_eq!(hook_s.seen, (0..12).collect::<Vec<u64>>());
         assert_eq!(hook_p.seen, hook_s.seen, "the hook saw every epoch once, in order");
         // The final slot's actions are applied on clean completion.
-        let budgets = serial.handler().budget_snapshot();
+        let budgets = serial.fabricator().budget_snapshot();
         assert!(budgets.values().all(|b| *b == Actuator::budget_after(11)), "{budgets:?}");
-        assert_eq!(piped.handler().budget_snapshot(), budgets);
+        assert_eq!(piped.fabricator().budget_snapshot(), budgets);
     }
 
     #[test]
@@ -513,8 +513,8 @@ pub(crate) mod tests {
             assert_eq!(tap.0, (0..5).collect::<Vec<u64>>(), "{point:?}");
             // The crashed slot's actions are abandoned on both executors.
             assert_eq!(
-                piped.handler().budget_snapshot(),
-                serial.handler().budget_snapshot(),
+                piped.fabricator().budget_snapshot(),
+                serial.fabricator().budget_snapshot(),
                 "{point:?}"
             );
         }

@@ -49,7 +49,6 @@ use crate::ops::{FitCounts, FlattenConfig, FlattenOp, FlattenReport, PartitionOp
 use crate::query::QueryId;
 use crate::tuple::CrowdTuple;
 use craqr_geom::Rect;
-use std::sync::Arc;
 
 /// Shape of the per-cell topology — the Section VI "alternative topologies"
 /// ablation knob.
@@ -225,7 +224,6 @@ pub struct AttrChain {
     f_counters: OpCounters,
     /// `F`'s output for the current batch, kept for its capacity.
     f_out: Vec<CrowdTuple>,
-    f_report: Arc<FlattenReport>,
     /// Current F target rate λ̄ (= headroom × max tap rate).
     f_rate: f64,
     taps: Vec<RateTap>,
@@ -251,7 +249,7 @@ impl AttrChain {
     ) -> Self {
         super::PlannerConfig::F_HEADROOM.assert("F headroom", headroom);
         let f_rate = initial_rate * headroom;
-        let (flatten, f_report) = FlattenOp::new(FlattenConfig {
+        let flatten = FlattenOp::new(FlattenConfig {
             cell: cell_rect,
             batch_duration,
             target_rate: f_rate,
@@ -261,7 +259,6 @@ impl AttrChain {
             flatten,
             f_counters: OpCounters::default(),
             f_out: Vec::new(),
-            f_report,
             f_rate,
             taps: Vec::new(),
             cell_rect,
@@ -285,19 +282,20 @@ impl AttrChain {
     }
 
     /// The chain's flatten telemetry (budget tuning reads `N_v` here).
-    pub fn flatten_report(&self) -> Arc<FlattenReport> {
-        Arc::clone(&self.f_report)
+    pub fn flatten_report(&self) -> &FlattenReport {
+        self.flatten.report()
     }
 
-    /// The F-operator's telemetry, borrowed.
-    pub(crate) fn flatten(&self) -> &FlattenReport {
-        &self.f_report
+    /// The chain's cell rectangle `R*`.
+    pub(crate) fn cell_rect(&self) -> Rect {
+        self.cell_rect
     }
 
     /// The counters of this chain's live operators by kind — what the
     /// fabricator sums over chains for the report.
     pub fn metrics(&self) -> OperatorMetrics {
-        let mut m = OperatorMetrics { fits: self.f_report.fit_counts(), ..Default::default() };
+        let mut m =
+            OperatorMetrics { fits: self.flatten_report().fit_counts(), ..Default::default() };
         OperatorMetrics::count(&mut m.f, &self.f_counters);
         for tap in &self.taps {
             OperatorMetrics::count(&mut m.t, &tap.counters);
@@ -532,9 +530,9 @@ impl AttrChain {
     /// `F` never runs on an empty batch, so without this a totally starved
     /// cell would leave its last `N_v` frozen and the budget tuner would
     /// act on stale telemetry. Total starvation is the strongest possible
-    /// violation: 100%.
+    /// violation: 100%, which is what `F` records for an empty batch.
     pub(crate) fn record_starved_epoch(&mut self) {
-        self.flatten_report().record_starved_batch();
+        self.flatten.process(&[], &mut self.f_out);
     }
 
     /// Total tuples processed by every operator in this chain (the work

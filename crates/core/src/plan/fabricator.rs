@@ -3,10 +3,13 @@
 //!
 //! The paper keeps the per-cell topologies in a "hashmap" keyed by grid
 //! cell. Here that table is an ordered map keyed by `(cell, attribute)`,
-//! and the standing queries one keyed by [`QueryId`]: every walk over
-//! chains or queries feeds something checksummed (execution order, float
-//! sums, rendered reports), so canonical ascending order is a property of
-//! the key type rather than a sort each caller has to remember. What the
+//! whose entry holds everything kept for the pair: the operator chain
+//! with F's telemetry, the handler's budget record `β⟨j⟩(q,r)`, and the
+//! owning tenants' shares. The standing queries are a map keyed by
+//! [`QueryId`]: every walk over chains or queries feeds something
+//! checksummed (execution order, float sums, rendered reports), so
+//! canonical ascending order is a property of the key type rather than a
+//! sort each caller has to remember. What the
 //! paper's hashmap is *for*, finding a tuple's topology, is a dense
 //! table: every (attribute, cell) pair holds the ordinal of its chain in
 //! that order, refilled whenever the chain set changes, so the map phase
@@ -14,17 +17,19 @@
 
 use super::chain::{AttrChain, OperatorMetrics, Staging};
 use super::PlannerConfig;
+use crate::budget::Budget;
 use crate::exec::{busy, shard_of, ExecMode, IngestReport, ShardIngest};
+use crate::handler::ChainCtl;
 use crate::ops::FlattenReport;
 use crate::query::{AcquisitionQuery, QueryId};
+use crate::tenant::TenantId;
 use crate::tuple::CrowdTuple;
 use crate::UnionOp;
 use craqr_geom::{CellId, Grid, Rect, Region};
 use craqr_sensing::{AttributeId, SensorResponse};
 use craqr_stats::fan_out;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::sync::Arc;
 
 /// Planning rejection.
 #[derive(Debug, Clone, PartialEq)]
@@ -252,6 +257,21 @@ fn run_shard<'a>(
     ShardIngest { shard, chains, tuples, busy_ns }
 }
 
+/// One entry of the chain table: everything kept for one (cell,
+/// attribute) pair. A rebuild replaces the operators and keeps the rest;
+/// deleting the chain's last consumer drops the entry.
+pub(crate) struct ChainEntry {
+    /// The operator chain `F → T … → (P)`.
+    pub(crate) ops: AttrChain,
+    /// The handler's record, created at the chain's first dispatch or
+    /// tuning round.
+    pub(crate) ctl: Option<ChainCtl>,
+    /// The owning tenants' shares of the chain's cost, ascending by
+    /// tenant and summing to 1: each tenant's summed consumer rates over
+    /// the chain's total ([`Fabricator::share_out`]).
+    pub(crate) shares: Vec<(TenantId, f64)>,
+}
+
 /// A standing query's placement: which cells it taps and how its per-cell
 /// pieces merge back together.
 #[derive(Debug)]
@@ -337,15 +357,10 @@ impl Standing {
 pub struct Fabricator {
     grid: Grid,
     config: PlannerConfig,
-    chains: BTreeMap<(CellId, AttributeId), AttrChain>,
+    chains: BTreeMap<(CellId, AttributeId), ChainEntry>,
     queries: BTreeMap<QueryId, Standing>,
     next_query: u64,
     dropped_unmaterialized: u64,
-    /// Cached per-chain tenant ownership, a pure function of the standing
-    /// queries — invalidated on insert/delete (chain rebuilds keep the
-    /// consumer set, so they leave it valid) and rebuilt lazily so the
-    /// epoch loop does not re-derive it every epoch.
-    tenant_shares: Option<crate::handler::ChainShares>,
     /// Per-operator processing-time clock handed to every chain (existing
     /// and future). `None` (default): no chain reads a clock and every
     /// `OpCounters::busy_ns` stays zero.
@@ -377,7 +392,6 @@ impl Fabricator {
             queries: BTreeMap::new(),
             next_query: 0,
             dropped_unmaterialized: 0,
-            tenant_shares: None,
             engine_clock: None,
             retired_metrics: OperatorMetrics::default(),
             router: Router::new(config.grid_side),
@@ -392,8 +406,8 @@ impl Fabricator {
     /// metric equality, so this never changes any deterministic artifact.
     pub fn set_engine_clock(&mut self, clock: Option<fn() -> u64>) {
         self.engine_clock = clock;
-        for chain in self.chains.values_mut() {
-            chain.set_clock(clock);
+        for entry in self.chains.values_mut() {
+            entry.ops.set_clock(clock);
         }
     }
 
@@ -475,8 +489,8 @@ impl Fabricator {
             let chain_seed = self.chain_seed(o.cell, query.attr);
             // "If the key is absent, it is created and a F-operator is
             // added to it."
-            let chain = self.chains.entry((o.cell, query.attr)).or_insert_with(|| {
-                let mut chain = AttrChain::new(
+            let entry = self.chains.entry((o.cell, query.attr)).or_insert_with(|| {
+                let mut ops = AttrChain::new(
                     cell_rect,
                     self.config.batch_duration,
                     query.rate,
@@ -484,10 +498,10 @@ impl Fabricator {
                     self.config.shape,
                     chain_seed,
                 );
-                chain.set_clock(engine_clock);
-                chain
+                ops.set_clock(engine_clock);
+                ChainEntry { ops, ctl: None, shares: Vec::new() }
             });
-            chain.insert_consumer(qid, cells.len() as u32, query.rate, o.overlap, o.full);
+            entry.ops.insert_consumer(qid, cells.len() as u32, query.rate, o.overlap, o.full);
             cells.push((o.cell, o.overlap, o.full));
             parts.push(o.overlap);
         }
@@ -496,8 +510,9 @@ impl Fabricator {
         let merge = UnionOp::nary(parts);
         let footprint = merge.output_region().clone();
         let plan = QueryPlan { query, cells, footprint };
+        let keys: Vec<_> = plan.cells.iter().map(|(cell, _, _)| (*cell, query.attr)).collect();
         self.queries.insert(qid, Standing::new(plan, merge));
-        self.tenant_shares = None;
+        keys.into_iter().for_each(|key| self.share_out(key));
         self.router.stale = true;
         Ok(qid)
     }
@@ -507,19 +522,20 @@ impl Fabricator {
     /// first.
     pub fn delete_query(&mut self, qid: QueryId) -> Result<Vec<CrowdTuple>, PlanError> {
         let mut standing = self.queries.remove(&qid).ok_or(PlanError::UnknownQuery(qid))?;
-        self.tenant_shares = None;
         let leftovers = standing.take_bank();
         let plan = &standing.plan;
         for (cell, _, _) in &plan.cells {
             let key = (*cell, plan.query.attr);
-            let Some(chain) = self.chains.get_mut(&key) else { continue };
-            chain.delete_consumer(qid);
+            let Some(entry) = self.chains.get_mut(&key) else { continue };
+            entry.ops.delete_consumer(qid);
             // "…until all the streams and the key in the hashmap are
-            // deleted."
-            if chain.is_empty() {
-                self.retired_metrics.absorb(&chain.metrics());
+            // deleted." The entry's record goes with them.
+            if entry.ops.is_empty() {
+                self.retired_metrics.absorb(&entry.ops.metrics());
                 self.chains.remove(&key);
                 self.router.stale = true;
+            } else {
+                self.share_out(key);
             }
         }
         Ok(leftovers)
@@ -537,7 +553,8 @@ impl Fabricator {
     /// ingest merged sits in the queries' banks, not the chain. Returns
     /// `false` when no such chain is materialized.
     pub fn rebuild_chain(&mut self, cell: CellId, attr: AttributeId) -> bool {
-        let Some(old) = self.chains.remove(&(cell, attr)) else { return false };
+        let seed = self.chain_seed(cell, attr);
+        let Some(entry) = self.chains.get_mut(&(cell, attr)) else { return false };
         // The standing consumers of this chain, ascending by query id.
         let mut consumers: Vec<(QueryId, u32, f64, Rect, bool)> = Vec::new();
         for (qid, Standing { plan, .. }) in &self.queries {
@@ -549,26 +566,27 @@ impl Fabricator {
                 consumers.push((*qid, port as u32, plan.query.rate, overlap, full));
             }
         }
-        // The chain's RNG streams and `N_v` telemetry restart (that is
-        // the point of a rebuild), but its processed-work history joins
-        // the retired aggregate: operator counters are fleet-cumulative.
-        self.retired_metrics.absorb(&old.metrics());
-        let cell_rect = self.grid.cell_rect(cell);
         let initial_rate =
             consumers.iter().map(|(_, _, r, _, _)| *r).fold(f64::MIN_POSITIVE, f64::max);
         let mut chain = AttrChain::new(
-            cell_rect,
+            self.grid.cell_rect(cell),
             self.config.batch_duration,
             initial_rate,
             self.config.f_headroom,
             self.config.shape,
-            self.chain_seed(cell, attr),
+            seed,
         );
         chain.set_clock(self.engine_clock);
         for &(qid, port, rate, overlap, full) in &consumers {
             chain.insert_consumer(qid, port, rate, overlap, full);
         }
-        self.chains.insert((cell, attr), chain);
+        // The chain's RNG streams and `N_v` telemetry restart (that is
+        // the point of a rebuild), but its processed-work history joins
+        // the retired aggregate: operator counters are fleet-cumulative.
+        // The handler's record and the tenant shares stay: the consumers
+        // are the same.
+        let old = std::mem::replace(&mut entry.ops, chain);
+        self.retired_metrics.absorb(&old.metrics());
         true
     }
 
@@ -601,91 +619,108 @@ impl Fabricator {
 
     /// The flatten telemetry of every chain, ascending by
     /// `(cell, attribute)`: `(cell, attribute, report, current λ̄)`.
-    pub fn flatten_reports(&self) -> Vec<(CellId, AttributeId, Arc<FlattenReport>, f64)> {
+    pub fn flatten_reports(&self) -> Vec<(CellId, AttributeId, &FlattenReport, f64)> {
         self.chains
             .iter()
-            .map(|((cell, attr), chain)| (*cell, *attr, chain.flatten_report(), chain.f_rate()))
+            .map(|((cell, attr), e)| (*cell, *attr, e.ops.flatten_report(), e.ops.f_rate()))
             .collect()
     }
 
-    /// Every chain's flatten telemetry, read in place, ascending by
-    /// `(cell, attribute)` — what budget tuning walks each epoch.
-    pub fn flatten_telemetry(
-        &self,
-    ) -> impl Iterator<Item = ((CellId, AttributeId), &FlattenReport)> + '_ {
-        self.chains.iter().map(|(key, chain)| (*key, chain.flatten()))
+    /// Every chain's entry, ascending by `(cell, attribute)`: the walk of
+    /// each of the handler's per-epoch rounds.
+    pub(crate) fn entries_mut(
+        &mut self,
+    ) -> impl Iterator<Item = ((CellId, AttributeId), &mut ChainEntry)> + '_ {
+        self.chains.iter_mut().map(|(key, entry)| (*key, entry))
     }
 
-    /// How many of `responses` each chain's cell and attribute received,
-    /// ascending by `(cell, attribute)`: the shortfall feedback of bounded
-    /// retry. Responses no chain takes count nowhere.
-    pub fn responses_per_chain(
+    /// Every chain's entry with how many of `responses` its cell and
+    /// attribute received, ascending by `(cell, attribute)`: the shortfall
+    /// feedback of bounded retry. Responses no chain takes count nowhere.
+    pub(crate) fn responses_per_chain(
         &mut self,
         responses: &[SensorResponse],
-    ) -> impl Iterator<Item = ((CellId, AttributeId), u64)> + '_ {
+    ) -> impl Iterator<Item = (&mut ChainEntry, u64)> + '_ {
         let counts = self.router.count(&self.grid, self.chains.keys(), responses);
-        self.chains.keys().copied().zip(counts.iter().copied())
+        self.chains.values_mut().zip(counts.iter().copied())
     }
 
     /// Current demand per materialized chain, ascending by
     /// `(cell, attribute)`: `(cell, attr, λ̄)` — what the request/response
     /// handler must feed.
     pub fn demands(&self) -> Vec<(CellId, AttributeId, f64)> {
-        self.chains.iter().map(|((cell, attr), chain)| (*cell, *attr, chain.f_rate())).collect()
+        self.chains.iter().map(|((cell, attr), e)| (*cell, *attr, e.ops.f_rate())).collect()
     }
 
-    /// Ensures the tenant-share cache reflects the current query set.
-    /// Call before [`Fabricator::tenant_shares`]; a no-op while the cache
-    /// is warm (the query set only changes on insert/delete, not per
-    /// epoch).
-    pub fn refresh_tenant_shares(&mut self) {
-        if self.tenant_shares.is_none() {
-            self.tenant_shares = Some(self.compute_tenant_shares());
-        }
+    /// The handler's record for a chain, if the chain stands and has been
+    /// dispatched or tuned.
+    pub(crate) fn record(&self, cell: CellId, attr: AttributeId) -> Option<&ChainCtl> {
+        self.chains.get(&(cell, attr)).and_then(|e| e.ctl.as_ref())
     }
 
-    /// Per-chain tenant ownership: for every materialized (cell,
-    /// attribute) chain, the tenants whose standing queries consume it,
-    /// with each tenant's share of the chain's cost — the tenant's summed
-    /// consumer rates over the chain's total consumer rates. Shares are
-    /// ascending by [`crate::tenant::TenantId`] and sum to 1 per chain;
-    /// the whole map is a deterministic function of the standing queries,
-    /// so tenant charging inherits the executor determinism contract.
+    /// A chain's current budget `β⟨j⟩(q,r)` (requests per epoch); `None`
+    /// before its first dispatch or tuning round, and once its last
+    /// consumer is deleted.
+    pub fn budget_of(&self, cell: CellId, attr: AttributeId) -> Option<f64> {
+        self.record(cell, attr).map(|c| c.budget.requests_per_epoch)
+    }
+
+    /// Every recorded chain's current budget, by value — the snapshot
+    /// behind [`crate::EpochObservation`]'s budget view, which is only
+    /// ever probed by key.
+    pub fn budget_snapshot(&self) -> HashMap<(CellId, AttributeId), f64> {
+        let budget = |e: &ChainEntry| Some(e.ctl.as_ref()?.budget.requests_per_epoch);
+        self.chains.iter().filter_map(|(k, e)| Some((*k, budget(e)?))).collect()
+    }
+
+    /// Overwrites a recorded chain's budget (requests per epoch) — the
+    /// replanning actuator of the adaptive control loop. The chain's
+    /// fractional-rounding credit is preserved so a replan does not
+    /// perturb the long-run rate accounting.
+    ///
+    /// Returns whether the chain had a record ([`Fabricator::budget_of`]
+    /// is `Some`). A replan can race a chain retirement (the query was
+    /// deleted between the observation and the actuation); the stale
+    /// actuation is a signalled no-op, never a phantom record, and the
+    /// caller can surface it ([`crate::EpochReport::stale_actions`]).
     ///
     /// # Panics
-    /// Panics when the cache is cold — run
-    /// [`Fabricator::refresh_tenant_shares`] first (the split exists so
-    /// the epoch loop can hold this borrow immutably alongside others).
+    /// Panics outside [`Budget::REQUESTS_PER_EPOCH`].
     #[track_caller]
-    pub fn tenant_shares(&self) -> &crate::handler::ChainShares {
-        self.tenant_shares.as_ref().expect("refresh_tenant_shares() before tenant_shares()")
+    #[must_use = "a false return means the chain is retired and nothing was actuated"]
+    pub fn set_budget(&mut self, cell: CellId, attr: AttributeId, requests_per_epoch: f64) -> bool {
+        Budget::REQUESTS_PER_EPOCH.assert("budget", requests_per_epoch);
+        match self.chains.get_mut(&(cell, attr)).and_then(|e| e.ctl.as_mut()) {
+            Some(ctl) => {
+                ctl.budget.requests_per_epoch = requests_per_epoch;
+                true
+            }
+            None => false,
+        }
     }
 
-    fn compute_tenant_shares(&self) -> crate::handler::ChainShares {
-        let mut rates: BTreeMap<(CellId, AttributeId), BTreeMap<_, f64>> = BTreeMap::new();
-        // Accumulated ascending by query id: the per-tenant rate sums are
-        // floating-point, and float addition is not associative — the
-        // summation order of a checksummed value must be canonical.
-        for Standing { plan, .. } in self.queries.values() {
-            for (cell, _, _) in &plan.cells {
-                *rates
-                    .entry((*cell, plan.query.attr))
-                    .or_default()
-                    .entry(plan.query.tenant)
-                    .or_insert(0.0) += plan.query.rate;
+    /// Recomputes one chain's tenant shares from its consumers: each
+    /// owning tenant's summed consumer rates over the chain's total, so
+    /// tenant charging inherits the executor determinism contract. The
+    /// rates are summed ascending by query id and the total ascending by
+    /// tenant — float addition is not associative, and the summation order
+    /// of a checksummed value must be canonical.
+    fn share_out(&mut self, key: (CellId, AttributeId)) {
+        let Some(entry) = self.chains.get_mut(&key) else { return };
+        let shares = &mut entry.shares;
+        shares.clear();
+        for qid in entry.ops.query_ids() {
+            let query = &self.queries[&qid].plan.query;
+            match shares.iter_mut().find(|(tenant, _)| *tenant == query.tenant) {
+                Some((_, rate)) => *rate += query.rate,
+                None => shares.push((query.tenant, query.rate)),
             }
         }
-        rates
-            .into_iter()
-            .map(|(key, by_tenant)| {
-                let total: f64 = by_tenant.values().sum();
-                let shares = by_tenant
-                    .into_iter()
-                    .map(|(tenant, rate)| (tenant, if total > 0.0 { rate / total } else { 0.0 }))
-                    .collect();
-                (key, shares)
-            })
-            .collect()
+        shares.sort_by_key(|(tenant, _)| *tenant);
+        let total: f64 = shares.iter().map(|(_, rate)| rate).sum();
+        for (_, share) in shares.iter_mut() {
+            *share = if total > 0.0 { *share / total } else { 0.0 };
+        }
     }
 
     /// **map + process + merge**: routes one ingestion batch to the
@@ -742,7 +777,7 @@ impl Fabricator {
         // The ascending chain list is the canonical execution order, and a
         // chain's ordinal is its position in it.
         let (router, chains) = (&self.router, self.chains.len());
-        let jobs = self.chains.values_mut().enumerate().map(|(i, chain)| (chain, router.batch(i)));
+        let jobs = self.chains.values_mut().enumerate().map(|(i, e)| (&mut e.ops, router.batch(i)));
         if self.stagings.len() < shards {
             self.stagings.resize_with(shards, Staging::default);
         }
@@ -812,7 +847,7 @@ impl Fabricator {
     /// Total tuples processed across every chain (the work measure of the
     /// multi-query sharing experiments).
     pub fn tuples_processed(&self) -> u64 {
-        self.chains.values().map(AttrChain::tuples_processed).sum()
+        self.chains.values().map(|e| e.ops.tuples_processed()).sum()
     }
 
     /// Fleet-wide operator metrics: every chain's operator counters folded
@@ -825,8 +860,8 @@ impl Fabricator {
     /// [`OperatorMetrics::by_kind`].
     pub fn chain_metrics(&self) -> OperatorMetrics {
         let mut agg = self.retired_metrics.clone();
-        for chain in self.chains.values() {
-            agg.absorb(&chain.metrics());
+        for entry in self.chains.values() {
+            agg.absorb(&entry.ops.metrics());
         }
         agg
     }
@@ -836,15 +871,15 @@ impl Fabricator {
     pub fn explain(&self) -> String {
         use std::fmt::Write;
         let mut s = String::new();
-        for ((cell, attr), chain) in &self.chains {
-            let _ = writeln!(s, "R{cell} {attr}: {}", chain.explain());
+        for ((cell, attr), entry) in &self.chains {
+            let _ = writeln!(s, "R{cell} {attr}: {}", entry.ops.explain());
         }
         s
     }
 
     /// Access to one chain (for tests and experiments).
     pub fn chain(&self, cell: CellId, attr: AttributeId) -> Option<&AttrChain> {
-        self.chains.get(&(cell, attr))
+        self.chains.get(&(cell, attr)).map(|e| &e.ops)
     }
 }
 
@@ -1175,6 +1210,23 @@ mod tests {
     }
 
     #[test]
+    fn tenant_shares_follow_inserts_and_deletes() {
+        let mut f = fab();
+        let cell = Rect::new(0.0, 0.0, 1.0, 1.0);
+        let q0 = f.insert_query(query(0, cell, 2.0)).unwrap();
+        f.insert_query(query(0, Rect::new(0.0, 0.0, 2.0, 1.0), 1.0).owned_by(TenantId(1))).unwrap();
+        let shares =
+            |f: &Fabricator, q| f.chains[&(CellId::new(q, 0), AttributeId(0))].shares.clone();
+        assert_eq!(shares(&f, 0), vec![(TenantId(0), 2.0 / 3.0), (TenantId(1), 1.0 / 3.0)]);
+        assert_eq!(shares(&f, 1), vec![(TenantId(1), 1.0)]);
+        // A rebuild keeps the consumers, so it keeps the shares.
+        assert!(f.rebuild_chain(CellId::new(0, 0), AttributeId(0)));
+        assert_eq!(shares(&f, 0), vec![(TenantId(0), 2.0 / 3.0), (TenantId(1), 1.0 / 3.0)]);
+        f.delete_query(q0).unwrap();
+        assert_eq!(shares(&f, 0), vec![(TenantId(1), 1.0)]);
+    }
+
+    #[test]
     fn explain_lists_materialized_chains() {
         let mut f = fab();
         f.insert_query(query(0, Rect::new(0.0, 0.0, 1.0, 1.0), 2.0)).unwrap();
@@ -1224,10 +1276,10 @@ mod tests {
         let (groups, dropped) = oracle_groups(&o.f, tuples);
         o.f.dropped_unmaterialized += dropped as u64;
         let mut staging = Staging::default();
-        for (key, chain) in &mut o.f.chains {
+        for (key, entry) in &mut o.f.chains {
             match groups.get(key) {
-                Some(batch) => chain.process_batch(batch, &mut staging),
-                None => chain.record_starved_epoch(),
+                Some(batch) => entry.ops.process_batch(batch, &mut staging),
+                None => entry.ops.record_starved_epoch(),
             }
             let mut start = 0;
             for &(qid, _, end) in &staging.pieces {

@@ -237,8 +237,8 @@ pub struct BudgetView {
 
 impl BudgetView {
     /// The acquisition budget of one chain (requests/epoch), if its
-    /// budget entry is live — the snapshot of
-    /// [`RequestResponseHandler::budget_of`].
+    /// chain has a budget record — the snapshot of
+    /// [`Fabricator::budget_of`].
     pub fn of(&self, cell: craqr_geom::CellId, attr: AttributeId) -> Option<f64> {
         self.budgets.get(&(cell, attr)).copied()
     }
@@ -319,7 +319,7 @@ impl EpochObservation {
                 queries,
                 demands: fabricator.demands(),
             },
-            budgets: BudgetView { budgets: handler.budget_snapshot(), tuner: *handler.tuner() },
+            budgets: BudgetView { budgets: fabricator.budget_snapshot(), tuner: *handler.tuner() },
             tenants: tenants.map(|t| t.summaries()),
             epoch_start,
             epoch_end,
@@ -791,6 +791,7 @@ impl CraqrServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::TuneOutcome;
     use craqr_geom::Rect;
     use craqr_sensing::{
         fields::ConstantField, AttrValue, CrowdConfig, Mobility, Placement, PopulationConfig,
@@ -869,12 +870,12 @@ mod tests {
         let mut before = None;
         for _ in 0..10 {
             s.run_epoch();
-            let b = s.handler().budget_of(cell, attr);
+            let b = s.fabricator().budget_of(cell, attr);
             if before.is_none() {
                 before = b;
             }
         }
-        let after = s.handler().budget_of(cell, attr).unwrap();
+        let after = s.fabricator().budget_of(cell, attr).unwrap();
         assert!(
             after > before.unwrap(),
             "budget should grow under violations: {before:?} → {after}"
@@ -923,7 +924,7 @@ mod tests {
         s.driver().hook(&mut hook).step();
         let cell = craqr_geom::CellId::new(0, 0);
         let attr = s.catalog().lookup("temp").unwrap();
-        assert_eq!(s.handler().budget_of(cell, attr), Some(3.0), "hook set the budget");
+        assert_eq!(s.fabricator().budget_of(cell, attr), Some(3.0), "hook set the budget");
         assert_eq!(s.fabricator().chain(cell, attr).unwrap().flatten_report().batches(), 0);
         // The pinned budget drives the next epoch's dispatch.
         let r = s.driver().hook(&mut hook).step();
@@ -1044,8 +1045,8 @@ mod tests {
         let cell = craqr_geom::CellId::new(0, 0);
         let attr = live.catalog().lookup("temp").unwrap();
         assert_eq!(
-            live.handler().budget_of(cell, attr),
-            replayed.handler().budget_of(cell, attr),
+            live.fabricator().budget_of(cell, attr),
+            replayed.fabricator().budget_of(cell, attr),
             "budget state diverged under replay"
         );
     }
@@ -1189,7 +1190,7 @@ mod tests {
         let attr = s.catalog().lookup("temp").unwrap();
         let mut hook = ReplanRetired { target: None };
         s.driver().hook(&mut hook).step();
-        assert!(s.handler().budget_of(cell, attr).is_some(), "chain live, budget live");
+        assert!(s.fabricator().budget_of(cell, attr).is_some(), "chain live, budget live");
 
         // Retire the chain, then let the (now stale) replan fire.
         s.delete_query(qid).unwrap();
@@ -1197,7 +1198,7 @@ mod tests {
         let report = s.driver().hook(&mut hook).step();
         assert_eq!(report.stale_actions, 2, "both stale actuations surfaced");
         assert_eq!(
-            s.handler().budget_of(cell, attr),
+            s.fabricator().budget_of(cell, attr),
             None,
             "stale SetBudget must not materialize a phantom budget entry"
         );
@@ -1205,8 +1206,58 @@ mod tests {
         let q2 = s.submit("ACQUIRE temp FROM RECT(0,0,1,1) RATE 1").unwrap();
         let r = s.driver().hook(&mut hook).step();
         assert_eq!(r.stale_actions, 0);
-        assert_eq!(s.handler().budget_of(cell, attr), Some(50.0));
+        assert_eq!(s.fabricator().budget_of(cell, attr), Some(50.0));
         s.delete_query(q2).unwrap();
+    }
+
+    /// A chain's budget record lives in its chain-table entry: a rebuild
+    /// keeps it, and deleting the chain's last consumer drops it at once,
+    /// so a query re-submitted before the next dispatch starts afresh.
+    #[test]
+    fn a_budget_record_lives_and_dies_with_its_chain() {
+        struct Replan;
+        impl ControlHook for Replan {
+            fn on_epoch(&mut self, obs: &EpochObservation) -> Vec<ControlAction> {
+                let (cell, attr, _) = obs.plan.demands[0];
+                vec![
+                    ControlAction::SetBudget { cell, attr, requests_per_epoch: 7.0 },
+                    ControlAction::RebuildChain { cell, attr },
+                ]
+            }
+        }
+        // No sensors: every dispatch falls short and every epoch starves,
+        // so each tune is violated and, at the cap, escalates the incentive.
+        let config = ServerConfig {
+            tuner: BudgetTuner { max_budget: 10.0, ..Default::default() },
+            incentive: IncentivePolicy { base: 0.25, ..Default::default() },
+            initial_budget: 10.0,
+            retry: Some(crate::handler::RetryPolicy::default()),
+            ..ServerConfig::default()
+        };
+        let mut s = CraqrServer::new(crowd(0), config);
+        s.register_attribute("temp", false, Box::new(ConstantField(AttrValue::Float(21.0))));
+        let text = "ACQUIRE temp FROM RECT(0,0,1,1) RATE 1";
+        let qid = s.submit(text).unwrap();
+        let (cell, attr) = (craqr_geom::CellId::new(0, 0), s.catalog().lookup("temp").unwrap());
+        let incentive = |s: &CraqrServer| s.handler().incentive_of(s.fabricator(), cell, attr);
+
+        // Dispatch 10, hear nothing (10 retry requests queued), tune at
+        // the cap; then the hook sets the budget and rebuilds the chain.
+        let r = s.driver().hook(&mut Replan).step();
+        assert_eq!((r.dispatch.requested, r.tuning[0].outcome), (10, TuneOutcome::Exhausted));
+        assert_eq!(s.fabricator().chain(cell, attr).unwrap().flatten_report().batches(), 0);
+        assert_eq!(s.fabricator().budget_of(cell, attr), Some(7.0), "the rebuild kept the budget");
+        assert!(incentive(&s) > 0.25, "the rebuild kept the incentive");
+        let r = s.run_epoch();
+        assert_eq!(r.dispatch.requested, 7 + 10, "the rebuild kept the retry top-up");
+
+        s.delete_query(qid).unwrap();
+        assert_eq!(s.fabricator().budget_of(cell, attr), None, "the record went with the chain");
+        s.submit(text).unwrap();
+        assert_eq!(s.fabricator().budget_of(cell, attr), None);
+        assert_eq!(incentive(&s), 0.25, "the base incentive");
+        let r = s.run_epoch();
+        assert_eq!(r.dispatch.requested, 10, "the initial budget, no retry top-up");
     }
 
     #[test]

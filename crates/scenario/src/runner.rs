@@ -639,7 +639,7 @@ impl<'a> Session<'a> {
             .fabricator()
             .demands()
             .iter()
-            .filter_map(|(cell, attr, _)| server.handler().budget_of(*cell, *attr))
+            .filter_map(|(cell, attr, _)| server.fabricator().budget_of(*cell, *attr))
             .sum();
         let (requested, sent) = server.handler().totals();
         let totals = RunTotals {

@@ -42,7 +42,7 @@ fn main() {
     let skewed = InhomogeneousMdpp::new(LinearIntensity::new([0.3, 0.0, 0.7, 0.0]), cell);
     let raw = skewed.sample(&window, &mut rng);
     let in_rep = homogeneity_report(&raw, &window, 4, 2);
-    let (mut flatten, report) =
+    let mut flatten =
         FlattenOp::new(FlattenConfig { cell, batch_duration: 10.0, target_rate: 0.6, seed: 1 });
     let mut flat = Vec::new();
     flatten.process(&tuples_from(&raw), &mut flat);
@@ -56,7 +56,7 @@ fn main() {
         "output: n={:<6} χ² p={:<10.3e} count CV={:.3}",
         out_rep.n, out_rep.chi_square.p_value, out_rep.count_cv
     );
-    println!("rate violations N_v = {:.1}%\n", report.last_nv());
+    println!("rate violations N_v = {:.1}%\n", flatten.report().last_nv());
 
     // ---- T: thin a homogeneous stream -----------------------------------
     println!("== T (thin) ==");

@@ -95,11 +95,11 @@ fn budget_rises_under_starvation_and_falls_under_plenty() {
     server.submit("ACQUIRE temp FROM RECT(0, 0, 1, 1) RATE 6").unwrap();
     let cell = CellId::new(0, 0);
     server.run_epoch();
-    let early = server.handler().budget_of(cell, attr).unwrap();
+    let early = server.fabricator().budget_of(cell, attr).unwrap();
     for _ in 0..8 {
         server.run_epoch();
     }
-    let late = server.handler().budget_of(cell, attr).unwrap();
+    let late = server.fabricator().budget_of(cell, attr).unwrap();
     assert!(late > early, "starved budget must rise: {early} → {late}");
 
     // Plenty: big, uniformly spread, stationary crowd and a tiny rate, so
@@ -122,11 +122,11 @@ fn budget_rises_under_starvation_and_falls_under_plenty() {
     let attr = server.register_attribute("temp", false, Box::new(TemperatureField::city_default()));
     server.submit("ACQUIRE temp FROM RECT(0, 0, 1, 1) RATE 0.05").unwrap();
     server.run_epoch();
-    let early = server.handler().budget_of(CellId::new(0, 0), attr).unwrap();
+    let early = server.fabricator().budget_of(CellId::new(0, 0), attr).unwrap();
     for _ in 0..8 {
         server.run_epoch();
     }
-    let late = server.handler().budget_of(CellId::new(0, 0), attr).unwrap();
+    let late = server.fabricator().budget_of(CellId::new(0, 0), attr).unwrap();
     assert!(late < early, "over-provisioned budget must fall: {early} → {late}");
 }
 

@@ -365,7 +365,7 @@ fn tuples(points: &[SpaceTimePoint]) -> Vec<CrowdTuple> {
 fn e1_the_product_f_homogenizes_large_batches() {
     let truth = truth();
     let d = duration_for(&truth, LARGE_N);
-    let (mut f, _report) = FlattenOp::new(FlattenConfig {
+    let mut f = FlattenOp::new(FlattenConfig {
         cell: region(),
         batch_duration: d,
         target_rate: LAMBDA_BAR,
@@ -483,7 +483,7 @@ fn e4_the_budget_follows_the_crowd_through_an_outage() {
         let reports = server.fabricator().flatten_reports();
         let report = reports.iter().find(|(c, a, _, _)| (*c, *a) == (cell, attr));
         nv.push(report.and_then(|(_, _, r, _)| r.smoothed_nv()).unwrap_or(0.0));
-        beta.push(server.handler().budget_of(cell, attr).unwrap_or(0.0));
+        beta.push(server.fabricator().budget_of(cell, attr).unwrap_or(0.0));
         eprintln!("E4 epoch {epoch}: N_v {:.1} %  β {:.1}", nv[epoch], beta[epoch]);
     }
     for epoch in 0..3 * PHASE {
@@ -641,7 +641,8 @@ fn e9_at(step: f64, max: f64) -> (f64, f64) {
         .flat_map(|_| {
             server.run_epoch();
             let reports = server.fabricator().flatten_reports();
-            reports.into_iter().filter(|r| r.1 == attr).filter_map(|r| r.2.smoothed_nv())
+            let nvs = reports.into_iter().filter(|r| r.1 == attr).filter_map(|r| r.2.smoothed_nv());
+            nvs.collect::<Vec<_>>()
         })
         .collect();
     let achieved = server.take_output(qid).len() as f64 / (4.0 * (server.now() - start));

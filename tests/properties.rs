@@ -109,7 +109,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let cell = Rect::with_size(4.0, 4.0);
-        let (mut op, report) = FlattenOp::new(FlattenConfig {
+        let mut op = FlattenOp::new(FlattenConfig {
             cell,
             batch_duration: 10.0,
             target_rate,
@@ -132,7 +132,7 @@ proptest! {
             "kept {} vs target {target}",
             out.len()
         );
-        prop_assert!(report.last_nv() < 20.0, "abundant batch should rarely violate");
+        prop_assert!(op.report().last_nv() < 20.0, "abundant batch should rarely violate");
     }
 
     /// Random insert/delete sequences preserve every chain invariant and

@@ -87,8 +87,8 @@ fn serial_and_sharded_4_are_bit_identical_across_10_epochs() {
             for attr in &attrs {
                 let cell = CellId::new(q, r);
                 assert_eq!(
-                    serial.handler().budget_of(cell, *attr),
-                    sharded.handler().budget_of(cell, *attr),
+                    serial.fabricator().budget_of(cell, *attr),
+                    sharded.fabricator().budget_of(cell, *attr),
                     "budget diverged at {cell:?} {attr:?}"
                 );
             }
